@@ -6,11 +6,10 @@ from .core import (BlockLayout, BlockVector, ContractViolationError,
                    cellwise_scale, l2_norm, validate_jacobian)
 from .linalg import (BlockTridiagFactorization, GmresStats, LinearOperator,
                      SingularPivotError, factor_block_tridiag,
-                     gmres_right_preconditioned, identity_operator,
-                     solve_block_tridiag)
-from .lines import (CouplingGraph, LineSet, build_coupling_graph,
-                    extract_lines, singleton_lines)
-from .ptc import (PtcConfig, PtcState, SolveOutcome, SolveReport, cfl_update,
+                     gmres_right_preconditioned, identity_operator)
+from .lines import (CouplingGraph, LineBlocks, LineSet, assemble_line_blocks,
+                    build_coupling_graph, extract_lines, singleton_lines)
+from .ptc import (PtcConfig, SolveOutcome, SolveReport, cfl_update,
                   line_search, local_pseudo_timesteps, newton_step,
                   ptc_operator, solve_steady)
 from .smoother import (RkSchedule, SmootherContext, SmoothResult,

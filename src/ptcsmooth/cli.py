@@ -51,7 +51,6 @@ class RunConfig:
     smoothing_enabled: bool
     schedule: RkSchedule
     mode: str = "steady"
-    seed: int = 0
     dt: float = 0.05
     n_steps: int = 3
     output_dir: str = "."
@@ -127,8 +126,7 @@ _SOLVER_KEYS = {
 
 _SMOOTHING_KEYS = {"enabled": _parse_bool, "stages": _parse_stages,
                    "cycles": _parse_int}
-_RUN_KEYS = {"mode": str, "seed": _parse_int, "dt": _parse_float,
-             "n_steps": _parse_int}
+_RUN_KEYS = {"mode": str, "dt": _parse_float, "n_steps": _parse_int}
 _OUTPUT_KEYS = {"dir": str, "prefix": str}
 
 _SECTIONS = ("problem", "solver", "smoothing", "run", "output")
@@ -221,7 +219,7 @@ def parse_config(text: str, overrides: Optional[List[str]] = None) -> RunConfig:
             cycles = value
     schedule = RkSchedule(stages, cycles)
 
-    run_kwargs = {"mode": "steady", "seed": 0, "dt": 0.05, "n_steps": 3}
+    run_kwargs = {"mode": "steady", "dt": 0.05, "n_steps": 3}
     for key, (raw, lineno) in sections.get("run", {}).items():
         value = _convert("run", key, raw, lineno, _RUN_KEYS)
         run_kwargs[key] = value
@@ -235,8 +233,8 @@ def parse_config(text: str, overrides: Optional[List[str]] = None) -> RunConfig:
 
     return RunConfig(problem_name=name, problem_params=params, solver=solver,
                      smoothing_enabled=smoothing_enabled, schedule=schedule,
-                     mode=run_kwargs["mode"], seed=run_kwargs["seed"],
-                     dt=run_kwargs["dt"], n_steps=run_kwargs["n_steps"],
+                     mode=run_kwargs["mode"], dt=run_kwargs["dt"],
+                     n_steps=run_kwargs["n_steps"],
                      output_dir=out_kwargs["dir"], prefix=out_kwargs["prefix"])
 
 
@@ -275,7 +273,6 @@ def render_config(config: RunConfig) -> str:
     lines.append("[run]")
     lines += [
         f"mode = {config.mode}",
-        f"seed = {config.seed}",
         f"dt = {config.dt!r}",
         f"n_steps = {config.n_steps}",
     ]
@@ -414,10 +411,8 @@ def run(config: RunConfig) -> int:
                 print(f"step {k}: {rep.outcome.value}, "
                       f"{rep.newton_steps} Newton steps, "
                       f"{rep.cumulative_krylov} Krylov vectors")
-            if time_history.aborted:
-                return 2
-            outcomes = [r.outcome for r in time_history.reports]
-            return 0 if all(o == SolveOutcome.CONVERGED for o in outcomes) else 3
+            # The run stops at the first inner solve that did not converge.
+            return _EXIT_BY_OUTCOME[time_history.reports[-1].outcome]
 
         raise ConfigError(f"unknown mode {config.mode!r}")
     except OSError as exc:

@@ -157,14 +157,6 @@ class FirstOrderBlocks:
     off_ij: np.ndarray    # (n_edges, b, b)
     off_ji: np.ndarray    # (n_edges, b, b)
 
-    def edge_block_map(self) -> dict:
-        """Directed (row_cell, col_cell) -> block lookup."""
-        out = {}
-        for k, (i, j) in enumerate(self.edges):
-            out[(int(i), int(j))] = self.off_ij[k]
-            out[(int(j), int(i))] = self.off_ji[k]
-        return out
-
 
 class NonlinearSystem(ABC):
     """Contract a problem must satisfy to be driven by the solvers.

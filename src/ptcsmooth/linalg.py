@@ -167,7 +167,11 @@ class BlockTridiagFactorization:
     line_factors: list
 
     def solve(self, r: BlockVector) -> BlockVector:
-        return solve_block_tridiag(self, r)
+        """Forward/backward substitution per line; independent lines independent."""
+        if r.layout != self.layout:
+            raise ContractViolationError(
+                "right-hand side layout does not match factorization")
+        return BlockVector(self.layout, self.solve_values(r.values))
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
         b = self.layout.block_size
@@ -237,9 +241,3 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
         factors.append(_LineFactor(cells, binv, gamma, sub))
     return BlockTridiagFactorization(layout, factors)
 
-
-def solve_block_tridiag(f: BlockTridiagFactorization, r: BlockVector) -> BlockVector:
-    """Forward/backward substitution per line; independent lines independent."""
-    if r.layout != f.layout:
-        raise ContractViolationError("right-hand side layout does not match factorization")
-    return BlockVector(f.layout, f.solve_values(r.values))

@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from .core import BlockVector, NonlinearSystem
+from .core import BlockVector, ContractViolationError, NonlinearSystem
 
 
 @dataclass
@@ -63,6 +63,42 @@ class LineSet:
     def to_text(self) -> str:
         """One line per row, cell indices space-separated."""
         return "\n".join(" ".join(str(c) for c in line) for line in self.lines) + "\n"
+
+
+@dataclass(frozen=True)
+class LineBlocks:
+    """First-order Jacobian blocks restricted to a line set: every diagonal
+    block, and in ``off`` the (row, col) -> block couplings of consecutive
+    in-line pairs, the form ``factor_block_tridiag`` takes."""
+
+    lines: LineSet
+    diag: np.ndarray   # (n_cells, b, b)
+    off: dict
+
+
+def assemble_line_blocks(system: NonlinearSystem, w: BlockVector,
+                         lines: LineSet) -> LineBlocks:
+    """Evaluate the first-order blocks at ``w`` once and gather the couplings
+    of consecutive in-line pairs, found among the stencil edges by a sorted
+    search rather than a walk over every edge."""
+    blocks = system.first_order_blocks(w)
+    pairs = np.sort(np.array([pq for line in lines.lines
+                              for pq in zip(line[:-1], line[1:])],
+                             dtype=int).reshape(-1, 2), axis=1)
+    n = lines.n_cells
+    keys = blocks.edges[:, 0] * n + blocks.edges[:, 1]
+    order = np.argsort(keys)
+    wanted = pairs[:, 0] * n + pairs[:, 1]
+    pos = np.searchsorted(keys[order], wanted)
+    missing = np.append(keys[order], -1)[pos] != wanted   # -1: past the end
+    if np.any(missing):
+        raise ContractViolationError(
+            f"line pair {tuple(pairs[np.argmax(missing)].tolist())} "
+            "has no stencil edge")
+    k = order[pos]
+    off = dict(zip(map(tuple, pairs.tolist()), blocks.off_ij[k]))
+    off.update(zip(map(tuple, pairs[:, ::-1].tolist()), blocks.off_ji[k]))
+    return LineBlocks(lines, blocks.diag, off)
 
 
 def singleton_lines(n_cells: int) -> LineSet:

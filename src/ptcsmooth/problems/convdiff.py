@@ -166,36 +166,25 @@ class AnisoConvDiffProblem(NonlinearSystem):
                                 + 2.0 * self.sigma * u)
         diag = diag2d.ravel().reshape(-1, 1, 1)
 
-        def k(i, j):
-            return j * nx + i
-
-        edges = []
-        off_ij = []
-        off_ji = []
-        for j in range(ny):
-            for i in range(nx - 1):
-                edges.append((k(i, j), k(i + 1, j)))
-                # Residual of (i, j) w.r.t. its east neighbor, and vice versa.
-                d_east = self._vol2d[j, i] * (-self.eps * lxp[i]
-                                              + (-self.vx / self._dxp[i] if self.vx < 0 else 0.0))
-                d_west = self._vol2d[j, i + 1] * (-self.eps * lxm[i + 1]
-                                                  + (-self.vx / self._dxm[i + 1] if self.vx >= 0 else 0.0))
-                off_ij.append(d_east)
-                off_ji.append(d_west)
-        for j in range(ny - 1):
-            for i in range(nx):
-                edges.append((k(i, j), k(i, j + 1)))
-                d_north = self._vol2d[j, i] * (-self.eps * lyp[j]
-                                               + (-self.vy / self._dyp[j] if self.vy < 0 else 0.0))
-                d_south = self._vol2d[j + 1, i] * (-self.eps * lym[j + 1]
-                                                   + (-self.vy / self._dym[j + 1] if self.vy >= 0 else 0.0))
-                off_ij.append(d_north)
-                off_ji.append(d_south)
-
-        edges = np.asarray(edges, dtype=int)
-        off_ij = np.asarray(off_ij).reshape(-1, 1, 1)
-        off_ji = np.asarray(off_ji).reshape(-1, 1, 1)
-        return FirstOrderBlocks(self._layout, diag, edges, off_ij, off_ji)
+        # Edges in row-major order, x-edges before y-edges (line extraction
+        # breaks ties by this order). off_ij couples a cell to its east or
+        # north neighbor, off_ji the reverse; upwind convection enters the
+        # neighbor coupling on the upstream side only.
+        cell = np.arange(nx * ny).reshape(ny, nx)
+        edges = np.concatenate((
+            np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel())),
+            np.column_stack((cell[:-1, :].ravel(), cell[1:, :].ravel()))))
+        vol = self._vol2d
+        east = -self.eps * lxp[:-1] + (self.vx / self._dxp[:-1] if self.vx < 0 else 0.0)
+        west = -self.eps * lxm[1:] + (-self.vx / self._dxm[1:] if self.vx >= 0 else 0.0)
+        north = -self.eps * lyp[:-1] + (self.vy / self._dyp[:-1] if self.vy < 0 else 0.0)
+        south = -self.eps * lym[1:] + (-self.vy / self._dym[1:] if self.vy >= 0 else 0.0)
+        off_ij = np.concatenate(((vol[:, :-1] * east).ravel(),
+                                 (vol[:-1, :] * north[:, None]).ravel()))
+        off_ji = np.concatenate(((vol[:, 1:] * west).ravel(),
+                                 (vol[1:, :] * south[:, None]).ravel()))
+        return FirstOrderBlocks(self._layout, diag, edges,
+                                off_ij.reshape(-1, 1, 1), off_ji.reshape(-1, 1, 1))
 
     def mass(self) -> MassMatrix:
         return self._mass

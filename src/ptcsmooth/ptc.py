@@ -8,6 +8,10 @@ constant. A backtracking line search on the pseudo-unsteady (smoothed)
 residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
+
+The first-order blocks are evaluated once per Newton step and gathered along
+the frozen lines once; that one gather is factored as J1 for the smoother and
+as J1 + M/dtau for GMRES.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
 from .linalg import (BlockTridiagFactorization, GmresStats, LinearOperator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
-from .lines import LineSet, build_coupling_graph, extract_lines
-from .smoother import (RkSchedule, SmootherContext, build_smoother,
-                       line_off_blocks, rk_smooth, smoothing_source)
+from .lines import (LineBlocks, LineSet, assemble_line_blocks,
+                    build_coupling_graph, extract_lines)
+from .smoother import RkSchedule, build_smoother, rk_smooth, smoothing_source
 
 log = logging.getLogger(__name__)
 
@@ -77,15 +81,6 @@ class PtcConfig:
 
 
 @dataclass
-class PtcState:
-    w: BlockVector
-    cfl: float
-    step: int
-    history: List[ConvergenceRecord]
-    initial_residual_l2: float
-
-
-@dataclass
 class SolveReport:
     outcome: SolveOutcome
     newton_steps: int
@@ -124,15 +119,12 @@ def ptc_operator(system: NonlinearSystem, w: BlockVector,
     return LinearOperator(layout, matvec)
 
 
-def build_ptc_preconditioner(system: NonlinearSystem, w: BlockVector,
-                             dtau: np.ndarray,
-                             lines: LineSet) -> BlockTridiagFactorization:
+def build_ptc_preconditioner(blocks: LineBlocks,
+                             mass_over_dtau: np.ndarray) -> BlockTridiagFactorization:
     """Line-structured first-order Jacobian with M/dtau added to diagonals."""
-    blocks = system.first_order_blocks(w)
-    coeffs = system.mass().over_dtau(dtau)
-    b = system.layout.block_size
-    diag = blocks.diag + coeffs[:, None, None] * np.eye(b)
-    return factor_block_tridiag(lines, diag, line_off_blocks(blocks, lines))
+    b = blocks.diag.shape[1]
+    diag = blocks.diag + mass_over_dtau[:, None, None] * np.eye(b)
+    return factor_block_tridiag(blocks.lines, diag, blocks.off)
 
 
 @dataclass
@@ -146,29 +138,48 @@ class NewtonStepResult:
 
 def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
                 config: PtcConfig, lines: LineSet,
-                smoother_ctx: Optional[SmootherContext] = None,
                 residual: Optional[BlockVector] = None) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    The smoothing source is computed before the linear solve and never
-    re-evaluated. GMRES non-convergence is reported through the stats for the
-    controller, not raised.
+    The first-order blocks are evaluated and gathered along ``lines`` once,
+    then factored as J1 for the smoother (when ``config.smoothing`` has
+    cycles) and as J1 + M/dtau for GMRES. The smoothing source is computed
+    before the linear solve and never re-evaluated. A singular smoother
+    factorization runs the step unsmoothed. GMRES non-convergence is
+    reported through the stats for the controller, not raised; so are a
+    singular PTC preconditioner and non-finite operator output, as a failed
+    solve with no Krylov vectors.
     """
     r = residual if residual is not None else system.residual(w)
+    zero = BlockVector.zeros(w.layout)
+    failed = GmresStats(0, 1.0, False, [])
+    blocks = assemble_line_blocks(system, w, lines)
+    try:
+        precon = build_ptc_preconditioner(blocks, system.mass().over_dtau(dtau))
+    except SingularPivotError as exc:
+        log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
+        return NewtonStepResult(zero, zero, failed, r)
 
-    degraded = False
-    if smoother_ctx is not None and smoother_ctx.schedule.n_cycles > 0:
-        sm = rk_smooth(system, smoother_ctx, w)
-        source = smoothing_source(sm.delta_w, system.mass(), dtau)
-        degraded = sm.degraded
-    else:
-        source = BlockVector.zeros(w.layout)
+    source, degraded = zero, False
+    if config.smoothing is not None and config.smoothing.n_cycles > 0:
+        try:
+            smoother = build_smoother(blocks, config.smoothing)
+        except SingularPivotError as exc:
+            # Smoother failure is soft: fall back to the unsmoothed step.
+            log.warning("smoother build failed (%s); running unsmoothed step",
+                        exc)
+        else:
+            sm = rk_smooth(system, smoother, w)
+            source = smoothing_source(sm.delta_w, system.mass(), dtau)
+            degraded = sm.degraded
 
-    rhs = source - r
-    precon = build_ptc_preconditioner(system, w, dtau, lines).as_operator()
-    operator = ptc_operator(system, w, dtau)
-    delta_w, stats = gmres_right_preconditioned(
-        operator, precon, rhs, config.linear_rel_tol, config.max_krylov)
+    try:
+        delta_w, stats = gmres_right_preconditioned(
+            ptc_operator(system, w, dtau), precon.as_operator(), source - r,
+            config.linear_rel_tol, config.max_krylov)
+    except ContractViolationError as exc:
+        log.warning("linear solve failed (%s); rejecting the step", exc)
+        return NewtonStepResult(zero, source, failed, r, degraded)
     return NewtonStepResult(delta_w, source, stats, r, degraded)
 
 
@@ -251,8 +262,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                  w0: Optional[BlockVector] = None) -> SolveReport:
     """Run the continuation loop to the residual target.
 
-    Solver lines are extracted once at the starting state and frozen; the
-    smoother (when scheduled) is rebuilt at each Newton step's state. Every
+    Solver lines are extracted once at the starting state and frozen; both
+    line factorizations are rebuilt at each Newton step's state. Every
     accepted step with a converged linear solve is descent-checked against
     the pseudo-unsteady residual; a violation is a hard error since it can
     only come from a broken linearization.
@@ -262,54 +273,40 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         raise InadmissibleStateError("initial state is not admissible")
 
     r = system.residual(w)
-    r_norm = l2_norm(r)
-    state = PtcState(w=w, cfl=config.cfl_init, step=0, history=[],
-                     initial_residual_l2=r_norm)
+    r_norm = r0_norm = l2_norm(r)
     threshold = _convergence_threshold(config, r_norm)
+    history: List[ConvergenceRecord] = []
 
     if r_norm <= threshold:
         return SolveReport(SolveOutcome.CONVERGED, 0, 0, r_norm, r_norm,
-                           state.history, w)
+                           history, w)
 
     lines = extract_lines(build_coupling_graph(system, w),
                           config.anisotropy_threshold)
 
-    smoothing_on = config.smoothing is not None and config.smoothing.n_cycles > 0
+    cfl = config.cfl_init
     cumulative_krylov = 0
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
 
-    while state.step < config.max_newton_steps:
-        state.step += 1
-        dtau = local_pseudo_timesteps(system, state.w, state.cfl)
-
-        smoother_ctx = None
-        if smoothing_on:
-            try:
-                smoother_ctx = build_smoother(system, state.w, lines,
-                                              config.smoothing)
-            except SingularPivotError as exc:
-                # Smoother failure is soft: fall back to the unsmoothed step.
-                log.warning("smoother build failed at step %d (%s); "
-                            "running unsmoothed step", state.step, exc)
-
-        ns = newton_step(system, state.w, dtau, config, lines, smoother_ctx,
-                         residual=r)
+    for step in range(1, config.max_newton_steps + 1):
+        dtau = local_pseudo_timesteps(system, w, cfl)
+        ns = newton_step(system, w, dtau, config, lines, residual=r)
         cumulative_krylov += ns.stats.iterations
 
         if ns.stats.converged:
-            ls = line_search(system, state.w, ns.delta_w, dtau, ns.source,
+            ls = line_search(system, w, ns.delta_w, dtau, ns.source,
                              residual0=r)
-            new_cfl, accepted = cfl_update(state.cfl, ls.alpha, True, config)
+            new_cfl, accepted = cfl_update(cfl, ls.alpha, True, config)
         else:
             ls = None
-            new_cfl, accepted = cfl_update(state.cfl, 0.0, False, config)
+            new_cfl, accepted = cfl_update(cfl, 0.0, False, config)
 
         if accepted:
             if not ls.f_alpha < ls.f0:
                 raise DescentViolationError(
-                    f"step {state.step}: F({ls.alpha}) = {ls.f_alpha} "
+                    f"step {step}: F({ls.alpha}) = {ls.f_alpha} "
                     f"did not decrease F(0) = {ls.f0}")
-            state.w = state.w + ls.alpha * ns.delta_w
+            w = w + ls.alpha * ns.delta_w
             r = ls.residual_at_alpha
             r_norm = l2_norm(r)
             alpha_rec = ls.alpha
@@ -318,20 +315,20 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
             alpha_rec = ls.alpha if ls is not None else 0.0
             ptc_res = ls.f0 if ls is not None else l2_norm(ns.residual - ns.source)
 
-        state.history.append(ConvergenceRecord(
-            step=state.step, cfl=state.cfl, alpha=alpha_rec,
+        history.append(ConvergenceRecord(
+            step=step, cfl=cfl, alpha=alpha_rec,
             krylov_count=ns.stats.iterations,
             linear_reduction=ns.stats.achieved_reduction,
             residual_l2=r_norm, ptc_residual_l2=ptc_res,
             cumulative_krylov=cumulative_krylov, accepted=accepted))
 
-        state.cfl = new_cfl
+        cfl = new_cfl
         if accepted and r_norm <= threshold:
             outcome = SolveOutcome.CONVERGED
             break
-        if state.cfl < config.cfl_stagnation_floor:
+        if cfl < config.cfl_stagnation_floor:
             outcome = SolveOutcome.STAGNATED
             break
 
-    return SolveReport(outcome, len(state.history), cumulative_krylov, r_norm,
-                       state.initial_residual_l2, state.history, state.w)
+    return SolveReport(outcome, len(history), cumulative_krylov, r_norm,
+                       r0_norm, history, w)

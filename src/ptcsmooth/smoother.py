@@ -6,9 +6,9 @@ The net update over all cycles is the composite local-solver correction; the
 continuation driver turns it into a right-hand-side source term by scaling
 with M/dtau.
 
-The line preconditioner P is assembled from the first-order Jacobian blocks,
-keeping off-diagonal blocks only for edges interior to a line, and is
-factorized once per build (frozen across stages and cycles).
+The line preconditioner P is the first-order Jacobian restricted to the
+solver lines (off-diagonal blocks kept only for edges interior to a line),
+factorized once per build and frozen across stages and cycles.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (BlockVector, ContractViolationError, FirstOrderBlocks,
+from .core import (BlockVector, ContractViolationError,
                    InadmissibleStateError, MassMatrix, NonlinearSystem,
                    cellwise_scale)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
-from .lines import LineSet
+from .lines import LineBlocks
 
 DEFAULT_STAGE_COEFFS = (0.15, 0.4, 1.0)
 DEFAULT_CYCLES = 5
@@ -57,7 +57,6 @@ class SmootherContext:
     """Frozen line preconditioner plus the schedule driving it."""
 
     preconditioner: BlockTridiagFactorization
-    lines: LineSet
     schedule: RkSchedule
 
 
@@ -68,33 +67,14 @@ class SmoothResult:
     degraded: bool          # an offending cycle was abandoned
 
 
-def line_off_blocks(blocks: FirstOrderBlocks, lines: LineSet) -> dict:
-    """Directed off-diagonal blocks restricted to in-line consecutive pairs."""
-    full = blocks.edge_block_map()
-    kept = {}
-    for line in lines.lines:
-        for p, q in zip(line[:-1], line[1:]):
-            if (p, q) not in full:
-                raise ContractViolationError(
-                    f"line pair ({p}, {q}) has no stencil edge"
-                )
-            kept[(p, q)] = full[(p, q)]
-            kept[(q, p)] = full[(q, p)]
-    return kept
-
-
-def build_smoother(system: NonlinearSystem, w: BlockVector, lines: LineSet,
-                   schedule: RkSchedule) -> SmootherContext:
-    """Assemble and factor the line preconditioner at state ``w``.
+def build_smoother(blocks: LineBlocks, schedule: RkSchedule) -> SmootherContext:
+    """Factor the line preconditioner from blocks gathered along the lines.
 
     Rebuilding at a different state changes block values but never the
     sparsity, since the line structure is frozen.
     """
-    if not system.is_admissible(w):
-        raise InadmissibleStateError("cannot build smoother at inadmissible state")
-    blocks = system.first_order_blocks(w)
-    precon = factor_block_tridiag(lines, blocks.diag, line_off_blocks(blocks, lines))
-    return SmootherContext(precon, lines, schedule)
+    precon = factor_block_tridiag(blocks.lines, blocks.diag, blocks.off)
+    return SmootherContext(precon, schedule)
 
 
 def rk_smooth(system: NonlinearSystem, ctx: SmootherContext,

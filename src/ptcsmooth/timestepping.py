@@ -120,7 +120,8 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
 
     The initial condition of each step is the previous step's solution; the
     first step starts from the system's impulsive initial state. An inner
-    stagnation aborts the run, returning the partial history.
+    solve that does not converge aborts the run, returning the partial
+    history; its report's outcome says why.
     """
     w_prev = system.initial_state()
     w_prev2: Optional[BlockVector] = None
@@ -132,7 +133,7 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
         report = solve_steady(wrapped, config.inner)
         reports.append(report)
         functionals.append(system.functional(report.final_state))
-        if report.outcome == SolveOutcome.STAGNATED:
+        if report.outcome != SolveOutcome.CONVERGED:
             return TimeHistory(reports, functionals, aborted=True)
         w_prev2 = w_prev
         w_prev = report.final_state

@@ -10,7 +10,8 @@ import pytest
 import ptcsmooth.ptc as ptc_mod
 from ptcsmooth.core import BlockVector, l2_norm, validate_jacobian
 from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned, identity_operator
-from ptcsmooth.lines import LineSet, build_coupling_graph, extract_lines
+from ptcsmooth.lines import (LineSet, assemble_line_blocks,
+                             build_coupling_graph, extract_lines)
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
                            local_pseudo_timesteps, newton_step, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
@@ -74,9 +75,9 @@ def test_criterion_02_small_dtau_limit():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = extract_lines(build_coupling_graph(p, w), cfg.anisotropy_threshold)
     dtau = local_pseudo_timesteps(p, w, 1e-10)
-    ctx = build_smoother(p, w, lines, cfg.smoothing)
+    ctx = build_smoother(assemble_line_blocks(p, w, lines), cfg.smoothing)
     delta_smooth = rk_smooth(p, ctx, w).delta_w
-    ns = newton_step(p, w, dtau, cfg, lines, ctx)
+    ns = newton_step(p, w, dtau, cfg, lines)
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
     _report(2, f"small-dtau limit: |dw - dw_smooth| / |dw_smooth| = {rel:.2e}",
             rel <= 1e-6)
@@ -201,7 +202,7 @@ def test_criterion_08_oracle_equivalences():
     # RK linear contraction factor alpha2 (1 - alpha1) = 0.34, exact to 1e-12.
     sys = diffusion_chain(n=8, b=1)
     w_star = sys.solution()
-    ctx = build_smoother(sys, w_star, full_chain_lines(8),
+    ctx = build_smoother(assemble_line_blocks(sys, w_star, full_chain_lines(8)),
                          RkSchedule((0.15, 0.4, 1.0), n_cycles=1))
     e0 = np.random.default_rng(5).standard_normal(8)
     out = rk_smooth(sys, ctx, BlockVector(sys.layout, w_star.values + e0))

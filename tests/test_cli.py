@@ -63,7 +63,7 @@ def test_missing_problem_name():
 
 def test_config_echo_round_trips():
     cfg = parse_config(MINIMAL + "\n[solver]\nbeta_cfl1 = 2.25\nmax_krylov = 60\n"
-                       "\n[smoothing]\ncycles = 3\n\n[run]\nseed = 7\n")
+                       "\n[smoothing]\ncycles = 3\n")
     assert parse_config(render_config(cfg)) == cfg
 
 

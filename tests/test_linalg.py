@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from ptcsmooth.core import BlockLayout, BlockVector, ContractViolationError
 from ptcsmooth.linalg import (LinearOperator, SingularPivotError,
                               factor_block_tridiag,
-                              gmres_right_preconditioned, identity_operator,
-                              solve_block_tridiag)
+                              gmres_right_preconditioned, identity_operator)
 from ptcsmooth.lines import LineSet, singleton_lines
 
 from conftest import dense_from_lines
@@ -121,7 +120,7 @@ def test_identity_factorization_is_identity():
     diag = np.broadcast_to(np.eye(b), (n, b, b)).copy()
     fact = factor_block_tridiag(lines, diag, {})
     r = BlockVector(BlockLayout(n, b), np.arange(float(n * b)))
-    assert np.allclose(solve_block_tridiag(fact, r).values, r.values)
+    assert np.allclose(fact.solve(r).values, r.values)
 
 
 def test_scalar_poisson_line_matches_dense():
@@ -136,7 +135,7 @@ def test_scalar_poisson_line_matches_dense():
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
     A = dense_from_lines(lines, diag, off)
-    x = solve_block_tridiag(fact, BlockVector(BlockLayout(n, 1), r))
+    x = fact.solve(BlockVector(BlockLayout(n, 1), r))
     assert np.linalg.norm(x.values - np.linalg.solve(A, r)) <= 1e-12
 
 
@@ -152,7 +151,7 @@ def test_block2_line_matches_dense():
     fact = factor_block_tridiag(lines, diag, off)
     r = rng.standard_normal(n * b)
     A = dense_from_lines(lines, diag, off)
-    x = solve_block_tridiag(fact, BlockVector(BlockLayout(n, b), r))
+    x = fact.solve(BlockVector(BlockLayout(n, b), r))
     assert np.linalg.norm(x.values - np.linalg.solve(A, r)) <= 1e-10
 
 
@@ -167,7 +166,7 @@ def test_independent_lines_do_not_couple():
     fact = factor_block_tridiag(lines, diag, off)
     r = np.zeros(n)
     r[:3] = [1.0, 2.0, 3.0]
-    x = solve_block_tridiag(fact, BlockVector(BlockLayout(n, 1), r))
+    x = fact.solve(BlockVector(BlockLayout(n, 1), r))
     assert np.all(x.values[3:] == 0.0)
     assert np.any(x.values[:3] != 0.0)
 
@@ -201,7 +200,7 @@ def test_layout_mismatch_rejected():
     lines = singleton_lines(3)
     fact = factor_block_tridiag(lines, np.ones((3, 1, 1)), {})
     with pytest.raises(ContractViolationError):
-        solve_block_tridiag(fact, BlockVector(BlockLayout(3, 2)))
+        fact.solve(BlockVector(BlockLayout(3, 2)))
 
 
 @settings(max_examples=40, deadline=None)

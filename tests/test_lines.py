@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsmooth.lines import (CouplingGraph, LineSet, build_coupling_graph,
-                             extract_lines)
+from ptcsmooth.core import ContractViolationError
+from ptcsmooth.lines import (CouplingGraph, LineSet, assemble_line_blocks,
+                             build_coupling_graph, extract_lines)
 from ptcsmooth.problems import make_aniso_convdiff, make_bratu
 
 
@@ -20,6 +21,30 @@ def test_bratu_chain_graph_structure():
     assert g.n_cells == 4
     assert len(g.edges) == 3
     assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_line_blocks_follow_line_direction():
+    # Lines may run against the edge orientation (i < j); each directed pair
+    # must still get the block coupling its row cell to its column cell.
+    p = make_aniso_convdiff(4, 4, stretching_ratio=10.0)
+    w = p.initial_state()
+    blocks = p.first_order_blocks(w)
+
+    def with_singletons(*multi):
+        used = {c for line in multi for c in line}
+        return LineSet(16, list(multi) + [[c] for c in range(16) if c not in used])
+
+    lb = assemble_line_blocks(p, w, with_singletons([15, 11, 7, 3], [0, 1, 2]))
+    expected = {}
+    for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
+        expected[(i, j)], expected[(j, i)] = a, b
+    pairs = [(15, 11), (11, 7), (7, 3), (0, 1), (1, 2)]
+    assert sorted(lb.off) == sorted(pairs + [(q, p) for p, q in pairs])
+    for key, block in lb.off.items():
+        assert np.array_equal(block, expected[key])
+    assert np.array_equal(lb.diag, blocks.diag)
+    with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
+        assemble_line_blocks(p, w, with_singletons([0, 5]))
 
 
 def test_stretched_grid_weight_ratio():

@@ -91,6 +91,67 @@ def test_convdiff_constant_preservation():
     assert l2_norm(r) <= 1e-13
 
 
+def _dense_blocks(blocks):
+    n = len(blocks.diag)
+    A = np.diag(blocks.diag[:, 0, 0])
+    for (i, j), a, b in zip(blocks.edges, blocks.off_ij, blocks.off_ji):
+        A[i, j], A[j, i] = a[0, 0], b[0, 0]
+    return A
+
+
+@pytest.mark.parametrize("velocity", [(1.0, 0.5), (2.0, 0.0), (0.0, 0.7)])
+def test_convdiff_blocks_upwind_mirror_for_reversed_velocity(velocity):
+    # On a uniform grid, reversing the velocity mirrors the upwind operator:
+    # the blocks for -v are those for v under the cell reversal k -> n-1-k.
+    vx, vy = velocity
+    kw = dict(stretching_ratio=1.0, eps=1e-3, sigma=1.0)
+    fwd = make_aniso_convdiff(5, 6, velocity=(vx, vy), **kw)
+    rev = make_aniso_convdiff(5, 6, velocity=(-vx, -vy), **kw)
+    u = np.random.default_rng(3).standard_normal(fwd.layout.n_dofs)
+    a = _dense_blocks(fwd.first_order_blocks(BlockVector(fwd.layout, u)))
+    b = _dense_blocks(rev.first_order_blocks(BlockVector(rev.layout, u[::-1])))
+    assert np.max(np.abs(b - a[::-1, ::-1])) <= 1e-12 * np.max(np.abs(a))
+    # Interior rows of the upwind operator annihilate constants (sigma = 0).
+    rev0 = make_aniso_convdiff(5, 6, velocity=(-vx, -vy), stretching_ratio=1.0,
+                               eps=1e-3, sigma=0.0)
+    rows = _dense_blocks(rev0.first_order_blocks(rev0.initial_state()))
+    interior = rows.sum(axis=1).reshape(6, 5)[1:-1, 1:-1]
+    assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(rows))
+
+
+def _loop_upwind_off_blocks(p):
+    """Per-edge loop form of the first-order off-diagonal blocks."""
+    lxm, _, lxp = p._lap_x
+    lym, _, lyp = p._lap_y
+    vol = p._vol2d
+    edges, off_ij, off_ji = [], [], []
+    for j in range(p.ny):
+        for i in range(p.nx - 1):
+            edges.append((j * p.nx + i, j * p.nx + i + 1))
+            off_ij.append(vol[j, i] * (-p.eps * lxp[i] + (
+                p.vx / p._dxp[i] if p.vx < 0 else 0.0)))
+            off_ji.append(vol[j, i + 1] * (-p.eps * lxm[i + 1] + (
+                -p.vx / p._dxm[i + 1] if p.vx >= 0 else 0.0)))
+    for j in range(p.ny - 1):
+        for i in range(p.nx):
+            edges.append((j * p.nx + i, (j + 1) * p.nx + i))
+            off_ij.append(vol[j, i] * (-p.eps * lyp[j] + (
+                p.vy / p._dyp[j] if p.vy < 0 else 0.0)))
+            off_ji.append(vol[j + 1, i] * (-p.eps * lym[j + 1] + (
+                -p.vy / p._dym[j + 1] if p.vy >= 0 else 0.0)))
+    return np.array(edges), np.array(off_ij), np.array(off_ji)
+
+
+@pytest.mark.parametrize("velocity", [(1.0, 0.5), (-1.0, -0.5), (0.3, -2.0)])
+def test_convdiff_blocks_match_loop_reference(velocity):
+    p = make_aniso_convdiff(5, 7, stretching_ratio=100.0, velocity=velocity)
+    blocks = p.first_order_blocks(p.initial_state())
+    edges, off_ij, off_ji = _loop_upwind_off_blocks(p)
+    assert np.array_equal(blocks.edges, edges)
+    assert np.array_equal(blocks.off_ij[:, 0, 0], off_ij)
+    assert np.array_equal(blocks.off_ji[:, 0, 0], off_ji)
+
+
 def test_convdiff_manufactured_solution_order():
     norms, hs = [], []
     for n in (8, 16, 32):

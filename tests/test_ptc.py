@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import BlockVector, l2_norm
-from ptcsmooth.lines import build_coupling_graph, extract_lines
+from ptcsmooth.core import BlockVector, FirstOrderBlocks, l2_norm
+from ptcsmooth.lines import (assemble_line_blocks, build_coupling_graph,
+                             extract_lines)
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update, line_search,
                            local_pseudo_timesteps, newton_step, ptc_operator,
                            solve_steady)
@@ -99,9 +100,9 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     cfg = PtcConfig()
     lines = _lines_for(p)
     dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ctx = build_smoother(p, w, lines, RkSchedule(n_cycles=0))
-    plain = newton_step(p, w, dtau, cfg, lines, None)
-    zero_cycle = newton_step(p, w, dtau, cfg, lines, ctx)
+    plain = newton_step(p, w, dtau, cfg, lines)
+    zero_cycle = newton_step(p, w, dtau,
+                             PtcConfig(smoothing=RkSchedule(n_cycles=0)), lines)
     assert np.array_equal(plain.delta_w.values, zero_cycle.delta_w.values)
     assert np.all(zero_cycle.source.values == 0.0)
 
@@ -112,9 +113,9 @@ def test_small_dtau_step_matches_smoother_update():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
     dtau = local_pseudo_timesteps(p, w, 1e-10)
-    ctx = build_smoother(p, w, lines, cfg.smoothing)
+    ctx = build_smoother(assemble_line_blocks(p, w, lines), cfg.smoothing)
     delta_smooth = rk_smooth(p, ctx, w).delta_w
-    ns = newton_step(p, w, dtau, cfg, lines, ctx)
+    ns = newton_step(p, w, dtau, cfg, lines)
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
     # The line search takes the full step, so the accepted update is the
     # smoother update itself: the scheme reverts to the local solver.
@@ -132,7 +133,7 @@ def test_large_dtau_step_matches_pure_newton():
     cfg = PtcConfig(linear_rel_tol=1e-12, max_krylov=200)
     lines = _lines_for(p)
     dtau = local_pseudo_timesteps(p, w, 1e12)
-    ns = newton_step(p, w, dtau, cfg, lines, None)
+    ns = newton_step(p, w, dtau, cfg, lines)
     # Dense Newton oracle: assemble J column by column from exact products.
     n = p.layout.n_dofs
     J = np.zeros((n, n))
@@ -150,7 +151,7 @@ def test_gmres_failure_is_reported_not_raised():
     lines = _lines_for(p)
     w = p.initial_state()
     dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines, None)
+    ns = newton_step(p, w, dtau, cfg, lines)
     assert not ns.stats.converged
 
 
@@ -175,7 +176,7 @@ def test_line_search_accepted_alpha_decreases_objective():
     lines = _lines_for(p)
     w = p.initial_state()
     dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines, None)
+    ns = newton_step(p, w, dtau, cfg, lines)
     res = line_search(p, w, ns.delta_w, dtau, ns.source)
     assert res.alpha > 0.0
     assert res.f_alpha < res.f0
@@ -189,7 +190,7 @@ def test_line_search_descent_direction_derivative():
     lines = _lines_for(p)
     w = p.initial_state()
     dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines, None)
+    ns = newton_step(p, w, dtau, cfg, lines)
     coeffs = p.mass().over_dtau(dtau)
 
     def f_squared(alpha):
@@ -313,6 +314,37 @@ def test_stagnation_outcome_on_persistent_linear_failure():
     assert all(not r.accepted for r in rep.history)
     # CFL falls by beta2 each rejection until the stagnation floor.
     assert rep.history[-1].cfl < 1e-5
+
+
+def _nan_diagonal_blocks(p):
+    original = p.first_order_blocks
+
+    def blocks(w):
+        fob = original(w)
+        return FirstOrderBlocks(fob.layout, np.full_like(fob.diag, np.nan),
+                                fob.edges, fob.off_ij, fob.off_ji)
+    return blocks
+
+
+def _nan_jacobian_vector(p):
+    return lambda w, v: BlockVector(p.layout, np.full(p.layout.n_dofs, np.nan))
+
+
+@pytest.mark.parametrize("patch", [("first_order_blocks", _nan_diagonal_blocks),
+                                   ("jacobian_vector", _nan_jacobian_vector)],
+                         ids=["singular_preconditioner", "nonfinite_operator"])
+def test_failed_linear_setup_becomes_rejected_step(patch):
+    # A preconditioner that cannot be factored and an operator that returns
+    # NaN are rejections with a CFL cut, never an exception.
+    name, make = patch
+    p = make_bratu(16, 1.0)
+    setattr(p, name, make(p))
+    rep = solve_steady(p, PtcConfig(max_newton_steps=50))
+    assert rep.outcome == SolveOutcome.STAGNATED
+    assert all(not r.accepted and r.krylov_count == 0 for r in rep.history)
+    assert all(b.cfl < a.cfl for a, b in zip(rep.history, rep.history[1:]))
+    assert rep.cumulative_krylov == 0
+    assert np.array_equal(rep.final_state.values, p.initial_state().values)
 
 
 def test_step_budget_exhaustion_outcome():

@@ -3,7 +3,8 @@ import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, InadmissibleStateError,
                             MassMatrix, l2_norm)
-from ptcsmooth.lines import build_coupling_graph, extract_lines, singleton_lines
+from ptcsmooth.lines import (assemble_line_blocks, build_coupling_graph,
+                             extract_lines, singleton_lines)
 from ptcsmooth.ptc import PtcConfig
 from ptcsmooth.smoother import (RkSchedule, build_smoother, rk_smooth,
                                 smoothing_source)
@@ -32,7 +33,8 @@ def test_default_schedule_matches_protocol():
 def test_singleton_lines_give_block_diagonal_preconditioner():
     sys = diffusion_chain(n=6, b=1)
     lines = singleton_lines(6)
-    ctx = build_smoother(sys, sys.initial_state(), lines, RkSchedule())
+    ctx = build_smoother(assemble_line_blocks(sys, sys.initial_state(), lines),
+                         RkSchedule())
     r = np.zeros(6)
     r[2] = 1.0
     x = ctx.preconditioner.solve_values(r)
@@ -42,7 +44,8 @@ def test_singleton_lines_give_block_diagonal_preconditioner():
 def test_full_chain_line_gives_exact_newton_step(scalar_chain):
     sys = scalar_chain
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(sys, sys.initial_state(), lines, RkSchedule())
+    ctx = build_smoother(assemble_line_blocks(sys, sys.initial_state(), lines),
+                         RkSchedule())
     w0 = sys.initial_state()
     r = sys.residual(w0)
     step = ctx.preconditioner.solve(r)
@@ -53,9 +56,10 @@ def test_full_chain_line_gives_exact_newton_step(scalar_chain):
 def test_rebuild_changes_values_not_structure():
     p = make_bratu(16, 1.0)
     lines = extract_lines(build_coupling_graph(p, p.initial_state()), 4.0)
-    ctx1 = build_smoother(p, p.initial_state(), lines, RkSchedule())
+    ctx1 = build_smoother(assemble_line_blocks(p, p.initial_state(), lines),
+                          RkSchedule())
     w2 = BlockVector(p.layout, 0.1 * np.ones(16))
-    ctx2 = build_smoother(p, w2, lines, RkSchedule())
+    ctx2 = build_smoother(assemble_line_blocks(p, w2, lines), RkSchedule())
     cells1 = [lf.cells.tolist() for lf in ctx1.preconditioner.line_factors]
     cells2 = [lf.cells.tolist() for lf in ctx2.preconditioner.line_factors]
     assert cells1 == cells2
@@ -67,7 +71,7 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(sys, w_star, lines, RkSchedule())
+    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), RkSchedule())
     out = rk_smooth(sys, ctx, w_star)
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star))
     assert np.allclose(out.w_end.values, w_star.values)
@@ -80,7 +84,7 @@ def test_linear_contraction_single_cycle(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=1)
-    ctx = build_smoother(sys, w_star, lines, sched)
+    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), sched)
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -94,7 +98,7 @@ def test_linear_contraction_two_cycles(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=2)
-    ctx = build_smoother(sys, w_star, lines, sched)
+    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), sched)
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -114,7 +118,7 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     w0 = BlockVector(sys.layout, w_star.values + d)
     assert l2_norm(sys.residual(w0)) <= 1e-12 * r_init
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(sys, w0, lines, RkSchedule())
+    ctx = build_smoother(assemble_line_blocks(sys, w0, lines), RkSchedule())
     out = rk_smooth(sys, ctx, w0)
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0)
 
@@ -175,7 +179,8 @@ def test_smoother_reduces_residual_from_impulsive_start(problem):
     cfg = PtcConfig()
     lines = extract_lines(build_coupling_graph(problem, w0),
                           cfg.anisotropy_threshold)
-    ctx = build_smoother(problem, w0, lines, RkSchedule())
+    ctx = build_smoother(assemble_line_blocks(problem, w0, lines),
+                         RkSchedule())
     out = rk_smooth(problem, ctx, w0)
     assert l2_norm(problem.residual(out.w_end)) < l2_norm(problem.residual(w0))
 
@@ -186,8 +191,9 @@ def test_degraded_cycle_keeps_last_admissible_output():
     sys.is_admissible = lambda w: bool(np.all(np.abs(w.values) <= 1e-3))
     try:
         lines = full_chain_lines(6)
-        ctx = build_smoother(sys, sys.initial_state(), lines,
-                             RkSchedule(n_cycles=3))
+        ctx = build_smoother(
+            assemble_line_blocks(sys, sys.initial_state(), lines),
+            RkSchedule(n_cycles=3))
         out = rk_smooth(sys, ctx, sys.initial_state())
         assert out.degraded
         assert np.all(out.delta_w.values == 0.0)  # first cycle abandoned

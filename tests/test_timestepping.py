@@ -177,3 +177,14 @@ def test_stagnation_aborts_with_partial_history():
     assert hist.aborted
     assert hist.n_steps_completed == 1
     assert hist.reports[0].outcome == SolveOutcome.STAGNATED
+
+
+def test_unconverged_inner_solve_aborts():
+    # Two Newton steps cannot converge the first physical step; the run
+    # must stop there instead of marching on from an unconverged state.
+    p = make_aniso_convdiff(8, 8, stretching_ratio=100.0)
+    inner = PtcConfig(max_newton_steps=2)
+    hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=3, inner=inner))
+    assert hist.aborted
+    assert hist.n_steps_completed == 1
+    assert hist.reports[0].outcome == SolveOutcome.STEP_BUDGET_EXHAUSTED
