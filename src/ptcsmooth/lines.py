@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from .core import BlockVector, ContractViolationError, NonlinearSystem
+from .core import ContractViolationError, FirstOrderBlocks
 
 
 @dataclass
@@ -76,12 +76,10 @@ class LineBlocks:
     off: dict
 
 
-def assemble_line_blocks(system: NonlinearSystem, w: BlockVector,
+def assemble_line_blocks(blocks: FirstOrderBlocks,
                          lines: LineSet) -> LineBlocks:
-    """Evaluate the first-order blocks at ``w`` once and gather the couplings
-    of consecutive in-line pairs, found among the stencil edges by a sorted
-    search rather than a walk over every edge."""
-    blocks = system.first_order_blocks(w)
+    """Gather the couplings of consecutive in-line pairs, found among the
+    stencil edges by a sorted search rather than a walk over every edge."""
     pairs = np.sort(np.array([pq for line in lines.lines
                               for pq in zip(line[:-1], line[1:])],
                              dtype=int).reshape(-1, 2), axis=1)
@@ -105,13 +103,12 @@ def singleton_lines(n_cells: int) -> LineSet:
     return LineSet(n_cells, [[c] for c in range(n_cells)])
 
 
-def build_coupling_graph(system: NonlinearSystem, w: BlockVector) -> CouplingGraph:
+def build_coupling_graph(blocks: FirstOrderBlocks) -> CouplingGraph:
     """Edge weights are the larger Frobenius norm of the two first-order
     off-diagonal blocks joining a cell pair."""
-    blocks = system.first_order_blocks(w)
     w_ij = np.linalg.norm(blocks.off_ij.reshape(len(blocks.edges), -1), axis=1)
     w_ji = np.linalg.norm(blocks.off_ji.reshape(len(blocks.edges), -1), axis=1)
-    return CouplingGraph(system.layout.n_cells, blocks.edges, np.maximum(w_ij, w_ji))
+    return CouplingGraph(blocks.layout.n_cells, blocks.edges, np.maximum(w_ij, w_ji))
 
 
 def _anisotropy(adj: List[List[tuple]]) -> np.ndarray:

@@ -9,9 +9,9 @@ residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
-The first-order blocks are evaluated once per Newton step and gathered along
-the frozen lines once; that one gather is factored as J1 for the smoother and
-as J1 + M/dtau for GMRES.
+The first-order blocks are evaluated once per state and gathered along the
+frozen lines once per Newton step; that one gather is factored as J1 for the
+smoother and as J1 + M/dtau for GMRES.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
-                   InadmissibleStateError, NonlinearSystem, l2_norm)
+                   FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
+                   l2_norm)
 from .linalg import (BlockTridiagFactorization, GmresStats, LinearOperator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -72,12 +73,21 @@ class PtcConfig:
     smoothing: Optional[RkSchedule] = None
 
     def __post_init__(self):
-        if self.cfl_growth <= 1.0:
+        # Written as "not (valid)" so that NaN fails every check.
+        if not self.cfl_init > 0.0:
+            raise ValueError("cfl_init must be positive")
+        if not self.cfl_growth > 1.0:
             raise ValueError("cfl_growth must exceed 1")
         if not (0.0 < self.cfl_cut < 1.0):
             raise ValueError("cfl_cut must lie in (0, 1)")
         if not (0.0 < self.alpha_reject_threshold < self.alpha_grow_threshold <= 1.0):
             raise ValueError("alpha thresholds must satisfy 0 < reject < grow <= 1")
+        if not (0.0 < self.linear_rel_tol < 1.0):
+            raise ValueError("linear_rel_tol must lie in (0, 1)")
+        if self.max_krylov < 1:
+            raise ValueError("max_krylov must be at least 1")
+        if not self.anisotropy_threshold > 1.0:
+            raise ValueError("anisotropy_threshold must exceed 1")
 
 
 @dataclass
@@ -138,12 +148,14 @@ class NewtonStepResult:
 
 def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
                 config: PtcConfig, lines: LineSet,
-                residual: Optional[BlockVector] = None) -> NewtonStepResult:
+                residual: Optional[BlockVector] = None,
+                blocks: Optional[FirstOrderBlocks] = None) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    The first-order blocks are evaluated and gathered along ``lines`` once,
-    then factored as J1 for the smoother (when ``config.smoothing`` has
-    cycles) and as J1 + M/dtau for GMRES. The smoothing source is computed
+    The first-order blocks at ``w`` (evaluated unless given) are gathered
+    along ``lines`` once, then factored as J1 for the smoother (when
+    ``config.smoothing`` has cycles) and as J1 + M/dtau for GMRES. The
+    smoothing source is computed
     before the linear solve and never re-evaluated. A singular smoother
     factorization runs the step unsmoothed. GMRES non-convergence is
     reported through the stats for the controller, not raised; so are a
@@ -153,9 +165,12 @@ def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
     r = residual if residual is not None else system.residual(w)
     zero = BlockVector.zeros(w.layout)
     failed = GmresStats(0, 1.0, False, [])
-    blocks = assemble_line_blocks(system, w, lines)
+    if blocks is None:
+        blocks = system.first_order_blocks(w)
+    line_blocks = assemble_line_blocks(blocks, lines)
     try:
-        precon = build_ptc_preconditioner(blocks, system.mass().over_dtau(dtau))
+        precon = build_ptc_preconditioner(line_blocks,
+                                          system.mass().over_dtau(dtau))
     except SingularPivotError as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, zero, failed, r)
@@ -163,7 +178,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
     source, degraded = zero, False
     if config.smoothing is not None and config.smoothing.n_cycles > 0:
         try:
-            smoother = build_smoother(blocks, config.smoothing)
+            smoother = build_smoother(line_blocks, config.smoothing)
         except SingularPivotError as exc:
             # Smoother failure is soft: fall back to the unsmoothed step.
             log.warning("smoother build failed (%s); running unsmoothed step",
@@ -263,7 +278,9 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     """Run the continuation loop to the residual target.
 
     Solver lines are extracted once at the starting state and frozen; both
-    line factorizations are rebuilt at each Newton step's state. Every
+    line factorizations are rebuilt at each Newton step's state. The
+    first-order blocks are evaluated once per state: a rejected step leaves
+    the state bit-identical, so the next step reuses them. Every
     accepted step with a converged linear solve is descent-checked against
     the pseudo-unsteady residual; a violation is a hard error since it can
     only come from a broken linearization.
@@ -281,7 +298,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         return SolveReport(SolveOutcome.CONVERGED, 0, 0, r_norm, r_norm,
                            history, w)
 
-    lines = extract_lines(build_coupling_graph(system, w),
+    blocks = system.first_order_blocks(w)
+    lines = extract_lines(build_coupling_graph(blocks),
                           config.anisotropy_threshold)
 
     cfl = config.cfl_init
@@ -289,8 +307,11 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
 
     for step in range(1, config.max_newton_steps + 1):
+        if blocks is None:
+            blocks = system.first_order_blocks(w)
         dtau = local_pseudo_timesteps(system, w, cfl)
-        ns = newton_step(system, w, dtau, config, lines, residual=r)
+        ns = newton_step(system, w, dtau, config, lines, residual=r,
+                         blocks=blocks)
         cumulative_krylov += ns.stats.iterations
 
         if ns.stats.converged:
@@ -308,6 +329,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                     f"did not decrease F(0) = {ls.f0}")
             w = w + ls.alpha * ns.delta_w
             r = ls.residual_at_alpha
+            blocks = None
             r_norm = l2_norm(r)
             alpha_rec = ls.alpha
             ptc_res = ls.f_alpha

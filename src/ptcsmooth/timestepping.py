@@ -94,7 +94,7 @@ class UnsteadyConfig:
     inner: PtcConfig
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:   # NaN included
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")

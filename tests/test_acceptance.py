@@ -73,9 +73,11 @@ def test_criterion_02_small_dtau_limit():
     p = make_bratu(64, 1.0)
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
-    lines = extract_lines(build_coupling_graph(p, w), cfg.anisotropy_threshold)
+    lines = extract_lines(build_coupling_graph(p.first_order_blocks(w)),
+                          cfg.anisotropy_threshold)
     dtau = local_pseudo_timesteps(p, w, 1e-10)
-    ctx = build_smoother(assemble_line_blocks(p, w, lines), cfg.smoothing)
+    ctx = build_smoother(assemble_line_blocks(p.first_order_blocks(w), lines),
+                         cfg.smoothing)
     delta_smooth = rk_smooth(p, ctx, w).delta_w
     ns = newton_step(p, w, dtau, cfg, lines)
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
@@ -202,7 +204,8 @@ def test_criterion_08_oracle_equivalences():
     # RK linear contraction factor alpha2 (1 - alpha1) = 0.34, exact to 1e-12.
     sys = diffusion_chain(n=8, b=1)
     w_star = sys.solution()
-    ctx = build_smoother(assemble_line_blocks(sys, w_star, full_chain_lines(8)),
+    ctx = build_smoother(assemble_line_blocks(sys.first_order_blocks(w_star),
+                                              full_chain_lines(8)),
                          RkSchedule((0.15, 0.4, 1.0), n_cycles=1))
     e0 = np.random.default_rng(5).standard_normal(8)
     out = rk_smooth(sys, ctx, BlockVector(sys.layout, w_star.values + e0))
@@ -233,13 +236,15 @@ def test_criterion_09_line_extraction():
     # Isotropic: every line is a singleton.
     iso = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                               velocity=(0.0, 0.0), sigma=0.0)
-    ls_iso = extract_lines(build_coupling_graph(iso, iso.initial_state()), 4.0)
+    ls_iso = extract_lines(
+        build_coupling_graph(iso.first_order_blocks(iso.initial_state())), 4.0)
     iso_ok = all(len(l) == 1 for l in ls_iso.lines) and ls_iso.is_partition()
 
     # Stretched 1e3: every multi-cell line runs along the strong direction.
     stretched = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
     ls_str = extract_lines(
-        build_coupling_graph(stretched, stretched.initial_state()), 4.0)
+        build_coupling_graph(
+            stretched.first_order_blocks(stretched.initial_state())), 4.0)
     multi = ls_str.multi_cell_lines()
     aligned = bool(multi) and all(
         {abs(a - b) for a, b in zip(l[:-1], l[1:])} == {stretched.nx}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +239,43 @@ max_newton_steps = 2
 dir = {outdir}
 """)
     assert main(["solve", cfg]) == 3
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ("[smoothing]\nstages = 0.5,0.5\n", "final stage coefficient"),
+    ("[solver]\nbeta_cfl1 = 0.5\n", "cfl_growth must exceed 1"),
+    ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
+    ("[run]\ndt = -1\n", "dt must be positive"),
+    ("[run]\ndt = nan\n", "dt must be positive"),
+    ("[run]\nmode = steady\n", "unknown key 'mode'"),
+], ids=["stages", "beta_cfl1", "n_cells", "dt", "dt_nan", "removed_mode_key"])
+def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
+                                                      extra, reason):
+    outdir = tmp_path / "out"
+    cfg = _write(tmp_path, MINIMAL + extra + f"[output]\ndir = {outdir}\n")
+    assert main(["unsteady", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+    assert not outdir.exists()
+
+
+def test_override_error_names_override():
+    with pytest.raises(ConfigError, match="override 'solver.cfl_init=bad'"):
+        parse_config(MINIMAL, ["solver.cfl_init=bad"])
+
+
+def _readme_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text.split("Config files are INI-style", 1)[1]
+    return after.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_parses_and_echo_round_trips():
+    cfg = parse_config(_readme_config())
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_echo_lists_problem_defaults():
+    echo = render_config(parse_config(MINIMAL))
+    assert "n_cells = 64\n" in echo
+    assert "lambda = 1.0\n" in echo

@@ -17,7 +17,7 @@ def chain_graph(weights):
 
 def test_bratu_chain_graph_structure():
     p = make_bratu(4, 1.0)
-    g = build_coupling_graph(p, p.initial_state())
+    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
     assert g.n_cells == 4
     assert len(g.edges) == 3
     assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
@@ -34,7 +34,8 @@ def test_line_blocks_follow_line_direction():
         used = {c for line in multi for c in line}
         return LineSet(16, list(multi) + [[c] for c in range(16) if c not in used])
 
-    lb = assemble_line_blocks(p, w, with_singletons([15, 11, 7, 3], [0, 1, 2]))
+    lb = assemble_line_blocks(p.first_order_blocks(w),
+                              with_singletons([15, 11, 7, 3], [0, 1, 2]))
     expected = {}
     for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
@@ -44,7 +45,7 @@ def test_line_blocks_follow_line_direction():
         assert np.array_equal(block, expected[key])
     assert np.array_equal(lb.diag, blocks.diag)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
-        assemble_line_blocks(p, w, with_singletons([0, 5]))
+        assemble_line_blocks(p.first_order_blocks(w), with_singletons([0, 5]))
 
 
 def test_stretched_grid_weight_ratio():
@@ -52,7 +53,7 @@ def test_stretched_grid_weight_ratio():
     nx = ny = 6
     p = make_aniso_convdiff(nx, ny, stretching_ratio=1.0, eps=1.0,
                             velocity=(0.0, 0.0), sigma=0.0, ly=1e-3)
-    g = build_coupling_graph(p, p.initial_state())
+    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
     hx, hy = p.hx, p.hy[0]
     assert hy == pytest.approx(1e-3 * hx)
 
@@ -72,7 +73,8 @@ def test_stretched_grid_weight_ratio():
 def test_isotropic_grid_all_singletons():
     p = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                             velocity=(0.0, 0.0), sigma=0.0)
-    ls = extract_lines(build_coupling_graph(p, p.initial_state()), 4.0)
+    ls = extract_lines(
+        build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
     assert len(ls.lines) == p.layout.n_cells
     assert all(len(line) == 1 for line in ls.lines)
     assert ls.is_partition()
@@ -106,7 +108,7 @@ def test_two_disjoint_strips():
 
 def test_extraction_deterministic():
     p = make_aniso_convdiff(12, 16, stretching_ratio=100.0)
-    g = build_coupling_graph(p, p.initial_state())
+    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
     ls1 = extract_lines(g, 4.0)
     ls2 = extract_lines(g, 4.0)
     assert ls1.lines == ls2.lines
@@ -114,7 +116,7 @@ def test_extraction_deterministic():
 
 def test_threshold_monotonicity_on_stretched_grid():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0)
-    g = build_coupling_graph(p, p.initial_state())
+    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
     covered = [extract_lines(g, t).covered_by_multi()
                for t in (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)]
     assert all(a >= b for a, b in zip(covered, covered[1:]))
@@ -124,7 +126,7 @@ def test_stretched_grid_lines_wall_normal():
     # Shallow domain keeps y coupling dominant everywhere, so every
     # multi-cell line must run in the y direction and cover the wall band.
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    g = build_coupling_graph(p, p.initial_state())
+    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
     ls = extract_lines(g, 4.0)
     multi = ls.multi_cell_lines()
     assert multi

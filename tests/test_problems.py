@@ -167,7 +167,8 @@ def test_convdiff_manufactured_solution_order():
 
 def test_convdiff_stretched_lines_span_wall_band():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    ls = extract_lines(build_coupling_graph(p, p.initial_state()), 4.0)
+    ls = extract_lines(
+        build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
     multi = ls.multi_cell_lines()
     assert multi
     for line in multi:

@@ -16,8 +16,9 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
 
 def _lines_for(problem, config=None):
     threshold = (config or PtcConfig()).anisotropy_threshold
-    return extract_lines(build_coupling_graph(problem, problem.initial_state()),
-                         threshold)
+    return extract_lines(
+        build_coupling_graph(problem.first_order_blocks(problem.initial_state())),
+        threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,8 @@ def test_small_dtau_step_matches_smoother_update():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
     dtau = local_pseudo_timesteps(p, w, 1e-10)
-    ctx = build_smoother(assemble_line_blocks(p, w, lines), cfg.smoothing)
+    ctx = build_smoother(assemble_line_blocks(p.first_order_blocks(w), lines),
+                         cfg.smoothing)
     delta_smooth = rk_smooth(p, ctx, w).delta_w
     ns = newton_step(p, w, dtau, cfg, lines)
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
@@ -262,6 +264,11 @@ def test_config_validation():
         PtcConfig(cfl_cut=1.5)
     with pytest.raises(ValueError):
         PtcConfig(alpha_reject_threshold=0.8, alpha_grow_threshold=0.75)
+    for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
+                {"anisotropy_threshold": 1.0}, {"cfl_init": -1.0},
+                {"cfl_init": float("nan")}, {"cfl_growth": float("nan")}):
+        with pytest.raises(ValueError):
+            PtcConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,21 @@ def test_stagnation_outcome_on_persistent_linear_failure():
     assert all(not r.accepted for r in rep.history)
     # CFL falls by beta2 each rejection until the stagnation floor.
     assert rep.history[-1].cfl < 1e-5
+
+
+@pytest.mark.parametrize("settings", [
+    {"max_krylov": 1, "linear_rel_tol": 1e-12, "max_newton_steps": 50},
+    {"max_krylov": 3, "max_newton_steps": 20},
+], ids=["all_rejected", "mixed"])
+def test_first_order_blocks_evaluated_once_per_state(settings):
+    # Line extraction and step 1 share one evaluation; a rejected step leaves
+    # the state bit-identical, so only an accepted step calls for another.
+    p = make_aniso_convdiff(8, 8, stretching_ratio=100.0)
+    original, calls = p.first_order_blocks, []
+    p.first_order_blocks = lambda w: calls.append(w) or original(w)
+    rep = solve_steady(p, PtcConfig(**settings))
+    assert any(not r.accepted for r in rep.history)
+    assert len(calls) == 1 + sum(r.accepted for r in rep.history[:-1])
 
 
 def _nan_diagonal_blocks(p):

@@ -33,8 +33,9 @@ def test_default_schedule_matches_protocol():
 def test_singleton_lines_give_block_diagonal_preconditioner():
     sys = diffusion_chain(n=6, b=1)
     lines = singleton_lines(6)
-    ctx = build_smoother(assemble_line_blocks(sys, sys.initial_state(), lines),
-                         RkSchedule())
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines),
+        RkSchedule())
     r = np.zeros(6)
     r[2] = 1.0
     x = ctx.preconditioner.solve_values(r)
@@ -44,8 +45,9 @@ def test_singleton_lines_give_block_diagonal_preconditioner():
 def test_full_chain_line_gives_exact_newton_step(scalar_chain):
     sys = scalar_chain
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(assemble_line_blocks(sys, sys.initial_state(), lines),
-                         RkSchedule())
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines),
+        RkSchedule())
     w0 = sys.initial_state()
     r = sys.residual(w0)
     step = ctx.preconditioner.solve(r)
@@ -55,11 +57,14 @@ def test_full_chain_line_gives_exact_newton_step(scalar_chain):
 
 def test_rebuild_changes_values_not_structure():
     p = make_bratu(16, 1.0)
-    lines = extract_lines(build_coupling_graph(p, p.initial_state()), 4.0)
-    ctx1 = build_smoother(assemble_line_blocks(p, p.initial_state(), lines),
-                          RkSchedule())
+    lines = extract_lines(
+        build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
+    ctx1 = build_smoother(
+        assemble_line_blocks(p.first_order_blocks(p.initial_state()), lines),
+        RkSchedule())
     w2 = BlockVector(p.layout, 0.1 * np.ones(16))
-    ctx2 = build_smoother(assemble_line_blocks(p, w2, lines), RkSchedule())
+    ctx2 = build_smoother(assemble_line_blocks(p.first_order_blocks(w2), lines),
+                          RkSchedule())
     cells1 = [lf.cells.tolist() for lf in ctx1.preconditioner.line_factors]
     cells2 = [lf.cells.tolist() for lf in ctx2.preconditioner.line_factors]
     assert cells1 == cells2
@@ -71,7 +76,8 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), RkSchedule())
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines), RkSchedule())
     out = rk_smooth(sys, ctx, w_star)
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star))
     assert np.allclose(out.w_end.values, w_star.values)
@@ -84,7 +90,8 @@ def test_linear_contraction_single_cycle(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=1)
-    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), sched)
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines), sched)
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -98,7 +105,8 @@ def test_linear_contraction_two_cycles(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=2)
-    ctx = build_smoother(assemble_line_blocks(sys, w_star, lines), sched)
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines), sched)
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -118,7 +126,8 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     w0 = BlockVector(sys.layout, w_star.values + d)
     assert l2_norm(sys.residual(w0)) <= 1e-12 * r_init
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(assemble_line_blocks(sys, w0, lines), RkSchedule())
+    ctx = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w0), lines), RkSchedule())
     out = rk_smooth(sys, ctx, w0)
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0)
 
@@ -177,10 +186,11 @@ def test_smoothing_source_rejects_nonpositive_dtau():
 def test_smoother_reduces_residual_from_impulsive_start(problem):
     w0 = problem.initial_state()
     cfg = PtcConfig()
-    lines = extract_lines(build_coupling_graph(problem, w0),
+    lines = extract_lines(build_coupling_graph(problem.first_order_blocks(w0)),
                           cfg.anisotropy_threshold)
-    ctx = build_smoother(assemble_line_blocks(problem, w0, lines),
-                         RkSchedule())
+    ctx = build_smoother(
+        assemble_line_blocks(problem.first_order_blocks(w0), lines),
+        RkSchedule())
     out = rk_smooth(problem, ctx, w0)
     assert l2_norm(problem.residual(out.w_end)) < l2_norm(problem.residual(w0))
 
@@ -192,7 +202,8 @@ def test_degraded_cycle_keeps_last_admissible_output():
     try:
         lines = full_chain_lines(6)
         ctx = build_smoother(
-            assemble_line_blocks(sys, sys.initial_state(), lines),
+            assemble_line_blocks(sys.first_order_blocks(sys.initial_state()),
+                                 lines),
             RkSchedule(n_cycles=3))
         out = rk_smooth(sys, ctx, sys.initial_state())
         assert out.degraded
