@@ -67,16 +67,12 @@ _PROBLEMS: Dict[str, Tuple[Dict[str, object],
             n_cells, None, *inflow_outflow)),
 }
 
-# [solver] is PtcConfig, under its field names but for two INI aliases; its
-# smoothing schedule comes from [smoothing].
-_SOLVER_ALIASES = {"cfl_growth": "beta_cfl1", "cfl_cut": "beta_cfl2"}
-_SOLVER_FIELDS = {_SOLVER_ALIASES.get(f.name, f.name): f.name
-                  for f in fields(PtcConfig) if f.name != "smoothing"}
-
+# [solver] is PtcConfig under its field names; its smoothing schedule comes
+# from [smoothing].
 _SCHEMA: Dict[str, Dict[str, object]] = {
     "problem": {},   # "name", then the named problem's table
-    "solver": {key: getattr(PtcConfig, name)
-               for key, name in _SOLVER_FIELDS.items()},
+    "solver": {f.name: f.default for f in fields(PtcConfig)
+               if f.name != "smoothing"},
     "smoothing": {"enabled": True, "stages": DEFAULT_STAGE_COEFFS,
                   "cycles": DEFAULT_CYCLES},
     "run": {"dt": 0.05, "n_steps": 3},
@@ -138,8 +134,7 @@ class RunConfig:
     def __post_init__(self):
         solver, smoothing, run = (self.values[s]
                                   for s in ("solver", "smoothing", "run"))
-        self.solver = PtcConfig(**{name: solver[key]
-                                   for key, name in _SOLVER_FIELDS.items()})
+        self.solver = PtcConfig(**solver)
         self.schedule = RkSchedule(smoothing["stages"], smoothing["cycles"])
         self.unsteady = UnsteadyConfig(run["dt"], run["n_steps"],
                                        self.solver_config())

@@ -44,8 +44,7 @@ class BlockLayout:
 class BlockVector:
     """Flat array of ``n_cells * block_size`` reals in cell-major ordering.
 
-    Mutable, single-writer. Arithmetic returns new vectors; ``axpy`` updates
-    in place for the solver hot path.
+    Mutable, single-writer. Arithmetic returns new vectors.
     """
 
     __slots__ = ("layout", "values")
@@ -78,11 +77,6 @@ class BlockVector:
 
     def dot(self, other: "BlockVector") -> float:
         return float(np.dot(self.values, other.values))
-
-    def axpy(self, a: float, x: "BlockVector") -> "BlockVector":
-        """In-place ``self += a * x``."""
-        self.values += a * x.values
-        return self
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         return BlockVector(self.layout, self.values + other.values)

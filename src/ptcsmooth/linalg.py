@@ -9,7 +9,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -147,24 +147,22 @@ def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _LineFactor:
-    cells: np.ndarray     # cell indices along the line
-    binv: np.ndarray      # (k, b, b) inverted pivot blocks
-    gamma: np.ndarray     # (k-1, b, b) back-substitution blocks
-    sub: np.ndarray       # (k-1, b, b) original sub-diagonal blocks
-
-
-@dataclass
 class BlockTridiagFactorization:
     """Pivot-free block LU of the line-structured operator.
 
     Cells on multi-cell lines couple through their retained off-diagonal
     blocks; singleton lines degenerate to standalone block inversions.
+    ``binv`` runs over the cells and ``gamma``/``lower`` over the pairs of
+    ``lines.pairs``, both in line order, so line ``li`` starting at cell
+    position ``pos`` owns the pairs from ``pos - li`` on.
     Immutable after construction and safe to share read-only.
     """
 
     layout: BlockLayout
-    line_factors: list
+    lines: LineSet
+    binv: np.ndarray     # (n_cells, b, b) inverted pivot blocks
+    gamma: np.ndarray    # (n_pairs, b, b) back-substitution blocks
+    lower: np.ndarray    # (n_pairs, b, b) sub-diagonal blocks dR_q/dw_p
 
     def solve(self, r: BlockVector) -> BlockVector:
         """Forward/backward substitution per line; independent lines independent."""
@@ -178,15 +176,19 @@ class BlockTridiagFactorization:
         x = np.empty_like(r)
         rc = r.reshape(self.layout.n_cells, b)
         xc = x.reshape(self.layout.n_cells, b)
-        for lf in self.line_factors:
-            k = len(lf.cells)
+        binv, gamma, lower = self.binv, self.gamma, self.lower
+        pos = 0
+        for li, cells in enumerate(self.lines.lines):
+            k = len(cells)
+            j = pos - li    # the line's first pair
             y = np.empty((k, b))
-            y[0] = lf.binv[0] @ rc[lf.cells[0]]
+            y[0] = binv[pos] @ rc[cells[0]]
             for m in range(1, k):
-                y[m] = lf.binv[m] @ (rc[lf.cells[m]] - lf.sub[m - 1] @ y[m - 1])
-            xc[lf.cells[k - 1]] = y[k - 1]
+                y[m] = binv[pos + m] @ (rc[cells[m]] - lower[j + m - 1] @ y[m - 1])
+            xc[cells[k - 1]] = y[k - 1]
             for m in range(k - 2, -1, -1):
-                xc[lf.cells[m]] = y[m] - lf.gamma[m] @ xc[lf.cells[m + 1]]
+                xc[cells[m]] = y[m] - gamma[j + m] @ xc[cells[m + 1]]
+            pos += k
         return x
 
     def as_operator(self) -> LinearOperator:
@@ -208,36 +210,35 @@ def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:
 
 
 def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
-                         off_blocks: Mapping[tuple, np.ndarray]) -> BlockTridiagFactorization:
+                         upper: np.ndarray,
+                         lower: np.ndarray) -> BlockTridiagFactorization:
     """Block Thomas factorization along each line of ``lines``.
 
-    ``diag_blocks`` is (n_cells, b, b); ``off_blocks`` maps directed cell
-    pairs (row, col) to b x b coupling blocks for consecutive in-line pairs.
-    Missing pairs are treated as zero coupling.
+    ``diag_blocks`` is (n_cells, b, b). ``upper`` and ``lower`` are
+    (n_pairs, b, b) over ``lines.pairs``: for pair k = (p, q), ``upper[k]``
+    is dR_p/dw_q and ``lower[k]`` is dR_q/dw_p.
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
     if b != b2 or n_cells != lines.n_cells:
         raise ContractViolationError("diagonal block array shape mismatch")
-    layout = BlockLayout(n_cells, b)
+    pair_shape = (len(lines.pairs), b, b)
+    if upper.shape != pair_shape or lower.shape != pair_shape:
+        raise ContractViolationError(
+            f"coupling arrays {upper.shape} and {lower.shape} do not match "
+            f"the line pairs {pair_shape}")
 
-    zero = np.zeros((b, b))
-    factors = []
+    binv = np.empty((n_cells, b, b))
+    gamma = np.empty(pair_shape)
+    pos = 0
     for li, cells in enumerate(lines.lines):
-        cells = np.asarray(cells, dtype=int)
-        k = len(cells)
-        binv = np.empty((k, b, b))
-        gamma = np.empty((max(k - 1, 0), b, b))
-        sub = np.empty((max(k - 1, 0), b, b))
-        pivot = diag_blocks[cells[0]].copy()
-        binv[0] = _invert_pivot(pivot, li, 0)
-        for m in range(1, k):
-            up = off_blocks.get((int(cells[m - 1]), int(cells[m])), zero)
-            lo = off_blocks.get((int(cells[m]), int(cells[m - 1])), zero)
-            gamma[m - 1] = binv[m - 1] @ up
-            sub[m - 1] = lo
-            pivot = diag_blocks[cells[m]] - lo @ gamma[m - 1]
-            binv[m] = _invert_pivot(pivot, li, m)
-        factors.append(_LineFactor(cells, binv, gamma, sub))
-    return BlockTridiagFactorization(layout, factors)
-
+        binv[pos] = _invert_pivot(diag_blocks[cells[0]], li, 0)
+        j = pos - li    # the line's first pair
+        for m in range(1, len(cells)):
+            k = j + m - 1
+            gamma[k] = binv[pos + m - 1] @ upper[k]
+            pivot = diag_blocks[cells[m]] - lower[k] @ gamma[k]
+            binv[pos + m] = _invert_pivot(pivot, li, m)
+        pos += len(cells)
+    return BlockTridiagFactorization(BlockLayout(n_cells, b), lines, binv,
+                                     gamma, lower)

@@ -10,7 +10,7 @@ preconditioner to block-diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -49,6 +49,14 @@ class LineSet:
 
     n_cells: int
     lines: List[List[int]]
+    # (n_pairs, 2): consecutive in-line pairs (p, q), line after line, in
+    # line order; derived once, since a line set is frozen for a solve.
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pairs = np.array([pq for line in self.lines
+                               for pq in zip(line[:-1], line[1:])],
+                              dtype=int).reshape(-1, 2)
 
     def is_partition(self) -> bool:
         seen = sorted(c for line in self.lines for c in line)
@@ -68,21 +76,21 @@ class LineSet:
 @dataclass(frozen=True)
 class LineBlocks:
     """First-order Jacobian blocks restricted to a line set: every diagonal
-    block, and in ``off`` the (row, col) -> block couplings of consecutive
-    in-line pairs, the form ``factor_block_tridiag`` takes."""
+    block, and the couplings of each pair k = (p, q) of ``lines.pairs``:
+    ``upper[k]`` is dR_p/dw_q and ``lower[k]`` is dR_q/dw_p."""
 
     lines: LineSet
-    diag: np.ndarray   # (n_cells, b, b)
-    off: dict
+    diag: np.ndarray    # (n_cells, b, b)
+    upper: np.ndarray   # (n_pairs, b, b)
+    lower: np.ndarray   # (n_pairs, b, b)
 
 
 def assemble_line_blocks(blocks: FirstOrderBlocks,
                          lines: LineSet) -> LineBlocks:
     """Gather the couplings of consecutive in-line pairs, found among the
-    stencil edges by a sorted search rather than a walk over every edge."""
-    pairs = np.sort(np.array([pq for line in lines.lines
-                              for pq in zip(line[:-1], line[1:])],
-                             dtype=int).reshape(-1, 2), axis=1)
+    stencil edges (i < j) by a sorted search rather than a walk over every
+    edge; a pair that runs against its edge takes the edge's blocks swapped."""
+    pairs = np.sort(lines.pairs, axis=1)
     n = lines.n_cells
     keys = blocks.edges[:, 0] * n + blocks.edges[:, 1]
     order = np.argsort(keys)
@@ -94,9 +102,10 @@ def assemble_line_blocks(blocks: FirstOrderBlocks,
             f"line pair {tuple(pairs[np.argmax(missing)].tolist())} "
             "has no stencil edge")
     k = order[pos]
-    off = dict(zip(map(tuple, pairs.tolist()), blocks.off_ij[k]))
-    off.update(zip(map(tuple, pairs[:, ::-1].tolist()), blocks.off_ji[k]))
-    return LineBlocks(lines, blocks.diag, off)
+    forward = (lines.pairs[:, 0] < lines.pairs[:, 1])[:, None, None]
+    upper = np.where(forward, blocks.off_ij[k], blocks.off_ji[k])
+    lower = np.where(forward, blocks.off_ji[k], blocks.off_ij[k])
+    return LineBlocks(lines, blocks.diag, upper, lower)
 
 
 def singleton_lines(n_cells: int) -> LineSet:
@@ -164,22 +173,12 @@ def extract_lines(graph: CouplingGraph, anisotropy_threshold: float) -> LineSet:
             continue
         visited[seed] = True
         path = [seed]
-        end = seed
-        while True:
-            nxt = grow(end)
-            if nxt < 0:
-                break
-            visited[nxt] = True
-            path.append(nxt)
-            end = nxt
-        end = seed
-        while True:
-            nxt = grow(end)
-            if nxt < 0:
-                break
-            visited[nxt] = True
-            path.insert(0, nxt)
-            end = nxt
+        # Grow forward from the seed, then backward from it.
+        for attach in (path.append, lambda c: path.insert(0, c)):
+            end = seed
+            while (end := grow(end)) >= 0:
+                visited[end] = True
+                attach(end)
         lines.append(path)
 
     for c in range(graph.n_cells):

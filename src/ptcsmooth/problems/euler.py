@@ -98,9 +98,6 @@ class Quasi1dEulerProblem(NonlinearSystem):
             return False
         return True
 
-    def primitives(self, w: BlockVector):
-        return self._decode(w.values)
-
     @staticmethod
     def conserved(rho, u, p, gamma=1.4) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)

@@ -58,8 +58,8 @@ class PtcConfig:
     """
 
     cfl_init: float = 10.0
-    cfl_growth: float = 1.5           # amplification on strong line-search steps
-    cfl_cut: float = 0.1              # reduction on rejected steps
+    beta_cfl1: float = 1.5            # CFL growth on strong line-search steps
+    beta_cfl2: float = 0.1            # CFL cut on rejected steps
     alpha_grow_threshold: float = 0.75
     alpha_reject_threshold: float = 0.1
     linear_rel_tol: float = 1e-2
@@ -76,10 +76,10 @@ class PtcConfig:
         # Written as "not (valid)" so that NaN fails every check.
         if not self.cfl_init > 0.0:
             raise ValueError("cfl_init must be positive")
-        if not self.cfl_growth > 1.0:
-            raise ValueError("cfl_growth must exceed 1")
-        if not (0.0 < self.cfl_cut < 1.0):
-            raise ValueError("cfl_cut must lie in (0, 1)")
+        if not self.beta_cfl1 > 1.0:
+            raise ValueError("beta_cfl1 must exceed 1")
+        if not (0.0 < self.beta_cfl2 < 1.0):
+            raise ValueError("beta_cfl2 must lie in (0, 1)")
         if not (0.0 < self.alpha_reject_threshold < self.alpha_grow_threshold <= 1.0):
             raise ValueError("alpha thresholds must satisfy 0 < reject < grow <= 1")
         if not (0.0 < self.linear_rel_tol < 1.0):
@@ -88,6 +88,17 @@ class PtcConfig:
             raise ValueError("max_krylov must be at least 1")
         if not self.anisotropy_threshold > 1.0:
             raise ValueError("anisotropy_threshold must exceed 1")
+        if not (0.0 < self.target_residual_reduction < 1.0):
+            raise ValueError("target_residual_reduction must lie in (0, 1)")
+        if not (self.target_residual_absolute is None
+                or self.target_residual_absolute > 0.0):
+            raise ValueError("target_residual_absolute must be positive")
+        if not self.cfl_stagnation_floor > 0.0:
+            raise ValueError("cfl_stagnation_floor must be positive")
+        if not self.cfl_max >= self.cfl_init:
+            raise ValueError("cfl_max must be at least cfl_init")
+        if not self.max_newton_steps >= 1:
+            raise ValueError("max_newton_steps must be at least 1")
 
 
 @dataclass
@@ -134,7 +145,8 @@ def build_ptc_preconditioner(blocks: LineBlocks,
     """Line-structured first-order Jacobian with M/dtau added to diagonals."""
     b = blocks.diag.shape[1]
     diag = blocks.diag + mass_over_dtau[:, None, None] * np.eye(b)
-    return factor_block_tridiag(blocks.lines, diag, blocks.off)
+    return factor_block_tridiag(blocks.lines, diag, blocks.upper,
+                                blocks.lower)
 
 
 @dataclass
@@ -259,9 +271,9 @@ def cfl_update(cfl: float, alpha: float, linear_converged: bool,
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     if not linear_converged or alpha <= config.alpha_reject_threshold:
-        return cfl * config.cfl_cut, False
+        return cfl * config.beta_cfl2, False
     if alpha >= config.alpha_grow_threshold:
-        return min(cfl * config.cfl_growth, config.cfl_max), True
+        return min(cfl * config.beta_cfl1, config.cfl_max), True
     return cfl, True
 
 

@@ -73,7 +73,8 @@ def build_smoother(blocks: LineBlocks, schedule: RkSchedule) -> SmootherContext:
     Rebuilding at a different state changes block values but never the
     sparsity, since the line structure is frozen.
     """
-    precon = factor_block_tridiag(blocks.lines, blocks.diag, blocks.off)
+    precon = factor_block_tridiag(blocks.lines, blocks.diag, blocks.upper,
+                                  blocks.lower)
     return SmootherContext(precon, schedule)
 
 

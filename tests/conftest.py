@@ -90,18 +90,32 @@ def full_chain_lines(n):
     return LineSet(n, [list(range(n))])
 
 
-def dense_from_lines(line_set, diag_blocks, off_blocks):
-    """Assemble the line-structured operator densely (test oracle)."""
+def random_couplings(rng, n_pairs, b, scale):
+    """``upper`` and ``lower`` coupling arrays for ``n_pairs`` line pairs,
+    drawn pair by pair, upper block first."""
+    upper = np.empty((n_pairs, b, b))
+    lower = np.empty((n_pairs, b, b))
+    for k in range(n_pairs):
+        upper[k] = scale * rng.standard_normal((b, b))
+        lower[k] = scale * rng.standard_normal((b, b))
+    return upper, lower
+
+
+def dense_from_lines(line_set, diag_blocks, upper, lower):
+    """Assemble the line-structured operator densely (test oracle): pair k
+    is the k-th consecutive in-line pair (p, q), line after line, with
+    ``upper[k]`` at block (p, q) and ``lower[k]`` at block (q, p)."""
     n, b, _ = diag_blocks.shape
     A = np.zeros((n * b, n * b))
     for i in range(n):
         A[i * b:(i + 1) * b, i * b:(i + 1) * b] = diag_blocks[i]
+    k = 0
     for line in line_set.lines:
         for p, q in zip(line[:-1], line[1:]):
-            if (p, q) in off_blocks:
-                A[p * b:(p + 1) * b, q * b:(q + 1) * b] = off_blocks[(p, q)]
-            if (q, p) in off_blocks:
-                A[q * b:(q + 1) * b, p * b:(p + 1) * b] = off_blocks[(q, p)]
+            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[k]
+            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[k]
+            k += 1
+    assert k == len(upper) == len(lower)
     return A
 
 

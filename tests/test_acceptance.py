@@ -19,7 +19,8 @@ from ptcsmooth.timestepping import BdfStepSystem, UnsteadyConfig, advance_unstea
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-from conftest import dense_from_lines, diffusion_chain, full_chain_lines
+from conftest import (dense_from_lines, diffusion_chain, full_chain_lines,
+                      random_couplings)
 from test_linalg import _dense_operator
 
 
@@ -122,7 +123,7 @@ def test_criterion_05_robustness_under_aggressive_growth():
     e = make_quasi1d_euler(32, u_in=0.46)
     results = {}
     for variant, sched in (("unsmoothed", None), ("smoothed", RkSchedule())):
-        cfg = PtcConfig(cfl_growth=3.0, max_newton_steps=120, smoothing=sched)
+        cfg = PtcConfig(beta_cfl1=3.0, max_newton_steps=120, smoothing=sched)
         results[variant] = solve_steady(e, cfg)
     smoothed = results["smoothed"]
     plain = results["unsmoothed"]
@@ -189,12 +190,9 @@ def test_criterion_08_oracle_equivalences():
             rng2 = np.random.default_rng(31 * length + bsz)
             lines = LineSet(length, [list(range(length))])
             diag = rng2.standard_normal((length, bsz, bsz)) + 3.0 * bsz * np.eye(bsz)
-            off = {}
-            for i in range(length - 1):
-                off[(i, i + 1)] = 0.5 * rng2.standard_normal((bsz, bsz))
-                off[(i + 1, i)] = 0.5 * rng2.standard_normal((bsz, bsz))
-            fact = factor_block_tridiag(lines, diag, off)
-            dense = dense_from_lines(lines, diag, off)
+            upper, lower = random_couplings(rng2, length - 1, bsz, 0.5)
+            fact = factor_block_tridiag(lines, diag, upper, lower)
+            dense = dense_from_lines(lines, diag, upper, lower)
             r = rng2.standard_normal(length * bsz)
             ref = np.linalg.solve(dense, r)
             ok_tri &= np.linalg.norm(fact.solve_values(r) - ref) \

@@ -17,8 +17,8 @@ def test_defaults_are_protocol_settings():
     cfg = parse_config(MINIMAL)
     assert cfg.problem_name == "bratu"
     assert cfg.solver.cfl_init == 10.0
-    assert cfg.solver.cfl_growth == 1.5
-    assert cfg.solver.cfl_cut == 0.1
+    assert cfg.solver.beta_cfl1 == 1.5
+    assert cfg.solver.beta_cfl2 == 0.1
     assert cfg.solver.linear_rel_tol == 1e-2
     assert cfg.solver.max_krylov == 100
     assert cfg.smoothing_enabled
@@ -28,9 +28,9 @@ def test_defaults_are_protocol_settings():
 
 def test_beta_cfl1_override_carries_through():
     cfg = parse_config(MINIMAL + "\n[solver]\nbeta_cfl1 = 3.0\n")
-    assert cfg.solver.cfl_growth == 3.0
+    assert cfg.solver.beta_cfl1 == 3.0
     cfg2 = parse_config(MINIMAL, overrides=["solver.beta_cfl1=3.0"])
-    assert cfg2.solver.cfl_growth == 3.0
+    assert cfg2.solver.beta_cfl1 == 3.0
 
 
 def test_malformed_numeric_reports_line():
@@ -243,12 +243,15 @@ dir = {outdir}
 
 @pytest.mark.parametrize("extra, reason", [
     ("[smoothing]\nstages = 0.5,0.5\n", "final stage coefficient"),
-    ("[solver]\nbeta_cfl1 = 0.5\n", "cfl_growth must exceed 1"),
+    ("[solver]\nbeta_cfl1 = 0.5\n", "beta_cfl1 must exceed 1"),
+    ("[solver]\ntarget_residual_reduction = nan\n",
+     "target_residual_reduction must lie in (0, 1)"),
     ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
-], ids=["stages", "beta_cfl1", "n_cells", "dt", "dt_nan", "removed_mode_key"])
+], ids=["stages", "beta_cfl1", "target_nan", "n_cells", "dt", "dt_nan",
+        "removed_mode_key"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"

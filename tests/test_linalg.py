@@ -9,7 +9,7 @@ from ptcsmooth.linalg import (LinearOperator, SingularPivotError,
                               gmres_right_preconditioned, identity_operator)
 from ptcsmooth.lines import LineSet, singleton_lines
 
-from conftest import dense_from_lines
+from conftest import dense_from_lines, random_couplings
 
 
 def _dense_operator(A):
@@ -118,7 +118,8 @@ def test_identity_factorization_is_identity():
     n, b = 6, 2
     lines = singleton_lines(n)
     diag = np.broadcast_to(np.eye(b), (n, b, b)).copy()
-    fact = factor_block_tridiag(lines, diag, {})
+    none = np.zeros((0, b, b))
+    fact = factor_block_tridiag(lines, diag, none, none)
     r = BlockVector(BlockLayout(n, b), np.arange(float(n * b)))
     assert np.allclose(fact.solve(r).values, r.values)
 
@@ -127,14 +128,11 @@ def test_scalar_poisson_line_matches_dense():
     n = 5
     lines = LineSet(n, [list(range(n))])
     diag = np.full((n, 1, 1), 2.0)
-    off = {}
-    for i in range(n - 1):
-        off[(i, i + 1)] = np.array([[-1.0]])
-        off[(i + 1, i)] = np.array([[-1.0]])
-    fact = factor_block_tridiag(lines, diag, off)
+    off = np.full((n - 1, 1, 1), -1.0)
+    fact = factor_block_tridiag(lines, diag, off, off)
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
-    A = dense_from_lines(lines, diag, off)
+    A = dense_from_lines(lines, diag, off, off)
     x = fact.solve(BlockVector(BlockLayout(n, 1), r))
     assert np.linalg.norm(x.values - np.linalg.solve(A, r)) <= 1e-12
 
@@ -144,13 +142,10 @@ def test_block2_line_matches_dense():
     n, b = 3, 2
     lines = LineSet(n, [[0, 1, 2]])
     diag = rng.standard_normal((n, b, b)) + 4.0 * np.eye(b)
-    off = {}
-    for i in range(n - 1):
-        off[(i, i + 1)] = 0.5 * rng.standard_normal((b, b))
-        off[(i + 1, i)] = 0.5 * rng.standard_normal((b, b))
-    fact = factor_block_tridiag(lines, diag, off)
+    upper, lower = random_couplings(rng, n - 1, b, 0.5)
+    fact = factor_block_tridiag(lines, diag, upper, lower)
     r = rng.standard_normal(n * b)
-    A = dense_from_lines(lines, diag, off)
+    A = dense_from_lines(lines, diag, upper, lower)
     x = fact.solve(BlockVector(BlockLayout(n, b), r))
     assert np.linalg.norm(x.values - np.linalg.solve(A, r)) <= 1e-10
 
@@ -159,11 +154,8 @@ def test_independent_lines_do_not_couple():
     n = 6
     lines = LineSet(n, [[0, 1, 2], [3, 4, 5]])
     diag = np.full((n, 1, 1), 3.0)
-    off = {}
-    for p, q in ((0, 1), (1, 2), (3, 4), (4, 5)):
-        off[(p, q)] = np.array([[-1.0]])
-        off[(q, p)] = np.array([[-1.0]])
-    fact = factor_block_tridiag(lines, diag, off)
+    off = np.full((4, 1, 1), -1.0)
+    fact = factor_block_tridiag(lines, diag, off, off)
     r = np.zeros(n)
     r[:3] = [1.0, 2.0, 3.0]
     x = fact.solve(BlockVector(BlockLayout(n, 1), r))
@@ -176,12 +168,9 @@ def test_factor_solve_roundtrip():
     n, b = 7, 3
     lines = LineSet(n, [list(range(n))])
     diag = rng.standard_normal((n, b, b)) + 5.0 * np.eye(b)
-    off = {}
-    for i in range(n - 1):
-        off[(i, i + 1)] = 0.4 * rng.standard_normal((b, b))
-        off[(i + 1, i)] = 0.4 * rng.standard_normal((b, b))
-    fact = factor_block_tridiag(lines, diag, off)
-    A = dense_from_lines(lines, diag, off)
+    upper, lower = random_couplings(rng, n - 1, b, 0.4)
+    fact = factor_block_tridiag(lines, diag, upper, lower)
+    A = dense_from_lines(lines, diag, upper, lower)
     r = rng.standard_normal(n * b)
     x = fact.solve_values(r)
     assert np.linalg.norm(A @ x - r) <= 1e-10 * np.linalg.norm(r)
@@ -191,14 +180,29 @@ def test_singular_pivot_names_line_and_position():
     lines = LineSet(2, [[0, 1]])
     diag = np.zeros((2, 1, 1))
     diag[0, 0, 0] = 1.0  # second pivot is singular
-    off = {(0, 1): np.array([[0.0]]), (1, 0): np.array([[0.0]])}
+    off = np.zeros((1, 1, 1))
     with pytest.raises(SingularPivotError, match="line 0 at position 1"):
-        factor_block_tridiag(lines, diag, off)
+        factor_block_tridiag(lines, diag, off, off)
+
+
+@pytest.mark.parametrize("upper_shape, lower_shape", [
+    ((1, 2, 2), (2, 2, 2)), ((2, 2, 2), (1, 2, 2)),
+    ((3, 2, 2), (3, 2, 2)), ((2, 1, 1), (2, 1, 1)),
+], ids=["upper_missing_pair", "lower_missing_pair", "extra_pair",
+        "block_size"])
+def test_coupling_shape_must_match_line_pairs(upper_shape, lower_shape):
+    # A line of three cells has two pairs; nothing stands in for a missing one.
+    lines = LineSet(4, [[0, 1, 2], [3]])
+    diag = np.broadcast_to(4.0 * np.eye(2), (4, 2, 2)).copy()
+    with pytest.raises(ContractViolationError, match="line pairs"):
+        factor_block_tridiag(lines, diag, np.zeros(upper_shape),
+                             np.zeros(lower_shape))
 
 
 def test_layout_mismatch_rejected():
     lines = singleton_lines(3)
-    fact = factor_block_tridiag(lines, np.ones((3, 1, 1)), {})
+    none = np.zeros((0, 1, 1))
+    fact = factor_block_tridiag(lines, np.ones((3, 1, 1)), none, none)
     with pytest.raises(ContractViolationError):
         fact.solve(BlockVector(BlockLayout(3, 2)))
 
@@ -211,12 +215,9 @@ def test_line_solve_matches_dense_property(length, b, seed):
     rng = np.random.default_rng(seed)
     lines = LineSet(length, [list(range(length))])
     diag = rng.standard_normal((length, b, b)) + (3.0 * b) * np.eye(b)
-    off = {}
-    for i in range(length - 1):
-        off[(i, i + 1)] = 0.5 * rng.standard_normal((b, b))
-        off[(i + 1, i)] = 0.5 * rng.standard_normal((b, b))
-    fact = factor_block_tridiag(lines, diag, off)
-    A = dense_from_lines(lines, diag, off)
+    upper, lower = random_couplings(rng, length - 1, b, 0.5)
+    fact = factor_block_tridiag(lines, diag, upper, lower)
+    A = dense_from_lines(lines, diag, upper, lower)
     r = rng.standard_normal(length * b)
     x = fact.solve_values(r)
     ref = np.linalg.solve(A, r)

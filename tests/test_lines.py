@@ -40,9 +40,12 @@ def test_line_blocks_follow_line_direction():
     for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
     pairs = [(15, 11), (11, 7), (7, 3), (0, 1), (1, 2)]
-    assert sorted(lb.off) == sorted(pairs + [(q, p) for p, q in pairs])
-    for key, block in lb.off.items():
-        assert np.array_equal(block, expected[key])
+    assert lb.lines.pairs.tolist() == [list(pq) for pq in pairs]
+    assert lb.upper.shape == lb.lower.shape == (len(pairs), 1, 1)
+    for (row, col), up, lo in zip(pairs, lb.upper, lb.lower):
+        assert not np.array_equal(expected[(row, col)], expected[(col, row)])
+        assert np.array_equal(up, expected[(row, col)])   # dR_row/dw_col
+        assert np.array_equal(lo, expected[(col, row)])   # dR_col/dw_row
     assert np.array_equal(lb.diag, blocks.diag)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
         assemble_line_blocks(p.first_order_blocks(w), with_singletons([0, 5]))

@@ -280,6 +280,6 @@ def test_euler_minimum_size():
 
 def test_euler_solver_never_accepts_inadmissible_state():
     e = make_quasi1d_euler(32, u_in=0.46)
-    rep = solve_steady(e, PtcConfig(cfl_growth=3.0, max_newton_steps=120))
+    rep = solve_steady(e, PtcConfig(beta_cfl1=3.0, max_newton_steps=120))
     assert e.is_admissible(rep.final_state)
     assert rep.outcome == SolveOutcome.CONVERGED

@@ -259,14 +259,23 @@ def test_cfl_update_caps_at_max():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PtcConfig(cfl_growth=1.0)
+        PtcConfig(beta_cfl1=1.0)
     with pytest.raises(ValueError):
-        PtcConfig(cfl_cut=1.5)
+        PtcConfig(beta_cfl2=1.5)
     with pytest.raises(ValueError):
         PtcConfig(alpha_reject_threshold=0.8, alpha_grow_threshold=0.75)
     for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
                 {"anisotropy_threshold": 1.0}, {"cfl_init": -1.0},
-                {"cfl_init": float("nan")}, {"cfl_growth": float("nan")}):
+                {"cfl_init": float("nan")}, {"beta_cfl1": float("nan")},
+                {"target_residual_reduction": 0.0},
+                {"target_residual_reduction": 1.0},
+                {"target_residual_reduction": float("nan")},
+                {"target_residual_absolute": 0.0},
+                {"target_residual_absolute": float("nan")},
+                {"cfl_stagnation_floor": 0.0},
+                {"cfl_stagnation_floor": float("nan")},
+                {"cfl_max": 5.0}, {"cfl_max": float("nan")},
+                {"max_newton_steps": 0}):
         with pytest.raises(ValueError):
             PtcConfig(**bad)
 
