@@ -13,27 +13,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import BlockLayout, BlockVector, ContractViolationError
+from .core import BlockLayout, ContractViolationError
 from .lines import LineSet
+
+Operator = Callable[[np.ndarray], np.ndarray]
 
 # Ratio test threshold for one re-orthogonalization pass in modified
 # Gram-Schmidt (Brown/Hindmarsh style).
 _REORTH_RATIO = 0.7
-
-
-@dataclass
-class LinearOperator:
-    """Matrix-free linear operator on block vectors."""
-
-    layout: BlockLayout
-    matvec: Callable[[np.ndarray], np.ndarray]
-
-    def apply(self, v: BlockVector) -> BlockVector:
-        return BlockVector(self.layout, self.matvec(v.values))
-
-
-def identity_operator(layout: BlockLayout) -> LinearOperator:
-    return LinearOperator(layout, lambda x: x.copy())
 
 
 @dataclass
@@ -50,12 +37,13 @@ class SingularPivotError(np.linalg.LinAlgError):
     """A pivot block in the block-Thomas factorization is (near) singular."""
 
 
-def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
-                               b: BlockVector, rel_tol: float,
-                               max_vectors: int) -> Tuple[BlockVector, GmresStats]:
+def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
+                               rel_tol: float, max_vectors: int
+                               ) -> Tuple[np.ndarray, GmresStats]:
     """Solve ``A x = b`` with right preconditioning, single Arnoldi build.
 
-    Returns the best iterate found and stats; non-convergence within
+    ``A`` and ``precon`` map a flat array to a new flat array of the same
+    length. Returns the best iterate found and stats; non-convergence within
     ``max_vectors`` is reported through ``stats.converged``, not raised.
     The residual norm is tracked through the Givens recurrence, so the
     convergence test is relative reduction of that recurrence norm.
@@ -64,13 +52,13 @@ def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if max_vectors < 1:
         raise ValueError("max_vectors must be at least 1")
-    if not b.is_finite():
+    if not np.all(np.isfinite(b)):
         raise ContractViolationError("right-hand side contains non-finite entries")
 
-    n = b.layout.n_dofs
-    b_norm = float(np.linalg.norm(b.values))
+    n = len(b)
+    b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return BlockVector.zeros(b.layout), GmresStats(0, 0.0, True, [0.0])
+        return np.zeros(n), GmresStats(0, 0.0, True, [0.0])
 
     m = min(max_vectors, n)
     V = np.zeros((m + 1, n))
@@ -79,7 +67,7 @@ def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
     sn = np.zeros(m)
     g = np.zeros(m + 1)
 
-    V[0] = b.values / b_norm
+    V[0] = b / b_norm
     g[0] = b_norm
     tol_abs = rel_tol * b_norm
     breakdown_tol = np.finfo(float).eps * b_norm
@@ -89,7 +77,7 @@ def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
     norms = [b_norm]
     converged = False
     for j in range(m):
-        w = A.matvec(precon.matvec(V[j]))
+        w = A(precon(V[j]))
         if not np.all(np.isfinite(w)):
             raise ContractViolationError("operator produced non-finite output")
 
@@ -136,10 +124,8 @@ def gmres_right_preconditioned(A: LinearOperator, precon: LinearOperator,
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
-    x = precon.matvec(V[:k].T @ y)
-
-    stats = GmresStats(k, residual / b_norm, converged, norms)
-    return BlockVector(b.layout, x), stats
+    x = precon(V[:k].T @ y)
+    return x, GmresStats(k, residual / b_norm, converged, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +150,12 @@ class BlockTridiagFactorization:
     gamma: np.ndarray    # (n_pairs, b, b) back-substitution blocks
     lower: np.ndarray    # (n_pairs, b, b) sub-diagonal blocks dR_q/dw_p
 
-    def solve(self, r: BlockVector) -> BlockVector:
-        """Forward/backward substitution per line; independent lines independent."""
-        if r.layout != self.layout:
-            raise ContractViolationError(
-                "right-hand side layout does not match factorization")
-        return BlockVector(self.layout, self.solve_values(r.values))
-
     def solve_values(self, r: np.ndarray) -> np.ndarray:
+        """Forward/backward substitution per line; independent lines independent."""
+        if r.shape != (self.layout.n_dofs,):
+            raise ContractViolationError(
+                f"right-hand side shape {r.shape} does not match the "
+                f"factorization's {self.layout.n_dofs} unknowns")
         b = self.layout.block_size
         x = np.empty_like(r)
         rc = r.reshape(self.layout.n_cells, b)
@@ -190,9 +174,6 @@ class BlockTridiagFactorization:
                 xc[cells[m]] = y[m] - gamma[j + m] @ xc[cells[m + 1]]
             pos += k
         return x
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.layout, self.solve_values)
 
 
 def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:

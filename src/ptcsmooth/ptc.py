@@ -11,7 +11,8 @@ bit-identical.
 
 The first-order blocks are evaluated once per state and gathered along the
 frozen lines once per Newton step; that one gather is factored as J1 for the
-smoother and as J1 + M/dtau for GMRES.
+smoother and as J1 + M/dtau for GMRES. M/dtau itself is formed once per
+Newton step, as one per-cell array that every layer of the step reads.
 """
 
 from __future__ import annotations
@@ -25,17 +26,22 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   l2_norm)
-from .linalg import (BlockTridiagFactorization, GmresStats, LinearOperator,
+                   cellwise_scale, l2_norm)
+from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
 from .lines import (LineBlocks, LineSet, assemble_line_blocks,
                     build_coupling_graph, extract_lines)
-from .smoother import RkSchedule, build_smoother, rk_smooth, smoothing_source
+from .smoother import RkSchedule, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
 
 LINE_SEARCH_CANDIDATES = (1.0, 0.75, 0.5, 0.25, 0.1, 0.05, 0.01)
+# Controller band on the line-search fraction: reject at or below, grow the
+# CFL at or above. The solve stagnates once the CFL falls below the floor.
+ALPHA_REJECT_THRESHOLD = 0.1
+ALPHA_GROW_THRESHOLD = 0.75
+CFL_STAGNATION_FLOOR = 1e-6
 
 
 class DescentViolationError(RuntimeError):
@@ -60,14 +66,11 @@ class PtcConfig:
     cfl_init: float = 10.0
     beta_cfl1: float = 1.5            # CFL growth on strong line-search steps
     beta_cfl2: float = 0.1            # CFL cut on rejected steps
-    alpha_grow_threshold: float = 0.75
-    alpha_reject_threshold: float = 0.1
     linear_rel_tol: float = 1e-2
     max_krylov: int = 100
     target_residual_reduction: float = 1e-8
     target_residual_absolute: Optional[float] = None
     max_newton_steps: int = 500
-    cfl_stagnation_floor: float = 1e-6
     cfl_max: float = 1e12
     anisotropy_threshold: float = 4.0
     smoothing: Optional[RkSchedule] = None
@@ -80,8 +83,6 @@ class PtcConfig:
             raise ValueError("beta_cfl1 must exceed 1")
         if not (0.0 < self.beta_cfl2 < 1.0):
             raise ValueError("beta_cfl2 must lie in (0, 1)")
-        if not (0.0 < self.alpha_reject_threshold < self.alpha_grow_threshold <= 1.0):
-            raise ValueError("alpha thresholds must satisfy 0 < reject < grow <= 1")
         if not (0.0 < self.linear_rel_tol < 1.0):
             raise ValueError("linear_rel_tol must lie in (0, 1)")
         if self.max_krylov < 1:
@@ -93,8 +94,6 @@ class PtcConfig:
         if not (self.target_residual_absolute is None
                 or self.target_residual_absolute > 0.0):
             raise ValueError("target_residual_absolute must be positive")
-        if not self.cfl_stagnation_floor > 0.0:
-            raise ValueError("cfl_stagnation_floor must be positive")
         if not self.cfl_max >= self.cfl_init:
             raise ValueError("cfl_max must be at least cfl_init")
         if not self.max_newton_steps >= 1:
@@ -128,16 +127,16 @@ def local_pseudo_timesteps(system: NonlinearSystem, w: BlockVector,
 
 
 def ptc_operator(system: NonlinearSystem, w: BlockVector,
-                 dtau: np.ndarray) -> LinearOperator:
-    """Matrix-free action of ``M/dtau + dR/dw`` at state ``w``."""
-    coeffs = np.repeat(system.mass().over_dtau(dtau), w.layout.block_size)
+                 mass_over_dtau: np.ndarray) -> Operator:
+    """Matrix-free action of ``M/dtau + dR/dw`` at ``w``, on flat arrays."""
+    coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
     layout = w.layout
 
     def matvec(x: np.ndarray) -> np.ndarray:
         jv = system.jacobian_vector(w, BlockVector(layout, x))
         return coeffs * x + jv.values
 
-    return LinearOperator(layout, matvec)
+    return matvec
 
 
 def build_ptc_preconditioner(blocks: LineBlocks,
@@ -154,25 +153,24 @@ class NewtonStepResult:
     delta_w: BlockVector
     source: BlockVector
     stats: GmresStats
-    residual: BlockVector      # R(w) used to form the right-hand side
     smoother_degraded: bool = False
 
 
-def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
-                config: PtcConfig, lines: LineSet,
+def newton_step(system: NonlinearSystem, w: BlockVector,
+                mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
                 residual: Optional[BlockVector] = None,
                 blocks: Optional[FirstOrderBlocks] = None) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    The first-order blocks at ``w`` (evaluated unless given) are gathered
-    along ``lines`` once, then factored as J1 for the smoother (when
+    ``mass_over_dtau`` holds the per-cell coefficients of M/dtau. The
+    first-order blocks at ``w`` (evaluated unless given) are gathered along
+    ``lines`` once, then factored as J1 for the smoother (when
     ``config.smoothing`` has cycles) and as J1 + M/dtau for GMRES. The
-    smoothing source is computed
-    before the linear solve and never re-evaluated. A singular smoother
-    factorization runs the step unsmoothed. GMRES non-convergence is
-    reported through the stats for the controller, not raised; so are a
-    singular PTC preconditioner and non-finite operator output, as a failed
-    solve with no Krylov vectors.
+    smoothing source is computed before the linear solve and never
+    re-evaluated. A singular smoother factorization runs the step
+    unsmoothed. GMRES non-convergence is reported through the stats for the
+    controller, not raised; so are a singular PTC preconditioner and
+    non-finite operator output, as a failed solve with no Krylov vectors.
     """
     r = residual if residual is not None else system.residual(w)
     zero = BlockVector.zeros(w.layout)
@@ -181,33 +179,34 @@ def newton_step(system: NonlinearSystem, w: BlockVector, dtau: np.ndarray,
         blocks = system.first_order_blocks(w)
     line_blocks = assemble_line_blocks(blocks, lines)
     try:
-        precon = build_ptc_preconditioner(line_blocks,
-                                          system.mass().over_dtau(dtau))
+        precon = build_ptc_preconditioner(line_blocks, mass_over_dtau)
     except SingularPivotError as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
-        return NewtonStepResult(zero, zero, failed, r)
+        return NewtonStepResult(zero, zero, failed)
 
     source, degraded = zero, False
     if config.smoothing is not None and config.smoothing.n_cycles > 0:
         try:
-            smoother = build_smoother(line_blocks, config.smoothing)
+            smoother = build_smoother(line_blocks)
         except SingularPivotError as exc:
             # Smoother failure is soft: fall back to the unsmoothed step.
             log.warning("smoother build failed (%s); running unsmoothed step",
                         exc)
         else:
-            sm = rk_smooth(system, smoother, w)
-            source = smoothing_source(sm.delta_w, system.mass(), dtau)
+            sm = rk_smooth(system, smoother, config.smoothing, w)
+            # The paper's source term (M/dtau) dw_smooth; it vanishes as
+            # dtau grows, recovering the exact Newton step.
+            source = cellwise_scale(sm.delta_w, mass_over_dtau)
             degraded = sm.degraded
 
     try:
-        delta_w, stats = gmres_right_preconditioned(
-            ptc_operator(system, w, dtau), precon.as_operator(), source - r,
-            config.linear_rel_tol, config.max_krylov)
+        x, stats = gmres_right_preconditioned(
+            ptc_operator(system, w, mass_over_dtau), precon.solve_values,
+            (source - r).values, config.linear_rel_tol, config.max_krylov)
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
-        return NewtonStepResult(zero, source, failed, r, degraded)
-    return NewtonStepResult(delta_w, source, stats, r, degraded)
+        return NewtonStepResult(zero, source, failed, degraded)
+    return NewtonStepResult(BlockVector(w.layout, x), source, stats, degraded)
 
 
 @dataclass
@@ -229,7 +228,7 @@ def _pseudo_unsteady_norm(step_vec: BlockVector, residual: BlockVector,
 
 
 def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
-                dtau: np.ndarray, source: BlockVector,
+                mass_over_dtau: np.ndarray, source: BlockVector,
                 residual0: Optional[BlockVector] = None) -> LineSearchResult:
     """Backtracking search on the smoothed pseudo-unsteady residual.
 
@@ -238,9 +237,9 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
     alpha = 0 when nothing improves, which the controller treats as a
     rejection.
     """
-    coeffs = system.mass().over_dtau(dtau)
     r0 = residual0 if residual0 is not None else system.residual(w)
-    f0 = _pseudo_unsteady_norm(BlockVector.zeros(w.layout), r0, source, coeffs)
+    f0 = _pseudo_unsteady_norm(BlockVector.zeros(w.layout), r0, source,
+                               mass_over_dtau)
     f_values = [f0]
 
     for alpha in LINE_SEARCH_CANDIDATES:
@@ -253,7 +252,8 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
         except (InadmissibleStateError, ContractViolationError):
             f_values.append(np.inf)
             continue
-        f_trial = _pseudo_unsteady_norm(alpha * delta_w, r_trial, source, coeffs)
+        f_trial = _pseudo_unsteady_norm(alpha * delta_w, r_trial, source,
+                                        mass_over_dtau)
         f_values.append(f_trial)
         if f_trial < f0:
             return LineSearchResult(alpha, f_values, f0, f_trial, r_trial)
@@ -261,18 +261,19 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
     return LineSearchResult(0.0, f_values, f0, f0, None)
 
 
-def cfl_update(cfl: float, alpha: float, linear_converged: bool,
-               config: PtcConfig) -> Tuple[float, bool]:
+def cfl_update(cfl: float, alpha: float, config: PtcConfig
+               ) -> Tuple[float, bool]:
     """Controller band logic.
 
-    Linear-solver failure or a tiny step rejects the update and cuts the CFL;
-    a strong step grows it (capped); intermediate steps leave it unchanged.
+    A tiny step (alpha 0 after a failed linear solve) rejects the update and
+    cuts the CFL; a strong step grows it (capped); intermediate steps leave
+    it unchanged.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if not linear_converged or alpha <= config.alpha_reject_threshold:
+    if alpha <= ALPHA_REJECT_THRESHOLD:
         return cfl * config.beta_cfl2, False
-    if alpha >= config.alpha_grow_threshold:
+    if alpha >= ALPHA_GROW_THRESHOLD:
         return min(cfl * config.beta_cfl1, config.cfl_max), True
     return cfl, True
 
@@ -321,36 +322,34 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     for step in range(1, config.max_newton_steps + 1):
         if blocks is None:
             blocks = system.first_order_blocks(w)
-        dtau = local_pseudo_timesteps(system, w, cfl)
-        ns = newton_step(system, w, dtau, config, lines, residual=r,
+        mass_over_dtau = system.mass().over_dtau(
+            local_pseudo_timesteps(system, w, cfl))
+        ns = newton_step(system, w, mass_over_dtau, config, lines, residual=r,
                          blocks=blocks)
         cumulative_krylov += ns.stats.iterations
 
+        ls, alpha = None, 0.0   # a failed linear solve is a zero step
         if ns.stats.converged:
-            ls = line_search(system, w, ns.delta_w, dtau, ns.source,
+            ls = line_search(system, w, ns.delta_w, mass_over_dtau, ns.source,
                              residual0=r)
-            new_cfl, accepted = cfl_update(cfl, ls.alpha, True, config)
-        else:
-            ls = None
-            new_cfl, accepted = cfl_update(cfl, 0.0, False, config)
+            alpha = ls.alpha
+        new_cfl, accepted = cfl_update(cfl, alpha, config)
 
         if accepted:
             if not ls.f_alpha < ls.f0:
                 raise DescentViolationError(
                     f"step {step}: F({ls.alpha}) = {ls.f_alpha} "
                     f"did not decrease F(0) = {ls.f0}")
-            w = w + ls.alpha * ns.delta_w
+            w = w + alpha * ns.delta_w
             r = ls.residual_at_alpha
             blocks = None
             r_norm = l2_norm(r)
-            alpha_rec = ls.alpha
             ptc_res = ls.f_alpha
         else:
-            alpha_rec = ls.alpha if ls is not None else 0.0
-            ptc_res = ls.f0 if ls is not None else l2_norm(ns.residual - ns.source)
+            ptc_res = ls.f0 if ls is not None else l2_norm(r - ns.source)
 
         history.append(ConvergenceRecord(
-            step=step, cfl=cfl, alpha=alpha_rec,
+            step=step, cfl=cfl, alpha=alpha,
             krylov_count=ns.stats.iterations,
             linear_reduction=ns.stats.achieved_reduction,
             residual_l2=r_norm, ptc_residual_l2=ptc_res,
@@ -360,7 +359,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         if accepted and r_norm <= threshold:
             outcome = SolveOutcome.CONVERGED
             break
-        if cfl < config.cfl_stagnation_floor:
+        if cfl < CFL_STAGNATION_FLOOR:
             outcome = SolveOutcome.STAGNATED
             break
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .core import (BlockVector, ContractViolationError,
-                   InadmissibleStateError, MassMatrix, NonlinearSystem,
-                   cellwise_scale)
+                   InadmissibleStateError, NonlinearSystem)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
 from .lines import LineBlocks
 
@@ -43,7 +40,7 @@ class RkSchedule:
         coeffs = tuple(float(a) for a in self.stage_coefficients)
         if not coeffs:
             raise ValueError("at least one stage coefficient required")
-        if any(a <= 0.0 or a > 1.0 for a in coeffs):
+        if any(not (0.0 < a <= 1.0) for a in coeffs):    # NaN fails too
             raise ValueError("stage coefficients must lie in (0, 1]")
         if coeffs[-1] != 1.0:
             raise ValueError("final stage coefficient must be 1.0")
@@ -53,34 +50,25 @@ class RkSchedule:
 
 
 @dataclass
-class SmootherContext:
-    """Frozen line preconditioner plus the schedule driving it."""
-
-    preconditioner: BlockTridiagFactorization
-    schedule: RkSchedule
-
-
-@dataclass
 class SmoothResult:
     delta_w: BlockVector    # w_end - w0, the composite local-solver update
     w_end: BlockVector
     degraded: bool          # an offending cycle was abandoned
 
 
-def build_smoother(blocks: LineBlocks, schedule: RkSchedule) -> SmootherContext:
+def build_smoother(blocks: LineBlocks) -> BlockTridiagFactorization:
     """Factor the line preconditioner from blocks gathered along the lines.
 
     Rebuilding at a different state changes block values but never the
     sparsity, since the line structure is frozen.
     """
-    precon = factor_block_tridiag(blocks.lines, blocks.diag, blocks.upper,
-                                  blocks.lower)
-    return SmootherContext(precon, schedule)
+    return factor_block_tridiag(blocks.lines, blocks.diag, blocks.upper,
+                                blocks.lower)
 
 
-def rk_smooth(system: NonlinearSystem, ctx: SmootherContext,
-              w0: BlockVector) -> SmoothResult:
-    """Run the scheduled RK cycles from ``w0``.
+def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
+              schedule: RkSchedule, w0: BlockVector) -> SmoothResult:
+    """Run the scheduled RK cycles from ``w0``, preconditioned by ``precon``.
 
     An inadmissible or non-evaluable stage state abandons the offending cycle;
     the last completed cycle's output is returned with ``degraded`` set. The
@@ -91,11 +79,11 @@ def rk_smooth(system: NonlinearSystem, ctx: SmootherContext,
 
     w_cycle = w0.copy()
     degraded = False
-    for _ in range(ctx.schedule.n_cycles):
+    for _ in range(schedule.n_cycles):
         base = w_cycle
         current = w_cycle
         ok = True
-        for alpha in ctx.schedule.stage_coefficients:
+        for alpha in schedule.stage_coefficients:
             try:
                 r = system.residual(current)
             except (InadmissibleStateError, ContractViolationError):
@@ -104,7 +92,8 @@ def rk_smooth(system: NonlinearSystem, ctx: SmootherContext,
             if not r.is_finite():
                 ok = False
                 break
-            current = base + (-alpha) * ctx.preconditioner.solve(r)
+            current = BlockVector(
+                w0.layout, base.values - alpha * precon.solve_values(r.values))
             if not current.is_finite() or not system.is_admissible(current):
                 ok = False
                 break
@@ -114,12 +103,3 @@ def rk_smooth(system: NonlinearSystem, ctx: SmootherContext,
         w_cycle = current
     return SmoothResult(w_cycle - w0, w_cycle, degraded)
 
-
-def smoothing_source(delta_w_smooth: BlockVector, mass: MassMatrix,
-                     dtau: np.ndarray) -> BlockVector:
-    """Scale the local-solver update by M/dtau.
-
-    The smoothed Newton right-hand side is ``-R(w) + source``; the source
-    vanishes as dtau grows, recovering the exact Newton scheme.
-    """
-    return cellwise_scale(delta_w_smooth, mass.over_dtau(dtau))

@@ -243,6 +243,7 @@ dir = {outdir}
 
 @pytest.mark.parametrize("extra, reason", [
     ("[smoothing]\nstages = 0.5,0.5\n", "final stage coefficient"),
+    ("[smoothing]\nstages = nan,1.0\n", "stage coefficients must lie in (0, 1]"),
     ("[solver]\nbeta_cfl1 = 0.5\n", "beta_cfl1 must exceed 1"),
     ("[solver]\ntarget_residual_reduction = nan\n",
      "target_residual_reduction must lie in (0, 1)"),
@@ -250,8 +251,8 @@ dir = {outdir}
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
-], ids=["stages", "beta_cfl1", "target_nan", "n_cells", "dt", "dt_nan",
-        "removed_mode_key"])
+], ids=["stages", "stages_nan", "beta_cfl1", "target_nan", "n_cells", "dt",
+        "dt_nan", "removed_mode_key"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import BlockVector, FirstOrderBlocks, l2_norm
+from ptcsmooth.core import BlockVector, FirstOrderBlocks, MassMatrix, l2_norm
 from ptcsmooth.lines import (assemble_line_blocks, build_coupling_graph,
                              extract_lines)
-from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update, line_search,
-                           local_pseudo_timesteps, newton_step, ptc_operator,
-                           solve_steady)
+from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, PtcConfig, SolveOutcome,
+                           cfl_update, line_search, local_pseudo_timesteps,
+                           newton_step, ptc_operator, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
@@ -67,9 +67,9 @@ def test_operator_large_dtau_approaches_jacobian():
     w = p.initial_state()
     v = BlockVector(p.layout, np.random.default_rng(0).standard_normal(24))
     dtau = np.full(24, 1e12)
-    a = ptc_operator(p, w, dtau).apply(v)
+    a = ptc_operator(p, w, p.mass().over_dtau(dtau))(v.values)
     jv = p.jacobian_vector(w, v)
-    assert l2_norm(a - jv) <= 1e-9 * l2_norm(jv)
+    assert np.linalg.norm(a - jv.values) <= 1e-9 * l2_norm(jv)
 
 
 def test_operator_small_dtau_mass_dominates():
@@ -78,17 +78,17 @@ def test_operator_small_dtau_mass_dominates():
     w = p.initial_state()
     v = BlockVector(p.layout, np.random.default_rng(1).standard_normal(24))
     dtau = np.full(24, 1e-12)
-    a = ptc_operator(p, w, dtau).apply(v)
+    a = ptc_operator(p, w, p.mass().over_dtau(dtau))(v.values)
     mass_term = cellwise_scale(v, p.mass().over_dtau(dtau))
     # The leftover is exactly the Jacobian product, a vanishing fraction.
-    assert l2_norm(a - mass_term) <= 1e-6 * l2_norm(mass_term)
+    assert np.linalg.norm(a - mass_term.values) <= 1e-6 * l2_norm(mass_term)
 
 
 def test_operator_zero_input():
     p = make_bratu(8, 1.0)
     w = p.initial_state()
-    out = ptc_operator(p, w, np.ones(8)).apply(BlockVector.zeros(p.layout))
-    assert np.all(out.values == 0.0)
+    out = ptc_operator(p, w, p.mass().over_dtau(np.ones(8)))(np.zeros(8))
+    assert np.all(out == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +100,10 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     w = p.initial_state()
     cfg = PtcConfig()
     lines = _lines_for(p)
-    dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    plain = newton_step(p, w, dtau, cfg, lines)
-    zero_cycle = newton_step(p, w, dtau,
+    mass_over_dtau = p.mass().over_dtau(
+        local_pseudo_timesteps(p, w, cfg.cfl_init))
+    plain = newton_step(p, w, mass_over_dtau, cfg, lines)
+    zero_cycle = newton_step(p, w, mass_over_dtau,
                              PtcConfig(smoothing=RkSchedule(n_cycles=0)), lines)
     assert np.array_equal(plain.delta_w.values, zero_cycle.delta_w.values)
     assert np.all(zero_cycle.source.values == 0.0)
@@ -113,15 +114,15 @@ def test_small_dtau_step_matches_smoother_update():
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
-    dtau = local_pseudo_timesteps(p, w, 1e-10)
-    ctx = build_smoother(assemble_line_blocks(p.first_order_blocks(w), lines),
-                         cfg.smoothing)
-    delta_smooth = rk_smooth(p, ctx, w).delta_w
-    ns = newton_step(p, w, dtau, cfg, lines)
+    mass_over_dtau = p.mass().over_dtau(local_pseudo_timesteps(p, w, 1e-10))
+    precon = build_smoother(
+        assemble_line_blocks(p.first_order_blocks(w), lines))
+    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w).delta_w
+    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
     # The line search takes the full step, so the accepted update is the
     # smoother update itself: the scheme reverts to the local solver.
-    res = line_search(p, w, ns.delta_w, dtau, ns.source)
+    res = line_search(p, w, ns.delta_w, mass_over_dtau, ns.source)
     assert res.alpha == 1.0
     accepted_update = res.alpha * ns.delta_w
     assert l2_norm(accepted_update - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
@@ -134,8 +135,8 @@ def test_large_dtau_step_matches_pure_newton():
     w = pre.final_state
     cfg = PtcConfig(linear_rel_tol=1e-12, max_krylov=200)
     lines = _lines_for(p)
-    dtau = local_pseudo_timesteps(p, w, 1e12)
-    ns = newton_step(p, w, dtau, cfg, lines)
+    mass_over_dtau = p.mass().over_dtau(local_pseudo_timesteps(p, w, 1e12))
+    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
     # Dense Newton oracle: assemble J column by column from exact products.
     n = p.layout.n_dofs
     J = np.zeros((n, n))
@@ -152,8 +153,9 @@ def test_gmres_failure_is_reported_not_raised():
     cfg = PtcConfig(max_krylov=2, linear_rel_tol=1e-10)
     lines = _lines_for(p)
     w = p.initial_state()
-    dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines)
+    mass_over_dtau = p.mass().over_dtau(
+        local_pseudo_timesteps(p, w, cfg.cfl_init))
+    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
     assert not ns.stats.converged
 
 
@@ -167,7 +169,8 @@ def test_line_search_linear_exact_solve_takes_full_step(scalar_chain):
     dtau = np.full(sys.layout.n_cells, 1e12)
     delta = BlockVector(sys.layout,
                         np.linalg.solve(sys.A, -sys.residual(w).values))
-    res = line_search(sys, w, delta, dtau, BlockVector.zeros(sys.layout))
+    res = line_search(sys, w, delta, sys.mass().over_dtau(dtau),
+                      BlockVector.zeros(sys.layout))
     assert res.alpha == 1.0
     assert res.f_alpha <= 1e-10 * res.f0
 
@@ -177,9 +180,10 @@ def test_line_search_accepted_alpha_decreases_objective():
     cfg = PtcConfig()
     lines = _lines_for(p)
     w = p.initial_state()
-    dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines)
-    res = line_search(p, w, ns.delta_w, dtau, ns.source)
+    mass_over_dtau = p.mass().over_dtau(
+        local_pseudo_timesteps(p, w, cfg.cfl_init))
+    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
+    res = line_search(p, w, ns.delta_w, mass_over_dtau, ns.source)
     assert res.alpha > 0.0
     assert res.f_alpha < res.f0
 
@@ -191,13 +195,13 @@ def test_line_search_descent_direction_derivative():
     cfg = PtcConfig(linear_rel_tol=1e-13, max_krylov=200)
     lines = _lines_for(p)
     w = p.initial_state()
-    dtau = local_pseudo_timesteps(p, w, cfg.cfl_init)
-    ns = newton_step(p, w, dtau, cfg, lines)
-    coeffs = p.mass().over_dtau(dtau)
+    mass_over_dtau = p.mass().over_dtau(
+        local_pseudo_timesteps(p, w, cfg.cfl_init))
+    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
 
     def f_squared(alpha):
         trial = w + alpha * ns.delta_w
-        vals = (np.repeat(coeffs, 1) * (alpha * ns.delta_w.values)
+        vals = (np.repeat(mass_over_dtau, 1) * (alpha * ns.delta_w.values)
                 + p.residual(trial).values - ns.source.values)
         return float(vals @ vals)
 
@@ -210,7 +214,8 @@ def test_line_search_rejects_ascent_direction(scalar_chain):
     dtau = np.full(sys.layout.n_cells, 1e12)
     ascent = BlockVector(sys.layout,
                          np.linalg.solve(sys.A, sys.residual(w).values))
-    res = line_search(sys, w, ascent, dtau, BlockVector.zeros(sys.layout))
+    res = line_search(sys, w, ascent, sys.mass().over_dtau(dtau),
+                      BlockVector.zeros(sys.layout))
     assert res.alpha == 0.0
     assert res.f_alpha == res.f0
 
@@ -218,11 +223,11 @@ def test_line_search_rejects_ascent_direction(scalar_chain):
 def test_line_search_inadmissible_trials_scored_infinite():
     e = make_quasi1d_euler(32)
     w = e.initial_state()
-    dtau = local_pseudo_timesteps(e, w, 10.0)
+    mass_over_dtau = e.mass().over_dtau(local_pseudo_timesteps(e, w, 10.0))
     # A huge negative-density direction makes every candidate inadmissible.
     bad = BlockVector(e.layout, np.zeros(e.layout.n_dofs))
     bad.values[0::3] = -1e6
-    res = line_search(e, w, bad, dtau, BlockVector.zeros(e.layout))
+    res = line_search(e, w, bad, mass_over_dtau, BlockVector.zeros(e.layout))
     assert res.alpha == 0.0
     assert all(np.isinf(f) for f in res.f_values[1:])
 
@@ -233,28 +238,29 @@ def test_line_search_inadmissible_trials_scored_infinite():
 
 def test_cfl_update_truth_table():
     cfg = PtcConfig()
-    assert cfl_update(10.0, 1.0, True, cfg) == (15.0, True)
-    assert cfl_update(10.0, 0.05, True, cfg) == (pytest.approx(1.0), False)
-    assert cfl_update(10.0, 0.5, True, cfg) == (10.0, True)
+    assert cfl_update(10.0, 1.0, cfg) == (15.0, True)
+    assert cfl_update(10.0, 0.05, cfg) == (pytest.approx(1.0), False)
+    assert cfl_update(10.0, 0.5, cfg) == (10.0, True)
 
 
 def test_cfl_update_linear_failure_rejects():
     cfg = PtcConfig()
-    new_cfl, accepted = cfl_update(10.0, 1.0, False, cfg)
+    # A failed linear solve reaches the controller as a zero step.
+    new_cfl, accepted = cfl_update(10.0, 0.0, cfg)
     assert not accepted
     assert new_cfl == pytest.approx(1.0)
 
 
 def test_cfl_update_band_boundaries():
     cfg = PtcConfig()
-    assert cfl_update(10.0, 0.75, True, cfg) == (15.0, True)   # grow at 0.75
-    assert cfl_update(10.0, 0.1, True, cfg)[1] is False        # reject at 0.1
-    assert cfl_update(10.0, 0.11, True, cfg) == (10.0, True)
+    assert cfl_update(10.0, 0.75, cfg) == (15.0, True)   # grow at 0.75
+    assert cfl_update(10.0, 0.1, cfg)[1] is False        # reject at 0.1
+    assert cfl_update(10.0, 0.11, cfg) == (10.0, True)
 
 
 def test_cfl_update_caps_at_max():
     cfg = PtcConfig(cfl_max=12.0)
-    assert cfl_update(10.0, 1.0, True, cfg) == (12.0, True)
+    assert cfl_update(10.0, 1.0, cfg) == (12.0, True)
 
 
 def test_config_validation():
@@ -262,8 +268,6 @@ def test_config_validation():
         PtcConfig(beta_cfl1=1.0)
     with pytest.raises(ValueError):
         PtcConfig(beta_cfl2=1.5)
-    with pytest.raises(ValueError):
-        PtcConfig(alpha_reject_threshold=0.8, alpha_grow_threshold=0.75)
     for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
                 {"anisotropy_threshold": 1.0}, {"cfl_init": -1.0},
                 {"cfl_init": float("nan")}, {"beta_cfl1": float("nan")},
@@ -272,8 +276,6 @@ def test_config_validation():
                 {"target_residual_reduction": float("nan")},
                 {"target_residual_absolute": 0.0},
                 {"target_residual_absolute": float("nan")},
-                {"cfl_stagnation_floor": 0.0},
-                {"cfl_stagnation_floor": float("nan")},
                 {"cfl_max": 5.0}, {"cfl_max": float("nan")},
                 {"max_newton_steps": 0}):
         with pytest.raises(ValueError):
@@ -347,6 +349,18 @@ def test_first_order_blocks_evaluated_once_per_state(settings):
     assert len(calls) == 1 + sum(r.accepted for r in rep.history[:-1])
 
 
+def test_mass_over_dtau_formed_once_per_newton_step(monkeypatch):
+    # The preconditioner, the smoothing source, the GMRES operator and the
+    # line search all read the one M/dtau array the driver forms per step.
+    original, calls = MassMatrix.over_dtau, []
+    monkeypatch.setattr(MassMatrix, "over_dtau",
+                        lambda self, dtau: calls.append(dtau)
+                        or original(self, dtau))
+    rep = solve_steady(make_bratu(32, 1.0), PtcConfig(smoothing=RkSchedule()))
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert len(calls) == rep.newton_steps
+
+
 def _nan_diagonal_blocks(p):
     original = p.first_order_blocks
 
@@ -418,9 +432,8 @@ def test_accepted_steps_decrease_pseudo_unsteady_residual():
         assert np.isfinite(rec.ptc_residual_l2)
     # Rejections carry either the failed-solver alpha = 0 or a line-search
     # alpha at or below the rejection band.
-    cfg = PtcConfig()
     for rec in (r for r in rep.history if not r.accepted):
-        assert rec.alpha <= cfg.alpha_reject_threshold
+        assert rec.alpha <= ALPHA_REJECT_THRESHOLD
 
 
 def test_solve_accepts_explicit_start_state():

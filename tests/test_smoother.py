@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, InadmissibleStateError,
-                            MassMatrix, l2_norm)
+                            MassMatrix, cellwise_scale, l2_norm)
 from ptcsmooth.lines import (assemble_line_blocks, build_coupling_graph,
                              extract_lines, singleton_lines)
 from ptcsmooth.ptc import PtcConfig
-from ptcsmooth.smoother import (RkSchedule, build_smoother, rk_smooth,
-                                smoothing_source)
+from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
@@ -19,6 +18,8 @@ def test_schedule_validation():
         RkSchedule((0.15, 0.4, 0.9))     # last stage must be 1
     with pytest.raises(ValueError):
         RkSchedule((0.0, 1.0))           # coefficients in (0, 1]
+    with pytest.raises(ValueError):
+        RkSchedule((float("nan"), 1.0))  # NaN is not in (0, 1]
     with pytest.raises(ValueError):
         RkSchedule((1.0,), n_cycles=-1)
     assert RkSchedule((1.0,), n_cycles=0).n_cycles == 0
@@ -33,52 +34,49 @@ def test_default_schedule_matches_protocol():
 def test_singleton_lines_give_block_diagonal_preconditioner():
     sys = diffusion_chain(n=6, b=1)
     lines = singleton_lines(6)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines),
-        RkSchedule())
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines))
     r = np.zeros(6)
     r[2] = 1.0
-    x = ctx.preconditioner.solve_values(r)
+    x = precon.solve_values(r)
     assert np.count_nonzero(x) == 1  # no coupling without line edges
 
 
 def test_full_chain_line_gives_exact_newton_step(scalar_chain):
     sys = scalar_chain
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines),
-        RkSchedule())
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines))
     w0 = sys.initial_state()
     r = sys.residual(w0)
-    step = ctx.preconditioner.solve(r)
+    step = precon.solve_values(r.values)
     ref = np.linalg.solve(sys.A, r.values)
-    assert np.allclose(step.values, ref, rtol=1e-12)
+    assert np.allclose(step, ref, rtol=1e-12)
 
 
 def test_rebuild_changes_values_not_structure():
     p = make_bratu(16, 1.0)
     lines = extract_lines(
         build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
-    ctx1 = build_smoother(
-        assemble_line_blocks(p.first_order_blocks(p.initial_state()), lines),
-        RkSchedule())
+    precon1 = build_smoother(
+        assemble_line_blocks(p.first_order_blocks(p.initial_state()), lines))
     w2 = BlockVector(p.layout, 0.1 * np.ones(16))
-    ctx2 = build_smoother(assemble_line_blocks(p.first_order_blocks(w2), lines),
-                          RkSchedule())
-    cells1 = ctx1.preconditioner.lines.lines
-    cells2 = ctx2.preconditioner.lines.lines
+    precon2 = build_smoother(
+        assemble_line_blocks(p.first_order_blocks(w2), lines))
+    cells1 = precon1.lines.lines
+    cells2 = precon2.lines.lines
     assert cells1 == cells2
-    assert not np.allclose(ctx1.preconditioner.binv[:len(cells1[0])],
-                           ctx2.preconditioner.binv[:len(cells2[0])])
+    assert not np.allclose(precon1.binv[:len(cells1[0])],
+                           precon2.binv[:len(cells2[0])])
 
 
 def test_fixed_point_returns_zero_update(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines), RkSchedule())
-    out = rk_smooth(sys, ctx, w_star)
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
+    out = rk_smooth(sys, precon, RkSchedule(), w_star)
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star))
     assert np.allclose(out.w_end.values, w_star.values)
 
@@ -90,12 +88,12 @@ def test_linear_contraction_single_cycle(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=1)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines), sched)
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
-    out = rk_smooth(sys, ctx, w0)
+    out = rk_smooth(sys, precon, sched, w0)
     e_end = out.w_end.values - w_star.values
     assert np.allclose(e_end, 0.34 * e0, rtol=1e-12, atol=1e-13)
 
@@ -105,12 +103,12 @@ def test_linear_contraction_two_cycles(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=2)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines), sched)
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
-    out = rk_smooth(sys, ctx, w0)
+    out = rk_smooth(sys, precon, sched, w0)
     e_end = out.w_end.values - w_star.values
     assert np.allclose(e_end, 0.34 ** 2 * e0, rtol=1e-11, atol=1e-13)
 
@@ -126,23 +124,26 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     w0 = BlockVector(sys.layout, w_star.values + d)
     assert l2_norm(sys.residual(w0)) <= 1e-12 * r_init
     lines = full_chain_lines(sys.layout.n_cells)
-    ctx = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w0), lines), RkSchedule())
-    out = rk_smooth(sys, ctx, w0)
+    precon = build_smoother(
+        assemble_line_blocks(sys.first_order_blocks(w0), lines))
+    out = rk_smooth(sys, precon, RkSchedule(), w0)
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0)
 
+
+# The smoothing source (M/dtau) dw_smooth, as newton_step forms it.
 
 def test_smoothing_source_zero_update():
     layout = BlockLayout(3, 1)
     mass = MassMatrix(layout, [1.0, 2.0, 3.0])
-    s = smoothing_source(BlockVector.zeros(layout), mass, np.ones(3))
+    s = cellwise_scale(BlockVector.zeros(layout), mass.over_dtau(np.ones(3)))
     assert np.all(s.values == 0.0)
 
 
 def test_smoothing_source_single_cell_arithmetic():
     layout = BlockLayout(1, 1)
     mass = MassMatrix(layout, [2.0])
-    s = smoothing_source(BlockVector(layout, [3.0]), mass, np.array([0.5]))
+    s = cellwise_scale(BlockVector(layout, [3.0]),
+                       mass.over_dtau(np.array([0.5])))
     assert s.values[0] == pytest.approx(12.0)
 
 
@@ -150,7 +151,7 @@ def test_smoothing_source_vanishes_for_large_dtau():
     layout = BlockLayout(4, 2)
     mass = MassMatrix(layout, [1.0, 2.0, 0.5, 1.5])
     delta = BlockVector(layout, np.arange(1.0, 9.0))
-    s = smoothing_source(delta, mass, np.full(4, 1e12))
+    s = cellwise_scale(delta, mass.over_dtau(np.full(4, 1e12)))
     # The bound holds with equality: s = M delta / dtau exactly.
     assert l2_norm(s) <= 1e-12 * l2_norm(mass.apply(delta)) * (1 + 1e-12)
     assert l2_norm(s) == pytest.approx(1e-12 * l2_norm(mass.apply(delta)))
@@ -162,12 +163,12 @@ def test_smoothing_source_scaling_laws():
     rng = np.random.default_rng(1)
     delta = BlockVector(layout, rng.standard_normal(6))
     dtau = np.array([0.25, 1.0, 4.0])
-    s = smoothing_source(delta, mass, dtau)
+    s = cellwise_scale(delta, mass.over_dtau(dtau))
     # Linear in the update (powers of two are exact in floating point).
-    s2 = smoothing_source(2.0 * delta, mass, dtau)
+    s2 = cellwise_scale(2.0 * delta, mass.over_dtau(dtau))
     assert np.array_equal(s2.values, 2.0 * s.values)
     # Homogeneous of degree -1 in dtau.
-    s_half = smoothing_source(delta, mass, 2.0 * dtau)
+    s_half = cellwise_scale(delta, mass.over_dtau(2.0 * dtau))
     assert np.array_equal(s_half.values, 0.5 * s.values)
 
 
@@ -175,7 +176,8 @@ def test_smoothing_source_rejects_nonpositive_dtau():
     layout = BlockLayout(2, 1)
     mass = MassMatrix(layout, [1.0, 1.0])
     with pytest.raises(ValueError):
-        smoothing_source(BlockVector.zeros(layout), mass, np.array([1.0, 0.0]))
+        cellwise_scale(BlockVector.zeros(layout),
+                       mass.over_dtau(np.array([1.0, 0.0])))
 
 
 @pytest.mark.parametrize("problem", [
@@ -188,10 +190,9 @@ def test_smoother_reduces_residual_from_impulsive_start(problem):
     cfg = PtcConfig()
     lines = extract_lines(build_coupling_graph(problem.first_order_blocks(w0)),
                           cfg.anisotropy_threshold)
-    ctx = build_smoother(
-        assemble_line_blocks(problem.first_order_blocks(w0), lines),
-        RkSchedule())
-    out = rk_smooth(problem, ctx, w0)
+    precon = build_smoother(
+        assemble_line_blocks(problem.first_order_blocks(w0), lines))
+    out = rk_smooth(problem, precon, RkSchedule(), w0)
     assert l2_norm(problem.residual(out.w_end)) < l2_norm(problem.residual(w0))
 
 
@@ -201,14 +202,15 @@ def test_degraded_cycle_keeps_last_admissible_output():
     sys.is_admissible = lambda w: bool(np.all(np.abs(w.values) <= 1e-3))
     try:
         lines = full_chain_lines(6)
-        ctx = build_smoother(
+        precon = build_smoother(
             assemble_line_blocks(sys.first_order_blocks(sys.initial_state()),
-                                 lines),
-            RkSchedule(n_cycles=3))
-        out = rk_smooth(sys, ctx, sys.initial_state())
+                                 lines))
+        sched = RkSchedule(n_cycles=3)
+        out = rk_smooth(sys, precon, sched, sys.initial_state())
         assert out.degraded
         assert np.all(out.delta_w.values == 0.0)  # first cycle abandoned
         with pytest.raises(InadmissibleStateError):
-            rk_smooth(sys, ctx, BlockVector(sys.layout, np.full(6, 10.0)))
+            rk_smooth(sys, precon, sched,
+                      BlockVector(sys.layout, np.full(6, 10.0)))
     finally:
         del sys.is_admissible
