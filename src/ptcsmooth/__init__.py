@@ -2,16 +2,16 @@
 
 from .core import (BlockLayout, BlockVector, ContractViolationError,
                    ConvergenceRecord, FirstOrderBlocks,
-                   InadmissibleStateError, MassMatrix, NonlinearSystem,
+                   InadmissibleStateError, NonlinearSystem,
                    cellwise_scale, l2_norm, validate_jacobian)
 from .linalg import (BlockTridiagFactorization, GmresStats,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
-from .lines import (CouplingGraph, LineBlocks, LineSet, assemble_line_blocks,
-                    build_coupling_graph, extract_lines, singleton_lines)
+from .lines import (LineBlocks, LineSet, assemble_line_blocks, extract_lines,
+                    singleton_lines)
 from .ptc import (PtcConfig, SolveOutcome, SolveReport, cfl_update,
-                  line_search, local_pseudo_timesteps, newton_step,
-                  ptc_operator, solve_steady)
+                  line_search, mass_over_dtau, newton_step, ptc_operator,
+                  solve_steady)
 from .smoother import RkSchedule, SmoothResult, build_smoother, rk_smooth
 from .timestepping import (BdfStepSystem, TimeHistory, UnsteadyConfig,
                            advance_unsteady, bdf_residual)

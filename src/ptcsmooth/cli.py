@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import ConvergenceRecord, NonlinearSystem
-from .lines import build_coupling_graph, extract_lines
+from .lines import extract_lines
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 from .problems import make_aniso_convdiff, make_bratu, make_quasi1d_euler
 from .smoother import DEFAULT_CYCLES, DEFAULT_STAGE_COEFFS, RkSchedule
@@ -341,9 +341,8 @@ def _unsteady(config: RunConfig, problem: NonlinearSystem,
 def _lines(config: RunConfig, problem: NonlinearSystem,
            out: _Out) -> Tuple[int, Optional[dict]]:
     """Extract and write the solver line set at the initial state."""
-    graph = build_coupling_graph(
+    line_set = extract_lines(
         problem.first_order_blocks(problem.initial_state()))
-    line_set = extract_lines(graph, config.solver.anisotropy_threshold)
     path = out("lines.txt")
     path.write_text(line_set.to_text())
     multi = line_set.multi_cell_lines()

@@ -111,30 +111,11 @@ def l2_norm(v: BlockVector) -> float:
     return float(np.linalg.norm(v.values))
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Diagonal mass matrix: cell measure times the identity block."""
-
-    layout: BlockLayout
-    cell_measures: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.cell_measures, dtype=float)
-        if m.shape != (self.layout.n_cells,):
-            raise ContractViolationError("one measure per cell required")
-        if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
-            raise ValueError("cell measures must be positive and finite")
-        object.__setattr__(self, "cell_measures", m)
-
-    def apply(self, v: BlockVector) -> BlockVector:
-        return cellwise_scale(v, self.cell_measures)
-
-    def over_dtau(self, dtau: np.ndarray) -> np.ndarray:
-        """Per-cell coefficients of M / dtau."""
-        dtau = np.asarray(dtau, dtype=float)
-        if np.any(dtau <= 0.0):
-            raise ValueError("pseudo-time steps must be positive")
-        return self.cell_measures / dtau
+def require_finite(**params) -> None:
+    """Reject problem parameters (scalars or arrays) holding NaN or Inf."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -158,8 +139,11 @@ class NonlinearSystem(ABC):
     ``jacobian_vector`` must be the exact linearization of ``residual`` (the
     descent guarantee of the continuation line search depends on it), while
     ``first_order_blocks`` may be an approximation with nearest-neighbor
-    sparsity, used only for preconditioning.
+    sparsity, used only for preconditioning. ``cell_measures`` holds the
+    positive, finite measure of each cell: the diagonal of the mass matrix M.
     """
+
+    cell_measures: np.ndarray   # (n_cells,)
 
     @property
     @abstractmethod
@@ -175,9 +159,6 @@ class NonlinearSystem(ABC):
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks: ...
 
     @abstractmethod
-    def mass(self) -> MassMatrix: ...
-
-    @abstractmethod
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         """Per-cell explicit pseudo-time step estimate (positive)."""
 
@@ -191,9 +172,9 @@ class NonlinearSystem(ABC):
     def functional(self, w: BlockVector) -> float:
         """Integrated diagnostic quantity; volume-weighted mean of the first
         equation component by default."""
-        measures = self.mass().cell_measures
         first = w.cells()[:, 0]
-        return float(np.sum(measures * first) / np.sum(measures))
+        return float(np.sum(self.cell_measures * first)
+                     / np.sum(self.cell_measures))
 
 
 @dataclass

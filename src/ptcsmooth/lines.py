@@ -1,4 +1,4 @@
-"""Coupling-graph construction and greedy extraction of solver lines.
+"""Greedy extraction of solver lines from the cell-coupling graph.
 
 Lines are vertex-disjoint simple paths following the strongest couplings of
 the first-order Jacobian. Anisotropy is measured from block norms rather than
@@ -17,30 +17,8 @@ import numpy as np
 
 from .core import ContractViolationError, FirstOrderBlocks
 
-
-@dataclass
-class CouplingGraph:
-    """Undirected cell-coupling graph with one weighted edge per stencil pair."""
-
-    n_cells: int
-    edges: np.ndarray    # (n_edges, 2) int with i < j
-    weights: np.ndarray  # (n_edges,) nonnegative
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(self.edges) != len(self.weights):
-            raise ValueError("edge and weight counts differ")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("edge weights must be finite and nonnegative")
-
-    def incident(self) -> List[List[tuple]]:
-        """Adjacency: per cell, list of (weight, neighbor) pairs."""
-        adj = [[] for _ in range(self.n_cells)]
-        for (i, j), w in zip(self.edges, self.weights):
-            adj[int(i)].append((float(w), int(j)))
-            adj[int(j)].append((float(w), int(i)))
-        return adj
+# The anisotropy threshold the solver extracts its lines with.
+ANISOTROPY_THRESHOLD = 4.0
 
 
 @dataclass
@@ -112,14 +90,6 @@ def singleton_lines(n_cells: int) -> LineSet:
     return LineSet(n_cells, [[c] for c in range(n_cells)])
 
 
-def build_coupling_graph(blocks: FirstOrderBlocks) -> CouplingGraph:
-    """Edge weights are the larger Frobenius norm of the two first-order
-    off-diagonal blocks joining a cell pair."""
-    w_ij = np.linalg.norm(blocks.off_ij.reshape(len(blocks.edges), -1), axis=1)
-    w_ji = np.linalg.norm(blocks.off_ji.reshape(len(blocks.edges), -1), axis=1)
-    return CouplingGraph(blocks.layout.n_cells, blocks.edges, np.maximum(w_ij, w_ji))
-
-
 def _anisotropy(adj: List[List[tuple]]) -> np.ndarray:
     a = np.ones(len(adj))
     for c, inc in enumerate(adj):
@@ -135,22 +105,35 @@ def _anisotropy(adj: List[List[tuple]]) -> np.ndarray:
     return a
 
 
-def extract_lines(graph: CouplingGraph, anisotropy_threshold: float) -> LineSet:
+def extract_lines(blocks: FirstOrderBlocks,
+                  anisotropy_threshold: float = ANISOTROPY_THRESHOLD) -> LineSet:
     """Greedy strongest-coupling path growth seeded at anisotropic cells.
 
-    Seeds are visited in descending anisotropy ratio (ties broken by lower
-    cell index). A path extends from its endpoints along the strongest edge
-    to an unvisited neighbor as long as that edge carries at least
-    ``1/threshold`` of the endpoint's strongest incident weight; growth runs
-    in both directions from the seed. Unreached cells become singletons.
+    The coupling graph has one edge per stencil pair, weighted by the larger
+    Frobenius norm of the pair's two off-diagonal blocks. Seeds are visited
+    in descending anisotropy ratio (ties broken by lower cell index). A path
+    extends from its endpoints along the strongest edge to an unvisited
+    neighbor as long as that edge carries at least ``1/threshold`` of the
+    endpoint's strongest incident weight; growth runs in both directions
+    from the seed. Unreached cells become singletons.
     """
     if anisotropy_threshold <= 1.0:
         raise ValueError("anisotropy_threshold must exceed 1")
 
-    adj = graph.incident()
+    n_cells, n_edges = blocks.layout.n_cells, len(blocks.edges)
+    weights = np.maximum(
+        np.linalg.norm(blocks.off_ij.reshape(n_edges, -1), axis=1),
+        np.linalg.norm(blocks.off_ji.reshape(n_edges, -1), axis=1))
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("coupling weights must be finite")
+    adj: List[List[tuple]] = [[] for _ in range(n_cells)]  # (weight, neighbor)
+    for (i, j), w in zip(blocks.edges.tolist(), weights.tolist()):
+        adj[i].append((w, j))
+        adj[j].append((w, i))
+
     aniso = _anisotropy(adj)
-    order = sorted(range(graph.n_cells), key=lambda c: (-aniso[c], c))
-    visited = np.zeros(graph.n_cells, dtype=bool)
+    order = sorted(range(n_cells), key=lambda c: (-aniso[c], c))
+    visited = np.zeros(n_cells, dtype=bool)
     lines: List[List[int]] = []
 
     def grow(endpoint: int) -> int:
@@ -181,8 +164,8 @@ def extract_lines(graph: CouplingGraph, anisotropy_threshold: float) -> LineSet:
                 attach(end)
         lines.append(path)
 
-    for c in range(graph.n_cells):
+    for c in range(n_cells):
         if not visited[c]:
             lines.append([c])
 
-    return LineSet(graph.n_cells, lines)
+    return LineSet(n_cells, lines)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (BlockLayout, BlockVector, FirstOrderBlocks, MassMatrix,
-                    NonlinearSystem)
+from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
+                    NonlinearSystem, require_finite)
 
 
 class BratuProblem(NonlinearSystem):
@@ -18,11 +18,12 @@ class BratuProblem(NonlinearSystem):
     def __init__(self, n_cells: int, lam: float = 1.0):
         if n_cells < 3:
             raise ValueError("need at least 3 cells")
+        require_finite(lam=lam)
         self.n_cells = n_cells
         self.lam = float(lam)
         self.h = 1.0 / (n_cells + 1)
         self._layout = BlockLayout(n_cells, 1)
-        self._mass = MassMatrix(self._layout, np.full(n_cells, self.h))
+        self.cell_measures = np.full(n_cells, self.h)
         # Cell centers; boundary values sit at x = 0 and x = 1.
         self.x = (np.arange(n_cells) + 1) * self.h
 
@@ -53,9 +54,6 @@ class BratuProblem(NonlinearSystem):
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         off = np.full((n - 1, 1, 1), -1.0 / self.h ** 2)
         return FirstOrderBlocks(self._layout, diag, edges, off, off.copy())
-
-    def mass(self) -> MassMatrix:
-        return self._mass
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         # Diffusive stability estimate.

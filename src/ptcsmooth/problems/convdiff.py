@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (BlockLayout, BlockVector, FirstOrderBlocks, MassMatrix,
-                    NonlinearSystem)
+from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
+                    NonlinearSystem, require_finite)
 
 
 def _nonuniform_coeffs(d_minus: np.ndarray, d_plus: np.ndarray):
@@ -39,8 +39,13 @@ class AnisoConvDiffProblem(NonlinearSystem):
                  ly: float = 1.0, amplitude: float = 0.5):
         if nx < 4 or ny < 4:
             raise ValueError("need at least 4 cells per direction")
+        require_finite(stretching_ratio=stretching_ratio, eps=eps,
+                       velocity=velocity, sigma=sigma, ly=ly,
+                       amplitude=amplitude)
         if stretching_ratio < 1.0:
             raise ValueError("stretching_ratio must be at least 1")
+        if ly <= 0.0:
+            raise ValueError("ly must be positive")
         self.nx, self.ny = nx, ny
         self.eps = float(eps)
         self.vx, self.vy = float(velocity[0]), float(velocity[1])
@@ -62,9 +67,8 @@ class AnisoConvDiffProblem(NonlinearSystem):
         self.yc = 0.5 * (faces[:-1] + faces[1:])
 
         self._layout = BlockLayout(nx * ny, 1)
-        vol = np.outer(self.hy, np.full(nx, self.hx)).ravel()
-        self._mass = MassMatrix(self._layout, vol)
-        self._vol2d = vol.reshape(ny, nx)
+        self.cell_measures = np.outer(self.hy, np.full(nx, self.hx)).ravel()
+        self._vol2d = self.cell_measures.reshape(ny, nx)
 
         # Center-to-center spacings; boundary values sit on the faces.
         dxm = np.full(nx, self.hx)
@@ -185,9 +189,6 @@ class AnisoConvDiffProblem(NonlinearSystem):
                                  (vol[1:, :] * south[:, None]).ravel()))
         return FirstOrderBlocks(self._layout, diag, edges,
                                 off_ij.reshape(-1, 1, 1), off_ji.reshape(-1, 1, 1))
-
-    def mass(self) -> MassMatrix:
-        return self._mass
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         u = np.abs(w.values.reshape(self.ny, self.nx))

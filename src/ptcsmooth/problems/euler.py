@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                    InadmissibleStateError, MassMatrix, NonlinearSystem)
+                    InadmissibleStateError, NonlinearSystem, require_finite)
 
 _SLOPE_EPS = 1e-7   # van Albada regularization; primitives are O(1) here, so
                     # this keeps the limiter smooth at FD-probe scale while
@@ -54,6 +54,12 @@ class Quasi1dEulerProblem(NonlinearSystem):
                  length: float = 1.0):
         if n_cells < 16:
             raise ValueError("need at least 16 cells")
+        require_finite(rho_in=rho_in, u_in=u_in, p_exit=p_exit, gamma=gamma,
+                       length=length)
+        if rho_in <= 0.0 or p_exit <= 0.0 or length <= 0.0:
+            raise ValueError("rho_in, p_exit and length must be positive")
+        if gamma <= 1.0:
+            raise ValueError("gamma must exceed 1")
         self.n = n_cells
         self.gamma = float(gamma)
         self.rho_in = float(rho_in)
@@ -66,10 +72,13 @@ class Quasi1dEulerProblem(NonlinearSystem):
         self.x_centers = 0.5 * (self.x_faces[:-1] + self.x_faces[1:])
         self.a_faces = np.asarray(self.area(self.x_faces), dtype=float)
         self.a_centers = np.asarray(self.area(self.x_centers), dtype=float)
+        areas = np.concatenate((self.a_faces, self.a_centers))
+        if not np.all(np.isfinite(areas) & (areas > 0.0)):
+            raise ValueError("nozzle area must be positive and finite")
         self.da = self.a_faces[1:] - self.a_faces[:-1]
 
         self._layout = BlockLayout(n_cells, 3)
-        self._mass = MassMatrix(self._layout, self.a_centers * self.dx)
+        self.cell_measures = self.a_centers * self.dx
 
     @property
     def layout(self) -> BlockLayout:
@@ -287,9 +296,6 @@ class Quasi1dEulerProblem(NonlinearSystem):
         return FirstOrderBlocks(self._layout, diag, edges, off_ij, off_ji)
 
     # -- misc contract pieces --------------------------------------------------
-
-    def mass(self) -> MassMatrix:
-        return self._mass
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         rho, u, p = self._decode(w.values)

@@ -12,7 +12,8 @@ bit-identical.
 The first-order blocks are evaluated once per state and gathered along the
 frozen lines once per Newton step; that one gather is factored as J1 for the
 smoother and as J1 + M/dtau for GMRES. M/dtau itself is formed once per
-Newton step, as one per-cell array that every layer of the step reads.
+Newton step (``mass_over_dtau``), as one per-cell array that every layer of
+the step reads.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
-from .lines import (LineBlocks, LineSet, assemble_line_blocks,
-                    build_coupling_graph, extract_lines)
+from .lines import LineBlocks, LineSet, assemble_line_blocks, extract_lines
 from .smoother import RkSchedule, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
@@ -72,7 +72,6 @@ class PtcConfig:
     target_residual_absolute: Optional[float] = None
     max_newton_steps: int = 500
     cfl_max: float = 1e12
-    anisotropy_threshold: float = 4.0
     smoothing: Optional[RkSchedule] = None
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class PtcConfig:
             raise ValueError("linear_rel_tol must lie in (0, 1)")
         if self.max_krylov < 1:
             raise ValueError("max_krylov must be at least 1")
-        if not self.anisotropy_threshold > 1.0:
-            raise ValueError("anisotropy_threshold must exceed 1")
         if not (0.0 < self.target_residual_reduction < 1.0):
             raise ValueError("target_residual_reduction must lie in (0, 1)")
         if not (self.target_residual_absolute is None
@@ -115,15 +112,14 @@ class SolveReport:
         return sum(1 for rec in self.history if not rec.accepted)
 
 
-def local_pseudo_timesteps(system: NonlinearSystem, w: BlockVector,
-                           cfl: float) -> np.ndarray:
-    """Per-cell pseudo-time steps: a global CFL times the explicit estimate."""
-    if cfl <= 0.0:
-        raise ValueError("cfl must be positive")
-    dt_explicit = np.asarray(system.explicit_dt(w), dtype=float)
-    if np.any(dt_explicit <= 0.0) or not np.all(np.isfinite(dt_explicit)):
-        raise ValueError("explicit time-step estimate must be positive and finite")
-    return cfl * dt_explicit
+def mass_over_dtau(system: NonlinearSystem, w: BlockVector,
+                   cfl: float) -> np.ndarray:
+    """Per-cell coefficients of M/dtau, for the local pseudo-time steps
+    dtau = cfl * explicit_dt(w)."""
+    dtau = cfl * np.asarray(system.explicit_dt(w), dtype=float)
+    if not np.all((dtau > 0.0) & np.isfinite(dtau)):
+        raise ValueError("pseudo-time steps must be positive and finite")
+    return system.cell_measures / dtau
 
 
 def ptc_operator(system: NonlinearSystem, w: BlockVector,
@@ -158,25 +154,22 @@ class NewtonStepResult:
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
-                residual: Optional[BlockVector] = None,
-                blocks: Optional[FirstOrderBlocks] = None) -> NewtonStepResult:
+                residual: BlockVector, blocks: FirstOrderBlocks
+                ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    ``mass_over_dtau`` holds the per-cell coefficients of M/dtau. The
-    first-order blocks at ``w`` (evaluated unless given) are gathered along
-    ``lines`` once, then factored as J1 for the smoother (when
-    ``config.smoothing`` has cycles) and as J1 + M/dtau for GMRES. The
-    smoothing source is computed before the linear solve and never
-    re-evaluated. A singular smoother factorization runs the step
+    ``mass_over_dtau`` holds the per-cell coefficients of M/dtau, and
+    ``residual`` and ``blocks`` are R(w) and the first-order blocks at ``w``.
+    The blocks are gathered along ``lines`` once, then factored as J1 for
+    the smoother (when ``config.smoothing`` has cycles) and as J1 + M/dtau
+    for GMRES. The smoothing source is computed before the linear solve and
+    never re-evaluated. A singular smoother factorization runs the step
     unsmoothed. GMRES non-convergence is reported through the stats for the
     controller, not raised; so are a singular PTC preconditioner and
     non-finite operator output, as a failed solve with no Krylov vectors.
     """
-    r = residual if residual is not None else system.residual(w)
     zero = BlockVector.zeros(w.layout)
     failed = GmresStats(0, 1.0, False, [])
-    if blocks is None:
-        blocks = system.first_order_blocks(w)
     line_blocks = assemble_line_blocks(blocks, lines)
     try:
         precon = build_ptc_preconditioner(line_blocks, mass_over_dtau)
@@ -202,7 +195,8 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     try:
         x, stats = gmres_right_preconditioned(
             ptc_operator(system, w, mass_over_dtau), precon.solve_values,
-            (source - r).values, config.linear_rel_tol, config.max_krylov)
+            (source - residual).values, config.linear_rel_tol,
+            config.max_krylov)
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, source, failed, degraded)
@@ -229,16 +223,15 @@ def _pseudo_unsteady_norm(step_vec: BlockVector, residual: BlockVector,
 
 def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
                 mass_over_dtau: np.ndarray, source: BlockVector,
-                residual0: Optional[BlockVector] = None) -> LineSearchResult:
+                residual0: BlockVector) -> LineSearchResult:
     """Backtracking search on the smoothed pseudo-unsteady residual.
 
-    Scans the fixed candidate set from alpha = 1 downward and stops at the
-    first improvement over F(0); inadmissible trials score +inf. Returns
-    alpha = 0 when nothing improves, which the controller treats as a
-    rejection.
+    ``residual0`` is R(w). Scans the fixed candidate set from alpha = 1
+    downward and stops at the first improvement over F(0); inadmissible
+    trials score +inf. Returns alpha = 0 when nothing improves, which the
+    controller treats as a rejection.
     """
-    r0 = residual0 if residual0 is not None else system.residual(w)
-    f0 = _pseudo_unsteady_norm(BlockVector.zeros(w.layout), r0, source,
+    f0 = _pseudo_unsteady_norm(BlockVector.zeros(w.layout), residual0, source,
                                mass_over_dtau)
     f_values = [f0]
 
@@ -296,13 +289,17 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     the state bit-identical, so the next step reuses them. Every
     accepted step with a converged linear solve is descent-checked against
     the pseudo-unsteady residual; a violation is a hard error since it can
-    only come from a broken linearization.
+    only come from a broken linearization. A starting state that is not
+    admissible, or whose residual is not finite, raises
+    ``InadmissibleStateError`` before any step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
     if not system.is_admissible(w):
         raise InadmissibleStateError("initial state is not admissible")
 
     r = system.residual(w)
+    if not r.is_finite():
+        raise InadmissibleStateError("initial residual is not finite")
     r_norm = r0_norm = l2_norm(r)
     threshold = _convergence_threshold(config, r_norm)
     history: List[ConvergenceRecord] = []
@@ -312,8 +309,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                            history, w)
 
     blocks = system.first_order_blocks(w)
-    lines = extract_lines(build_coupling_graph(blocks),
-                          config.anisotropy_threshold)
+    lines = extract_lines(blocks)
 
     cfl = config.cfl_init
     cumulative_krylov = 0
@@ -322,16 +318,13 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     for step in range(1, config.max_newton_steps + 1):
         if blocks is None:
             blocks = system.first_order_blocks(w)
-        mass_over_dtau = system.mass().over_dtau(
-            local_pseudo_timesteps(system, w, cfl))
-        ns = newton_step(system, w, mass_over_dtau, config, lines, residual=r,
-                         blocks=blocks)
+        m_dtau = mass_over_dtau(system, w, cfl)
+        ns = newton_step(system, w, m_dtau, config, lines, r, blocks)
         cumulative_krylov += ns.stats.iterations
 
         ls, alpha = None, 0.0   # a failed linear solve is a zero step
         if ns.stats.converged:
-            ls = line_search(system, w, ns.delta_w, mass_over_dtau, ns.source,
-                             residual0=r)
+            ls = line_search(system, w, ns.delta_w, m_dtau, ns.source, r)
             alpha = ls.alpha
         new_cfl, accepted = cfl_update(cfl, alpha, config)
 

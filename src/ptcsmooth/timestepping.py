@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (BlockLayout, BlockVector, FirstOrderBlocks, MassMatrix,
+from .core import (BlockLayout, BlockVector, FirstOrderBlocks,
                    NonlinearSystem, cellwise_scale)
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
@@ -23,12 +23,12 @@ def bdf_residual(system: NonlinearSystem, w: BlockVector, w_prev: BlockVector,
     """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    mass = system.mass()
     if w_prev2 is None:
         dwdt = (w.values - w_prev.values) / dt
     else:
         dwdt = (3.0 * w.values - 4.0 * w_prev.values + w_prev2.values) / (2.0 * dt)
-    time_term = cellwise_scale(BlockVector(w.layout, dwdt), mass.cell_measures)
+    time_term = cellwise_scale(BlockVector(w.layout, dwdt),
+                               system.cell_measures)
     return time_term + system.residual(w)
 
 
@@ -46,6 +46,7 @@ class BdfStepSystem(NonlinearSystem):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.inner = system
+        self.cell_measures = system.cell_measures
         self.w_prev = w_prev.copy()
         self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
         self.dt = float(dt)
@@ -61,18 +62,15 @@ class BdfStepSystem(NonlinearSystem):
     def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector:
         shift = self.time_coeff / self.dt
         jv = self.inner.jacobian_vector(w, v)
-        return jv + cellwise_scale(v, shift * self.inner.mass().cell_measures)
+        return jv + cellwise_scale(v, shift * self.cell_measures)
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         blocks = self.inner.first_order_blocks(w)
-        shift = (self.time_coeff / self.dt) * self.inner.mass().cell_measures
+        shift = (self.time_coeff / self.dt) * self.cell_measures
         b = self.layout.block_size
         diag = blocks.diag + shift[:, None, None] * np.eye(b)
         return FirstOrderBlocks(blocks.layout, diag, blocks.edges,
                                 blocks.off_ij, blocks.off_ji)
-
-    def mass(self) -> MassMatrix:
-        return self.inner.mass()
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         return self.inner.explicit_dt(w)

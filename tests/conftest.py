@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                            MassMatrix, NonlinearSystem)
+                            NonlinearSystem)
 from ptcsmooth.lines import LineSet
 
 
@@ -25,7 +25,7 @@ class LinearChainSystem(NonlinearSystem):
         self.rhs = np.asarray(rhs, dtype=float)
         if measures is None:
             measures = np.ones(n)
-        self._mass = MassMatrix(self._layout, measures)
+        self.cell_measures = np.asarray(measures, dtype=float)
         self.A = self.dense()
 
     @property
@@ -56,9 +56,6 @@ class LinearChainSystem(NonlinearSystem):
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         return FirstOrderBlocks(self._layout, self.diag.copy(), edges,
                                 self.off_up.copy(), self.off_lo.copy())
-
-    def mass(self):
-        return self._mass
 
     def explicit_dt(self, w):
         return np.ones(self._layout.n_cells)

@@ -10,10 +10,9 @@ import pytest
 import ptcsmooth.ptc as ptc_mod
 from ptcsmooth.core import BlockVector, l2_norm, validate_jacobian
 from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned
-from ptcsmooth.lines import (LineSet, assemble_line_blocks,
-                             build_coupling_graph, extract_lines)
+from ptcsmooth.lines import LineSet, assemble_line_blocks, extract_lines
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
-                           local_pseudo_timesteps, newton_step, solve_steady)
+                           mass_over_dtau, newton_step, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.timestepping import BdfStepSystem, UnsteadyConfig, advance_unsteady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
@@ -94,13 +93,12 @@ def test_criterion_02_small_dtau_limit():
     p = make_bratu(64, 1.0)
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
-    lines = extract_lines(build_coupling_graph(p.first_order_blocks(w)),
-                          cfg.anisotropy_threshold)
-    dtau = local_pseudo_timesteps(p, w, 1e-10)
+    lines = extract_lines(p.first_order_blocks(w))
     precon = build_smoother(
         assemble_line_blocks(p.first_order_blocks(w), lines))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w).delta_w
-    ns = newton_step(p, w, p.mass().over_dtau(dtau), cfg, lines)
+    ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
+                     p.residual(w), p.first_order_blocks(w))
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
     _report(2, f"small-dtau limit: |dw - dw_smooth| / |dw_smooth| = {rel:.2e}",
             rel <= 1e-6)
@@ -253,15 +251,13 @@ def test_criterion_09_line_extraction():
     # Isotropic: every line is a singleton.
     iso = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                               velocity=(0.0, 0.0), sigma=0.0)
-    ls_iso = extract_lines(
-        build_coupling_graph(iso.first_order_blocks(iso.initial_state())), 4.0)
+    ls_iso = extract_lines(iso.first_order_blocks(iso.initial_state()), 4.0)
     iso_ok = all(len(l) == 1 for l in ls_iso.lines) and ls_iso.is_partition()
 
     # Stretched 1e3: every multi-cell line runs along the strong direction.
     stretched = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
     ls_str = extract_lines(
-        build_coupling_graph(
-            stretched.first_order_blocks(stretched.initial_state())), 4.0)
+        stretched.first_order_blocks(stretched.initial_state()), 4.0)
     multi = ls_str.multi_cell_lines()
     aligned = bool(multi) and all(
         {abs(a - b) for a, b in zip(l[:-1], l[1:])} == {stretched.nx}

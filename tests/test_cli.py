@@ -241,6 +241,10 @@ dir = {outdir}
     assert main(["solve", cfg]) == 3
 
 
+CONVDIFF = "[problem]\nname = aniso_convdiff\n"
+NOZZLE = "[problem]\nname = nozzle\n"
+
+
 @pytest.mark.parametrize("extra, reason", [
     ("[smoothing]\nstages = 0.5,0.5\n", "final stage coefficient"),
     ("[smoothing]\nstages = nan,1.0\n", "stage coefficients must lie in (0, 1]"),
@@ -251,16 +255,31 @@ dir = {outdir}
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
+    ("[solver]\nanisotropy_threshold = 4\n",
+     "unknown key 'anisotropy_threshold'"),
+    ("[problem]\nlambda = nan\n", "lam must be finite"),
+    (f"{CONVDIFF}eps = nan\n", "eps must be finite"),
+    (f"{CONVDIFF}vx = inf\n", "velocity must be finite"),
+    (f"{CONVDIFF}sigma = -inf\n", "sigma must be finite"),
+    (f"{CONVDIFF}ly = -1\n", "ly must be positive"),
+    (f"{NOZZLE}p_exit = -1\n", "p_exit and length must be positive"),
+    (f"{NOZZLE}rho_in = 0\n", "p_exit and length must be positive"),
+    (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
+    (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
+    (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "target_nan", "n_cells", "dt",
-        "dt_nan", "removed_mode_key"])
+        "dt_nan", "removed_mode_key", "removed_anisotropy_key", "lambda_nan",
+        "eps_nan", "vx_inf", "sigma_inf", "ly", "p_exit", "rho_in", "u_in_nan",
+        "gamma_nan", "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"
     cfg = _write(tmp_path, MINIMAL + extra + f"[output]\ndir = {outdir}\n")
-    assert main(["unsteady", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and reason in err
-    assert not outdir.exists()
+    for command in ("unsteady", "lines"):
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+        assert not outdir.exists()
 
 
 def test_override_error_names_override():
@@ -268,15 +287,22 @@ def test_override_error_names_override():
         parse_config(MINIMAL, ["solver.cfl_init=bad"])
 
 
-def _readme_config():
+def _readme_block(after: str, fence: str) -> str:
+    """The first ``fence`` code block of the README after the text ``after``."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    after = text.split("Config files are INI-style", 1)[1]
-    return after.split("```ini\n", 1)[1].split("```", 1)[0]
+    return (text.split(after, 1)[1].split(f"```{fence}\n", 1)[1]
+            .split("```", 1)[0])
 
 
 def test_readme_config_parses_and_echo_round_trips():
-    cfg = parse_config(_readme_config())
+    cfg = parse_config(_readme_block("Config files are INI-style", "ini"))
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_readme_library_snippet_runs(capsys):
+    exec(_readme_block("## Library use", "python"), {})
+    plain, arrow, smooth = capsys.readouterr().out.split()
+    assert arrow == "->" and int(smooth) < int(plain)
 
 
 def test_echo_lists_problem_defaults():

@@ -1,26 +1,37 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsmooth.core import ContractViolationError
-from ptcsmooth.lines import (CouplingGraph, LineSet, assemble_line_blocks,
-                             build_coupling_graph, extract_lines)
-from ptcsmooth.problems import make_aniso_convdiff, make_bratu
+from ptcsmooth.core import BlockLayout, ContractViolationError, FirstOrderBlocks
+from ptcsmooth.lines import LineSet, assemble_line_blocks, extract_lines
+from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
+                                make_quasi1d_euler)
 
 
-def chain_graph(weights):
+def coupling_blocks(n, edges, weights):
+    """Scalar first-order blocks whose coupling graph carries ``weights``:
+    both off-diagonal blocks of an edge hold its weight."""
+    off = np.asarray(weights, dtype=float).reshape(-1, 1, 1)
+    return FirstOrderBlocks(BlockLayout(n, 1), np.ones((n, 1, 1)),
+                            np.asarray(edges, dtype=int).reshape(-1, 2),
+                            off, off.copy())
+
+
+def chain_blocks(weights):
     n = len(weights) + 1
     edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
-    return CouplingGraph(n, edges, np.asarray(weights, dtype=float))
+    return coupling_blocks(n, edges, weights)
 
 
 def test_bratu_chain_graph_structure():
     p = make_bratu(4, 1.0)
-    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
-    assert g.n_cells == 4
-    assert len(g.edges) == 3
-    assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
+    blocks = p.first_order_blocks(p.initial_state())
+    assert blocks.layout.n_cells == 4
+    assert len(blocks.edges) == 3
+    assert sorted(map(tuple, blocks.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_line_blocks_follow_line_direction():
@@ -56,7 +67,7 @@ def test_stretched_grid_weight_ratio():
     nx = ny = 6
     p = make_aniso_convdiff(nx, ny, stretching_ratio=1.0, eps=1.0,
                             velocity=(0.0, 0.0), sigma=0.0, ly=1e-3)
-    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
+    blocks = p.first_order_blocks(p.initial_state())
     hx, hy = p.hx, p.hy[0]
     assert hy == pytest.approx(1e-3 * hx)
 
@@ -64,8 +75,11 @@ def test_stretched_grid_weight_ratio():
     vol = hx * hy
     w_x_expected = vol * 1.0 / hx ** 2
     w_y_expected = vol * 1.0 / hy ** 2
-    weights = {tuple(e): w for e, w in zip(map(tuple, g.edges.tolist()),
-                                           g.weights)}
+    # The coupling weight of an edge is its larger off-diagonal block norm;
+    # a scalar block's norm is its magnitude.
+    weights = dict(zip(map(tuple, blocks.edges.tolist()),
+                       np.maximum(np.abs(blocks.off_ij),
+                                  np.abs(blocks.off_ji))[:, 0, 0]))
     # Interior x-edge in row 2: cells (2,2)-(3,2); y-edge: (2,2)-(2,3).
     k = 2 * nx + 2
     assert weights[(k, k + 1)] == pytest.approx(w_x_expected, rel=1e-12)
@@ -76,8 +90,7 @@ def test_stretched_grid_weight_ratio():
 def test_isotropic_grid_all_singletons():
     p = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                             velocity=(0.0, 0.0), sigma=0.0)
-    ls = extract_lines(
-        build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), 4.0)
     assert len(ls.lines) == p.layout.n_cells
     assert all(len(line) == 1 for line in ls.lines)
     assert ls.is_partition()
@@ -88,8 +101,7 @@ def test_six_cell_band_becomes_one_line():
     # coupled 1000x more strongly.
     weights = np.ones(19)
     weights[7:12] = 1000.0
-    g = chain_graph(weights)
-    ls = extract_lines(g, 4.0)
+    ls = extract_lines(chain_blocks(weights), 4.0)
     multi = ls.multi_cell_lines()
     assert len(multi) == 1
     assert sorted(multi[0]) == [7, 8, 9, 10, 11, 12]
@@ -100,8 +112,7 @@ def test_two_disjoint_strips():
     weights = np.ones(29)
     weights[3:7] = 500.0    # strip A: cells 3..7
     weights[18:23] = 800.0  # strip B: cells 18..23
-    g = chain_graph(weights)
-    ls = extract_lines(g, 4.0)
+    ls = extract_lines(chain_blocks(weights), 4.0)
     multi = ls.multi_cell_lines()
     assert len(multi) == 2
     cells_a, cells_b = (set(line) for line in multi)
@@ -111,16 +122,16 @@ def test_two_disjoint_strips():
 
 def test_extraction_deterministic():
     p = make_aniso_convdiff(12, 16, stretching_ratio=100.0)
-    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
-    ls1 = extract_lines(g, 4.0)
-    ls2 = extract_lines(g, 4.0)
+    blocks = p.first_order_blocks(p.initial_state())
+    ls1 = extract_lines(blocks, 4.0)
+    ls2 = extract_lines(blocks, 4.0)
     assert ls1.lines == ls2.lines
 
 
 def test_threshold_monotonicity_on_stretched_grid():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0)
-    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
-    covered = [extract_lines(g, t).covered_by_multi()
+    blocks = p.first_order_blocks(p.initial_state())
+    covered = [extract_lines(blocks, t).covered_by_multi()
                for t in (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)]
     assert all(a >= b for a, b in zip(covered, covered[1:]))
 
@@ -129,8 +140,7 @@ def test_stretched_grid_lines_wall_normal():
     # Shallow domain keeps y coupling dominant everywhere, so every
     # multi-cell line must run in the y direction and cover the wall band.
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    g = build_coupling_graph(p.first_order_blocks(p.initial_state()))
-    ls = extract_lines(g, 4.0)
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), 4.0)
     multi = ls.multi_cell_lines()
     assert multi
     for line in multi:
@@ -143,9 +153,10 @@ def test_stretched_grid_lines_wall_normal():
 
 
 def test_threshold_validation():
-    g = chain_graph([1.0, 1.0])
     with pytest.raises(ValueError):
-        extract_lines(g, 1.0)
+        extract_lines(chain_blocks([1.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="coupling weights must be finite"):
+        extract_lines(chain_blocks([1.0, np.nan]))
 
 
 def test_lineset_text_format():
@@ -172,11 +183,32 @@ def test_partition_and_path_validity_property(nx, ny, seed, threshold):
             if j + 1 < ny:
                 edges.append((k, k + nx))
                 weights.append(10.0 ** rng.uniform(-3, 3))
-    g = CouplingGraph(nx * ny, np.asarray(edges), np.asarray(weights))
-    ls = extract_lines(g, threshold)
+    ls = extract_lines(coupling_blocks(nx * ny, edges, weights), threshold)
     assert ls.is_partition()
     adjacency = {tuple(sorted(e)) for e in edges}
     for line in ls.lines:
         assert len(set(line)) == len(line)
         for p, q in zip(line[:-1], line[1:]):
             assert tuple(sorted((p, q))) in adjacency
+
+
+# Line sets the solver extracts on the benchmark grids: (lines, multi-cell
+# lines, longest line, cells on multi-cell lines, sha256 of to_text()).
+@pytest.mark.parametrize("build, expected", [
+    (lambda: make_aniso_convdiff(16, 24, stretching_ratio=1000.0),
+     (59, 11, 36, 336, "65032969433457b79795ef427cffd134"
+                       "b6def43de4dd6e5befd67134d52fcbae")),
+    (lambda: make_aniso_convdiff(32, 48, stretching_ratio=1000.0),
+     (22, 22, 224, 1536, "58e62cdbb94a430ae00b23cc96ad3721"
+                         "03518993f67e7ea32df46be7080ab52f")),
+    (lambda: make_quasi1d_euler(128),
+     (128, 0, 1, 0, "1abb39224f6060360f5496650d517647"
+                    "668639c968d65a54baa4fefe032fb6e9")),
+], ids=["convdiff16x24", "convdiff32x48", "nozzle128"])
+def test_benchmark_grid_line_sets_pinned(build, expected):
+    p = build()
+    ls = extract_lines(p.first_order_blocks(p.initial_state()))
+    digest = hashlib.sha256(ls.to_text().encode()).hexdigest()
+    assert (len(ls.lines), len(ls.multi_cell_lines()),
+            max(len(line) for line in ls.lines), ls.covered_by_multi(),
+            digest) == expected

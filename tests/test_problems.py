@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from ptcsmooth.core import (BlockVector, InadmissibleStateError, l2_norm,
                             validate_jacobian)
-from ptcsmooth.lines import build_coupling_graph, extract_lines
+from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
@@ -157,7 +157,7 @@ def test_convdiff_manufactured_solution_order():
     for n in (8, 16, 32):
         p = make_aniso_convdiff(n, n, stretching_ratio=1.0)
         r = p.residual(p.exact_on_grid()).values
-        vol = p.mass().cell_measures
+        vol = p.cell_measures
         # L2(domain) norm of the pointwise PDE residual.
         norms.append(np.sqrt(np.sum(vol * (r / vol) ** 2) / np.sum(vol)))
         hs.append(1.0 / n)
@@ -167,8 +167,7 @@ def test_convdiff_manufactured_solution_order():
 
 def test_convdiff_stretched_lines_span_wall_band():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    ls = extract_lines(
-        build_coupling_graph(p.first_order_blocks(p.initial_state())), 4.0)
+    ls = extract_lines(p.first_order_blocks(p.initial_state()))
     multi = ls.multi_cell_lines()
     assert multi
     for line in multi:
@@ -283,3 +282,25 @@ def test_euler_solver_never_accepts_inadmissible_state():
     rep = solve_steady(e, PtcConfig(beta_cfl1=3.0, max_newton_steps=120))
     assert e.is_admissible(rep.final_state)
     assert rep.outcome == SolveOutcome.CONVERGED
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_bratu(8, float("inf")), "lam must be finite"),
+    (lambda: make_aniso_convdiff(4, 4, stretching_ratio=float("nan")),
+     "stretching_ratio must be finite"),
+    (lambda: make_aniso_convdiff(4, 4, amplitude=float("inf")),
+     "amplitude must be finite"),
+    (lambda: make_aniso_convdiff(4, 4, ly=0.0), "ly must be positive"),
+    (lambda: make_quasi1d_euler(16, length=-1.0), "must be positive"),
+    (lambda: make_quasi1d_euler(16, area=lambda x: 1.0 - 2.0 * np.asarray(x)),
+     "nozzle area must be positive and finite"),
+    (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
+     "nozzle area must be positive and finite"),
+], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
+        "convdiff_ly_zero", "euler_length", "euler_area_negative",
+        "euler_area_nan"])
+def test_constructors_reject_invalid_parameters(build, message):
+    # A problem that constructs has finite parameters and positive, finite
+    # cell measures.
+    with pytest.raises(ValueError, match=message):
+        build()

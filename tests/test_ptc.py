@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import BlockVector, FirstOrderBlocks, MassMatrix, l2_norm
-from ptcsmooth.lines import (assemble_line_blocks, build_coupling_graph,
-                             extract_lines)
+import ptcsmooth.ptc
+from ptcsmooth.core import (BlockVector, FirstOrderBlocks,
+                            InadmissibleStateError, l2_norm)
+from ptcsmooth.lines import assemble_line_blocks, extract_lines
 from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, PtcConfig, SolveOutcome,
-                           cfl_update, line_search, local_pseudo_timesteps,
+                           cfl_update, line_search, mass_over_dtau,
                            newton_step, ptc_operator, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
@@ -14,28 +15,27 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
 
 
 
-def _lines_for(problem, config=None):
-    threshold = (config or PtcConfig()).anisotropy_threshold
-    return extract_lines(
-        build_coupling_graph(problem.first_order_blocks(problem.initial_state())),
-        threshold)
+def _lines_for(problem):
+    return extract_lines(problem.first_order_blocks(problem.initial_state()))
 
 
 # ---------------------------------------------------------------------------
-# local_pseudo_timesteps
+# mass_over_dtau
 # ---------------------------------------------------------------------------
 
 def test_timesteps_cfl_one_is_explicit_estimate():
     p = make_bratu(16, 1.0)
     w = p.initial_state()
-    assert np.array_equal(local_pseudo_timesteps(p, w, 1.0), p.explicit_dt(w))
+    assert np.array_equal(mass_over_dtau(p, w, 1.0),
+                          p.cell_measures / p.explicit_dt(w))
 
 
 def test_timesteps_scale_linearly_with_cfl():
     p = make_aniso_convdiff(6, 6)
     w = p.initial_state()
-    assert np.array_equal(local_pseudo_timesteps(p, w, 2.0),
-                          2.0 * local_pseudo_timesteps(p, w, 1.0))
+    # Powers of two are exact in floating point.
+    assert np.array_equal(mass_over_dtau(p, w, 2.0),
+                          0.5 * mass_over_dtau(p, w, 1.0))
 
 
 def test_timesteps_euler_hand_value():
@@ -48,14 +48,14 @@ def test_timesteps_euler_hand_value():
                            rho_in=rho, u_in=100.0, p_exit=p_static,
                            length=0.01 * n)
     w = e.initial_state()
-    dtau = local_pseudo_timesteps(e, w, 10.0)
+    dtau = e.cell_measures / mass_over_dtau(e, w, 10.0)
     assert np.allclose(dtau, 10.0 * 0.01 / 440.0, rtol=1e-12)
 
 
 def test_timesteps_validation():
     p = make_bratu(8, 1.0)
     with pytest.raises(ValueError):
-        local_pseudo_timesteps(p, p.initial_state(), 0.0)
+        mass_over_dtau(p, p.initial_state(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_operator_large_dtau_approaches_jacobian():
     w = p.initial_state()
     v = BlockVector(p.layout, np.random.default_rng(0).standard_normal(24))
     dtau = np.full(24, 1e12)
-    a = ptc_operator(p, w, p.mass().over_dtau(dtau))(v.values)
+    a = ptc_operator(p, w, p.cell_measures / dtau)(v.values)
     jv = p.jacobian_vector(w, v)
     assert np.linalg.norm(a - jv.values) <= 1e-9 * l2_norm(jv)
 
@@ -78,8 +78,8 @@ def test_operator_small_dtau_mass_dominates():
     w = p.initial_state()
     v = BlockVector(p.layout, np.random.default_rng(1).standard_normal(24))
     dtau = np.full(24, 1e-12)
-    a = ptc_operator(p, w, p.mass().over_dtau(dtau))(v.values)
-    mass_term = cellwise_scale(v, p.mass().over_dtau(dtau))
+    a = ptc_operator(p, w, p.cell_measures / dtau)(v.values)
+    mass_term = cellwise_scale(v, p.cell_measures / dtau)
     # The leftover is exactly the Jacobian product, a vanishing fraction.
     assert np.linalg.norm(a - mass_term.values) <= 1e-6 * l2_norm(mass_term)
 
@@ -87,7 +87,7 @@ def test_operator_small_dtau_mass_dominates():
 def test_operator_zero_input():
     p = make_bratu(8, 1.0)
     w = p.initial_state()
-    out = ptc_operator(p, w, p.mass().over_dtau(np.ones(8)))(np.zeros(8))
+    out = ptc_operator(p, w, p.cell_measures / np.ones(8))(np.zeros(8))
     assert np.all(out == 0.0)
 
 
@@ -100,11 +100,12 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     w = p.initial_state()
     cfg = PtcConfig()
     lines = _lines_for(p)
-    mass_over_dtau = p.mass().over_dtau(
-        local_pseudo_timesteps(p, w, cfg.cfl_init))
-    plain = newton_step(p, w, mass_over_dtau, cfg, lines)
-    zero_cycle = newton_step(p, w, mass_over_dtau,
-                             PtcConfig(smoothing=RkSchedule(n_cycles=0)), lines)
+    m_dtau = mass_over_dtau(p, w, cfg.cfl_init)
+    r, blocks = p.residual(w), p.first_order_blocks(w)
+    plain = newton_step(p, w, m_dtau, cfg, lines, r, blocks)
+    zero_cycle = newton_step(p, w, m_dtau,
+                             PtcConfig(smoothing=RkSchedule(n_cycles=0)), lines,
+                             r, blocks)
     assert np.array_equal(plain.delta_w.values, zero_cycle.delta_w.values)
     assert np.all(zero_cycle.source.values == 0.0)
 
@@ -114,15 +115,16 @@ def test_small_dtau_step_matches_smoother_update():
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
-    mass_over_dtau = p.mass().over_dtau(local_pseudo_timesteps(p, w, 1e-10))
+    m_dtau = mass_over_dtau(p, w, 1e-10)
     precon = build_smoother(
         assemble_line_blocks(p.first_order_blocks(w), lines))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w).delta_w
-    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w))
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
     # The line search takes the full step, so the accepted update is the
     # smoother update itself: the scheme reverts to the local solver.
-    res = line_search(p, w, ns.delta_w, mass_over_dtau, ns.source)
+    res = line_search(p, w, ns.delta_w, m_dtau, ns.source, p.residual(w))
     assert res.alpha == 1.0
     accepted_update = res.alpha * ns.delta_w
     assert l2_norm(accepted_update - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
@@ -135,8 +137,9 @@ def test_large_dtau_step_matches_pure_newton():
     w = pre.final_state
     cfg = PtcConfig(linear_rel_tol=1e-12, max_krylov=200)
     lines = _lines_for(p)
-    mass_over_dtau = p.mass().over_dtau(local_pseudo_timesteps(p, w, 1e12))
-    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
+    m_dtau = mass_over_dtau(p, w, 1e12)
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w))
     # Dense Newton oracle: assemble J column by column from exact products.
     n = p.layout.n_dofs
     J = np.zeros((n, n))
@@ -153,9 +156,9 @@ def test_gmres_failure_is_reported_not_raised():
     cfg = PtcConfig(max_krylov=2, linear_rel_tol=1e-10)
     lines = _lines_for(p)
     w = p.initial_state()
-    mass_over_dtau = p.mass().over_dtau(
-        local_pseudo_timesteps(p, w, cfg.cfl_init))
-    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
+    m_dtau = mass_over_dtau(p, w, cfg.cfl_init)
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w))
     assert not ns.stats.converged
 
 
@@ -169,8 +172,8 @@ def test_line_search_linear_exact_solve_takes_full_step(scalar_chain):
     dtau = np.full(sys.layout.n_cells, 1e12)
     delta = BlockVector(sys.layout,
                         np.linalg.solve(sys.A, -sys.residual(w).values))
-    res = line_search(sys, w, delta, sys.mass().over_dtau(dtau),
-                      BlockVector.zeros(sys.layout))
+    res = line_search(sys, w, delta, sys.cell_measures / dtau,
+                      BlockVector.zeros(sys.layout), sys.residual(w))
     assert res.alpha == 1.0
     assert res.f_alpha <= 1e-10 * res.f0
 
@@ -180,10 +183,10 @@ def test_line_search_accepted_alpha_decreases_objective():
     cfg = PtcConfig()
     lines = _lines_for(p)
     w = p.initial_state()
-    mass_over_dtau = p.mass().over_dtau(
-        local_pseudo_timesteps(p, w, cfg.cfl_init))
-    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
-    res = line_search(p, w, ns.delta_w, mass_over_dtau, ns.source)
+    m_dtau = mass_over_dtau(p, w, cfg.cfl_init)
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w))
+    res = line_search(p, w, ns.delta_w, m_dtau, ns.source, p.residual(w))
     assert res.alpha > 0.0
     assert res.f_alpha < res.f0
 
@@ -195,13 +198,13 @@ def test_line_search_descent_direction_derivative():
     cfg = PtcConfig(linear_rel_tol=1e-13, max_krylov=200)
     lines = _lines_for(p)
     w = p.initial_state()
-    mass_over_dtau = p.mass().over_dtau(
-        local_pseudo_timesteps(p, w, cfg.cfl_init))
-    ns = newton_step(p, w, mass_over_dtau, cfg, lines)
+    m_dtau = mass_over_dtau(p, w, cfg.cfl_init)
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w))
 
     def f_squared(alpha):
         trial = w + alpha * ns.delta_w
-        vals = (np.repeat(mass_over_dtau, 1) * (alpha * ns.delta_w.values)
+        vals = (np.repeat(m_dtau, 1) * (alpha * ns.delta_w.values)
                 + p.residual(trial).values - ns.source.values)
         return float(vals @ vals)
 
@@ -214,8 +217,8 @@ def test_line_search_rejects_ascent_direction(scalar_chain):
     dtau = np.full(sys.layout.n_cells, 1e12)
     ascent = BlockVector(sys.layout,
                          np.linalg.solve(sys.A, sys.residual(w).values))
-    res = line_search(sys, w, ascent, sys.mass().over_dtau(dtau),
-                      BlockVector.zeros(sys.layout))
+    res = line_search(sys, w, ascent, sys.cell_measures / dtau,
+                      BlockVector.zeros(sys.layout), sys.residual(w))
     assert res.alpha == 0.0
     assert res.f_alpha == res.f0
 
@@ -223,11 +226,12 @@ def test_line_search_rejects_ascent_direction(scalar_chain):
 def test_line_search_inadmissible_trials_scored_infinite():
     e = make_quasi1d_euler(32)
     w = e.initial_state()
-    mass_over_dtau = e.mass().over_dtau(local_pseudo_timesteps(e, w, 10.0))
+    m_dtau = mass_over_dtau(e, w, 10.0)
     # A huge negative-density direction makes every candidate inadmissible.
     bad = BlockVector(e.layout, np.zeros(e.layout.n_dofs))
     bad.values[0::3] = -1e6
-    res = line_search(e, w, bad, mass_over_dtau, BlockVector.zeros(e.layout))
+    res = line_search(e, w, bad, m_dtau, BlockVector.zeros(e.layout),
+                      e.residual(w))
     assert res.alpha == 0.0
     assert all(np.isinf(f) for f in res.f_values[1:])
 
@@ -269,7 +273,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PtcConfig(beta_cfl2=1.5)
     for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
-                {"anisotropy_threshold": 1.0}, {"cfl_init": -1.0},
+                {"cfl_init": -1.0},
                 {"cfl_init": float("nan")}, {"beta_cfl1": float("nan")},
                 {"target_residual_reduction": 0.0},
                 {"target_residual_reduction": 1.0},
@@ -352,10 +356,9 @@ def test_first_order_blocks_evaluated_once_per_state(settings):
 def test_mass_over_dtau_formed_once_per_newton_step(monkeypatch):
     # The preconditioner, the smoothing source, the GMRES operator and the
     # line search all read the one M/dtau array the driver forms per step.
-    original, calls = MassMatrix.over_dtau, []
-    monkeypatch.setattr(MassMatrix, "over_dtau",
-                        lambda self, dtau: calls.append(dtau)
-                        or original(self, dtau))
+    original, calls = mass_over_dtau, []
+    monkeypatch.setattr(ptcsmooth.ptc, "mass_over_dtau",
+                        lambda *args: calls.append(args) or original(*args))
     rep = solve_steady(make_bratu(32, 1.0), PtcConfig(smoothing=RkSchedule()))
     assert rep.outcome == SolveOutcome.CONVERGED
     assert len(calls) == rep.newton_steps
@@ -442,3 +445,25 @@ def test_solve_accepts_explicit_start_state():
     rep = solve_steady(p, PtcConfig(), w0=pre.final_state)
     assert rep.outcome == SolveOutcome.CONVERGED
     assert rep.initial_residual_l2 == pytest.approx(pre.final_residual_l2)
+
+
+def _bratu_overflowing_start():
+    # exp(1e3) overflows, so the residual at this finite start is infinite.
+    p = make_bratu(16, 1.0)
+    return p, BlockVector(p.layout, np.full(16, 1e3))
+
+
+def _nozzle_negative_density_start():
+    e = make_quasi1d_euler(16)
+    w = e.initial_state()
+    w.values[0] = -1.0
+    return e, w
+
+
+@pytest.mark.parametrize("start", [_bratu_overflowing_start,
+                                   _nozzle_negative_density_start],
+                         ids=["nonfinite_residual", "inadmissible_state"])
+def test_inadmissible_start_is_documented_abort(start):
+    problem, w0 = start()
+    with pytest.raises(InadmissibleStateError):
+        solve_steady(problem, PtcConfig(), w0=w0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                            MassMatrix, NonlinearSystem, l2_norm,
-                            validate_jacobian)
+                            NonlinearSystem, l2_norm, validate_jacobian)
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.smoother import RkSchedule
 from ptcsmooth.timestepping import (BdfStepSystem, UnsteadyConfig,
@@ -18,7 +17,7 @@ class ZeroSystem(NonlinearSystem):
 
     def __init__(self, n):
         self._layout = BlockLayout(n, 1)
-        self._mass = MassMatrix(self._layout, np.ones(n))
+        self.cell_measures = np.ones(n)
 
     @property
     def layout(self):
@@ -35,9 +34,6 @@ class ZeroSystem(NonlinearSystem):
         edges = np.zeros((0, 2), dtype=int)
         return FirstOrderBlocks(self._layout, np.zeros((n, 1, 1)), edges,
                                 np.zeros((0, 1, 1)), np.zeros((0, 1, 1)))
-
-    def mass(self):
-        return self._mass
 
     def explicit_dt(self, w):
         return np.ones(self._layout.n_cells)
@@ -116,7 +112,7 @@ def test_wrapped_blocks_carry_time_shift():
     wrapped = BdfStepSystem(p, w, w, dt=0.5)
     base = p.first_order_blocks(w)
     shifted = wrapped.first_order_blocks(w)
-    expected = base.diag[:, 0, 0] + 1.5 / 0.5 * p.mass().cell_measures
+    expected = base.diag[:, 0, 0] + 1.5 / 0.5 * p.cell_measures
     assert np.allclose(shifted.diag[:, 0, 0], expected, rtol=1e-14)
     assert np.array_equal(shifted.edges, base.edges)
 
