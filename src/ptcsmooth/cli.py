@@ -68,28 +68,18 @@ _PROBLEMS: Dict[str, Tuple[Dict[str, object],
 }
 
 # [solver] is PtcConfig under its field names; its smoothing schedule comes
-# from [smoothing].
+# from [smoothing] (cycles = 0 runs unsmoothed).
 _SCHEMA: Dict[str, Dict[str, object]] = {
     "problem": {},   # "name", then the named problem's table
     "solver": {f.name: f.default for f in fields(PtcConfig)
                if f.name != "smoothing"},
-    "smoothing": {"enabled": True, "stages": DEFAULT_STAGE_COEFFS,
-                  "cycles": DEFAULT_CYCLES},
+    "smoothing": {"stages": DEFAULT_STAGE_COEFFS, "cycles": DEFAULT_CYCLES},
     "run": {"dt": 0.05, "n_steps": 3},
     "output": {"dir": ".", "prefix": ""},   # empty prefix: the problem name
 }
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+_TYPE_NAMES = {int: "an integer", float: "a number",
                tuple: "a comma-separated float list"}
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError
 
 
 def _resolve(section: str, key: str, default: object,
@@ -102,8 +92,6 @@ def _resolve(section: str, key: str, default: object,
     raw, where = given
     kind = float if default is None else type(default)
     try:
-        if kind is bool:
-            return _parse_bool(raw)
         if kind is tuple:
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         return kind(raw)
@@ -113,8 +101,6 @@ def _resolve(section: str, key: str, default: object,
 
 
 def _format(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(repr(a) for a in value)
     return value if isinstance(value, str) else repr(value)
@@ -128,28 +114,18 @@ class RunConfig:
 
     values: Dict[str, Dict[str, object]]
     solver: PtcConfig = field(init=False, compare=False)
-    schedule: RkSchedule = field(init=False, compare=False)
     unsteady: UnsteadyConfig = field(init=False, compare=False)
 
     def __post_init__(self):
         solver, smoothing, run = (self.values[s]
                                   for s in ("solver", "smoothing", "run"))
-        self.solver = PtcConfig(**solver)
-        self.schedule = RkSchedule(smoothing["stages"], smoothing["cycles"])
-        self.unsteady = UnsteadyConfig(run["dt"], run["n_steps"],
-                                       self.solver_config())
+        self.solver = PtcConfig(**solver, smoothing=RkSchedule(
+            smoothing["stages"], smoothing["cycles"]))
+        self.unsteady = UnsteadyConfig(run["dt"], run["n_steps"], self.solver)
 
     @property
     def problem_name(self) -> str:
         return self.values["problem"]["name"]
-
-    @property
-    def smoothing_enabled(self) -> bool:
-        return self.values["smoothing"]["enabled"]
-
-    def solver_config(self, smoothed: Optional[bool] = None) -> PtcConfig:
-        on = self.smoothing_enabled if smoothed is None else smoothed
-        return replace(self.solver, smoothing=self.schedule if on else None)
 
 
 def _read_sections(text: str, overrides: List[str]
@@ -283,7 +259,7 @@ _Out = Callable[[str], Path]
 
 def _solve(config: RunConfig, problem: NonlinearSystem,
            out: _Out) -> Tuple[int, Optional[dict]]:
-    report = solve_steady(problem, config.solver_config())
+    report = solve_steady(problem, config.solver)
     write_history_csv(out("history.csv"), report.history)
     print(f"{config.problem_name}: {report.outcome.value} in "
           f"{report.newton_steps} Newton steps, "
@@ -295,8 +271,10 @@ def _solve(config: RunConfig, problem: NonlinearSystem,
 def _sweep(config: RunConfig, problem: NonlinearSystem,
            out: _Out) -> Tuple[int, Optional[dict]]:
     results = {}
-    for label, smoothed in (("unsmoothed", False), ("smoothed", True)):
-        report = solve_steady(problem, config.solver_config(smoothed))
+    unsmoothed = replace(config.solver, smoothing=None)
+    for label, solver in (("unsmoothed", unsmoothed),
+                          ("smoothed", config.solver)):
+        report = solve_steady(problem, solver)
         write_history_csv(out(f"{label}_history.csv"), report.history)
         results[label] = report
         print(f"{config.problem_name} [{label}]: {report.outcome.value} "

@@ -1,4 +1,4 @@
-"""Shared solver contracts: block-structured vectors, the nonlinear-system
+"""Shared solver contracts: block-structured states, the nonlinear-system
 interface, and per-step convergence diagnostics.
 
 Everything downstream (linear kernels, smoother, continuation driver) talks
@@ -42,9 +42,11 @@ class BlockLayout:
 
 
 class BlockVector:
-    """Flat array of ``n_cells * block_size`` reals in cell-major ordering.
+    """A state: a flat array of ``n_cells * block_size`` reals in cell-major
+    ordering, with its layout.
 
-    Mutable, single-writer. Arithmetic returns new vectors.
+    Mutable, single-writer. Vectors derived from a state (residuals,
+    Jacobian-vector products, updates) are plain arrays.
     """
 
     __slots__ = ("layout", "values")
@@ -75,40 +77,24 @@ class BlockVector:
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
-    def dot(self, other: "BlockVector") -> float:
-        return float(np.dot(self.values, other.values))
-
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self.layout, self.values + other.values)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self.layout, self.values - other.values)
-
-    def __mul__(self, a: float) -> "BlockVector":
-        return BlockVector(self.layout, self.values * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "BlockVector":
-        return BlockVector(self.layout, -self.values)
-
     def __repr__(self):
         return f"BlockVector(n_cells={self.layout.n_cells}, b={self.layout.block_size})"
 
 
-def cellwise_scale(v: BlockVector, coeffs: np.ndarray) -> BlockVector:
-    """Scale all block entries of cell i by ``coeffs[i]``."""
+def cellwise_scale(v: np.ndarray, coeffs: np.ndarray,
+                   block_size: int) -> np.ndarray:
+    """Scale the ``block_size`` entries of cell i of ``v`` by ``coeffs[i]``."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (v.layout.n_cells,):
+    if coeffs.ndim != 1 or v.shape != (coeffs.size * block_size,):
         raise ContractViolationError("per-cell coefficient array has wrong length")
-    return BlockVector(v.layout, v.values * np.repeat(coeffs, v.layout.block_size))
+    return v * np.repeat(coeffs, block_size)
 
 
-def l2_norm(v: BlockVector) -> float:
-    """Euclidean norm of a block vector; rejects non-finite entries."""
-    if not v.is_finite():
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a flat array; rejects non-finite entries."""
+    if not np.all(np.isfinite(v)):
         raise ContractViolationError("vector contains NaN or Inf entries")
-    return float(np.linalg.norm(v.values))
+    return float(np.linalg.norm(v))
 
 
 def require_finite(**params) -> None:
@@ -126,7 +112,6 @@ class FirstOrderBlocks:
     state j, ``off_ji[k]`` the reverse.
     """
 
-    layout: BlockLayout
     diag: np.ndarray      # (n_cells, b, b)
     edges: np.ndarray     # (n_edges, 2) int, i < j
     off_ij: np.ndarray    # (n_edges, b, b)
@@ -136,6 +121,8 @@ class FirstOrderBlocks:
 class NonlinearSystem(ABC):
     """Contract a problem must satisfy to be driven by the solvers.
 
+    ``residual(w)`` and ``jacobian_vector(w, v)`` take a state ``w`` and
+    return flat ``(n_dofs,)`` arrays; the direction ``v`` is a flat array too.
     ``jacobian_vector`` must be the exact linearization of ``residual`` (the
     descent guarantee of the continuation line search depends on it), while
     ``first_order_blocks`` may be an approximation with nearest-neighbor
@@ -150,10 +137,10 @@ class NonlinearSystem(ABC):
     def layout(self) -> BlockLayout: ...
 
     @abstractmethod
-    def residual(self, w: BlockVector) -> BlockVector: ...
+    def residual(self, w: BlockVector) -> np.ndarray: ...
 
     @abstractmethod
-    def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector: ...
+    def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks: ...
@@ -202,21 +189,22 @@ def validate_jacobian(system: NonlinearSystem, w: BlockVector,
     with a warning.
     """
     rng = np.random.default_rng(seed)
-    eps = np.sqrt(np.finfo(float).eps) * (1.0 + l2_norm(w))
+    eps = np.sqrt(np.finfo(float).eps) * (1.0 + l2_norm(w.values))
     worst = 0.0
     n_ok = 0
     for k in range(n_probes):
         direction = rng.standard_normal(w.layout.n_dofs)
         direction /= np.linalg.norm(direction)
-        v = BlockVector(w.layout, direction)
         try:
-            r_plus = system.residual(w + eps * v)
-            r_minus = system.residual(w + (-eps) * v)
+            r_plus = system.residual(
+                BlockVector(w.layout, w.values + eps * direction))
+            r_minus = system.residual(
+                BlockVector(w.layout, w.values + (-eps) * direction))
         except (InadmissibleStateError, ContractViolationError) as exc:
             warnings.warn(f"jacobian probe {k} skipped: {exc}")
             continue
-        fd = (r_plus.values - r_minus.values) / (2.0 * eps)
-        jv = system.jacobian_vector(w, v).values
+        fd = (r_plus - r_minus) / (2.0 * eps)
+        jv = system.jacobian_vector(w, direction)
         scale = max(np.linalg.norm(jv), np.linalg.norm(fd), 1e-300)
         worst = max(worst, float(np.linalg.norm(jv - fd) / scale))
         n_ok += 1

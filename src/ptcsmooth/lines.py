@@ -120,7 +120,7 @@ def extract_lines(blocks: FirstOrderBlocks,
     if anisotropy_threshold <= 1.0:
         raise ValueError("anisotropy_threshold must exceed 1")
 
-    n_cells, n_edges = blocks.layout.n_cells, len(blocks.edges)
+    n_cells, n_edges = len(blocks.diag), len(blocks.edges)
     weights = np.maximum(
         np.linalg.norm(blocks.off_ij.reshape(n_edges, -1), axis=1),
         np.linalg.norm(blocks.off_ji.reshape(n_edges, -1), axis=1))

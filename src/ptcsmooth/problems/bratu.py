@@ -35,17 +35,14 @@ class BratuProblem(NonlinearSystem):
         padded = np.concatenate(([0.0], u, [0.0]))  # homogeneous Dirichlet
         return (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / self.h ** 2
 
-    def residual(self, w: BlockVector) -> BlockVector:
+    def residual(self, w: BlockVector) -> np.ndarray:
         u = w.values
         with np.errstate(over="ignore"):
-            r = -self._second_difference(u) - self.lam * np.exp(u)
-        return BlockVector(self._layout, r)
+            return -self._second_difference(u) - self.lam * np.exp(u)
 
-    def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector:
+    def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            jv = -self._second_difference(v.values) \
-                - self.lam * np.exp(w.values) * v.values
-        return BlockVector(self._layout, jv)
+            return -self._second_difference(v) - self.lam * np.exp(w.values) * v
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         n = self.n_cells
@@ -53,7 +50,7 @@ class BratuProblem(NonlinearSystem):
             diag = (2.0 / self.h ** 2 - self.lam * np.exp(w.values)).reshape(n, 1, 1)
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         off = np.full((n - 1, 1, 1), -1.0 / self.h ** 2)
-        return FirstOrderBlocks(self._layout, diag, edges, off, off.copy())
+        return FirstOrderBlocks(diag, edges, off, off.copy())
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         # Diffusive stability estimate.
@@ -66,5 +63,4 @@ class BratuProblem(NonlinearSystem):
         return float(np.max(w.values))
 
 
-def make_bratu(n_cells: int, lam: float = 1.0) -> BratuProblem:
-    return BratuProblem(n_cells, lam)
+make_bratu = BratuProblem

@@ -61,7 +61,10 @@ class AnisoConvDiffProblem(NonlinearSystem):
             self.hy = np.full(ny, self.ly / ny)
         else:
             g = stretching_ratio ** (1.0 / (ny - 1))
-            h0 = self.ly * (g - 1.0) / (g ** ny - 1.0)
+            try:
+                h0 = self.ly * (g - 1.0) / (g ** ny - 1.0)
+            except OverflowError:   # g ** ny beyond the float range
+                h0 = 0.0            # zero spacings: rejected below
             self.hy = h0 * g ** np.arange(ny)
         faces = np.concatenate(([0.0], np.cumsum(self.hy)))
         self.yc = 0.5 * (faces[:-1] + faces[1:])
@@ -83,7 +86,12 @@ class AnisoConvDiffProblem(NonlinearSystem):
         dyp[:-1] = self.yc[1:] - self.yc[:-1]
         self._dxm, self._dxp, self._dym, self._dyp = dxm, dxp, dym, dyp
         self._lap_x, self._grad_x = _nonuniform_coeffs(dxm, dxp)
-        self._lap_y, self._grad_y = _nonuniform_coeffs(dym, dyp)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._lap_y, self._grad_y = _nonuniform_coeffs(dym, dyp)
+        if not np.all(np.isfinite([self.hy, *self._lap_y, *self._grad_y])):
+            raise ValueError(
+                f"stretching_ratio {stretching_ratio:g} is too large for "
+                f"{ny} cells: the y spacings or their weights overflow")
 
         # Dirichlet traces of the manufactured solution.
         self._west = self.exact(0.0, self.yc)
@@ -141,20 +149,20 @@ class AnisoConvDiffProblem(NonlinearSystem):
         gy = gym[:, None] * south + gy0[:, None] * center + gyp[:, None] * north
         return lap, gx, gy
 
-    def residual(self, w: BlockVector) -> BlockVector:
+    def residual(self, w: BlockVector) -> np.ndarray:
         u = w.values.reshape(self.ny, self.nx)
         lap, gx, gy = self._lap_and_grad(u, with_boundary=True)
         r = self._vol2d * (-self.eps * lap + self.vx * gx + self.vy * gy
                            + self.sigma * u * np.abs(u) - self._forcing)
-        return BlockVector(self._layout, r.ravel())
+        return r.ravel()
 
-    def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector:
+    def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         u = w.values.reshape(self.ny, self.nx)
-        vv = v.values.reshape(self.ny, self.nx)
+        vv = v.reshape(self.ny, self.nx)
         lap, gx, gy = self._lap_and_grad(vv, with_boundary=False)
         jv = self._vol2d * (-self.eps * lap + self.vx * gx + self.vy * gy
                             + 2.0 * self.sigma * np.abs(u) * vv)
-        return BlockVector(self._layout, jv.ravel())
+        return jv.ravel()
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         nx, ny = self.nx, self.ny
@@ -187,7 +195,7 @@ class AnisoConvDiffProblem(NonlinearSystem):
                                  (vol[:-1, :] * north[:, None]).ravel()))
         off_ji = np.concatenate(((vol[:, 1:] * west).ravel(),
                                  (vol[1:, :] * south[:, None]).ravel()))
-        return FirstOrderBlocks(self._layout, diag, edges,
+        return FirstOrderBlocks(diag, edges,
                                 off_ij.reshape(-1, 1, 1), off_ji.reshape(-1, 1, 1))
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
@@ -207,9 +215,4 @@ class AnisoConvDiffProblem(NonlinearSystem):
         return BlockVector(self._layout, vals.ravel())
 
 
-def make_aniso_convdiff(nx: int, ny: int, stretching_ratio: float = 1.0,
-                        eps: float = 0.01, velocity=(1.0, 0.5),
-                        sigma: float = 1.0, ly: float = 1.0,
-                        amplitude: float = 0.5) -> AnisoConvDiffProblem:
-    return AnisoConvDiffProblem(nx, ny, stretching_ratio, eps, velocity, sigma,
-                                ly, amplitude)
+make_aniso_convdiff = AnisoConvDiffProblem

@@ -219,18 +219,18 @@ class Quasi1dEulerProblem(NonlinearSystem):
         dresid = dflux[1:] - dflux[:-1] - dsource
         return resid.ravel(), flux, source, dresid.ravel()
 
-    def residual(self, w: BlockVector) -> BlockVector:
+    def residual(self, w: BlockVector) -> np.ndarray:
         resid, _, _, _ = self._assemble(w.values)
-        return BlockVector(self._layout, resid)
+        return resid
 
     def residual_parts(self, w: BlockVector):
         """Face fluxes (n+1, 3) and source terms (n, 3) for diagnostics."""
         _, flux, source, _ = self._assemble(w.values)
         return flux, source
 
-    def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector:
-        _, _, _, dresid = self._assemble(w.values, v.values)
-        return BlockVector(self._layout, dresid)
+    def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
+        _, _, _, dresid = self._assemble(w.values, v)
+        return dresid
 
     # -- first-order preconditioner blocks ------------------------------------
 
@@ -293,7 +293,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
         s_int = s_face[1:-1][:, None, None]
         off_ij = 0.5 * af_int * (A[1:] - s_int * eye)       # dR_i/dU_{i+1}
         off_ji = -0.5 * af_int * (A[:-1] + s_int * eye)     # dR_{i+1}/dU_i
-        return FirstOrderBlocks(self._layout, diag, edges, off_ij, off_ji)
+        return FirstOrderBlocks(diag, edges, off_ij, off_ji)
 
     # -- misc contract pieces --------------------------------------------------
 
@@ -310,9 +310,4 @@ class Quasi1dEulerProblem(NonlinearSystem):
         return float(self.mach(w)[-1])
 
 
-def make_quasi1d_euler(n_cells: int, area: Optional[Callable] = None,
-                       rho_in: float = 1.0, u_in: float = 0.3,
-                       p_exit: float = 1.0 / 1.4, gamma: float = 1.4,
-                       length: float = 1.0) -> Quasi1dEulerProblem:
-    return Quasi1dEulerProblem(n_cells, area, rho_in, u_in, p_exit, gamma,
-                               length)
+make_quasi1d_euler = Quasi1dEulerProblem

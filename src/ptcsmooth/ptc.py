@@ -126,11 +126,9 @@ def ptc_operator(system: NonlinearSystem, w: BlockVector,
                  mass_over_dtau: np.ndarray) -> Operator:
     """Matrix-free action of ``M/dtau + dR/dw`` at ``w``, on flat arrays."""
     coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
-    layout = w.layout
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        jv = system.jacobian_vector(w, BlockVector(layout, x))
-        return coeffs * x + jv.values
+        return coeffs * x + system.jacobian_vector(w, x)
 
     return matvec
 
@@ -146,15 +144,15 @@ def build_ptc_preconditioner(blocks: LineBlocks,
 
 @dataclass
 class NewtonStepResult:
-    delta_w: BlockVector
-    source: BlockVector
+    delta_w: np.ndarray
+    source: np.ndarray
     stats: GmresStats
     smoother_degraded: bool = False
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
-                residual: BlockVector, blocks: FirstOrderBlocks
+                residual: np.ndarray, blocks: FirstOrderBlocks
                 ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
@@ -168,7 +166,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     controller, not raised; so are a singular PTC preconditioner and
     non-finite operator output, as a failed solve with no Krylov vectors.
     """
-    zero = BlockVector.zeros(w.layout)
+    zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False, [])
     line_blocks = assemble_line_blocks(blocks, lines)
     try:
@@ -189,18 +187,19 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
             sm = rk_smooth(system, smoother, config.smoothing, w)
             # The paper's source term (M/dtau) dw_smooth; it vanishes as
             # dtau grows, recovering the exact Newton step.
-            source = cellwise_scale(sm.delta_w, mass_over_dtau)
+            source = cellwise_scale(sm.delta_w, mass_over_dtau,
+                                    w.layout.block_size)
             degraded = sm.degraded
 
     try:
         x, stats = gmres_right_preconditioned(
             ptc_operator(system, w, mass_over_dtau), precon.solve_values,
-            (source - residual).values, config.linear_rel_tol,
+            source - residual, config.linear_rel_tol,
             config.max_krylov)
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, source, failed, degraded)
-    return NewtonStepResult(BlockVector(w.layout, x), source, stats, degraded)
+    return NewtonStepResult(x, source, stats, degraded)
 
 
 @dataclass
@@ -209,34 +208,34 @@ class LineSearchResult:
     f_values: List[float]               # [F(0), F at each probed candidate]
     f0: float
     f_alpha: float                      # F at the returned alpha (f0 if rejected)
-    residual_at_alpha: Optional[BlockVector]  # R(w + alpha dw) when accepted
+    residual_at_alpha: Optional[np.ndarray]  # R(w + alpha dw) when accepted
 
 
-def _pseudo_unsteady_norm(step_vec: BlockVector, residual: BlockVector,
-                          source: BlockVector, coeffs: np.ndarray) -> float:
-    vals = np.repeat(coeffs, step_vec.layout.block_size) * step_vec.values \
-        + residual.values - source.values
+def _finite_norm(vals: np.ndarray) -> float:
+    """Euclidean norm, or +inf for a vector with non-finite entries."""
     if not np.all(np.isfinite(vals)):
         return np.inf
     return float(np.linalg.norm(vals))
 
 
-def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
-                mass_over_dtau: np.ndarray, source: BlockVector,
-                residual0: BlockVector) -> LineSearchResult:
+def line_search(system: NonlinearSystem, w: BlockVector, delta_w: np.ndarray,
+                mass_over_dtau: np.ndarray, source: np.ndarray,
+                residual0: np.ndarray) -> LineSearchResult:
     """Backtracking search on the smoothed pseudo-unsteady residual.
 
-    ``residual0`` is R(w). Scans the fixed candidate set from alpha = 1
-    downward and stops at the first improvement over F(0); inadmissible
-    trials score +inf. Returns alpha = 0 when nothing improves, which the
-    controller treats as a rejection.
+    ``residual0`` is R(w). The trial at fraction alpha scores
+    ``F(alpha) = |M/dtau alpha dw + R(w + alpha dw) - source|``. Scans the
+    fixed candidate set from alpha = 1 downward and stops at the first
+    improvement over F(0); inadmissible trials score +inf. Returns alpha = 0
+    when nothing improves, which the controller treats as a rejection.
     """
-    f0 = _pseudo_unsteady_norm(BlockVector.zeros(w.layout), residual0, source,
-                               mass_over_dtau)
+    coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
+    f0 = _finite_norm(residual0 - source)
     f_values = [f0]
 
     for alpha in LINE_SEARCH_CANDIDATES:
-        trial = w + alpha * delta_w
+        step = alpha * delta_w
+        trial = BlockVector(w.layout, w.values + step)
         if not trial.is_finite() or not system.is_admissible(trial):
             f_values.append(np.inf)
             continue
@@ -245,8 +244,7 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: BlockVector,
         except (InadmissibleStateError, ContractViolationError):
             f_values.append(np.inf)
             continue
-        f_trial = _pseudo_unsteady_norm(alpha * delta_w, r_trial, source,
-                                        mass_over_dtau)
+        f_trial = _finite_norm(coeffs * step + r_trial - source)
         f_values.append(f_trial)
         if f_trial < f0:
             return LineSearchResult(alpha, f_values, f0, f_trial, r_trial)
@@ -298,7 +296,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         raise InadmissibleStateError("initial state is not admissible")
 
     r = system.residual(w)
-    if not r.is_finite():
+    if not np.all(np.isfinite(r)):
         raise InadmissibleStateError("initial residual is not finite")
     r_norm = r0_norm = l2_norm(r)
     threshold = _convergence_threshold(config, r_norm)
@@ -333,7 +331,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                 raise DescentViolationError(
                     f"step {step}: F({ls.alpha}) = {ls.f_alpha} "
                     f"did not decrease F(0) = {ls.f0}")
-            w = w + alpha * ns.delta_w
+            w = BlockVector(w.layout, w.values + alpha * ns.delta_w)
             r = ls.residual_at_alpha
             blocks = None
             r_norm = l2_norm(r)

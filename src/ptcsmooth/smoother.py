@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .core import (BlockVector, ContractViolationError,
                    InadmissibleStateError, NonlinearSystem)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
@@ -51,7 +53,7 @@ class RkSchedule:
 
 @dataclass
 class SmoothResult:
-    delta_w: BlockVector    # w_end - w0, the composite local-solver update
+    delta_w: np.ndarray     # w_end - w0, the composite local-solver update
     w_end: BlockVector
     degraded: bool          # an offending cycle was abandoned
 
@@ -89,11 +91,11 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
             except (InadmissibleStateError, ContractViolationError):
                 ok = False
                 break
-            if not r.is_finite():
+            if not np.all(np.isfinite(r)):
                 ok = False
                 break
             current = BlockVector(
-                w0.layout, base.values - alpha * precon.solve_values(r.values))
+                w0.layout, base.values - alpha * precon.solve_values(r))
             if not current.is_finite() or not system.is_admissible(current):
                 ok = False
                 break
@@ -101,5 +103,5 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
             degraded = True
             break
         w_cycle = current
-    return SmoothResult(w_cycle - w0, w_cycle, degraded)
+    return SmoothResult(w_cycle.values - w0.values, w_cycle, degraded)
 

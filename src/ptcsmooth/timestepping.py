@@ -19,16 +19,16 @@ from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
 
 def bdf_residual(system: NonlinearSystem, w: BlockVector, w_prev: BlockVector,
-                 w_prev2: Optional[BlockVector], dt: float) -> BlockVector:
+                 w_prev2: Optional[BlockVector], dt: float) -> np.ndarray:
     """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
-    if dt <= 0.0:
+    if not dt > 0.0:   # NaN included
         raise ValueError("dt must be positive")
     if w_prev2 is None:
         dwdt = (w.values - w_prev.values) / dt
     else:
         dwdt = (3.0 * w.values - 4.0 * w_prev.values + w_prev2.values) / (2.0 * dt)
-    time_term = cellwise_scale(BlockVector(w.layout, dwdt),
-                               system.cell_measures)
+    time_term = cellwise_scale(dwdt, system.cell_measures,
+                               w.layout.block_size)
     return time_term + system.residual(w)
 
 
@@ -43,7 +43,7 @@ class BdfStepSystem(NonlinearSystem):
 
     def __init__(self, system: NonlinearSystem, w_prev: BlockVector,
                  w_prev2: Optional[BlockVector], dt: float):
-        if dt <= 0.0:
+        if not dt > 0.0:   # NaN included
             raise ValueError("dt must be positive")
         self.inner = system
         self.cell_measures = system.cell_measures
@@ -56,20 +56,21 @@ class BdfStepSystem(NonlinearSystem):
     def layout(self) -> BlockLayout:
         return self.inner.layout
 
-    def residual(self, w: BlockVector) -> BlockVector:
+    def residual(self, w: BlockVector) -> np.ndarray:
         return bdf_residual(self.inner, w, self.w_prev, self.w_prev2, self.dt)
 
-    def jacobian_vector(self, w: BlockVector, v: BlockVector) -> BlockVector:
+    def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         shift = self.time_coeff / self.dt
         jv = self.inner.jacobian_vector(w, v)
-        return jv + cellwise_scale(v, shift * self.cell_measures)
+        return jv + cellwise_scale(v, shift * self.cell_measures,
+                                   self.layout.block_size)
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         blocks = self.inner.first_order_blocks(w)
         shift = (self.time_coeff / self.dt) * self.cell_measures
         b = self.layout.block_size
         diag = blocks.diag + shift[:, None, None] * np.eye(b)
-        return FirstOrderBlocks(blocks.layout, diag, blocks.edges,
+        return FirstOrderBlocks(diag, blocks.edges,
                                 blocks.off_ij, blocks.off_ji)
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:

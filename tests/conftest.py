@@ -46,15 +46,15 @@ class LinearChainSystem(NonlinearSystem):
         return BlockVector(self._layout, np.linalg.solve(self.A, self.rhs))
 
     def residual(self, w):
-        return BlockVector(self._layout, self.A @ w.values - self.rhs)
+        return self.A @ w.values - self.rhs
 
     def jacobian_vector(self, w, v):
-        return BlockVector(self._layout, self.A @ v.values)
+        return self.A @ v
 
     def first_order_blocks(self, w):
         n = self._layout.n_cells
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
-        return FirstOrderBlocks(self._layout, self.diag.copy(), edges,
+        return FirstOrderBlocks(self.diag.copy(), edges,
                                 self.off_up.copy(), self.off_lo.copy())
 
     def explicit_dt(self, w):

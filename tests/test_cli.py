@@ -21,9 +21,8 @@ def test_defaults_are_protocol_settings():
     assert cfg.solver.beta_cfl2 == 0.1
     assert cfg.solver.linear_rel_tol == 1e-2
     assert cfg.solver.max_krylov == 100
-    assert cfg.smoothing_enabled
-    assert cfg.schedule.stage_coefficients == (0.15, 0.4, 1.0)
-    assert cfg.schedule.n_cycles == 5
+    assert cfg.solver.smoothing.stage_coefficients == (0.15, 0.4, 1.0)
+    assert cfg.solver.smoothing.n_cycles == 5
 
 
 def test_beta_cfl1_override_carries_through():
@@ -257,20 +256,24 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
     ("[solver]\nanisotropy_threshold = 4\n",
      "unknown key 'anisotropy_threshold'"),
+    ("[smoothing]\nenabled = false\n", "unknown key 'enabled'"),
     ("[problem]\nlambda = nan\n", "lam must be finite"),
     (f"{CONVDIFF}eps = nan\n", "eps must be finite"),
     (f"{CONVDIFF}vx = inf\n", "velocity must be finite"),
     (f"{CONVDIFF}sigma = -inf\n", "sigma must be finite"),
     (f"{CONVDIFF}ly = -1\n", "ly must be positive"),
+    (f"{CONVDIFF}stretching = 1e300\n", "stretching_ratio 1e+300 is too large"),
+    (f"{CONVDIFF}stretching = 1e200\n", "stretching_ratio 1e+200 is too large"),
     (f"{NOZZLE}p_exit = -1\n", "p_exit and length must be positive"),
     (f"{NOZZLE}rho_in = 0\n", "p_exit and length must be positive"),
     (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "target_nan", "n_cells", "dt",
-        "dt_nan", "removed_mode_key", "removed_anisotropy_key", "lambda_nan",
-        "eps_nan", "vx_inf", "sigma_inf", "ly", "p_exit", "rho_in", "u_in_nan",
-        "gamma_nan", "gamma_one"])
+        "dt_nan", "removed_mode_key", "removed_anisotropy_key",
+        "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
+        "ly", "stretching_1e300", "stretching_1e200", "p_exit", "rho_in",
+        "u_in_nan", "gamma_nan", "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"

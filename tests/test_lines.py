@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsmooth.core import BlockLayout, ContractViolationError, FirstOrderBlocks
+from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
 from ptcsmooth.lines import LineSet, assemble_line_blocks, extract_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
@@ -15,7 +15,7 @@ def coupling_blocks(n, edges, weights):
     """Scalar first-order blocks whose coupling graph carries ``weights``:
     both off-diagonal blocks of an edge hold its weight."""
     off = np.asarray(weights, dtype=float).reshape(-1, 1, 1)
-    return FirstOrderBlocks(BlockLayout(n, 1), np.ones((n, 1, 1)),
+    return FirstOrderBlocks(np.ones((n, 1, 1)),
                             np.asarray(edges, dtype=int).reshape(-1, 2),
                             off, off.copy())
 
@@ -29,7 +29,7 @@ def chain_blocks(weights):
 def test_bratu_chain_graph_structure():
     p = make_bratu(4, 1.0)
     blocks = p.first_order_blocks(p.initial_state())
-    assert blocks.layout.n_cells == 4
+    assert len(blocks.diag) == 4
     assert len(blocks.edges) == 3
     assert sorted(map(tuple, blocks.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
 

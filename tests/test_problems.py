@@ -8,6 +8,7 @@ from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
+from ptcsmooth.timestepping import BdfStepSystem
 
 # Peak of the lambda = 1 Bratu solution on an 8192-cell grid, computed with an
 # independent banded-LU Newton script before this suite was written.
@@ -34,6 +35,28 @@ def _perturbed_states(problem, scale, count=5, seed=77):
     return out
 
 
+def _bdf_step(problem):
+    w = problem.initial_state()
+    return BdfStepSystem(problem, w, w, 0.05)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_bratu(16),
+    lambda: make_aniso_convdiff(5, 6, stretching_ratio=100.0),
+    lambda: make_quasi1d_euler(16),
+    lambda: _bdf_step(make_aniso_convdiff(5, 6, stretching_ratio=100.0)),
+], ids=["bratu", "convdiff", "nozzle", "bdf_convdiff"])
+def test_residual_and_jv_return_flat_float_arrays(build):
+    # The contract: a state goes in, a flat (n_dofs,) float array comes out.
+    system = build()
+    w = system.initial_state()
+    v = np.random.default_rng(4).standard_normal(system.layout.n_dofs)
+    for out in (system.residual(w), system.jacobian_vector(w, v)):
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64
+        assert out.shape == (system.layout.n_dofs,)
+
+
 # ---------------------------------------------------------------------------
 # Bratu
 # ---------------------------------------------------------------------------
@@ -41,7 +64,7 @@ def _perturbed_states(problem, scale, count=5, seed=77):
 def test_bratu_residual_at_zero_is_minus_lambda():
     p = make_bratu(32, 2.5)
     r = p.residual(p.initial_state())
-    assert np.allclose(r.values, -2.5, rtol=0, atol=1e-14)
+    assert np.allclose(r, -2.5, rtol=0, atol=1e-14)
 
 
 def test_bratu_converged_solution_symmetric():
@@ -156,7 +179,7 @@ def test_convdiff_manufactured_solution_order():
     norms, hs = [], []
     for n in (8, 16, 32):
         p = make_aniso_convdiff(n, n, stretching_ratio=1.0)
-        r = p.residual(p.exact_on_grid()).values
+        r = p.residual(p.exact_on_grid())
         vol = p.cell_measures
         # L2(domain) norm of the pointwise PDE residual.
         norms.append(np.sqrt(np.sum(vol * (r / vol) ** 2) / np.sum(vol)))
@@ -220,7 +243,7 @@ def test_euler_flux_telescoping():
     w = e.initial_state()
     w = BlockVector(e.layout, w.values * (1.0 + 0.05 * rng.standard_normal(w.layout.n_dofs)))
     assert e.is_admissible(w)
-    r = e.residual(w).values.reshape(-1, 3)
+    r = e.residual(w).reshape(-1, 3)
     flux, source = e.residual_parts(w)
     lhs = r.sum(axis=0)
     rhs = flux[-1] - flux[0] - source.sum(axis=0)
@@ -291,13 +314,18 @@ def test_euler_solver_never_accepts_inadmissible_state():
     (lambda: make_aniso_convdiff(4, 4, amplitude=float("inf")),
      "amplitude must be finite"),
     (lambda: make_aniso_convdiff(4, 4, ly=0.0), "ly must be positive"),
+    (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e300),
+     "stretching_ratio 1e\\+300 is too large"),
+    (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e200),
+     "stretching_ratio 1e\\+200 is too large"),
     (lambda: make_quasi1d_euler(16, length=-1.0), "must be positive"),
     (lambda: make_quasi1d_euler(16, area=lambda x: 1.0 - 2.0 * np.asarray(x)),
      "nozzle area must be positive and finite"),
     (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
      "nozzle area must be positive and finite"),
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
-        "convdiff_ly_zero", "euler_length", "euler_area_negative",
+        "convdiff_ly_zero", "convdiff_stretching_1e300",
+        "convdiff_stretching_1e200", "euler_length", "euler_area_negative",
         "euler_area_nan"])
 def test_constructors_reject_invalid_parameters(build, message):
     # A problem that constructs has finite parameters and positive, finite

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import (BlockLayout, BlockVector, InadmissibleStateError,
+from ptcsmooth.core import (BlockVector, InadmissibleStateError,
                             cellwise_scale, l2_norm)
 from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
                              singleton_lines)
@@ -49,8 +49,8 @@ def test_full_chain_line_gives_exact_newton_step(scalar_chain):
         assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines))
     w0 = sys.initial_state()
     r = sys.residual(w0)
-    step = precon.solve_values(r.values)
-    ref = np.linalg.solve(sys.A, r.values)
+    step = precon.solve_values(r)
+    ref = np.linalg.solve(sys.A, r)
     assert np.allclose(step, ref, rtol=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     precon = build_smoother(
         assemble_line_blocks(sys.first_order_blocks(w_star), lines))
     out = rk_smooth(sys, precon, RkSchedule(), w_star)
-    assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star))
+    assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star.values))
     assert np.allclose(out.w_end.values, w_star.values)
 
 
@@ -126,49 +126,44 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     precon = build_smoother(
         assemble_line_blocks(sys.first_order_blocks(w0), lines))
     out = rk_smooth(sys, precon, RkSchedule(), w0)
-    assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0)
+    assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0.values)
 
 
 # The smoothing source (M/dtau) dw_smooth, as newton_step forms it.
 
 def test_smoothing_source_zero_update():
-    layout = BlockLayout(3, 1)
     measures = np.array([1.0, 2.0, 3.0])
-    s = cellwise_scale(BlockVector.zeros(layout), measures / np.ones(3))
-    assert np.all(s.values == 0.0)
+    s = cellwise_scale(np.zeros(3), measures / np.ones(3), 1)
+    assert np.all(s == 0.0)
 
 
 def test_smoothing_source_single_cell_arithmetic():
-    layout = BlockLayout(1, 1)
-    s = cellwise_scale(BlockVector(layout, [3.0]),
-                       np.array([2.0]) / np.array([0.5]))
-    assert s.values[0] == pytest.approx(12.0)
+    s = cellwise_scale(np.array([3.0]), np.array([2.0]) / np.array([0.5]), 1)
+    assert s[0] == pytest.approx(12.0)
 
 
 def test_smoothing_source_vanishes_for_large_dtau():
-    layout = BlockLayout(4, 2)
     measures = np.array([1.0, 2.0, 0.5, 1.5])
-    delta = BlockVector(layout, np.arange(1.0, 9.0))
-    s = cellwise_scale(delta, measures / np.full(4, 1e12))
-    m_delta = cellwise_scale(delta, measures)
+    delta = np.arange(1.0, 9.0)
+    s = cellwise_scale(delta, measures / np.full(4, 1e12), 2)
+    m_delta = cellwise_scale(delta, measures, 2)
     # The bound holds with equality: s = M delta / dtau exactly.
     assert l2_norm(s) <= 1e-12 * l2_norm(m_delta) * (1 + 1e-12)
     assert l2_norm(s) == pytest.approx(1e-12 * l2_norm(m_delta))
 
 
 def test_smoothing_source_scaling_laws():
-    layout = BlockLayout(3, 2)
     measures = np.array([1.0, 2.0, 3.0])
     rng = np.random.default_rng(1)
-    delta = BlockVector(layout, rng.standard_normal(6))
+    delta = rng.standard_normal(6)
     dtau = np.array([0.25, 1.0, 4.0])
-    s = cellwise_scale(delta, measures / dtau)
+    s = cellwise_scale(delta, measures / dtau, 2)
     # Linear in the update (powers of two are exact in floating point).
-    s2 = cellwise_scale(2.0 * delta, measures / dtau)
-    assert np.array_equal(s2.values, 2.0 * s.values)
+    s2 = cellwise_scale(2.0 * delta, measures / dtau, 2)
+    assert np.array_equal(s2, 2.0 * s)
     # Homogeneous of degree -1 in dtau.
-    s_half = cellwise_scale(delta, measures / (2.0 * dtau))
-    assert np.array_equal(s_half.values, 0.5 * s.values)
+    s_half = cellwise_scale(delta, measures / (2.0 * dtau), 2)
+    assert np.array_equal(s_half, 0.5 * s)
 
 
 def test_smoothing_source_rejects_nonpositive_dtau():
@@ -205,7 +200,7 @@ def test_degraded_cycle_keeps_last_admissible_output():
         sched = RkSchedule(n_cycles=3)
         out = rk_smooth(sys, precon, sched, sys.initial_state())
         assert out.degraded
-        assert np.all(out.delta_w.values == 0.0)  # first cycle abandoned
+        assert np.all(out.delta_w == 0.0)  # first cycle abandoned
         with pytest.raises(InadmissibleStateError):
             rk_smooth(sys, precon, sched,
                       BlockVector(sys.layout, np.full(6, 10.0)))

@@ -24,15 +24,15 @@ class ZeroSystem(NonlinearSystem):
         return self._layout
 
     def residual(self, w):
-        return BlockVector.zeros(self._layout)
+        return np.zeros(self._layout.n_dofs)
 
     def jacobian_vector(self, w, v):
-        return BlockVector.zeros(self._layout)
+        return np.zeros(self._layout.n_dofs)
 
     def first_order_blocks(self, w):
         n = self._layout.n_cells
         edges = np.zeros((0, 2), dtype=int)
-        return FirstOrderBlocks(self._layout, np.zeros((n, 1, 1)), edges,
+        return FirstOrderBlocks(np.zeros((n, 1, 1)), edges,
                                 np.zeros((0, 1, 1)), np.zeros((0, 1, 1)))
 
     def explicit_dt(self, w):
@@ -73,7 +73,7 @@ def test_bdf2_exact_on_quadratics():
 
     r = bdf_residual(sys, state(t_n), state(t_n - dt), state(t_n - 2 * dt), dt)
     exact = 2.0 * c * t_n
-    assert np.allclose(r.values, exact, rtol=1e-12)
+    assert np.allclose(r, exact, rtol=1e-12)
 
 
 def test_bdf1_startup_stencil():
@@ -84,18 +84,19 @@ def test_bdf1_startup_stencil():
     w = BlockVector(sys.layout, c)
     w_prev = BlockVector(sys.layout, np.zeros(n))
     r = bdf_residual(sys, w, w_prev, None, dt)
-    assert np.allclose(r.values, c / dt, rtol=1e-14)
+    assert np.allclose(r, c / dt, rtol=1e-14)
 
 
 def test_dt_validation():
     sys = ZeroSystem(3)
     w = sys.initial_state()
-    with pytest.raises(ValueError):
-        bdf_residual(sys, w, w, None, 0.0)
-    with pytest.raises(ValueError):
-        BdfStepSystem(sys, w, None, -1.0)
-    with pytest.raises(ValueError):
-        UnsteadyConfig(dt=0.0, n_steps=2, inner=PtcConfig())
+    for dt in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            bdf_residual(sys, w, w, None, dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            BdfStepSystem(sys, w, None, dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
 
 
 def test_wrapped_system_jacobian_is_exact():
@@ -152,6 +153,26 @@ def test_unsteady_disparity_and_smoothing_gain():
     smooth = [r.newton_steps for r in histories["smoothed"].reports]
     assert plain[2] < plain[0]      # warm starts get cheaper
     assert smooth[0] < plain[0]     # smoothing attacks the impulsive step
+
+
+def test_scaled_start_in_place_and_recomputed_residual():
+    # The benchmark's state handling: scale the starting state in place,
+    # hand it to advance_unsteady through initial_state, and recompute the
+    # final residual of the step's system outside the solver.
+    p = make_aniso_convdiff(4, 4, stretching_ratio=100.0)
+    w0 = p.initial_state()
+    w0.values[:] = 0.5
+    w0.values *= 1.0 + 0.01 * np.linspace(-1.0, 1.0, w0.values.size)
+    p.initial_state = w0.copy
+    hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=1,
+                                              inner=PtcConfig()))
+    report = hist.reports[0]
+    assert report.outcome == SolveOutcome.CONVERGED
+    system = BdfStepSystem(p, w0, None, 0.05)
+    r_norm = l2_norm(system.residual(report.final_state))
+    assert r_norm == pytest.approx(report.final_residual_l2, rel=1e-12)
+    assert report.final_state is not w0
+    assert np.array_equal(p.initial_state().values, w0.values)
 
 
 def test_reports_are_replayable():
