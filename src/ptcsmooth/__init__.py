@@ -14,6 +14,6 @@ from .ptc import (PtcConfig, SolveOutcome, SolveReport, cfl_update,
                   solve_steady)
 from .smoother import RkSchedule, SmoothResult, build_smoother, rk_smooth
 from .timestepping import (BdfStepSystem, TimeHistory, UnsteadyConfig,
-                           advance_unsteady, bdf_residual)
+                           advance_unsteady)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ need to implement that interface.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -63,10 +64,6 @@ class BlockVector:
                 )
             self.values = arr
 
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockVector":
-        return cls(layout)
-
     def copy(self) -> "BlockVector":
         return BlockVector(self.layout, self.values.copy())
 
@@ -102,6 +99,13 @@ def require_finite(**params) -> None:
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not an integer of at least ``minimum``."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 @dataclass

@@ -28,9 +28,6 @@ class GmresStats:
     iterations: int
     achieved_reduction: float
     converged: bool
-    # Givens-recurrence residual norms, starting from ||b||; one entry per
-    # Arnoldi vector built.
-    recurrence_norms: list = None
 
 
 class SingularPivotError(np.linalg.LinAlgError):
@@ -58,7 +55,7 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(n), GmresStats(0, 0.0, True, [0.0])
+        return np.zeros(n), GmresStats(0, 0.0, True)
 
     m = min(max_vectors, n)
     V = np.zeros((m + 1, n))
@@ -74,7 +71,6 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
     k = 0
     residual = b_norm
-    norms = [b_norm]
     converged = False
     for j in range(m):
         w = A(precon(V[j]))
@@ -86,13 +82,15 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
             h = np.dot(V[i], w)
             H[i, j] += h
             w -= h * V[i]
+        w_norm = np.linalg.norm(w)
         # One re-orthogonalization pass when cancellation is severe.
-        if np.linalg.norm(w) < _REORTH_RATIO * norm_before:
+        if w_norm < _REORTH_RATIO * norm_before:
             for i in range(j + 1):
                 h = np.dot(V[i], w)
                 H[i, j] += h
                 w -= h * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
+            w_norm = np.linalg.norm(w)
+        H[j + 1, j] = w_norm
 
         # Apply accumulated Givens rotations to the new column.
         for i in range(j):
@@ -109,23 +107,22 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
         k = j + 1
         residual = abs(g[j + 1])
-        norms.append(residual)
         if residual <= tol_abs:
             converged = True
             break
-        if H[j, j] == 0.0 or np.linalg.norm(w) <= breakdown_tol:
+        if H[j, j] == 0.0 or w_norm <= breakdown_tol:
             # Arnoldi breakdown: the Krylov space is invariant, the current
             # least-squares solution is exact up to round-off.
-            converged = residual <= tol_abs or residual <= breakdown_tol * 10
+            converged = residual <= breakdown_tol * 10
             break
-        V[j + 1] = w / np.linalg.norm(w)
+        V[j + 1] = w / w_norm
 
     # Back-substitute H y = g over the k columns built.
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
     x = precon(V[:k].T @ y)
-    return x, GmresStats(k, residual / b_norm, converged, norms)
+    return x, GmresStats(k, residual / b_norm, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ class LineSet:
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        cells = sorted(c for line in self.lines for c in line)
+        if cells != list(range(self.n_cells)) or not all(self.lines):
+            raise ContractViolationError(
+                f"lines must partition the {self.n_cells} cells into "
+                "nonempty paths")
         self.pairs = np.array([pq for line in self.lines
                                for pq in zip(line[:-1], line[1:])],
                               dtype=int).reshape(-1, 2)
-
-    def is_partition(self) -> bool:
-        seen = sorted(c for line in self.lines for c in line)
-        return seen == list(range(self.n_cells))
 
     def multi_cell_lines(self) -> List[List[int]]:
         return [line for line in self.lines if len(line) > 1]

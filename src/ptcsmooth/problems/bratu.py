@@ -57,7 +57,7 @@ class BratuProblem(NonlinearSystem):
         return np.full(self.n_cells, self.h ** 2 / 4.0)
 
     def initial_state(self) -> BlockVector:
-        return BlockVector.zeros(self._layout)
+        return BlockVector(self._layout)
 
     def functional(self, w: BlockVector) -> float:
         return float(np.max(w.values))

@@ -208,7 +208,7 @@ class AnisoConvDiffProblem(NonlinearSystem):
 
     def initial_state(self) -> BlockVector:
         # Impulsive start: zero field violating the boundary data.
-        return BlockVector.zeros(self._layout)
+        return BlockVector(self._layout)
 
     def exact_on_grid(self) -> BlockVector:
         vals = self.exact(self.xc[None, :], self.yc[:, None])

@@ -34,16 +34,18 @@ def default_nozzle_area(x):
     return 1.0 + 0.4 * (2.0 * np.asarray(x) - 1.0) ** 2
 
 
-def _van_albada(a, b, da=None, db=None):
-    """Smooth limited slope from backward/forward differences (and tangent)."""
+def _van_albada(dq, ddq=None):
+    """Smooth limited slopes from the backward/forward differences
+    ``dq[:-1]``/``dq[1:]``, and their tangent along ``ddq`` (else None)."""
+    a, b = dq[:-1], dq[1:]
     num = a * a * b + a * b * b
     den = a * a + b * b + _SLOPE_EPS
-    sigma = num / den
-    if da is None:
-        return sigma, None
+    if ddq is None:
+        return num / den, None
+    da, db = ddq[:-1], ddq[1:]
     dnum = (2.0 * a * b + b * b) * da + (a * a + 2.0 * a * b) * db
     dden = 2.0 * a * da + 2.0 * b * db
-    return sigma, (dnum * den - num * dden) / den ** 2
+    return num / den, (dnum * den - num * dden) / den ** 2
 
 
 class Quasi1dEulerProblem(NonlinearSystem):
@@ -126,33 +128,28 @@ class Quasi1dEulerProblem(NonlinearSystem):
     def _face_states(self, rho, u, p, tangents=None):
         """Limited reconstruction of primitives to both sides of every face.
 
-        Returns (qL, qR) with shape (n_faces, 3) in (rho, u, p) order, and the
-        matching tangents when requested. Face 0 carries the inflow ghost on
-        its left, face n the outflow ghost on its right.
+        Returns (qL, qR, dqL, dqR): the face states, shape (n_faces, 3) in
+        (rho, u, p) order, and their tangents along ``tangents`` (None when
+        it is not given). Face 0 carries the inflow ghost on its left, face n
+        the outflow ghost on its right.
         """
         prim = np.stack([rho, u, p], axis=1)
         ghost_in = np.array([self.rho_in, self.u_in, p[0]])
         ghost_out = np.array([rho[-1], u[-1], self.p_exit])
+        dq = np.diff(np.vstack([ghost_in, prim, ghost_out]), axis=0)  # (n+1, 3)
+        ddq = None
+        if tangents is not None:
+            drho, du, dp = tangents
+            dprim = np.stack([drho, du, dp], axis=1)
+            dghost_in = np.array([0.0, 0.0, dp[0]])
+            dghost_out = np.array([drho[-1], du[-1], 0.0])
+            ddq = np.diff(np.vstack([dghost_in, dprim, dghost_out]), axis=0)
 
-        ext = np.vstack([ghost_in, prim, ghost_out])       # (n+2, 3)
-        dq = np.diff(ext, axis=0)                          # (n+1, 3)
-
-        if tangents is None:
-            sigma, _ = _van_albada(dq[:-1], dq[1:])
-            qL = np.vstack([ghost_in, prim + 0.5 * sigma])
-            qR = np.vstack([prim - 0.5 * sigma, ghost_out])
-            return qL, qR, None, None
-
-        drho, du, dp = tangents
-        dprim = np.stack([drho, du, dp], axis=1)
-        dghost_in = np.array([0.0, 0.0, dp[0]])
-        dghost_out = np.array([drho[-1], du[-1], 0.0])
-        dext = np.vstack([dghost_in, dprim, dghost_out])
-        ddq = np.diff(dext, axis=0)
-
-        sigma, dsigma = _van_albada(dq[:-1], dq[1:], ddq[:-1], ddq[1:])
+        sigma, dsigma = _van_albada(dq, ddq)
         qL = np.vstack([ghost_in, prim + 0.5 * sigma])
         qR = np.vstack([prim - 0.5 * sigma, ghost_out])
+        if ddq is None:
+            return qL, qR, None, None
         dqL = np.vstack([dghost_in, dprim + 0.5 * dsigma])
         dqR = np.vstack([dprim - 0.5 * dsigma, dghost_out])
         return qL, qR, dqL, dqR
@@ -183,6 +180,8 @@ class Quasi1dEulerProblem(NonlinearSystem):
         return U, F, s, dU, dF, ds
 
     def _assemble(self, values: np.ndarray, tangent: Optional[np.ndarray] = None):
+        """Face fluxes (n+1, 3) and source terms (n, 3) at ``values``, or
+        their tangents along ``tangent``."""
         gm = self.gamma
         rho, u, p = self._decode(values)
 
@@ -197,40 +196,34 @@ class Quasi1dEulerProblem(NonlinearSystem):
         qL, qR, dqL, dqR = self._face_states(rho, u, p, tangents)
         UL, FL, sL, dUL, dFL, dsL = self._flux_terms(qL, dqL)
         UR, FR, sR, dUR, dFR, dsR = self._flux_terms(qR, dqR)
-
         s = np.maximum(sL, sR)
-        flux = 0.5 * self.a_faces[:, None] * (FL + FR - s[:, None] * (UR - UL))
+        half_area = 0.5 * self.a_faces[:, None]
         source = np.zeros((self.n, 3))
-        source[:, 1] = p * self.da
-        resid = flux[1:] - flux[:-1] - source
 
         if tangent is None:
-            return resid.ravel(), flux, source, None
+            source[:, 1] = p * self.da
+            return half_area * (FL + FR - s[:, None] * (UR - UL)), source
 
         # max() tangent: side of the larger speed, averaged at exact ties so
         # the product matches central differences everywhere.
         ds = np.where(sL > sR, dsL, dsR)
         tie = sL == sR
         ds[tie] = 0.5 * (dsL[tie] + dsR[tie])
-        dflux = 0.5 * self.a_faces[:, None] * (
-            dFL + dFR - ds[:, None] * (UR - UL) - s[:, None] * (dUR - dUL))
-        dsource = np.zeros((self.n, 3))
-        dsource[:, 1] = tangents[2] * self.da
-        dresid = dflux[1:] - dflux[:-1] - dsource
-        return resid.ravel(), flux, source, dresid.ravel()
+        source[:, 1] = dp * self.da
+        return half_area * (dFL + dFR - ds[:, None] * (UR - UL)
+                            - s[:, None] * (dUR - dUL)), source
 
     def residual(self, w: BlockVector) -> np.ndarray:
-        resid, _, _, _ = self._assemble(w.values)
-        return resid
+        flux, source = self._assemble(w.values)
+        return (flux[1:] - flux[:-1] - source).ravel()
 
     def residual_parts(self, w: BlockVector):
         """Face fluxes (n+1, 3) and source terms (n, 3) for diagnostics."""
-        _, flux, source, _ = self._assemble(w.values)
-        return flux, source
+        return self._assemble(w.values)
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        _, _, _, dresid = self._assemble(w.values, v)
-        return dresid
+        dflux, dsource = self._assemble(w.values, v)
+        return (dflux[1:] - dflux[:-1] - dsource).ravel()
 
     # -- first-order preconditioner blocks ------------------------------------
 

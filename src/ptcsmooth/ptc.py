@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   cellwise_scale, l2_norm)
+                   cellwise_scale, l2_norm, require_count)
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -84,17 +84,16 @@ class PtcConfig:
             raise ValueError("beta_cfl2 must lie in (0, 1)")
         if not (0.0 < self.linear_rel_tol < 1.0):
             raise ValueError("linear_rel_tol must lie in (0, 1)")
-        if self.max_krylov < 1:
-            raise ValueError("max_krylov must be at least 1")
+        require_count("max_krylov", self.max_krylov, 1)
         if not (0.0 < self.target_residual_reduction < 1.0):
             raise ValueError("target_residual_reduction must lie in (0, 1)")
         if not (self.target_residual_absolute is None
-                or self.target_residual_absolute > 0.0):
-            raise ValueError("target_residual_absolute must be positive")
-        if not self.cfl_max >= self.cfl_init:
-            raise ValueError("cfl_max must be at least cfl_init")
-        if not self.max_newton_steps >= 1:
-            raise ValueError("max_newton_steps must be at least 1")
+                or 0.0 < self.target_residual_absolute < np.inf):
+            raise ValueError(
+                "target_residual_absolute must be positive and finite")
+        if not self.cfl_init <= self.cfl_max < np.inf:
+            raise ValueError("cfl_max must be finite and at least cfl_init")
+        require_count("max_newton_steps", self.max_newton_steps, 1)
 
 
 @dataclass
@@ -167,7 +166,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     non-finite operator output, as a failed solve with no Krylov vectors.
     """
     zero = np.zeros(w.layout.n_dofs)
-    failed = GmresStats(0, 1.0, False, [])
+    failed = GmresStats(0, 1.0, False)
     line_blocks = assemble_line_blocks(blocks, lines)
     try:
         precon = build_ptc_preconditioner(line_blocks, mass_over_dtau)

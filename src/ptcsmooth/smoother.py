@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import (BlockVector, ContractViolationError,
-                   InadmissibleStateError, NonlinearSystem)
+                   InadmissibleStateError, NonlinearSystem, require_count)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
 from .lines import LineBlocks
 
@@ -46,8 +46,7 @@ class RkSchedule:
             raise ValueError("stage coefficients must lie in (0, 1]")
         if coeffs[-1] != 1.0:
             raise ValueError("final stage coefficient must be 1.0")
-        if self.n_cycles < 0:
-            raise ValueError("n_cycles must be nonnegative")
+        require_count("n_cycles", self.n_cycles, 0)
         object.__setattr__(self, "stage_coefficients", coeffs)
 
 

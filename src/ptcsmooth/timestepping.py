@@ -14,22 +14,8 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                   NonlinearSystem, cellwise_scale)
+                   NonlinearSystem, cellwise_scale, require_count)
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
-
-
-def bdf_residual(system: NonlinearSystem, w: BlockVector, w_prev: BlockVector,
-                 w_prev2: Optional[BlockVector], dt: float) -> np.ndarray:
-    """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
-    if not dt > 0.0:   # NaN included
-        raise ValueError("dt must be positive")
-    if w_prev2 is None:
-        dwdt = (w.values - w_prev.values) / dt
-    else:
-        dwdt = (3.0 * w.values - 4.0 * w_prev.values + w_prev2.values) / (2.0 * dt)
-    time_term = cellwise_scale(dwdt, system.cell_measures,
-                               w.layout.block_size)
-    return time_term + system.residual(w)
 
 
 class BdfStepSystem(NonlinearSystem):
@@ -57,7 +43,15 @@ class BdfStepSystem(NonlinearSystem):
         return self.inner.layout
 
     def residual(self, w: BlockVector) -> np.ndarray:
-        return bdf_residual(self.inner, w, self.w_prev, self.w_prev2, self.dt)
+        """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
+        if self.w_prev2 is None:
+            dwdt = (w.values - self.w_prev.values) / self.dt
+        else:
+            dwdt = ((3.0 * w.values - 4.0 * self.w_prev.values
+                     + self.w_prev2.values) / (2.0 * self.dt))
+        time_term = cellwise_scale(dwdt, self.cell_measures,
+                                   self.layout.block_size)
+        return time_term + self.inner.residual(w)
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         shift = self.time_coeff / self.dt
@@ -95,8 +89,7 @@ class UnsteadyConfig:
     def __post_init__(self):
         if not self.dt > 0.0:   # NaN included
             raise ValueError("dt must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+        require_count("n_steps", self.n_steps, 1)
 
 
 @dataclass
@@ -104,10 +97,6 @@ class TimeHistory:
     reports: List[SolveReport]
     functionals: List[float]
     aborted: bool = False
-
-    @property
-    def n_steps_completed(self) -> int:
-        return len(self.reports)
 
     @property
     def final_state(self) -> Optional[BlockVector]:

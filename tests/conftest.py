@@ -61,7 +61,7 @@ class LinearChainSystem(NonlinearSystem):
         return np.ones(self._layout.n_cells)
 
     def initial_state(self):
-        return BlockVector.zeros(self._layout)
+        return BlockVector(self._layout)
 
 
 def diffusion_chain(n=8, b=1, seed=None):

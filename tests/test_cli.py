@@ -250,6 +250,9 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[solver]\nbeta_cfl1 = 0.5\n", "beta_cfl1 must exceed 1"),
     ("[solver]\ntarget_residual_reduction = nan\n",
      "target_residual_reduction must lie in (0, 1)"),
+    ("[solver]\ntarget_residual_absolute = inf\n",
+     "target_residual_absolute must be positive and finite"),
+    ("[solver]\ncfl_max = inf\n", "cfl_max must be finite"),
     ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
@@ -269,7 +272,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
-], ids=["stages", "stages_nan", "beta_cfl1", "target_nan", "n_cells", "dt",
+], ids=["stages", "stages_nan", "beta_cfl1", "target_nan",
+        "target_absolute_inf", "cfl_max_inf", "n_cells", "dt",
         "dt_nan", "removed_mode_key", "removed_anisotropy_key",
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
         "ly", "stretching_1e300", "stretching_1e200", "p_exit", "rho_in",

@@ -18,7 +18,7 @@ def test_layout_validation():
 
 def test_l2_norm_zero_vector():
     for layout in (BlockLayout(1, 1), BlockLayout(7, 3)):
-        assert l2_norm(BlockVector.zeros(layout).values) == 0.0
+        assert l2_norm(BlockVector(layout).values) == 0.0
 
 
 def test_l2_norm_single_entry():
@@ -75,7 +75,7 @@ def test_validate_jacobian_linear_system():
     # only meaningful where the FD intermediates scale with eps (homogeneous
     # case); at generic states subtractive cancellation costs ~eps_mach/eps.
     sys.rhs = np.zeros(20)
-    assert validate_jacobian(sys, BlockVector.zeros(sys.layout),
+    assert validate_jacobian(sys, BlockVector(sys.layout),
                              n_probes=5) <= 1e-10
     sys2 = diffusion_chain(n=10, b=2, seed=3)
     w = BlockVector(sys2.layout, np.random.default_rng(1).standard_normal(20))

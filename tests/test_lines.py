@@ -20,6 +20,10 @@ def coupling_blocks(n, edges, weights):
                             off, off.copy())
 
 
+def covers_each_cell_once(ls):
+    return sorted(c for line in ls.lines for c in line) == list(range(ls.n_cells))
+
+
 def chain_blocks(weights):
     n = len(weights) + 1
     edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
@@ -93,7 +97,7 @@ def test_isotropic_grid_all_singletons():
     ls = extract_lines(p.first_order_blocks(p.initial_state()), 4.0)
     assert len(ls.lines) == p.layout.n_cells
     assert all(len(line) == 1 for line in ls.lines)
-    assert ls.is_partition()
+    assert covers_each_cell_once(ls)
 
 
 def test_six_cell_band_becomes_one_line():
@@ -105,7 +109,7 @@ def test_six_cell_band_becomes_one_line():
     multi = ls.multi_cell_lines()
     assert len(multi) == 1
     assert sorted(multi[0]) == [7, 8, 9, 10, 11, 12]
-    assert ls.is_partition()
+    assert covers_each_cell_once(ls)
 
 
 def test_two_disjoint_strips():
@@ -117,7 +121,7 @@ def test_two_disjoint_strips():
     assert len(multi) == 2
     cells_a, cells_b = (set(line) for line in multi)
     assert cells_a.isdisjoint(cells_b)
-    assert ls.is_partition()
+    assert covers_each_cell_once(ls)
 
 
 def test_extraction_deterministic():
@@ -159,6 +163,15 @@ def test_threshold_validation():
         extract_lines(chain_blocks([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("n_cells, lines", [
+    (3, [[0], [1]]), (2, [[0, 1], [1]]), (2, [[0], [5]]), (2, [[0, 1], []]),
+], ids=["missing", "repeated", "out_of_range", "empty_line"])
+def test_lines_must_partition_cells(n_cells, lines):
+    # A cell no line covers would be left unwritten by the line solve.
+    with pytest.raises(ContractViolationError, match="partition"):
+        LineSet(n_cells, lines)
+
+
 def test_lineset_text_format():
     ls = LineSet(4, [[2, 1], [0], [3]])
     assert ls.to_text() == "2 1\n0\n3\n"
@@ -184,7 +197,7 @@ def test_partition_and_path_validity_property(nx, ny, seed, threshold):
                 edges.append((k, k + nx))
                 weights.append(10.0 ** rng.uniform(-3, 3))
     ls = extract_lines(coupling_blocks(nx * ny, edges, weights), threshold)
-    assert ls.is_partition()
+    assert covers_each_cell_once(ls)
     adjacency = {tuple(sorted(e)) for e in edges}
     for line in ls.lines:
         assert len(set(line)) == len(line)

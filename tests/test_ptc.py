@@ -278,8 +278,12 @@ def test_config_validation():
                 {"target_residual_reduction": float("nan")},
                 {"target_residual_absolute": 0.0},
                 {"target_residual_absolute": float("nan")},
+                {"target_residual_absolute": float("inf")},
                 {"cfl_max": 5.0}, {"cfl_max": float("nan")},
-                {"max_newton_steps": 0}):
+                {"cfl_max": float("inf")},
+                {"cfl_init": 1e308, "cfl_max": float("inf")},
+                {"max_newton_steps": 0}, {"max_newton_steps": 2.5},
+                {"max_krylov": 2.5}):
         with pytest.raises(ValueError):
             PtcConfig(**bad)
 

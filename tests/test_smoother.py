@@ -22,6 +22,8 @@ def test_schedule_validation():
         RkSchedule((float("nan"), 1.0))  # NaN is not in (0, 1]
     with pytest.raises(ValueError):
         RkSchedule((1.0,), n_cycles=-1)
+    with pytest.raises(ValueError):
+        RkSchedule((1.0,), n_cycles=2.5)
     assert RkSchedule((1.0,), n_cycles=0).n_cycles == 0
 
 

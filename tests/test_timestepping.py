@@ -6,7 +6,7 @@ from ptcsmooth.core import (BlockLayout, BlockVector, FirstOrderBlocks,
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.smoother import RkSchedule
 from ptcsmooth.timestepping import (BdfStepSystem, UnsteadyConfig,
-                                    advance_unsteady, bdf_residual)
+                                    advance_unsteady)
 from ptcsmooth.problems import make_aniso_convdiff, make_bratu
 
 from conftest import diffusion_chain
@@ -39,13 +39,13 @@ class ZeroSystem(NonlinearSystem):
         return np.ones(self._layout.n_cells)
 
     def initial_state(self):
-        return BlockVector.zeros(self._layout)
+        return BlockVector(self._layout)
 
 
 def test_steady_state_is_fixed_point():
     sys = diffusion_chain(n=8, b=1)
     w_star = sys.solution()
-    r = bdf_residual(sys, w_star, w_star, w_star, dt=0.1)
+    r = BdfStepSystem(sys, w_star, w_star, dt=0.1).residual(w_star)
     assert l2_norm(r) <= 1e-12 * max(1.0, np.linalg.norm(sys.rhs))
 
 
@@ -54,7 +54,7 @@ def test_infinite_dt_recovers_steady_residual():
     w = p.initial_state()
     rng = np.random.default_rng(0)
     w_prev = BlockVector(p.layout, 0.1 * rng.standard_normal(16))
-    r_unsteady = bdf_residual(p, w, w_prev, w_prev, dt=1e12)
+    r_unsteady = BdfStepSystem(p, w_prev, w_prev, dt=1e12).residual(w)
     r_steady = p.residual(w)
     assert l2_norm(r_unsteady - r_steady) <= 1e-9 * l2_norm(r_steady)
 
@@ -71,7 +71,8 @@ def test_bdf2_exact_on_quadratics():
     def state(t):
         return BlockVector(sys.layout, c * t * t)
 
-    r = bdf_residual(sys, state(t_n), state(t_n - dt), state(t_n - 2 * dt), dt)
+    r = BdfStepSystem(sys, state(t_n - dt), state(t_n - 2 * dt),
+                      dt).residual(state(t_n))
     exact = 2.0 * c * t_n
     assert np.allclose(r, exact, rtol=1e-12)
 
@@ -83,7 +84,7 @@ def test_bdf1_startup_stencil():
     dt = 0.25
     w = BlockVector(sys.layout, c)
     w_prev = BlockVector(sys.layout, np.zeros(n))
-    r = bdf_residual(sys, w, w_prev, None, dt)
+    r = BdfStepSystem(sys, w_prev, None, dt).residual(w)
     assert np.allclose(r, c / dt, rtol=1e-14)
 
 
@@ -92,11 +93,12 @@ def test_dt_validation():
     w = sys.initial_state()
     for dt in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="dt must be positive"):
-            bdf_residual(sys, w, w, None, dt)
-        with pytest.raises(ValueError, match="dt must be positive"):
             BdfStepSystem(sys, w, None, dt)
         with pytest.raises(ValueError, match="dt must be positive"):
             UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
+    for n_steps in (0, 2.5):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            UnsteadyConfig(dt=0.1, n_steps=n_steps, inner=PtcConfig())
 
 
 def test_wrapped_system_jacobian_is_exact():
@@ -192,7 +194,7 @@ def test_stagnation_aborts_with_partial_history():
     inner = PtcConfig(max_krylov=1, linear_rel_tol=1e-12, max_newton_steps=60)
     hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=3, inner=inner))
     assert hist.aborted
-    assert hist.n_steps_completed == 1
+    assert len(hist.reports) == 1
     assert hist.reports[0].outcome == SolveOutcome.STAGNATED
 
 
@@ -203,5 +205,5 @@ def test_unconverged_inner_solve_aborts():
     inner = PtcConfig(max_newton_steps=2)
     hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=3, inner=inner))
     assert hist.aborted
-    assert hist.n_steps_completed == 1
+    assert len(hist.reports) == 1
     assert hist.reports[0].outcome == SolveOutcome.STEP_BUDGET_EXHAUSTED
