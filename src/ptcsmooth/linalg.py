@@ -134,43 +134,38 @@ class BlockTridiagFactorization:
     """Pivot-free block LU of the line-structured operator.
 
     Cells on multi-cell lines couple through their retained off-diagonal
-    blocks; singleton lines degenerate to standalone block inversions.
-    ``binv`` runs over the cells and ``gamma``/``lower`` over the pairs of
-    ``lines.pairs``, both in line order, so line ``li`` starting at cell
-    position ``pos`` owns the pairs from ``pos - li`` on.
+    blocks; singleton lines degenerate to standalone block inversions. The
+    arrays follow the padded layout of ``lines.index`` (see ``LineBlocks``),
+    whose padded slots hold identity pivots and zero couplings, so one sweep
+    over line position serves every line.
     Immutable after construction and safe to share read-only.
     """
 
     layout: BlockLayout
     lines: LineSet
-    binv: np.ndarray     # (n_cells, b, b) inverted pivot blocks
-    gamma: np.ndarray    # (n_pairs, b, b) back-substitution blocks
-    lower: np.ndarray    # (n_pairs, b, b) sub-diagonal blocks dR_q/dw_p
+    binv: np.ndarray     # (k_max, n_lines, b, b) inverted pivot blocks
+    gamma: np.ndarray    # (k_max - 1, n_lines, b, b) back-substitution blocks
+    lower: np.ndarray    # (k_max - 1, n_lines, b, b) sub-diagonal blocks dR_q/dw_p
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
-        """Forward/backward substitution per line; independent lines independent."""
+        """Forward/backward substitution over line position, all lines at once."""
         if r.shape != (self.layout.n_dofs,):
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
                 f"factorization's {self.layout.n_dofs} unknowns")
-        b = self.layout.block_size
-        x = np.empty_like(r)
-        rc = r.reshape(self.layout.n_cells, b)
-        xc = x.reshape(self.layout.n_cells, b)
+        n, b = self.layout.n_cells, self.layout.block_size
+        index = self.lines.index
+        padded = np.zeros((n + 1, b))    # row n: the dummy cell
+        padded[:n] = r.reshape(n, b)
+        y = padded[index][..., None]     # (k_max, n_lines, b, 1), in place
         binv, gamma, lower = self.binv, self.gamma, self.lower
-        pos = 0
-        for li, cells in enumerate(self.lines.lines):
-            k = len(cells)
-            j = pos - li    # the line's first pair
-            y = np.empty((k, b))
-            y[0] = binv[pos] @ rc[cells[0]]
-            for m in range(1, k):
-                y[m] = binv[pos + m] @ (rc[cells[m]] - lower[j + m - 1] @ y[m - 1])
-            xc[cells[k - 1]] = y[k - 1]
-            for m in range(k - 2, -1, -1):
-                xc[cells[m]] = y[m] - gamma[j + m] @ xc[cells[m + 1]]
-            pos += k
-        return x
+        y[0] = binv[0] @ y[0]
+        for m in range(1, len(y)):
+            y[m] = binv[m] @ (y[m] - lower[m - 1] @ y[m - 1])
+        for m in range(len(y) - 2, -1, -1):
+            y[m] -= gamma[m] @ y[m + 1]
+        padded[index] = y[..., 0]
+        return padded[:n].reshape(-1)
 
 
 def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:
@@ -187,36 +182,44 @@ def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:
     return inv
 
 
+def _invert_pivots(pivots: np.ndarray, pos: int) -> np.ndarray:
+    """Invert every line's pivot at position ``pos`` in one call. A failure
+    names its line: the first failing position, then the lowest line."""
+    try:
+        inv = np.linalg.inv(pivots)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.all(np.isfinite(inv)):
+        inv = np.array([_invert_pivot(block, li, pos)
+                        for li, block in enumerate(pivots)])
+    return inv
+
+
 def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
                          upper: np.ndarray,
                          lower: np.ndarray) -> BlockTridiagFactorization:
-    """Block Thomas factorization along each line of ``lines``.
+    """Block Thomas factorization of every line of ``lines`` at once.
 
-    ``diag_blocks`` is (n_cells, b, b). ``upper`` and ``lower`` are
-    (n_pairs, b, b) over ``lines.pairs``: for pair k = (p, q), ``upper[k]``
-    is dR_p/dw_q and ``lower[k]`` is dR_q/dw_p.
+    ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
+    padded couplings of ``LineBlocks``, (k_max - 1, n_lines, b, b).
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
     if b != b2 or n_cells != lines.n_cells:
         raise ContractViolationError("diagonal block array shape mismatch")
-    pair_shape = (len(lines.pairs), b, b)
+    layout = BlockLayout(n_cells, b)
+    pair_shape = lines.index[1:].shape + (b, b)
     if upper.shape != pair_shape or lower.shape != pair_shape:
         raise ContractViolationError(
             f"coupling arrays {upper.shape} and {lower.shape} do not match "
             f"the line pairs {pair_shape}")
 
-    binv = np.empty((n_cells, b, b))
+    # The dummy cell's identity pivot keeps padded slots inert.
+    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
+    binv = np.empty(diag.shape)
     gamma = np.empty(pair_shape)
-    pos = 0
-    for li, cells in enumerate(lines.lines):
-        binv[pos] = _invert_pivot(diag_blocks[cells[0]], li, 0)
-        j = pos - li    # the line's first pair
-        for m in range(1, len(cells)):
-            k = j + m - 1
-            gamma[k] = binv[pos + m - 1] @ upper[k]
-            pivot = diag_blocks[cells[m]] - lower[k] @ gamma[k]
-            binv[pos + m] = _invert_pivot(pivot, li, m)
-        pos += len(cells)
-    return BlockTridiagFactorization(BlockLayout(n_cells, b), lines, binv,
-                                     gamma, lower)
+    binv[0] = _invert_pivots(diag[0], 0)
+    for m in range(1, len(diag)):
+        gamma[m - 1] = binv[m - 1] @ upper[m - 1]
+        binv[m] = _invert_pivots(diag[m] - lower[m - 1] @ gamma[m - 1], m)
+    return BlockTridiagFactorization(layout, lines, binv, gamma, lower)

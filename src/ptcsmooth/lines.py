@@ -27,9 +27,10 @@ class LineSet:
 
     n_cells: int
     lines: List[List[int]]
-    # (n_pairs, 2): consecutive in-line pairs (p, q), line after line, in
-    # line order; derived once, since a line set is frozen for a solve.
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    # (k_max, n_lines): the cell at each position of each line, position
+    # first; a line shorter than the longest is padded with the dummy index
+    # n_cells. Built once, since a line set is frozen for a solve.
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = sorted(c for line in self.lines for c in line)
@@ -37,9 +38,10 @@ class LineSet:
             raise ContractViolationError(
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")
-        self.pairs = np.array([pq for line in self.lines
-                               for pq in zip(line[:-1], line[1:])],
-                              dtype=int).reshape(-1, 2)
+        k_max = max(map(len, self.lines), default=0)
+        self.index = np.full((k_max, len(self.lines)), self.n_cells, dtype=int)
+        for li, line in enumerate(self.lines):
+            self.index[:len(line), li] = line
 
     def multi_cell_lines(self) -> List[List[int]]:
         return [line for line in self.lines if len(line) > 1]
@@ -55,35 +57,44 @@ class LineSet:
 @dataclass(frozen=True)
 class LineBlocks:
     """First-order Jacobian blocks restricted to a line set: every diagonal
-    block, and the couplings of each pair k = (p, q) of ``lines.pairs``:
-    ``upper[k]`` is dR_p/dw_q and ``lower[k]`` is dR_q/dw_p."""
+    block, and the couplings of consecutive in-line cells in the padded
+    layout of ``lines.index``. For p = index[m, li] and q = index[m + 1, li],
+    ``upper[m, li]`` is dR_p/dw_q and ``lower[m, li]`` is dR_q/dw_p; a slot
+    whose q is the dummy index holds zero blocks."""
 
     lines: LineSet
     diag: np.ndarray    # (n_cells, b, b)
-    upper: np.ndarray   # (n_pairs, b, b)
-    lower: np.ndarray   # (n_pairs, b, b)
+    upper: np.ndarray   # (k_max - 1, n_lines, b, b)
+    lower: np.ndarray   # (k_max - 1, n_lines, b, b)
 
 
 def assemble_line_blocks(blocks: FirstOrderBlocks,
                          lines: LineSet) -> LineBlocks:
-    """Gather the couplings of consecutive in-line pairs, found among the
-    stencil edges (i < j) by a sorted search rather than a walk over every
-    edge; a pair that runs against its edge takes the edge's blocks swapped."""
-    pairs = np.sort(lines.pairs, axis=1)
+    """Gather the couplings of consecutive in-line cells into the padded
+    layout, found among the stencil edges (i < j) by a sorted search rather
+    than a walk over every edge; a pair that runs against its edge takes the
+    edge's blocks swapped."""
     n = lines.n_cells
+    p, q = lines.index[:-1], lines.index[1:]
+    real = q < n
+    p, q = p[real], q[real]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
     keys = blocks.edges[:, 0] * n + blocks.edges[:, 1]
     order = np.argsort(keys)
-    wanted = pairs[:, 0] * n + pairs[:, 1]
+    wanted = lo * n + hi
     pos = np.searchsorted(keys[order], wanted)
     missing = np.append(keys[order], -1)[pos] != wanted   # -1: past the end
     if np.any(missing):
+        i = np.argmax(missing)
         raise ContractViolationError(
-            f"line pair {tuple(pairs[np.argmax(missing)].tolist())} "
-            "has no stencil edge")
+            f"line pair {(int(lo[i]), int(hi[i]))} has no stencil edge")
     k = order[pos]
-    forward = (lines.pairs[:, 0] < lines.pairs[:, 1])[:, None, None]
-    upper = np.where(forward, blocks.off_ij[k], blocks.off_ji[k])
-    lower = np.where(forward, blocks.off_ji[k], blocks.off_ij[k])
+    forward = (p < q)[:, None, None]
+    b = blocks.diag.shape[1]
+    upper = np.zeros(real.shape + (b, b))
+    lower = np.zeros(real.shape + (b, b))
+    upper[real] = np.where(forward, blocks.off_ij[k], blocks.off_ji[k])
+    lower[real] = np.where(forward, blocks.off_ji[k], blocks.off_ij[k])
     return LineBlocks(lines, blocks.diag, upper, lower)
 
 

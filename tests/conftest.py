@@ -87,32 +87,32 @@ def full_chain_lines(n):
     return LineSet(n, [list(range(n))])
 
 
-def random_couplings(rng, n_pairs, b, scale):
-    """``upper`` and ``lower`` coupling arrays for ``n_pairs`` line pairs,
-    drawn pair by pair, upper block first."""
-    upper = np.empty((n_pairs, b, b))
-    lower = np.empty((n_pairs, b, b))
-    for k in range(n_pairs):
-        upper[k] = scale * rng.standard_normal((b, b))
-        lower[k] = scale * rng.standard_normal((b, b))
+def random_couplings(rng, line_set, b, scale):
+    """Padded ``upper`` and ``lower`` coupling arrays for the consecutive
+    pairs of ``line_set``, drawn pair by pair in line order, upper block
+    first; slots past a line's end stay zero."""
+    upper = np.zeros(line_set.index[1:].shape + (b, b))
+    lower = np.zeros_like(upper)
+    for li, line in enumerate(line_set.lines):
+        for m in range(len(line) - 1):
+            upper[m, li] = scale * rng.standard_normal((b, b))
+            lower[m, li] = scale * rng.standard_normal((b, b))
     return upper, lower
 
 
 def dense_from_lines(line_set, diag_blocks, upper, lower):
-    """Assemble the line-structured operator densely (test oracle): pair k
-    is the k-th consecutive in-line pair (p, q), line after line, with
-    ``upper[k]`` at block (p, q) and ``lower[k]`` at block (q, p)."""
+    """Assemble the line-structured operator densely (test oracle): the pair
+    (p, q) at positions m and m + 1 of line li puts ``upper[m, li]`` at block
+    (p, q) and ``lower[m, li]`` at block (q, p)."""
     n, b, _ = diag_blocks.shape
+    assert upper.shape == lower.shape == line_set.index[1:].shape + (b, b)
     A = np.zeros((n * b, n * b))
     for i in range(n):
         A[i * b:(i + 1) * b, i * b:(i + 1) * b] = diag_blocks[i]
-    k = 0
-    for line in line_set.lines:
-        for p, q in zip(line[:-1], line[1:]):
-            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[k]
-            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[k]
-            k += 1
-    assert k == len(upper) == len(lower)
+    for li, line in enumerate(line_set.lines):
+        for m, (p, q) in enumerate(zip(line[:-1], line[1:])):
+            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[m, li]
+            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[m, li]
     return A
 
 

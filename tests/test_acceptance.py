@@ -207,7 +207,7 @@ def test_criterion_08_oracle_equivalences():
             rng2 = np.random.default_rng(31 * length + bsz)
             lines = LineSet(length, [list(range(length))])
             diag = rng2.standard_normal((length, bsz, bsz)) + 3.0 * bsz * np.eye(bsz)
-            upper, lower = random_couplings(rng2, length - 1, bsz, 0.5)
+            upper, lower = random_couplings(rng2, lines, bsz, 0.5)
             fact = factor_block_tridiag(lines, diag, upper, lower)
             dense = dense_from_lines(lines, diag, upper, lower)
             r = rng2.standard_normal(length * bsz)

@@ -115,7 +115,7 @@ def test_identity_factorization_is_identity():
     n, b = 6, 2
     lines = singleton_lines(n)
     diag = np.broadcast_to(np.eye(b), (n, b, b)).copy()
-    none = np.zeros((0, b, b))
+    none = np.zeros((0, n, b, b))
     fact = factor_block_tridiag(lines, diag, none, none)
     r = np.arange(float(n * b))
     assert np.allclose(fact.solve_values(r), r)
@@ -125,7 +125,7 @@ def test_scalar_poisson_line_matches_dense():
     n = 5
     lines = LineSet(n, [list(range(n))])
     diag = np.full((n, 1, 1), 2.0)
-    off = np.full((n - 1, 1, 1), -1.0)
+    off = np.full((n - 1, 1, 1, 1), -1.0)
     fact = factor_block_tridiag(lines, diag, off, off)
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
@@ -139,7 +139,7 @@ def test_block2_line_matches_dense():
     n, b = 3, 2
     lines = LineSet(n, [[0, 1, 2]])
     diag = rng.standard_normal((n, b, b)) + 4.0 * np.eye(b)
-    upper, lower = random_couplings(rng, n - 1, b, 0.5)
+    upper, lower = random_couplings(rng, lines, b, 0.5)
     fact = factor_block_tridiag(lines, diag, upper, lower)
     r = rng.standard_normal(n * b)
     A = dense_from_lines(lines, diag, upper, lower)
@@ -151,7 +151,7 @@ def test_independent_lines_do_not_couple():
     n = 6
     lines = LineSet(n, [[0, 1, 2], [3, 4, 5]])
     diag = np.full((n, 1, 1), 3.0)
-    off = np.full((4, 1, 1), -1.0)
+    off = np.full((2, 2, 1, 1), -1.0)
     fact = factor_block_tridiag(lines, diag, off, off)
     r = np.zeros(n)
     r[:3] = [1.0, 2.0, 3.0]
@@ -165,7 +165,7 @@ def test_factor_solve_roundtrip():
     n, b = 7, 3
     lines = LineSet(n, [list(range(n))])
     diag = rng.standard_normal((n, b, b)) + 5.0 * np.eye(b)
-    upper, lower = random_couplings(rng, n - 1, b, 0.4)
+    upper, lower = random_couplings(rng, lines, b, 0.4)
     fact = factor_block_tridiag(lines, diag, upper, lower)
     A = dense_from_lines(lines, diag, upper, lower)
     r = rng.standard_normal(n * b)
@@ -177,18 +177,45 @@ def test_singular_pivot_names_line_and_position():
     lines = LineSet(2, [[0, 1]])
     diag = np.zeros((2, 1, 1))
     diag[0, 0, 0] = 1.0  # second pivot is singular
-    off = np.zeros((1, 1, 1))
+    off = np.zeros((1, 1, 1, 1))
     with pytest.raises(SingularPivotError, match="line 0 at position 1"):
         factor_block_tridiag(lines, diag, off, off)
 
 
+@pytest.mark.parametrize("zero_cells, message", [
+    ([4], "line 1 at position 2"),
+    ([1, 3], "line 0 at position 1"),      # same position: the lowest line
+    ([4, 5], "line 2 at position 0"),      # the first position wins
+])
+def test_singular_pivot_on_later_line(zero_cells, message):
+    lines = LineSet(6, [[0, 1], [2, 3, 4], [5]])
+    diag = np.ones((6, 1, 1))
+    diag[zero_cells] = 0.0
+    off = np.zeros((2, 3, 1, 1))
+    with pytest.raises(SingularPivotError,
+                       match=f"singular pivot block on {message}$"):
+        factor_block_tridiag(lines, diag, off, off)
+
+
+def test_overflowing_pivot_inverse_names_line_and_position():
+    lines = LineSet(5, [[0, 1], [2, 3, 4]])
+    diag = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    diag[3] = 1e-310 * np.eye(2)    # invertible, but 1/1e-310 overflows
+    off = np.zeros((2, 2, 2, 2))
+    with pytest.raises(SingularPivotError,
+                       match="non-finite pivot inverse on line 1 at position 1$"):
+        factor_block_tridiag(lines, diag, off, off)
+
+
 @pytest.mark.parametrize("upper_shape, lower_shape", [
-    ((1, 2, 2), (2, 2, 2)), ((2, 2, 2), (1, 2, 2)),
-    ((3, 2, 2), (3, 2, 2)), ((2, 1, 1), (2, 1, 1)),
+    ((1, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 2), (1, 2, 2, 2)),
+    ((3, 2, 2, 2), (3, 2, 2, 2)), ((2, 2, 1, 1), (2, 2, 1, 1)),
+    ((2, 1, 2, 2), (2, 1, 2, 2)),
 ], ids=["upper_missing_pair", "lower_missing_pair", "extra_pair",
-        "block_size"])
+        "block_size", "missing_line"])
 def test_coupling_shape_must_match_line_pairs(upper_shape, lower_shape):
-    # A line of three cells has two pairs; nothing stands in for a missing one.
+    # The longest line has three cells, so two pair positions over the two
+    # lines; nothing stands in for a missing one.
     lines = LineSet(4, [[0, 1, 2], [3]])
     diag = np.broadcast_to(4.0 * np.eye(2), (4, 2, 2)).copy()
     with pytest.raises(ContractViolationError, match="line pairs"):
@@ -198,7 +225,7 @@ def test_coupling_shape_must_match_line_pairs(upper_shape, lower_shape):
 
 def test_layout_mismatch_rejected():
     lines = singleton_lines(3)
-    none = np.zeros((0, 1, 1))
+    none = np.zeros((0, 3, 1, 1))
     fact = factor_block_tridiag(lines, np.ones((3, 1, 1)), none, none)
     with pytest.raises(ContractViolationError):
         fact.solve_values(np.zeros(6))   # a layout of 3 cells x 2
@@ -212,10 +239,63 @@ def test_line_solve_matches_dense_property(length, b, seed):
     rng = np.random.default_rng(seed)
     lines = LineSet(length, [list(range(length))])
     diag = rng.standard_normal((length, b, b)) + (3.0 * b) * np.eye(b)
-    upper, lower = random_couplings(rng, length - 1, b, 0.5)
+    upper, lower = random_couplings(rng, lines, b, 0.5)
     fact = factor_block_tridiag(lines, diag, upper, lower)
     A = dense_from_lines(lines, diag, upper, lower)
     r = rng.standard_normal(length * b)
     x = fact.solve_values(r)
     ref = np.linalg.solve(A, r)
     assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+
+
+def _loop_solve(lines, diag, upper, lower, r):
+    """Reference block Thomas solve, one line and one cell at a time, with
+    the batched kernel's arithmetic on each block."""
+    b = diag.shape[1]
+    x = np.empty_like(r).reshape(-1, b)
+    rc = r.reshape(-1, b)
+    for li, cells in enumerate(lines.lines):
+        k = len(cells)
+        binv = [np.linalg.inv(diag[cells[0]])]
+        gamma = []
+        for m in range(1, k):
+            gamma.append(binv[m - 1] @ upper[m - 1, li])
+            binv.append(np.linalg.inv(
+                diag[cells[m]] - lower[m - 1, li] @ gamma[m - 1]))
+        y = [binv[0] @ rc[cells[0]]]
+        for m in range(1, k):
+            y.append(binv[m] @ (rc[cells[m]] - lower[m - 1, li] @ y[m - 1]))
+        x[cells[k - 1]] = y[k - 1]
+        for m in range(k - 2, -1, -1):
+            x[cells[m]] = y[m] - gamma[m] @ x[cells[m + 1]]
+    return x.reshape(-1)
+
+
+@st.composite
+def mixed_lines(draw):
+    """A partition of 1-30 cells into lines of mixed length (singletons
+    included), each line's cells in random order."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    cells = draw(st.permutations(range(n)))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))
+                if n > 1 else st.just(set()))
+    bounds = [0, *sorted(cuts), n]
+    return LineSet(n, [cells[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_lines(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_mixed_length_lines_match_dense_property(lines, b, seed):
+    rng = np.random.default_rng(seed)
+    n = lines.n_cells
+    diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
+    upper, lower = random_couplings(rng, lines, b, 0.5)
+    fact = factor_block_tridiag(lines, diag, upper, lower)
+    A = dense_from_lines(lines, diag, upper, lower)
+    r = rng.standard_normal(n * b)
+    x = fact.solve_values(r)
+    ref = np.linalg.solve(A, r)
+    assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+    assert np.array_equal(fact.solve_values(r), x)
+    assert x.tobytes() == _loop_solve(lines, diag, upper, lower, r).tobytes()

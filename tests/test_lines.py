@@ -54,13 +54,19 @@ def test_line_blocks_follow_line_direction():
     expected = {}
     for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
-    pairs = [(15, 11), (11, 7), (7, 3), (0, 1), (1, 2)]
-    assert lb.lines.pairs.tolist() == [list(pq) for pq in pairs]
-    assert lb.upper.shape == lb.lower.shape == (len(pairs), 1, 1)
-    for (row, col), up, lo in zip(pairs, lb.upper, lb.lower):
+    # (row, col) pairs at their (position, line) slots; every other slot
+    # lies past a line's end and holds zero blocks.
+    pairs = {(0, 0): (15, 11), (1, 0): (11, 7), (2, 0): (7, 3),
+             (0, 1): (0, 1), (1, 1): (1, 2)}
+    assert lb.upper.shape == lb.lower.shape == (3, 11, 1, 1)
+    padded = np.ones((3, 11), dtype=bool)
+    for (m, li), (row, col) in pairs.items():
+        assert lb.lines.index[m:m + 2, li].tolist() == [row, col]
         assert not np.array_equal(expected[(row, col)], expected[(col, row)])
-        assert np.array_equal(up, expected[(row, col)])   # dR_row/dw_col
-        assert np.array_equal(lo, expected[(col, row)])   # dR_col/dw_row
+        assert np.array_equal(lb.upper[m, li], expected[(row, col)])   # dR_row/dw_col
+        assert np.array_equal(lb.lower[m, li], expected[(col, row)])   # dR_col/dw_row
+        padded[m, li] = False
+    assert np.all(lb.upper[padded] == 0.0) and np.all(lb.lower[padded] == 0.0)
     assert np.array_equal(lb.diag, blocks.diag)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
         assemble_line_blocks(p.first_order_blocks(w), with_singletons([0, 5]))
