@@ -41,7 +41,10 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
     ``A`` and ``precon`` map a flat array to a new flat array of the same
     length. Returns the best iterate found and stats; non-convergence within
-    ``max_vectors`` is reported through ``stats.converged``, not raised.
+    ``max_vectors`` is reported through ``stats.converged``, not raised, and
+    so is a zero Arnoldi column (``A precon`` singular on the Krylov space),
+    which ends the solve with the iterate from the columns before it.
+    ``stats.iterations`` counts applications of ``A``.
     The residual norm is tracked through the Givens recurrence, so the
     convergence test is relative reduction of that recurrence norm.
     """
@@ -60,12 +63,13 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     m = min(max_vectors, n)
     V = np.zeros((m + 1, n))
     H = np.zeros((m + 1, m))
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    g = np.zeros(m + 1)
+    # The rotations and the rotated right-hand side are Python floats: they
+    # round exactly as float64 scalars do, without numpy's indexing cost.
+    cs, sn = [], []
+    g = [b_norm]
 
     V[0] = b / b_norm
-    g[0] = b_norm
+    rows = list(V)
     tol_abs = rel_tol * b_norm
     breakdown_tol = np.finfo(float).eps * b_norm
 
@@ -73,36 +77,44 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     residual = b_norm
     converged = False
     for j in range(m):
-        w = A(precon(V[j]))
+        basis = rows[:j + 1]
+        w = A(precon(rows[j]))
         if not np.all(np.isfinite(w)):
             raise ContractViolationError("operator produced non-finite output")
 
         norm_before = np.linalg.norm(w)
-        for i in range(j + 1):
-            h = np.dot(V[i], w)
-            H[i, j] += h
-            w -= h * V[i]
+        col = [0.0] * (j + 2)
+        for i, v in enumerate(basis):
+            h = float(np.dot(v, w))
+            col[i] += h
+            w -= h * v
         w_norm = np.linalg.norm(w)
         # One re-orthogonalization pass when cancellation is severe.
         if w_norm < _REORTH_RATIO * norm_before:
-            for i in range(j + 1):
-                h = np.dot(V[i], w)
-                H[i, j] += h
-                w -= h * V[i]
+            for i, v in enumerate(basis):
+                h = float(np.dot(v, w))
+                col[i] += h
+                w -= h * v
             w_norm = np.linalg.norm(w)
-        H[j + 1, j] = w_norm
+        col[j + 1] = float(w_norm)
 
         # Apply accumulated Givens rotations to the new column.
-        for i in range(j):
-            hij = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = hij
-        denom = np.hypot(H[j, j], H[j + 1, j])
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+        for i, (c, s) in enumerate(zip(cs, sn)):
+            top, bottom = col[i], col[i + 1]
+            col[i] = c * top + s * bottom
+            col[i + 1] = -s * top + c * bottom
+        denom = float(np.hypot(col[j], col[j + 1]))
+        if denom == 0.0:
+            # The rotated column is zero: it cannot be rotated and cannot
+            # reduce the least-squares residual. Stop with the iterate from
+            # the columns before it.
+            break
+        cs.append(col[j] / denom)
+        sn.append(col[j + 1] / denom)
+        col[j] = denom
+        col[j + 1] = 0.0
+        H[:j + 2, j] = col
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
 
         k = j + 1
@@ -110,7 +122,7 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
         if residual <= tol_abs:
             converged = True
             break
-        if H[j, j] == 0.0 or w_norm <= breakdown_tol:
+        if w_norm <= breakdown_tol:
             # Arnoldi breakdown: the Krylov space is invariant, the current
             # least-squares solution is exact up to round-off.
             converged = residual <= breakdown_tol * 10
@@ -122,7 +134,8 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
     x = precon(V[:k].T @ y)
-    return x, GmresStats(k, residual / b_norm, converged)
+    # j + 1 operator applications; k < j + 1 only after a zero column.
+    return x, GmresStats(j + 1, residual / b_norm, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ primitive variables; ``first_order_blocks`` comes from the unreconstructed
 scheme with frozen wave speeds, so the preconditioner is deliberately inexact
 while ``jacobian_vector`` differentiates the true residual by hand.
 
+A problem keeps the primal quantities of the last state it evaluated, found
+again by the state's bytes, so the Jacobian-vector products of one Krylov
+solve evaluate only the tangent. A problem instance is therefore not safe to
+share between threads.
+
 Subsonic characteristic-count boundaries: density and velocity are imposed at
 the inflow with pressure taken from the interior, and static pressure is
 imposed at the outflow with density and velocity extrapolated.
@@ -17,6 +22,7 @@ treat as a soft rejection signal.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,20 +38,6 @@ _SLOPE_EPS = 1e-7   # van Albada regularization; primitives are O(1) here, so
 def default_nozzle_area(x):
     """Converging-diverging profile on [0, 1]: throat area 1 at x = 0.5."""
     return 1.0 + 0.4 * (2.0 * np.asarray(x) - 1.0) ** 2
-
-
-def _van_albada(dq, ddq=None):
-    """Smooth limited slopes from the backward/forward differences
-    ``dq[:-1]``/``dq[1:]``, and their tangent along ``ddq`` (else None)."""
-    a, b = dq[:-1], dq[1:]
-    num = a * a * b + a * b * b
-    den = a * a + b * b + _SLOPE_EPS
-    if ddq is None:
-        return num / den, None
-    da, db = ddq[:-1], ddq[1:]
-    dnum = (2.0 * a * b + b * b) * da + (a * a + 2.0 * a * b) * db
-    dden = 2.0 * a * da + 2.0 * b * db
-    return num / den, (dnum * den - num * dden) / den ** 2
 
 
 class Quasi1dEulerProblem(NonlinearSystem):
@@ -78,9 +70,12 @@ class Quasi1dEulerProblem(NonlinearSystem):
         if not np.all(np.isfinite(areas) & (areas > 0.0)):
             raise ValueError("nozzle area must be positive and finite")
         self.da = self.a_faces[1:] - self.a_faces[:-1]
+        self._half_area = 0.5 * self.a_faces
 
         self._layout = BlockLayout(n_cells, 3)
         self.cell_measures = self.a_centers * self.dx
+        self._state_key = None
+        self._evaluation = None
 
     @property
     def layout(self) -> BlockLayout:
@@ -125,105 +120,31 @@ class Quasi1dEulerProblem(NonlinearSystem):
 
     # -- residual and exact jacobian-vector product ---------------------------
 
-    def _face_states(self, rho, u, p, tangents=None):
-        """Limited reconstruction of primitives to both sides of every face.
+    def _evaluate(self, values: np.ndarray) -> "_Evaluation":
+        """The scheme at ``values``, kept for the last state evaluated.
 
-        Returns (qL, qR, dqL, dqR): the face states, shape (n_faces, 3) in
-        (rho, u, p) order, and their tangents along ``tangents`` (None when
-        it is not given). Face 0 carries the inflow ghost on its left, face n
-        the outflow ghost on its right.
+        The state is compared by its bytes, not by identity: callers edit
+        states in place and Python reuses ids. A state that raises is never
+        kept, so it raises again on every call.
         """
-        prim = np.stack([rho, u, p], axis=1)
-        ghost_in = np.array([self.rho_in, self.u_in, p[0]])
-        ghost_out = np.array([rho[-1], u[-1], self.p_exit])
-        dq = np.diff(np.vstack([ghost_in, prim, ghost_out]), axis=0)  # (n+1, 3)
-        ddq = None
-        if tangents is not None:
-            drho, du, dp = tangents
-            dprim = np.stack([drho, du, dp], axis=1)
-            dghost_in = np.array([0.0, 0.0, dp[0]])
-            dghost_out = np.array([drho[-1], du[-1], 0.0])
-            ddq = np.diff(np.vstack([dghost_in, dprim, dghost_out]), axis=0)
-
-        sigma, dsigma = _van_albada(dq, ddq)
-        qL = np.vstack([ghost_in, prim + 0.5 * sigma])
-        qR = np.vstack([prim - 0.5 * sigma, ghost_out])
-        if ddq is None:
-            return qL, qR, None, None
-        dqL = np.vstack([dghost_in, dprim + 0.5 * dsigma])
-        dqR = np.vstack([dprim - 0.5 * dsigma, dghost_out])
-        return qL, qR, dqL, dqR
-
-    def _flux_terms(self, q, dq=None):
-        """Conserved state, physical flux and wave speed of face states."""
-        gm = self.gamma
-        rho, u, p = q[:, 0], q[:, 1], q[:, 2]
-        if np.any(rho <= 0.0) or np.any(p <= 0.0) or not np.all(np.isfinite(q)):
-            raise InadmissibleStateError("inadmissible reconstructed face state")
-        e_total = p / (gm - 1.0) + 0.5 * rho * u * u
-        U = np.stack([rho, rho * u, e_total], axis=1)
-        F = np.stack([rho * u, rho * u * u + p, u * (e_total + p)], axis=1)
-        c = np.sqrt(gm * p / rho)
-        s = np.abs(u) + c
-        if dq is None:
-            return U, F, s, None, None, None
-        drho, du, dp = dq[:, 0], dq[:, 1], dq[:, 2]
-        de = dp / (gm - 1.0) + 0.5 * u * u * drho + rho * u * du
-        dU = np.stack([drho, rho * du + u * drho, de], axis=1)
-        dF = np.stack([
-            rho * du + u * drho,
-            u * u * drho + 2.0 * rho * u * du + dp,
-            du * (e_total + p) + u * (de + dp),
-        ], axis=1)
-        dc = 0.5 * c * (dp / p - drho / rho)
-        ds = np.sign(u) * du + dc
-        return U, F, s, dU, dF, ds
-
-    def _assemble(self, values: np.ndarray, tangent: Optional[np.ndarray] = None):
-        """Face fluxes (n+1, 3) and source terms (n, 3) at ``values``, or
-        their tangents along ``tangent``."""
-        gm = self.gamma
-        rho, u, p = self._decode(values)
-
-        tangents = None
-        if tangent is not None:
-            V = tangent.reshape(self.n, 3)
-            drho = V[:, 0]
-            du = (V[:, 1] - u * drho) / rho
-            dp = (gm - 1.0) * (V[:, 2] - u * V[:, 1] + 0.5 * u * u * drho)
-            tangents = (drho, du, dp)
-
-        qL, qR, dqL, dqR = self._face_states(rho, u, p, tangents)
-        UL, FL, sL, dUL, dFL, dsL = self._flux_terms(qL, dqL)
-        UR, FR, sR, dUR, dFR, dsR = self._flux_terms(qR, dqR)
-        s = np.maximum(sL, sR)
-        half_area = 0.5 * self.a_faces[:, None]
-        source = np.zeros((self.n, 3))
-
-        if tangent is None:
-            source[:, 1] = p * self.da
-            return half_area * (FL + FR - s[:, None] * (UR - UL)), source
-
-        # max() tangent: side of the larger speed, averaged at exact ties so
-        # the product matches central differences everywhere.
-        ds = np.where(sL > sR, dsL, dsR)
-        tie = sL == sR
-        ds[tie] = 0.5 * (dsL[tie] + dsR[tie])
-        source[:, 1] = dp * self.da
-        return half_area * (dFL + dFR - ds[:, None] * (UR - UL)
-                            - s[:, None] * (dUR - dUL)), source
+        key = values.tobytes()
+        if key != self._state_key:
+            self._evaluation = _Evaluation(self, values)
+            self._state_key = key
+        return self._evaluation
 
     def residual(self, w: BlockVector) -> np.ndarray:
-        flux, source = self._assemble(w.values)
-        return (flux[1:] - flux[:-1] - source).ravel()
+        return self._evaluate(w.values).residual.copy()
 
     def residual_parts(self, w: BlockVector):
         """Face fluxes (n+1, 3) and source terms (n, 3) for diagnostics."""
-        return self._assemble(w.values)
+        ev = self._evaluate(w.values)
+        source = np.zeros((self.n, 3))
+        source[:, 1] = ev.source
+        return ev.flux.T.copy(), source
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        dflux, dsource = self._assemble(w.values, v)
-        return (dflux[1:] - dflux[:-1] - dsource).ravel()
+        return self._evaluate(w.values).jacobian_vector(v)
 
     # -- first-order preconditioner blocks ------------------------------------
 
@@ -301,6 +222,148 @@ class Quasi1dEulerProblem(NonlinearSystem):
     def functional(self, w: BlockVector) -> float:
         """Exit Mach number."""
         return float(self.mach(w)[-1])
+
+
+def _face_states(padded: np.ndarray, half_slope: np.ndarray) -> np.ndarray:
+    """Linear reconstruction to both sides of every face, shape (3, 2, n+1),
+    from ghost-padded cell values (3, n+2) and half slopes (3, n). Linear in
+    its inputs, so it maps the primal and the tangent alike."""
+    q = np.empty((3, 2, padded.shape[1] - 1))
+    q[:, 0, 0] = padded[:, 0]
+    np.add(padded[:, 1:-1], half_slope, out=q[:, 0, 1:])
+    np.subtract(padded[:, 1:-1], half_slope, out=q[:, 1, :-1])
+    q[:, 1, -1] = padded[:, -1]
+    return q
+
+
+class _Evaluation:
+    """The scheme at one state, and its exact tangent along any direction.
+
+    The primal pass (decoding, limited reconstruction, face fluxes and wave
+    speeds) runs once, at construction; the primal factors that only the
+    tangent reads are formed on the first ``jacobian_vector`` call. Each
+    tangent then repeats every floating-point operation of differentiating
+    the scheme in the same order, so it is bitwise reproducible.
+
+    Arrays are component-major: the first index is the primitive (rho, u, p)
+    or conserved (rho, rho u, E) component, face arrays then the side (0
+    left, 1 right) and the face. Column 0 of the padded primitives is the
+    inflow ghost and column n + 1 the outflow ghost.
+    """
+
+    def __init__(self, problem: Quasi1dEulerProblem, values: np.ndarray):
+        gm = problem.gamma
+        n = problem.n
+        rho, u, p = problem._decode(values)
+        prim = np.empty((3, n + 2))
+        prim[:, 1:-1] = rho, u, p
+        prim[:, 0] = problem.rho_in, problem.u_in, p[0]
+        prim[:, -1] = rho[-1], u[-1], problem.p_exit
+
+        # van Albada limited slopes from the backward/forward differences.
+        dq = prim[:, 1:] - prim[:, :-1]
+        a, b = dq[:, :-1], dq[:, 1:]
+        aa, bb = a * a, b * b
+        num = aa * b + a * b * b
+        den = aa + bb + _SLOPE_EPS
+        q = _face_states(prim, 0.5 * (num / den))
+        rho_f, u_f, p_f = q
+        if np.any(rho_f <= 0.0) or np.any(p_f <= 0.0) or not np.all(np.isfinite(q)):
+            raise InadmissibleStateError("inadmissible reconstructed face state")
+
+        e_total = p_f / (gm - 1.0) + 0.5 * rho_f * u_f * u_f
+        rho_u = rho_f * u_f
+        e_plus_p = e_total + p_f
+        c = np.sqrt(gm * p_f / rho_f)
+        speed = np.abs(u_f) + c
+        s = np.maximum(speed[0], speed[1])
+        cons = np.array((rho_f, rho_u, e_total))
+        phys = np.array((rho_u, rho_u * u_f + p_f, u_f * e_plus_p))
+        jump = cons[:, 1] - cons[:, 0]
+        self.flux = problem._half_area * (phys[:, 0] + phys[:, 1] - s * jump)
+        self.source = p * problem.da
+        res = self.flux[:, 1:] - self.flux[:, :-1]
+        res[1] -= self.source
+        self.residual = res.T.ravel()
+
+        self.problem = problem
+        # Only arrays computed here are kept: the decoded density is a view
+        # of the caller's state, which the caller may edit.
+        self.rho, self.u = prim[0, 1:-1], u
+        self.a, self.b, self.aa, self.bb = a, b, aa, bb
+        self.num, self.den = num, den
+        self.rho_f, self.u_f, self.p_f = rho_f, u_f, p_f
+        self.rho_u, self.e_plus_p, self.c, self.speed = rho_u, e_plus_p, c, speed
+        self.s, self.jump = s, jump
+        self._factors = None
+
+    def _tangent_factors(self):
+        """Primal prefixes of the tangent's products, left-associated as the
+        tangent evaluates them."""
+        a2, b2 = 2.0 * self.a, 2.0 * self.b
+        a2b = a2 * self.b
+        speed = self.speed
+        tie = speed[0] == speed[1]
+        u_f = self.u_f
+        return SimpleNamespace(
+            a2=a2, b2=b2,
+            dnum_da=a2b + self.bb, dnum_db=self.aa + a2b, den2=self.den ** 2,
+            half_u2_cell=0.5 * self.u * self.u,
+            half_u2=0.5 * u_f * u_f, u2=u_f * u_f,
+            two_rho_u=2.0 * self.rho_f * u_f,
+            half_c=0.5 * self.c, sign_u=np.sign(u_f),
+            left_faster=speed[0] > speed[1],
+            # At an exact tie the max() tangent is the two sides' average, so
+            # the product matches central differences everywhere.
+            tie=tie if tie.any() else None)
+
+    def jacobian_vector(self, v: np.ndarray) -> np.ndarray:
+        if self._factors is None:
+            self._factors = self._tangent_factors()
+        t = self._factors
+        problem = self.problem
+        gm = problem.gamma
+        n = problem.n
+        u = self.u
+        V = v.reshape(n, 3)
+        drho = V[:, 0]
+        dprim = np.empty((3, n + 2))
+        dprim[0, 1:-1] = drho
+        np.divide(V[:, 1] - u * drho, self.rho, out=dprim[1, 1:-1])
+        dp = np.multiply(gm - 1.0,
+                         V[:, 2] - u * V[:, 1] + t.half_u2_cell * drho,
+                         out=dprim[2, 1:-1])
+        # The inflow ghost varies with the first cell's pressure only, the
+        # outflow ghost with the last cell's density and velocity.
+        dprim[:2, 0] = 0.0
+        dprim[2, 0] = dp[0]
+        dprim[:2, -1] = dprim[:2, -2]
+        dprim[2, -1] = 0.0
+
+        ddq = dprim[:, 1:] - dprim[:, :-1]
+        da, db = ddq[:, :-1], ddq[:, 1:]
+        dnum = t.dnum_da * da + t.dnum_db * db
+        dden = t.a2 * da + t.b2 * db
+        drho_f, du_f, dp_f = _face_states(
+            dprim, 0.5 * ((dnum * self.den - self.num * dden) / t.den2))
+
+        rho_f, u_f = self.rho_f, self.u_f
+        de = dp_f / (gm - 1.0) + t.half_u2 * drho_f + self.rho_u * du_f
+        dm = rho_f * du_f + u_f * drho_f
+        dcons = np.array((drho_f, dm, de))
+        dphys = np.array((dm, t.u2 * drho_f + t.two_rho_u * du_f + dp_f,
+                          du_f * self.e_plus_p + u_f * (de + dp_f)))
+        dc = t.half_c * (dp_f / self.p_f - drho_f / rho_f)
+        dspeed = t.sign_u * du_f + dc
+        ds = np.where(t.left_faster, dspeed[0], dspeed[1])
+        if t.tie is not None:
+            ds[t.tie] = 0.5 * (dspeed[0][t.tie] + dspeed[1][t.tie])
+
+        dflux = problem._half_area * (dphys[:, 0] + dphys[:, 1] - ds * self.jump
+                                     - self.s * (dcons[:, 1] - dcons[:, 0]))
+        jv = dflux[:, 1:] - dflux[:, :-1]
+        jv[1] -= dp * problem.da
+        return jv.T.ravel()
 
 
 make_quasi1d_euler = Quasi1dEulerProblem

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptcsmooth.core import ContractViolationError
-from ptcsmooth.linalg import (SingularPivotError, factor_block_tridiag,
+from ptcsmooth.linalg import (GmresStats, SingularPivotError,
+                              factor_block_tridiag,
                               gmres_right_preconditioned)
 from ptcsmooth.lines import LineSet, singleton_lines
 
@@ -97,6 +98,119 @@ def test_gmres_nan_operator_raises():
     b = np.array([1.0, 1.0, 1.0])
     with pytest.raises(ContractViolationError):
         gmres_right_preconditioned(lambda x: x * np.nan, _identity, b, 1e-2, 3)
+
+
+@pytest.mark.parametrize("operator, b, iterations", [
+    (lambda x: 0.0 * x, np.ones(4), 1),
+    # Annihilates b (the constants) but not the space.
+    (lambda x: x - np.mean(x), np.ones(4), 1),
+    # Maps e0 to e1 and e1 to 0: the second column is the zero one.
+    (lambda x: np.array([0.0, x[0]]), np.array([1.0, 0.0]), 2),
+], ids=["zero", "annihilates_b", "zero_second_column"])
+def test_gmres_zero_column_stops_with_finite_iterate(operator, b, iterations):
+    x, stats = gmres_right_preconditioned(operator, _identity, b, 1e-2, 10)
+    assert stats == GmresStats(iterations, 1.0, False)
+    assert x.shape == b.shape and np.all(x == 0.0)
+
+
+def _reference_gmres(A, precon, b, rel_tol, max_vectors):
+    """The MGS/Givens loop with every scalar read and written through numpy
+    arrays: the reference GMRES must match bit for bit. Also returns how
+    many re-orthogonalization passes ran."""
+    n = len(b)
+    b_norm = float(np.linalg.norm(b))
+    m = min(max_vectors, n)
+    V = np.zeros((m + 1, n))
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    V[0] = b / b_norm
+    g[0] = b_norm
+    tol_abs = rel_tol * b_norm
+    breakdown_tol = np.finfo(float).eps * b_norm
+    k, residual, converged, reorth = 0, b_norm, False, 0
+    for j in range(m):
+        w = A(precon(V[j]))
+        norm_before = np.linalg.norm(w)
+        for i in range(j + 1):
+            h = np.dot(V[i], w)
+            H[i, j] += h
+            w -= h * V[i]
+        w_norm = np.linalg.norm(w)
+        if w_norm < 0.7 * norm_before:
+            reorth += 1
+            for i in range(j + 1):
+                h = np.dot(V[i], w)
+                H[i, j] += h
+                w -= h * V[i]
+            w_norm = np.linalg.norm(w)
+        H[j + 1, j] = w_norm
+        for i in range(j):
+            hij = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = hij
+        denom = np.hypot(H[j, j], H[j + 1, j])
+        cs[j] = H[j, j] / denom
+        sn[j] = H[j + 1, j] / denom
+        H[j, j] = denom
+        H[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+        k = j + 1
+        residual = abs(g[j + 1])
+        if residual <= tol_abs:
+            converged = True
+            break
+        if H[j, j] == 0.0 or w_norm <= breakdown_tol:
+            converged = residual <= breakdown_tol * 10
+            break
+        V[j + 1] = w / w_norm
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
+    x = precon(V[:k].T @ y)
+    return x, GmresStats(k, residual / b_norm, converged), reorth
+
+
+def _gmres_bytes(x, stats):
+    return (x.tobytes(), stats.iterations,
+            np.float64(stats.achieved_reduction).tobytes(), stats.converged)
+
+
+def _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed):
+    """Byte-compare GMRES with the reference on a random nonsymmetric
+    system (A = I + coupling * noise) with a random diagonal right
+    preconditioner; returns the reference's stats and re-orthogonalizations."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + coupling * rng.standard_normal((n, n))
+    scale = rng.uniform(0.5, 2.0, n)
+    b = rng.standard_normal(n)
+    args = (_dense_operator(A), lambda x: scale * x, b, rel_tol, budget)
+    x_ref, stats_ref, reorth = _reference_gmres(*args)
+    assert _gmres_bytes(*gmres_right_preconditioned(*args)) == \
+        _gmres_bytes(x_ref, stats_ref)
+    return stats_ref, reorth
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+       st.integers(min_value=1, max_value=45),
+       st.sampled_from([1e-12, 1e-6, 1e-2, 0.5]),
+       st.integers(min_value=0, max_value=10_000))
+def test_gmres_matches_reference_property(n, coupling, budget, rel_tol, seed):
+    _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed)
+
+
+def test_gmres_reference_cases_cover_reorthogonalization_and_budget():
+    # Near-identity: each new direction is mostly in the span already built,
+    # so every step re-orthogonalizes.
+    stats, reorth = _check_gmres_matches_reference(30, 1e-3, 30, 1e-12, 0)
+    assert stats.converged and reorth > 0
+    # Strongly nonnormal with a small budget: the budget runs out.
+    stats, reorth = _check_gmres_matches_reference(40, 2.0, 8, 1e-12, 1)
+    assert not stats.converged and stats.iterations == 8
 
 
 def test_gmres_parameter_validation():

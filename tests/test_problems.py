@@ -287,6 +287,169 @@ def test_euler_jacobian_at_states():
         assert validate_jacobian(e, w, n_probes=2) <= 1e-6
 
 
+def _reference_nozzle_assemble(e, values, tangent=None):
+    """Face fluxes (n+1, 3) and source terms (n, 3) of the nozzle at
+    ``values``, or their tangents along ``tangent``: the scheme and its
+    derivative written as one primal/tangent pass on (faces, 3) arrays,
+    recomputing the primal on every call."""
+    gm = e.gamma
+    rho, u, p = e._decode(values)
+
+    def van_albada(dq, ddq):
+        a, b = dq[:-1], dq[1:]
+        num = a * a * b + a * b * b
+        den = a * a + b * b + 1e-7
+        if ddq is None:
+            return num / den, None
+        da, db = ddq[:-1], ddq[1:]
+        dnum = (2.0 * a * b + b * b) * da + (a * a + 2.0 * a * b) * db
+        dden = 2.0 * a * da + 2.0 * b * db
+        return num / den, (dnum * den - num * dden) / den ** 2
+
+    def flux_terms(q, dq):
+        rho, u, p = q[:, 0], q[:, 1], q[:, 2]
+        if np.any(rho <= 0.0) or np.any(p <= 0.0) or not np.all(np.isfinite(q)):
+            raise InadmissibleStateError("inadmissible reconstructed face state")
+        e_total = p / (gm - 1.0) + 0.5 * rho * u * u
+        U = np.stack([rho, rho * u, e_total], axis=1)
+        F = np.stack([rho * u, rho * u * u + p, u * (e_total + p)], axis=1)
+        c = np.sqrt(gm * p / rho)
+        s = np.abs(u) + c
+        if dq is None:
+            return U, F, s, None, None, None
+        drho, du, dp = dq[:, 0], dq[:, 1], dq[:, 2]
+        de = dp / (gm - 1.0) + 0.5 * u * u * drho + rho * u * du
+        dU = np.stack([drho, rho * du + u * drho, de], axis=1)
+        dF = np.stack([rho * du + u * drho,
+                       u * u * drho + 2.0 * rho * u * du + dp,
+                       du * (e_total + p) + u * (de + dp)], axis=1)
+        dc = 0.5 * c * (dp / p - drho / rho)
+        return U, F, s, dU, dF, np.sign(u) * du + dc
+
+    prim = np.stack([rho, u, p], axis=1)
+    ghost_in = np.array([e.rho_in, e.u_in, p[0]])
+    ghost_out = np.array([rho[-1], u[-1], e.p_exit])
+    dq = np.diff(np.vstack([ghost_in, prim, ghost_out]), axis=0)
+    ddq = dqL = dqR = dp = None
+    if tangent is not None:
+        V = tangent.reshape(e.n, 3)
+        drho = V[:, 0]
+        du = (V[:, 1] - u * drho) / rho
+        dp = (gm - 1.0) * (V[:, 2] - u * V[:, 1] + 0.5 * u * u * drho)
+        dprim = np.stack([drho, du, dp], axis=1)
+        dghost_in = np.array([0.0, 0.0, dp[0]])
+        dghost_out = np.array([drho[-1], du[-1], 0.0])
+        ddq = np.diff(np.vstack([dghost_in, dprim, dghost_out]), axis=0)
+    sigma, dsigma = van_albada(dq, ddq)
+    qL = np.vstack([ghost_in, prim + 0.5 * sigma])
+    qR = np.vstack([prim - 0.5 * sigma, ghost_out])
+    if tangent is not None:
+        dqL = np.vstack([dghost_in, dprim + 0.5 * dsigma])
+        dqR = np.vstack([dprim - 0.5 * dsigma, dghost_out])
+    UL, FL, sL, dUL, dFL, dsL = flux_terms(qL, dqL)
+    UR, FR, sR, dUR, dFR, dsR = flux_terms(qR, dqR)
+    s = np.maximum(sL, sR)
+    half_area = 0.5 * e.a_faces[:, None]
+    source = np.zeros((e.n, 3))
+    if tangent is None:
+        source[:, 1] = p * e.da
+        return half_area * (FL + FR - s[:, None] * (UR - UL)), source
+    ds = np.where(sL > sR, dsL, dsR)
+    tie = sL == sR
+    ds[tie] = 0.5 * (dsL[tie] + dsR[tie])
+    source[:, 1] = dp * e.da
+    return half_area * (dFL + dFR - ds[:, None] * (UR - UL)
+                        - s[:, None] * (dUR - dUL)), source
+
+
+def _reference_nozzle_outputs(e, values, v):
+    """Bytes of the reference residual, residual parts and Jv at ``values``."""
+    flux, source = _reference_nozzle_assemble(e, values)
+    dflux, dsource = _reference_nozzle_assemble(e, values, v)
+    return ((flux[1:] - flux[:-1] - source).ravel().tobytes(),
+            flux.tobytes(), source.tobytes(),
+            (dflux[1:] - dflux[:-1] - dsource).ravel().tobytes())
+
+
+def _nozzle_outputs(e, w, v):
+    flux, source = e.residual_parts(w)
+    return (e.residual(w).tobytes(), flux.tobytes(), source.tobytes(),
+            e.jacobian_vector(w, v).tobytes())
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_euler_evaluation_bytes_match_reference(n):
+    e = make_quasi1d_euler(n)
+    rng = np.random.default_rng(n)
+    # The uniform start ties the two sides' wave speeds at every face; the
+    # advanced state and the perturbations have no ties.
+    advanced = solve_steady(e, PtcConfig(max_newton_steps=20)).final_state
+    states = [e.initial_state(), advanced,
+              *_perturbed_states(e, 0.02, seed=n),
+              BlockVector(e.layout, advanced.values * (
+                  1.0 + 0.01 * rng.standard_normal(e.layout.n_dofs)))]
+    assert len(states) >= 6 and all(e.is_admissible(w) for w in states)
+    for w in states:
+        for v in rng.standard_normal((2, e.layout.n_dofs)):
+            assert _nozzle_outputs(e, w, v) == \
+                _reference_nozzle_outputs(e, w.values, v)
+
+
+def test_euler_evaluation_follows_the_state_by_value():
+    e = make_quasi1d_euler(32)
+    v = np.random.default_rng(5).standard_normal(e.layout.n_dofs)
+    w1, w2 = _perturbed_states(e, 0.02, count=2, seed=9)
+
+    def check(w):
+        assert _nozzle_outputs(e, w, v) == \
+            _reference_nozzle_outputs(e, w.values, v)
+
+    for w in (w1, w2, w1, w2, w1):    # two states alternating
+        check(w)
+    before = w1.copy()
+    w1.values[4] *= 1.0 + 1e-3        # in place, right after evaluating it
+    check(w1)
+    check(before)
+    # Overwrite an evaluated state's array, then ask for a copy of the old
+    # state: the kept evaluation must not read the caller's array.
+    kept = before.copy()
+    e.jacobian_vector(before, v)
+    before.values[:] = w2.values
+    check(kept)
+
+
+def _face_inadmissible_state(e):
+    """Admissible cells whose limited reconstruction has a negative face
+    pressure: a pressure dip between a flat and a much higher plateau."""
+    p = np.full(e.n, e.p_exit)
+    p[10] = 0.01
+    p[11:] = 2.0
+    U = e.conserved(np.full(e.n, e.rho_in), np.full(e.n, e.u_in), p, e.gamma)
+    return BlockVector(e.layout, U.ravel())
+
+
+def test_euler_inadmissible_state_raises_every_time():
+    e = make_quasi1d_euler(32)
+    w = e.initial_state()
+    v = np.ones(e.layout.n_dofs)
+    cell_bad = w.copy()
+    cell_bad.values[0] = -1.0
+    face_bad = _face_inadmissible_state(e)
+    assert e.is_admissible(face_bad)
+    calls = (e.residual, e.residual_parts,
+             lambda s: e.jacobian_vector(s, v))
+    for bad in (cell_bad, face_bad, cell_bad, face_bad):
+        for call in calls:
+            with pytest.raises(InadmissibleStateError):
+                call(bad)
+        e.jacobian_vector(w, v)       # a good state in between
+    # An evaluated state edited in place into an inadmissible one.
+    w.values[:] = face_bad.values
+    for call in calls:
+        with pytest.raises(InadmissibleStateError):
+            call(w)
+
+
 def test_euler_explicit_dt_scales_linearly_with_cell_size():
     e1 = make_quasi1d_euler(32)
     e2 = make_quasi1d_euler(64)
