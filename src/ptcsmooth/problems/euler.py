@@ -281,7 +281,7 @@ class _Evaluation:
         phys = np.array((rho_u, rho_u * u_f + p_f, u_f * e_plus_p))
         jump = cons[:, 1] - cons[:, 0]
         self.flux = problem._half_area * (phys[:, 0] + phys[:, 1] - s * jump)
-        self.source = p * problem.da
+        self.source = p * problem.da      # momentum equation only
         res = self.flux[:, 1:] - self.flux[:, :-1]
         res[1] -= self.source
         self.residual = res.T.ravel()
