@@ -12,6 +12,7 @@ import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class BlockVector:
         """View of the values as an (n_cells, block_size) array."""
         return self.values.reshape(self.layout.n_cells, self.layout.block_size)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
     def __repr__(self):
         return f"BlockVector(n_cells={self.layout.n_cells}, b={self.layout.block_size})"
 
@@ -132,6 +130,10 @@ class NonlinearSystem(ABC):
     ``first_order_blocks`` may be an approximation with nearest-neighbor
     sparsity, used only for preconditioning. ``cell_measures`` holds the
     positive, finite measure of each cell: the diagonal of the mass matrix M.
+
+    ``residual`` raises ``InadmissibleStateError`` at a state outside the
+    problem's admissible set (e.g. negative density); ``trial_residual`` is
+    how the solvers ask whether a state is usable.
     """
 
     cell_measures: np.ndarray   # (n_cells,)
@@ -157,15 +159,26 @@ class NonlinearSystem(ABC):
     def initial_state(self) -> BlockVector:
         """Impulsive / uniform starting state for the continuation solver."""
 
-    def is_admissible(self, w: BlockVector) -> bool:
-        return w.is_finite()
-
     def functional(self, w: BlockVector) -> float:
         """Integrated diagnostic quantity; volume-weighted mean of the first
         equation component by default."""
         first = w.cells()[:, 0]
         return float(np.sum(self.cell_measures * first)
                      / np.sum(self.cell_measures))
+
+
+def trial_residual(system: NonlinearSystem,
+                   w: BlockVector) -> Optional[np.ndarray]:
+    """R(w), or None when ``w`` is not a usable state: it has a non-finite
+    entry, ``residual`` raises ``InadmissibleStateError`` or
+    ``ContractViolationError``, or R(w) is not finite."""
+    if not np.all(np.isfinite(w.values)):
+        return None
+    try:
+        r = system.residual(w)
+    except (InadmissibleStateError, ContractViolationError):
+        return None
+    return r if np.all(np.isfinite(r)) else None
 
 
 @dataclass
@@ -189,8 +202,8 @@ def validate_jacobian(system: NonlinearSystem, w: BlockVector,
 
     Probes ``n_probes`` random unit directions with step
     ``eps = sqrt(machine eps) * (1 + ||w||)`` and returns the maximum relative
-    discrepancy. Probes whose perturbed residual evaluation fails are skipped
-    with a warning.
+    discrepancy. A probe whose perturbed state is not usable (see
+    ``trial_residual``) is skipped with a warning.
     """
     rng = np.random.default_rng(seed)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + l2_norm(w.values))
@@ -199,13 +212,12 @@ def validate_jacobian(system: NonlinearSystem, w: BlockVector,
     for k in range(n_probes):
         direction = rng.standard_normal(w.layout.n_dofs)
         direction /= np.linalg.norm(direction)
-        try:
-            r_plus = system.residual(
-                BlockVector(w.layout, w.values + eps * direction))
-            r_minus = system.residual(
-                BlockVector(w.layout, w.values + (-eps) * direction))
-        except (InadmissibleStateError, ContractViolationError) as exc:
-            warnings.warn(f"jacobian probe {k} skipped: {exc}")
+        r_plus = trial_residual(
+            system, BlockVector(w.layout, w.values + eps * direction))
+        r_minus = trial_residual(
+            system, BlockVector(w.layout, w.values + (-eps) * direction))
+        if r_plus is None or r_minus is None:
+            warnings.warn(f"jacobian probe {k} skipped: unusable state")
             continue
         fd = (r_plus - r_minus) / (2.0 * eps)
         jv = system.jacobian_vector(w, direction)

@@ -18,7 +18,7 @@ from .lines import LineSet
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
-# Ratio test threshold for one re-orthogonalization pass in modified
+# Ratio test threshold for a second (re-orthogonalization) pass of modified
 # Gram-Schmidt (Brown/Hindmarsh style).
 _REORTH_RATIO = 0.7
 
@@ -84,18 +84,16 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
         norm_before = np.linalg.norm(w)
         col = [0.0] * (j + 2)
-        for i, v in enumerate(basis):
-            h = float(np.dot(v, w))
-            col[i] += h
-            w -= h * v
-        w_norm = np.linalg.norm(w)
-        # One re-orthogonalization pass when cancellation is severe.
-        if w_norm < _REORTH_RATIO * norm_before:
+        # Modified Gram-Schmidt; a second pass only when cancellation is
+        # severe.
+        for _ in range(2):
             for i, v in enumerate(basis):
                 h = float(np.dot(v, w))
                 col[i] += h
                 w -= h * v
             w_norm = np.linalg.norm(w)
+            if w_norm >= _REORTH_RATIO * norm_before:
+                break
         col[j + 1] = float(w_norm)
 
         # Apply accumulated Givens rotations to the new column.

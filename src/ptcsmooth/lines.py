@@ -129,7 +129,7 @@ def extract_lines(blocks: FirstOrderBlocks,
     endpoint's strongest incident weight; growth runs in both directions
     from the seed. Unreached cells become singletons.
     """
-    if anisotropy_threshold <= 1.0:
+    if not anisotropy_threshold > 1.0:   # NaN included
         raise ValueError("anisotropy_threshold must exceed 1")
 
     n_cells, n_edges = len(blocks.diag), len(blocks.edges)

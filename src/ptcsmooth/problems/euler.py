@@ -16,8 +16,9 @@ the inflow with pressure taken from the interior, and static pressure is
 imposed at the outflow with density and velocity extrapolated.
 
 States with nonpositive density or pressure (cell or reconstructed face
-values) raise InadmissibleStateError, which the line search and smoother
-treat as a soft rejection signal.
+values) raise InadmissibleStateError from ``residual``, which
+``trial_residual`` turns into a soft rejection for the line search and the
+smoother.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ class Quasi1dEulerProblem(NonlinearSystem):
             raise InadmissibleStateError("nonpositive pressure")
         return rho, u, p
 
-    def is_admissible(self, w: BlockVector) -> bool:
-        try:
-            self._decode(w.values)
-        except InadmissibleStateError:
-            return False
-        return True
-
     @staticmethod
     def conserved(rho, u, p, gamma=1.4) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -135,13 +129,6 @@ class Quasi1dEulerProblem(NonlinearSystem):
 
     def residual(self, w: BlockVector) -> np.ndarray:
         return self._evaluate(w.values).residual.copy()
-
-    def residual_parts(self, w: BlockVector):
-        """Face fluxes (n+1, 3) and source terms (n, 3) for diagnostics."""
-        ev = self._evaluate(w.values)
-        source = np.zeros((self.n, 3))
-        source[:, 1] = ev.source
-        return ev.flux.T.copy(), source
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         return self._evaluate(w.values).jacobian_vector(v)

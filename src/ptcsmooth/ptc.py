@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   cellwise_scale, l2_norm, require_count)
+                   cellwise_scale, l2_norm, require_count, trial_residual)
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -36,9 +36,10 @@ from .smoother import RkSchedule, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
 
-LINE_SEARCH_CANDIDATES = (1.0, 0.75, 0.5, 0.25, 0.1, 0.05, 0.01)
-# Controller band on the line-search fraction: reject at or below, grow the
-# CFL at or above. The solve stagnates once the CFL falls below the floor.
+LINE_SEARCH_CANDIDATES = (1.0, 0.75, 0.5, 0.25)
+# Controller band on the line-search fraction: reject at or below (so no
+# candidate lies there), grow the CFL at or above. The solve stagnates once
+# the CFL falls below the floor.
 ALPHA_REJECT_THRESHOLD = 0.1
 ALPHA_GROW_THRESHOLD = 0.75
 CFL_STAGNATION_FLOOR = 1e-6
@@ -78,8 +79,8 @@ class PtcConfig:
         # Written as "not (valid)" so that NaN fails every check.
         if not self.cfl_init > 0.0:
             raise ValueError("cfl_init must be positive")
-        if not self.beta_cfl1 > 1.0:
-            raise ValueError("beta_cfl1 must exceed 1")
+        if not 1.0 < self.beta_cfl1 < np.inf:
+            raise ValueError("beta_cfl1 must exceed 1 and be finite")
         if not (0.0 < self.beta_cfl2 < 1.0):
             raise ValueError("beta_cfl2 must lie in (0, 1)")
         if not (0.0 < self.linear_rel_tol < 1.0):
@@ -225,8 +226,9 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: np.ndarray,
     ``residual0`` is R(w). The trial at fraction alpha scores
     ``F(alpha) = |M/dtau alpha dw + R(w + alpha dw) - source|``. Scans the
     fixed candidate set from alpha = 1 downward and stops at the first
-    improvement over F(0); inadmissible trials score +inf. Returns alpha = 0
-    when nothing improves, which the controller treats as a rejection.
+    improvement over F(0); a trial that ``trial_residual`` rejects scores
+    +inf. Returns alpha = 0 when nothing improves, which the controller
+    treats as a rejection.
     """
     coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
     f0 = _finite_norm(residual0 - source)
@@ -234,16 +236,9 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: np.ndarray,
 
     for alpha in LINE_SEARCH_CANDIDATES:
         step = alpha * delta_w
-        trial = BlockVector(w.layout, w.values + step)
-        if not trial.is_finite() or not system.is_admissible(trial):
-            f_values.append(np.inf)
-            continue
-        try:
-            r_trial = system.residual(trial)
-        except (InadmissibleStateError, ContractViolationError):
-            f_values.append(np.inf)
-            continue
-        f_trial = _finite_norm(coeffs * step + r_trial - source)
+        r_trial = trial_residual(system, BlockVector(w.layout, w.values + step))
+        f_trial = (np.inf if r_trial is None
+                   else _finite_norm(coeffs * step + r_trial - source))
         f_values.append(f_trial)
         if f_trial < f0:
             return LineSearchResult(alpha, f_values, f0, f_trial, r_trial)
@@ -286,17 +281,15 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     the state bit-identical, so the next step reuses them. Every
     accepted step with a converged linear solve is descent-checked against
     the pseudo-unsteady residual; a violation is a hard error since it can
-    only come from a broken linearization. A starting state that is not
-    admissible, or whose residual is not finite, raises
-    ``InadmissibleStateError`` before any step.
+    only come from a broken linearization. A starting state that
+    ``trial_residual`` rejects raises ``InadmissibleStateError`` before any
+    step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
-    if not system.is_admissible(w):
-        raise InadmissibleStateError("initial state is not admissible")
-
-    r = system.residual(w)
-    if not np.all(np.isfinite(r)):
-        raise InadmissibleStateError("initial residual is not finite")
+    r = trial_residual(system, w)
+    if r is None:
+        raise InadmissibleStateError(
+            "initial state is not admissible or its residual is not finite")
     r_norm = r0_norm = l2_norm(r)
     threshold = _convergence_threshold(config, r_norm)
     history: List[ConvergenceRecord] = []

@@ -18,8 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (BlockVector, ContractViolationError,
-                   InadmissibleStateError, NonlinearSystem, require_count)
+from .core import (BlockVector, InadmissibleStateError, NonlinearSystem,
+                   require_count, trial_residual)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
 from .lines import LineBlocks
 
@@ -71,34 +71,27 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
               schedule: RkSchedule, w0: BlockVector) -> SmoothResult:
     """Run the scheduled RK cycles from ``w0``, preconditioned by ``precon``.
 
-    An inadmissible or non-evaluable stage state abandons the offending cycle;
-    the last completed cycle's output is returned with ``degraded`` set. The
-    smoother is an accelerator, so its failure is soft by design.
+    Every stage output is judged by ``trial_residual``, whose R(w) then feeds
+    the next stage, so the returned state always has a usable residual. A
+    rejected stage output abandons the offending cycle; the last completed
+    cycle's output is returned with ``degraded`` set. The smoother is an
+    accelerator, so its failure is soft by design; only a ``w0`` that
+    ``trial_residual`` rejects raises ``InadmissibleStateError``.
     """
-    if not system.is_admissible(w0):
+    r = trial_residual(system, w0)
+    if r is None:
         raise InadmissibleStateError("smoother started at inadmissible state")
 
     w_cycle = w0.copy()
     degraded = False
     for _ in range(schedule.n_cycles):
-        base = w_cycle
-        current = w_cycle
-        ok = True
         for alpha in schedule.stage_coefficients:
-            try:
-                r = system.residual(current)
-            except (InadmissibleStateError, ContractViolationError):
-                ok = False
-                break
-            if not np.all(np.isfinite(r)):
-                ok = False
-                break
             current = BlockVector(
-                w0.layout, base.values - alpha * precon.solve_values(r))
-            if not current.is_finite() or not system.is_admissible(current):
-                ok = False
+                w0.layout, w_cycle.values - alpha * precon.solve_values(r))
+            r = trial_residual(system, current)
+            if r is None:
                 break
-        if not ok:
+        if r is None:
             degraded = True
             break
         w_cycle = current

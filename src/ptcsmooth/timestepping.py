@@ -29,8 +29,8 @@ class BdfStepSystem(NonlinearSystem):
 
     def __init__(self, system: NonlinearSystem, w_prev: BlockVector,
                  w_prev2: Optional[BlockVector], dt: float):
-        if not dt > 0.0:   # NaN included
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < np.inf:   # NaN included
+            raise ValueError("dt must be positive and finite")
         self.inner = system
         self.cell_measures = system.cell_measures
         self.w_prev = w_prev.copy()
@@ -73,9 +73,6 @@ class BdfStepSystem(NonlinearSystem):
     def initial_state(self) -> BlockVector:
         return self.w_prev.copy()
 
-    def is_admissible(self, w: BlockVector) -> bool:
-        return self.inner.is_admissible(w)
-
     def functional(self, w: BlockVector) -> float:
         return self.inner.functional(w)
 
@@ -87,8 +84,8 @@ class UnsteadyConfig:
     inner: PtcConfig
 
     def __post_init__(self):
-        if not self.dt > 0.0:   # NaN included
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:   # NaN included
+            raise ValueError("dt must be positive and finite")
         require_count("n_steps", self.n_steps, 1)
 
 

@@ -248,6 +248,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[smoothing]\nstages = 0.5,0.5\n", "final stage coefficient"),
     ("[smoothing]\nstages = nan,1.0\n", "stage coefficients must lie in (0, 1]"),
     ("[solver]\nbeta_cfl1 = 0.5\n", "beta_cfl1 must exceed 1"),
+    ("[solver]\nbeta_cfl1 = inf\n", "beta_cfl1 must exceed 1 and be finite"),
     ("[solver]\ntarget_residual_reduction = nan\n",
      "target_residual_reduction must lie in (0, 1)"),
     ("[solver]\ntarget_residual_absolute = inf\n",
@@ -256,6 +257,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
+    ("[run]\ndt = inf\n", "dt must be positive and finite"),
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
     ("[solver]\nanisotropy_threshold = 4\n",
      "unknown key 'anisotropy_threshold'"),
@@ -272,9 +274,9 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
-], ids=["stages", "stages_nan", "beta_cfl1", "target_nan",
+], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
         "target_absolute_inf", "cfl_max_inf", "n_cells", "dt",
-        "dt_nan", "removed_mode_key", "removed_anisotropy_key",
+        "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
         "ly", "stretching_1e300", "stretching_1e200", "p_exit", "rho_in",
         "u_in_nan", "gamma_nan", "gamma_one"])

@@ -163,8 +163,9 @@ def test_stretched_grid_lines_wall_normal():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        extract_lines(chain_blocks([1.0, 1.0]), 1.0)
+    for bad in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="anisotropy_threshold"):
+            extract_lines(chain_blocks([1.0, 1.0]), bad)
     with pytest.raises(ValueError, match="coupling weights must be finite"):
         extract_lines(chain_blocks([1.0, np.nan]))
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from ptcsmooth.core import (BlockVector, InadmissibleStateError, l2_norm,
-                            validate_jacobian)
+                            trial_residual, validate_jacobian)
 from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
@@ -30,7 +30,7 @@ def _perturbed_states(problem, scale, count=5, seed=77):
         d = rng.standard_normal(problem.layout.n_dofs)
         w = BlockVector(problem.layout, w0.values * (1.0 + scale * d)
                         + scale * d * np.mean(np.abs(w0.values) + 1e-3))
-        if problem.is_admissible(w):
+        if trial_residual(problem, w) is not None:
             out.append(w)
     return out
 
@@ -40,12 +40,15 @@ def _bdf_step(problem):
     return BdfStepSystem(problem, w, w, 0.05)
 
 
-@pytest.mark.parametrize("build", [
+every_system = pytest.mark.parametrize("build", [
     lambda: make_bratu(16),
     lambda: make_aniso_convdiff(5, 6, stretching_ratio=100.0),
     lambda: make_quasi1d_euler(16),
     lambda: _bdf_step(make_aniso_convdiff(5, 6, stretching_ratio=100.0)),
 ], ids=["bratu", "convdiff", "nozzle", "bdf_convdiff"])
+
+
+@every_system
 def test_residual_and_jv_return_flat_float_arrays(build):
     # The contract: a state goes in, a flat (n_dofs,) float array comes out.
     system = build()
@@ -55,6 +58,37 @@ def test_residual_and_jv_return_flat_float_arrays(build):
         assert type(out) is np.ndarray
         assert out.dtype == np.float64
         assert out.shape == (system.layout.n_dofs,)
+
+
+@every_system
+def test_trial_residual_rejects_nan_state(build):
+    system = build()
+    w = system.initial_state()
+    w.values[1] = np.nan
+    assert trial_residual(system, w) is None
+
+
+@every_system
+def test_trial_residual_of_usable_state_is_the_residual(build):
+    system = build()
+    states = [system.initial_state(), *_perturbed_states(system, 0.02)]
+    assert len(states) == 6
+    for w in states:
+        assert trial_residual(system, w).tobytes() == \
+            system.residual(w).tobytes()
+
+
+def test_trial_residual_rejects_unusable_states():
+    e = make_quasi1d_euler(32)
+    cell_bad = e.initial_state()
+    cell_bad.values[0] = -1.0                 # negative density
+    face_bad = _face_inadmissible_state(e)
+    e._decode(face_bad.values)                # only the face check fails
+    p = make_bratu(16, 1.0)
+    overflowing = BlockVector(p.layout, np.full(16, 1e3))   # exp(1e3) = inf
+    assert trial_residual(e, cell_bad) is None
+    assert trial_residual(e, face_bad) is None
+    assert trial_residual(p, overflowing) is None
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +276,11 @@ def test_euler_flux_telescoping():
     rng = np.random.default_rng(12)
     w = e.initial_state()
     w = BlockVector(e.layout, w.values * (1.0 + 0.05 * rng.standard_normal(w.layout.n_dofs)))
-    assert e.is_admissible(w)
     r = e.residual(w).reshape(-1, 3)
-    flux, source = e.residual_parts(w)
+    ev = e._evaluate(w.values)
+    flux = ev.flux.T                  # (n+1, 3)
     lhs = r.sum(axis=0)
-    rhs = flux[-1] - flux[0] - source.sum(axis=0)
+    rhs = flux[-1] - flux[0] - np.array([0.0, ev.source.sum(), 0.0])
     scale = np.abs(flux).max()
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
@@ -270,12 +304,12 @@ def test_euler_inadmissible_states_rejected():
     w = e.initial_state()
     bad = w.copy()
     bad.values[0] = -1.0  # negative density
-    assert not e.is_admissible(bad)
-    with pytest.raises(InadmissibleStateError):
+    with pytest.raises(InadmissibleStateError, match="density"):
         e.residual(bad)
     bad2 = w.copy()
     bad2.values[2] = 0.0  # energy below kinetic: negative pressure
-    assert not e.is_admissible(bad2)
+    with pytest.raises(InadmissibleStateError, match="pressure"):
+        e.residual(bad2)
 
 
 def test_euler_jacobian_at_states():
@@ -372,8 +406,10 @@ def _reference_nozzle_outputs(e, values, v):
 
 
 def _nozzle_outputs(e, w, v):
-    flux, source = e.residual_parts(w)
-    return (e.residual(w).tobytes(), flux.tobytes(), source.tobytes(),
+    ev = e._evaluate(w.values)
+    source = np.zeros((e.n, 3))
+    source[:, 1] = ev.source
+    return (e.residual(w).tobytes(), ev.flux.T.tobytes(), source.tobytes(),
             e.jacobian_vector(w, v).tobytes())
 
 
@@ -388,7 +424,8 @@ def test_euler_evaluation_bytes_match_reference(n):
               *_perturbed_states(e, 0.02, seed=n),
               BlockVector(e.layout, advanced.values * (
                   1.0 + 0.01 * rng.standard_normal(e.layout.n_dofs)))]
-    assert len(states) >= 6 and all(e.is_admissible(w) for w in states)
+    assert len(states) >= 6 and all(trial_residual(e, w) is not None
+                                    for w in states)
     for w in states:
         for v in rng.standard_normal((2, e.layout.n_dofs)):
             assert _nozzle_outputs(e, w, v) == \
@@ -435,8 +472,8 @@ def test_euler_inadmissible_state_raises_every_time():
     cell_bad = w.copy()
     cell_bad.values[0] = -1.0
     face_bad = _face_inadmissible_state(e)
-    assert e.is_admissible(face_bad)
-    calls = (e.residual, e.residual_parts,
+    e._decode(face_bad.values)        # the cells alone are admissible
+    calls = (e.residual, lambda s: e._evaluate(s.values),
              lambda s: e.jacobian_vector(s, v))
     for bad in (cell_bad, face_bad, cell_bad, face_bad):
         for call in calls:
@@ -466,7 +503,7 @@ def test_euler_minimum_size():
 def test_euler_solver_never_accepts_inadmissible_state():
     e = make_quasi1d_euler(32, u_in=0.46)
     rep = solve_steady(e, PtcConfig(beta_cfl1=3.0, max_newton_steps=120))
-    assert e.is_admissible(rep.final_state)
+    assert trial_residual(e, rep.final_state) is not None
     assert rep.outcome == SolveOutcome.CONVERGED
 
 

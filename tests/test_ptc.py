@@ -273,6 +273,7 @@ def test_config_validation():
     for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
                 {"cfl_init": -1.0},
                 {"cfl_init": float("nan")}, {"beta_cfl1": float("nan")},
+                {"beta_cfl1": float("inf")},
                 {"target_residual_reduction": 0.0},
                 {"target_residual_reduction": 1.0},
                 {"target_residual_reduction": float("nan")},

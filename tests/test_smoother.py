@@ -190,21 +190,47 @@ def test_smoother_reduces_residual_from_impulsive_start(problem):
     assert l2_norm(problem.residual(out.w_end)) < l2_norm(problem.residual(w0))
 
 
+def _admit_only(sys, admissible):
+    """Shadow ``sys.residual`` so that it raises at every state whose values
+    fail ``admissible``."""
+    residual = sys.residual
+
+    def guarded(w):
+        if not admissible(w.values):
+            raise InadmissibleStateError("outside the test's admissible set")
+        return residual(w)
+
+    sys.residual = guarded
+
+
+def _chain_smoother(sys):
+    lines = full_chain_lines(sys.layout.n_cells)
+    return build_smoother(assemble_line_blocks(
+        sys.first_order_blocks(sys.initial_state()), lines))
+
+
 def test_degraded_cycle_keeps_last_admissible_output():
     sys = diffusion_chain(n=6, b=1)
-    # Shadow the admissibility check so any stage update violates it.
-    sys.is_admissible = lambda w: bool(np.all(np.abs(w.values) <= 1e-3))
-    try:
-        lines = full_chain_lines(6)
-        precon = build_smoother(
-            assemble_line_blocks(sys.first_order_blocks(sys.initial_state()),
-                                 lines))
-        sched = RkSchedule(n_cycles=3)
-        out = rk_smooth(sys, precon, sched, sys.initial_state())
-        assert out.degraded
-        assert np.all(out.delta_w == 0.0)  # first cycle abandoned
-        with pytest.raises(InadmissibleStateError):
-            rk_smooth(sys, precon, sched,
-                      BlockVector(sys.layout, np.full(6, 10.0)))
-    finally:
-        del sys.is_admissible
+    # Any stage update leaves the admissible set.
+    _admit_only(sys, lambda values: np.all(np.abs(values) <= 1e-3))
+    precon = _chain_smoother(sys)
+    sched = RkSchedule(n_cycles=3)
+    out = rk_smooth(sys, precon, sched, sys.initial_state())
+    assert out.degraded
+    assert np.all(out.delta_w == 0.0)  # first cycle abandoned
+    with pytest.raises(InadmissibleStateError):
+        rk_smooth(sys, precon, sched,
+                  BlockVector(sys.layout, np.full(6, 10.0)))
+
+
+def test_final_stage_output_is_judged_by_its_residual():
+    # One stage, one cycle: the only residual after w0 is the verdict on the
+    # cycle output, which must not be handed on when it is rejected.
+    sys = diffusion_chain(n=6, b=1)
+    w0 = sys.initial_state()
+    _admit_only(sys, lambda values: np.array_equal(values, w0.values))
+    out = rk_smooth(sys, _chain_smoother(sys), RkSchedule((1.0,), n_cycles=1),
+                    w0)
+    assert out.degraded
+    assert np.all(out.delta_w == 0.0)
+    assert np.array_equal(out.w_end.values, w0.values)

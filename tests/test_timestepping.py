@@ -91,7 +91,7 @@ def test_bdf1_startup_stencil():
 def test_dt_validation():
     sys = ZeroSystem(3)
     w = sys.initial_state()
-    for dt in (0.0, -1.0, float("nan")):
+    for dt in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dt must be positive"):
             BdfStepSystem(sys, w, None, dt)
         with pytest.raises(ValueError, match="dt must be positive"):
