@@ -56,7 +56,10 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
         raise ContractViolationError("right-hand side contains non-finite entries")
 
     n = len(b)
-    b_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        b_norm = float(np.linalg.norm(b))
+    if b_norm == np.inf:
+        raise ContractViolationError("right-hand side norm overflows")
     if b_norm == 0.0:
         return np.zeros(n), GmresStats(0, 0.0, True)
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import ContractViolationError, FirstOrderBlocks
 
-# The anisotropy threshold the solver extracts its lines with.
+# A seed needs at least this anisotropy, and a path only follows an edge
+# within this factor of its endpoint's strongest.
 ANISOTROPY_THRESHOLD = 4.0
 
 
@@ -102,69 +103,57 @@ def singleton_lines(n_cells: int) -> LineSet:
     return LineSet(n_cells, [[c] for c in range(n_cells)])
 
 
-def _anisotropy(adj: List[List[tuple]]) -> np.ndarray:
-    a = np.ones(len(adj))
-    for c, inc in enumerate(adj):
-        if len(inc) < 2:
-            continue
-        ws = [w for w, _ in inc]
-        wmin = min(ws)
-        wmax = max(ws)
-        if wmin <= 0.0:
-            a[c] = np.inf if wmax > 0.0 else 1.0
-        else:
-            a[c] = wmax / wmin
-    return a
-
-
-def extract_lines(blocks: FirstOrderBlocks,
-                  anisotropy_threshold: float = ANISOTROPY_THRESHOLD) -> LineSet:
+def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
     """Greedy strongest-coupling path growth seeded at anisotropic cells.
 
     The coupling graph has one edge per stencil pair, weighted by the larger
-    Frobenius norm of the pair's two off-diagonal blocks. Seeds are visited
-    in descending anisotropy ratio (ties broken by lower cell index). A path
-    extends from its endpoints along the strongest edge to an unvisited
-    neighbor as long as that edge carries at least ``1/threshold`` of the
-    endpoint's strongest incident weight; growth runs in both directions
-    from the seed. Unreached cells become singletons.
+    Frobenius norm of the pair's two off-diagonal blocks. Each cell's edges
+    are sorted once, strongest first and the lower neighbor first on ties,
+    and that order decides the rest. A cell's anisotropy is its strongest
+    over its weakest weight; seeds are visited in descending anisotropy
+    (ties broken by lower cell index). A path grows both ways from its seed,
+    each step to the first unvisited neighbor in the end cell's order, while
+    that edge carries at least ``1/ANISOTROPY_THRESHOLD`` of the end cell's
+    strongest weight. Unreached cells become singletons.
     """
-    if not anisotropy_threshold > 1.0:   # NaN included
-        raise ValueError("anisotropy_threshold must exceed 1")
-
-    n_cells, n_edges = len(blocks.diag), len(blocks.edges)
-    weights = np.maximum(
-        np.linalg.norm(blocks.off_ij.reshape(n_edges, -1), axis=1),
-        np.linalg.norm(blocks.off_ji.reshape(n_edges, -1), axis=1))
+    n_cells, b = blocks.diag.shape[:2]
+    shape = (len(blocks.edges), b * b)
+    weights = np.maximum(np.linalg.norm(blocks.off_ij.reshape(shape), axis=1),
+                         np.linalg.norm(blocks.off_ji.reshape(shape), axis=1))
     if not np.all(np.isfinite(weights)):
         raise ValueError("coupling weights must be finite")
-    adj: List[List[tuple]] = [[] for _ in range(n_cells)]  # (weight, neighbor)
-    for (i, j), w in zip(blocks.edges.tolist(), weights.tolist()):
-        adj[i].append((w, j))
-        adj[j].append((w, i))
+    # inc[c]: the (weight, neighbor) pairs of cell c's edges in that order;
+    # every edge appears once from each end.
+    cell = blocks.edges.T.ravel()
+    nbr = blocks.edges[:, ::-1].T.ravel()
+    w = np.concatenate((weights, weights))
+    order = np.lexsort((nbr, -w, cell))
+    pairs = list(zip(w[order].tolist(), nbr[order].tolist()))
+    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
+    inc = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    aniso = _anisotropy(adj)
-    order = sorted(range(n_cells), key=lambda c: (-aniso[c], c))
-    visited = np.zeros(n_cells, dtype=bool)
+    # Fewer than two edges is isotropic; a zero weakest weight is infinitely
+    # anisotropic unless every weight is zero.
+    aniso = np.ones(n_cells)
+    for c, edges in enumerate(inc):
+        if len(edges) >= 2:
+            strongest, weakest = edges[0][0], edges[-1][0]
+            aniso[c] = (strongest / weakest if weakest > 0.0
+                        else np.inf if strongest > 0.0 else 1.0)
+    seeds = sorted(range(n_cells), key=lambda c: (-aniso[c], c))
+    visited = [False] * n_cells
     lines: List[List[int]] = []
 
-    def grow(endpoint: int) -> int:
-        """Extend one step from endpoint; return new endpoint or -1 to stop."""
-        inc = adj[endpoint]
-        if not inc:
-            return -1
-        w_local_max = max(w for w, _ in inc)
-        candidates = [(w, nb) for w, nb in inc if not visited[nb]]
-        if not candidates:
-            return -1
-        # Strongest first; lower index wins ties.
-        w_best, nb_best = max(candidates, key=lambda wn: (wn[0], -wn[1]))
-        if w_best < w_local_max / anisotropy_threshold:
-            return -1
-        return nb_best
+    def grow(end: int) -> int:
+        """The next cell past ``end``, or -1 to stop."""
+        for weight, nb in inc[end]:
+            if not visited[nb]:
+                return (nb if weight >= inc[end][0][0] / ANISOTROPY_THRESHOLD
+                        else -1)
+        return -1
 
-    for seed in order:
-        if visited[seed] or aniso[seed] < anisotropy_threshold:
+    for seed in seeds:
+        if visited[seed] or aniso[seed] < ANISOTROPY_THRESHOLD:
             continue
         visited[seed] = True
         path = [seed]

@@ -77,8 +77,9 @@ class PtcConfig:
 
     def __post_init__(self):
         # Written as "not (valid)" so that NaN fails every check.
-        if not self.cfl_init > 0.0:
-            raise ValueError("cfl_init must be positive")
+        if not self.cfl_init >= CFL_STAGNATION_FLOOR:
+            raise ValueError(
+                f"cfl_init must be at least {CFL_STAGNATION_FLOOR:g}")
         if not 1.0 < self.beta_cfl1 < np.inf:
             raise ValueError("beta_cfl1 must exceed 1 and be finite")
         if not (0.0 < self.beta_cfl2 < 1.0):
@@ -184,7 +185,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
             log.warning("smoother build failed (%s); running unsmoothed step",
                         exc)
         else:
-            sm = rk_smooth(system, smoother, config.smoothing, w)
+            sm = rk_smooth(system, smoother, config.smoothing, w, residual)
             # The paper's source term (M/dtau) dw_smooth; it vanishes as
             # dtau grows, recovering the exact Newton step.
             source = cellwise_scale(sm.delta_w, mass_over_dtau,

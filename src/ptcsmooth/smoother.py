@@ -18,8 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (BlockVector, InadmissibleStateError, NonlinearSystem,
-                   require_count, trial_residual)
+from .core import BlockVector, NonlinearSystem, require_count, trial_residual
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
 from .lines import LineBlocks
 
@@ -68,20 +67,18 @@ def build_smoother(blocks: LineBlocks) -> BlockTridiagFactorization:
 
 
 def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
-              schedule: RkSchedule, w0: BlockVector) -> SmoothResult:
+              schedule: RkSchedule, w0: BlockVector,
+              r0: np.ndarray) -> SmoothResult:
     """Run the scheduled RK cycles from ``w0``, preconditioned by ``precon``.
 
-    Every stage output is judged by ``trial_residual``, whose R(w) then feeds
-    the next stage, so the returned state always has a usable residual. A
-    rejected stage output abandons the offending cycle; the last completed
-    cycle's output is returned with ``degraded`` set. The smoother is an
-    accelerator, so its failure is soft by design; only a ``w0`` that
-    ``trial_residual`` rejects raises ``InadmissibleStateError``.
+    ``r0`` is R(w0), already accepted by ``trial_residual``. Every stage
+    output is judged by ``trial_residual``, whose R(w) then feeds the next
+    stage, so the returned state always has a usable residual. A rejected
+    stage output abandons the offending cycle; the last completed cycle's
+    output is returned with ``degraded`` set. The smoother is an
+    accelerator, so its failure is soft by design.
     """
-    r = trial_residual(system, w0)
-    if r is None:
-        raise InadmissibleStateError("smoother started at inadmissible state")
-
+    r = r0
     w_cycle = w0.copy()
     degraded = False
     for _ in range(schedule.n_cycles):

@@ -96,7 +96,8 @@ def test_criterion_02_small_dtau_limit():
     lines = extract_lines(p.first_order_blocks(w))
     precon = build_smoother(
         assemble_line_blocks(p.first_order_blocks(w), lines))
-    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w).delta_w
+    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
+                             p.residual(w)).delta_w
     ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
                      p.residual(w), p.first_order_blocks(w))
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
@@ -222,8 +223,9 @@ def test_criterion_08_oracle_equivalences():
     precon = build_smoother(assemble_line_blocks(sys.first_order_blocks(w_star),
                                                  full_chain_lines(8)))
     e0 = np.random.default_rng(5).standard_normal(8)
+    w0 = BlockVector(sys.layout, w_star.values + e0)
     out = rk_smooth(sys, precon, RkSchedule((0.15, 0.4, 1.0), n_cycles=1),
-                    BlockVector(sys.layout, w_star.values + e0))
+                    w0, sys.residual(w0))
     e_end = out.w_end.values - w_star.values
     checks["rk_contraction"] = np.allclose(e_end, 0.34 * e0,
                                            rtol=1e-12, atol=1e-13)
@@ -251,13 +253,13 @@ def test_criterion_09_line_extraction():
     # Isotropic: every line is a singleton.
     iso = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                               velocity=(0.0, 0.0), sigma=0.0)
-    ls_iso = extract_lines(iso.first_order_blocks(iso.initial_state()), 4.0)
+    ls_iso = extract_lines(iso.first_order_blocks(iso.initial_state()))
     iso_ok = all(len(l) == 1 for l in ls_iso.lines)
 
     # Stretched 1e3: every multi-cell line runs along the strong direction.
     stretched = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
     ls_str = extract_lines(
-        stretched.first_order_blocks(stretched.initial_state()), 4.0)
+        stretched.first_order_blocks(stretched.initial_state()))
     multi = ls_str.multi_cell_lines()
     aligned = bool(multi) and all(
         {abs(a - b) for a, b in zip(l[:-1], l[1:])} == {stretched.nx}

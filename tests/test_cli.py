@@ -254,6 +254,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[solver]\ntarget_residual_absolute = inf\n",
      "target_residual_absolute must be positive and finite"),
     ("[solver]\ncfl_max = inf\n", "cfl_max must be finite"),
+    ("[solver]\ncfl_init = 1e-320\n", "cfl_init must be at least 1e-06"),
     ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
@@ -275,8 +276,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
-        "target_absolute_inf", "cfl_max_inf", "n_cells", "dt",
-        "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
+        "target_absolute_inf", "cfl_max_inf", "cfl_init_subnormal", "n_cells",
+        "dt", "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
         "ly", "stretching_1e300", "stretching_1e200", "p_exit", "rho_in",
         "u_in_nan", "gamma_nan", "gamma_one"])

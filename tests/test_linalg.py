@@ -82,6 +82,13 @@ def test_gmres_zero_rhs():
     assert x.shape == (4,) and np.all(x == 0.0)
 
 
+def test_gmres_overflowing_rhs_norm_raises():
+    # Finite entries whose norm overflows: no basis can be normalised.
+    with pytest.raises(ContractViolationError, match="norm overflows"):
+        gmres_right_preconditioned(_identity, _identity, np.full(3, 1e300),
+                                   1e-2, 5)
+
+
 def test_gmres_budget_failure_reported_not_raised():
     # Strongly nonnormal system, tiny budget: must report converged=False.
     rng = np.random.default_rng(11)

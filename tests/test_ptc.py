@@ -110,6 +110,23 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     assert np.all(zero_cycle.source == 0.0)
 
 
+def test_smoothed_step_evaluates_one_residual_per_stage(monkeypatch):
+    # The smoother starts from the R(w) the step is given, so it evaluates
+    # one residual per stage and none more.
+    p = make_bratu(32, 1.0)
+    w = p.initial_state()
+    cfg = PtcConfig(smoothing=RkSchedule())
+    r, blocks = p.residual(w), p.first_order_blocks(w)
+    calls = []
+    residual = p.residual
+    monkeypatch.setattr(p, "residual", lambda v: calls.append(v) or residual(v))
+    ns = newton_step(p, w, mass_over_dtau(p, w, cfg.cfl_init), cfg,
+                     _lines_for(p), r, blocks)
+    assert not ns.smoother_degraded
+    assert len(calls) == (cfg.smoothing.n_cycles
+                          * len(cfg.smoothing.stage_coefficients)) == 15
+
+
 def test_small_dtau_step_matches_smoother_update():
     p = make_bratu(64, 1.0)
     w = p.initial_state()
@@ -118,7 +135,8 @@ def test_small_dtau_step_matches_smoother_update():
     m_dtau = mass_over_dtau(p, w, 1e-10)
     precon = build_smoother(
         assemble_line_blocks(p.first_order_blocks(w), lines))
-    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w).delta_w
+    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
+                             p.residual(w)).delta_w
     ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
                      p.first_order_blocks(w))
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
@@ -272,7 +290,8 @@ def test_config_validation():
         PtcConfig(beta_cfl2=1.5)
     for bad in ({"max_krylov": 0}, {"linear_rel_tol": 1.5},
                 {"cfl_init": -1.0},
-                {"cfl_init": float("nan")}, {"beta_cfl1": float("nan")},
+                {"cfl_init": float("nan")}, {"cfl_init": 1e-7},
+                {"cfl_init": 1e-320}, {"beta_cfl1": float("nan")},
                 {"beta_cfl1": float("inf")},
                 {"target_residual_reduction": 0.0},
                 {"target_residual_reduction": 1.0},
