@@ -135,9 +135,9 @@ def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
     # Fewer than two edges is isotropic; a zero weakest weight is infinitely
     # anisotropic unless every weight is zero.
     aniso = np.ones(n_cells)
-    for c, edges in enumerate(inc):
-        if len(edges) >= 2:
-            strongest, weakest = edges[0][0], edges[-1][0]
+    for c, incident in enumerate(inc):
+        if len(incident) >= 2:
+            strongest, weakest = incident[0][0], incident[-1][0]
             aniso[c] = (strongest / weakest if weakest > 0.0
                         else np.inf if strongest > 0.0 else 1.0)
     seeds = sorted(range(n_cells), key=lambda c: (-aniso[c], c))
