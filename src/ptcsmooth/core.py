@@ -126,21 +126,21 @@ class NonlinearSystem(ABC):
     ``residual(w)`` and ``jacobian_vector(w, v)`` take a state ``w`` and
     return flat ``(n_dofs,)`` arrays; the direction ``v`` is a flat array too.
     ``jacobian_vector`` must be the exact linearization of ``residual`` (the
-    descent guarantee of the continuation line search depends on it), while
+    continuation line search finds descent along the Newton direction only
+    then), while
     ``first_order_blocks`` may be an approximation with nearest-neighbor
     sparsity, used only for preconditioning. ``cell_measures`` holds the
     positive, finite measure of each cell: the diagonal of the mass matrix M.
 
     ``residual`` raises ``InadmissibleStateError`` at a state outside the
     problem's admissible set (e.g. negative density); ``trial_residual`` is
-    how the solvers ask whether a state is usable.
+    how the solvers ask whether a state is usable. A residual may also
+    overflow far from the admissible set: ``trial_residual`` evaluates it
+    silently and rejects it, so problems need no floating-point guards.
     """
 
+    layout: BlockLayout
     cell_measures: np.ndarray   # (n_cells,)
-
-    @property
-    @abstractmethod
-    def layout(self) -> BlockLayout: ...
 
     @abstractmethod
     def residual(self, w: BlockVector) -> np.ndarray: ...
@@ -171,14 +171,19 @@ def trial_residual(system: NonlinearSystem,
                    w: BlockVector) -> Optional[np.ndarray]:
     """R(w), or None when ``w`` is not a usable state: it has a non-finite
     entry, ``residual`` raises ``InadmissibleStateError`` or
-    ``ContractViolationError``, or R(w) is not finite."""
+    ``ContractViolationError``, or the Euclidean norm of R(w) is not finite
+    (a non-finite entry or an overflowing norm). Overflow is evaluated
+    without a warning, and every accepted residual has a finite
+    ``l2_norm``."""
     if not np.all(np.isfinite(w.values)):
         return None
     try:
-        r = system.residual(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = system.residual(w)
+            norm = np.linalg.norm(r)
     except (InadmissibleStateError, ContractViolationError):
         return None
-    return r if np.all(np.isfinite(r)) else None
+    return r if np.isfinite(norm) else None
 
 
 @dataclass

@@ -22,14 +22,10 @@ class BratuProblem(NonlinearSystem):
         self.n_cells = n_cells
         self.lam = float(lam)
         self.h = 1.0 / (n_cells + 1)
-        self._layout = BlockLayout(n_cells, 1)
+        self.layout = BlockLayout(n_cells, 1)
         self.cell_measures = np.full(n_cells, self.h)
         # Cell centers; boundary values sit at x = 0 and x = 1.
         self.x = (np.arange(n_cells) + 1) * self.h
-
-    @property
-    def layout(self) -> BlockLayout:
-        return self._layout
 
     def _second_difference(self, u: np.ndarray) -> np.ndarray:
         padded = np.concatenate(([0.0], u, [0.0]))  # homogeneous Dirichlet
@@ -37,17 +33,14 @@ class BratuProblem(NonlinearSystem):
 
     def residual(self, w: BlockVector) -> np.ndarray:
         u = w.values
-        with np.errstate(over="ignore"):
-            return -self._second_difference(u) - self.lam * np.exp(u)
+        return -self._second_difference(u) - self.lam * np.exp(u)
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return -self._second_difference(v) - self.lam * np.exp(w.values) * v
+        return -self._second_difference(v) - self.lam * np.exp(w.values) * v
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         n = self.n_cells
-        with np.errstate(over="ignore"):
-            diag = (2.0 / self.h ** 2 - self.lam * np.exp(w.values)).reshape(n, 1, 1)
+        diag = (2.0 / self.h ** 2 - self.lam * np.exp(w.values)).reshape(n, 1, 1)
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         off = np.full((n - 1, 1, 1), -1.0 / self.h ** 2)
         return FirstOrderBlocks(diag, edges, off, off.copy())
@@ -57,7 +50,7 @@ class BratuProblem(NonlinearSystem):
         return np.full(self.n_cells, self.h ** 2 / 4.0)
 
     def initial_state(self) -> BlockVector:
-        return BlockVector(self._layout)
+        return BlockVector(self.layout)
 
     def functional(self, w: BlockVector) -> float:
         return float(np.max(w.values))

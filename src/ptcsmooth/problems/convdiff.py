@@ -46,6 +46,10 @@ class AnisoConvDiffProblem(NonlinearSystem):
             raise ValueError("stretching_ratio must be at least 1")
         if ly <= 0.0:
             raise ValueError("ly must be positive")
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+        if not sigma >= 0.0:
+            raise ValueError("sigma must be nonnegative")
         self.nx, self.ny = nx, ny
         self.eps = float(eps)
         self.vx, self.vy = float(velocity[0]), float(velocity[1])
@@ -56,11 +60,12 @@ class AnisoConvDiffProblem(NonlinearSystem):
 
         self.hx = 1.0 / nx
         self.xc = (np.arange(nx) + 0.5) * self.hx
-        # Geometric y spacing, finest at the wall y = 0.
-        if stretching_ratio == 1.0:
+        # Geometric y spacing, finest at the wall y = 0. A ratio within
+        # round-off of 1 gives g == 1: the uniform grid, not 0 / 0.
+        g = stretching_ratio ** (1.0 / (ny - 1))
+        if g == 1.0:
             self.hy = np.full(ny, self.ly / ny)
         else:
-            g = stretching_ratio ** (1.0 / (ny - 1))
             try:
                 h0 = self.ly * (g - 1.0) / (g ** ny - 1.0)
             except OverflowError:   # g ** ny beyond the float range
@@ -69,7 +74,7 @@ class AnisoConvDiffProblem(NonlinearSystem):
         faces = np.concatenate(([0.0], np.cumsum(self.hy)))
         self.yc = 0.5 * (faces[:-1] + faces[1:])
 
-        self._layout = BlockLayout(nx * ny, 1)
+        self.layout = BlockLayout(nx * ny, 1)
         self.cell_measures = np.outer(self.hy, np.full(nx, self.hx)).ravel()
         self._vol2d = self.cell_measures.reshape(ny, nx)
 
@@ -99,10 +104,6 @@ class AnisoConvDiffProblem(NonlinearSystem):
         self._south = self.exact(self.xc, 0.0)
         self._north = self.exact(self.xc, self.ly)
         self._forcing = self._manufactured_forcing()
-
-    @property
-    def layout(self) -> BlockLayout:
-        return self._layout
 
     # -- manufactured solution ------------------------------------------------
 
@@ -208,11 +209,11 @@ class AnisoConvDiffProblem(NonlinearSystem):
 
     def initial_state(self) -> BlockVector:
         # Impulsive start: zero field violating the boundary data.
-        return BlockVector(self._layout)
+        return BlockVector(self.layout)
 
     def exact_on_grid(self) -> BlockVector:
         vals = self.exact(self.xc[None, :], self.yc[:, None])
-        return BlockVector(self._layout, vals.ravel())
+        return BlockVector(self.layout, vals.ravel())
 
 
 make_aniso_convdiff = AnisoConvDiffProblem

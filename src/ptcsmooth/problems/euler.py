@@ -73,14 +73,10 @@ class Quasi1dEulerProblem(NonlinearSystem):
         self.da = self.a_faces[1:] - self.a_faces[:-1]
         self._half_area = 0.5 * self.a_faces
 
-        self._layout = BlockLayout(n_cells, 3)
+        self.layout = BlockLayout(n_cells, 3)
         self.cell_measures = self.a_centers * self.dx
         self._state_key = None
         self._evaluation = None
-
-    @property
-    def layout(self) -> BlockLayout:
-        return self._layout
 
     # -- state handling -------------------------------------------------------
 
@@ -110,7 +106,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
         U = self.conserved(np.full(self.n, self.rho_in),
                            np.full(self.n, self.u_in),
                            np.full(self.n, self.p_exit), self.gamma)
-        return BlockVector(self._layout, U.ravel())
+        return BlockVector(self.layout, U.ravel())
 
     # -- residual and exact jacobian-vector product ---------------------------
 

@@ -13,8 +13,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                   NonlinearSystem, cellwise_scale, require_count)
+from .core import (BlockVector, FirstOrderBlocks, NonlinearSystem,
+                   cellwise_scale, require_count)
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
 
@@ -32,15 +32,12 @@ class BdfStepSystem(NonlinearSystem):
         if not 0.0 < dt < np.inf:   # NaN included
             raise ValueError("dt must be positive and finite")
         self.inner = system
+        self.layout = system.layout
         self.cell_measures = system.cell_measures
         self.w_prev = w_prev.copy()
         self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
         self.dt = float(dt)
         self.time_coeff = 1.0 if w_prev2 is None else 1.5
-
-    @property
-    def layout(self) -> BlockLayout:
-        return self.inner.layout
 
     def residual(self, w: BlockVector) -> np.ndarray:
         """Unsteady residual: BDF2 when two history levels exist, else BDF1."""

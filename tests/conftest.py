@@ -21,19 +21,15 @@ class LinearChainSystem(NonlinearSystem):
         self.off_up = np.asarray(off_up, dtype=float)  # dR_i/dw_{i+1}
         self.off_lo = np.asarray(off_lo, dtype=float)  # dR_{i+1}/dw_i
         n, b, _ = self.diag.shape
-        self._layout = BlockLayout(n, b)
+        self.layout = BlockLayout(n, b)
         self.rhs = np.asarray(rhs, dtype=float)
         if measures is None:
             measures = np.ones(n)
         self.cell_measures = np.asarray(measures, dtype=float)
         self.A = self.dense()
 
-    @property
-    def layout(self):
-        return self._layout
-
     def dense(self):
-        n, b = self._layout.n_cells, self._layout.block_size
+        n, b = self.layout.n_cells, self.layout.block_size
         A = np.zeros((n * b, n * b))
         for i in range(n):
             A[i * b:(i + 1) * b, i * b:(i + 1) * b] = self.diag[i]
@@ -43,7 +39,7 @@ class LinearChainSystem(NonlinearSystem):
         return A
 
     def solution(self):
-        return BlockVector(self._layout, np.linalg.solve(self.A, self.rhs))
+        return BlockVector(self.layout, np.linalg.solve(self.A, self.rhs))
 
     def residual(self, w):
         return self.A @ w.values - self.rhs
@@ -52,16 +48,16 @@ class LinearChainSystem(NonlinearSystem):
         return self.A @ v
 
     def first_order_blocks(self, w):
-        n = self._layout.n_cells
+        n = self.layout.n_cells
         edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         return FirstOrderBlocks(self.diag.copy(), edges,
                                 self.off_up.copy(), self.off_lo.copy())
 
     def explicit_dt(self, w):
-        return np.ones(self._layout.n_cells)
+        return np.ones(self.layout.n_cells)
 
     def initial_state(self):
-        return BlockVector(self._layout)
+        return BlockVector(self.layout)
 
 
 def diffusion_chain(n=8, b=1, seed=None):

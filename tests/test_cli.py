@@ -268,6 +268,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{CONVDIFF}vx = inf\n", "velocity must be finite"),
     (f"{CONVDIFF}sigma = -inf\n", "sigma must be finite"),
     (f"{CONVDIFF}ly = -1\n", "ly must be positive"),
+    (f"{CONVDIFF}eps = -0.01\n", "eps must be positive"),
+    (f"{CONVDIFF}sigma = -5\n", "sigma must be nonnegative"),
     (f"{CONVDIFF}stretching = 1e300\n", "stretching_ratio 1e+300 is too large"),
     (f"{CONVDIFF}stretching = 1e200\n", "stretching_ratio 1e+200 is too large"),
     (f"{NOZZLE}p_exit = -1\n", "p_exit and length must be positive"),
@@ -279,8 +281,9 @@ NOZZLE = "[problem]\nname = nozzle\n"
         "target_absolute_inf", "cfl_max_inf", "cfl_init_subnormal", "n_cells",
         "dt", "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
-        "ly", "stretching_1e300", "stretching_1e200", "p_exit", "rho_in",
-        "u_in_nan", "gamma_nan", "gamma_one"])
+        "ly", "eps_negative", "sigma_negative", "stretching_1e300",
+        "stretching_1e200", "p_exit", "rho_in", "u_in_nan", "gamma_nan",
+        "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -86,9 +88,19 @@ def test_trial_residual_rejects_unusable_states():
     e._decode(face_bad.values)                # only the face check fails
     p = make_bratu(16, 1.0)
     overflowing = BlockVector(p.layout, np.full(16, 1e3))   # exp(1e3) = inf
-    assert trial_residual(e, cell_bad) is None
-    assert trial_residual(e, face_bad) is None
-    assert trial_residual(p, overflowing) is None
+    # Finite residuals whose norm overflows: exp(700) ~ 1e304 on 64 cells,
+    # and sigma * u * |u| = inf on convdiff at 1e155.
+    big = make_bratu(64, 1.0)
+    norm_overflowing = BlockVector(big.layout, np.full(64, 700.0))
+    c = make_aniso_convdiff(8, 8, 1.0)
+    squared_overflowing = BlockVector(c.layout, np.full(64, 1e155))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trial_residual(e, cell_bad) is None
+        assert trial_residual(e, face_bad) is None
+        assert trial_residual(p, overflowing) is None
+        assert trial_residual(big, norm_overflowing) is None
+        assert trial_residual(c, squared_overflowing) is None
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +526,11 @@ def test_euler_solver_never_accepts_inadmissible_state():
     (lambda: make_aniso_convdiff(4, 4, amplitude=float("inf")),
      "amplitude must be finite"),
     (lambda: make_aniso_convdiff(4, 4, ly=0.0), "ly must be positive"),
+    (lambda: make_aniso_convdiff(8, 8, eps=-0.01, velocity=(0.0, 0.0)),
+     "eps must be positive"),
+    (lambda: make_aniso_convdiff(8, 8, eps=0.0), "eps must be positive"),
+    (lambda: make_aniso_convdiff(8, 8, sigma=-5.0),
+     "sigma must be nonnegative"),
     (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e300),
      "stretching_ratio 1e\\+300 is too large"),
     (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e200),
@@ -524,7 +541,8 @@ def test_euler_solver_never_accepts_inadmissible_state():
     (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
      "nozzle area must be positive and finite"),
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
-        "convdiff_ly_zero", "convdiff_stretching_1e300",
+        "convdiff_ly_zero", "convdiff_eps_negative", "convdiff_eps_zero",
+        "convdiff_sigma_negative", "convdiff_stretching_1e300",
         "convdiff_stretching_1e200", "euler_length", "euler_area_negative",
         "euler_area_nan"])
 def test_constructors_reject_invalid_parameters(build, message):

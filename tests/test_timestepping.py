@@ -16,30 +16,26 @@ class ZeroSystem(NonlinearSystem):
     """R(w) = 0 with unit mass; isolates the discrete time derivative."""
 
     def __init__(self, n):
-        self._layout = BlockLayout(n, 1)
+        self.layout = BlockLayout(n, 1)
         self.cell_measures = np.ones(n)
 
-    @property
-    def layout(self):
-        return self._layout
-
     def residual(self, w):
-        return np.zeros(self._layout.n_dofs)
+        return np.zeros(self.layout.n_dofs)
 
     def jacobian_vector(self, w, v):
-        return np.zeros(self._layout.n_dofs)
+        return np.zeros(self.layout.n_dofs)
 
     def first_order_blocks(self, w):
-        n = self._layout.n_cells
+        n = self.layout.n_cells
         edges = np.zeros((0, 2), dtype=int)
         return FirstOrderBlocks(np.zeros((n, 1, 1)), edges,
                                 np.zeros((0, 1, 1)), np.zeros((0, 1, 1)))
 
     def explicit_dt(self, w):
-        return np.ones(self._layout.n_cells)
+        return np.ones(self.layout.n_cells)
 
     def initial_state(self):
-        return BlockVector(self._layout)
+        return BlockVector(self.layout)
 
 
 def test_steady_state_is_fixed_point():
