@@ -31,7 +31,11 @@ class GmresStats:
 
 
 class SingularPivotError(np.linalg.LinAlgError):
-    """A pivot block in the block-Thomas factorization is (near) singular."""
+    """A pivot block of the line factorization is singular, or its inverse
+    is not finite. The message names the line and the cell position on it.
+    Cyclic reduction pivots on reduced blocks, so the position is the one the
+    reduced row holds on the original line, and the first failing level wins
+    over a lower position on a later one."""
 
 
 def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
@@ -144,45 +148,62 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Block-tridiagonal (Thomas) kernels
+# Block-tridiagonal (cyclic reduction) kernels
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BlockTridiagFactorization:
-    """Pivot-free block LU of the line-structured operator.
+    """Pivot-free block cyclic reduction of the line-structured operator.
 
     Cells on multi-cell lines couple through their retained off-diagonal
     blocks; singleton lines degenerate to standalone block inversions. The
-    arrays follow the padded layout of ``lines.index`` (see ``LineBlocks``),
-    whose padded slots hold identity pivots and zero couplings, so one sweep
-    over line position serves every line.
+    position axis of ``lines.index`` is padded to 2^L - 1, L =
+    ``k_max.bit_length()``, with padded slots holding identity pivots and
+    zero couplings. Each level eliminates the even rows of what remains and
+    folds them into the odd rows, leaving 2^(L-1) - 1; after L - 1 levels one
+    row per line is left, the root at position 2^(L-1) - 1. Every line
+    reduces at once, so a factor or solve makes a few batched calls per
+    level rather than one pass per position.
     Immutable after construction and safe to share read-only.
     """
 
     layout: BlockLayout
     lines: LineSet
-    binv: np.ndarray     # (k_max, n_lines, b, b) inverted pivot blocks
-    gamma: np.ndarray    # (k_max - 1, n_lines, b, b) back-substitution blocks
-    lower: np.ndarray    # (k_max - 1, n_lines, b, b) sub-diagonal blocks dR_q/dw_p
+    index: np.ndarray    # (2^L - 1, n_lines): lines.index, dummy-padded
+    # Per level, over its P + 1 even rows (eliminated) and the P odd rows
+    # between them, each array (rows, n_lines, b, b): dinv, the P + 1
+    # inverted even pivots; left and right, each odd row's coupling to the
+    # even row before and after it; dinv_lower, dinv times the coupling of
+    # even rows 1..P to the odd row before; dinv_upper, dinv times the
+    # coupling of even rows 0..P-1 to the odd row after.
+    levels: Tuple[Tuple[np.ndarray, ...], ...]
+    root: np.ndarray     # (n_lines, b, b) inverted root pivots
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
-        """Forward/backward substitution over line position, all lines at once."""
+        """Reduction, root solve and back-substitution, all lines at once."""
         if r.shape != (self.layout.n_dofs,):
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
                 f"factorization's {self.layout.n_dofs} unknowns")
         n, b = self.layout.n_cells, self.layout.block_size
-        index = self.lines.index
         padded = np.zeros((n + 1, b))    # row n: the dummy cell
         padded[:n] = r.reshape(n, b)
-        y = padded[index][..., None]     # (k_max, n_lines, b, 1), in place
-        binv, gamma, lower = self.binv, self.gamma, self.lower
-        y[0] = binv[0] @ y[0]
-        for m in range(1, len(y)):
-            y[m] = binv[m] @ (y[m] - lower[m - 1] @ y[m - 1])
-        for m in range(len(y) - 2, -1, -1):
-            y[m] -= gamma[m] @ y[m + 1]
-        padded[index] = y[..., 0]
+        y = padded[self.index][..., None]   # (2^L - 1, n_lines, b, 1)
+        # Level l's rows sit every s = 2^l positions from s - 1: the even
+        # rows it eliminates, then the odd rows it keeps.
+        s = 1
+        for dinv, left, right, _, _ in self.levels:
+            even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
+            even[...] = dinv @ even
+            odd -= left @ even[:-1] + right @ even[1:]
+            s *= 2
+        y[s - 1] = self.root @ y[s - 1]
+        for _, _, _, dinv_lower, dinv_upper in reversed(self.levels):
+            s //= 2
+            even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
+            even[1:] -= dinv_lower @ odd
+            even[:-1] -= dinv_upper @ odd
+        padded[self.index] = y[..., 0]
         return padded[:n].reshape(-1)
 
 
@@ -200,26 +221,44 @@ def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:
     return inv
 
 
-def _invert_pivots(pivots: np.ndarray, pos: int) -> np.ndarray:
-    """Invert every line's pivot at position ``pos`` in one call. A failure
-    names its line: the first failing position, then the lowest line."""
-    try:
-        inv = np.linalg.inv(pivots)
-    except np.linalg.LinAlgError:
-        inv = None
+def _invert_pivots(pivots: np.ndarray, positions: range) -> np.ndarray:
+    """Invert one level's pivots, (len(positions), n_lines, b, b), in one
+    call; ``positions`` holds their original positions on the lines. A
+    failure names its line: the lowest position, then the lowest line.
+    A 1x1 block's inverse is its reciprocal, bit for bit what
+    ``np.linalg.inv`` returns, without a LAPACK call per block."""
+    if pivots.shape[-1] == 1:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = 1.0 / pivots
+    else:
+        try:
+            inv = np.linalg.inv(pivots)
+        except np.linalg.LinAlgError:
+            inv = None
     if inv is None or not np.all(np.isfinite(inv)):
-        inv = np.array([_invert_pivot(block, li, pos)
-                        for li, block in enumerate(pivots)])
+        inv = np.array([[_invert_pivot(block, li, pos)
+                         for li, block in enumerate(row)]
+                        for pos, row in zip(positions, pivots)])
     return inv
+
+
+def _pad(a: np.ndarray, count: int, value: float) -> np.ndarray:
+    """``a`` extended by ``count`` entries of ``value`` on its first axis."""
+    if count == 0:
+        return a
+    return np.concatenate([a, np.full((count,) + a.shape[1:], value, a.dtype)])
 
 
 def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
                          upper: np.ndarray,
                          lower: np.ndarray) -> BlockTridiagFactorization:
-    """Block Thomas factorization of every line of ``lines`` at once.
+    """Block cyclic reduction of every line of ``lines`` at once.
 
     ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
-    padded couplings of ``LineBlocks``, (k_max - 1, n_lines, b, b).
+    padded couplings of ``LineBlocks``, (k_max - 1, n_lines, b, b). A
+    singular or non-finite pivot raises ``SingularPivotError`` naming a line
+    and the original position of the reduced row: the first failing level,
+    then the lowest position, then the lowest line.
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
@@ -232,12 +271,24 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
             f"coupling arrays {upper.shape} and {lower.shape} do not match "
             f"the line pairs {pair_shape}")
 
+    k_max = len(lines.index)
+    size = 2 ** k_max.bit_length() - 1
+    index = _pad(lines.index, size - k_max, n_cells)
+    upper = _pad(upper, size - k_max, 0.0)
+    lower = _pad(lower, size - k_max, 0.0)
     # The dummy cell's identity pivot keeps padded slots inert.
-    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
-    binv = np.empty(diag.shape)
-    gamma = np.empty(pair_shape)
-    binv[0] = _invert_pivots(diag[0], 0)
-    for m in range(1, len(diag)):
-        gamma[m - 1] = binv[m - 1] @ upper[m - 1]
-        binv[m] = _invert_pivots(diag[m] - lower[m - 1] @ gamma[m - 1], m)
-    return BlockTridiagFactorization(layout, lines, binv, gamma, lower)
+    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[index]
+    levels = []
+    stride = 1    # this level's rows sit at positions stride - 1 + j * stride
+    while len(diag) > 1:
+        dinv = _invert_pivots(diag[0::2], range(stride - 1, size, 2 * stride))
+        left, right = lower[0::2], upper[1::2]
+        dinv_lower = dinv[1:] @ lower[1::2]
+        dinv_upper = dinv[:-1] @ upper[0::2]
+        diag = diag[1::2] - left @ dinv_upper - right @ dinv_lower
+        upper = -(right[:-1] @ dinv_upper[1:])
+        lower = -(left[1:] @ dinv_lower[:-1])
+        levels.append((dinv, left, right, dinv_lower, dinv_upper))
+        stride *= 2
+    root = _invert_pivots(diag, range(stride - 1, size, 2 * stride))[0]
+    return BlockTridiagFactorization(layout, lines, index, tuple(levels), root)

@@ -103,7 +103,12 @@ class AnisoConvDiffProblem(NonlinearSystem):
         self._east = self.exact(1.0, self.yc)
         self._south = self.exact(self.xc, 0.0)
         self._north = self.exact(self.xc, self.ly)
-        self._forcing = self._manufactured_forcing()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._forcing = self._manufactured_forcing()
+        if not np.all(np.isfinite(self._forcing)):
+            raise ValueError(
+                "eps, velocity, sigma and amplitude give a manufactured "
+                "forcing that overflows")
 
     # -- manufactured solution ------------------------------------------------
 

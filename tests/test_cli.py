@@ -272,6 +272,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{CONVDIFF}sigma = -5\n", "sigma must be nonnegative"),
     (f"{CONVDIFF}stretching = 1e300\n", "stretching_ratio 1e+300 is too large"),
     (f"{CONVDIFF}stretching = 1e200\n", "stretching_ratio 1e+200 is too large"),
+    (f"{CONVDIFF}eps = 1e308\n", "forcing that overflows"),
     (f"{NOZZLE}p_exit = -1\n", "p_exit and length must be positive"),
     (f"{NOZZLE}rho_in = 0\n", "p_exit and length must be positive"),
     (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
@@ -282,8 +283,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
         "dt", "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
         "ly", "eps_negative", "sigma_negative", "stretching_1e300",
-        "stretching_1e200", "p_exit", "rho_in", "u_in_nan", "gamma_nan",
-        "gamma_one"])
+        "stretching_1e200", "eps_overflow", "p_exit", "rho_in", "u_in_nan",
+        "gamma_nan", "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"

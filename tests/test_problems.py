@@ -535,6 +535,12 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "stretching_ratio 1e\\+300 is too large"),
     (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e200),
      "stretching_ratio 1e\\+200 is too large"),
+    (lambda: make_aniso_convdiff(8, 8, 1.0, eps=1e308),
+     "forcing that overflows"),
+    (lambda: make_aniso_convdiff(8, 8, 1.0, sigma=1e308),
+     "forcing that overflows"),
+    (lambda: make_aniso_convdiff(8, 8, 1.0, amplitude=1e308),
+     "forcing that overflows"),
     (lambda: make_quasi1d_euler(16, length=-1.0), "must be positive"),
     (lambda: make_quasi1d_euler(16, area=lambda x: 1.0 - 2.0 * np.asarray(x)),
      "nozzle area must be positive and finite"),
@@ -543,8 +549,9 @@ def test_euler_solver_never_accepts_inadmissible_state():
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
         "convdiff_ly_zero", "convdiff_eps_negative", "convdiff_eps_zero",
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
-        "convdiff_stretching_1e200", "euler_length", "euler_area_negative",
-        "euler_area_nan"])
+        "convdiff_stretching_1e200", "convdiff_forcing_eps",
+        "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
+        "euler_length", "euler_area_negative", "euler_area_nan"])
 def test_constructors_reject_invalid_parameters(build, message):
     # A problem that constructs has finite parameters and positive, finite
     # cell measures.
