@@ -8,7 +8,8 @@ problem construction. Histories go to CSV (one row per Newton step,
 rejections included), run summaries to JSON with a config echo that lists
 every key with its resolved value and re-parses to the same config.
 
-Exit codes: 0 converged, 1 usage/config/I-O error, 2 stagnated, 3 step budget
+Exit codes: 0 converged, 1 usage/config/I-O error or a starting state the
+solver cannot use (``inadmissible start: ...``), 2 stagnated, 3 step budget
 exhausted.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import ConvergenceRecord, NonlinearSystem
+from .core import ConvergenceRecord, InadmissibleStateError, NonlinearSystem
 from .lines import extract_lines
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 from .problems import make_aniso_convdiff, make_bratu, make_quasi1d_euler
@@ -344,7 +345,8 @@ _COMMANDS = {
 def run(config: RunConfig, command: str) -> int:
     """Execute one command on the configured problem; returns the process
     exit code. Raises ConfigError before writing anything if the problem
-    cannot be built."""
+    cannot be built; a starting state the solver rejects prints
+    ``inadmissible start: ...`` and returns 1."""
     problem = build_problem(config)
     _, execute, summary_suffix = _COMMANDS[command]
     output = config.values["output"]
@@ -364,6 +366,9 @@ def run(config: RunConfig, command: str) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
+    except InadmissibleStateError as exc:
+        print(f"inadmissible start: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -375,7 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to config file")
         p.add_argument("--override", action="append", default=[],
-                       metavar="SectionKEY=VALUE",
+                       metavar="SECTION.KEY=VALUE",
                        help="override as section.key=value (repeatable)")
     args = parser.parse_args(argv)
 

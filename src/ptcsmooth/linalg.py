@@ -163,7 +163,9 @@ class BlockTridiagFactorization:
     folds them into the odd rows, leaving 2^(L-1) - 1; after L - 1 levels one
     row per line is left, the root at position 2^(L-1) - 1. Every line
     reduces at once, so a factor or solve makes a few batched calls per
-    level rather than one pass per position.
+    level rather than one pass per position. With 1x1 blocks every block
+    product is elementwise, which has the value of ``@`` except for the sign
+    of an exactly zero product; larger blocks use ``@``.
     Immutable after construction and safe to share read-only.
     """
 
@@ -189,20 +191,21 @@ class BlockTridiagFactorization:
         padded = np.zeros((n + 1, b))    # row n: the dummy cell
         padded[:n] = r.reshape(n, b)
         y = padded[self.index][..., None]   # (2^L - 1, n_lines, b, 1)
+        mul = np.multiply if b == 1 else np.matmul
         # Level l's rows sit every s = 2^l positions from s - 1: the even
         # rows it eliminates, then the odd rows it keeps.
         s = 1
         for dinv, left, right, _, _ in self.levels:
             even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
-            even[...] = dinv @ even
-            odd -= left @ even[:-1] + right @ even[1:]
+            even[...] = mul(dinv, even)
+            odd -= mul(left, even[:-1]) + mul(right, even[1:])
             s *= 2
-        y[s - 1] = self.root @ y[s - 1]
+        y[s - 1] = mul(self.root, y[s - 1])
         for _, _, _, dinv_lower, dinv_upper in reversed(self.levels):
             s //= 2
             even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
-            even[1:] -= dinv_lower @ odd
-            even[:-1] -= dinv_upper @ odd
+            even[1:] -= mul(dinv_lower, odd)
+            even[:-1] -= mul(dinv_upper, odd)
         padded[self.index] = y[..., 0]
         return padded[:n].reshape(-1)
 
@@ -278,16 +281,17 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
     lower = _pad(lower, size - k_max, 0.0)
     # The dummy cell's identity pivot keeps padded slots inert.
     diag = np.concatenate([diag_blocks, np.eye(b)[None]])[index]
+    mul = np.multiply if b == 1 else np.matmul
     levels = []
     stride = 1    # this level's rows sit at positions stride - 1 + j * stride
     while len(diag) > 1:
         dinv = _invert_pivots(diag[0::2], range(stride - 1, size, 2 * stride))
         left, right = lower[0::2], upper[1::2]
-        dinv_lower = dinv[1:] @ lower[1::2]
-        dinv_upper = dinv[:-1] @ upper[0::2]
-        diag = diag[1::2] - left @ dinv_upper - right @ dinv_lower
-        upper = -(right[:-1] @ dinv_upper[1:])
-        lower = -(left[1:] @ dinv_lower[:-1])
+        dinv_lower = mul(dinv[1:], lower[1::2])
+        dinv_upper = mul(dinv[:-1], upper[0::2])
+        diag = diag[1::2] - mul(left, dinv_upper) - mul(right, dinv_lower)
+        upper = -mul(right[:-1], dinv_upper[1:])
+        lower = -mul(left[1:], dinv_lower[:-1])
         levels.append((dinv, left, right, dinv_lower, dinv_upper))
         stride *= 2
     root = _invert_pivots(diag, range(stride - 1, size, 2 * stride))[0]

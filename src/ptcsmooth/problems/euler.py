@@ -55,6 +55,12 @@ class Quasi1dEulerProblem(NonlinearSystem):
             raise ValueError("rho_in, p_exit and length must be positive")
         if gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            inflow = self.conserved(rho_in, u_in, p_exit, gamma)
+        if not np.all(np.isfinite(inflow)):
+            raise ValueError(
+                "rho_in, u_in, p_exit and gamma give an initial state that "
+                "overflows")
         self.n = n_cells
         self.gamma = float(gamma)
         self.rho_in = float(rho_in)

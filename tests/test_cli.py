@@ -276,6 +276,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}p_exit = -1\n", "p_exit and length must be positive"),
     (f"{NOZZLE}rho_in = 0\n", "p_exit and length must be positive"),
     (f"{NOZZLE}u_in = nan\n", "u_in must be finite"),
+    (f"{NOZZLE}u_in = 1e200\n", "initial state that overflows"),
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
@@ -284,7 +285,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
         "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
         "ly", "eps_negative", "sigma_negative", "stretching_1e300",
         "stretching_1e200", "eps_overflow", "p_exit", "rho_in", "u_in_nan",
-        "gamma_nan", "gamma_one"])
+        "u_in_overflow", "gamma_nan", "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"
@@ -294,6 +295,19 @@ def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and reason in err
         assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "unsteady"])
+def test_inadmissible_start_is_a_documented_abort(tmp_path, capsys, command):
+    # The residual at the zero start is -1e308 in every cell, so its norm
+    # overflows and the solver refuses the start before any step.
+    outdir = tmp_path / "out"
+    cfg = _write(tmp_path,
+                 MINIMAL + f"lambda = 1e308\n[output]\ndir = {outdir}\n")
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("inadmissible start: ") and "Traceback" not in err
+    assert not list(outdir.iterdir())
 
 
 def test_override_error_names_override():

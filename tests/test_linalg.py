@@ -448,3 +448,30 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     if len(lines.index) == 1:
         assert x.tobytes() == _loop_solve(lines, diag, upper, lower,
                                           r).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_lines(), st.integers(min_value=0, max_value=10_000))
+def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
+    """1x1 blocks multiply elementwise and 2x2 blocks through ``@``. With
+    every scalar block as the top-left entry of a 2x2 block, whose other
+    entries are 0 (and 1 on the pivot diagonal), the two paths do the same
+    operations in the same order, so the scalar solve equals the embedded
+    solve's first components bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = lines.n_cells
+    diag = rng.standard_normal((n, 1, 1)) + 3.0
+    upper, lower = random_couplings(rng, lines, 1, 0.5)
+    r = rng.standard_normal(n)
+    scalar = factor_block_tridiag(lines, diag, upper, lower)
+
+    def embed(blocks, unit):
+        out = np.zeros(blocks.shape[:-2] + (2, 2))
+        out[..., 0, 0] = blocks[..., 0, 0]
+        out[..., 1, 1] = unit
+        return out
+
+    block = factor_block_tridiag(lines, embed(diag, 1.0), embed(upper, 0.0),
+                                 embed(lower, 0.0))
+    r2 = np.column_stack([r, rng.standard_normal(n)]).reshape(-1)
+    assert np.array_equal(scalar.solve_values(r), block.solve_values(r2)[0::2])

@@ -546,12 +546,19 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "nozzle area must be positive and finite"),
     (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
      "nozzle area must be positive and finite"),
+    (lambda: make_quasi1d_euler(16, u_in=1e200),
+     "initial state that overflows"),
+    (lambda: make_quasi1d_euler(16, p_exit=1e308),
+     "initial state that overflows"),
+    (lambda: make_quasi1d_euler(16, rho_in=1e308, u_in=10.0),
+     "initial state that overflows"),
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
         "convdiff_ly_zero", "convdiff_eps_negative", "convdiff_eps_zero",
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
         "convdiff_stretching_1e200", "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
-        "euler_length", "euler_area_negative", "euler_area_nan"])
+        "euler_length", "euler_area_negative", "euler_area_nan",
+        "euler_inflow_u", "euler_inflow_p", "euler_inflow_rho"])
 def test_constructors_reject_invalid_parameters(build, message):
     # A problem that constructs has finite parameters and positive, finite
     # cell measures.
