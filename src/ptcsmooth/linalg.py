@@ -18,10 +18,6 @@ from .lines import LineSet
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
-# Ratio test threshold for a second (re-orthogonalization) pass of modified
-# Gram-Schmidt (Brown/Hindmarsh style).
-_REORTH_RATIO = 0.7
-
 
 @dataclass
 class GmresStats:
@@ -52,6 +48,11 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     norm overflows raises ``ContractViolationError``; the operator is
     applied with overflow silenced, so that check is its only verdict.
     ``stats.iterations`` counts applications of ``A``.
+    Each new Krylov vector is orthogonalized by classical Gram-Schmidt
+    against the whole basis and then again (CGS2): four matrix-vector
+    products, and a basis as orthogonal as modified Gram-Schmidt with
+    re-orthogonalization gives (Giraud, Langou & Rozloznik, Numer. Math.
+    101, 2005).
     The residual norm is tracked through the Givens recurrence, so the
     convergence test is relative reduction of that recurrence norm.
     """
@@ -86,26 +87,20 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     residual = b_norm
     converged = False
     for j in range(m):
-        basis = rows[:j + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             w = A(precon(rows[j]))
-            norm_before = np.linalg.norm(w)
-        if not np.isfinite(norm_before):
+            w_norm = np.linalg.norm(w)
+        if not np.isfinite(w_norm):
             raise ContractViolationError(
                 "operator output is not finite or its norm overflows")
 
-        col = [0.0] * (j + 2)
-        # Modified Gram-Schmidt; a second pass only when cancellation is
-        # severe.
-        for _ in range(2):
-            for i, v in enumerate(basis):
-                h = float(np.dot(v, w))
-                col[i] += h
-                w -= h * v
-            w_norm = np.linalg.norm(w)
-            if w_norm >= _REORTH_RATIO * norm_before:
-                break
-        col[j + 1] = float(w_norm)
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        w_norm = float(np.linalg.norm(w))
+        col = (h + h2).tolist() + [w_norm]
 
         # Apply accumulated Givens rotations to the new column.
         for i, (c, s) in enumerate(zip(cs, sn)):

@@ -121,9 +121,8 @@ def test_gmres_zero_column_stops_with_finite_iterate(operator, b, iterations):
 
 
 def _reference_gmres(A, precon, b, rel_tol, max_vectors):
-    """The MGS/Givens loop with every scalar read and written through numpy
-    arrays: the reference GMRES must match bit for bit. Also returns how
-    many re-orthogonalization passes ran."""
+    """The CGS2/Givens loop with every scalar read and written through numpy
+    arrays: the reference GMRES must match bit for bit."""
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     m = min(max_vectors, n)
@@ -136,22 +135,14 @@ def _reference_gmres(A, precon, b, rel_tol, max_vectors):
     g[0] = b_norm
     tol_abs = rel_tol * b_norm
     breakdown_tol = np.finfo(float).eps * b_norm
-    k, residual, converged, reorth = 0, b_norm, False, 0
+    k, residual, converged = 0, b_norm, False
     for j in range(m):
         w = A(precon(V[j]))
-        norm_before = np.linalg.norm(w)
-        for i in range(j + 1):
-            h = np.dot(V[i], w)
-            H[i, j] += h
-            w -= h * V[i]
+        for _ in range(2):
+            h = V[:j + 1] @ w
+            H[:j + 1, j] += h
+            w -= h @ V[:j + 1]
         w_norm = np.linalg.norm(w)
-        if w_norm < 0.7 * norm_before:
-            reorth += 1
-            for i in range(j + 1):
-                h = np.dot(V[i], w)
-                H[i, j] += h
-                w -= h * V[i]
-            w_norm = np.linalg.norm(w)
         H[j + 1, j] = w_norm
         for i in range(j):
             hij = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -177,7 +168,7 @@ def _reference_gmres(A, precon, b, rel_tol, max_vectors):
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
     x = precon(V[:k].T @ y)
-    return x, GmresStats(k, residual / b_norm, converged), reorth
+    return x, GmresStats(k, residual / b_norm, converged)
 
 
 def _gmres_bytes(x, stats):
@@ -188,16 +179,16 @@ def _gmres_bytes(x, stats):
 def _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed):
     """Byte-compare GMRES with the reference on a random nonsymmetric
     system (A = I + coupling * noise) with a random diagonal right
-    preconditioner; returns the reference's stats and re-orthogonalizations."""
+    preconditioner; returns the reference's stats."""
     rng = np.random.default_rng(seed)
     A = np.eye(n) + coupling * rng.standard_normal((n, n))
     scale = rng.uniform(0.5, 2.0, n)
     b = rng.standard_normal(n)
     args = (_dense_operator(A), lambda x: scale * x, b, rel_tol, budget)
-    x_ref, stats_ref, reorth = _reference_gmres(*args)
+    x_ref, stats_ref = _reference_gmres(*args)
     assert _gmres_bytes(*gmres_right_preconditioned(*args)) == \
         _gmres_bytes(x_ref, stats_ref)
-    return stats_ref, reorth
+    return stats_ref
 
 
 @settings(max_examples=80, deadline=None)
@@ -210,14 +201,35 @@ def test_gmres_matches_reference_property(n, coupling, budget, rel_tol, seed):
     _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed)
 
 
-def test_gmres_reference_cases_cover_reorthogonalization_and_budget():
+def test_gmres_reference_cases_cover_cancellation_and_budget():
     # Near-identity: each new direction is mostly in the span already built,
-    # so every step re-orthogonalizes.
-    stats, reorth = _check_gmres_matches_reference(30, 1e-3, 30, 1e-12, 0)
-    assert stats.converged and reorth > 0
+    # so the first pass cancels nearly all of it.
+    stats = _check_gmres_matches_reference(30, 1e-3, 30, 1e-12, 0)
+    assert stats.converged
     # Strongly nonnormal with a small budget: the budget runs out.
-    stats, reorth = _check_gmres_matches_reference(40, 2.0, 8, 1e-12, 1)
+    stats = _check_gmres_matches_reference(40, 2.0, 8, 1e-12, 1)
     assert not stats.converged and stats.iterations == 8
+
+
+def test_gmres_basis_stays_orthonormal_on_ill_conditioned_operator():
+    # Eigenvalues over ten decades: one Gram-Schmidt pass loses
+    # orthogonality to about 4e-9 here, the second pass brings it back to
+    # round-off. With the identity preconditioner the operator sees V[j].
+    rng = np.random.default_rng(0)
+    n = 60
+    A = np.diag(np.logspace(0, 10, n)) + 1e-2 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    basis = []
+
+    def recording_operator(x):
+        basis.append(x.copy())
+        return A @ x
+
+    _, stats = gmres_right_preconditioned(recording_operator, _identity, b,
+                                          1e-14, 40)
+    assert stats.iterations == 40
+    V = np.array(basis)
+    assert np.linalg.norm(V @ V.T - np.eye(40)) <= 1e-12
 
 
 def test_gmres_parameter_validation():
