@@ -33,10 +33,8 @@ class BlockLayout:
     block_size: int
 
     def __post_init__(self):
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be positive, got {self.block_size}")
+        require_count("n_cells", self.n_cells, 1)
+        require_count("block_size", self.block_size, 1)
 
     @property
     def n_dofs(self) -> int:

@@ -13,7 +13,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import BlockLayout, ContractViolationError
+from .core import ContractViolationError
 from .lines import LineSet
 
 Operator = Callable[[np.ndarray], np.ndarray]
@@ -152,21 +152,19 @@ class BlockTridiagFactorization:
 
     Cells on multi-cell lines couple through their retained off-diagonal
     blocks; singleton lines degenerate to standalone block inversions. The
-    position axis of ``lines.index`` is padded to 2^L - 1, L =
-    ``k_max.bit_length()``, with padded slots holding identity pivots and
-    zero couplings. Each level eliminates the even rows of what remains and
-    folds them into the odd rows, leaving 2^(L-1) - 1; after L - 1 levels one
-    row per line is left, the root at position 2^(L-1) - 1. Every line
-    reduces at once, so a factor or solve makes a few batched calls per
-    level rather than one pass per position. With 1x1 blocks every block
-    product is elementwise, which has the value of ``@`` except for the sign
-    of an exactly zero product; larger blocks use ``@``.
+    rows are the 2^L - 1 positions of ``lines.index``; a slot past a line's
+    end holds an identity pivot and zero couplings. Each level eliminates the
+    even rows of what remains and folds them into the odd rows, leaving
+    2^(L-1) - 1; after L - 1 levels one row per line is left, the root at
+    position 2^(L-1) - 1. Every line reduces at once, so a factor or solve
+    makes a few batched calls per level rather than one pass per position.
+    With 1x1 blocks every block product is elementwise, which has the value
+    of ``@`` except for the sign of an exactly zero product; larger blocks
+    use ``@``.
     Immutable after construction and safe to share read-only.
     """
 
-    layout: BlockLayout
     lines: LineSet
-    index: np.ndarray    # (2^L - 1, n_lines): lines.index, dummy-padded
     # Per level, over its P + 1 even rows (eliminated) and the P odd rows
     # between them, each array (rows, n_lines, b, b): dinv, the P + 1
     # inverted even pivots; left and right, each odd row's coupling to the
@@ -178,14 +176,15 @@ class BlockTridiagFactorization:
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
         """Reduction, root solve and back-substitution, all lines at once."""
-        if r.shape != (self.layout.n_dofs,):
+        n, b = self.lines.n_cells, self.root.shape[-1]
+        if r.shape != (n * b,):
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
-                f"factorization's {self.layout.n_dofs} unknowns")
-        n, b = self.layout.n_cells, self.layout.block_size
+                f"factorization's {n * b} unknowns")
         padded = np.zeros((n + 1, b))    # row n: the dummy cell
         padded[:n] = r.reshape(n, b)
-        y = padded[self.index][..., None]   # (2^L - 1, n_lines, b, 1)
+        index = self.lines.index
+        y = padded[index][..., None]   # (2^L - 1, n_lines, b, 1)
         mul = np.multiply if b == 1 else np.matmul
         # Level l's rows sit every s = 2^l positions from s - 1: the even
         # rows it eliminates, then the odd rows it keeps.
@@ -201,7 +200,7 @@ class BlockTridiagFactorization:
             even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
             even[1:] -= mul(dinv_lower, odd)
             even[:-1] -= mul(dinv_upper, odd)
-        padded[self.index] = y[..., 0]
+        padded[index] = y[..., 0]
         return padded[:n].reshape(-1)
 
 
@@ -240,42 +239,32 @@ def _invert_pivots(pivots: np.ndarray, positions: range) -> np.ndarray:
     return inv
 
 
-def _pad(a: np.ndarray, count: int, value: float) -> np.ndarray:
-    """``a`` extended by ``count`` entries of ``value`` on its first axis."""
-    if count == 0:
-        return a
-    return np.concatenate([a, np.full((count,) + a.shape[1:], value, a.dtype)])
-
-
 def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
                          upper: np.ndarray,
                          lower: np.ndarray) -> BlockTridiagFactorization:
     """Block cyclic reduction of every line of ``lines`` at once.
 
     ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
-    padded couplings of ``LineBlocks``, (k_max - 1, n_lines, b, b). A
-    singular or non-finite pivot raises ``SingularPivotError`` naming a line
-    and the original position of the reduced row: the first failing level,
-    then the lowest position, then the lowest line.
+    couplings of ``LineBlocks``, shaped ``lines.index[1:].shape + (b, b)``,
+    with zero blocks past each line's end. The layout of ``lines.index`` is
+    the one reduced. A singular or non-finite pivot raises
+    ``SingularPivotError`` naming a line and the original position of the
+    reduced row: the first failing level, then the lowest position, then the
+    lowest line.
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
     if b != b2 or n_cells != lines.n_cells:
         raise ContractViolationError("diagonal block array shape mismatch")
-    layout = BlockLayout(n_cells, b)
     pair_shape = lines.index[1:].shape + (b, b)
     if upper.shape != pair_shape or lower.shape != pair_shape:
         raise ContractViolationError(
             f"coupling arrays {upper.shape} and {lower.shape} do not match "
             f"the line pairs {pair_shape}")
 
-    k_max = len(lines.index)
-    size = 2 ** k_max.bit_length() - 1
-    index = _pad(lines.index, size - k_max, n_cells)
-    upper = _pad(upper, size - k_max, 0.0)
-    lower = _pad(lower, size - k_max, 0.0)
+    size = len(lines.index)
     # The dummy cell's identity pivot keeps padded slots inert.
-    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[index]
+    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
     mul = np.multiply if b == 1 else np.matmul
     levels = []
     stride = 1    # this level's rows sit at positions stride - 1 + j * stride
@@ -290,4 +279,4 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
         levels.append((dinv, left, right, dinv_lower, dinv_upper))
         stride *= 2
     root = _invert_pivots(diag, range(stride - 1, size, 2 * stride))[0]
-    return BlockTridiagFactorization(layout, lines, index, tuple(levels), root)
+    return BlockTridiagFactorization(lines, tuple(levels), root)

@@ -28,9 +28,9 @@ class LineSet:
 
     n_cells: int
     lines: List[List[int]]
-    # (k_max, n_lines): the cell at each position of each line, position
-    # first; a line shorter than the longest is padded with the dummy index
-    # n_cells. Built once, since a line set is frozen for a solve.
+    # (2^L - 1, n_lines), L = k_max.bit_length(): the cell at each position
+    # of each line, position first, and the dummy index n_cells past each
+    # line's end. Cyclic reduction runs on this layout, built once per solve.
     index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -39,8 +39,8 @@ class LineSet:
             raise ContractViolationError(
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")
-        k_max = max(map(len, self.lines), default=0)
-        self.index = np.full((k_max, len(self.lines)), self.n_cells, dtype=int)
+        size = 2 ** max(map(len, self.lines), default=0).bit_length() - 1
+        self.index = np.full((size, len(self.lines)), self.n_cells, dtype=int)
         for li, line in enumerate(self.lines):
             self.index[:len(line), li] = line
 
@@ -65,8 +65,8 @@ class LineBlocks:
 
     lines: LineSet
     diag: np.ndarray    # (n_cells, b, b)
-    upper: np.ndarray   # (k_max - 1, n_lines, b, b)
-    lower: np.ndarray   # (k_max - 1, n_lines, b, b)
+    upper: np.ndarray   # lines.index[1:].shape + (b, b)
+    lower: np.ndarray   # lines.index[1:].shape + (b, b)
 
 
 def assemble_line_blocks(blocks: FirstOrderBlocks,

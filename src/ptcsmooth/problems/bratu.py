@@ -10,12 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                    NonlinearSystem, require_finite)
+                    NonlinearSystem, require_count, require_finite)
 
 
 class BratuProblem(NonlinearSystem):
 
     def __init__(self, n_cells: int, lam: float = 1.0):
+        require_count("n_cells", n_cells, 1)
         if n_cells < 3:
             raise ValueError("need at least 3 cells")
         require_finite(lam=lam)

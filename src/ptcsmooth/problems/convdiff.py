@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                    NonlinearSystem, require_finite)
+                    NonlinearSystem, require_count, require_finite)
 
 
 def _nonuniform_coeffs(d_minus: np.ndarray, d_plus: np.ndarray):
@@ -37,6 +37,8 @@ class AnisoConvDiffProblem(NonlinearSystem):
     def __init__(self, nx: int, ny: int, stretching_ratio: float = 1.0,
                  eps: float = 0.01, velocity=(1.0, 0.5), sigma: float = 1.0,
                  ly: float = 1.0, amplitude: float = 0.5):
+        require_count("nx", nx, 1)
+        require_count("ny", ny, 1)
         if nx < 4 or ny < 4:
             raise ValueError("need at least 4 cells per direction")
         require_finite(stretching_ratio=stretching_ratio, eps=eps,

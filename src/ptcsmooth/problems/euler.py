@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                    InadmissibleStateError, NonlinearSystem, require_finite)
+                    InadmissibleStateError, NonlinearSystem, require_count,
+                    require_finite)
 
 _SLOPE_EPS = 1e-7   # van Albada regularization; primitives are O(1) here, so
                     # this keeps the limiter smooth at FD-probe scale while
@@ -47,6 +48,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
                  rho_in: float = 1.0, u_in: float = 0.3,
                  p_exit: float = 1.0 / 1.4, gamma: float = 1.4,
                  length: float = 1.0):
+        require_count("n_cells", n_cells, 1)
         if n_cells < 16:
             raise ValueError("need at least 16 cells")
         require_finite(rho_in=rho_in, u_in=u_in, p_exit=p_exit, gamma=gamma,

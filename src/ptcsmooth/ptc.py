@@ -280,11 +280,16 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     the state bit-identical, so the next step reuses them. A step is
     accepted only when the line search found a fraction that decreases the
     pseudo-unsteady residual, so accepted steps descend whatever the
-    linearization. A starting state that ``trial_residual`` rejects, its
-    residual overflowing included, raises ``InadmissibleStateError`` before
-    any step.
+    linearization. A starting state whose layout is not the system's raises
+    ``ContractViolationError``; one that ``trial_residual`` rejects, its
+    residual overflowing included, raises ``InadmissibleStateError``. Both
+    are raised before any step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
+    if w.layout != system.layout:
+        raise ContractViolationError(
+            f"start state layout {w.layout} differs from the system's "
+            f"{system.layout}")
     r = trial_residual(system, w)
     if r is None:
         raise InadmissibleStateError(

@@ -13,6 +13,10 @@ def test_layout_validation():
         BlockLayout(0, 1)
     with pytest.raises(ValueError):
         BlockLayout(4, 0)
+    with pytest.raises(ValueError, match="n_cells must be an integer >= 1"):
+        BlockLayout(2.5, 1)
+    with pytest.raises(ValueError, match="block_size must be an integer >= 1"):
+        BlockLayout(4, 1.0)
     assert BlockLayout(5, 3).n_dofs == 15
 
 

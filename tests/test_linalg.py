@@ -7,9 +7,9 @@ from ptcsmooth.core import ContractViolationError
 from ptcsmooth.linalg import (GmresStats, SingularPivotError,
                               factor_block_tridiag,
                               gmres_right_preconditioned)
-from ptcsmooth.lines import LineSet, singleton_lines
+from ptcsmooth.lines import LineSet, assemble_line_blocks, singleton_lines
 
-from conftest import dense_from_lines, random_couplings
+from conftest import dense_from_lines, diffusion_chain, random_couplings
 
 
 def _dense_operator(A):
@@ -258,7 +258,7 @@ def test_scalar_poisson_line_matches_dense():
     n = 5
     lines = LineSet(n, [list(range(n))])
     diag = np.full((n, 1, 1), 2.0)
-    off = np.full((n - 1, 1, 1, 1), -1.0)
+    off = np.where(lines.index[1:, :, None, None] < n, -1.0, 0.0)
     fact = factor_block_tridiag(lines, diag, off, off)
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
@@ -310,7 +310,7 @@ def test_singular_pivot_names_line_and_position():
     lines = LineSet(2, [[0, 1]])
     diag = np.zeros((2, 1, 1))
     diag[0, 0, 0] = 1.0  # second pivot is singular
-    off = np.zeros((1, 1, 1, 1))
+    off = np.zeros((2, 1, 1, 1))
     with pytest.raises(SingularPivotError, match="line 0 at position 1"):
         factor_block_tridiag(lines, diag, off, off)
 
@@ -446,6 +446,24 @@ def mixed_lines(draw):
 def test_mixed_length_lines_match_dense_property(lines, b, seed):
     rng = np.random.default_rng(seed)
     n = lines.n_cells
+    # The layout cyclic reduction runs on: 2^L - 1 positions, each line's
+    # cells in order from position 0, the dummy index n everywhere else.
+    k_max = max(map(len, lines.lines))
+    assert len(lines.index) == 2 ** k_max.bit_length() - 1
+    expected = np.full_like(lines.index, n)
+    for li, line in enumerate(lines.lines):
+        expected[:len(line), li] = line
+    assert np.array_equal(lines.index, expected)
+    # A chain problem's blocks, along lines of the same lengths laid on the
+    # chain, gather straight into that layout.
+    starts = np.cumsum([0] + [len(line) for line in lines.lines]).tolist()
+    chain = LineSet(n, [list(range(lo, hi))
+                        for lo, hi in zip(starts[:-1], starts[1:])])
+    system = diffusion_chain(n, b, seed)
+    gathered = assemble_line_blocks(
+        system.first_order_blocks(system.initial_state()), chain)
+    assert (gathered.upper.shape == gathered.lower.shape
+            == lines.index[1:].shape + (b, b))
     diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
     upper, lower = random_couplings(rng, lines, b, 0.5)
     fact = factor_block_tridiag(lines, diag, upper, lower)

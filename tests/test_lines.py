@@ -58,8 +58,8 @@ def test_line_blocks_follow_line_direction():
     # lies past a line's end and holds zero blocks.
     pairs = {(0, 0): (15, 11), (1, 0): (11, 7), (2, 0): (7, 3),
              (0, 1): (0, 1), (1, 1): (1, 2)}
-    assert lb.upper.shape == lb.lower.shape == (3, 11, 1, 1)
-    padded = np.ones((3, 11), dtype=bool)
+    assert lb.upper.shape == lb.lower.shape == (6, 11, 1, 1)
+    padded = np.ones((6, 11), dtype=bool)
     for (m, li), (row, col) in pairs.items():
         assert lb.lines.index[m:m + 2, li].tolist() == [row, col]
         assert not np.array_equal(expected[(row, col)], expected[(col, row)])

@@ -552,13 +552,20 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "initial state that overflows"),
     (lambda: make_quasi1d_euler(16, rho_in=1e308, u_in=10.0),
      "initial state that overflows"),
+    # Cell counts are checked before any numpy call.
+    (lambda: make_bratu(5.5), "n_cells must be an integer >= 1"),
+    (lambda: make_aniso_convdiff(4.5, 4), "nx must be an integer >= 1"),
+    (lambda: make_aniso_convdiff(4, 4.0), "ny must be an integer >= 1"),
+    (lambda: make_quasi1d_euler(16.5), "n_cells must be an integer >= 1"),
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
         "convdiff_ly_zero", "convdiff_eps_negative", "convdiff_eps_zero",
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
         "convdiff_stretching_1e200", "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
         "euler_length", "euler_area_negative", "euler_area_nan",
-        "euler_inflow_u", "euler_inflow_p", "euler_inflow_rho"])
+        "euler_inflow_u", "euler_inflow_p", "euler_inflow_rho",
+        "bratu_n_cells_float", "convdiff_nx_float", "convdiff_ny_float",
+        "euler_n_cells_float"])
 def test_constructors_reject_invalid_parameters(build, message):
     # A problem that constructs has finite parameters and positive, finite
     # cell measures.

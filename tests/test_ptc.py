@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ptcsmooth.ptc
-from ptcsmooth.core import (BlockVector, FirstOrderBlocks,
-                            InadmissibleStateError, l2_norm)
+from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
+                            FirstOrderBlocks, InadmissibleStateError, l2_norm)
 from ptcsmooth.lines import assemble_line_blocks, extract_lines
 from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, PtcConfig, SolveOutcome,
                            cfl_update, line_search, mass_over_dtau,
@@ -515,3 +515,17 @@ def test_inadmissible_start_is_documented_abort(start):
     problem, w0 = start()
     with pytest.raises(InadmissibleStateError):
         solve_steady(problem, PtcConfig(), w0=w0)
+
+
+@pytest.mark.parametrize("build", [lambda: make_bratu(8),
+                                   lambda: make_aniso_convdiff(4, 4),
+                                   lambda: make_quasi1d_euler(16)],
+                         ids=["bratu", "convdiff", "nozzle"])
+def test_start_state_of_another_layout_is_rejected(build):
+    # On bratu the residual even accepts a start of the wrong length.
+    problem = build()
+    w0 = BlockVector(BlockLayout(5, problem.layout.block_size))
+    with pytest.raises(ContractViolationError) as info:
+        solve_steady(problem, PtcConfig(), w0=w0)
+    assert str(w0.layout) in str(info.value)
+    assert str(problem.layout) in str(info.value)
