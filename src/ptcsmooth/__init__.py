@@ -2,8 +2,8 @@
 
 from .core import (BlockLayout, BlockVector, ContractViolationError,
                    ConvergenceRecord, FirstOrderBlocks,
-                   InadmissibleStateError, NonlinearSystem,
-                   cellwise_scale, l2_norm, validate_jacobian)
+                   InadmissibleStateError, NonlinearSystem, l2_norm,
+                   validate_jacobian)
 from .linalg import (BlockTridiagFactorization, GmresStats,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)

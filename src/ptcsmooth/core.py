@@ -74,15 +74,6 @@ class BlockVector:
         return f"BlockVector(n_cells={self.layout.n_cells}, b={self.layout.block_size})"
 
 
-def cellwise_scale(v: np.ndarray, coeffs: np.ndarray,
-                   block_size: int) -> np.ndarray:
-    """Scale the ``block_size`` entries of cell i of ``v`` by ``coeffs[i]``."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or v.shape != (coeffs.size * block_size,):
-        raise ContractViolationError("per-cell coefficient array has wrong length")
-    return v * np.repeat(coeffs, block_size)
-
-
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a flat array; rejects non-finite entries."""
     if not np.all(np.isfinite(v)):

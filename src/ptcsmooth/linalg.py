@@ -246,11 +246,11 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
 
     ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
     couplings of ``LineBlocks``, shaped ``lines.index[1:].shape + (b, b)``,
-    with zero blocks past each line's end. The layout of ``lines.index`` is
-    the one reduced. A singular or non-finite pivot raises
-    ``SingularPivotError`` naming a line and the original position of the
-    reduced row: the first failing level, then the lowest position, then the
-    lowest line.
+    with zero blocks past each line's end (else ``ContractViolationError``).
+    The layout of ``lines.index`` is the one reduced. A singular or
+    non-finite pivot raises ``SingularPivotError`` naming a line and the
+    original position of the reduced row: the first failing level, then the
+    lowest position, then the lowest line.
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
@@ -261,6 +261,9 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
         raise ContractViolationError(
             f"coupling arrays {upper.shape} and {lower.shape} do not match "
             f"the line pairs {pair_shape}")
+    past_end = (lines.index[1:] == n_cells)[..., None, None]
+    if np.any(past_end & ((upper != 0.0) | (lower != 0.0))):
+        raise ContractViolationError("nonzero coupling past a line's end")
 
     size = len(lines.index)
     # The dummy cell's identity pivot keeps padded slots inert.

@@ -41,6 +41,8 @@ class AnisoConvDiffProblem(NonlinearSystem):
         require_count("ny", ny, 1)
         if nx < 4 or ny < 4:
             raise ValueError("need at least 4 cells per direction")
+        if np.shape(velocity) != (2,):
+            raise ValueError(f"velocity must have 2 components: {velocity!r}")
         require_finite(stretching_ratio=stretching_ratio, eps=eps,
                        velocity=velocity, sigma=sigma, ly=ly,
                        amplitude=amplitude)

@@ -75,6 +75,9 @@ class Quasi1dEulerProblem(NonlinearSystem):
         self.x_centers = 0.5 * (self.x_faces[:-1] + self.x_faces[1:])
         self.a_faces = np.asarray(self.area(self.x_faces), dtype=float)
         self.a_centers = np.asarray(self.area(self.x_centers), dtype=float)
+        if (self.a_faces.shape != self.x_faces.shape
+                or self.a_centers.shape != self.x_centers.shape):
+            raise ValueError("nozzle area must return one value per point")
         areas = np.concatenate((self.a_faces, self.a_centers))
         if not np.all(np.isfinite(areas) & (areas > 0.0)):
             raise ValueError("nozzle area must be positive and finite")

@@ -12,8 +12,8 @@ bit-identical.
 The first-order blocks are evaluated once per state and gathered along the
 frozen lines once per Newton step; that one gather is factored as J1 for the
 smoother and as J1 + M/dtau for GMRES. M/dtau itself is formed once per
-Newton step (``mass_over_dtau``), as one per-cell array that every layer of
-the step reads.
+Newton step (``mass_over_dtau``), as one per-unknown array that every layer
+of the step multiplies by.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   cellwise_scale, l2_norm, require_count, trial_residual)
+                   l2_norm, require_count, trial_residual)
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -38,10 +38,12 @@ log = logging.getLogger(__name__)
 
 LINE_SEARCH_CANDIDATES = (1.0, 0.75, 0.5, 0.25)
 # Controller band on the line-search fraction: reject at or below (so no
-# candidate lies there), grow the CFL at or above. The solve stagnates once
-# the CFL falls below the floor.
+# candidate lies there) and cut the CFL by CFL_CUT, grow it at or above, up
+# to CFL_MAX. The solve stagnates once the CFL falls below the floor.
 ALPHA_REJECT_THRESHOLD = 0.1
 ALPHA_GROW_THRESHOLD = 0.75
+CFL_CUT = 0.1
+CFL_MAX = 1e12
 CFL_STAGNATION_FLOOR = 1e-6
 
 
@@ -56,30 +58,26 @@ class PtcConfig:
     """Continuation controller and linear-solver settings.
 
     Defaults follow the usual production protocol: CFL starts at 10, grows by
-    1.5 on strong steps, cuts by 0.1 on rejections, the linear solve asks for
-    two orders of magnitude reduction within 100 Krylov vectors.
+    1.5 on strong steps (the cut and cap are constants), the linear solve asks
+    for two orders of magnitude reduction within 100 Krylov vectors.
     """
 
     cfl_init: float = 10.0
     beta_cfl1: float = 1.5            # CFL growth on strong line-search steps
-    beta_cfl2: float = 0.1            # CFL cut on rejected steps
     linear_rel_tol: float = 1e-2
     max_krylov: int = 100
     target_residual_reduction: float = 1e-8
     target_residual_absolute: Optional[float] = None
     max_newton_steps: int = 500
-    cfl_max: float = 1e12
     smoothing: Optional[RkSchedule] = None
 
     def __post_init__(self):
         # Written as "not (valid)" so that NaN fails every check.
-        if not self.cfl_init >= CFL_STAGNATION_FLOOR:
-            raise ValueError(
-                f"cfl_init must be at least {CFL_STAGNATION_FLOOR:g}")
+        if not CFL_STAGNATION_FLOOR <= self.cfl_init <= CFL_MAX:
+            raise ValueError(f"cfl_init must be at least "
+                             f"{CFL_STAGNATION_FLOOR:g} and at most {CFL_MAX:g}")
         if not 1.0 < self.beta_cfl1 < np.inf:
             raise ValueError("beta_cfl1 must exceed 1 and be finite")
-        if not (0.0 < self.beta_cfl2 < 1.0):
-            raise ValueError("beta_cfl2 must lie in (0, 1)")
         if not (0.0 < self.linear_rel_tol < 1.0):
             raise ValueError("linear_rel_tol must lie in (0, 1)")
         require_count("max_krylov", self.max_krylov, 1)
@@ -89,8 +87,6 @@ class PtcConfig:
                 or 0.0 < self.target_residual_absolute < np.inf):
             raise ValueError(
                 "target_residual_absolute must be positive and finite")
-        if not self.cfl_init <= self.cfl_max < np.inf:
-            raise ValueError("cfl_max must be finite and at least cfl_init")
         require_count("max_newton_steps", self.max_newton_steps, 1)
 
 
@@ -111,30 +107,32 @@ class SolveReport:
 
 def mass_over_dtau(system: NonlinearSystem, w: BlockVector,
                    cfl: float) -> np.ndarray:
-    """Per-cell coefficients of M/dtau, for the local pseudo-time steps
-    dtau = cfl * explicit_dt(w)."""
+    """M/dtau per unknown, for the local pseudo-time steps dtau =
+    cfl * explicit_dt(w): each cell's ``cell_measures / dtau`` repeated over
+    its block."""
     dtau = cfl * np.asarray(system.explicit_dt(w), dtype=float)
     if not np.all((dtau > 0.0) & np.isfinite(dtau)):
         raise ValueError("pseudo-time steps must be positive and finite")
-    return system.cell_measures / dtau
+    return np.repeat(system.cell_measures / dtau, w.layout.block_size)
 
 
 def ptc_operator(system: NonlinearSystem, w: BlockVector,
                  mass_over_dtau: np.ndarray) -> Operator:
-    """Matrix-free action of ``M/dtau + dR/dw`` at ``w``, on flat arrays."""
-    coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
+    """Matrix-free action of ``M/dtau + dR/dw`` at ``w`` on flat arrays,
+    ``mass_over_dtau`` being M/dtau per unknown."""
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        return coeffs * x + system.jacobian_vector(w, x)
+        return mass_over_dtau * x + system.jacobian_vector(w, x)
 
     return matvec
 
 
 def build_ptc_preconditioner(blocks: LineBlocks,
                              mass_over_dtau: np.ndarray) -> BlockTridiagFactorization:
-    """Line-structured first-order Jacobian with M/dtau added to diagonals."""
+    """Line-structured first-order Jacobian with each cell's diagonal block
+    shifted by its entry of the per-unknown M/dtau times the identity."""
     b = blocks.diag.shape[1]
-    diag = blocks.diag + mass_over_dtau[:, None, None] * np.eye(b)
+    diag = blocks.diag + mass_over_dtau[::b, None, None] * np.eye(b)
     return factor_block_tridiag(blocks.lines, diag, blocks.upper,
                                 blocks.lower)
 
@@ -153,7 +151,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
                 ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    ``mass_over_dtau`` holds the per-cell coefficients of M/dtau, and
+    ``mass_over_dtau`` is the per-unknown M/dtau, and
     ``residual`` and ``blocks`` are R(w) and the first-order blocks at ``w``.
     The blocks are gathered along ``lines`` once, then factored as J1 for
     the smoother (when ``config.smoothing`` has cycles) and as J1 + M/dtau
@@ -184,8 +182,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
             sm = rk_smooth(system, smoother, config.smoothing, w, residual)
             # The paper's source term (M/dtau) dw_smooth; it vanishes as
             # dtau grows, recovering the exact Newton step.
-            source = cellwise_scale(sm.delta_w, mass_over_dtau,
-                                    w.layout.block_size)
+            source = mass_over_dtau * sm.delta_w
             degraded = sm.degraded
 
     try:
@@ -222,14 +219,14 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: np.ndarray,
                 residual0: np.ndarray) -> LineSearchResult:
     """Backtracking search on the smoothed pseudo-unsteady residual.
 
-    ``residual0`` is R(w). The trial at fraction alpha scores
+    ``residual0`` is R(w), and ``mass_over_dtau`` the per-unknown M/dtau.
+    The trial at fraction alpha scores
     ``F(alpha) = |M/dtau alpha dw + R(w + alpha dw) - source|``. Scans the
     fixed candidate set from alpha = 1 downward and stops at the first
     improvement over F(0); a trial that ``trial_residual`` rejects, or whose
     F overflows, scores +inf without a warning. Returns alpha = 0 when
     nothing improves, which the controller treats as a rejection.
     """
-    coeffs = np.repeat(mass_over_dtau, w.layout.block_size)
     f0 = _finite_norm(residual0 - source)
     f_values = [f0]
 
@@ -237,7 +234,7 @@ def line_search(system: NonlinearSystem, w: BlockVector, delta_w: np.ndarray,
         step = alpha * delta_w
         r_trial = trial_residual(system, BlockVector(w.layout, w.values + step))
         f_trial = (np.inf if r_trial is None
-                   else _finite_norm(coeffs * step + r_trial - source))
+                   else _finite_norm(mass_over_dtau * step + r_trial - source))
         f_values.append(f_trial)
         if f_trial < f0:
             return LineSearchResult(alpha, f_values, f0, f_trial, r_trial)
@@ -250,15 +247,15 @@ def cfl_update(cfl: float, alpha: float, config: PtcConfig
     """Controller band logic.
 
     A tiny step (alpha 0 after a failed linear solve) rejects the update and
-    cuts the CFL; a strong step grows it (capped); intermediate steps leave
-    it unchanged.
+    cuts the CFL by ``CFL_CUT``; a strong step grows it by ``beta_cfl1`` up
+    to ``CFL_MAX``; intermediate steps leave it unchanged.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     if alpha <= ALPHA_REJECT_THRESHOLD:
-        return cfl * config.beta_cfl2, False
+        return cfl * CFL_CUT, False
     if alpha >= ALPHA_GROW_THRESHOLD:
-        return min(cfl * config.beta_cfl1, config.cfl_max), True
+        return min(cfl * config.beta_cfl1, CFL_MAX), True
     return cfl, True
 
 

@@ -13,8 +13,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (BlockVector, FirstOrderBlocks, NonlinearSystem,
-                   cellwise_scale, require_count)
+from .core import (BlockVector, ContractViolationError, FirstOrderBlocks,
+                   NonlinearSystem, require_count)
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
 
@@ -24,20 +24,27 @@ class BdfStepSystem(NonlinearSystem):
     Exposes the unsteady residual, its exact Jacobian-vector product
     (inner J plus c*M/dt on the diagonal, c = 3/2 for BDF2 and 1 for BDF1),
     and first-order blocks with the same diagonal shift. The previous step's
-    solution is the initial state.
+    solution is the initial state. M is formed once, per unknown, and the
+    shift is ``shift_coeff`` = c/dt times it. A history state of another
+    layout raises ``ContractViolationError``.
     """
 
     def __init__(self, system: NonlinearSystem, w_prev: BlockVector,
                  w_prev2: Optional[BlockVector], dt: float):
         if not 0.0 < dt < np.inf:   # NaN included
             raise ValueError("dt must be positive and finite")
+        for name, state in (("w_prev", w_prev), ("w_prev2", w_prev2)):
+            if state is not None and state.layout != system.layout:
+                raise ContractViolationError(
+                    f"{name} has layout {state.layout}, not {system.layout}")
         self.inner = system
         self.layout = system.layout
         self.cell_measures = system.cell_measures
         self.w_prev = w_prev.copy()
         self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
         self.dt = float(dt)
-        self.time_coeff = 1.0 if w_prev2 is None else 1.5
+        self.mass = np.repeat(system.cell_measures, system.layout.block_size)
+        self.shift_coeff = (1.0 if w_prev2 is None else 1.5) / self.dt
 
     def residual(self, w: BlockVector) -> np.ndarray:
         """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
@@ -46,20 +53,16 @@ class BdfStepSystem(NonlinearSystem):
         else:
             dwdt = ((3.0 * w.values - 4.0 * self.w_prev.values
                      + self.w_prev2.values) / (2.0 * self.dt))
-        time_term = cellwise_scale(dwdt, self.cell_measures,
-                                   self.layout.block_size)
-        return time_term + self.inner.residual(w)
+        return self.mass * dwdt + self.inner.residual(w)
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        shift = self.time_coeff / self.dt
-        jv = self.inner.jacobian_vector(w, v)
-        return jv + cellwise_scale(v, shift * self.cell_measures,
-                                   self.layout.block_size)
+        return (self.inner.jacobian_vector(w, v)
+                + self.shift_coeff * self.mass * v)
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         blocks = self.inner.first_order_blocks(w)
-        shift = (self.time_coeff / self.dt) * self.cell_measures
         b = self.layout.block_size
+        shift = self.shift_coeff * self.mass[::b]
         diag = blocks.diag + shift[:, None, None] * np.eye(b)
         return FirstOrderBlocks(diag, blocks.edges,
                                 blocks.off_ij, blocks.off_ji)

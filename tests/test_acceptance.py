@@ -112,7 +112,7 @@ def test_criterion_03_newton_recovery_order():
     pre = solve_steady(p, PtcConfig(target_residual_reduction=1e-3))
     r_init = pre.initial_residual_l2
     assert pre.final_residual_l2 <= 1e-3 * r_init
-    cfg = PtcConfig(cfl_init=1e12, cfl_max=1e12, linear_rel_tol=1e-12,
+    cfg = PtcConfig(cfl_init=1e12, linear_rel_tol=1e-12,
                     target_residual_reduction=1e-16,
                     target_residual_absolute=1e-8 * r_init,
                     max_newton_steps=20)

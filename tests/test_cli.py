@@ -18,7 +18,8 @@ def test_defaults_are_protocol_settings():
     assert cfg.problem_name == "bratu"
     assert cfg.solver.cfl_init == 10.0
     assert cfg.solver.beta_cfl1 == 1.5
-    assert cfg.solver.beta_cfl2 == 0.1
+    # The CFL cut and cap are constants, not keys.
+    assert not {"beta_cfl2", "cfl_max"} & set(cfg.values["solver"])
     assert cfg.solver.linear_rel_tol == 1e-2
     assert cfg.solver.max_krylov == 100
     assert cfg.solver.smoothing.stage_coefficients == (0.15, 0.4, 1.0)
@@ -253,7 +254,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
      "target_residual_reduction must lie in (0, 1)"),
     ("[solver]\ntarget_residual_absolute = inf\n",
      "target_residual_absolute must be positive and finite"),
-    ("[solver]\ncfl_max = inf\n", "cfl_max must be finite"),
+    ("[solver]\ncfl_init = 1e13\n",
+     "cfl_init must be at least 1e-06 and at most 1e+12"),
     ("[solver]\ncfl_init = 1e-320\n", "cfl_init must be at least 1e-06"),
     ("[problem]\nn_cells = 2\n", "need at least 3 cells"),
     ("[run]\ndt = -1\n", "dt must be positive"),
@@ -263,6 +265,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[solver]\nanisotropy_threshold = 4\n",
      "unknown key 'anisotropy_threshold'"),
     ("[smoothing]\nenabled = false\n", "unknown key 'enabled'"),
+    ("[solver]\nbeta_cfl2 = 0.1\n", "unknown key 'beta_cfl2'"),
+    ("[solver]\ncfl_max = 1e12\n", "unknown key 'cfl_max'"),
     ("[problem]\nlambda = nan\n", "lam must be finite"),
     (f"{CONVDIFF}eps = nan\n", "eps must be finite"),
     (f"{CONVDIFF}vx = inf\n", "velocity must be finite"),
@@ -280,10 +284,12 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
-        "target_absolute_inf", "cfl_max_inf", "cfl_init_subnormal", "n_cells",
-        "dt", "dt_nan", "dt_inf", "removed_mode_key", "removed_anisotropy_key",
-        "removed_enabled_key", "lambda_nan", "eps_nan", "vx_inf", "sigma_inf",
-        "ly", "eps_negative", "sigma_negative", "stretching_1e300",
+        "target_absolute_inf", "cfl_init_above_max", "cfl_init_subnormal",
+        "n_cells", "dt", "dt_nan", "dt_inf", "removed_mode_key",
+        "removed_anisotropy_key", "removed_enabled_key",
+        "removed_beta_cfl2_key", "removed_cfl_max_key", "lambda_nan",
+        "eps_nan", "vx_inf", "sigma_inf", "ly", "eps_negative",
+        "sigma_negative", "stretching_1e300",
         "stretching_1e200", "eps_overflow", "p_exit", "rho_in", "u_in_nan",
         "u_in_overflow", "gamma_nan", "gamma_one"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,

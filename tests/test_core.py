@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
-                            cellwise_scale, l2_norm, validate_jacobian)
+                            l2_norm, validate_jacobian)
 from ptcsmooth.problems import make_bratu
 
 from conftest import diffusion_chain
@@ -47,30 +47,6 @@ def test_l2_norm_rejects_nonfinite():
 def test_blockvector_wrong_length():
     with pytest.raises(ContractViolationError):
         BlockVector(BlockLayout(3, 2), [1.0, 2.0])
-
-
-def test_mass_commutes_with_scaling():
-    measures = np.array([0.3, 1.7, 2.9])
-    v = np.arange(1.0, 7.0)
-
-    def mass(x):
-        return cellwise_scale(x, measures, 2)
-
-    # Power-of-two scaling is exact in floating point.
-    for a in (2.0, 0.5, -4.0):
-        assert np.array_equal(mass(a * v), a * mass(v))
-    assert np.allclose(mass(1.3 * v), 1.3 * mass(v), rtol=1e-15)
-
-
-def test_mass_scales_cellwise():
-    v = np.ones(6)
-    assert np.array_equal(cellwise_scale(v, np.array([2.0, 5.0]), 3),
-                          [2, 2, 2, 5, 5, 5])
-
-
-def test_cellwise_scale_length_check():
-    with pytest.raises(ContractViolationError):
-        cellwise_scale(np.zeros(4), np.ones(3), 2)
 
 
 def test_validate_jacobian_linear_system():

@@ -265,6 +265,13 @@ def test_scalar_poisson_line_matches_dense():
     A = dense_from_lines(lines, diag, off, off)
     x = fact.solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12
+    # The line pads to seven rows: a -1 in the sixth coupling slot, past the
+    # line's end, would couple its last cell to the dummy cell.
+    full = np.full_like(off, -1.0)
+    for upper, lower in ((full, off), (off, full)):
+        with pytest.raises(ContractViolationError,
+                           match="nonzero coupling past a line's end"):
+            factor_block_tridiag(lines, diag, upper, lower)
 
 
 def test_block2_line_matches_dense():

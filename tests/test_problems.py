@@ -546,6 +546,14 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "nozzle area must be positive and finite"),
     (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
      "nozzle area must be positive and finite"),
+    (lambda: make_quasi1d_euler(16, area=lambda x: np.ones(3)),
+     "nozzle area must return one value per point"),
+    (lambda: make_quasi1d_euler(16, area=lambda x: 1.0),
+     "nozzle area must return one value per point"),
+    (lambda: make_aniso_convdiff(4, 4, velocity=(1.0, 0.5, 2.0)),
+     "velocity must have 2 components"),
+    (lambda: make_aniso_convdiff(4, 4, velocity=1.0),
+     "velocity must have 2 components"),
     (lambda: make_quasi1d_euler(16, u_in=1e200),
      "initial state that overflows"),
     (lambda: make_quasi1d_euler(16, p_exit=1e308),
@@ -563,6 +571,8 @@ def test_euler_solver_never_accepts_inadmissible_state():
         "convdiff_stretching_1e200", "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
         "euler_length", "euler_area_negative", "euler_area_nan",
+        "euler_area_wrong_length", "euler_area_scalar",
+        "convdiff_velocity_three", "convdiff_velocity_scalar",
         "euler_inflow_u", "euler_inflow_p", "euler_inflow_rho",
         "bratu_n_cells_float", "convdiff_nx_float", "convdiff_ny_float",
         "euler_n_cells_float"])

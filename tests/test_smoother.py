@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import (BlockVector, InadmissibleStateError,
-                            cellwise_scale, l2_norm)
+from ptcsmooth.core import BlockVector, InadmissibleStateError, l2_norm
 from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
                              singleton_lines)
 from ptcsmooth.ptc import mass_over_dtau
@@ -131,24 +130,25 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0.values)
 
 
-# The smoothing source (M/dtau) dw_smooth, as newton_step forms it.
+# The smoothing source (M/dtau) dw_smooth, as newton_step forms it: the
+# per-unknown M/dtau times the update.
 
 def test_smoothing_source_zero_update():
     measures = np.array([1.0, 2.0, 3.0])
-    s = cellwise_scale(np.zeros(3), measures / np.ones(3), 1)
+    s = (measures / np.ones(3)) * np.zeros(3)
     assert np.all(s == 0.0)
 
 
 def test_smoothing_source_single_cell_arithmetic():
-    s = cellwise_scale(np.array([3.0]), np.array([2.0]) / np.array([0.5]), 1)
+    s = (np.array([2.0]) / np.array([0.5])) * np.array([3.0])
     assert s[0] == pytest.approx(12.0)
 
 
 def test_smoothing_source_vanishes_for_large_dtau():
     measures = np.array([1.0, 2.0, 0.5, 1.5])
     delta = np.arange(1.0, 9.0)
-    s = cellwise_scale(delta, measures / np.full(4, 1e12), 2)
-    m_delta = cellwise_scale(delta, measures, 2)
+    s = np.repeat(measures / np.full(4, 1e12), 2) * delta
+    m_delta = np.repeat(measures, 2) * delta
     # The bound holds with equality: s = M delta / dtau exactly.
     assert l2_norm(s) <= 1e-12 * l2_norm(m_delta) * (1 + 1e-12)
     assert l2_norm(s) == pytest.approx(1e-12 * l2_norm(m_delta))
@@ -159,12 +159,13 @@ def test_smoothing_source_scaling_laws():
     rng = np.random.default_rng(1)
     delta = rng.standard_normal(6)
     dtau = np.array([0.25, 1.0, 4.0])
-    s = cellwise_scale(delta, measures / dtau, 2)
+    m = np.repeat(measures / dtau, 2)
+    s = m * delta
     # Linear in the update (powers of two are exact in floating point).
-    s2 = cellwise_scale(2.0 * delta, measures / dtau, 2)
+    s2 = m * (2.0 * delta)
     assert np.array_equal(s2, 2.0 * s)
     # Homogeneous of degree -1 in dtau.
-    s_half = cellwise_scale(delta, measures / (2.0 * dtau), 2)
+    s_half = np.repeat(measures / (2.0 * dtau), 2) * delta
     assert np.array_equal(s_half, 0.5 * s)
 
 

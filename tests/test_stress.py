@@ -92,7 +92,7 @@ def test_every_solve_ends_as_outcome_or_documented_abort(
         spec, fill, cfl_init, beta_cfl1, smoothing, unsteady):
     system = _build(spec)
     config = PtcConfig(cfl_init=cfl_init, beta_cfl1=beta_cfl1,
-                       cfl_max=max(cfl_init, 1e12), max_newton_steps=MAX_STEPS,
+                       max_newton_steps=MAX_STEPS,
                        smoothing=SMOOTHINGS[smoothing])
     searches = []
     search = ptcsmooth.ptc.line_search

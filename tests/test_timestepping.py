@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from ptcsmooth.core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                            NonlinearSystem, l2_norm, validate_jacobian)
+from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
+                            FirstOrderBlocks, NonlinearSystem, l2_norm,
+                            validate_jacobian)
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.smoother import RkSchedule
 from ptcsmooth.timestepping import (BdfStepSystem, UnsteadyConfig,
                                     advance_unsteady)
-from ptcsmooth.problems import make_aniso_convdiff, make_bratu
+from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
+                                make_quasi1d_euler)
 
 from conftest import diffusion_chain
 
@@ -95,24 +97,42 @@ def test_dt_validation():
     for n_steps in (0, 2.5):
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             UnsteadyConfig(dt=0.1, n_steps=n_steps, inner=PtcConfig())
+    # A history state must have the system's layout; the solve would
+    # otherwise fail on a numpy broadcast.
+    bratu = make_bratu(8)
+    short = make_bratu(5).initial_state()
+    for w_prev, w_prev2 in ((short, None), (bratu.initial_state(), short)):
+        with pytest.raises(ContractViolationError,
+                           match=r"w_prev2? has layout BlockLayout\(n_cells=5.*n_cells=8"):
+            solve_steady(BdfStepSystem(bratu, w_prev, w_prev2, 0.1),
+                         PtcConfig())
 
 
-def test_wrapped_system_jacobian_is_exact():
-    p = make_bratu(24, 1.0)
+# Block size 1 (bratu) and 3 (the nozzle), so that the per-unknown mass is
+# checked against more than one equation per cell.
+WRAPPED = [lambda: make_bratu(24, 1.0), lambda: make_quasi1d_euler(16)]
+
+
+@pytest.mark.parametrize("build", WRAPPED, ids=["bratu", "nozzle"])
+def test_wrapped_system_jacobian_is_exact(build):
+    p = build()
     w_prev = p.initial_state()
-    for w_prev2 in (None, BlockVector(p.layout, 0.05 * np.ones(24))):
+    n = p.layout.n_dofs
+    for w_prev2 in (None, BlockVector(p.layout, 0.05 * np.ones(n))):
         wrapped = BdfStepSystem(p, w_prev, w_prev2, dt=0.1)
         assert validate_jacobian(wrapped, wrapped.initial_state()) <= 1e-6
 
 
-def test_wrapped_blocks_carry_time_shift():
-    p = make_bratu(8, 1.0)
+@pytest.mark.parametrize("build", WRAPPED, ids=["bratu", "nozzle"])
+def test_wrapped_blocks_carry_time_shift(build):
+    p = build()
     w = p.initial_state()
     wrapped = BdfStepSystem(p, w, w, dt=0.5)
     base = p.first_order_blocks(w)
     shifted = wrapped.first_order_blocks(w)
-    expected = base.diag[:, 0, 0] + 1.5 / 0.5 * p.cell_measures
-    assert np.allclose(shifted.diag[:, 0, 0], expected, rtol=1e-14)
+    shift = 1.5 / 0.5 * p.cell_measures
+    expected = base.diag + shift[:, None, None] * np.eye(p.layout.block_size)
+    assert np.allclose(shifted.diag, expected, rtol=1e-14)
     assert np.array_equal(shifted.edges, base.edges)
 
 
