@@ -1,11 +1,13 @@
-"""Greedy extraction of solver lines from the cell-coupling graph.
+"""Extraction of solver lines from the cell-coupling graph.
 
-Lines are vertex-disjoint simple paths following the strongest couplings of
-the first-order Jacobian. Anisotropy is measured from block norms rather than
-cell geometry, so strongly-coupled directions of any origin (mesh stretching,
-convection, coefficients) are picked up the same way. Every cell not reached
-by a path becomes a singleton line, which later degenerates the line
-preconditioner to block-diagonal.
+Lines are vertex-disjoint simple paths of the first-order Jacobian's coupling
+graph. When that graph is a union of paths (every 1D problem), each component
+is one line, so the line preconditioner inverts the first-order Jacobian
+exactly. Otherwise lines follow the strongest couplings greedily. Anisotropy
+is measured from block norms rather than cell geometry, so strongly-coupled
+directions of any origin (mesh stretching, convection, coefficients) are
+picked up the same way, and every cell not reached by a path becomes a
+singleton line: where all are singletons, the preconditioner is block-diagonal.
 """
 
 from __future__ import annotations
@@ -104,17 +106,25 @@ def singleton_lines(n_cells: int) -> LineSet:
 
 
 def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
-    """Greedy strongest-coupling path growth seeded at anisotropic cells.
+    """One line per component of a union of paths, else greedy
+    strongest-coupling path growth seeded at anisotropic cells.
 
     The coupling graph has one edge per stencil pair, weighted by the larger
-    Frobenius norm of the pair's two off-diagonal blocks. Each cell's edges
-    are sorted once, strongest first and the lower neighbor first on ties,
-    and that order decides the rest. A cell's anisotropy is its strongest
-    over its weakest weight; seeds are visited in descending anisotropy
-    (ties broken by lower cell index). A path grows both ways from its seed,
-    each step to the first unvisited neighbor in the end cell's order, while
-    that edge carries at least ``1/ANISOTROPY_THRESHOLD`` of the end cell's
-    strongest weight. Unreached cells become singletons.
+    Frobenius norm of the pair's two off-diagonal blocks. Weights must be
+    finite. If every cell has at most two edges and no component is a
+    cycle, each component is one line, walked from its lower-index end, and
+    lines are ordered by that end; weights do not matter then. A 2D grid
+    never qualifies (interior cells have four edges, and a 2x2 block is a
+    cycle), so its lines come from the greedy rule below.
+
+    Greedy: each cell's edges are sorted once, strongest first and the
+    lower neighbor first on ties, and that order decides the rest. A cell's
+    anisotropy is its strongest over its weakest weight; seeds are visited
+    in descending anisotropy (ties broken by lower cell index). A path grows
+    both ways from its seed, each step to the first unvisited neighbor in
+    the end cell's order, while that edge carries at least
+    ``1/ANISOTROPY_THRESHOLD`` of the end cell's strongest weight. Unreached
+    cells become singletons.
     """
     n_cells, b = blocks.diag.shape[:2]
     shape = (len(blocks.edges), b * b)
@@ -131,6 +141,22 @@ def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
     pairs = list(zip(w[order].tolist(), nbr[order].tolist()))
     bounds = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
     inc = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    # A union of paths: one line per component, walked from its lower end.
+    if all(len(incident) <= 2 for incident in inc):
+        walked = [False] * n_cells
+        chains: List[List[int]] = []
+        for start in range(n_cells):
+            if walked[start] or len(inc[start]) == 2:
+                continue
+            walked[start] = True
+            chain = [start]
+            while nxt := [nb for _, nb in inc[chain[-1]] if not walked[nb]]:
+                walked[nxt[0]] = True
+                chain.append(nxt[0])
+            chains.append(chain)
+        if all(walked):   # else some component is a cycle
+            return LineSet(n_cells, chains)
 
     # Fewer than two edges is isotropic; a zero weakest weight is infinitely
     # anisotropic unless every weight is zero.

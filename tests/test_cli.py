@@ -188,6 +188,23 @@ prefix = geom
     assert cells == list(range(8 * 12))
 
 
+def test_lines_command_writes_whole_path_line_on_bratu(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    cfg = _write(tmp_path, f"""
+[problem]
+name = bratu
+n_cells = 40
+
+[output]
+dir = {outdir}
+prefix = chain
+""")
+    assert main(["lines", cfg]) == 0
+    assert "1 lines (1 multi-cell, 40 cells" in capsys.readouterr().out
+    rows = (outdir / "chain_lines.txt").read_text().splitlines()
+    assert rows == [" ".join(str(c) for c in range(40))]
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     outdir = tmp_path / "env_out"
     monkeypatch.setenv("PTCSMOOTH_OUTPUT_DIR", str(outdir))

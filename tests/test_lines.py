@@ -106,28 +106,89 @@ def test_isotropic_grid_all_singletons():
     assert covers_each_cell_once(ls)
 
 
+def ladder_blocks(rail_weights, rung_weight=0.5):
+    """Two rails of len(rail_weights) + 1 cells joined by rungs: cells
+    0..L-1 form rail 0 with ``rail_weights``, cells L..2L-1 rail 1 with unit
+    weights, and cell k is joined to k + L. Interior cells have three edges,
+    so the path rule never applies; rungs of 0.5 keep the unit-weight cells'
+    anisotropy at 2, below the seed threshold."""
+    length = len(rail_weights) + 1
+    k = np.arange(length - 1)
+    edges = np.concatenate((np.column_stack((k, k + 1)),
+                            np.column_stack((k, k + 1)) + length,
+                            np.column_stack((np.arange(length),
+                                             np.arange(length) + length))))
+    weights = np.concatenate((rail_weights, np.ones(length - 1),
+                              np.full(length, rung_weight)))
+    return coupling_blocks(2 * length, edges, weights)
+
+
 def test_six_cell_band_becomes_one_line():
-    # 20-cell chain, uniform weight 1 except a 6-cell band (cells 7..12)
+    # 20-cell rail, uniform weight 1 except a 6-cell band (cells 7..12)
     # coupled 1000x more strongly.
     weights = np.ones(19)
     weights[7:12] = 1000.0
-    ls = extract_lines(chain_blocks(weights))
+    ls = extract_lines(ladder_blocks(weights))
     multi = ls.multi_cell_lines()
     assert len(multi) == 1
     assert sorted(multi[0]) == [7, 8, 9, 10, 11, 12]
     assert covers_each_cell_once(ls)
+    # The same weights on a bare chain: the whole path is one line.
+    assert extract_lines(chain_blocks(weights)).lines == [list(range(20))]
 
 
 def test_two_disjoint_strips():
     weights = np.ones(29)
     weights[3:7] = 500.0    # strip A: cells 3..7
     weights[18:23] = 800.0  # strip B: cells 18..23
-    ls = extract_lines(chain_blocks(weights))
+    ls = extract_lines(ladder_blocks(weights))
     multi = ls.multi_cell_lines()
     assert len(multi) == 2
     cells_a, cells_b = (set(line) for line in multi)
     assert cells_a.isdisjoint(cells_b)
+    assert {frozenset(cells_a), frozenset(cells_b)} == {
+        frozenset(range(3, 8)), frozenset(range(18, 24))}
     assert covers_each_cell_once(ls)
+    assert extract_lines(chain_blocks(weights)).lines == [list(range(30))]
+
+
+def test_ring_falls_back_to_greedy():
+    # A 12-cell ring with uniform weights has no anisotropic cell: greedy
+    # leaves every cell a singleton. A cycle anywhere sends the whole graph
+    # to greedy, so the 4-cell path beside it gets no line either.
+    ring = [(c, (c + 1) % 12) for c in range(12)]
+    ls = extract_lines(coupling_blocks(12, [sorted(e) for e in ring],
+                                       np.ones(12)))
+    assert ls.lines == [[c] for c in range(12)]
+    path = [(12, 13), (13, 14), (14, 15)]
+    ls = extract_lines(coupling_blocks(16, [sorted(e) for e in ring] + path,
+                                       np.ones(15)))
+    assert ls.lines == [[c] for c in range(16)]
+    # A 1000x band on the ring is a greedy line, not the whole ring.
+    weights = np.ones(12)
+    weights[2:5] = 1000.0
+    ls = extract_lines(coupling_blocks(12, [sorted(e) for e in ring], weights))
+    assert ls.multi_cell_lines() == [[2, 3, 4, 5]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(range(9)),
+       st.lists(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), min_size=8,
+                max_size=8))
+def test_labelled_path_walked_from_lower_end(label, weights):
+    # Cell label[k] sits at position k of the path, whatever the weights.
+    edges = [sorted((label[k], label[k + 1])) for k in range(8)]
+    ls = extract_lines(coupling_blocks(9, edges, weights))
+    walk = list(label) if label[0] < label[-1] else list(label[::-1])
+    assert ls.lines == [walk]
+
+
+def test_isolated_cells_stay_singletons():
+    ls = extract_lines(coupling_blocks(7, [(1, 3), (3, 4), (2, 6)],
+                                       [1.0, 5.0, 2.0]))
+    assert ls.lines == [[0], [1, 3, 4], [2, 6], [5]]
+    ls = extract_lines(coupling_blocks(3, np.empty((0, 2)), []))
+    assert ls.lines == [[0], [1], [2]]
 
 
 def test_extraction_deterministic():
@@ -155,8 +216,14 @@ def test_stretched_grid_lines_wall_normal():
 
 
 def test_coupling_weight_validation():
-    with pytest.raises(ValueError, match="coupling weights must be finite"):
-        extract_lines(chain_blocks([1.0, np.nan]))
+    # Checked before either rule: on a path, on a ring and on a ladder.
+    ring = [(0, 1), (1, 2), (0, 2)]
+    for blocks in (chain_blocks([1.0, np.nan]),
+                   chain_blocks([np.inf, 1.0, 1.0]),
+                   coupling_blocks(3, ring, [1.0, np.nan, 1.0]),
+                   ladder_blocks([1.0, 1.0], rung_weight=np.nan)):
+        with pytest.raises(ValueError, match="coupling weights must be finite"):
+            extract_lines(blocks)
 
 
 @pytest.mark.parametrize("n_cells, lines", [
@@ -201,9 +268,11 @@ def test_partition_and_path_validity_property(nx, ny, seed):
 
 
 def _greedy_reference(blocks, threshold=4.0):
-    """Line extraction as first written, for scalar blocks: per-cell
-    adjacency lists scanned for their extremes, and the strongest unvisited
-    neighbor (lower index on ties) picked by ``max``. The production code
+    """Line extraction as first written, for scalar blocks, plus the path
+    rule: per-cell adjacency lists scanned for their extremes, and the
+    strongest unvisited neighbor (lower index on ties) picked by ``max``.
+    A graph that is a forest with at most two edges per cell gets one line
+    per component instead, from its lower-index end. The production code
     must return the same lines."""
     n_cells = len(blocks.diag)
     weights = np.maximum(np.abs(blocks.off_ij), np.abs(blocks.off_ji))[:, 0, 0]
@@ -211,6 +280,38 @@ def _greedy_reference(blocks, threshold=4.0):
     for (i, j), w in zip(blocks.edges.tolist(), weights.tolist()):
         adj[i].append((w, j))
         adj[j].append((w, i))
+
+    # Components by depth-first search; a component with as many edges as
+    # cells holds a cycle (a repeated edge is a cycle of two cells).
+    component = [-1] * n_cells
+    members = []
+    for root in range(n_cells):
+        if component[root] < 0:
+            component[root] = len(members)
+            stack, cells = [root], []
+            while stack:
+                c = stack.pop()
+                cells.append(c)
+                for _, nb in adj[c]:
+                    if component[nb] < 0:
+                        component[nb] = component[root]
+                        stack.append(nb)
+            members.append(cells)
+    n_edges = [0] * len(members)
+    for i, _ in blocks.edges.tolist():
+        n_edges[component[i]] += 1
+    if (max(map(len, adj), default=0) <= 2
+            and all(e == len(cells) - 1 for e, cells in zip(n_edges, members))):
+        paths = []
+        for cells in members:
+            end = min(c for c in cells if len(adj[c]) < 2)
+            path = [end]
+            while len(path) < len(cells):
+                path.append(next(nb for _, nb in adj[path[-1]]
+                                 if len(path) < 2 or nb != path[-2]))
+            paths.append(path)
+        return sorted(paths)
+
     aniso = np.ones(n_cells)
     for c, inc in enumerate(adj):
         if len(inc) < 2:
@@ -294,14 +395,14 @@ def test_extraction_matches_greedy_reference_property(blocks):
      (22, 22, 224, 1536, "58e62cdbb94a430ae00b23cc96ad3721"
                          "03518993f67e7ea32df46be7080ab52f")),
     (lambda: make_quasi1d_euler(128),
-     (128, 0, 1, 0, "1abb39224f6060360f5496650d517647"
-                    "668639c968d65a54baa4fefe032fb6e9")),
+     (1, 1, 128, 128, "7837a06c63ec8fc0e57954a2b97a8fbd"
+                      "63562aea8ab5c7e6b345607955db7c10")),
     (lambda: make_quasi1d_euler(32),
-     (32, 0, 1, 0, "5537515ad91ab0ec7c8d3a1f84a7cc81"
-                   "006a1ad7c3d9f24b7d0b2ec0b2261222")),
+     (1, 1, 32, 32, "245da0e4757599ae564bb2dc513f3433"
+                    "00b617600063ffdf43dd6a481334968c")),
     (lambda: make_bratu(64),
-     (64, 0, 1, 0, "7c50363b0f5c186263877fe0ba587713"
-                   "7b0ad6e2167988e9b46e1753012343fa")),
+     (1, 1, 64, 64, "29f3d8a031145c5dcce2c92f1f9be6b2"
+                    "2f9fcab0a4a18e99413ecbfb195fcaf6")),
 ], ids=["convdiff16x24", "convdiff32x48", "nozzle128", "nozzle32", "bratu64"])
 def test_benchmark_grid_line_sets_pinned(build, expected):
     p = build()

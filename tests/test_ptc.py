@@ -352,6 +352,22 @@ def test_bratu_unsmoothed_converges_within_budget():
     assert rep.final_residual_l2 <= 1e-8 * rep.initial_residual_l2
 
 
+@pytest.mark.parametrize("build", [lambda: make_bratu(1024, 1.0),
+                                   lambda: make_quasi1d_euler(128)],
+                         ids=["bratu1024", "nozzle128"])
+@pytest.mark.parametrize("smoothing", [None, RkSchedule()],
+                         ids=["unsmoothed", "smoothed"])
+def test_one_dimensional_problems_converge_on_whole_path_line(build, smoothing):
+    # On singleton lines both exhaust the 500-step budget, with 73 and 75
+    # rejections.
+    p = build()
+    assert _lines_for(p).lines == [list(range(p.layout.n_cells))]
+    rep = solve_steady(p, PtcConfig(smoothing=smoothing))
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert rep.rejection_count == 0
+    assert rep.newton_steps <= 30
+
+
 def test_smoothed_beats_unsmoothed_on_aniso_convdiff():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0)
     plain = solve_steady(p, PtcConfig(max_newton_steps=300))
