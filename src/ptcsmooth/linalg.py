@@ -9,7 +9,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class SingularPivotError(np.linalg.LinAlgError):
     is not finite. The message names the line and the cell position on it.
     Cyclic reduction pivots on reduced blocks, so the position is the one the
     reduced row holds on the original line, and the first failing level wins
-    over a lower position on a later one."""
+    over a lower position on a later one. A failing slot that no line holds
+    (reachable only through 0 * inf) is named by its column and row."""
 
 
 def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
@@ -150,32 +151,41 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 class BlockTridiagFactorization:
     """Pivot-free block cyclic reduction of the line-structured operator.
 
-    Cells on multi-cell lines couple through their retained off-diagonal
-    blocks; singleton lines degenerate to standalone block inversions. The
-    rows are the 2^L - 1 positions of ``lines.index``; a slot past a line's
-    end holds an identity pivot and zero couplings. Each level eliminates the
-    even rows of what remains and folds them into the odd rows, leaving
-    2^(L-1) - 1; after L - 1 levels one row per line is left, the root at
-    position 2^(L-1) - 1. Every line reduces at once, so a factor or solve
-    makes a few batched calls per level rather than one pass per position.
-    With 1x1 blocks every block product is elementwise, which has the value
-    of ``@`` except for the sign of an exactly zero product; larger blocks
-    use ``@``.
+    The rows are the 2^L - 1 rows of the packed layout ``lines.index``, each
+    column holding one or more lines; a slot no line holds has an identity
+    pivot and zero couplings, and so has the pair of two lines that meet in
+    a column. Each level eliminates the even rows of what remains and folds
+    them into the odd rows, leaving 2^(L-1) - 1; after L - 1 levels one row
+    per column is left, the root at row 2^(L-1) - 1. Every line starts at a
+    multiple of 2^B, B the bit length of its cell count, so each of its rows
+    meets the levels and in-line partners it would meet in a column of its
+    own, and every term from another line is a product with an exact zero:
+    factor and solve give those bytes. Every column reduces at once, so a
+    factor or solve makes a few batched calls per level rather than one
+    pass per position. With 1x1 blocks every block product is elementwise,
+    which has the value of ``@`` except for the sign of an exactly zero
+    product; larger blocks use ``@``.
     Immutable after construction and safe to share read-only.
     """
 
     lines: LineSet
     # Per level, over its P + 1 even rows (eliminated) and the P odd rows
-    # between them, each array (rows, n_lines, b, b): dinv, the P + 1
-    # inverted even pivots; left and right, each odd row's coupling to the
-    # even row before and after it; dinv_lower, dinv times the coupling of
-    # even rows 1..P to the odd row before; dinv_upper, dinv times the
-    # coupling of even rows 0..P-1 to the odd row after.
+    # between them, each a contiguous array (rows, n_columns, b, b): dinv,
+    # the P + 1 inverted even pivots; left and right, each odd row's
+    # coupling to the even row before and after it; dinv_lower, dinv times
+    # the coupling of even rows 1..P to the odd row before; dinv_upper,
+    # dinv times the coupling of even rows 0..P-1 to the odd row after.
     levels: Tuple[Tuple[np.ndarray, ...], ...]
-    root: np.ndarray     # (n_lines, b, b) inverted root pivots
+    root: np.ndarray     # (n_columns, b, b) inverted root pivots
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
-        """Reduction, root solve and back-substitution, all lines at once."""
+        """Reduction, root solve and back-substitution, all columns at once.
+
+        Each level reads its even rows into a new array and builds the odd
+        rows it keeps as another; back-substitution interleaves them again.
+        A non-finite entry of ``r`` may spread to every cell of its column
+        (through 0 * inf on a coupling between two lines); callers pass a
+        finite ``r``."""
         n, b = self.lines.n_cells, self.root.shape[-1]
         if r.shape != (n * b,):
             raise ContractViolationError(
@@ -184,45 +194,40 @@ class BlockTridiagFactorization:
         padded = np.zeros((n + 1, b))    # row n: the dummy cell
         padded[:n] = r.reshape(n, b)
         index = self.lines.index
-        y = padded[index][..., None]   # (2^L - 1, n_lines, b, 1)
+        y = padded[index][..., None]   # (2^L - 1, n_columns, b, 1)
         mul = np.multiply if b == 1 else np.matmul
-        # Level l's rows sit every s = 2^l positions from s - 1: the even
-        # rows it eliminates, then the odd rows it keeps.
-        s = 1
+        evens = []
         for dinv, left, right, _, _ in self.levels:
-            even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
-            even[...] = mul(dinv, even)
-            odd -= mul(left, even[:-1]) + mul(right, even[1:])
-            s *= 2
-        y[s - 1] = mul(self.root, y[s - 1])
-        for _, _, _, dinv_lower, dinv_upper in reversed(self.levels):
-            s //= 2
-            even, odd = y[s - 1::2 * s], y[2 * s - 1::2 * s]
-            even[1:] -= mul(dinv_lower, odd)
-            even[:-1] -= mul(dinv_upper, odd)
+            even = mul(dinv, y[0::2])
+            y = y[1::2] - (mul(left, even[:-1]) + mul(right, even[1:]))
+            evens.append(even)
+        y = mul(self.root, y)
+        for (_, _, _, dinv_lower, dinv_upper), even in zip(
+                reversed(self.levels), reversed(evens)):
+            even[1:] -= mul(dinv_lower, y)
+            even[:-1] -= mul(dinv_upper, y)
+            rows = np.empty((len(even) + len(y),) + y.shape[1:])
+            rows[0::2], rows[1::2] = even, y
+            y = rows
         padded[index] = y[..., 0]
         return padded[:n].reshape(-1)
 
 
-def _invert_pivot(block: np.ndarray, line_idx: int, pos: int) -> np.ndarray:
+def _pivot_failure(block: np.ndarray) -> Optional[str]:
+    """Why one pivot block cannot be inverted, or None if it can."""
     try:
         inv = np.linalg.inv(block)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPivotError(
-            f"singular pivot block on line {line_idx} at position {pos}"
-        ) from exc
-    if not np.all(np.isfinite(inv)):
-        raise SingularPivotError(
-            f"non-finite pivot inverse on line {line_idx} at position {pos}"
-        )
-    return inv
+    except np.linalg.LinAlgError:
+        return "singular pivot block"
+    return None if np.all(np.isfinite(inv)) else "non-finite pivot inverse"
 
 
-def _invert_pivots(pivots: np.ndarray, positions: range) -> np.ndarray:
-    """Invert one level's pivots, (len(positions), n_lines, b, b), in one
-    call; ``positions`` holds their original positions on the lines. A
-    failure names its line: the lowest position, then the lowest line.
-    A 1x1 block's inverse is its reciprocal, bit for bit what
+def _invert_pivots(pivots: np.ndarray, lines: LineSet,
+                   rows: np.ndarray) -> np.ndarray:
+    """Invert one level's pivots, (len(rows), n_columns, b, b), in one call;
+    ``rows`` holds their rows of ``lines.index``. A failure names the line
+    and the position on it of a failing pivot: the lowest position, then the
+    lowest line. A 1x1 block's inverse is its reciprocal, bit for bit what
     ``np.linalg.inv`` returns, without a LAPACK call per block."""
     if pivots.shape[-1] == 1:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -232,11 +237,28 @@ def _invert_pivots(pivots: np.ndarray, positions: range) -> np.ndarray:
             inv = np.linalg.inv(pivots)
         except np.linalg.LinAlgError:
             inv = None
-    if inv is None or not np.all(np.isfinite(inv)):
-        inv = np.array([[_invert_pivot(block, li, pos)
-                         for li, block in enumerate(row)]
-                        for pos, row in zip(positions, pivots)])
-    return inv
+    if inv is not None and np.all(np.isfinite(inv)):
+        return inv
+    failures = []
+    for row, row_pivots in zip(rows.tolist(), pivots):
+        for col, block in enumerate(row_pivots):
+            reason = _pivot_failure(block)
+            if reason is not None:
+                failures.append((_cell_on_line(lines, row, col), reason,
+                                 row, col))
+    (pos, li), reason, row, col = min(failures)
+    where = (f"on line {li} at position {pos}" if li < len(lines.lines)
+             else f"in column {col} at row {row}, which no line holds")
+    raise SingularPivotError(f"{reason} {where}")
+
+
+def _cell_on_line(lines: LineSet, row: int, col: int) -> Tuple[int, int]:
+    """The (position, line) of a row of a column of ``lines.index``; a slot
+    no line holds ranks after every line, as (row, n_lines)."""
+    for li, (c, offset) in enumerate(lines.placement.tolist()):
+        if c == col and offset <= row < offset + len(lines.lines[li]):
+            return row - offset, li
+    return row, len(lines.lines)
 
 
 def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
@@ -246,11 +268,14 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
 
     ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
     couplings of ``LineBlocks``, shaped ``lines.index[1:].shape + (b, b)``,
-    with zero blocks past each line's end (else ``ContractViolationError``).
-    The layout of ``lines.index`` is the one reduced. A singular or
-    non-finite pivot raises ``SingularPivotError`` naming a line and the
-    original position of the reduced row: the first failing level, then the
-    lowest position, then the lowest line.
+    nonzero only where ``lines.pair_mask`` marks an in-line pair (else
+    ``ContractViolationError``). The packed layout of ``lines.index`` is the
+    one reduced. A singular or non-finite pivot raises
+    ``SingularPivotError`` naming a line and the position on it of the
+    reduced row: the first failing level, then the lowest position, then
+    the lowest line. That is the pivot a column of the line's own would
+    fail on, unless a block product overflowed first: 0 * inf then carries
+    NaN across to the other lines of its column.
     """
     diag_blocks = np.asarray(diag_blocks, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
@@ -261,25 +286,26 @@ def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
         raise ContractViolationError(
             f"coupling arrays {upper.shape} and {lower.shape} do not match "
             f"the line pairs {pair_shape}")
-    past_end = (lines.index[1:] == n_cells)[..., None, None]
-    if np.any(past_end & ((upper != 0.0) | (lower != 0.0))):
-        raise ContractViolationError("nonzero coupling past a line's end")
+    outside = ~lines.pair_mask[..., None, None]
+    if np.any(outside & ((upper != 0.0) | (lower != 0.0))):
+        raise ContractViolationError(
+            "nonzero coupling past a line's end or between two lines")
 
-    size = len(lines.index)
-    # The dummy cell's identity pivot keeps padded slots inert.
+    # The dummy cell's identity pivot keeps unused slots inert.
     diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
+    rows = np.arange(len(diag))    # the row each remaining row started at
     mul = np.multiply if b == 1 else np.matmul
     levels = []
-    stride = 1    # this level's rows sit at positions stride - 1 + j * stride
     while len(diag) > 1:
-        dinv = _invert_pivots(diag[0::2], range(stride - 1, size, 2 * stride))
-        left, right = lower[0::2], upper[1::2]
+        dinv = _invert_pivots(diag[0::2], lines, rows[0::2])
+        left = np.ascontiguousarray(lower[0::2])
+        right = np.ascontiguousarray(upper[1::2])
         dinv_lower = mul(dinv[1:], lower[1::2])
         dinv_upper = mul(dinv[:-1], upper[0::2])
         diag = diag[1::2] - mul(left, dinv_upper) - mul(right, dinv_lower)
         upper = -mul(right[:-1], dinv_upper[1:])
         lower = -mul(left[1:], dinv_lower[:-1])
         levels.append((dinv, left, right, dinv_lower, dinv_upper))
-        stride *= 2
-    root = _invert_pivots(diag, range(stride - 1, size, 2 * stride))[0]
+        rows = rows[1::2]
+    root = _invert_pivots(diag, lines, rows)[0]
     return BlockTridiagFactorization(lines, tuple(levels), root)

@@ -8,12 +8,18 @@ is measured from block norms rather than cell geometry, so strongly-coupled
 directions of any origin (mesh stretching, convection, coefficients) are
 picked up the same way, and every cell not reached by a path becomes a
 singleton line: where all are singletons, the preconditioner is block-diagonal.
+
+A ``LineSet`` also packs its lines into the layout the cyclic-reduction
+kernels reduce: columns of 2^L - 1 rows, each line contiguous down one
+column from a row that is a multiple of 2^B (B the bit length of its cell
+count), so that short lines and singletons share columns without changing
+a bit of any factor or solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,14 +32,33 @@ ANISOTROPY_THRESHOLD = 4.0
 
 @dataclass
 class LineSet:
-    """Partition of cells into simple paths (singletons included)."""
+    """Partition of cells into simple paths (singletons included), and the
+    packed layout the line kernels reduce.
+
+    The layout has 2^L - 1 rows, L = k_max.bit_length(). Lines are placed
+    longest first (ties in line order), each in the first column with room
+    for it: a line of k cells starts at the first multiple of
+    2^k.bit_length() past the column's last occupied row, and must end
+    within the 2^L - 1 rows; else it opens a new column. That alignment puts
+    every cell at the same cyclic-reduction level, against the same in-line
+    neighbours, as a column of its own would, so short lines and singletons
+    share columns without changing a bit of any factor or solve.
+    """
 
     n_cells: int
     lines: List[List[int]]
-    # (2^L - 1, n_lines), L = k_max.bit_length(): the cell at each position
-    # of each line, position first, and the dummy index n_cells past each
-    # line's end. Cyclic reduction runs on this layout, built once per solve.
+    # (2^L - 1, n_columns): the cell in each row of each column, and the
+    # dummy index n_cells in every slot no line holds.
     index: np.ndarray = field(init=False, repr=False, compare=False)
+    # (n_lines, 2): each line's column and the row of its first cell.
+    placement: np.ndarray = field(init=False, repr=False, compare=False)
+    # index[1:].shape: True where rows m and m + 1 of a column hold
+    # consecutive cells of one line.
+    pair_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    # The last edge list gathered along the lines, and what
+    # ``coupling_gather`` returned for it.
+    _gather: tuple = field(init=False, repr=False, compare=False,
+                           default=None)
 
     def __post_init__(self):
         cells = sorted(c for line in self.lines for c in line)
@@ -42,9 +67,56 @@ class LineSet:
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")
         size = 2 ** max(map(len, self.lines), default=0).bit_length() - 1
-        self.index = np.full((size, len(self.lines)), self.n_cells, dtype=int)
-        for li, line in enumerate(self.lines):
-            self.index[:len(line), li] = line
+        tops: List[int] = []    # each column's first row past its lines
+        self.placement = np.zeros((len(self.lines), 2), dtype=int)
+        for li in sorted(range(len(self.lines)),
+                         key=lambda li: -len(self.lines[li])):
+            k = len(self.lines[li])
+            align = 2 ** k.bit_length()
+            for col, top in enumerate(tops):
+                offset = -(-top // align) * align
+                if offset + k <= size:
+                    break
+            else:
+                col, offset = len(tops), 0
+                tops.append(0)
+            tops[col] = offset + k
+            self.placement[li] = col, offset
+        self.index = np.full((size, len(tops)), self.n_cells, dtype=int)
+        self.pair_mask = np.zeros(self.index[1:].shape, dtype=bool)
+        for line, (col, offset) in zip(self.lines, self.placement.tolist()):
+            self.index[offset:offset + len(line), col] = line
+            self.pair_mask[offset:offset + len(line) - 1, col] = True
+
+    def coupling_gather(self, edges: np.ndarray) -> Tuple[np.ndarray,
+                                                          np.ndarray]:
+        """For every in-line pair, in ``pair_mask`` order, the slot of its
+        upper and of its lower block among ``(off_ij, off_ji)`` stacked, for
+        the stencil edges (i < j) ``edges``. A pair p -> q along its edge
+        takes off_ij as upper and off_ji as lower; against it, the two
+        swap. Computed by a sorted search once per edge list: the line set
+        is frozen for a solve, so every later call with an equal list
+        reuses it. A pair with no edge raises ``ContractViolationError``."""
+        if self._gather is not None and np.array_equal(self._gather[0],
+                                                       edges):
+            return self._gather[1]
+        n = self.n_cells
+        p = self.index[:-1][self.pair_mask]
+        q = self.index[1:][self.pair_mask]
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        keys = edges[:, 0] * n + edges[:, 1]
+        order = np.argsort(keys)
+        wanted = lo * n + hi
+        pos = np.searchsorted(keys[order], wanted)
+        missing = np.append(keys[order], -1)[pos] != wanted   # -1: past the end
+        if np.any(missing):
+            i = np.argmax(missing)
+            raise ContractViolationError(
+                f"line pair {(int(lo[i]), int(hi[i]))} has no stencil edge")
+        k = order[pos]
+        against = np.where(p < q, 0, len(edges))
+        self._gather = (edges.copy(), (k + against, k + len(edges) - against))
+        return self._gather[1]
 
     def multi_cell_lines(self) -> List[List[int]]:
         return [line for line in self.lines if len(line) > 1]
@@ -60,10 +132,11 @@ class LineSet:
 @dataclass(frozen=True)
 class LineBlocks:
     """First-order Jacobian blocks restricted to a line set: every diagonal
-    block, and the couplings of consecutive in-line cells in the padded
-    layout of ``lines.index``. For p = index[m, li] and q = index[m + 1, li],
-    ``upper[m, li]`` is dR_p/dw_q and ``lower[m, li]`` is dR_q/dw_p; a slot
-    whose q is the dummy index holds zero blocks."""
+    block, and the couplings of consecutive in-line cells in the packed
+    layout of ``lines.index``. Where ``lines.pair_mask[m, c]`` holds, for
+    p = index[m, c] and q = index[m + 1, c], ``upper[m, c]`` is dR_p/dw_q
+    and ``lower[m, c]`` is dR_q/dw_p; every other slot (between two lines
+    of a column, or past the last) holds zero blocks."""
 
     lines: LineSet
     diag: np.ndarray    # (n_cells, b, b)
@@ -73,31 +146,15 @@ class LineBlocks:
 
 def assemble_line_blocks(blocks: FirstOrderBlocks,
                          lines: LineSet) -> LineBlocks:
-    """Gather the couplings of consecutive in-line cells into the padded
-    layout, found among the stencil edges (i < j) by a sorted search rather
-    than a walk over every edge; a pair that runs against its edge takes the
-    edge's blocks swapped."""
-    n = lines.n_cells
-    p, q = lines.index[:-1], lines.index[1:]
-    real = q < n
-    p, q = p[real], q[real]
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    keys = blocks.edges[:, 0] * n + blocks.edges[:, 1]
-    order = np.argsort(keys)
-    wanted = lo * n + hi
-    pos = np.searchsorted(keys[order], wanted)
-    missing = np.append(keys[order], -1)[pos] != wanted   # -1: past the end
-    if np.any(missing):
-        i = np.argmax(missing)
-        raise ContractViolationError(
-            f"line pair {(int(lo[i]), int(hi[i]))} has no stencil edge")
-    k = order[pos]
-    forward = (p < q)[:, None, None]
+    """Gather the couplings of consecutive in-line cells into the packed
+    layout, through the line set's ``coupling_gather`` for these edges."""
+    upper_src, lower_src = lines.coupling_gather(blocks.edges)
+    stacked = np.concatenate((blocks.off_ij, blocks.off_ji))
     b = blocks.diag.shape[1]
-    upper = np.zeros(real.shape + (b, b))
-    lower = np.zeros(real.shape + (b, b))
-    upper[real] = np.where(forward, blocks.off_ij[k], blocks.off_ji[k])
-    lower[real] = np.where(forward, blocks.off_ji[k], blocks.off_ij[k])
+    upper = np.zeros(lines.pair_mask.shape + (b, b))
+    lower = np.zeros(lines.pair_mask.shape + (b, b))
+    upper[lines.pair_mask] = stacked[upper_src]
+    lower[lines.pair_mask] = stacked[lower_src]
     return LineBlocks(lines, blocks.diag, upper, lower)
 
 

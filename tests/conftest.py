@@ -84,31 +84,33 @@ def full_chain_lines(n):
 
 
 def random_couplings(rng, line_set, b, scale):
-    """Padded ``upper`` and ``lower`` coupling arrays for the consecutive
+    """Packed ``upper`` and ``lower`` coupling arrays for the consecutive
     pairs of ``line_set``, drawn pair by pair in line order, upper block
-    first; slots past a line's end stay zero."""
+    first, each stored at its line's (column, offset + position) slot;
+    every other slot stays zero."""
     upper = np.zeros(line_set.index[1:].shape + (b, b))
     lower = np.zeros_like(upper)
-    for li, line in enumerate(line_set.lines):
-        for m in range(len(line) - 1):
-            upper[m, li] = scale * rng.standard_normal((b, b))
-            lower[m, li] = scale * rng.standard_normal((b, b))
+    for line, (col, offset) in zip(line_set.lines, line_set.placement):
+        for m in range(offset, offset + len(line) - 1):
+            upper[m, col] = scale * rng.standard_normal((b, b))
+            lower[m, col] = scale * rng.standard_normal((b, b))
     return upper, lower
 
 
 def dense_from_lines(line_set, diag_blocks, upper, lower):
     """Assemble the line-structured operator densely (test oracle): the pair
-    (p, q) at positions m and m + 1 of line li puts ``upper[m, li]`` at block
-    (p, q) and ``lower[m, li]`` at block (q, p)."""
+    (p, q) at positions m and m + 1 of a line placed at (column, offset)
+    puts ``upper[offset + m, column]`` at block (p, q) and
+    ``lower[offset + m, column]`` at block (q, p)."""
     n, b, _ = diag_blocks.shape
     assert upper.shape == lower.shape == line_set.index[1:].shape + (b, b)
     A = np.zeros((n * b, n * b))
     for i in range(n):
         A[i * b:(i + 1) * b, i * b:(i + 1) * b] = diag_blocks[i]
-    for li, line in enumerate(line_set.lines):
-        for m, (p, q) in enumerate(zip(line[:-1], line[1:])):
-            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[m, li]
-            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[m, li]
+    for line, (col, offset) in zip(line_set.lines, line_set.placement):
+        for m, (p, q) in enumerate(zip(line[:-1], line[1:]), start=offset):
+            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[m, col]
+            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[m, col]
     return A
 
 

@@ -340,10 +340,12 @@ def test_singular_reduced_pivot_names_its_original_position():
     ([4, 5], "line 2 at position 0"),      # the first position wins
 ])
 def test_singular_pivot_on_later_line(zero_cells, message):
+    # [2, 3, 4] fills column 0; [0, 1] and [5] share column 1, [5] at row 2.
     lines = LineSet(6, [[0, 1], [2, 3, 4], [5]])
+    assert lines.placement.tolist() == [[1, 0], [0, 0], [1, 2]]
     diag = np.ones((6, 1, 1))
     diag[zero_cells] = 0.0
-    off = np.zeros((2, 3, 1, 1))
+    off = np.zeros((2, 2, 1, 1))
     with pytest.raises(SingularPivotError,
                        match=f"singular pivot block on {message}$"):
         factor_block_tridiag(lines, diag, off, off)
@@ -453,14 +455,21 @@ def mixed_lines(draw):
 def test_mixed_length_lines_match_dense_property(lines, b, seed):
     rng = np.random.default_rng(seed)
     n = lines.n_cells
-    # The layout cyclic reduction runs on: 2^L - 1 positions, each line's
-    # cells in order from position 0, the dummy index n everywhere else.
+    # The layout cyclic reduction runs on: 2^L - 1 rows; each line's cells
+    # in order down one column from a multiple of 2^bit_length(len), the
+    # dummy index n in every other slot; the pair mask marks exactly the
+    # in-line pairs.
     k_max = max(map(len, lines.lines))
     assert len(lines.index) == 2 ** k_max.bit_length() - 1
     expected = np.full_like(lines.index, n)
-    for li, line in enumerate(lines.lines):
-        expected[:len(line), li] = line
+    mask = np.zeros(lines.pair_mask.shape, dtype=bool)
+    for line, (col, offset) in zip(lines.lines, lines.placement.tolist()):
+        assert offset % 2 ** len(line).bit_length() == 0
+        assert np.all(expected[offset:offset + len(line), col] == n)
+        expected[offset:offset + len(line), col] = line
+        mask[offset:offset + len(line) - 1, col] = True
     assert np.array_equal(lines.index, expected)
+    assert np.array_equal(lines.pair_mask, mask)
     # A chain problem's blocks, along lines of the same lengths laid on the
     # chain, gather straight into that layout.
     starts = np.cumsum([0] + [len(line) for line in lines.lines]).tolist()
@@ -512,3 +521,107 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
                                  embed(lower, 0.0))
     r2 = np.column_stack([r, rng.standard_normal(n)]).reshape(-1)
     assert np.array_equal(scalar.solve_values(r), block.solve_values(r2)[0::2])
+
+
+def test_coupling_between_lines_sharing_a_column_rejected():
+    # [4, 5, 6, 7] and [0, 1, 2] share column 0 (rows 0-3 and 4-6), so slot
+    # 3 pairs cell 7 with cell 0; [3] and [8] share column 1 (rows 0 and
+    # 2), so slot 1 pairs the dummy row 1 with cell 8. Neither is a pair.
+    lines = LineSet(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
+    assert lines.placement.tolist() == [[0, 4], [1, 0], [0, 0], [1, 2]]
+    diag = np.full((9, 1, 1), 4.0)
+    upper, lower = random_couplings(np.random.default_rng(1), lines, 1, 0.5)
+    factor_block_tridiag(lines, diag, upper, lower)
+    for slot in ((3, 0), (1, 1)):
+        for which in (0, 1):
+            bad = [upper.copy(), lower.copy()]
+            bad[which][slot] = 1e-300
+            with pytest.raises(ContractViolationError,
+                               match="between two lines"):
+                factor_block_tridiag(lines, diag, *bad)
+
+
+def test_singular_pivot_at_nonzero_offset_names_its_own_position():
+    # The 8-cell line fills rows 0-7 of the 15-row column; [8, 9, 10] sits
+    # at rows 8-10. Its pivots are all 1, but the level-1 pivot of its
+    # position 1 (row 9) is 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
+    lines = LineSet(11, [list(range(8)), [8, 9, 10]])
+    assert lines.placement.tolist() == [[0, 0], [0, 8]]
+    diag = np.full((11, 1, 1), 4.0)
+    diag[8:] = 1.0
+    upper, lower = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
+    upper[8:10], lower[8:10] = 1.0, 0.5
+    with pytest.raises(SingularPivotError,
+                       match="singular pivot block on line 1 at position 1$"):
+        factor_block_tridiag(lines, diag, upper, lower)
+
+
+def test_failing_slot_no_line_holds_is_named_by_column_and_row():
+    # [0, 1, 2] sits alone in column 1 of a 7-row layout. An infinite
+    # coupling reaches the slot past its end as 0 * inf = NaN, whose pivot
+    # fails before any of the line's: it is named by its column and row,
+    # not by a position past the line's end.
+    lines = LineSet(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
+    assert lines.placement.tolist() == [[1, 0], [0, 0]]
+    upper = np.zeros(lines.index[1:].shape + (1, 1))
+    lower = np.zeros_like(upper)
+    upper[1, 1], lower[1, 1] = np.inf, 1.0
+    with pytest.raises(SingularPivotError,
+                       match="non-finite pivot inverse in column 1 at row 3, "
+                             "which no line holds$"), \
+            np.errstate(invalid="ignore"):
+        factor_block_tridiag(lines, np.ones((8, 1, 1)), upper, lower)
+
+
+def _pivot_inverses(fact):
+    """Each row's inverted pivot, (rows, n_columns, b, b): level l inverts
+    the rows from 2^l - 1 every 2^(l+1), the root is row 2^(L-1) - 1."""
+    size = len(fact.lines.index)
+    out = np.empty((size,) + fact.root.shape)
+    for level, (dinv, *_) in enumerate(fact.levels):
+        out[2 ** level - 1::2 ** (level + 1)] = dinv
+    out[size // 2] = fact.root
+    return out
+
+
+@st.composite
+def packed_lines(draw):
+    """Lines of 1, 2^j - 1, 2^j and 2^j + 1 cells (j = 1..4), cells in
+    random order across lines."""
+    lengths = draw(st.lists(
+        st.builds(lambda j, d: max(1, 2 ** j + d),
+                  st.integers(1, 4), st.sampled_from([-2 ** 4, -1, 0, 1])),
+        min_size=1, max_size=8))
+    n = sum(lengths)
+    cells = draw(st.permutations(range(n)))
+    bounds = np.cumsum([0] + lengths).tolist()
+    return LineSet(n, [cells[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_lines(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
+    """Sharing a column changes no byte of a line's pivots or solution:
+    factoring and solving each line in a layout of its own gives the same
+    bytes."""
+    rng = np.random.default_rng(seed)
+    n = lines.n_cells
+    diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
+    upper, lower = random_couplings(rng, lines, b, 0.5)
+    r = rng.standard_normal((n, b))
+    fact = factor_block_tridiag(lines, diag, upper, lower)
+    x = fact.solve_values(r.reshape(-1)).reshape(n, b)
+    pivots = _pivot_inverses(fact)
+    for line, (col, offset) in zip(lines.lines, lines.placement.tolist()):
+        k = len(line)
+        alone = LineSet(k, [list(range(k))])
+        own_upper = np.zeros(alone.index[1:].shape + (b, b))
+        own_lower = np.zeros_like(own_upper)
+        own_upper[:k - 1, 0] = upper[offset:offset + k - 1, col]
+        own_lower[:k - 1, 0] = lower[offset:offset + k - 1, col]
+        own = factor_block_tridiag(alone, diag[line], own_upper, own_lower)
+        assert (pivots[offset:offset + k, col].tobytes()
+                == _pivot_inverses(own)[:k, 0].tobytes())
+        assert (x[line].tobytes()
+                == own.solve_values(r[line].reshape(-1)).tobytes())

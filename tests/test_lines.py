@@ -54,22 +54,63 @@ def test_line_blocks_follow_line_direction():
     expected = {}
     for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
-    # (row, col) pairs at their (position, line) slots; every other slot
-    # lies past a line's end and holds zero blocks.
+    # (row, col) pairs at their (position, line) on the lines, found at the
+    # line's (offset + position, column) slot; every other slot lies past a
+    # line's end or between two lines and holds zero blocks. The two lines
+    # share column 0 (rows 0-3 and 4-6), the 12 singletons three more.
     pairs = {(0, 0): (15, 11), (1, 0): (11, 7), (2, 0): (7, 3),
              (0, 1): (0, 1), (1, 1): (1, 2)}
-    assert lb.upper.shape == lb.lower.shape == (6, 11, 1, 1)
-    padded = np.ones((6, 11), dtype=bool)
+    assert lb.lines.placement[:2].tolist() == [[0, 0], [0, 4]]
+    assert lb.upper.shape == lb.lower.shape == (6, 4, 1, 1)
+    padded = np.ones((6, 4), dtype=bool)
     for (m, li), (row, col) in pairs.items():
-        assert lb.lines.index[m:m + 2, li].tolist() == [row, col]
+        column, offset = lb.lines.placement[li]
+        slot = (offset + m, column)
+        assert lb.lines.index[offset + m:offset + m + 2, column].tolist() == [row, col]
         assert not np.array_equal(expected[(row, col)], expected[(col, row)])
-        assert np.array_equal(lb.upper[m, li], expected[(row, col)])   # dR_row/dw_col
-        assert np.array_equal(lb.lower[m, li], expected[(col, row)])   # dR_col/dw_row
-        padded[m, li] = False
+        assert np.array_equal(lb.upper[slot], expected[(row, col)])   # dR_row/dw_col
+        assert np.array_equal(lb.lower[slot], expected[(col, row)])   # dR_col/dw_row
+        padded[slot] = False
+    assert np.array_equal(lb.lines.pair_mask, ~padded)
     assert np.all(lb.upper[padded] == 0.0) and np.all(lb.lower[padded] == 0.0)
     assert np.array_equal(lb.diag, blocks.diag)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
         assemble_line_blocks(p.first_order_blocks(w), with_singletons([0, 5]))
+
+
+def test_coupling_gather_computed_once_per_edge_list():
+    p = make_aniso_convdiff(6, 8, stretching_ratio=1000.0)
+    w0 = p.initial_state()
+    w1 = w0.copy()
+    w1.values[:] = np.random.default_rng(3).uniform(0.5, 1.5, w1.values.shape)
+    lines = extract_lines(p.first_order_blocks(w0))
+    assert lines.multi_cell_lines()
+    gather = lines.coupling_gather(p.first_order_blocks(w0).edges)
+    # A later step's edge list is a new, equal array: the lookup is reused.
+    blocks = p.first_order_blocks(w1)
+    assert lines.coupling_gather(blocks.edges) is gather
+    cached = assemble_line_blocks(blocks, lines)
+    fresh = assemble_line_blocks(blocks, LineSet(48, lines.lines))
+    for name in ("upper", "lower"):
+        assert (getattr(cached, name).tobytes()
+                == getattr(fresh, name).tobytes())
+    # Another edge list is looked up anew: the edges reversed, each blocks
+    # pair with it, gathers the same couplings.
+    flipped = FirstOrderBlocks(blocks.diag, blocks.edges[::-1].copy(),
+                               blocks.off_ij[::-1], blocks.off_ji[::-1])
+    again = assemble_line_blocks(flipped, lines)
+    assert again.upper.tobytes() == cached.upper.tobytes()
+    assert again.lower.tobytes() == cached.lower.tobytes()
+    # An edge list that misses an in-line pair is never served from the
+    # lookup of one that has it.
+    column, offset = lines.placement[0]
+    pair = tuple(sorted(lines.index[offset:offset + 2, column].tolist()))
+    keep = ~np.all(blocks.edges == pair, axis=1)
+    missing = FirstOrderBlocks(blocks.diag, blocks.edges[keep],
+                               blocks.off_ij[keep], blocks.off_ji[keep])
+    with pytest.raises(ContractViolationError,
+                       match=rf"line pair \({pair[0]}, {pair[1]}\)"):
+        assemble_line_blocks(missing, lines)
 
 
 def test_stretched_grid_weight_ratio():
@@ -386,23 +427,26 @@ def test_extraction_matches_greedy_reference_property(blocks):
 
 
 # Line sets the solver extracts on the benchmark grids: (lines, multi-cell
-# lines, longest line, cells on multi-cell lines, sha256 of to_text()).
+# lines, longest line, cells on multi-cell lines, packed layout shape,
+# sha256 of to_text()). Packed, the 48 singletons of 16x24 and the short
+# lines of 32x48 share columns: one line per column would be (63, 59) and
+# (255, 22).
 @pytest.mark.parametrize("build, expected", [
     (lambda: make_aniso_convdiff(16, 24, stretching_ratio=1000.0),
-     (59, 11, 36, 336, "65032969433457b79795ef427cffd134"
-                       "b6def43de4dd6e5befd67134d52fcbae")),
+     (59, 11, 36, 336, (63, 10), "65032969433457b79795ef427cffd134"
+                                 "b6def43de4dd6e5befd67134d52fcbae")),
     (lambda: make_aniso_convdiff(32, 48, stretching_ratio=1000.0),
-     (22, 22, 224, 1536, "58e62cdbb94a430ae00b23cc96ad3721"
-                         "03518993f67e7ea32df46be7080ab52f")),
+     (22, 22, 224, 1536, (255, 11), "58e62cdbb94a430ae00b23cc96ad3721"
+                                    "03518993f67e7ea32df46be7080ab52f")),
     (lambda: make_quasi1d_euler(128),
-     (1, 1, 128, 128, "7837a06c63ec8fc0e57954a2b97a8fbd"
-                      "63562aea8ab5c7e6b345607955db7c10")),
+     (1, 1, 128, 128, (255, 1), "7837a06c63ec8fc0e57954a2b97a8fbd"
+                                "63562aea8ab5c7e6b345607955db7c10")),
     (lambda: make_quasi1d_euler(32),
-     (1, 1, 32, 32, "245da0e4757599ae564bb2dc513f3433"
-                    "00b617600063ffdf43dd6a481334968c")),
+     (1, 1, 32, 32, (63, 1), "245da0e4757599ae564bb2dc513f3433"
+                             "00b617600063ffdf43dd6a481334968c")),
     (lambda: make_bratu(64),
-     (1, 1, 64, 64, "29f3d8a031145c5dcce2c92f1f9be6b2"
-                    "2f9fcab0a4a18e99413ecbfb195fcaf6")),
+     (1, 1, 64, 64, (127, 1), "29f3d8a031145c5dcce2c92f1f9be6b2"
+                              "2f9fcab0a4a18e99413ecbfb195fcaf6")),
 ], ids=["convdiff16x24", "convdiff32x48", "nozzle128", "nozzle32", "bratu64"])
 def test_benchmark_grid_line_sets_pinned(build, expected):
     p = build()
@@ -410,4 +454,4 @@ def test_benchmark_grid_line_sets_pinned(build, expected):
     digest = hashlib.sha256(ls.to_text().encode()).hexdigest()
     assert (len(ls.lines), len(ls.multi_cell_lines()),
             max(len(line) for line in ls.lines), ls.covered_by_multi(),
-            digest) == expected
+            ls.index.shape, digest) == expected
