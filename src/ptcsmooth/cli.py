@@ -321,7 +321,7 @@ def _lines(config: RunConfig, problem: NonlinearSystem,
            out: _Out) -> Tuple[int, Optional[dict]]:
     """Extract and write the solver line set at the initial state."""
     line_set = extract_lines(
-        problem.first_order_blocks(problem.initial_state()))
+        problem.first_order_blocks(problem.initial_state()), problem.edges)
     path = out("lines.txt")
     path.write_text(line_set.to_text())
     multi = line_set.multi_cell_lines()

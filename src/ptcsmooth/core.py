@@ -97,14 +97,13 @@ def require_count(name: str, value, minimum: int) -> None:
 
 @dataclass
 class FirstOrderBlocks:
-    """Nearest-neighbor Jacobian blocks of the first-order discretization.
-
-    ``edges[k] = (i, j)`` with ``i < j``; ``off_ij[k]`` couples residual i to
-    state j, ``off_ji[k]`` the reverse.
+    """Nearest-neighbor Jacobian blocks of the first-order discretization,
+    over the stencil ``system.edges`` of the system that made them: for
+    ``edges[k] = (i, j)``, ``off_ij[k]`` couples residual i to state j,
+    ``off_ji[k]`` the reverse.
     """
 
     diag: np.ndarray      # (n_cells, b, b)
-    edges: np.ndarray     # (n_edges, 2) int, i < j
     off_ij: np.ndarray    # (n_edges, b, b)
     off_ji: np.ndarray    # (n_edges, b, b)
 
@@ -116,10 +115,10 @@ class NonlinearSystem(ABC):
     return flat ``(n_dofs,)`` arrays; the direction ``v`` is a flat array too.
     ``jacobian_vector`` must be the exact linearization of ``residual`` (the
     continuation line search finds descent along the Newton direction only
-    then), while
-    ``first_order_blocks`` may be an approximation with nearest-neighbor
-    sparsity, used only for preconditioning. ``cell_measures`` holds the
-    positive, finite measure of each cell: the diagonal of the mass matrix M.
+    then), while ``first_order_blocks`` may be an approximation over the
+    nearest-neighbor stencil ``edges``, set once per system, used only for
+    preconditioning. ``cell_measures`` holds the positive, finite measure of
+    each cell: the diagonal of the mass matrix M.
 
     ``residual`` raises ``InadmissibleStateError`` at a state outside the
     problem's admissible set (e.g. negative density); ``trial_residual`` is
@@ -129,6 +128,7 @@ class NonlinearSystem(ABC):
     """
 
     layout: BlockLayout
+    edges: np.ndarray           # (n_edges, 2) int, i < j
     cell_measures: np.ndarray   # (n_cells,)
 
     @abstractmethod

@@ -13,13 +13,13 @@ A ``LineSet`` also packs its lines into the layout the cyclic-reduction
 kernels reduce: columns of 2^L - 1 rows, each line contiguous down one
 column from a row that is a multiple of 2^B (B the bit length of its cell
 count), so that short lines and singletons share columns without changing
-a bit of any factor or solve.
+a bit of any factor or solve. Its gather slots are found once, at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import List
 
 import numpy as np
 
@@ -42,11 +42,13 @@ class LineSet:
     within the 2^L - 1 rows; else it opens a new column. That alignment puts
     every cell at the same cyclic-reduction level, against the same in-line
     neighbours, as a column of its own would, so short lines and singletons
-    share columns without changing a bit of any factor or solve.
+    share columns without changing a bit of any factor or solve. An in-line
+    pair missing from the stencil ``edges`` is a ``ContractViolationError``.
     """
 
     n_cells: int
     lines: List[List[int]]
+    edges: InitVar[np.ndarray]
     # (2^L - 1, n_columns): the cell in each row of each column, and the
     # dummy index n_cells in every slot no line holds.
     index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -55,12 +57,12 @@ class LineSet:
     # index[1:].shape: True where rows m and m + 1 of a column hold
     # consecutive cells of one line.
     pair_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    # The last edge list gathered along the lines, and what
-    # ``coupling_gather`` returned for it.
-    _gather: tuple = field(init=False, repr=False, compare=False,
-                           default=None)
+    # (2, n_pairs): each in-line pair's upper and lower block slots, in
+    # ``pair_mask`` order, among ``(off_ij, off_ji)`` stacked; a pair p -> q
+    # along its edge takes off_ij as upper, against it off_ji.
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges: np.ndarray):
         cells = sorted(c for line in self.lines for c in line)
         if cells != list(range(self.n_cells)) or not all(self.lines):
             raise ContractViolationError(
@@ -88,18 +90,6 @@ class LineSet:
             self.index[offset:offset + len(line), col] = line
             self.pair_mask[offset:offset + len(line) - 1, col] = True
 
-    def coupling_gather(self, edges: np.ndarray) -> Tuple[np.ndarray,
-                                                          np.ndarray]:
-        """For every in-line pair, in ``pair_mask`` order, the slot of its
-        upper and of its lower block among ``(off_ij, off_ji)`` stacked, for
-        the stencil edges (i < j) ``edges``. A pair p -> q along its edge
-        takes off_ij as upper and off_ji as lower; against it, the two
-        swap. Computed by a sorted search once per edge list: the line set
-        is frozen for a solve, so every later call with an equal list
-        reuses it. A pair with no edge raises ``ContractViolationError``."""
-        if self._gather is not None and np.array_equal(self._gather[0],
-                                                       edges):
-            return self._gather[1]
         n = self.n_cells
         p = self.index[:-1][self.pair_mask]
         q = self.index[1:][self.pair_mask]
@@ -115,8 +105,7 @@ class LineSet:
                 f"line pair {(int(lo[i]), int(hi[i]))} has no stencil edge")
         k = order[pos]
         against = np.where(p < q, 0, len(edges))
-        self._gather = (edges.copy(), (k + against, k + len(edges) - against))
-        return self._gather[1]
+        self.slots = np.stack((k + against, k + len(edges) - against))
 
     def multi_cell_lines(self) -> List[List[int]]:
         return [line for line in self.lines if len(line) > 1]
@@ -147,32 +136,40 @@ class LineBlocks:
 def assemble_line_blocks(blocks: FirstOrderBlocks,
                          lines: LineSet) -> LineBlocks:
     """Gather the couplings of consecutive in-line cells into the packed
-    layout, through the line set's ``coupling_gather`` for these edges."""
-    upper_src, lower_src = lines.coupling_gather(blocks.edges)
-    stacked = np.concatenate((blocks.off_ij, blocks.off_ji))
+    layout, from the line set's ``slots``: ``blocks`` are over the stencil
+    it was built with. A non-finite coupling raises
+    ``ContractViolationError`` naming its pair."""
+    gathered = np.concatenate((blocks.off_ij, blocks.off_ji))[lines.slots]
+    if not np.all(np.isfinite(gathered)):
+        i = np.argmin(np.isfinite(gathered).all(axis=(0, 2, 3)))
+        p = lines.index[:-1][lines.pair_mask][i]
+        q = lines.index[1:][lines.pair_mask][i]
+        raise ContractViolationError(
+            f"line pair {(int(p), int(q))} has a non-finite coupling")
     b = blocks.diag.shape[1]
     upper = np.zeros(lines.pair_mask.shape + (b, b))
     lower = np.zeros(lines.pair_mask.shape + (b, b))
-    upper[lines.pair_mask] = stacked[upper_src]
-    lower[lines.pair_mask] = stacked[lower_src]
+    upper[lines.pair_mask], lower[lines.pair_mask] = gathered
     return LineBlocks(lines, blocks.diag, upper, lower)
 
 
 def singleton_lines(n_cells: int) -> LineSet:
-    return LineSet(n_cells, [[c] for c in range(n_cells)])
+    return LineSet(n_cells, [[c] for c in range(n_cells)],
+                   np.empty((0, 2), dtype=int))
 
 
-def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
+def extract_lines(blocks: FirstOrderBlocks, edges: np.ndarray) -> LineSet:
     """One line per component of a union of paths, else greedy
     strongest-coupling path growth seeded at anisotropic cells.
 
-    The coupling graph has one edge per stencil pair, weighted by the larger
-    Frobenius norm of the pair's two off-diagonal blocks. Weights must be
-    finite. If every cell has at most two edges and no component is a
-    cycle, each component is one line, walked from its lower-index end, and
-    lines are ordered by that end; weights do not matter then. A 2D grid
-    never qualifies (interior cells have four edges, and a 2x2 block is a
-    cycle), so its lines come from the greedy rule below.
+    The coupling graph has one edge per pair of the stencil ``edges`` (the
+    system's, which ``blocks`` are over), weighted by the larger Frobenius
+    norm of the pair's two off-diagonal blocks. Weights must be finite. If
+    every cell has at most two edges and no component is a cycle, each
+    component is one line, walked from its lower-index end, and lines are
+    ordered by that end; weights do not matter then. A 2D grid never
+    qualifies (interior cells have four edges, and a 2x2 block is a cycle),
+    so its lines come from the greedy rule below.
 
     Greedy: each cell's edges are sorted once, strongest first and the
     lower neighbor first on ties, and that order decides the rest. A cell's
@@ -184,15 +181,15 @@ def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
     cells become singletons.
     """
     n_cells, b = blocks.diag.shape[:2]
-    shape = (len(blocks.edges), b * b)
+    shape = (len(edges), b * b)
     weights = np.maximum(np.linalg.norm(blocks.off_ij.reshape(shape), axis=1),
                          np.linalg.norm(blocks.off_ji.reshape(shape), axis=1))
     if not np.all(np.isfinite(weights)):
         raise ValueError("coupling weights must be finite")
     # inc[c]: the (weight, neighbor) pairs of cell c's edges in that order;
     # every edge appears once from each end.
-    cell = blocks.edges.T.ravel()
-    nbr = blocks.edges[:, ::-1].T.ravel()
+    cell = edges.T.ravel()
+    nbr = edges[:, ::-1].T.ravel()
     w = np.concatenate((weights, weights))
     order = np.lexsort((nbr, -w, cell))
     pairs = list(zip(w[order].tolist(), nbr[order].tolist()))
@@ -213,7 +210,7 @@ def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
                 chain.append(nxt[0])
             chains.append(chain)
         if all(walked):   # else some component is a cycle
-            return LineSet(n_cells, chains)
+            return LineSet(n_cells, chains, edges)
 
     # Fewer than two edges is isotropic; a zero weakest weight is infinitely
     # anisotropic unless every weight is zero.
@@ -252,4 +249,4 @@ def extract_lines(blocks: FirstOrderBlocks) -> LineSet:
         if not visited[c]:
             lines.append([c])
 
-    return LineSet(n_cells, lines)
+    return LineSet(n_cells, lines, edges)

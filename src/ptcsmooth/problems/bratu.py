@@ -24,6 +24,7 @@ class BratuProblem(NonlinearSystem):
         self.lam = float(lam)
         self.h = 1.0 / (n_cells + 1)
         self.layout = BlockLayout(n_cells, 1)
+        self.edges = np.arange(n_cells - 1)[:, None] + [0, 1]
         self.cell_measures = np.full(n_cells, self.h)
         # Cell centers; boundary values sit at x = 0 and x = 1.
         self.x = (np.arange(n_cells) + 1) * self.h
@@ -42,9 +43,8 @@ class BratuProblem(NonlinearSystem):
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         n = self.n_cells
         diag = (2.0 / self.h ** 2 - self.lam * np.exp(w.values)).reshape(n, 1, 1)
-        edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         off = np.full((n - 1, 1, 1), -1.0 / self.h ** 2)
-        return FirstOrderBlocks(diag, edges, off, off.copy())
+        return FirstOrderBlocks(diag, off, off.copy())
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         # Diffusive stability estimate.

@@ -79,6 +79,12 @@ class AnisoConvDiffProblem(NonlinearSystem):
         self.yc = 0.5 * (faces[:-1] + faces[1:])
 
         self.layout = BlockLayout(nx * ny, 1)
+        # Edges in row-major order, x-edges before y-edges (line extraction
+        # breaks ties by this order).
+        cell = np.arange(nx * ny).reshape(ny, nx)
+        self.edges = np.concatenate((
+            np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel())),
+            np.column_stack((cell[:-1, :].ravel(), cell[1:, :].ravel()))))
         self.cell_measures = np.outer(self.hy, np.full(nx, self.hx)).ravel()
         self._vol2d = self.cell_measures.reshape(ny, nx)
 
@@ -188,14 +194,9 @@ class AnisoConvDiffProblem(NonlinearSystem):
                                 + 2.0 * self.sigma * u)
         diag = diag2d.ravel().reshape(-1, 1, 1)
 
-        # Edges in row-major order, x-edges before y-edges (line extraction
-        # breaks ties by this order). off_ij couples a cell to its east or
+        # In the order of ``edges``, off_ij couples a cell to its east or
         # north neighbor, off_ji the reverse; upwind convection enters the
         # neighbor coupling on the upstream side only.
-        cell = np.arange(nx * ny).reshape(ny, nx)
-        edges = np.concatenate((
-            np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel())),
-            np.column_stack((cell[:-1, :].ravel(), cell[1:, :].ravel()))))
         vol = self._vol2d
         east = -self.eps * lxp[:-1] + (self.vx / self._dxp[:-1] if self.vx < 0 else 0.0)
         west = -self.eps * lxm[1:] + (-self.vx / self._dxm[1:] if self.vx >= 0 else 0.0)
@@ -205,8 +206,8 @@ class AnisoConvDiffProblem(NonlinearSystem):
                                  (vol[:-1, :] * north[:, None]).ravel()))
         off_ji = np.concatenate(((vol[:, 1:] * west).ravel(),
                                  (vol[1:, :] * south[:, None]).ravel()))
-        return FirstOrderBlocks(diag, edges,
-                                off_ij.reshape(-1, 1, 1), off_ji.reshape(-1, 1, 1))
+        return FirstOrderBlocks(diag, off_ij.reshape(-1, 1, 1),
+                                off_ji.reshape(-1, 1, 1))
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         u = np.abs(w.values.reshape(self.ny, self.nx))

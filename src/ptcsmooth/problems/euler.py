@@ -85,6 +85,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
         self._half_area = 0.5 * self.a_faces
 
         self.layout = BlockLayout(n_cells, 3)
+        self.edges = np.arange(n_cells - 1)[:, None] + [0, 1]
         self.cell_measures = self.a_centers * self.dx
         self._state_key = None
         self._evaluation = None
@@ -195,13 +196,11 @@ class Quasi1dEulerProblem(NonlinearSystem):
                                      np.array([self.p_exit]))[0]
         diag[-1] += 0.5 * af[-1] * (A_gout - s_face[-1] * eye) @ g_out
 
-        idx = np.arange(self.n - 1)
-        edges = np.column_stack((idx, idx + 1))
         af_int = af[1:-1][:, None, None]
         s_int = s_face[1:-1][:, None, None]
         off_ij = 0.5 * af_int * (A[1:] - s_int * eye)       # dR_i/dU_{i+1}
         off_ji = -0.5 * af_int * (A[:-1] + s_int * eye)     # dR_{i+1}/dU_i
-        return FirstOrderBlocks(diag, edges, off_ij, off_ji)
+        return FirstOrderBlocks(diag, off_ij, off_ji)
 
     # -- misc contract pieces --------------------------------------------------
 

@@ -9,11 +9,11 @@ residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
-The first-order blocks are evaluated once per state and gathered along the
-frozen lines once per Newton step; that one gather is factored as J1 for the
-smoother and as J1 + M/dtau for GMRES. M/dtau itself is formed once per
-Newton step (``mass_over_dtau``), as one per-unknown array that every layer
-of the step multiplies by.
+The first-order blocks are evaluated once per state and gathered once per
+Newton step, through slots the lines found in the stencil once per solve;
+that one gather is factored as J1 for the smoother and as J1 + M/dtau for
+GMRES. M/dtau itself is formed once per Newton step (``mass_over_dtau``),
+as one per-unknown array that every layer of the step multiplies by.
 """
 
 from __future__ import annotations
@@ -158,15 +158,15 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     for GMRES. The smoothing source is computed before the linear solve and
     never re-evaluated. A singular smoother factorization runs the step
     unsmoothed. GMRES non-convergence is reported through the stats for the
-    controller, not raised; so are a singular PTC preconditioner and
-    non-finite operator output, as a failed solve with no Krylov vectors.
+    controller, not raised; so are non-finite couplings or operator output
+    and a singular PTC preconditioner, as failed solves with no Krylov vectors.
     """
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
-    line_blocks = assemble_line_blocks(blocks, lines)
     try:
+        line_blocks = assemble_line_blocks(blocks, lines)
         precon = build_ptc_preconditioner(line_blocks, mass_over_dtau)
-    except SingularPivotError as exc:
+    except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, zero, failed)
 
@@ -300,7 +300,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                            history, w)
 
     blocks = system.first_order_blocks(w)
-    lines = extract_lines(blocks)
+    lines = extract_lines(blocks, system.edges)
 
     cfl = config.cfl_init
     cumulative_krylov = 0

@@ -51,8 +51,7 @@ class RkSchedule:
 
 @dataclass
 class SmoothResult:
-    delta_w: np.ndarray     # w_end - w0, the composite local-solver update
-    w_end: BlockVector
+    delta_w: np.ndarray     # the composite local-solver update
     degraded: bool          # an offending cycle was abandoned
 
 
@@ -92,5 +91,5 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
             degraded = True
             break
         w_cycle = current
-    return SmoothResult(w_cycle.values - w0.values, w_cycle, degraded)
+    return SmoothResult(w_cycle.values - w0.values, degraded)
 

@@ -39,6 +39,7 @@ class BdfStepSystem(NonlinearSystem):
                     f"{name} has layout {state.layout}, not {system.layout}")
         self.inner = system
         self.layout = system.layout
+        self.edges = system.edges
         self.cell_measures = system.cell_measures
         self.w_prev = w_prev.copy()
         self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
@@ -64,8 +65,7 @@ class BdfStepSystem(NonlinearSystem):
         b = self.layout.block_size
         shift = self.shift_coeff * self.mass[::b]
         diag = blocks.diag + shift[:, None, None] * np.eye(b)
-        return FirstOrderBlocks(diag, blocks.edges,
-                                blocks.off_ij, blocks.off_ji)
+        return FirstOrderBlocks(diag, blocks.off_ij, blocks.off_ji)
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         return self.inner.explicit_dt(w)

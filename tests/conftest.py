@@ -22,6 +22,7 @@ class LinearChainSystem(NonlinearSystem):
         self.off_lo = np.asarray(off_lo, dtype=float)  # dR_{i+1}/dw_i
         n, b, _ = self.diag.shape
         self.layout = BlockLayout(n, b)
+        self.edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         self.rhs = np.asarray(rhs, dtype=float)
         if measures is None:
             measures = np.ones(n)
@@ -48,10 +49,8 @@ class LinearChainSystem(NonlinearSystem):
         return self.A @ v
 
     def first_order_blocks(self, w):
-        n = self.layout.n_cells
-        edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
-        return FirstOrderBlocks(self.diag.copy(), edges,
-                                self.off_up.copy(), self.off_lo.copy())
+        return FirstOrderBlocks(self.diag.copy(), self.off_up.copy(),
+                                self.off_lo.copy())
 
     def explicit_dt(self, w):
         return np.ones(self.layout.n_cells)
@@ -79,8 +78,15 @@ def diffusion_chain(n=8, b=1, seed=None):
     return LinearChainSystem(diag, off_up, off_lo, rhs)
 
 
+def kernel_lines(n, lines):
+    """A ``LineSet`` whose stencil is its lines' own consecutive pairs, for
+    tests of the line kernels alone."""
+    edges = [sorted(pair) for line in lines for pair in zip(line, line[1:])]
+    return LineSet(n, lines, np.array(edges, dtype=int).reshape(-1, 2))
+
+
 def full_chain_lines(n):
-    return LineSet(n, [list(range(n))])
+    return kernel_lines(n, [list(range(n))])
 
 
 def random_couplings(rng, line_set, b, scale):

@@ -12,7 +12,7 @@ import pytest
 import ptcsmooth.ptc as ptc_mod
 from ptcsmooth.core import BlockVector, l2_norm, validate_jacobian
 from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned
-from ptcsmooth.lines import (LineSet, assemble_line_blocks, extract_lines,
+from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
                              singleton_lines)
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
                            mass_over_dtau, newton_step, solve_steady)
@@ -22,7 +22,7 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
 from conftest import (dense_from_lines, diffusion_chain, full_chain_lines,
-                      random_couplings)
+                      kernel_lines, random_couplings)
 from test_linalg import _dense_operator
 
 
@@ -105,7 +105,7 @@ def singleton_lines_patched():
     """Within it, ``solve_steady`` solves on singleton lines."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ptc_mod, "extract_lines",
-                   lambda blocks: singleton_lines(len(blocks.diag)))
+                   lambda blocks, edges: singleton_lines(len(blocks.diag)))
         yield
 
 
@@ -131,7 +131,7 @@ def test_criterion_02_small_dtau_limit():
     p = make_bratu(64, 1.0)
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
-    lines = extract_lines(p.first_order_blocks(w))
+    lines = extract_lines(p.first_order_blocks(w), p.edges)
     precon = build_smoother(
         assemble_line_blocks(p.first_order_blocks(w), lines))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
@@ -206,12 +206,16 @@ def test_criterion_05_robustness_under_aggressive_growth():
         plain_struggles = (
             (plain_fails or plain.rejection_count >= 1)
             and plain.rejection_count >= 2 * smoothed.rejection_count)
-        verdicts.append((fixture, plain_fails, smoothed_ok and plain_struggles))
-    summary = "; ".join(
-        f"{'fails' if fails else 'pays >= 2x and >= 1 rejections'} on {fixture}"
-        for fixture, fails, _ in verdicts)
-    _report(5, f"aggressive CFL growth: smoothed converges, unsmoothed {summary}",
-            all(ok for _, _, ok in verdicts))
+        verdicts.append((
+            fixture, smoothed_ok and plain_struggles,
+            f"unsmoothed {plain.outcome.value}, smoothed "
+            f"{smoothed.outcome.value}, rejections "
+            f"{plain.rejection_count} vs {smoothed.rejection_count}"))
+    summary = "; ".join(f"{fixture} {'ok' if ok else 'FAIL'} ({what})"
+                        for fixture, ok, what in verdicts)
+    _report(5, "aggressive CFL growth (smoothed converges; unsmoothed fails, "
+               f"or pays >= 2x and >= 1 rejections): {summary}",
+            all(ok for _, ok, _ in verdicts))
 
 
 def test_criterion_06_unsteady_disparity():
@@ -261,7 +265,7 @@ def test_criterion_08_oracle_equivalences():
     for length in (1, 2, 5, 10):
         for bsz in (1, 2, 3):
             rng2 = np.random.default_rng(31 * length + bsz)
-            lines = LineSet(length, [list(range(length))])
+            lines = kernel_lines(length, [list(range(length))])
             diag = rng2.standard_normal((length, bsz, bsz)) + 3.0 * bsz * np.eye(bsz)
             upper, lower = random_couplings(rng2, lines, bsz, 0.5)
             fact = factor_block_tridiag(lines, diag, upper, lower)
@@ -281,7 +285,7 @@ def test_criterion_08_oracle_equivalences():
     w0 = BlockVector(sys.layout, w_star.values + e0)
     out = rk_smooth(sys, precon, RkSchedule((0.15, 0.4, 1.0), n_cycles=1),
                     w0, sys.residual(w0))
-    e_end = out.w_end.values - w_star.values
+    e_end = w0.values + out.delta_w - w_star.values
     checks["rk_contraction"] = np.allclose(e_end, 0.34 * e0,
                                            rtol=1e-12, atol=1e-13)
 
@@ -308,13 +312,15 @@ def test_criterion_09_line_extraction():
     # Isotropic: every line is a singleton.
     iso = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                               velocity=(0.0, 0.0), sigma=0.0)
-    ls_iso = extract_lines(iso.first_order_blocks(iso.initial_state()))
+    ls_iso = extract_lines(iso.first_order_blocks(iso.initial_state()),
+                           iso.edges)
     iso_ok = all(len(l) == 1 for l in ls_iso.lines)
 
     # Stretched 1e3: every multi-cell line runs along the strong direction.
     stretched = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
     ls_str = extract_lines(
-        stretched.first_order_blocks(stretched.initial_state()))
+        stretched.first_order_blocks(stretched.initial_state()),
+        stretched.edges)
     multi = ls_str.multi_cell_lines()
     aligned = bool(multi) and all(
         {abs(a - b) for a, b in zip(l[:-1], l[1:])} == {stretched.nx}

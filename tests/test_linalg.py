@@ -9,7 +9,8 @@ from ptcsmooth.linalg import (GmresStats, SingularPivotError,
                               gmres_right_preconditioned)
 from ptcsmooth.lines import LineSet, assemble_line_blocks, singleton_lines
 
-from conftest import dense_from_lines, diffusion_chain, random_couplings
+from conftest import (dense_from_lines, diffusion_chain, kernel_lines,
+                      random_couplings)
 
 
 def _dense_operator(A):
@@ -256,7 +257,7 @@ def test_identity_factorization_is_identity():
 
 def test_scalar_poisson_line_matches_dense():
     n = 5
-    lines = LineSet(n, [list(range(n))])
+    lines = kernel_lines(n, [list(range(n))])
     diag = np.full((n, 1, 1), 2.0)
     off = np.where(lines.index[1:, :, None, None] < n, -1.0, 0.0)
     fact = factor_block_tridiag(lines, diag, off, off)
@@ -277,7 +278,7 @@ def test_scalar_poisson_line_matches_dense():
 def test_block2_line_matches_dense():
     rng = np.random.default_rng(8)
     n, b = 3, 2
-    lines = LineSet(n, [[0, 1, 2]])
+    lines = kernel_lines(n, [[0, 1, 2]])
     diag = rng.standard_normal((n, b, b)) + 4.0 * np.eye(b)
     upper, lower = random_couplings(rng, lines, b, 0.5)
     fact = factor_block_tridiag(lines, diag, upper, lower)
@@ -289,7 +290,7 @@ def test_block2_line_matches_dense():
 
 def test_independent_lines_do_not_couple():
     n = 6
-    lines = LineSet(n, [[0, 1, 2], [3, 4, 5]])
+    lines = kernel_lines(n, [[0, 1, 2], [3, 4, 5]])
     diag = np.full((n, 1, 1), 3.0)
     off = np.full((2, 2, 1, 1), -1.0)
     fact = factor_block_tridiag(lines, diag, off, off)
@@ -303,7 +304,7 @@ def test_independent_lines_do_not_couple():
 def test_factor_solve_roundtrip():
     rng = np.random.default_rng(19)
     n, b = 7, 3
-    lines = LineSet(n, [list(range(n))])
+    lines = kernel_lines(n, [list(range(n))])
     diag = rng.standard_normal((n, b, b)) + 5.0 * np.eye(b)
     upper, lower = random_couplings(rng, lines, b, 0.4)
     fact = factor_block_tridiag(lines, diag, upper, lower)
@@ -314,7 +315,7 @@ def test_factor_solve_roundtrip():
 
 
 def test_singular_pivot_names_line_and_position():
-    lines = LineSet(2, [[0, 1]])
+    lines = kernel_lines(2, [[0, 1]])
     diag = np.zeros((2, 1, 1))
     diag[0, 0, 0] = 1.0  # second pivot is singular
     off = np.zeros((2, 1, 1, 1))
@@ -325,7 +326,7 @@ def test_singular_pivot_names_line_and_position():
 def test_singular_reduced_pivot_names_its_original_position():
     # Every pivot of the line is 1, but the level-1 pivot of position 1 is
     # 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
-    lines = LineSet(3, [[0, 1, 2]])
+    lines = kernel_lines(3, [[0, 1, 2]])
     diag = np.ones((3, 1, 1))
     upper = np.ones((2, 1, 1, 1))
     lower = np.full((2, 1, 1, 1), 0.5)
@@ -341,7 +342,7 @@ def test_singular_reduced_pivot_names_its_original_position():
 ])
 def test_singular_pivot_on_later_line(zero_cells, message):
     # [2, 3, 4] fills column 0; [0, 1] and [5] share column 1, [5] at row 2.
-    lines = LineSet(6, [[0, 1], [2, 3, 4], [5]])
+    lines = kernel_lines(6, [[0, 1], [2, 3, 4], [5]])
     assert lines.placement.tolist() == [[1, 0], [0, 0], [1, 2]]
     diag = np.ones((6, 1, 1))
     diag[zero_cells] = 0.0
@@ -352,7 +353,7 @@ def test_singular_pivot_on_later_line(zero_cells, message):
 
 
 def test_overflowing_pivot_inverse_names_line_and_position():
-    lines = LineSet(5, [[0, 1], [2, 3, 4]])
+    lines = kernel_lines(5, [[0, 1], [2, 3, 4]])
     diag = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
     diag[3] = 1e-310 * np.eye(2)    # invertible, but 1/1e-310 overflows
     off = np.zeros((2, 2, 2, 2))
@@ -364,7 +365,7 @@ def test_overflowing_pivot_inverse_names_line_and_position():
 def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
     # 1x1 pivots are inverted as reciprocals; an overflow there is named as
     # LAPACK's would be, without a floating-point warning.
-    lines = LineSet(5, [[0, 1], [2, 3, 4]])
+    lines = kernel_lines(5, [[0, 1], [2, 3, 4]])
     diag = np.ones((5, 1, 1))
     diag[3] = 1e-310
     off = np.zeros((2, 2, 1, 1))
@@ -382,7 +383,7 @@ def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
 def test_coupling_shape_must_match_line_pairs(upper_shape, lower_shape):
     # The longest line has three cells, so two pair positions over the two
     # lines; nothing stands in for a missing one.
-    lines = LineSet(4, [[0, 1, 2], [3]])
+    lines = kernel_lines(4, [[0, 1, 2], [3]])
     diag = np.broadcast_to(4.0 * np.eye(2), (4, 2, 2)).copy()
     with pytest.raises(ContractViolationError, match="line pairs"):
         factor_block_tridiag(lines, diag, np.zeros(upper_shape),
@@ -403,7 +404,7 @@ def test_layout_mismatch_rejected():
        st.integers(min_value=0, max_value=10_000))
 def test_line_solve_matches_dense_property(length, b, seed):
     rng = np.random.default_rng(seed)
-    lines = LineSet(length, [list(range(length))])
+    lines = kernel_lines(length, [list(range(length))])
     diag = rng.standard_normal((length, b, b)) + (3.0 * b) * np.eye(b)
     upper, lower = random_couplings(rng, lines, b, 0.5)
     fact = factor_block_tridiag(lines, diag, upper, lower)
@@ -446,7 +447,8 @@ def mixed_lines(draw):
     cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))
                 if n > 1 else st.just(set()))
     bounds = [0, *sorted(cuts), n]
-    return LineSet(n, [cells[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+    return kernel_lines(n, [cells[i:j]
+                            for i, j in zip(bounds[:-1], bounds[1:])])
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,9 +475,10 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     # A chain problem's blocks, along lines of the same lengths laid on the
     # chain, gather straight into that layout.
     starts = np.cumsum([0] + [len(line) for line in lines.lines]).tolist()
-    chain = LineSet(n, [list(range(lo, hi))
-                        for lo, hi in zip(starts[:-1], starts[1:])])
     system = diffusion_chain(n, b, seed)
+    chain = LineSet(n, [list(range(lo, hi))
+                        for lo, hi in zip(starts[:-1], starts[1:])],
+                    system.edges)
     gathered = assemble_line_blocks(
         system.first_order_blocks(system.initial_state()), chain)
     assert (gathered.upper.shape == gathered.lower.shape
@@ -527,7 +530,7 @@ def test_coupling_between_lines_sharing_a_column_rejected():
     # [4, 5, 6, 7] and [0, 1, 2] share column 0 (rows 0-3 and 4-6), so slot
     # 3 pairs cell 7 with cell 0; [3] and [8] share column 1 (rows 0 and
     # 2), so slot 1 pairs the dummy row 1 with cell 8. Neither is a pair.
-    lines = LineSet(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
+    lines = kernel_lines(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
     assert lines.placement.tolist() == [[0, 4], [1, 0], [0, 0], [1, 2]]
     diag = np.full((9, 1, 1), 4.0)
     upper, lower = random_couplings(np.random.default_rng(1), lines, 1, 0.5)
@@ -545,7 +548,7 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
     # The 8-cell line fills rows 0-7 of the 15-row column; [8, 9, 10] sits
     # at rows 8-10. Its pivots are all 1, but the level-1 pivot of its
     # position 1 (row 9) is 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
-    lines = LineSet(11, [list(range(8)), [8, 9, 10]])
+    lines = kernel_lines(11, [list(range(8)), [8, 9, 10]])
     assert lines.placement.tolist() == [[0, 0], [0, 8]]
     diag = np.full((11, 1, 1), 4.0)
     diag[8:] = 1.0
@@ -561,7 +564,7 @@ def test_failing_slot_no_line_holds_is_named_by_column_and_row():
     # coupling reaches the slot past its end as 0 * inf = NaN, whose pivot
     # fails before any of the line's: it is named by its column and row,
     # not by a position past the line's end.
-    lines = LineSet(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
+    lines = kernel_lines(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
     assert lines.placement.tolist() == [[1, 0], [0, 0]]
     upper = np.zeros(lines.index[1:].shape + (1, 1))
     lower = np.zeros_like(upper)
@@ -595,7 +598,8 @@ def packed_lines(draw):
     n = sum(lengths)
     cells = draw(st.permutations(range(n)))
     bounds = np.cumsum([0] + lengths).tolist()
-    return LineSet(n, [cells[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+    return kernel_lines(n, [cells[i:j]
+                            for i, j in zip(bounds[:-1], bounds[1:])])
 
 
 @settings(max_examples=80, deadline=None)
@@ -615,7 +619,7 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
     pivots = _pivot_inverses(fact)
     for line, (col, offset) in zip(lines.lines, lines.placement.tolist()):
         k = len(line)
-        alone = LineSet(k, [list(range(k))])
+        alone = kernel_lines(k, [list(range(k))])
         own_upper = np.zeros(alone.index[1:].shape + (b, b))
         own_lower = np.zeros_like(own_upper)
         own_upper[:k - 1, 0] = upper[offset:offset + k - 1, col]

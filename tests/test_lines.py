@@ -10,14 +10,16 @@ from ptcsmooth.lines import LineSet, assemble_line_blocks, extract_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
+from conftest import kernel_lines
+
 
 def coupling_blocks(n, edges, weights):
-    """Scalar first-order blocks whose coupling graph carries ``weights``:
-    both off-diagonal blocks of an edge hold its weight."""
+    """Scalar first-order blocks whose coupling graph carries ``weights``,
+    and their edge array: both off-diagonal blocks of an edge hold its
+    weight."""
     off = np.asarray(weights, dtype=float).reshape(-1, 1, 1)
-    return FirstOrderBlocks(np.ones((n, 1, 1)),
-                            np.asarray(edges, dtype=int).reshape(-1, 2),
-                            off, off.copy())
+    return (FirstOrderBlocks(np.ones((n, 1, 1)), off, off.copy()),
+            np.asarray(edges, dtype=int).reshape(-1, 2))
 
 
 def covers_each_cell_once(ls):
@@ -33,9 +35,9 @@ def chain_blocks(weights):
 def test_bratu_chain_graph_structure():
     p = make_bratu(4, 1.0)
     blocks = p.first_order_blocks(p.initial_state())
-    assert len(blocks.diag) == 4
-    assert len(blocks.edges) == 3
-    assert sorted(map(tuple, blocks.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
+    assert len(blocks.diag) == len(blocks.off_ij) + 1 == 4
+    assert len(p.edges) == 3
+    assert sorted(map(tuple, p.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_line_blocks_follow_line_direction():
@@ -47,12 +49,13 @@ def test_line_blocks_follow_line_direction():
 
     def with_singletons(*multi):
         used = {c for line in multi for c in line}
-        return LineSet(16, list(multi) + [[c] for c in range(16) if c not in used])
+        return LineSet(16, list(multi)
+                       + [[c] for c in range(16) if c not in used], p.edges)
 
     lb = assemble_line_blocks(p.first_order_blocks(w),
                               with_singletons([15, 11, 7, 3], [0, 1, 2]))
     expected = {}
-    for (i, j), a, b in zip(blocks.edges.tolist(), blocks.off_ij, blocks.off_ji):
+    for (i, j), a, b in zip(p.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
     # (row, col) pairs at their (position, line) on the lines, found at the
     # line's (offset + position, column) slot; every other slot lies past a
@@ -75,42 +78,33 @@ def test_line_blocks_follow_line_direction():
     assert np.all(lb.upper[padded] == 0.0) and np.all(lb.lower[padded] == 0.0)
     assert np.array_equal(lb.diag, blocks.diag)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
-        assemble_line_blocks(p.first_order_blocks(w), with_singletons([0, 5]))
+        with_singletons([0, 5])
 
 
-def test_coupling_gather_computed_once_per_edge_list():
+def test_coupling_gather_computed_at_construction():
     p = make_aniso_convdiff(6, 8, stretching_ratio=1000.0)
-    w0 = p.initial_state()
-    w1 = w0.copy()
-    w1.values[:] = np.random.default_rng(3).uniform(0.5, 1.5, w1.values.shape)
-    lines = extract_lines(p.first_order_blocks(w0))
+    lines = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
     assert lines.multi_cell_lines()
-    gather = lines.coupling_gather(p.first_order_blocks(w0).edges)
-    # A later step's edge list is a new, equal array: the lookup is reused.
-    blocks = p.first_order_blocks(w1)
-    assert lines.coupling_gather(blocks.edges) is gather
-    cached = assemble_line_blocks(blocks, lines)
-    fresh = assemble_line_blocks(blocks, LineSet(48, lines.lines))
-    for name in ("upper", "lower"):
-        assert (getattr(cached, name).tobytes()
-                == getattr(fresh, name).tobytes())
-    # Another edge list is looked up anew: the edges reversed, each blocks
-    # pair with it, gathers the same couplings.
-    flipped = FirstOrderBlocks(blocks.diag, blocks.edges[::-1].copy(),
-                               blocks.off_ij[::-1], blocks.off_ji[::-1])
-    again = assemble_line_blocks(flipped, lines)
-    assert again.upper.tobytes() == cached.upper.tobytes()
-    assert again.lower.tobytes() == cached.lower.tobytes()
-    # An edge list that misses an in-line pair is never served from the
-    # lookup of one that has it.
+    w = p.initial_state()
+    w.values[:] = np.random.default_rng(3).uniform(0.5, 1.5, w.values.shape)
+    blocks = p.first_order_blocks(w)
+    gathered = assemble_line_blocks(blocks, lines)
+    # The edges listed in reverse, each with its blocks, gather the same
+    # couplings.
+    flipped = LineSet(48, lines.lines, p.edges[::-1].copy())
+    again = assemble_line_blocks(
+        FirstOrderBlocks(blocks.diag, blocks.off_ij[::-1],
+                         blocks.off_ji[::-1]), flipped)
+    assert again.upper.tobytes() == gathered.upper.tobytes()
+    assert again.lower.tobytes() == gathered.lower.tobytes()
+    # An edge list that misses an in-line pair fails at construction,
+    # naming the pair.
     column, offset = lines.placement[0]
     pair = tuple(sorted(lines.index[offset:offset + 2, column].tolist()))
-    keep = ~np.all(blocks.edges == pair, axis=1)
-    missing = FirstOrderBlocks(blocks.diag, blocks.edges[keep],
-                               blocks.off_ij[keep], blocks.off_ji[keep])
+    keep = ~np.all(p.edges == pair, axis=1)
     with pytest.raises(ContractViolationError,
                        match=rf"line pair \({pair[0]}, {pair[1]}\)"):
-        assemble_line_blocks(missing, lines)
+        LineSet(48, lines.lines, p.edges[keep])
 
 
 def test_stretched_grid_weight_ratio():
@@ -128,7 +122,7 @@ def test_stretched_grid_weight_ratio():
     w_y_expected = vol * 1.0 / hy ** 2
     # The coupling weight of an edge is its larger off-diagonal block norm;
     # a scalar block's norm is its magnitude.
-    weights = dict(zip(map(tuple, blocks.edges.tolist()),
+    weights = dict(zip(map(tuple, p.edges.tolist()),
                        np.maximum(np.abs(blocks.off_ij),
                                   np.abs(blocks.off_ji))[:, 0, 0]))
     # Interior x-edge in row 2: cells (2,2)-(3,2); y-edge: (2,2)-(2,3).
@@ -141,7 +135,7 @@ def test_stretched_grid_weight_ratio():
 def test_isotropic_grid_all_singletons():
     p = make_aniso_convdiff(8, 8, stretching_ratio=1.0, eps=1.0,
                             velocity=(0.0, 0.0), sigma=0.0)
-    ls = extract_lines(p.first_order_blocks(p.initial_state()))
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
     assert len(ls.lines) == p.layout.n_cells
     assert all(len(line) == 1 for line in ls.lines)
     assert covers_each_cell_once(ls)
@@ -169,20 +163,20 @@ def test_six_cell_band_becomes_one_line():
     # coupled 1000x more strongly.
     weights = np.ones(19)
     weights[7:12] = 1000.0
-    ls = extract_lines(ladder_blocks(weights))
+    ls = extract_lines(*ladder_blocks(weights))
     multi = ls.multi_cell_lines()
     assert len(multi) == 1
     assert sorted(multi[0]) == [7, 8, 9, 10, 11, 12]
     assert covers_each_cell_once(ls)
     # The same weights on a bare chain: the whole path is one line.
-    assert extract_lines(chain_blocks(weights)).lines == [list(range(20))]
+    assert extract_lines(*chain_blocks(weights)).lines == [list(range(20))]
 
 
 def test_two_disjoint_strips():
     weights = np.ones(29)
     weights[3:7] = 500.0    # strip A: cells 3..7
     weights[18:23] = 800.0  # strip B: cells 18..23
-    ls = extract_lines(ladder_blocks(weights))
+    ls = extract_lines(*ladder_blocks(weights))
     multi = ls.multi_cell_lines()
     assert len(multi) == 2
     cells_a, cells_b = (set(line) for line in multi)
@@ -190,7 +184,7 @@ def test_two_disjoint_strips():
     assert {frozenset(cells_a), frozenset(cells_b)} == {
         frozenset(range(3, 8)), frozenset(range(18, 24))}
     assert covers_each_cell_once(ls)
-    assert extract_lines(chain_blocks(weights)).lines == [list(range(30))]
+    assert extract_lines(*chain_blocks(weights)).lines == [list(range(30))]
 
 
 def test_ring_falls_back_to_greedy():
@@ -198,17 +192,18 @@ def test_ring_falls_back_to_greedy():
     # leaves every cell a singleton. A cycle anywhere sends the whole graph
     # to greedy, so the 4-cell path beside it gets no line either.
     ring = [(c, (c + 1) % 12) for c in range(12)]
-    ls = extract_lines(coupling_blocks(12, [sorted(e) for e in ring],
-                                       np.ones(12)))
+    ls = extract_lines(*coupling_blocks(12, [sorted(e) for e in ring],
+                                        np.ones(12)))
     assert ls.lines == [[c] for c in range(12)]
     path = [(12, 13), (13, 14), (14, 15)]
-    ls = extract_lines(coupling_blocks(16, [sorted(e) for e in ring] + path,
-                                       np.ones(15)))
+    ls = extract_lines(*coupling_blocks(16, [sorted(e) for e in ring] + path,
+                                        np.ones(15)))
     assert ls.lines == [[c] for c in range(16)]
     # A 1000x band on the ring is a greedy line, not the whole ring.
     weights = np.ones(12)
     weights[2:5] = 1000.0
-    ls = extract_lines(coupling_blocks(12, [sorted(e) for e in ring], weights))
+    ls = extract_lines(*coupling_blocks(12, [sorted(e) for e in ring],
+                                        weights))
     assert ls.multi_cell_lines() == [[2, 3, 4, 5]]
 
 
@@ -219,24 +214,24 @@ def test_ring_falls_back_to_greedy():
 def test_labelled_path_walked_from_lower_end(label, weights):
     # Cell label[k] sits at position k of the path, whatever the weights.
     edges = [sorted((label[k], label[k + 1])) for k in range(8)]
-    ls = extract_lines(coupling_blocks(9, edges, weights))
+    ls = extract_lines(*coupling_blocks(9, edges, weights))
     walk = list(label) if label[0] < label[-1] else list(label[::-1])
     assert ls.lines == [walk]
 
 
 def test_isolated_cells_stay_singletons():
-    ls = extract_lines(coupling_blocks(7, [(1, 3), (3, 4), (2, 6)],
-                                       [1.0, 5.0, 2.0]))
+    ls = extract_lines(*coupling_blocks(7, [(1, 3), (3, 4), (2, 6)],
+                                        [1.0, 5.0, 2.0]))
     assert ls.lines == [[0], [1, 3, 4], [2, 6], [5]]
-    ls = extract_lines(coupling_blocks(3, np.empty((0, 2)), []))
+    ls = extract_lines(*coupling_blocks(3, np.empty((0, 2)), []))
     assert ls.lines == [[0], [1], [2]]
 
 
 def test_extraction_deterministic():
     p = make_aniso_convdiff(12, 16, stretching_ratio=100.0)
     blocks = p.first_order_blocks(p.initial_state())
-    ls1 = extract_lines(blocks)
-    ls2 = extract_lines(blocks)
+    ls1 = extract_lines(blocks, p.edges)
+    ls2 = extract_lines(blocks, p.edges)
     assert ls1.lines == ls2.lines
 
 
@@ -244,7 +239,7 @@ def test_stretched_grid_lines_wall_normal():
     # Shallow domain keeps y coupling dominant everywhere, so every
     # multi-cell line must run in the y direction and cover the wall band.
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    ls = extract_lines(p.first_order_blocks(p.initial_state()))
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
     multi = ls.multi_cell_lines()
     assert multi
     for line in multi:
@@ -259,12 +254,12 @@ def test_stretched_grid_lines_wall_normal():
 def test_coupling_weight_validation():
     # Checked before either rule: on a path, on a ring and on a ladder.
     ring = [(0, 1), (1, 2), (0, 2)]
-    for blocks in (chain_blocks([1.0, np.nan]),
-                   chain_blocks([np.inf, 1.0, 1.0]),
-                   coupling_blocks(3, ring, [1.0, np.nan, 1.0]),
-                   ladder_blocks([1.0, 1.0], rung_weight=np.nan)):
+    for blocks, edges in (chain_blocks([1.0, np.nan]),
+                          chain_blocks([np.inf, 1.0, 1.0]),
+                          coupling_blocks(3, ring, [1.0, np.nan, 1.0]),
+                          ladder_blocks([1.0, 1.0], rung_weight=np.nan)):
         with pytest.raises(ValueError, match="coupling weights must be finite"):
-            extract_lines(blocks)
+            extract_lines(blocks, edges)
 
 
 @pytest.mark.parametrize("n_cells, lines", [
@@ -273,11 +268,11 @@ def test_coupling_weight_validation():
 def test_lines_must_partition_cells(n_cells, lines):
     # A cell no line covers would be left unwritten by the line solve.
     with pytest.raises(ContractViolationError, match="partition"):
-        LineSet(n_cells, lines)
+        LineSet(n_cells, lines, np.empty((0, 2), dtype=int))
 
 
 def test_lineset_text_format():
-    ls = LineSet(4, [[2, 1], [0], [3]])
+    ls = kernel_lines(4, [[2, 1], [0], [3]])
     assert ls.to_text() == "2 1\n0\n3\n"
 
 
@@ -299,7 +294,7 @@ def test_partition_and_path_validity_property(nx, ny, seed):
             if j + 1 < ny:
                 edges.append((k, k + nx))
                 weights.append(10.0 ** rng.uniform(-3, 3))
-    ls = extract_lines(coupling_blocks(nx * ny, edges, weights))
+    ls = extract_lines(*coupling_blocks(nx * ny, edges, weights))
     assert covers_each_cell_once(ls)
     adjacency = {tuple(sorted(e)) for e in edges}
     for line in ls.lines:
@@ -308,7 +303,7 @@ def test_partition_and_path_validity_property(nx, ny, seed):
             assert tuple(sorted((p, q))) in adjacency
 
 
-def _greedy_reference(blocks, threshold=4.0):
+def _greedy_reference(blocks, edges, threshold=4.0):
     """Line extraction as first written, for scalar blocks, plus the path
     rule: per-cell adjacency lists scanned for their extremes, and the
     strongest unvisited neighbor (lower index on ties) picked by ``max``.
@@ -318,7 +313,7 @@ def _greedy_reference(blocks, threshold=4.0):
     n_cells = len(blocks.diag)
     weights = np.maximum(np.abs(blocks.off_ij), np.abs(blocks.off_ji))[:, 0, 0]
     adj = [[] for _ in range(n_cells)]
-    for (i, j), w in zip(blocks.edges.tolist(), weights.tolist()):
+    for (i, j), w in zip(edges.tolist(), weights.tolist()):
         adj[i].append((w, j))
         adj[j].append((w, i))
 
@@ -339,7 +334,7 @@ def _greedy_reference(blocks, threshold=4.0):
                         stack.append(nb)
             members.append(cells)
     n_edges = [0] * len(members)
-    for i, _ in blocks.edges.tolist():
+    for i, _ in edges.tolist():
         n_edges[component[i]] += 1
     if (max(map(len, adj), default=0) <= 2
             and all(e == len(cells) - 1 for e, cells in zip(n_edges, members))):
@@ -422,8 +417,8 @@ def coupling_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(coupling_graphs())
-def test_extraction_matches_greedy_reference_property(blocks):
-    assert extract_lines(blocks).lines == _greedy_reference(blocks)
+def test_extraction_matches_greedy_reference_property(graph):
+    assert extract_lines(*graph).lines == _greedy_reference(*graph)
 
 
 # Line sets the solver extracts on the benchmark grids: (lines, multi-cell
@@ -450,8 +445,18 @@ def test_extraction_matches_greedy_reference_property(blocks):
 ], ids=["convdiff16x24", "convdiff32x48", "nozzle128", "nozzle32", "bratu64"])
 def test_benchmark_grid_line_sets_pinned(build, expected):
     p = build()
-    ls = extract_lines(p.first_order_blocks(p.initial_state()))
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
     digest = hashlib.sha256(ls.to_text().encode()).hexdigest()
     assert (len(ls.lines), len(ls.multi_cell_lines()),
             max(len(line) for line in ls.lines), ls.covered_by_multi(),
             ls.index.shape, digest) == expected
+
+
+def test_nonfinite_coupling_is_named_by_its_pair():
+    p = make_bratu(8, 1.0)
+    blocks = p.first_order_blocks(p.initial_state())
+    lines = extract_lines(blocks, p.edges)
+    blocks.off_ji[3] = np.nan
+    with pytest.raises(ContractViolationError,
+                       match=r"line pair \(3, 4\) has a non-finite coupling"):
+        assemble_line_blocks(blocks, lines)

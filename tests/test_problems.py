@@ -160,10 +160,10 @@ def test_convdiff_constant_preservation():
     assert l2_norm(r) <= 1e-13
 
 
-def _dense_blocks(blocks):
-    n = len(blocks.diag)
+def _dense_blocks(p, w):
+    blocks = p.first_order_blocks(w)
     A = np.diag(blocks.diag[:, 0, 0])
-    for (i, j), a, b in zip(blocks.edges, blocks.off_ij, blocks.off_ji):
+    for (i, j), a, b in zip(p.edges, blocks.off_ij, blocks.off_ji):
         A[i, j], A[j, i] = a[0, 0], b[0, 0]
     return A
 
@@ -177,13 +177,13 @@ def test_convdiff_blocks_upwind_mirror_for_reversed_velocity(velocity):
     fwd = make_aniso_convdiff(5, 6, velocity=(vx, vy), **kw)
     rev = make_aniso_convdiff(5, 6, velocity=(-vx, -vy), **kw)
     u = np.random.default_rng(3).standard_normal(fwd.layout.n_dofs)
-    a = _dense_blocks(fwd.first_order_blocks(BlockVector(fwd.layout, u)))
-    b = _dense_blocks(rev.first_order_blocks(BlockVector(rev.layout, u[::-1])))
+    a = _dense_blocks(fwd, BlockVector(fwd.layout, u))
+    b = _dense_blocks(rev, BlockVector(rev.layout, u[::-1]))
     assert np.max(np.abs(b - a[::-1, ::-1])) <= 1e-12 * np.max(np.abs(a))
     # Interior rows of the upwind operator annihilate constants (sigma = 0).
     rev0 = make_aniso_convdiff(5, 6, velocity=(-vx, -vy), stretching_ratio=1.0,
                                eps=1e-3, sigma=0.0)
-    rows = _dense_blocks(rev0.first_order_blocks(rev0.initial_state()))
+    rows = _dense_blocks(rev0, rev0.initial_state())
     interior = rows.sum(axis=1).reshape(6, 5)[1:-1, 1:-1]
     assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(rows))
 
@@ -216,7 +216,7 @@ def test_convdiff_blocks_match_loop_reference(velocity):
     p = make_aniso_convdiff(5, 7, stretching_ratio=100.0, velocity=velocity)
     blocks = p.first_order_blocks(p.initial_state())
     edges, off_ij, off_ji = _loop_upwind_off_blocks(p)
-    assert np.array_equal(blocks.edges, edges)
+    assert np.array_equal(p.edges, edges)
     assert np.array_equal(blocks.off_ij[:, 0, 0], off_ij)
     assert np.array_equal(blocks.off_ji[:, 0, 0], off_ji)
 
@@ -236,7 +236,7 @@ def test_convdiff_manufactured_solution_order():
 
 def test_convdiff_stretched_lines_span_wall_band():
     p = make_aniso_convdiff(16, 24, stretching_ratio=1000.0, ly=0.05)
-    ls = extract_lines(p.first_order_blocks(p.initial_state()))
+    ls = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
     multi = ls.multi_cell_lines()
     assert multi
     for line in multi:

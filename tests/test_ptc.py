@@ -19,7 +19,8 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
 
 
 def _lines_for(problem):
-    return extract_lines(problem.first_order_blocks(problem.initial_state()))
+    return extract_lines(problem.first_order_blocks(problem.initial_state()),
+                         problem.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def _nan_diagonal_blocks(p):
     def blocks(w):
         fob = original(w)
         return FirstOrderBlocks(np.full_like(fob.diag, np.nan),
-                                fob.edges, fob.off_ij, fob.off_ji)
+                                fob.off_ij, fob.off_ji)
     return blocks
 
 
@@ -454,6 +455,29 @@ def test_failed_linear_setup_becomes_rejected_step(patch):
     assert all(b.cfl < a.cfl for a, b in zip(rep.history, rep.history[1:]))
     assert rep.cumulative_krylov == 0
     assert np.array_equal(rep.final_state.values, p.initial_state().values)
+
+
+def test_nonfinite_coupling_mid_solve_becomes_rejected_steps():
+    # Finite blocks at the start extract the lines; an infinite in-line
+    # coupling at every later state rejects each step before any factor
+    # runs, so no 0 * inf warning escapes the solve.
+    p = make_bratu(16, 1.0)
+    original, start = p.first_order_blocks, p.initial_state().values
+
+    def blocks(w):
+        fob = original(w)
+        if not np.array_equal(w.values, start):
+            fob.off_ij[3] = np.inf
+        return fob
+
+    p.first_order_blocks = blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_steady(p, PtcConfig(max_newton_steps=50))
+    assert rep.outcome == SolveOutcome.STAGNATED
+    assert rep.history[0].accepted
+    assert all(not r.accepted and r.krylov_count == 0
+               for r in rep.history[1:])
 
 
 def test_step_budget_exhaustion_outcome():

@@ -78,7 +78,8 @@ def report_digest(report: SolveReport) -> str:
 def singleton_lines_patched() -> Iterator[None]:
     """Within it, ``solve_steady`` solves on singleton lines."""
     original = ptc_mod.extract_lines
-    ptc_mod.extract_lines = lambda blocks: singleton_lines(len(blocks.diag))
+    ptc_mod.extract_lines = (
+        lambda blocks, edges: singleton_lines(len(blocks.diag)))
     try:
         yield
     finally:
