@@ -268,25 +268,31 @@ def _convergence_threshold(config: PtcConfig, r0: float) -> float:
 
 
 def solve_steady(system: NonlinearSystem, config: PtcConfig,
-                 w0: Optional[BlockVector] = None) -> SolveReport:
+                 w0: Optional[BlockVector] = None,
+                 lines: Optional[LineSet] = None) -> SolveReport:
     """Run the continuation loop to the residual target.
 
-    Solver lines are extracted once at the starting state and frozen; both
-    line factorizations are rebuilt at each Newton step's state. The
+    Solver lines are ``lines``, or extracted at the starting state when it
+    is ``None``, and frozen; both line factorizations are rebuilt at each
+    Newton step's state. The
     first-order blocks are evaluated once per state: a rejected step leaves
     the state bit-identical, so the next step reuses them. A step is
     accepted only when the line search found a fraction that decreases the
     pseudo-unsteady residual, so accepted steps descend whatever the
-    linearization. A starting state whose layout is not the system's raises
-    ``ContractViolationError``; one that ``trial_residual`` rejects, its
-    residual overflowing included, raises ``InadmissibleStateError``. Both
-    are raised before any step.
+    linearization. A starting state whose layout is not the system's, or
+    ``lines`` over another cell count, raises ``ContractViolationError``;
+    a start that ``trial_residual`` rejects, its residual overflowing
+    included, raises ``InadmissibleStateError``. All are raised before any
+    step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
     if w.layout != system.layout:
         raise ContractViolationError(
             f"start state layout {w.layout} differs from the system's "
             f"{system.layout}")
+    if lines is not None and lines.n_cells != system.layout.n_cells:
+        raise ContractViolationError(
+            f"lines cover {lines.n_cells} cells, not {system.layout.n_cells}")
     r = trial_residual(system, w)
     if r is None:
         raise InadmissibleStateError(
@@ -300,7 +306,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                            history, w)
 
     blocks = system.first_order_blocks(w)
-    lines = extract_lines(blocks, system.edges)
+    if lines is None:
+        lines = extract_lines(blocks, system.edges)
 
     cfl = config.cfl_init
     cumulative_krylov = 0

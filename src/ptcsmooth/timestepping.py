@@ -1,21 +1,23 @@
 """Implicit time integration: BDF2 (BDF1 startup) over inner continuation solves.
 
 Each physical step wraps the spatial system into an unsteady residual
-``M * d_t w + R(w)`` and runs the steady continuation driver on it, with the
-CFL reset at every step. Physical dt is global; pseudo-time steps stay local
+``M * d_t w + R(w)`` and runs the steady continuation driver on it. A run is
+one continuation: its lines are extracted once and every step starts at the
+CFL the last one reached. Physical dt is global; pseudo-time steps stay local
 inside the inner solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .core import (BlockVector, ContractViolationError, FirstOrderBlocks,
                    NonlinearSystem, require_count)
-from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
+from .lines import extract_lines
+from .ptc import PtcConfig, SolveOutcome, SolveReport, cfl_update, solve_steady
 
 
 class BdfStepSystem(NonlinearSystem):
@@ -104,22 +106,32 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
     """March physical time steps, BDF1 on the first step and BDF2 after.
 
     The initial condition of each step is the previous step's solution; the
-    first step starts from the system's impulsive initial state. An inner
-    solve that does not converge aborts the run, returning the partial
-    history; its report's outcome says why.
+    first step starts from the system's impulsive initial state. The run is
+    one continuation: every inner solve runs on the lines extracted once at
+    that state (the BDF shift moves only the diagonal blocks, which
+    extraction does not weigh), and each step after a converged one starts
+    at the CFL ``cfl_update`` gives for its last history row, if it has one.
+    An inner solve that does not converge aborts the run, returning the
+    partial history; its report's outcome says why.
     """
     w_prev = system.initial_state()
     w_prev2: Optional[BlockVector] = None
+    lines = extract_lines(system.first_order_blocks(w_prev), system.edges)
+    inner = config.inner
     reports: List[SolveReport] = []
     functionals: List[float] = []
 
     for _ in range(config.n_steps):
         wrapped = BdfStepSystem(system, w_prev, w_prev2, config.dt)
-        report = solve_steady(wrapped, config.inner)
+        report = solve_steady(wrapped, inner, lines=lines)
         reports.append(report)
         functionals.append(system.functional(report.final_state))
         if report.outcome != SolveOutcome.CONVERGED:
             return TimeHistory(reports, functionals, aborted=True)
+        if report.history:
+            last = report.history[-1]
+            inner = replace(
+                inner, cfl_init=cfl_update(last.cfl, last.alpha, inner)[0])
         w_prev2 = w_prev
         w_prev = report.final_state
 

@@ -6,7 +6,8 @@ import pytest
 import ptcsmooth.ptc
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, InadmissibleStateError, l2_norm)
-from ptcsmooth.lines import assemble_line_blocks, extract_lines
+from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
+                             singleton_lines)
 from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, CFL_MAX, PtcConfig,
                            SolveOutcome, cfl_update, line_search,
                            mass_over_dtau, newton_step, ptc_operator,
@@ -575,3 +576,14 @@ def test_start_state_of_another_layout_is_rejected(build):
         solve_steady(problem, PtcConfig(), w0=w0)
     assert str(w0.layout) in str(info.value)
     assert str(problem.layout) in str(info.value)
+
+
+@pytest.mark.parametrize("n_cells", [15, 17])
+def test_lines_over_another_cell_count_are_rejected(n_cells, monkeypatch):
+    problem = make_aniso_convdiff(4, 4)
+    evaluated = []
+    monkeypatch.setattr(problem, "residual", evaluated.append)
+    with pytest.raises(ContractViolationError,
+                       match=f"lines cover {n_cells} cells, not 16"):
+        solve_steady(problem, PtcConfig(), lines=singleton_lines(n_cells))
+    assert evaluated == []

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ptcsmooth.ptc
+import ptcsmooth.timestepping
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, NonlinearSystem, l2_norm,
                             validate_jacobian)
-from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
+from ptcsmooth.lines import extract_lines
+from ptcsmooth.ptc import (CFL_STAGNATION_FLOOR, PtcConfig, SolveOutcome,
+                           cfl_update, solve_steady)
 from ptcsmooth.smoother import RkSchedule
 from ptcsmooth.timestepping import (BdfStepSystem, UnsteadyConfig,
                                     advance_unsteady)
@@ -197,11 +203,13 @@ def test_reports_are_replayable():
     p = make_aniso_convdiff(8, 8, stretching_ratio=100.0)
     inner = PtcConfig(max_newton_steps=100)
     hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=3, inner=inner))
-    # Re-run step 2 from its recorded initial state: identical records.
+    # Re-run step 2 from its recorded initial state and start CFL:
+    # identical records.
     w0 = p.initial_state()
     w1 = hist.reports[0].final_state
     wrapped = BdfStepSystem(p, w1, w0, dt=0.05)
-    replay = solve_steady(wrapped, inner)
+    replay = solve_steady(
+        wrapped, replace(inner, cfl_init=hist.reports[1].history[0].cfl))
     assert replay.history == hist.reports[1].history
 
 
@@ -212,6 +220,10 @@ def test_stagnation_aborts_with_partial_history():
     assert hist.aborted
     assert len(hist.reports) == 1
     assert hist.reports[0].outcome == SolveOutcome.STAGNATED
+    # The CFL a carry would start the next step at is not a valid cfl_init:
+    # the abort must come before any next-step config is built.
+    last = hist.reports[0].history[-1]
+    assert cfl_update(last.cfl, last.alpha, inner)[0] < CFL_STAGNATION_FLOOR
 
 
 def test_unconverged_inner_solve_aborts():
@@ -223,3 +235,65 @@ def test_unconverged_inner_solve_aborts():
     assert hist.aborted
     assert len(hist.reports) == 1
     assert hist.reports[0].outcome == SolveOutcome.STEP_BUDGET_EXHAUSTED
+
+
+def _recording_solves(monkeypatch):
+    """Record the system, config and lines of every inner solve of a run."""
+    calls = []
+
+    def recorded(system, config, w0=None, lines=None):
+        calls.append((system, config, lines))
+        return solve_steady(system, config, w0, lines=lines)
+
+    monkeypatch.setattr(ptcsmooth.timestepping, "solve_steady", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("sched", [None, RkSchedule()],
+                         ids=["plain", "smoothed"])
+def test_each_step_starts_at_the_cfl_the_last_one_reached(sched):
+    p = make_aniso_convdiff(8, 8, stretching_ratio=100.0)
+    inner = PtcConfig(max_newton_steps=100, smoothing=sched)
+    hist = advance_unsteady(p, UnsteadyConfig(dt=0.05, n_steps=3, inner=inner))
+    assert not hist.aborted
+    assert hist.reports[0].history[0].cfl == inner.cfl_init
+    for prev, report in zip(hist.reports, hist.reports[1:]):
+        last = prev.history[-1]
+        assert (report.history[0].cfl
+                == cfl_update(last.cfl, last.alpha, inner)[0])
+
+
+def test_step_converged_at_its_start_carries_the_cfl_unchanged(monkeypatch):
+    calls = _recording_solves(monkeypatch)
+    inner = PtcConfig(cfl_init=3.0)
+    hist = advance_unsteady(make_bratu(16, 0.0),
+                            UnsteadyConfig(dt=0.1, n_steps=3, inner=inner))
+    assert [r.newton_steps for r in hist.reports] == [0, 0, 0]
+    assert [config for _, config, _ in calls] == [inner] * 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_aniso_convdiff(16, 24, stretching_ratio=1000.0),
+    lambda: make_quasi1d_euler(32)], ids=["convdiff", "nozzle"])
+def test_lines_are_extracted_once_per_run(build, monkeypatch):
+    extractions = []
+
+    def counted(blocks, edges):
+        extractions.append(edges)
+        return extract_lines(blocks, edges)
+
+    for module in (ptcsmooth.timestepping, ptcsmooth.ptc):
+        monkeypatch.setattr(module, "extract_lines", counted)
+    calls = _recording_solves(monkeypatch)
+    p = build()
+    hist = advance_unsteady(p, UnsteadyConfig(
+        dt=0.05, n_steps=3, inner=PtcConfig(max_newton_steps=100)))
+    assert not hist.aborted
+    assert len(extractions) == 1
+    # Every step runs on the run's lines, which are the lines that step's
+    # own start state gives: the BDF shift moves only the diagonal blocks.
+    run_lines = calls[0][2]
+    for system, _, lines in calls:
+        assert lines is run_lines
+        w = system.initial_state()
+        assert extract_lines(system.first_order_blocks(w), p.edges) == lines
