@@ -7,8 +7,7 @@ from .core import (BlockLayout, BlockVector, ContractViolationError,
 from .linalg import (BlockTridiagFactorization, GmresStats,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
-from .lines import (LineBlocks, LineSet, assemble_line_blocks, extract_lines,
-                    singleton_lines)
+from .lines import LineSet, extract_lines, singleton_lines
 from .ptc import (PtcConfig, SolveOutcome, SolveReport, cfl_update,
                   line_search, mass_over_dtau, newton_step, ptc_operator,
                   solve_steady)

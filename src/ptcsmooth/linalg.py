@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import ContractViolationError
+from .core import ContractViolationError, FirstOrderBlocks
 from .lines import LineSet
 
 Operator = Callable[[np.ndarray], np.ndarray]
@@ -261,35 +261,39 @@ def _cell_on_line(lines: LineSet, row: int, col: int) -> Tuple[int, int]:
     return row, len(lines.lines)
 
 
-def factor_block_tridiag(lines: LineSet, diag_blocks: np.ndarray,
-                         upper: np.ndarray,
-                         lower: np.ndarray) -> BlockTridiagFactorization:
-    """Block cyclic reduction of every line of ``lines`` at once.
+def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
+                         ) -> BlockTridiagFactorization:
+    """Block cyclic reduction of the first-order ``blocks``, over the
+    stencil ``lines.edges``, along every line of ``lines`` at once.
 
-    ``diag_blocks`` is (n_cells, b, b); ``upper`` and ``lower`` are the
-    couplings of ``LineBlocks``, shaped ``lines.index[1:].shape + (b, b)``,
-    nonzero only where ``lines.pair_mask`` marks an in-line pair (else
-    ``ContractViolationError``). The packed layout of ``lines.index`` is the
-    one reduced. A singular or non-finite pivot raises
-    ``SingularPivotError`` naming a line and the position on it of the
-    reduced row: the first failing level, then the lowest position, then
-    the lowest line. That is the pivot a column of the line's own would
-    fail on, unless a block product overflowed first: 0 * inf then carries
-    NaN across to the other lines of its column.
+    Each in-line pair's couplings are gathered through ``lines.slots`` into
+    the packed layout of ``lines.index``, the one reduced. Blocks of another
+    shape (lines without a pair fit any stencil), or a non-finite coupling
+    named by its pair, raise ``ContractViolationError``. A singular or
+    non-finite pivot raises ``SingularPivotError`` naming a line and the
+    position on it of the reduced row: the first failing level, then the
+    lowest position, then the lowest line. That is the pivot a column of
+    the line's own would fail on, unless a block product overflowed first:
+    0 * inf then carries NaN across to the other lines of its column.
     """
-    diag_blocks = np.asarray(diag_blocks, dtype=float)
+    diag_blocks = np.asarray(blocks.diag, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
     if b != b2 or n_cells != lines.n_cells:
         raise ContractViolationError("diagonal block array shape mismatch")
-    pair_shape = lines.index[1:].shape + (b, b)
-    if upper.shape != pair_shape or lower.shape != pair_shape:
+    pair_mask = lines.pair_mask
+    off_shape = (len(lines.edges if pair_mask.any() else blocks.off_ij), b, b)
+    if not blocks.off_ij.shape == blocks.off_ji.shape == off_shape:
         raise ContractViolationError(
-            f"coupling arrays {upper.shape} and {lower.shape} do not match "
-            f"the line pairs {pair_shape}")
-    outside = ~lines.pair_mask[..., None, None]
-    if np.any(outside & ((upper != 0.0) | (lower != 0.0))):
+            f"coupling arrays are not {off_shape}: one block per stencil edge")
+    gathered = np.concatenate((blocks.off_ij, blocks.off_ji))[lines.slots]
+    if not np.all(np.isfinite(gathered)):
+        i = np.argmin(np.isfinite(gathered).all(axis=(0, 2, 3)))
+        p = lines.index[:-1][pair_mask][i]
+        q = lines.index[1:][pair_mask][i]
         raise ContractViolationError(
-            "nonzero coupling past a line's end or between two lines")
+            f"line pair {(int(p), int(q))} has a non-finite coupling")
+    upper, lower = np.zeros((2,) + pair_mask.shape + (b, b))
+    upper[pair_mask], lower[pair_mask] = gathered
 
     # The dummy cell's identity pivot keeps unused slots inert.
     diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]

@@ -13,12 +13,13 @@ A ``LineSet`` also packs its lines into the layout the cyclic-reduction
 kernels reduce: columns of 2^L - 1 rows, each line contiguous down one
 column from a row that is a multiple of 2^B (B the bit length of its cell
 count), so that short lines and singletons share columns without changing
-a bit of any factor or solve. Its gather slots are found once, at construction.
+a bit of any factor or solve. The slots through which the line factor
+gathers the couplings of each in-line pair are found once, at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -48,7 +49,8 @@ class LineSet:
 
     n_cells: int
     lines: List[List[int]]
-    edges: InitVar[np.ndarray]
+    # The stencil the lines were built over; ``slots`` index its pairs.
+    edges: np.ndarray = field(repr=False, compare=False)
     # (2^L - 1, n_columns): the cell in each row of each column, and the
     # dummy index n_cells in every slot no line holds.
     index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -62,7 +64,7 @@ class LineSet:
     # along its edge takes off_ij as upper, against it off_ji.
     slots: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, edges: np.ndarray):
+    def __post_init__(self):
         cells = sorted(c for line in self.lines for c in line)
         if cells != list(range(self.n_cells)) or not all(self.lines):
             raise ContractViolationError(
@@ -90,7 +92,7 @@ class LineSet:
             self.index[offset:offset + len(line), col] = line
             self.pair_mask[offset:offset + len(line) - 1, col] = True
 
-        n = self.n_cells
+        n, edges = self.n_cells, self.edges
         p = self.index[:-1][self.pair_mask]
         q = self.index[1:][self.pair_mask]
         lo, hi = np.minimum(p, q), np.maximum(p, q)
@@ -116,41 +118,6 @@ class LineSet:
     def to_text(self) -> str:
         """One line per row, cell indices space-separated."""
         return "\n".join(" ".join(str(c) for c in line) for line in self.lines) + "\n"
-
-
-@dataclass(frozen=True)
-class LineBlocks:
-    """First-order Jacobian blocks restricted to a line set: every diagonal
-    block, and the couplings of consecutive in-line cells in the packed
-    layout of ``lines.index``. Where ``lines.pair_mask[m, c]`` holds, for
-    p = index[m, c] and q = index[m + 1, c], ``upper[m, c]`` is dR_p/dw_q
-    and ``lower[m, c]`` is dR_q/dw_p; every other slot (between two lines
-    of a column, or past the last) holds zero blocks."""
-
-    lines: LineSet
-    diag: np.ndarray    # (n_cells, b, b)
-    upper: np.ndarray   # lines.index[1:].shape + (b, b)
-    lower: np.ndarray   # lines.index[1:].shape + (b, b)
-
-
-def assemble_line_blocks(blocks: FirstOrderBlocks,
-                         lines: LineSet) -> LineBlocks:
-    """Gather the couplings of consecutive in-line cells into the packed
-    layout, from the line set's ``slots``: ``blocks`` are over the stencil
-    it was built with. A non-finite coupling raises
-    ``ContractViolationError`` naming its pair."""
-    gathered = np.concatenate((blocks.off_ij, blocks.off_ji))[lines.slots]
-    if not np.all(np.isfinite(gathered)):
-        i = np.argmin(np.isfinite(gathered).all(axis=(0, 2, 3)))
-        p = lines.index[:-1][lines.pair_mask][i]
-        q = lines.index[1:][lines.pair_mask][i]
-        raise ContractViolationError(
-            f"line pair {(int(p), int(q))} has a non-finite coupling")
-    b = blocks.diag.shape[1]
-    upper = np.zeros(lines.pair_mask.shape + (b, b))
-    lower = np.zeros(lines.pair_mask.shape + (b, b))
-    upper[lines.pair_mask], lower[lines.pair_mask] = gathered
-    return LineBlocks(lines, blocks.diag, upper, lower)
 
 
 def singleton_lines(n_cells: int) -> LineSet:

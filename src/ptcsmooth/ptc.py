@@ -9,10 +9,10 @@ residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
-The first-order blocks are evaluated once per state and gathered once per
-Newton step, through slots the lines found in the stencil once per solve;
-that one gather is factored as J1 for the smoother and as J1 + M/dtau for
-GMRES. M/dtau itself is formed once per Newton step (``mass_over_dtau``),
+The first-order blocks are evaluated once per state, and each Newton step
+factors those same blocks along the frozen lines twice: as J1 for the
+smoother and, the diagonal shifted, as J1 + M/dtau for GMRES. M/dtau
+itself is formed once per Newton step (``mass_over_dtau``),
 as one per-unknown array that every layer of the step multiplies by.
 """
 
@@ -31,7 +31,7 @@ from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
-from .lines import LineBlocks, LineSet, assemble_line_blocks, extract_lines
+from .lines import LineSet, extract_lines
 from .smoother import RkSchedule, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
@@ -127,14 +127,14 @@ def ptc_operator(system: NonlinearSystem, w: BlockVector,
     return matvec
 
 
-def build_ptc_preconditioner(blocks: LineBlocks,
+def build_ptc_preconditioner(lines: LineSet, blocks: FirstOrderBlocks,
                              mass_over_dtau: np.ndarray) -> BlockTridiagFactorization:
-    """Line-structured first-order Jacobian with each cell's diagonal block
+    """The first-order Jacobian along ``lines``, each cell's diagonal block
     shifted by its entry of the per-unknown M/dtau times the identity."""
     b = blocks.diag.shape[1]
     diag = blocks.diag + mass_over_dtau[::b, None, None] * np.eye(b)
-    return factor_block_tridiag(blocks.lines, diag, blocks.upper,
-                                blocks.lower)
+    return factor_block_tridiag(
+        lines, FirstOrderBlocks(diag, blocks.off_ij, blocks.off_ji))
 
 
 @dataclass
@@ -153,10 +153,10 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and
     ``residual`` and ``blocks`` are R(w) and the first-order blocks at ``w``.
-    The blocks are gathered along ``lines`` once, then factored as J1 for
-    the smoother (when ``config.smoothing`` has cycles) and as J1 + M/dtau
-    for GMRES. The smoothing source is computed before the linear solve and
-    never re-evaluated. A singular smoother factorization runs the step
+    The blocks are factored along ``lines`` as J1 for the smoother (when
+    ``config.smoothing`` has cycles) and as J1 + M/dtau for GMRES. The
+    smoothing source is computed before the linear solve and never
+    re-evaluated. A singular smoother factorization runs the step
     unsmoothed. GMRES non-convergence is reported through the stats for the
     controller, not raised; so are non-finite couplings or operator output
     and a singular PTC preconditioner, as failed solves with no Krylov vectors.
@@ -164,8 +164,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
     try:
-        line_blocks = assemble_line_blocks(blocks, lines)
-        precon = build_ptc_preconditioner(line_blocks, mass_over_dtau)
+        precon = build_ptc_preconditioner(lines, blocks, mass_over_dtau)
     except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, zero, failed)
@@ -173,7 +172,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     source, degraded = zero, False
     if config.smoothing is not None and config.smoothing.n_cycles > 0:
         try:
-            smoother = build_smoother(line_blocks)
+            smoother = build_smoother(lines, blocks)
         except SingularPivotError as exc:
             # Smoother failure is soft: fall back to the unsmoothed step.
             log.warning("smoother build failed (%s); running unsmoothed step",
@@ -274,14 +273,14 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
 
     Solver lines are ``lines``, or extracted at the starting state when it
     is ``None``, and frozen; both line factorizations are rebuilt at each
-    Newton step's state. The
-    first-order blocks are evaluated once per state: a rejected step leaves
-    the state bit-identical, so the next step reuses them. A step is
-    accepted only when the line search found a fraction that decreases the
-    pseudo-unsteady residual, so accepted steps descend whatever the
-    linearization. A starting state whose layout is not the system's, or
-    ``lines`` over another cell count, raises ``ContractViolationError``;
-    a start that ``trial_residual`` rejects, its residual overflowing
+    Newton step's state. The first-order blocks are evaluated once per
+    state: a rejected step leaves the state bit-identical, so the next step
+    reuses them. A step is accepted only when the line search found a
+    fraction that decreases the pseudo-unsteady residual, so accepted steps
+    descend whatever the linearization. A starting state whose layout is
+    not the system's, or ``lines`` over another cell count or (with an
+    in-line pair) another stencil, raises ``ContractViolationError``; a
+    start that ``trial_residual`` rejects, its residual overflowing
     included, raises ``InadmissibleStateError``. All are raised before any
     step.
     """
@@ -293,6 +292,9 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     if lines is not None and lines.n_cells != system.layout.n_cells:
         raise ContractViolationError(
             f"lines cover {lines.n_cells} cells, not {system.layout.n_cells}")
+    if (lines is not None and lines.pair_mask.any()
+            and not np.array_equal(lines.edges, system.edges)):
+        raise ContractViolationError("lines were built over another stencil")
     r = trial_residual(system, w)
     if r is None:
         raise InadmissibleStateError(

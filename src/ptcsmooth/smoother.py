@@ -7,8 +7,9 @@ continuation driver turns it into a right-hand-side source term by scaling
 with M/dtau.
 
 The line preconditioner P is the first-order Jacobian restricted to the
-solver lines (off-diagonal blocks kept only for edges interior to a line),
-factorized once per build and frozen across stages and cycles.
+solver lines (off-diagonal blocks kept only for edges interior to a line):
+the blocks the GMRES preconditioner also factors, shifted by M/dtau. It is
+factored once per build and frozen across stages and cycles.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import BlockVector, NonlinearSystem, require_count, trial_residual
+from .core import (BlockVector, FirstOrderBlocks, NonlinearSystem,
+                   require_count, trial_residual)
 from .linalg import BlockTridiagFactorization, factor_block_tridiag
-from .lines import LineBlocks
+from .lines import LineSet
 
 DEFAULT_STAGE_COEFFS = (0.15, 0.4, 1.0)
 DEFAULT_CYCLES = 5
@@ -55,14 +57,14 @@ class SmoothResult:
     degraded: bool          # an offending cycle was abandoned
 
 
-def build_smoother(blocks: LineBlocks) -> BlockTridiagFactorization:
-    """Factor the line preconditioner from blocks gathered along the lines.
+def build_smoother(lines: LineSet,
+                   blocks: FirstOrderBlocks) -> BlockTridiagFactorization:
+    """Factor the line preconditioner: ``blocks`` along ``lines``.
 
     Rebuilding at a different state changes block values but never the
     sparsity, since the line structure is frozen.
     """
-    return factor_block_tridiag(blocks.lines, blocks.diag, blocks.upper,
-                                blocks.lower)
+    return factor_block_tridiag(lines, blocks)
 
 
 def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,

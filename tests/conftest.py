@@ -90,33 +90,43 @@ def full_chain_lines(n):
 
 
 def random_couplings(rng, line_set, b, scale):
-    """Packed ``upper`` and ``lower`` coupling arrays for the consecutive
-    pairs of ``line_set``, drawn pair by pair in line order, upper block
-    first, each stored at its line's (column, offset + position) slot;
-    every other slot stays zero."""
-    upper = np.zeros(line_set.index[1:].shape + (b, b))
-    lower = np.zeros_like(upper)
-    for line, (col, offset) in zip(line_set.lines, line_set.placement):
-        for m in range(offset, offset + len(line) - 1):
-            upper[m, col] = scale * rng.standard_normal((b, b))
-            lower[m, col] = scale * rng.standard_normal((b, b))
-    return upper, lower
+    """Per-edge ``off_ij`` and ``off_ji`` over ``kernel_lines``' stencil,
+    drawn pair by pair in line order: for a pair (p, q), first its upper
+    block dR_p/dw_q, then its lower block dR_q/dw_p."""
+    off_ij = np.zeros((len(line_set.edges), b, b))
+    off_ji = np.zeros_like(off_ij)
+    pairs = [pair for line in line_set.lines for pair in zip(line, line[1:])]
+    for k, (p, q) in enumerate(pairs):
+        assert sorted((p, q)) == line_set.edges[k].tolist()
+        upper = scale * rng.standard_normal((b, b))
+        lower = scale * rng.standard_normal((b, b))
+        off_ij[k], off_ji[k] = (upper, lower) if p < q else (lower, upper)
+    return off_ij, off_ji
 
 
-def dense_from_lines(line_set, diag_blocks, upper, lower):
-    """Assemble the line-structured operator densely (test oracle): the pair
-    (p, q) at positions m and m + 1 of a line placed at (column, offset)
-    puts ``upper[offset + m, column]`` at block (p, q) and
-    ``lower[offset + m, column]`` at block (q, p)."""
-    n, b, _ = diag_blocks.shape
-    assert upper.shape == lower.shape == line_set.index[1:].shape + (b, b)
+def line_couplings(line_set, blocks):
+    """Each line's consecutive pairs (p, q), each with its blocks dR_p/dw_q
+    and dR_q/dw_p, looked up in ``blocks`` over ``line_set.edges``."""
+    edge = {}
+    for k, (i, j) in enumerate(line_set.edges.tolist()):
+        edge[i, j] = blocks.off_ij[k], blocks.off_ji[k]
+        edge[j, i] = blocks.off_ji[k], blocks.off_ij[k]
+    return [[(p, q, *edge[p, q]) for p, q in zip(line, line[1:])]
+            for line in line_set.lines]
+
+
+def dense_from_lines(line_set, blocks):
+    """Assemble the first-order ``blocks`` restricted to the lines densely
+    (test oracle): every diagonal block, and the two blocks of each
+    consecutive in-line pair."""
+    n, b, _ = blocks.diag.shape
     A = np.zeros((n * b, n * b))
     for i in range(n):
-        A[i * b:(i + 1) * b, i * b:(i + 1) * b] = diag_blocks[i]
-    for line, (col, offset) in zip(line_set.lines, line_set.placement):
-        for m, (p, q) in enumerate(zip(line[:-1], line[1:]), start=offset):
-            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper[m, col]
-            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower[m, col]
+        A[i * b:(i + 1) * b, i * b:(i + 1) * b] = blocks.diag[i]
+    for line in line_couplings(line_set, blocks):
+        for p, q, upper, lower in line:
+            A[p * b:(p + 1) * b, q * b:(q + 1) * b] = upper
+            A[q * b:(q + 1) * b, p * b:(p + 1) * b] = lower
     return A
 
 

@@ -4,16 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. Fixtures are desk-scale; tolerances are pinned here, not configurable.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
 import ptcsmooth.ptc as ptc_mod
-from ptcsmooth.core import BlockVector, l2_norm, validate_jacobian
+from ptcsmooth.core import (BlockVector, FirstOrderBlocks, l2_norm,
+                            validate_jacobian)
 from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned
-from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
-                             singleton_lines)
+from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
                            mass_over_dtau, newton_step, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
@@ -100,15 +98,6 @@ SINGLETON_PINNED_COUNTS = {
 }
 
 
-@contextlib.contextmanager
-def singleton_lines_patched():
-    """Within it, ``solve_steady`` solves on singleton lines."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ptc_mod, "extract_lines",
-                   lambda blocks, edges: singleton_lines(len(blocks.diag)))
-        yield
-
-
 def test_full_solve_counts_pinned(full_solves):
     reports, _ = full_solves
     assert solve_counts(reports) == PINNED_COUNTS
@@ -116,14 +105,14 @@ def test_full_solve_counts_pinned(full_solves):
 
 def test_singleton_line_counts_pinned():
     reports = {}
-    with singleton_lines_patched():
-        for name, problem, extra in (
-                ("bratu", make_bratu(64, 1.0), {}),
-                ("euler", make_quasi1d_euler(32), {"max_newton_steps": 100})):
-            for variant, sched in (("unsmoothed", None),
-                                   ("smoothed", RkSchedule())):
-                reports[(name, variant)] = solve_steady(
-                    problem, PtcConfig(smoothing=sched, **extra))
+    for name, problem, extra in (
+            ("bratu", make_bratu(64, 1.0), {}),
+            ("euler", make_quasi1d_euler(32), {"max_newton_steps": 100})):
+        for variant, sched in (("unsmoothed", None),
+                               ("smoothed", RkSchedule())):
+            reports[(name, variant)] = solve_steady(
+                problem, PtcConfig(smoothing=sched, **extra),
+                lines=singleton_lines(problem.layout.n_cells))
     assert solve_counts(reports) == SINGLETON_PINNED_COUNTS
 
 
@@ -132,8 +121,7 @@ def test_criterion_02_small_dtau_limit():
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = extract_lines(p.first_order_blocks(w), p.edges)
-    precon = build_smoother(
-        assemble_line_blocks(p.first_order_blocks(w), lines))
+    precon = build_smoother(lines, p.first_order_blocks(w))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
@@ -179,19 +167,18 @@ def test_criterion_04_smoothing_efficiency(full_solves):
 def test_criterion_05_robustness_under_aggressive_growth():
     # nozzle32 on singleton lines (block-Jacobi), and nozzle128 on the
     # default whole-path line, both with the CFL tripled per step.
-    fixtures = {"nozzle32, singleton lines": (32, singleton_lines_patched),
-                "nozzle128, default lines": (128, contextlib.nullcontext)}
+    fixtures = {"nozzle32, singleton lines": (32, singleton_lines(32)),
+                "nozzle128, default lines": (128, None)}
     print("  aggressive-growth outcomes (u_in = 0.46, beta_cfl1 = 3):")
     verdicts = []
-    for fixture, (n_cells, lines_context) in fixtures.items():
+    for fixture, (n_cells, lines) in fixtures.items():
         e = make_quasi1d_euler(n_cells, u_in=0.46)
         results = {}
-        with lines_context():
-            for variant, sched in (("unsmoothed", None),
-                                   ("smoothed", RkSchedule())):
-                cfg = PtcConfig(beta_cfl1=3.0, max_newton_steps=120,
-                                smoothing=sched)
-                results[variant] = solve_steady(e, cfg)
+        for variant, sched in (("unsmoothed", None),
+                               ("smoothed", RkSchedule())):
+            cfg = PtcConfig(beta_cfl1=3.0, max_newton_steps=120,
+                            smoothing=sched)
+            results[variant] = solve_steady(e, cfg, lines=lines)
         smoothed = results["smoothed"]
         plain = results["unsmoothed"]
         for variant, rep in results.items():
@@ -267,9 +254,10 @@ def test_criterion_08_oracle_equivalences():
             rng2 = np.random.default_rng(31 * length + bsz)
             lines = kernel_lines(length, [list(range(length))])
             diag = rng2.standard_normal((length, bsz, bsz)) + 3.0 * bsz * np.eye(bsz)
-            upper, lower = random_couplings(rng2, lines, bsz, 0.5)
-            fact = factor_block_tridiag(lines, diag, upper, lower)
-            dense = dense_from_lines(lines, diag, upper, lower)
+            blocks = FirstOrderBlocks(
+                diag, *random_couplings(rng2, lines, bsz, 0.5))
+            fact = factor_block_tridiag(lines, blocks)
+            dense = dense_from_lines(lines, blocks)
             r = rng2.standard_normal(length * bsz)
             ref = np.linalg.solve(dense, r)
             ok_tri &= np.linalg.norm(fact.solve_values(r) - ref) \
@@ -279,8 +267,7 @@ def test_criterion_08_oracle_equivalences():
     # RK linear contraction factor alpha2 (1 - alpha1) = 0.34, exact to 1e-12.
     sys = diffusion_chain(n=8, b=1)
     w_star = sys.solution()
-    precon = build_smoother(assemble_line_blocks(sys.first_order_blocks(w_star),
-                                                 full_chain_lines(8)))
+    precon = build_smoother(full_chain_lines(8), sys.first_order_blocks(w_star))
     e0 = np.random.default_rng(5).standard_normal(8)
     w0 = BlockVector(sys.layout, w_star.values + e0)
     out = rk_smooth(sys, precon, RkSchedule((0.15, 0.4, 1.0), n_cycles=1),

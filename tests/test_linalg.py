@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsmooth.core import ContractViolationError
+from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
 from ptcsmooth.linalg import (GmresStats, SingularPivotError,
                               factor_block_tridiag,
                               gmres_right_preconditioned)
-from ptcsmooth.lines import LineSet, assemble_line_blocks, singleton_lines
+from ptcsmooth.lines import LineSet, singleton_lines
 
 from conftest import (dense_from_lines, diffusion_chain, kernel_lines,
-                      random_couplings)
+                      line_couplings, random_couplings)
 
 
 def _dense_operator(A):
@@ -249,8 +249,8 @@ def test_identity_factorization_is_identity():
     n, b = 6, 2
     lines = singleton_lines(n)
     diag = np.broadcast_to(np.eye(b), (n, b, b)).copy()
-    none = np.zeros((0, n, b, b))
-    fact = factor_block_tridiag(lines, diag, none, none)
+    none = np.zeros((0, b, b))
+    fact = factor_block_tridiag(lines, FirstOrderBlocks(diag, none, none))
     r = np.arange(float(n * b))
     assert np.allclose(fact.solve_values(r), r)
 
@@ -258,21 +258,14 @@ def test_identity_factorization_is_identity():
 def test_scalar_poisson_line_matches_dense():
     n = 5
     lines = kernel_lines(n, [list(range(n))])
-    diag = np.full((n, 1, 1), 2.0)
-    off = np.where(lines.index[1:, :, None, None] < n, -1.0, 0.0)
-    fact = factor_block_tridiag(lines, diag, off, off)
+    off = np.full((n - 1, 1, 1), -1.0)
+    blocks = FirstOrderBlocks(np.full((n, 1, 1), 2.0), off, off)
+    fact = factor_block_tridiag(lines, blocks)
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
-    A = dense_from_lines(lines, diag, off, off)
+    A = dense_from_lines(lines, blocks)
     x = fact.solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12
-    # The line pads to seven rows: a -1 in the sixth coupling slot, past the
-    # line's end, would couple its last cell to the dummy cell.
-    full = np.full_like(off, -1.0)
-    for upper, lower in ((full, off), (off, full)):
-        with pytest.raises(ContractViolationError,
-                           match="nonzero coupling past a line's end"):
-            factor_block_tridiag(lines, diag, upper, lower)
 
 
 def test_block2_line_matches_dense():
@@ -280,10 +273,10 @@ def test_block2_line_matches_dense():
     n, b = 3, 2
     lines = kernel_lines(n, [[0, 1, 2]])
     diag = rng.standard_normal((n, b, b)) + 4.0 * np.eye(b)
-    upper, lower = random_couplings(rng, lines, b, 0.5)
-    fact = factor_block_tridiag(lines, diag, upper, lower)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
+    fact = factor_block_tridiag(lines, blocks)
     r = rng.standard_normal(n * b)
-    A = dense_from_lines(lines, diag, upper, lower)
+    A = dense_from_lines(lines, blocks)
     x = fact.solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-10
 
@@ -291,9 +284,9 @@ def test_block2_line_matches_dense():
 def test_independent_lines_do_not_couple():
     n = 6
     lines = kernel_lines(n, [[0, 1, 2], [3, 4, 5]])
-    diag = np.full((n, 1, 1), 3.0)
-    off = np.full((2, 2, 1, 1), -1.0)
-    fact = factor_block_tridiag(lines, diag, off, off)
+    off = np.full((4, 1, 1), -1.0)
+    fact = factor_block_tridiag(
+        lines, FirstOrderBlocks(np.full((n, 1, 1), 3.0), off, off))
     r = np.zeros(n)
     r[:3] = [1.0, 2.0, 3.0]
     x = fact.solve_values(r)
@@ -306,9 +299,9 @@ def test_factor_solve_roundtrip():
     n, b = 7, 3
     lines = kernel_lines(n, [list(range(n))])
     diag = rng.standard_normal((n, b, b)) + 5.0 * np.eye(b)
-    upper, lower = random_couplings(rng, lines, b, 0.4)
-    fact = factor_block_tridiag(lines, diag, upper, lower)
-    A = dense_from_lines(lines, diag, upper, lower)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.4))
+    fact = factor_block_tridiag(lines, blocks)
+    A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(n * b)
     x = fact.solve_values(r)
     assert np.linalg.norm(A @ x - r) <= 1e-10 * np.linalg.norm(r)
@@ -318,21 +311,20 @@ def test_singular_pivot_names_line_and_position():
     lines = kernel_lines(2, [[0, 1]])
     diag = np.zeros((2, 1, 1))
     diag[0, 0, 0] = 1.0  # second pivot is singular
-    off = np.zeros((2, 1, 1, 1))
+    off = np.zeros((1, 1, 1))
     with pytest.raises(SingularPivotError, match="line 0 at position 1"):
-        factor_block_tridiag(lines, diag, off, off)
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
 
 
 def test_singular_reduced_pivot_names_its_original_position():
     # Every pivot of the line is 1, but the level-1 pivot of position 1 is
     # 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
     lines = kernel_lines(3, [[0, 1, 2]])
-    diag = np.ones((3, 1, 1))
-    upper = np.ones((2, 1, 1, 1))
-    lower = np.full((2, 1, 1, 1), 0.5)
+    blocks = FirstOrderBlocks(np.ones((3, 1, 1)), np.ones((2, 1, 1)),
+                              np.full((2, 1, 1), 0.5))
     with pytest.raises(SingularPivotError,
                        match="singular pivot block on line 0 at position 1$"):
-        factor_block_tridiag(lines, diag, upper, lower)
+        factor_block_tridiag(lines, blocks)
 
 
 @pytest.mark.parametrize("zero_cells, message", [
@@ -346,20 +338,20 @@ def test_singular_pivot_on_later_line(zero_cells, message):
     assert lines.placement.tolist() == [[1, 0], [0, 0], [1, 2]]
     diag = np.ones((6, 1, 1))
     diag[zero_cells] = 0.0
-    off = np.zeros((2, 2, 1, 1))
+    off = np.zeros((3, 1, 1))
     with pytest.raises(SingularPivotError,
                        match=f"singular pivot block on {message}$"):
-        factor_block_tridiag(lines, diag, off, off)
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
 
 
 def test_overflowing_pivot_inverse_names_line_and_position():
     lines = kernel_lines(5, [[0, 1], [2, 3, 4]])
     diag = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
     diag[3] = 1e-310 * np.eye(2)    # invertible, but 1/1e-310 overflows
-    off = np.zeros((2, 2, 2, 2))
+    off = np.zeros((3, 2, 2))
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot inverse on line 1 at position 1$"):
-        factor_block_tridiag(lines, diag, off, off)
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
 
 
 def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
@@ -368,32 +360,55 @@ def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
     lines = kernel_lines(5, [[0, 1], [2, 3, 4]])
     diag = np.ones((5, 1, 1))
     diag[3] = 1e-310
-    off = np.zeros((2, 2, 1, 1))
+    off = np.zeros((3, 1, 1))
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot inverse on line 1 at position 1$"):
-        factor_block_tridiag(lines, diag, off, off)
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
 
 
-@pytest.mark.parametrize("upper_shape, lower_shape", [
-    ((1, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 2), (1, 2, 2, 2)),
-    ((3, 2, 2, 2), (3, 2, 2, 2)), ((2, 2, 1, 1), (2, 2, 1, 1)),
-    ((2, 1, 2, 2), (2, 1, 2, 2)),
+@pytest.mark.parametrize("ij_shape, ji_shape", [
+    ((2, 2, 2), (3, 2, 2)), ((3, 2, 2), (2, 2, 2)),
+    ((4, 2, 2), (4, 2, 2)), ((3, 1, 1), (3, 1, 1)),
+    ((2, 2, 2), (2, 2, 2)),
 ], ids=["upper_missing_pair", "lower_missing_pair", "extra_pair",
         "block_size", "missing_line"])
-def test_coupling_shape_must_match_line_pairs(upper_shape, lower_shape):
-    # The longest line has three cells, so two pair positions over the two
-    # lines; nothing stands in for a missing one.
-    lines = kernel_lines(4, [[0, 1, 2], [3]])
-    diag = np.broadcast_to(4.0 * np.eye(2), (4, 2, 2)).copy()
-    with pytest.raises(ContractViolationError, match="line pairs"):
-        factor_block_tridiag(lines, diag, np.zeros(upper_shape),
-                             np.zeros(lower_shape))
+def test_coupling_shape_must_match_line_pairs(ij_shape, ji_shape):
+    # The stencil is the three in-line pairs, one block each; nothing
+    # stands in for a missing one, and the second line's pair is the last.
+    lines = kernel_lines(5, [[0, 1, 2], [3, 4]])
+    diag = np.broadcast_to(4.0 * np.eye(2), (5, 2, 2)).copy()
+    with pytest.raises(ContractViolationError,
+                       match=r"not \(3, 2, 2\): one block per stencil edge"):
+        factor_block_tridiag(lines, FirstOrderBlocks(
+            diag, np.zeros(ij_shape), np.zeros(ji_shape)))
+
+
+def test_line_walked_against_its_edges_matches_dense():
+    # Every pair (p, q) of the line has p > q, so its edge is (q, p): the
+    # upper block dR_p/dw_q is that edge's off_ji, the lower its off_ij.
+    rng = np.random.default_rng(12)
+    n, b = 6, 2
+    lines = kernel_lines(n, [[5, 4, 3], [2, 1, 0]])
+    assert lines.edges.tolist() == [[4, 5], [3, 4], [1, 2], [0, 1]]
+    blocks = FirstOrderBlocks(rng.standard_normal((n, b, b)) + 4.0 * np.eye(b),
+                              rng.standard_normal((4, b, b)),
+                              rng.standard_normal((4, b, b)))
+    A = dense_from_lines(lines, blocks)
+    assert np.array_equal(A[10:12, 8:10], blocks.off_ji[0])   # dR_5/dw_4
+    assert np.array_equal(A[8:10, 10:12], blocks.off_ij[0])   # dR_4/dw_5
+    r = rng.standard_normal(n * b)
+    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12
+    swapped = FirstOrderBlocks(blocks.diag, blocks.off_ji, blocks.off_ij)
+    assert np.linalg.norm(x - np.linalg.solve(
+        dense_from_lines(lines, swapped), r)) > 1e-3
 
 
 def test_layout_mismatch_rejected():
     lines = singleton_lines(3)
-    none = np.zeros((0, 3, 1, 1))
-    fact = factor_block_tridiag(lines, np.ones((3, 1, 1)), none, none)
+    none = np.zeros((0, 1, 1))
+    fact = factor_block_tridiag(
+        lines, FirstOrderBlocks(np.ones((3, 1, 1)), none, none))
     with pytest.raises(ContractViolationError):
         fact.solve_values(np.zeros(6))   # a layout of 3 cells x 2
 
@@ -406,32 +421,32 @@ def test_line_solve_matches_dense_property(length, b, seed):
     rng = np.random.default_rng(seed)
     lines = kernel_lines(length, [list(range(length))])
     diag = rng.standard_normal((length, b, b)) + (3.0 * b) * np.eye(b)
-    upper, lower = random_couplings(rng, lines, b, 0.5)
-    fact = factor_block_tridiag(lines, diag, upper, lower)
-    A = dense_from_lines(lines, diag, upper, lower)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
+    fact = factor_block_tridiag(lines, blocks)
+    A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(length * b)
     x = fact.solve_values(r)
     ref = np.linalg.solve(A, r)
     assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
-def _loop_solve(lines, diag, upper, lower, r):
+def _loop_solve(lines, blocks, r):
     """Reference block Thomas solve, one line and one cell at a time. On
     singleton lines its arithmetic is the batched kernel's."""
+    diag = blocks.diag
     b = diag.shape[1]
     x = np.empty_like(r).reshape(-1, b)
     rc = r.reshape(-1, b)
-    for li, cells in enumerate(lines.lines):
+    for cells, pairs in zip(lines.lines, line_couplings(lines, blocks)):
         k = len(cells)
         binv = [np.linalg.inv(diag[cells[0]])]
         gamma = []
-        for m in range(1, k):
-            gamma.append(binv[m - 1] @ upper[m - 1, li])
-            binv.append(np.linalg.inv(
-                diag[cells[m]] - lower[m - 1, li] @ gamma[m - 1]))
+        for m, (_, _, upper, lower) in enumerate(pairs, start=1):
+            gamma.append(binv[m - 1] @ upper)
+            binv.append(np.linalg.inv(diag[cells[m]] - lower @ gamma[m - 1]))
         y = [binv[0] @ rc[cells[0]]]
-        for m in range(1, k):
-            y.append(binv[m] @ (rc[cells[m]] - lower[m - 1, li] @ y[m - 1]))
+        for m, (_, _, _, lower) in enumerate(pairs, start=1):
+            y.append(binv[m] @ (rc[cells[m]] - lower @ y[m - 1]))
         x[cells[k - 1]] = y[k - 1]
         for m in range(k - 2, -1, -1):
             x[cells[m]] = y[m] - gamma[m] @ x[cells[m + 1]]
@@ -473,20 +488,22 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     assert np.array_equal(lines.index, expected)
     assert np.array_equal(lines.pair_mask, mask)
     # A chain problem's blocks, along lines of the same lengths laid on the
-    # chain, gather straight into that layout.
+    # chain, factor in a layout of the same shape.
     starts = np.cumsum([0] + [len(line) for line in lines.lines]).tolist()
     system = diffusion_chain(n, b, seed)
     chain = LineSet(n, [list(range(lo, hi))
                         for lo, hi in zip(starts[:-1], starts[1:])],
                     system.edges)
-    gathered = assemble_line_blocks(
-        system.first_order_blocks(system.initial_state()), chain)
-    assert (gathered.upper.shape == gathered.lower.shape
-            == lines.index[1:].shape + (b, b))
+    assert chain.index.shape == lines.index.shape
+    chain_blocks = system.first_order_blocks(system.initial_state())
+    r = rng.standard_normal(n * b)
+    x = factor_block_tridiag(chain, chain_blocks).solve_values(r)
+    ref = np.linalg.solve(dense_from_lines(chain, chain_blocks), r)
+    assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
     diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
-    upper, lower = random_couplings(rng, lines, b, 0.5)
-    fact = factor_block_tridiag(lines, diag, upper, lower)
-    A = dense_from_lines(lines, diag, upper, lower)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
+    fact = factor_block_tridiag(lines, blocks)
+    A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(n * b)
     x = fact.solve_values(r)
     ref = np.linalg.solve(A, r)
@@ -495,8 +512,7 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     # Singleton lines take Thomas's arithmetic exactly; cyclic reduction
     # rounds differently on longer lines, which the dense check covers.
     if len(lines.index) == 1:
-        assert x.tobytes() == _loop_solve(lines, diag, upper, lower,
-                                          r).tobytes()
+        assert x.tobytes() == _loop_solve(lines, blocks, r).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,9 +526,10 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
     rng = np.random.default_rng(seed)
     n = lines.n_cells
     diag = rng.standard_normal((n, 1, 1)) + 3.0
-    upper, lower = random_couplings(rng, lines, 1, 0.5)
+    off_ij, off_ji = random_couplings(rng, lines, 1, 0.5)
     r = rng.standard_normal(n)
-    scalar = factor_block_tridiag(lines, diag, upper, lower)
+    scalar = factor_block_tridiag(lines,
+                                  FirstOrderBlocks(diag, off_ij, off_ji))
 
     def embed(blocks, unit):
         out = np.zeros(blocks.shape[:-2] + (2, 2))
@@ -520,28 +537,31 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
         out[..., 1, 1] = unit
         return out
 
-    block = factor_block_tridiag(lines, embed(diag, 1.0), embed(upper, 0.0),
-                                 embed(lower, 0.0))
+    block = factor_block_tridiag(lines, FirstOrderBlocks(
+        embed(diag, 1.0), embed(off_ij, 0.0), embed(off_ji, 0.0)))
     r2 = np.column_stack([r, rng.standard_normal(n)]).reshape(-1)
     assert np.array_equal(scalar.solve_values(r), block.solve_values(r2)[0::2])
 
 
-def test_coupling_between_lines_sharing_a_column_rejected():
-    # [4, 5, 6, 7] and [0, 1, 2] share column 0 (rows 0-3 and 4-6), so slot
-    # 3 pairs cell 7 with cell 0; [3] and [8] share column 1 (rows 0 and
-    # 2), so slot 1 pairs the dummy row 1 with cell 8. Neither is a pair.
-    lines = kernel_lines(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
-    assert lines.placement.tolist() == [[0, 4], [1, 0], [0, 0], [1, 2]]
+def test_stencil_edges_between_lines_sharing_a_column_are_not_gathered():
+    # [4, 5, 6, 7] and [0, 1, 2] share column 0 (rows 0-3 and 4-6), so
+    # cells 7 and 0 sit in adjacent rows; [3] and [8] share column 1 (rows
+    # 0 and 2). Stencil edges (0, 7) and (3, 8) join cells of different
+    # lines: their blocks, however large, are not gathered.
+    inner = kernel_lines(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
+    assert inner.placement.tolist() == [[0, 4], [1, 0], [0, 0], [1, 2]]
+    edges = np.vstack((inner.edges, [[0, 7], [3, 8]]))
+    lines = LineSet(9, inner.lines, edges)
     diag = np.full((9, 1, 1), 4.0)
-    upper, lower = random_couplings(np.random.default_rng(1), lines, 1, 0.5)
-    factor_block_tridiag(lines, diag, upper, lower)
-    for slot in ((3, 0), (1, 1)):
-        for which in (0, 1):
-            bad = [upper.copy(), lower.copy()]
-            bad[which][slot] = 1e-300
-            with pytest.raises(ContractViolationError,
-                               match="between two lines"):
-                factor_block_tridiag(lines, diag, *bad)
+    off_ij, off_ji = random_couplings(np.random.default_rng(1), inner, 1, 0.5)
+    r = np.random.default_rng(2).standard_normal(9)
+    x = factor_block_tridiag(
+        inner, FirstOrderBlocks(diag, off_ij, off_ji)).solve_values(r)
+    big = np.full((2, 1, 1), 1e300)
+    wide = FirstOrderBlocks(diag, np.concatenate((off_ij, big)),
+                            np.concatenate((off_ji, big)))
+    assert factor_block_tridiag(lines, wide).solve_values(r).tobytes() \
+        == x.tobytes()
 
 
 def test_singular_pivot_at_nonzero_offset_names_its_own_position():
@@ -552,28 +572,30 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
     assert lines.placement.tolist() == [[0, 0], [0, 8]]
     diag = np.full((11, 1, 1), 4.0)
     diag[8:] = 1.0
-    upper, lower = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
-    upper[8:10], lower[8:10] = 1.0, 0.5
+    off_ij, off_ji = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
+    off_ij[7:], off_ji[7:] = 1.0, 0.5    # the pairs (8, 9) and (9, 10)
     with pytest.raises(SingularPivotError,
                        match="singular pivot block on line 1 at position 1$"):
-        factor_block_tridiag(lines, diag, upper, lower)
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
 
 
 def test_failing_slot_no_line_holds_is_named_by_column_and_row():
-    # [0, 1, 2] sits alone in column 1 of a 7-row layout. An infinite
-    # coupling reaches the slot past its end as 0 * inf = NaN, whose pivot
-    # fails before any of the line's: it is named by its column and row,
-    # not by a position past the line's end.
+    # [0, 1, 2] sits alone in column 1 of a 7-row layout. Its last pivot
+    # inverts to 1e200, and its product with the coupling 1e200 of cell 2
+    # to cell 1 overflows; that inf reaches the slot past the line's end as
+    # 0 * inf = NaN, whose pivot fails before any of the line's: it is
+    # named by its column and row, not by a position past the line's end.
     lines = kernel_lines(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
     assert lines.placement.tolist() == [[1, 0], [0, 0]]
-    upper = np.zeros(lines.index[1:].shape + (1, 1))
-    lower = np.zeros_like(upper)
-    upper[1, 1], lower[1, 1] = np.inf, 1.0
+    diag = np.ones((8, 1, 1))
+    diag[2] = 1e-200
+    off_ij, off_ji = np.zeros((6, 1, 1)), np.zeros((6, 1, 1))
+    off_ij[1], off_ji[1] = 1.0, 1e200     # the pair (1, 2)
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot inverse in column 1 at row 3, "
                              "which no line holds$"), \
-            np.errstate(invalid="ignore"):
-        factor_block_tridiag(lines, np.ones((8, 1, 1)), upper, lower)
+            np.errstate(over="ignore", invalid="ignore"):
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
 
 
 def _pivot_inverses(fact):
@@ -612,19 +634,23 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
     rng = np.random.default_rng(seed)
     n = lines.n_cells
     diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
-    upper, lower = random_couplings(rng, lines, b, 0.5)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
     r = rng.standard_normal((n, b))
-    fact = factor_block_tridiag(lines, diag, upper, lower)
+    fact = factor_block_tridiag(lines, blocks)
     x = fact.solve_values(r.reshape(-1)).reshape(n, b)
     pivots = _pivot_inverses(fact)
-    for line, (col, offset) in zip(lines.lines, lines.placement.tolist()):
+    for line, (col, offset), pairs in zip(lines.lines,
+                                          lines.placement.tolist(),
+                                          line_couplings(lines, blocks)):
         k = len(line)
         alone = kernel_lines(k, [list(range(k))])
-        own_upper = np.zeros(alone.index[1:].shape + (b, b))
-        own_lower = np.zeros_like(own_upper)
-        own_upper[:k - 1, 0] = upper[offset:offset + k - 1, col]
-        own_lower[:k - 1, 0] = lower[offset:offset + k - 1, col]
-        own = factor_block_tridiag(alone, diag[line], own_upper, own_lower)
+        # The line's cells renumbered 0..k-1 in line order: each pair's
+        # upper block is its edge's off_ij.
+        own_blocks = np.zeros((2, k - 1, b, b))
+        for m, (_, _, upper, lower) in enumerate(pairs):
+            own_blocks[:, m] = upper, lower
+        own = factor_block_tridiag(alone,
+                                   FirstOrderBlocks(diag[line], *own_blocks))
         assert (pivots[offset:offset + k, col].tobytes()
                 == _pivot_inverses(own)[:k, 0].tobytes())
         assert (x[line].tobytes()

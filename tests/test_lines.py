@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
-from ptcsmooth.lines import LineSet, assemble_line_blocks, extract_lines
+from ptcsmooth.linalg import factor_block_tridiag
+from ptcsmooth.lines import LineSet, extract_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-from conftest import kernel_lines
+from conftest import dense_from_lines, kernel_lines
 
 
 def coupling_blocks(n, edges, weights):
@@ -52,31 +53,25 @@ def test_line_blocks_follow_line_direction():
         return LineSet(16, list(multi)
                        + [[c] for c in range(16) if c not in used], p.edges)
 
-    lb = assemble_line_blocks(p.first_order_blocks(w),
-                              with_singletons([15, 11, 7, 3], [0, 1, 2]))
+    lines = with_singletons([15, 11, 7, 3], [0, 1, 2])
     expected = {}
     for (i, j), a, b in zip(p.edges.tolist(), blocks.off_ij, blocks.off_ji):
         expected[(i, j)], expected[(j, i)] = a, b
-    # (row, col) pairs at their (position, line) on the lines, found at the
-    # line's (offset + position, column) slot; every other slot lies past a
-    # line's end or between two lines and holds zero blocks. The two lines
-    # share column 0 (rows 0-3 and 4-6), the 12 singletons three more.
-    pairs = {(0, 0): (15, 11), (1, 0): (11, 7), (2, 0): (7, 3),
-             (0, 1): (0, 1), (1, 1): (1, 2)}
-    assert lb.lines.placement[:2].tolist() == [[0, 0], [0, 4]]
-    assert lb.upper.shape == lb.lower.shape == (6, 4, 1, 1)
-    padded = np.ones((6, 4), dtype=bool)
-    for (m, li), (row, col) in pairs.items():
-        column, offset = lb.lines.placement[li]
-        slot = (offset + m, column)
-        assert lb.lines.index[offset + m:offset + m + 2, column].tolist() == [row, col]
-        assert not np.array_equal(expected[(row, col)], expected[(col, row)])
-        assert np.array_equal(lb.upper[slot], expected[(row, col)])   # dR_row/dw_col
-        assert np.array_equal(lb.lower[slot], expected[(col, row)])   # dR_col/dw_row
-        padded[slot] = False
-    assert np.array_equal(lb.lines.pair_mask, ~padded)
-    assert np.all(lb.upper[padded] == 0.0) and np.all(lb.lower[padded] == 0.0)
-    assert np.array_equal(lb.diag, blocks.diag)
+    # The two lines share column 0 (rows 0-3 and 4-6), the 12 singletons
+    # three more; the pair mask marks the five in-line pairs. Every pair's
+    # two blocks differ, so a swapped one would show in the solve.
+    pairs = [(15, 11), (11, 7), (7, 3), (0, 1), (1, 2)]
+    assert lines.placement[:2].tolist() == [[0, 0], [0, 4]]
+    assert lines.pair_mask.sum() == len(pairs)
+    assert all(not np.array_equal(expected[(row, col)], expected[(col, row)])
+               for row, col in pairs)
+    A = dense_from_lines(lines, blocks)
+    for row, col in pairs:
+        assert A[row, col] == expected[(row, col)][0, 0]   # dR_row/dw_col
+        assert A[col, row] == expected[(col, row)][0, 0]   # dR_col/dw_row
+    r = np.random.default_rng(4).standard_normal(16)
+    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12 * np.linalg.norm(x)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
         with_singletons([0, 5])
 
@@ -88,19 +83,19 @@ def test_coupling_gather_computed_at_construction():
     w = p.initial_state()
     w.values[:] = np.random.default_rng(3).uniform(0.5, 1.5, w.values.shape)
     blocks = p.first_order_blocks(w)
-    gathered = assemble_line_blocks(blocks, lines)
+    r = np.random.default_rng(5).standard_normal(48)
+    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    ref = np.linalg.solve(dense_from_lines(lines, blocks), r)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     # The edges listed in reverse, each with its blocks, gather the same
-    # couplings.
+    # couplings: the factor solves to the same bytes.
     flipped = LineSet(48, lines.lines, p.edges[::-1].copy())
-    again = assemble_line_blocks(
-        FirstOrderBlocks(blocks.diag, blocks.off_ij[::-1],
-                         blocks.off_ji[::-1]), flipped)
-    assert again.upper.tobytes() == gathered.upper.tobytes()
-    assert again.lower.tobytes() == gathered.lower.tobytes()
+    again = factor_block_tridiag(flipped, FirstOrderBlocks(
+        blocks.diag, blocks.off_ij[::-1], blocks.off_ji[::-1]))
+    assert again.solve_values(r).tobytes() == x.tobytes()
     # An edge list that misses an in-line pair fails at construction,
     # naming the pair.
-    column, offset = lines.placement[0]
-    pair = tuple(sorted(lines.index[offset:offset + 2, column].tolist()))
+    pair = tuple(sorted(lines.multi_cell_lines()[0][:2]))
     keep = ~np.all(p.edges == pair, axis=1)
     with pytest.raises(ContractViolationError,
                        match=rf"line pair \({pair[0]}, {pair[1]}\)"):
@@ -459,4 +454,4 @@ def test_nonfinite_coupling_is_named_by_its_pair():
     blocks.off_ji[3] = np.nan
     with pytest.raises(ContractViolationError,
                        match=r"line pair \(3, 4\) has a non-finite coupling"):
-        assemble_line_blocks(blocks, lines)
+        factor_block_tridiag(lines, blocks)

@@ -6,17 +6,16 @@ import pytest
 import ptcsmooth.ptc
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, InadmissibleStateError, l2_norm)
-from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
-                             singleton_lines)
+from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, CFL_MAX, PtcConfig,
-                           SolveOutcome, cfl_update, line_search,
-                           mass_over_dtau, newton_step, ptc_operator,
-                           solve_steady)
+                           SolveOutcome, build_ptc_preconditioner, cfl_update,
+                           line_search, mass_over_dtau, newton_step,
+                           ptc_operator, solve_steady)
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-
+from conftest import dense_from_lines, kernel_lines, random_couplings
 
 
 def _lines_for(problem):
@@ -146,8 +145,7 @@ def test_small_dtau_step_matches_smoother_update():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
     m_dtau = mass_over_dtau(p, w, 1e-10)
-    precon = build_smoother(
-        assemble_line_blocks(p.first_order_blocks(w), lines))
+    precon = build_smoother(lines, p.first_order_blocks(w))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
@@ -460,8 +458,8 @@ def test_failed_linear_setup_becomes_rejected_step(patch):
 
 def test_nonfinite_coupling_mid_solve_becomes_rejected_steps():
     # Finite blocks at the start extract the lines; an infinite in-line
-    # coupling at every later state rejects each step before any factor
-    # runs, so no 0 * inf warning escapes the solve.
+    # coupling at every later state rejects each step at the factor's
+    # gather, before any reduction, so no 0 * inf warning escapes the solve.
     p = make_bratu(16, 1.0)
     original, start = p.first_order_blocks, p.initial_state().values
 
@@ -587,3 +585,51 @@ def test_lines_over_another_cell_count_are_rejected(n_cells, monkeypatch):
                        match=f"lines cover {n_cells} cells, not 16"):
         solve_steady(problem, PtcConfig(), lines=singleton_lines(n_cells))
     assert evaluated == []
+
+
+@pytest.mark.parametrize("build, build_other", [
+    (lambda: make_aniso_convdiff(8, 8), lambda: make_bratu(64)),
+    (lambda: make_bratu(16), lambda: make_aniso_convdiff(4, 4, 1000.0)),
+], ids=["bratu_path_on_convdiff", "convdiff_lines_on_bratu"])
+def test_lines_over_another_stencil_are_rejected(build, build_other,
+                                                 monkeypatch):
+    # Both stencils have the cell count: bratu64's whole-path line pairs
+    # (7, 8), no grid edge of convdiff 8x8; convdiff 4x4's lines gather
+    # edges bratu16 does not have.
+    problem, lines = build(), _lines_for(build_other())
+    assert lines.multi_cell_lines()
+    evaluated = []
+    monkeypatch.setattr(problem, "residual", evaluated.append)
+    with pytest.raises(ContractViolationError, match="another stencil"):
+        solve_steady(problem, PtcConfig(), lines=lines)
+    assert evaluated == []
+    # Factored directly, the blocks hold one per edge of the wrong stencil.
+    blocks = problem.first_order_blocks(problem.initial_state())
+    with pytest.raises(ContractViolationError, match="stencil edge"):
+        build_smoother(lines, blocks)
+
+
+def test_singleton_lines_fit_any_stencil():
+    p = make_aniso_convdiff(4, 4)
+    rep = solve_steady(p, PtcConfig(smoothing=RkSchedule()),
+                       lines=singleton_lines(16))
+    assert rep.outcome == SolveOutcome.CONVERGED
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_ptc_preconditioner_matches_dense_shifted_jacobian(b):
+    # Lines of 5, 3, 2 and 1 cells, packed into shared columns, some walked
+    # against their edges.
+    rng = np.random.default_rng(7 + b)
+    lines = kernel_lines(11, [[0, 1, 2, 3, 4], [7, 6, 5], [8, 9], [10]])
+    assert lines.index.shape[1] < len(lines.lines)
+    blocks = FirstOrderBlocks(
+        rng.standard_normal((11, b, b)) + 2.0 * b * np.eye(b),
+        *random_couplings(rng, lines, b, 0.5))
+    m_dtau = np.repeat(rng.uniform(0.5, 2.0, 11), b)
+    precon = build_ptc_preconditioner(lines, blocks, m_dtau)
+    A = dense_from_lines(lines, blocks) + np.diag(m_dtau)
+    r = rng.standard_normal(11 * b)
+    ref = np.linalg.solve(A, r)
+    assert (np.linalg.norm(precon.solve_values(r) - ref)
+            <= 1e-12 * np.linalg.norm(ref))

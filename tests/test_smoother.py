@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import BlockVector, InadmissibleStateError, l2_norm
-from ptcsmooth.lines import (assemble_line_blocks, extract_lines,
-                             singleton_lines)
+from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import mass_over_dtau
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
@@ -35,8 +34,7 @@ def test_default_schedule_matches_protocol():
 def test_singleton_lines_give_block_diagonal_preconditioner():
     sys = diffusion_chain(n=6, b=1)
     lines = singleton_lines(6)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
     r = np.zeros(6)
     r[2] = 1.0
     x = precon.solve_values(r)
@@ -46,8 +44,7 @@ def test_singleton_lines_give_block_diagonal_preconditioner():
 def test_full_chain_line_gives_exact_newton_step(scalar_chain):
     sys = scalar_chain
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(sys.initial_state()), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
     w0 = sys.initial_state()
     r = sys.residual(w0)
     step = precon.solve_values(r)
@@ -58,11 +55,9 @@ def test_full_chain_line_gives_exact_newton_step(scalar_chain):
 def test_rebuild_changes_values_not_structure():
     p = make_bratu(16, 1.0)
     lines = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
-    precon1 = build_smoother(
-        assemble_line_blocks(p.first_order_blocks(p.initial_state()), lines))
+    precon1 = build_smoother(lines, p.first_order_blocks(p.initial_state()))
     w2 = BlockVector(p.layout, 0.1 * np.ones(16))
-    precon2 = build_smoother(
-        assemble_line_blocks(p.first_order_blocks(w2), lines))
+    precon2 = build_smoother(lines, p.first_order_blocks(w2))
     cells1 = precon1.lines.lines
     cells2 = precon2.lines.lines
     assert cells1 == cells2
@@ -74,8 +69,7 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(w_star))
     out = rk_smooth(sys, precon, RkSchedule(), w_star, sys.residual(w_star))
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star.values))
     assert np.allclose(w_star.values + out.delta_w, w_star.values)
@@ -88,8 +82,7 @@ def test_linear_contraction_single_cycle(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=1)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(w_star))
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -103,8 +96,7 @@ def test_linear_contraction_two_cycles(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=2)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w_star), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(w_star))
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -124,8 +116,7 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     w0 = BlockVector(sys.layout, w_star.values + d)
     assert l2_norm(sys.residual(w0)) <= 1e-12 * r_init
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(
-        assemble_line_blocks(sys.first_order_blocks(w0), lines))
+    precon = build_smoother(lines, sys.first_order_blocks(w0))
     out = rk_smooth(sys, precon, RkSchedule(), w0, sys.residual(w0))
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0.values)
 
@@ -185,8 +176,7 @@ def test_smoothing_source_rejects_nonpositive_dtau():
 def test_smoother_reduces_residual_from_impulsive_start(problem):
     w0 = problem.initial_state()
     lines = extract_lines(problem.first_order_blocks(w0), problem.edges)
-    precon = build_smoother(
-        assemble_line_blocks(problem.first_order_blocks(w0), lines))
+    precon = build_smoother(lines, problem.first_order_blocks(w0))
     out = rk_smooth(problem, precon, RkSchedule(), w0,
                     problem.residual(w0))
     w_end = BlockVector(w0.layout, w0.values + out.delta_w)
@@ -208,8 +198,7 @@ def _admit_only(sys, admissible):
 
 def _chain_smoother(sys):
     lines = full_chain_lines(sys.layout.n_cells)
-    return build_smoother(assemble_line_blocks(
-        sys.first_order_blocks(sys.initial_state()), lines))
+    return build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
 
 
 def test_degraded_cycle_keeps_last_admissible_output():

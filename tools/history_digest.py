@@ -18,16 +18,14 @@ one digest per physical step.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import ptcsmooth.ptc as ptc_mod  # noqa: E402
 from ptcsmooth import (PtcConfig, RkSchedule, SolveReport,  # noqa: E402
                        UnsteadyConfig, advance_unsteady, singleton_lines,
                        solve_steady)
@@ -74,18 +72,6 @@ def report_digest(report: SolveReport) -> str:
     return h.hexdigest()
 
 
-@contextlib.contextmanager
-def singleton_lines_patched() -> Iterator[None]:
-    """Within it, ``solve_steady`` solves on singleton lines."""
-    original = ptc_mod.extract_lines
-    ptc_mod.extract_lines = (
-        lambda blocks, edges: singleton_lines(len(blocks.diag)))
-    try:
-        yield
-    finally:
-        ptc_mod.extract_lines = original
-
-
 def case_digests(name: str) -> List[str]:
     """One output line per variant (and physical step) of case ``name``."""
     case = CASES[name]
@@ -93,17 +79,17 @@ def case_digests(name: str) -> List[str]:
     for variant, schedule in VARIANTS.items():
         config = PtcConfig(smoothing=schedule() if schedule else None,
                            **case.overrides)
-        lines = (singleton_lines_patched() if case.singleton
-                 else contextlib.nullcontext())
-        with lines:
-            if case.unsteady is None:
-                reports = [(name, solve_steady(case.build(), config))]
-            else:
-                dt, n_steps = case.unsteady
-                history = advance_unsteady(
-                    case.build(), UnsteadyConfig(dt, n_steps, config))
-                reports = [(f"{name}/step {k}", r)
-                           for k, r in enumerate(history.reports)]
+        system = case.build()
+        if case.unsteady is None:
+            lines = (singleton_lines(system.layout.n_cells) if case.singleton
+                     else None)
+            reports = [(name, solve_steady(system, config, lines=lines))]
+        else:
+            dt, n_steps = case.unsteady
+            history = advance_unsteady(
+                system, UnsteadyConfig(dt, n_steps, config))
+            reports = [(f"{name}/step {k}", r)
+                       for k, r in enumerate(history.reports)]
         out += [f"{label} {variant} {report_digest(r)}" for label, r in reports]
     return out
 
