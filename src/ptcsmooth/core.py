@@ -100,7 +100,8 @@ class FirstOrderBlocks:
     """Nearest-neighbor Jacobian blocks of the first-order discretization,
     over the stencil ``system.edges`` of the system that made them: for
     ``edges[k] = (i, j)``, ``off_ij[k]`` couples residual i to state j,
-    ``off_ji[k]`` the reverse.
+    ``off_ji[k]`` the reverse. Blocks may share read-only arrays across
+    calls: build new arrays rather than write into them.
     """
 
     diag: np.ndarray      # (n_cells, b, b)

@@ -219,7 +219,9 @@ def _pivot_failure(block: np.ndarray) -> Optional[str]:
         inv = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         return "singular pivot block"
-    return None if np.all(np.isfinite(inv)) else "non-finite pivot inverse"
+    if not np.all(np.isfinite(inv)):
+        return "non-finite pivot inverse"
+    return None if np.all(np.isfinite(block)) else "non-finite pivot block"
 
 
 def _invert_pivots(pivots: np.ndarray, lines: LineSet,
@@ -237,7 +239,7 @@ def _invert_pivots(pivots: np.ndarray, lines: LineSet,
             inv = np.linalg.inv(pivots)
         except np.linalg.LinAlgError:
             inv = None
-    if inv is not None and np.all(np.isfinite(inv)):
+    if inv is not None and np.all(np.isfinite(inv) & np.isfinite(pivots)):
         return inv
     failures = []
     for row, row_pivots in zip(rows.tolist(), pivots):

@@ -10,6 +10,11 @@ couple ~1e6 times more strongly in y than in x.
 The residual uses central convection; the first-order blocks use upwind
 convection, reproducing the usual inexact-preconditioner split. The exact
 Jacobian-vector product belongs to the central-difference residual.
+
+Only the pointwise reaction depends on the state, so the constructor
+assembles the rest once: the central stencil that the residual and its
+Jacobian-vector product share, a right-hand side holding ``vol * f`` and the
+Dirichlet traces, the upwind blocks and the explicit time step's rate.
 """
 
 from __future__ import annotations
@@ -86,39 +91,76 @@ class AnisoConvDiffProblem(NonlinearSystem):
             np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel())),
             np.column_stack((cell[:-1, :].ravel(), cell[1:, :].ravel()))))
         self.cell_measures = np.outer(self.hy, np.full(nx, self.hx)).ravel()
-        self._vol2d = self.cell_measures.reshape(ny, nx)
+        self._vol = vol = self.cell_measures.reshape(ny, nx)
 
         # Center-to-center spacings; boundary values sit on the faces.
-        dxm = np.full(nx, self.hx)
-        dxm[0] = self.hx / 2.0
-        dxp = np.full(nx, self.hx)
-        dxp[-1] = self.hx / 2.0
-        dym = np.empty(ny)
-        dym[0] = self.hy[0] / 2.0
-        dym[1:] = self.yc[1:] - self.yc[:-1]
-        dyp = np.empty(ny)
-        dyp[-1] = self.hy[-1] / 2.0
-        dyp[:-1] = self.yc[1:] - self.yc[:-1]
-        self._dxm, self._dxp, self._dym, self._dyp = dxm, dxp, dym, dyp
-        self._lap_x, self._grad_x = _nonuniform_coeffs(dxm, dxp)
+        dx = np.concatenate(([self.hx / 2.0], np.full(nx - 1, self.hx),
+                             [self.hx / 2.0]))
+        dy = np.concatenate(([self.hy[0] / 2.0], np.diff(self.yc),
+                             [self.hy[-1] / 2.0]))
+        dxm, dxp, dym, dyp = dx[:-1], dx[1:], dy[:-1], dy[1:]
+        (lxm, lx0, lxp), (gxm, gx0, gxp) = _nonuniform_coeffs(dxm, dxp)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._lap_y, self._grad_y = _nonuniform_coeffs(dym, dyp)
-        if not np.all(np.isfinite([self.hy, *self._lap_y, *self._grad_y])):
+            (lym, ly0, lyp), (gym, gy0, gyp) = _nonuniform_coeffs(dym, dyp)
+        if not np.all(np.isfinite([self.hy, lym, ly0, lyp, gym, gy0, gyp])):
             raise ValueError(
                 f"stretching_ratio {stretching_ratio:g} is too large for "
                 f"{ny} cells: the y spacings or their weights overflow")
 
-        # Dirichlet traces of the manufactured solution.
-        self._west = self.exact(0.0, self.yc)
-        self._east = self.exact(1.0, self.yc)
-        self._south = self.exact(self.xc, 0.0)
-        self._north = self.exact(self.xc, self.ly)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._forcing = self._manufactured_forcing()
-        if not np.all(np.isfinite(self._forcing)):
+            forcing = self._manufactured_forcing()
+        if not np.all(np.isfinite(forcing)):
             raise ValueError(
                 "eps, velocity, sigma and amplitude give a manufactured "
                 "forcing that overflows")
+
+        eps, vx, vy = self.eps, self.vx, self.vy
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Central scheme, volume-weighted: a cell's own coefficient and
+            # those of its west, east, south and north neighbors.
+            diffusion = -eps * (lx0[None, :] + ly0[:, None])
+            centre = vol * (diffusion + vx * gx0[None, :] + vy * gy0[:, None])
+            west = vol * (-eps * lxm + vx * gxm)[None, :]
+            east = vol * (-eps * lxp + vx * gxp)[None, :]
+            south = vol * (-eps * lym + vy * gym)[:, None]
+            north = vol * (-eps * lyp + vy * gyp)[:, None]
+            self._stencil = (centre, west[:, 1:], east[:, :-1], south[1:],
+                             north[:-1])
+            # Boundary neighbors hold the Dirichlet traces on the faces.
+            self._rhs = rhs = vol * forcing
+            rhs[:, 0] -= west[:, 0] * self.exact(0.0, self.yc)
+            rhs[:, -1] -= east[:, -1] * self.exact(1.0, self.yc)
+            rhs[0] -= south[0] * self.exact(self.xc, 0.0)
+            rhs[-1] -= north[-1] * self.exact(self.xc, self.ly)
+            self._sigma_vol = self.sigma * vol
+
+            # First-order blocks (preconditioner only): upwind convection
+            # enters the neighbor coupling on the upstream side only. The
+            # diagonal is kept unweighted; off_ij couples a cell to its east
+            # or north neighbor and off_ji the reverse, in ``edges`` order.
+            self._upwind_diag = (diffusion
+                                 + abs(vx) / (dxm if vx >= 0 else dxp)[None, :]
+                                 + abs(vy) / (dym if vy >= 0 else dyp)[:, None])
+            up_e = vol * (-eps * lxp + min(vx, 0.0) / dxp)[None, :]
+            up_w = vol * (-eps * lxm - max(vx, 0.0) / dxm)[None, :]
+            up_n = vol * (-eps * lyp + min(vy, 0.0) / dyp)[:, None]
+            up_s = vol * (-eps * lym - max(vy, 0.0) / dym)[:, None]
+            self._couplings = np.stack((
+                np.concatenate((up_e[:, :-1].ravel(), up_n[:-1].ravel())),
+                np.concatenate((up_w[:, 1:].ravel(), up_s[1:].ravel()))
+            )).reshape(2, -1, 1, 1)
+            self._couplings.flags.writeable = False
+
+            # The inverse explicit time step without its reaction term.
+            self._dt_rate = (
+                2.0 * eps * (1.0 / (dxm * dxp)[None, :]
+                             + 1.0 / (dym * dyp)[:, None])
+                + ((abs(vx) / self.hx) + abs(vy) / self.hy[:, None]))
+        if not all(np.all(np.isfinite(a)) for a in (
+                centre, west, east, south, north, rhs, self._upwind_diag,
+                self._couplings, self._dt_rate)):
+            raise ValueError("eps, velocity, amplitude and the y spacings give "
+                             "boundary terms or stencil weights that overflow")
 
     # -- manufactured solution ------------------------------------------------
 
@@ -140,82 +182,35 @@ class AnisoConvDiffProblem(NonlinearSystem):
 
     # -- discrete operators ---------------------------------------------------
 
-    def _padded(self, u2d: np.ndarray, with_boundary: bool) -> np.ndarray:
-        p = np.zeros((self.ny + 2, self.nx + 2))
-        p[1:-1, 1:-1] = u2d
-        if with_boundary:
-            p[1:-1, 0] = self._west
-            p[1:-1, -1] = self._east
-            p[0, 1:-1] = self._south
-            p[-1, 1:-1] = self._north
-        return p
-
-    def _lap_and_grad(self, u2d: np.ndarray, with_boundary: bool):
-        p = self._padded(u2d, with_boundary)
-        west, center, east = p[1:-1, :-2], p[1:-1, 1:-1], p[1:-1, 2:]
-        south, north = p[:-2, 1:-1], p[2:, 1:-1]
-        lxm, lx0, lxp = self._lap_x
-        lym, ly0, lyp = self._lap_y
-        gxm, gx0, gxp = self._grad_x
-        gym, gy0, gyp = self._grad_y
-        lap = (lxm[None, :] * west + lxp[None, :] * east
-               + lym[:, None] * south + lyp[:, None] * north
-               + (lx0[None, :] + ly0[:, None]) * center)
-        gx = gxm[None, :] * west + gx0[None, :] * center + gxp[None, :] * east
-        gy = gym[:, None] * south + gy0[:, None] * center + gyp[:, None] * north
-        return lap, gx, gy
+    def _central(self, u: np.ndarray) -> np.ndarray:
+        """The central stencil applied to u, zero on the boundary."""
+        centre, west, east, south, north = self._stencil
+        out = centre * u
+        out[:, 1:] += west * u[:, :-1]
+        out[:, :-1] += east * u[:, 1:]
+        out[1:] += south * u[:-1]
+        out[:-1] += north * u[1:]
+        return out
 
     def residual(self, w: BlockVector) -> np.ndarray:
         u = w.values.reshape(self.ny, self.nx)
-        lap, gx, gy = self._lap_and_grad(u, with_boundary=True)
-        r = self._vol2d * (-self.eps * lap + self.vx * gx + self.vy * gy
-                           + self.sigma * u * np.abs(u) - self._forcing)
+        r = self._central(u) + self._sigma_vol * u * np.abs(u) - self._rhs
         return r.ravel()
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
         u = w.values.reshape(self.ny, self.nx)
         vv = v.reshape(self.ny, self.nx)
-        lap, gx, gy = self._lap_and_grad(vv, with_boundary=False)
-        jv = self._vol2d * (-self.eps * lap + self.vx * gx + self.vy * gy
-                            + 2.0 * self.sigma * np.abs(u) * vv)
+        jv = self._central(vv) + 2.0 * self._sigma_vol * np.abs(u) * vv
         return jv.ravel()
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
-        nx, ny = self.nx, self.ny
-        u = np.abs(w.values.reshape(ny, nx))
-        lxm, lx0, lxp = self._lap_x
-        lym, ly0, lyp = self._lap_y
-
-        # Upwind convection increments (first-order, preconditioner only).
-        up_x_diag = abs(self.vx) / (self._dxm if self.vx >= 0 else self._dxp)
-        up_y_diag = abs(self.vy) / (self._dym if self.vy >= 0 else self._dyp)
-        diag2d = self._vol2d * (-self.eps * (lx0[None, :] + ly0[:, None])
-                                + up_x_diag[None, :] + up_y_diag[:, None]
-                                + 2.0 * self.sigma * u)
-        diag = diag2d.ravel().reshape(-1, 1, 1)
-
-        # In the order of ``edges``, off_ij couples a cell to its east or
-        # north neighbor, off_ji the reverse; upwind convection enters the
-        # neighbor coupling on the upstream side only.
-        vol = self._vol2d
-        east = -self.eps * lxp[:-1] + (self.vx / self._dxp[:-1] if self.vx < 0 else 0.0)
-        west = -self.eps * lxm[1:] + (-self.vx / self._dxm[1:] if self.vx >= 0 else 0.0)
-        north = -self.eps * lyp[:-1] + (self.vy / self._dyp[:-1] if self.vy < 0 else 0.0)
-        south = -self.eps * lym[1:] + (-self.vy / self._dym[1:] if self.vy >= 0 else 0.0)
-        off_ij = np.concatenate(((vol[:, :-1] * east).ravel(),
-                                 (vol[:-1, :] * north[:, None]).ravel()))
-        off_ji = np.concatenate(((vol[:, 1:] * west).ravel(),
-                                 (vol[1:, :] * south[:, None]).ravel()))
-        return FirstOrderBlocks(diag, off_ij.reshape(-1, 1, 1),
-                                off_ji.reshape(-1, 1, 1))
+        u = np.abs(w.values.reshape(self.ny, self.nx))
+        diag = self._vol * (self._upwind_diag + 2.0 * self.sigma * u)
+        return FirstOrderBlocks(diag.reshape(-1, 1, 1), *self._couplings)
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         u = np.abs(w.values.reshape(self.ny, self.nx))
-        diff = 2.0 * self.eps * (1.0 / (self._dxm * self._dxp)[None, :]
-                                 + 1.0 / (self._dym * self._dyp)[:, None])
-        conv = (abs(self.vx) / self.hx) + abs(self.vy) / self.hy[:, None]
-        react = 2.0 * self.sigma * u
-        return (1.0 / (diff + conv + react)).ravel()
+        return (1.0 / (self._dt_rate + 2.0 * self.sigma * u)).ravel()
 
     def initial_state(self) -> BlockVector:
         # Impulsive start: zero field violating the boundary data.

@@ -6,10 +6,10 @@ The net update over all cycles is the composite local-solver correction; the
 continuation driver turns it into a right-hand-side source term by scaling
 with M/dtau.
 
-The line preconditioner P is the first-order Jacobian restricted to the
-solver lines (off-diagonal blocks kept only for edges interior to a line):
-the blocks the GMRES preconditioner also factors, shifted by M/dtau. It is
-factored once per build and frozen across stages and cycles.
+The line preconditioner P is J1, the first-order Jacobian restricted to the
+solver lines (off-diagonal blocks kept only for edges interior to a line),
+unshifted; GMRES factors the same blocks as J1 + M/dtau. P is factored once
+per build and frozen across stages and cycles.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ def test_digest_lines_repeat_across_processes():
                             timeout=120)
     lines = result.stdout.splitlines()
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
-        "bratu64 plain", "bratu64 smoothed"]
+        "bratu64 plain 12/12/0", "bratu64 smoothed 4/4/0"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1])
                for line in lines)
     assert lines[0] != lines[1]

@@ -366,6 +366,28 @@ def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
         factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
 
 
+@pytest.mark.parametrize("n, line_cells", [
+    (3, [[0, 1, 2]]),
+    # [0, 1, 2] sits alone in column 1 of an 8-row layout: the overflow
+    # also reaches the slot past its end, as 0 * inf = NaN, one level after
+    # the line's own pivot fails.
+    (8, [[0, 1, 2], [3, 4, 5, 6, 7]]),
+], ids=["lone_line", "slot_past_line_end"])
+def test_infinite_reduced_pivot_names_the_lines_own_pivot(n, line_cells):
+    # Cell 2's pivot inverts to 1e200, so the level-1 pivot of position 1
+    # is 1 - 1 * 1e200 * 1e200 = -inf, whose reciprocal -0 is finite: the
+    # pivot itself must be refused, or the solve returns NaN.
+    lines = kernel_lines(n, line_cells)
+    diag = np.ones((n, 1, 1))
+    diag[2] = 1e-200
+    off_ij, off_ji = np.zeros((2, len(lines.edges), 1, 1))
+    off_ij[1], off_ji[1] = 1.0, 1e200     # dR_1/dw_2, dR_2/dw_1
+    with pytest.raises(SingularPivotError,
+                       match="non-finite pivot block on line 0 at position 1$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
+
+
 @pytest.mark.parametrize("ij_shape, ji_shape", [
     ((2, 2, 2), (3, 2, 2)), ((3, 2, 2), (2, 2, 2)),
     ((4, 2, 2), (4, 2, 2)), ((3, 1, 1), (3, 1, 1)),
@@ -576,25 +598,6 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
     off_ij[7:], off_ji[7:] = 1.0, 0.5    # the pairs (8, 9) and (9, 10)
     with pytest.raises(SingularPivotError,
                        match="singular pivot block on line 1 at position 1$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
-
-
-def test_failing_slot_no_line_holds_is_named_by_column_and_row():
-    # [0, 1, 2] sits alone in column 1 of a 7-row layout. Its last pivot
-    # inverts to 1e200, and its product with the coupling 1e200 of cell 2
-    # to cell 1 overflows; that inf reaches the slot past the line's end as
-    # 0 * inf = NaN, whose pivot fails before any of the line's: it is
-    # named by its column and row, not by a position past the line's end.
-    lines = kernel_lines(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
-    assert lines.placement.tolist() == [[1, 0], [0, 0]]
-    diag = np.ones((8, 1, 1))
-    diag[2] = 1e-200
-    off_ij, off_ji = np.zeros((6, 1, 1)), np.zeros((6, 1, 1))
-    off_ij[1], off_ji[1] = 1.0, 1e200     # the pair (1, 2)
-    with pytest.raises(SingularPivotError,
-                       match="non-finite pivot inverse in column 1 at row 3, "
-                             "which no line holds$"), \
-            np.errstate(over="ignore", invalid="ignore"):
         factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
 
 

@@ -8,7 +8,7 @@ from ptcsmooth.core import (BlockVector, InadmissibleStateError, l2_norm,
                             trial_residual, validate_jacobian)
 from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
-from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
+from ptcsmooth.problems import (convdiff, make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 from ptcsmooth.timestepping import BdfStepSystem
 
@@ -188,26 +188,39 @@ def test_convdiff_blocks_upwind_mirror_for_reversed_velocity(velocity):
     assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(rows))
 
 
+def _loop_grid(p):
+    """Per-cell volumes and center-to-center spacings from the public grid,
+    and the 3-point weights over them, by cell index."""
+    vol = [[p.hy[j] * p.hx for i in range(p.nx)] for j in range(p.ny)]
+    dxm = [p.hx / 2.0 if i == 0 else p.hx for i in range(p.nx)]
+    dxp = [p.hx / 2.0 if i == p.nx - 1 else p.hx for i in range(p.nx)]
+    dym = [p.hy[0] / 2.0 if j == 0 else p.yc[j] - p.yc[j - 1]
+           for j in range(p.ny)]
+    dyp = [p.hy[-1] / 2.0 if j == p.ny - 1 else p.yc[j + 1] - p.yc[j]
+           for j in range(p.ny)]
+    x = [convdiff._nonuniform_coeffs(m, q) for m, q in zip(dxm, dxp)]
+    y = [convdiff._nonuniform_coeffs(m, q) for m, q in zip(dym, dyp)]
+    return vol, (dxm, dxp, dym, dyp), x, y
+
+
 def _loop_upwind_off_blocks(p):
     """Per-edge loop form of the first-order off-diagonal blocks."""
-    lxm, _, lxp = p._lap_x
-    lym, _, lyp = p._lap_y
-    vol = p._vol2d
+    vol, (dxm, dxp, dym, dyp), x, y = _loop_grid(p)
     edges, off_ij, off_ji = [], [], []
     for j in range(p.ny):
         for i in range(p.nx - 1):
             edges.append((j * p.nx + i, j * p.nx + i + 1))
-            off_ij.append(vol[j, i] * (-p.eps * lxp[i] + (
-                p.vx / p._dxp[i] if p.vx < 0 else 0.0)))
-            off_ji.append(vol[j, i + 1] * (-p.eps * lxm[i + 1] + (
-                -p.vx / p._dxm[i + 1] if p.vx >= 0 else 0.0)))
+            off_ij.append(vol[j][i] * (-p.eps * x[i][0][2] + (
+                p.vx / dxp[i] if p.vx < 0 else 0.0)))
+            off_ji.append(vol[j][i + 1] * (-p.eps * x[i + 1][0][0] + (
+                -p.vx / dxm[i + 1] if p.vx >= 0 else 0.0)))
     for j in range(p.ny - 1):
         for i in range(p.nx):
             edges.append((j * p.nx + i, (j + 1) * p.nx + i))
-            off_ij.append(vol[j, i] * (-p.eps * lyp[j] + (
-                p.vy / p._dyp[j] if p.vy < 0 else 0.0)))
-            off_ji.append(vol[j + 1, i] * (-p.eps * lym[j + 1] + (
-                -p.vy / p._dym[j + 1] if p.vy >= 0 else 0.0)))
+            off_ij.append(vol[j][i] * (-p.eps * y[j][0][2] + (
+                p.vy / dyp[j] if p.vy < 0 else 0.0)))
+            off_ji.append(vol[j + 1][i] * (-p.eps * y[j + 1][0][0] + (
+                -p.vy / dym[j + 1] if p.vy >= 0 else 0.0)))
     return np.array(edges), np.array(off_ij), np.array(off_ji)
 
 
@@ -219,6 +232,68 @@ def test_convdiff_blocks_match_loop_reference(velocity):
     assert np.array_equal(p.edges, edges)
     assert np.array_equal(blocks.off_ij[:, 0, 0], off_ij)
     assert np.array_equal(blocks.off_ji[:, 0, 0], off_ji)
+
+
+def _loop_forcing(p, x, y):
+    """The manufactured forcing at (x, y), term by term."""
+    a, k = p.amplitude, np.pi / p.ly
+    s = np.sin(np.pi * x) * np.cos(k * y)
+    u = 1.0 + a * s
+    ux = a * np.pi * np.cos(np.pi * x) * np.cos(k * y)
+    uy = -a * k * np.sin(np.pi * x) * np.sin(k * y)
+    lap = -a * (np.pi ** 2 + k ** 2) * s
+    return -p.eps * lap + p.vx * ux + p.vy * uy + p.sigma * u * abs(u)
+
+
+def _loop_central(p, u, boundary):
+    """Per-cell loop form of the volume-weighted central operator
+    -eps lap(u) + v . grad(u) on a (ny, nx) field; neighbors past the edge
+    take ``boundary(x, y)`` at the face."""
+    vol, _, x, y = _loop_grid(p)
+    out = np.empty((p.ny, p.nx))
+    for j in range(p.ny):
+        for i in range(p.nx):
+            xc, yc = p.xc[i], p.yc[j]
+            w = u[j, i - 1] if i > 0 else boundary(0.0, yc)
+            e = u[j, i + 1] if i < p.nx - 1 else boundary(1.0, yc)
+            s = u[j - 1, i] if j > 0 else boundary(xc, 0.0)
+            n = u[j + 1, i] if j < p.ny - 1 else boundary(xc, p.ly)
+            (lxm, lx0, lxp), (gxm, gx0, gxp) = x[i]
+            (lym, ly0, lyp), (gym, gy0, gyp) = y[j]
+            lap = (lxm * w + lx0 * u[j, i] + lxp * e
+                   + lym * s + ly0 * u[j, i] + lyp * n)
+            gx = gxm * w + gx0 * u[j, i] + gxp * e
+            gy = gym * s + gy0 * u[j, i] + gyp * n
+            out[j, i] = vol[j][i] * (-p.eps * lap + p.vx * gx + p.vy * gy)
+    return out
+
+
+@pytest.mark.parametrize("velocity", [(1.0, 0.5), (-1.0, -0.5), (0.3, -2.0)])
+def test_convdiff_residual_and_jv_match_loop_reference(velocity):
+    p = make_aniso_convdiff(12, 16, stretching_ratio=1000.0, sigma=2.0,
+                            velocity=velocity)
+    rng = np.random.default_rng(8)
+    u = 1.0 + rng.standard_normal((p.ny, p.nx))
+    v = rng.standard_normal((p.ny, p.nx))
+    vol = p.cell_measures.reshape(p.ny, p.nx)
+    forcing = np.array([[_loop_forcing(p, xc, yc) for xc in p.xc]
+                        for yc in p.yc])
+    r = (_loop_central(p, u, p.exact)
+         + vol * (p.sigma * u * np.abs(u) - forcing))
+    jv = (_loop_central(p, v, lambda x, y: 0.0)
+          + vol * 2.0 * p.sigma * np.abs(u) * v)
+    w = BlockVector(p.layout, u.ravel())
+    for got, ref in ((p.residual(w), r), (p.jacobian_vector(w, v.ravel()), jv)):
+        assert np.linalg.norm(got - ref.ravel()) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_convdiff_blocks_are_read_only():
+    p = make_aniso_convdiff(6, 6)
+    blocks = p.first_order_blocks(p.initial_state())
+    with pytest.raises(ValueError, match="read-only"):
+        blocks.off_ij[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        blocks.off_ji[0] = 1.0
 
 
 def test_convdiff_manufactured_solution_order():
@@ -541,6 +616,11 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "forcing that overflows"),
     (lambda: make_aniso_convdiff(8, 8, 1.0, amplitude=1e308),
      "forcing that overflows"),
+    (lambda: make_aniso_convdiff(16, 24, 1000.0, eps=1e303),
+     "stencil weights that overflow"),
+    (lambda: make_aniso_convdiff(16, 24, 1000.0, eps=1.0, sigma=0.0,
+                                 amplitude=1e306),
+     "boundary terms or stencil weights that overflow"),
     (lambda: make_quasi1d_euler(16, length=-1.0), "must be positive"),
     (lambda: make_quasi1d_euler(16, area=lambda x: 1.0 - 2.0 * np.asarray(x)),
      "nozzle area must be positive and finite"),
@@ -570,6 +650,7 @@ def test_euler_solver_never_accepts_inadmissible_state():
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
         "convdiff_stretching_1e200", "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
+        "convdiff_stencil_eps", "convdiff_boundary_amplitude",
         "euler_length", "euler_area_negative", "euler_area_nan",
         "euler_area_wrong_length", "euler_area_scalar",
         "convdiff_velocity_three", "convdiff_velocity_scalar",

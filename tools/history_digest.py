@@ -6,10 +6,14 @@ Run from the repository root, on two checkouts, and compare the output:
     python3 tools/history_digest.py                  # every case
     python3 tools/history_digest.py bratu64 nozzle32 # a selection
 
-Each output line is ``<case>[/step <k>] <variant> <sha256>``. A digest
-covers the outcome, every history row (rejections included; floats by their
-``repr``, which round-trips every bit and the sign of zero) and the bytes of
-the final state. Variants are ``plain`` (``PtcConfig()``) and ``smoothed``
+Each output line is
+``<case>[/step <k>] <variant> <steps>/<krylov>/<rejections> <sha256>``: the
+solve's Newton steps, cumulative Krylov vectors and rejected steps, then its
+digest. A change that moves only round-off can keep every count while the
+digest moves; the counts tell the two apart. A digest covers the outcome,
+every history row (rejections included; floats by their ``repr``, which
+round-trips every bit and the sign of zero) and the bytes of the final
+state. Variants are ``plain`` (``PtcConfig()``) and ``smoothed``
 (``PtcConfig(smoothing=RkSchedule())``), each with the case's overrides.
 The cases are the benchmark's steady grids, bratu 64, the criterion-5
 fixtures of ``tests/test_acceptance.py`` and the 3-step BDF convdiff run,
@@ -90,7 +94,9 @@ def case_digests(name: str) -> List[str]:
                 system, UnsteadyConfig(dt, n_steps, config))
             reports = [(f"{name}/step {k}", r)
                        for k, r in enumerate(history.reports)]
-        out += [f"{label} {variant} {report_digest(r)}" for label, r in reports]
+        out += [f"{label} {variant} {r.newton_steps}/{r.cumulative_krylov}/"
+                f"{r.rejection_count} {report_digest(r)}"
+                for label, r in reports]
     return out
 
 
