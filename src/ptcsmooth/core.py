@@ -66,10 +66,6 @@ class BlockVector:
     def copy(self) -> "BlockVector":
         return BlockVector(self.layout, self.values.copy())
 
-    def cells(self) -> np.ndarray:
-        """View of the values as an (n_cells, block_size) array."""
-        return self.values.reshape(self.layout.n_cells, self.layout.block_size)
-
     def __repr__(self):
         return f"BlockVector(n_cells={self.layout.n_cells}, b={self.layout.block_size})"
 
@@ -79,6 +75,14 @@ def l2_norm(v: np.ndarray) -> float:
     if not np.all(np.isfinite(v)):
         raise ContractViolationError("vector contains NaN or Inf entries")
     return float(np.linalg.norm(v))
+
+
+def _finite_norm(vals: np.ndarray) -> float:
+    """Euclidean norm, or +inf, without a warning, for a vector with a
+    non-finite entry or an overflowing norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(vals))
+    return norm if np.isfinite(norm) else np.inf
 
 
 def require_finite(**params) -> None:
@@ -152,7 +156,7 @@ class NonlinearSystem(ABC):
     def functional(self, w: BlockVector) -> float:
         """Integrated diagnostic quantity; volume-weighted mean of the first
         equation component by default."""
-        first = w.cells()[:, 0]
+        first = w.values[::w.layout.block_size]
         return float(np.sum(self.cell_measures * first)
                      / np.sum(self.cell_measures))
 
@@ -170,10 +174,9 @@ def trial_residual(system: NonlinearSystem,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             r = system.residual(w)
-            norm = np.linalg.norm(r)
     except (InadmissibleStateError, ContractViolationError):
         return None
-    return r if np.isfinite(norm) else None
+    return r if _finite_norm(r) < np.inf else None
 
 
 @dataclass

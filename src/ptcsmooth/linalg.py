@@ -27,12 +27,11 @@ class GmresStats:
 
 
 class SingularPivotError(np.linalg.LinAlgError):
-    """A pivot block of the line factorization is singular, or its inverse
-    is not finite. The message names the line and the cell position on it.
-    Cyclic reduction pivots on reduced blocks, so the position is the one the
-    reduced row holds on the original line, and the first failing level wins
-    over a lower position on a later one. A failing slot that no line holds
-    (reachable only through 0 * inf) is named by its column and row."""
+    """A pivot block of the line factorization is singular or not finite,
+    or its inverse is not finite. The message names the line and the cell
+    position on it. Cyclic reduction pivots on reduced blocks, so the
+    position is the one the reduced row holds on the original line, and the
+    first failing level wins over a lower position on a later one."""
 
 
 def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
@@ -225,12 +224,13 @@ def _pivot_failure(block: np.ndarray) -> Optional[str]:
 
 
 def _invert_pivots(pivots: np.ndarray, lines: LineSet,
-                   rows: np.ndarray) -> np.ndarray:
-    """Invert one level's pivots, (len(rows), n_columns, b, b), in one call;
-    ``rows`` holds their rows of ``lines.index``. A failure names the line
-    and the position on it of a failing pivot: the lowest position, then the
-    lowest line. A 1x1 block's inverse is its reciprocal, bit for bit what
-    ``np.linalg.inv`` returns, without a LAPACK call per block."""
+                   cells: np.ndarray) -> np.ndarray:
+    """Invert one level's pivots, (len(cells), n_columns, b, b), in one call;
+    ``cells`` holds the cell of ``lines.index`` in each pivot's slot. A
+    failure names the line and the position on it of a failing pivot: the
+    lowest position, then the lowest line. A 1x1 block's inverse is its
+    reciprocal, bit for bit what ``np.linalg.inv`` returns, without a LAPACK
+    call per block."""
     if pivots.shape[-1] == 1:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = 1.0 / pivots
@@ -241,26 +241,14 @@ def _invert_pivots(pivots: np.ndarray, lines: LineSet,
             inv = None
     if inv is not None and np.all(np.isfinite(inv) & np.isfinite(pivots)):
         return inv
-    failures = []
-    for row, row_pivots in zip(rows.tolist(), pivots):
-        for col, block in enumerate(row_pivots):
-            reason = _pivot_failure(block)
-            if reason is not None:
-                failures.append((_cell_on_line(lines, row, col), reason,
-                                 row, col))
-    (pos, li), reason, row, col = min(failures)
-    where = (f"on line {li} at position {pos}" if li < len(lines.lines)
-             else f"in column {col} at row {row}, which no line holds")
-    raise SingularPivotError(f"{reason} {where}")
-
-
-def _cell_on_line(lines: LineSet, row: int, col: int) -> Tuple[int, int]:
-    """The (position, line) of a row of a column of ``lines.index``; a slot
-    no line holds ranks after every line, as (row, n_lines)."""
-    for li, (c, offset) in enumerate(lines.placement.tolist()):
-        if c == col and offset <= row < offset + len(lines.lines[li]):
-            return row - offset, li
-    return row, len(lines.lines)
+    where = {cell: (pos, li) for li, line in enumerate(lines.lines)
+             for pos, cell in enumerate(line)}
+    failures = [(where[cell], reason)
+                for row_cells, row_pivots in zip(cells.tolist(), pivots)
+                for cell, block in zip(row_cells, row_pivots)
+                if (reason := _pivot_failure(block)) is not None]
+    (pos, li), reason = min(failures)
+    raise SingularPivotError(f"{reason} on line {li} at position {pos}")
 
 
 def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
@@ -277,6 +265,16 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
     lowest position, then the lowest line. That is the pivot a column of
     the line's own would fail on, unless a block product overflowed first:
     0 * inf then carries NaN across to the other lines of its column.
+
+    A slot no line holds never fails. A cross coupling (between two lines,
+    or touching such a slot) starts as zero and each level forms it as a
+    product with one, so it is zero or NaN. Until a pivot fails, a NaN one
+    has at an end a line row with a non-finite pivot (by induction over the
+    levels): its NaN comes from a non-finite coupling on its path, or an
+    even pivot's inverse times an in-line coupling that overflowed, and the
+    odd row at that end takes the same factor into its pivot, which is
+    refused when inverted. A slot's pivot takes in a NaN only from an even
+    row beside it, a line row so refused at that level.
     """
     diag_blocks = np.asarray(blocks.diag, dtype=float)
     n_cells, b, b2 = diag_blocks.shape
@@ -299,11 +297,11 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
 
     # The dummy cell's identity pivot keeps unused slots inert.
     diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
-    rows = np.arange(len(diag))    # the row each remaining row started at
+    cells = lines.index    # the cell in each remaining row's slot
     mul = np.multiply if b == 1 else np.matmul
     levels = []
     while len(diag) > 1:
-        dinv = _invert_pivots(diag[0::2], lines, rows[0::2])
+        dinv = _invert_pivots(diag[0::2], lines, cells[0::2])
         left = np.ascontiguousarray(lower[0::2])
         right = np.ascontiguousarray(upper[1::2])
         dinv_lower = mul(dinv[1:], lower[1::2])
@@ -312,6 +310,6 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
         upper = -mul(right[:-1], dinv_upper[1:])
         lower = -mul(left[1:], dinv_lower[:-1])
         levels.append((dinv, left, right, dinv_lower, dinv_upper))
-        rows = rows[1::2]
-    root = _invert_pivots(diag, lines, rows)[0]
+        cells = cells[1::2]
+    root = _invert_pivots(diag, lines, cells)[0]
     return BlockTridiagFactorization(lines, tuple(levels), root)

@@ -54,8 +54,6 @@ class LineSet:
     # (2^L - 1, n_columns): the cell in each row of each column, and the
     # dummy index n_cells in every slot no line holds.
     index: np.ndarray = field(init=False, repr=False, compare=False)
-    # (n_lines, 2): each line's column and the row of its first cell.
-    placement: np.ndarray = field(init=False, repr=False, compare=False)
     # index[1:].shape: True where rows m and m + 1 of a column hold
     # consecutive cells of one line.
     pair_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -72,7 +70,7 @@ class LineSet:
                 "nonempty paths")
         size = 2 ** max(map(len, self.lines), default=0).bit_length() - 1
         tops: List[int] = []    # each column's first row past its lines
-        self.placement = np.zeros((len(self.lines), 2), dtype=int)
+        placement = [(0, 0)] * len(self.lines)   # each line's column, offset
         for li in sorted(range(len(self.lines)),
                          key=lambda li: -len(self.lines[li])):
             k = len(self.lines[li])
@@ -85,10 +83,10 @@ class LineSet:
                 col, offset = len(tops), 0
                 tops.append(0)
             tops[col] = offset + k
-            self.placement[li] = col, offset
+            placement[li] = col, offset
         self.index = np.full((size, len(tops)), self.n_cells, dtype=int)
         self.pair_mask = np.zeros(self.index[1:].shape, dtype=bool)
-        for line, (col, offset) in zip(self.lines, self.placement.tolist()):
+        for line, (col, offset) in zip(self.lines, placement):
             self.index[offset:offset + len(line), col] = line
             self.pair_mask[offset:offset + len(line) - 1, col] = True
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   l2_norm, require_count, trial_residual)
+                   _finite_norm, l2_norm, require_count, trial_residual)
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -202,14 +202,6 @@ class LineSearchResult:
     f0: float
     f_alpha: float                      # F at the returned alpha (f0 if rejected)
     residual_at_alpha: Optional[np.ndarray]  # R(w + alpha dw) when accepted
-
-
-def _finite_norm(vals: np.ndarray) -> float:
-    """Euclidean norm, or +inf, without a warning, for a vector with a
-    non-finite entry or an overflowing norm."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(vals))
-    return norm if np.isfinite(norm) else np.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -20,6 +20,16 @@ from .lines import extract_lines
 from .ptc import PtcConfig, SolveOutcome, SolveReport, cfl_update, solve_steady
 
 
+def _bdf_shift(c: float, dt: float) -> float:
+    """c/dt, the BDF shift of a step of ``dt``; a ``dt`` that is not
+    positive and finite, or whose shift overflows, raises ``ValueError``."""
+    if not 0.0 < dt < np.inf:   # NaN included
+        raise ValueError("dt must be positive and finite")
+    if c / float(dt) == np.inf:
+        raise ValueError(f"dt = {dt} is too small: {c}/dt overflows")
+    return c / float(dt)
+
+
 class BdfStepSystem(NonlinearSystem):
     """One implicit time step posed as a steady nonlinear system.
 
@@ -33,8 +43,7 @@ class BdfStepSystem(NonlinearSystem):
 
     def __init__(self, system: NonlinearSystem, w_prev: BlockVector,
                  w_prev2: Optional[BlockVector], dt: float):
-        if not 0.0 < dt < np.inf:   # NaN included
-            raise ValueError("dt must be positive and finite")
+        self.shift_coeff = _bdf_shift(1.0 if w_prev2 is None else 1.5, dt)
         for name, state in (("w_prev", w_prev), ("w_prev2", w_prev2)):
             if state is not None and state.layout != system.layout:
                 raise ContractViolationError(
@@ -47,7 +56,6 @@ class BdfStepSystem(NonlinearSystem):
         self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
         self.dt = float(dt)
         self.mass = np.repeat(system.cell_measures, system.layout.block_size)
-        self.shift_coeff = (1.0 if w_prev2 is None else 1.5) / self.dt
 
     def residual(self, w: BlockVector) -> np.ndarray:
         """Unsteady residual: BDF2 when two history levels exist, else BDF1."""
@@ -86,8 +94,7 @@ class UnsteadyConfig:
     inner: PtcConfig
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:   # NaN included
-            raise ValueError("dt must be positive and finite")
+        _bdf_shift(1.5, self.dt)   # BDF2's, the larger shift
         require_count("n_steps", self.n_steps, 1)
 
 

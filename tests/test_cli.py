@@ -278,6 +278,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     ("[run]\ndt = -1\n", "dt must be positive"),
     ("[run]\ndt = nan\n", "dt must be positive"),
     ("[run]\ndt = inf\n", "dt must be positive and finite"),
+    ("[run]\ndt = 1e-320\n", "dt = 1e-320 is too small: 1.5/dt overflows"),
     ("[run]\nmode = steady\n", "unknown key 'mode'"),
     ("[solver]\nanisotropy_threshold = 4\n",
      "unknown key 'anisotropy_threshold'"),
@@ -302,8 +303,8 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
         "target_absolute_inf", "cfl_init_above_max", "cfl_init_subnormal",
-        "n_cells", "dt", "dt_nan", "dt_inf", "removed_mode_key",
-        "removed_anisotropy_key", "removed_enabled_key",
+        "n_cells", "dt", "dt_nan", "dt_inf", "dt_subnormal",
+        "removed_mode_key", "removed_anisotropy_key", "removed_enabled_key",
         "removed_beta_cfl2_key", "removed_cfl_max_key", "lambda_nan",
         "eps_nan", "vx_inf", "sigma_inf", "ly", "eps_negative",
         "sigma_negative", "stretching_1e300",

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
 from ptcsmooth.linalg import (GmresStats, SingularPivotError,
@@ -335,7 +338,7 @@ def test_singular_reduced_pivot_names_its_original_position():
 def test_singular_pivot_on_later_line(zero_cells, message):
     # [2, 3, 4] fills column 0; [0, 1] and [5] share column 1, [5] at row 2.
     lines = kernel_lines(6, [[0, 1], [2, 3, 4], [5]])
-    assert lines.placement.tolist() == [[1, 0], [0, 0], [1, 2]]
+    assert lines.index.tolist() == [[2, 0], [3, 1], [4, 5]]
     diag = np.ones((6, 1, 1))
     diag[zero_cells] = 0.0
     off = np.zeros((3, 1, 1))
@@ -386,6 +389,48 @@ def test_infinite_reduced_pivot_names_the_lines_own_pivot(n, line_cells):
                        match="non-finite pivot block on line 0 at position 1$"), \
             np.errstate(over="ignore", invalid="ignore"):
         factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
+
+
+# Entries whose products and reciprocals underflow, overflow and cancel.
+PIVOT_ENTRIES = [0.0] + [sign * m for sign in (1.0, -1.0)
+                         for m in (0.5, 1.0, 1e150, 1e-150, 1e200, 1e-200,
+                                   1e300)]
+
+
+@st.composite
+def pivot_naming_cases(draw):
+    """1-5 lines of 1-16 cells, cells in random order across lines, with
+    1x1 or 2x2 blocks whose entries are drawn from ``PIVOT_ENTRIES``."""
+    lengths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=5))
+    n = sum(lengths)
+    cells = draw(st.permutations(range(n)))
+    bounds = np.cumsum([0] + lengths).tolist()
+    lines = kernel_lines(n, [cells[i:j]
+                             for i, j in zip(bounds[:-1], bounds[1:])])
+    b = draw(st.sampled_from([1, 2]))
+    entries = st.sampled_from(PIVOT_ENTRIES)
+    diag, off_ij, off_ji = (
+        draw(arrays(float, (count, b, b), elements=entries))
+        for count in (n, len(lines.edges), len(lines.edges)))
+    return lines, FirstOrderBlocks(diag, off_ij, off_ji)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_naming_cases())
+def test_failing_pivot_is_named_on_a_line_property(case):
+    """Whatever fails, the message names an existing line and a position
+    on it: a slot no line holds is never the one named."""
+    lines, blocks = case
+    try:
+        with np.errstate(all="ignore"):
+            factor_block_tridiag(lines, blocks)
+    except SingularPivotError as exc:
+        found = re.fullmatch(r"(singular pivot block|non-finite pivot "
+                             r"(inverse|block)) on line (\d+) at position "
+                             r"(\d+)", str(exc))
+        assert found, str(exc)
+        li, pos = int(found[3]), int(found[4])
+        assert li < len(lines.lines) and pos < len(lines.lines[li])
 
 
 @pytest.mark.parametrize("ij_shape, ji_shape", [
@@ -502,7 +547,10 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     assert len(lines.index) == 2 ** k_max.bit_length() - 1
     expected = np.full_like(lines.index, n)
     mask = np.zeros(lines.pair_mask.shape, dtype=bool)
-    for line, (col, offset) in zip(lines.lines, lines.placement.tolist()):
+    for line in lines.lines:
+        # The cells of a line sit at rows offset..offset+k of one column.
+        (offset,), (col,) = np.nonzero(lines.index == line[0])
+        assert lines.index[offset:offset + len(line), col].tolist() == line
         assert offset % 2 ** len(line).bit_length() == 0
         assert np.all(expected[offset:offset + len(line), col] == n)
         expected[offset:offset + len(line), col] = line
@@ -571,7 +619,8 @@ def test_stencil_edges_between_lines_sharing_a_column_are_not_gathered():
     # 0 and 2). Stencil edges (0, 7) and (3, 8) join cells of different
     # lines: their blocks, however large, are not gathered.
     inner = kernel_lines(9, [[0, 1, 2], [3], [4, 5, 6, 7], [8]])
-    assert inner.placement.tolist() == [[0, 4], [1, 0], [0, 0], [1, 2]]
+    assert inner.index.tolist() == [[4, 3], [5, 9], [6, 8], [7, 9],
+                                    [0, 9], [1, 9], [2, 9]]
     edges = np.vstack((inner.edges, [[0, 7], [3, 8]]))
     lines = LineSet(9, inner.lines, edges)
     diag = np.full((9, 1, 1), 4.0)
@@ -591,7 +640,7 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
     # at rows 8-10. Its pivots are all 1, but the level-1 pivot of its
     # position 1 (row 9) is 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
     lines = kernel_lines(11, [list(range(8)), [8, 9, 10]])
-    assert lines.placement.tolist() == [[0, 0], [0, 8]]
+    assert lines.index.T.tolist() == [list(range(11)) + [11] * 4]
     diag = np.full((11, 1, 1), 4.0)
     diag[8:] = 1.0
     off_ij, off_ji = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
@@ -642,10 +691,10 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
     fact = factor_block_tridiag(lines, blocks)
     x = fact.solve_values(r.reshape(-1)).reshape(n, b)
     pivots = _pivot_inverses(fact)
-    for line, (col, offset), pairs in zip(lines.lines,
-                                          lines.placement.tolist(),
-                                          line_couplings(lines, blocks)):
+    for line, pairs in zip(lines.lines, line_couplings(lines, blocks)):
         k = len(line)
+        (offset,), (col,) = np.nonzero(lines.index == line[0])
+        assert lines.index[offset:offset + k, col].tolist() == line
         alone = kernel_lines(k, [list(range(k))])
         # The line's cells renumbered 0..k-1 in line order: each pair's
         # upper block is its edge's off_ij.

@@ -61,7 +61,7 @@ def test_line_blocks_follow_line_direction():
     # three more; the pair mask marks the five in-line pairs. Every pair's
     # two blocks differ, so a swapped one would show in the solve.
     pairs = [(15, 11), (11, 7), (7, 3), (0, 1), (1, 2)]
-    assert lines.placement[:2].tolist() == [[0, 0], [0, 4]]
+    assert lines.index[:, 0].tolist() == [15, 11, 7, 3, 0, 1, 2]
     assert lines.pair_mask.sum() == len(pairs)
     assert all(not np.array_equal(expected[(row, col)], expected[(col, row)])
                for row, col in pairs)

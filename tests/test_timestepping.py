@@ -100,6 +100,20 @@ def test_dt_validation():
             BdfStepSystem(sys, w, None, dt)
         with pytest.raises(ValueError, match="dt must be positive"):
             UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
+    # Positive and finite, but the BDF shift c/dt overflows: the inner
+    # solve would otherwise meet only non-finite pivot blocks.
+    for dt in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="is too small: 1.0/dt overflows"):
+            BdfStepSystem(sys, w, None, dt)
+        with pytest.raises(ValueError, match="is too small: 1.5/dt overflows"):
+            UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
+    # 1/dt is finite, 1.5/dt is not: BDF1 takes this dt, BDF2 refuses it.
+    dt = 1.2 / np.finfo(float).max
+    assert BdfStepSystem(sys, w, None, dt).shift_coeff == 1.0 / dt < np.inf
+    with pytest.raises(ValueError, match="1.5/dt overflows"):
+        BdfStepSystem(sys, w, w, dt)
+    with pytest.raises(ValueError, match="1.5/dt overflows"):
+        UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
     for n_steps in (0, 2.5):
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             UnsteadyConfig(dt=0.1, n_steps=n_steps, inner=PtcConfig())

@@ -1,0 +1,54 @@
+"""The checks of ``tools/trace_guard.py``, on made-up result lines."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_guard.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("trace_guard", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(correct=True, failed=0, changed=()):
+    """A result line that passes every check, but for ``changed`` metrics."""
+    values = {"linalg.factor.calls": 65, "ptc.precon_build.calls": 47,
+              "smoother.build.calls": 18, "lines.multi_cell_frac": 1.0,
+              "lines.extract.calls": 2}
+    values.update(changed)
+    return {"correct": correct, "failed": failed,
+            "metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_every_workload_passes_a_passing_result():
+    tool = _load_tool()
+    assert all(tool.failed_checks(workload, _result()) == []
+               for workload in tool.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload, result, failed", [
+    ("convdiff_sweep", _result(correct=False), "correct"),
+    ("convdiff_sweep", _result(failed=1), "failed 1 == 0"),
+    ("unsteady_bdf", _result(changed={"linalg.factor.calls": 66}),
+     "linalg.factor.calls 66 == ptc.precon_build.calls 47 + "
+     "smoother.build.calls 18"),
+    ("nozzle_sweep", _result(changed={"lines.multi_cell_frac": 0.5}),
+     "lines.multi_cell_frac 0.5 == 1"),
+    ("unsteady_bdf", _result(changed={"lines.extract.calls": 6}),
+     "lines.extract.calls 6 == 2"),
+], ids=["incorrect", "failed_operation", "third_factor_path",
+        "singleton_nozzle_lines", "per_step_extraction"])
+def test_each_check_fails_alone(workload, result, failed):
+    assert _load_tool().failed_checks(workload, result) == [failed]
+
+
+def test_missing_count_fails():
+    result = _result()
+    del result["metrics"]["smoother.build.calls"]
+    assert _load_tool().failed_checks("convdiff_sweep", result) == [
+        "missing 'smoother.build.calls'"]
