@@ -25,9 +25,9 @@ def _bdf_shift(c: float, dt: float) -> float:
     positive and finite, or whose shift overflows, raises ``ValueError``."""
     if not 0.0 < dt < np.inf:   # NaN included
         raise ValueError("dt must be positive and finite")
-    if c / float(dt) == np.inf:
+    if (shift := c / float(dt)) == np.inf:
         raise ValueError(f"dt = {dt} is too small: {c}/dt overflows")
-    return c / float(dt)
+    return shift
 
 
 class BdfStepSystem(NonlinearSystem):
@@ -94,8 +94,8 @@ class UnsteadyConfig:
     inner: PtcConfig
 
     def __post_init__(self):
-        _bdf_shift(1.5, self.dt)   # BDF2's, the larger shift
         require_count("n_steps", self.n_steps, 1)
+        _bdf_shift(1.5 if self.n_steps > 1 else 1.0, self.dt)
 
 
 @dataclass

@@ -114,6 +114,8 @@ def test_dt_validation():
         BdfStepSystem(sys, w, w, dt)
     with pytest.raises(ValueError, match="1.5/dt overflows"):
         UnsteadyConfig(dt=dt, n_steps=2, inner=PtcConfig())
+    # A one-step run takes only the BDF1 step, so its config takes this dt.
+    assert UnsteadyConfig(dt=dt, n_steps=1, inner=PtcConfig()).dt == dt
     for n_steps in (0, 2.5):
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             UnsteadyConfig(dt=0.1, n_steps=n_steps, inner=PtcConfig())

@@ -3,8 +3,7 @@ check the call counts the design promises.
 
 Run from the repository root:
 
-    python3 tools/trace_guard.py                 # every workload
-    python3 tools/trace_guard.py nozzle_sweep    # a selection
+    python3 tools/trace_guard.py
 
 Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
 --trace 1``, and its last output line, the result, must show:
@@ -73,14 +72,9 @@ def run_workload(workload: str) -> List[str]:
     return failed_checks(workload, json.loads(proc.stdout.splitlines()[-1]))
 
 
-def main(argv: List[str]) -> int:
-    unknown = [name for name in argv if name not in WORKLOADS]
-    if unknown:
-        print(f"unknown workload(s) {', '.join(unknown)}; "
-              f"choose from {', '.join(WORKLOADS)}", file=sys.stderr)
-        return 2
+def main() -> int:
     ok = True
-    for workload in argv or WORKLOADS:
+    for workload in WORKLOADS:
         failed = run_workload(workload)
         print(f"{workload}: "
               + ("FAIL " + "; ".join(failed) if failed else "ok"), flush=True)
@@ -89,4 +83,4 @@ def main(argv: List[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
