@@ -2,8 +2,7 @@
 
 from .core import (BlockLayout, BlockVector, ContractViolationError,
                    ConvergenceRecord, FirstOrderBlocks,
-                   InadmissibleStateError, NonlinearSystem, l2_norm,
-                   validate_jacobian)
+                   InadmissibleStateError, NonlinearSystem, l2_norm)
 from .linalg import (BlockTridiagFactorization, GmresStats,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .core import ConvergenceRecord, InadmissibleStateError, NonlinearSystem
 from .lines import extract_lines
@@ -29,8 +30,6 @@ from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 from .problems import make_aniso_convdiff, make_bratu, make_quasi1d_euler
 from .smoother import DEFAULT_CYCLES, DEFAULT_STAGE_COEFFS, RkSchedule
 from .timestepping import TimeHistory, UnsteadyConfig, advance_unsteady
-
-OUTPUT_DIR_ENV = "PTCSMOOTH_OUTPUT_DIR"
 
 CSV_HEADER = ("step,cfl,alpha,krylov,linear_reduction,residual_l2,"
               "ptc_residual_l2,cumulative_krylov,accepted")
@@ -320,8 +319,9 @@ def _unsteady(config: RunConfig, problem: NonlinearSystem,
 def _lines(config: RunConfig, problem: NonlinearSystem,
            out: _Out) -> Tuple[int, Optional[dict]]:
     """Extract and write the solver line set at the initial state."""
-    line_set = extract_lines(
-        problem.first_order_blocks(problem.initial_state()), problem.edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = problem.first_order_blocks(problem.initial_state())
+    line_set = extract_lines(blocks, problem.edges)
     path = out("lines.txt")
     path.write_text(line_set.to_text())
     multi = line_set.multi_cell_lines()
@@ -351,7 +351,7 @@ def run(config: RunConfig, command: str) -> int:
     _, execute, summary_suffix = _COMMANDS[command]
     output = config.values["output"]
     try:
-        outdir = Path(os.environ.get(OUTPUT_DIR_ENV, output["dir"]))
+        outdir = Path(output["dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         prefix = output["prefix"] or config.problem_name
 

@@ -24,7 +24,8 @@ from typing import List
 
 import numpy as np
 
-from .core import ContractViolationError, FirstOrderBlocks
+from .core import (ContractViolationError, FirstOrderBlocks,
+                   InadmissibleStateError)
 
 # A seed needs at least this anisotropy, and a path only follows an edge
 # within this factor of its endpoint's strongest.
@@ -124,33 +125,37 @@ def singleton_lines(n_cells: int) -> LineSet:
 
 
 def extract_lines(blocks: FirstOrderBlocks, edges: np.ndarray) -> LineSet:
-    """One line per component of a union of paths, else greedy
-    strongest-coupling path growth seeded at anisotropic cells.
+    """Lines grown along the strongest couplings by one rule, from one of
+    two seed sets.
 
     The coupling graph has one edge per pair of the stencil ``edges`` (the
     system's, which ``blocks`` are over), weighted by the larger Frobenius
-    norm of the pair's two off-diagonal blocks. Weights must be finite. If
-    every cell has at most two edges and no component is a cycle, each
-    component is one line, walked from its lower-index end, and lines are
-    ordered by that end; weights do not matter then. A 2D grid never
-    qualifies (interior cells have four edges, and a 2x2 block is a cycle),
-    so its lines come from the greedy rule below.
+    norm of the pair's two off-diagonal blocks; a non-finite weight (an
+    overflowing norm included) raises ``InadmissibleStateError``. Each
+    cell's edges are sorted once, strongest first, lower neighbor first on
+    ties. From each unvisited seed in turn, a path grows forward, then
+    backward, each step to the first unvisited neighbor in the end cell's
+    order while that edge carries at least ``threshold`` times the end
+    cell's strongest weight.
 
-    Greedy: each cell's edges are sorted once, strongest first and the
-    lower neighbor first on ties, and that order decides the rest. A cell's
-    anisotropy is its strongest over its weakest weight; seeds are visited
-    in descending anisotropy (ties broken by lower cell index). A path grows
-    both ways from its seed, each step to the first unvisited neighbor in
-    the end cell's order, while that edge carries at least
-    ``1/ANISOTROPY_THRESHOLD`` of the end cell's strongest weight. Unreached
-    cells become singletons.
+    If every cell has at most two edges, the seeds are the cells of fewer
+    than two edges in index order, at threshold 0: each component of a
+    union of paths is one line, walked from its lower-index end, whatever
+    the weights. A cell left unvisited lies on a cycle, and then, as on
+    any graph with a cell of three or more edges (a 2D grid), the seeds are
+    the cells whose anisotropy (strongest over weakest weight; 1 with fewer
+    than two edges) is at least ``ANISOTROPY_THRESHOLD``, in descending
+    anisotropy then index order, at threshold ``1/ANISOTROPY_THRESHOLD``;
+    unreached cells become singletons.
     """
     n_cells, b = blocks.diag.shape[:2]
     shape = (len(edges), b * b)
-    weights = np.maximum(np.linalg.norm(blocks.off_ij.reshape(shape), axis=1),
-                         np.linalg.norm(blocks.off_ji.reshape(shape), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.maximum(
+            np.linalg.norm(blocks.off_ij.reshape(shape), axis=1),
+            np.linalg.norm(blocks.off_ji.reshape(shape), axis=1))
     if not np.all(np.isfinite(weights)):
-        raise ValueError("coupling weights must be finite")
+        raise InadmissibleStateError("coupling weights must be finite")
     # inc[c]: the (weight, neighbor) pairs of cell c's edges in that order;
     # every edge appears once from each end.
     cell = edges.T.ravel()
@@ -161,57 +166,48 @@ def extract_lines(blocks: FirstOrderBlocks, edges: np.ndarray) -> LineSet:
     bounds = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
     inc = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    # A union of paths: one line per component, walked from its lower end.
-    if all(len(incident) <= 2 for incident in inc):
-        walked = [False] * n_cells
-        chains: List[List[int]] = []
-        for start in range(n_cells):
-            if walked[start] or len(inc[start]) == 2:
-                continue
-            walked[start] = True
-            chain = [start]
-            while nxt := [nb for _, nb in inc[chain[-1]] if not walked[nb]]:
-                walked[nxt[0]] = True
-                chain.append(nxt[0])
-            chains.append(chain)
-        if all(walked):   # else some component is a cycle
-            return LineSet(n_cells, chains, edges)
+    def walk(seeds, threshold: float):
+        """The paths grown from ``seeds``, and which cells they visit."""
+        visited = [False] * n_cells
 
-    # Fewer than two edges is isotropic; a zero weakest weight is infinitely
-    # anisotropic unless every weight is zero.
+        def step(end: int) -> int:
+            """The next cell past ``end``, or -1 to stop."""
+            for weight, nb in inc[end]:
+                if not visited[nb]:
+                    return nb if weight >= threshold * inc[end][0][0] else -1
+            return -1
+
+        paths: List[List[int]] = []
+        for seed in seeds:
+            if visited[seed]:
+                continue
+            visited[seed] = True
+            path = [seed]
+            for attach in (path.append, lambda c: path.insert(0, c)):
+                end = seed
+                while (end := step(end)) >= 0:
+                    visited[end] = True
+                    attach(end)
+            paths.append(path)
+        return paths, visited
+
+    if all(len(incident) <= 2 for incident in inc):
+        lines, visited = walk(
+            [c for c in range(n_cells) if len(inc[c]) < 2], 0.0)
+        if all(visited):
+            return LineSet(n_cells, lines, edges)
+
+    # A zero weakest weight is infinitely anisotropic unless every weight
+    # is zero.
     aniso = np.ones(n_cells)
     for c, incident in enumerate(inc):
         if len(incident) >= 2:
             strongest, weakest = incident[0][0], incident[-1][0]
             aniso[c] = (strongest / weakest if weakest > 0.0
                         else np.inf if strongest > 0.0 else 1.0)
-    seeds = sorted(range(n_cells), key=lambda c: (-aniso[c], c))
-    visited = [False] * n_cells
-    lines: List[List[int]] = []
-
-    def grow(end: int) -> int:
-        """The next cell past ``end``, or -1 to stop."""
-        for weight, nb in inc[end]:
-            if not visited[nb]:
-                return (nb if weight >= inc[end][0][0] / ANISOTROPY_THRESHOLD
-                        else -1)
-        return -1
-
-    for seed in seeds:
-        if visited[seed] or aniso[seed] < ANISOTROPY_THRESHOLD:
-            continue
-        visited[seed] = True
-        path = [seed]
-        # Grow forward from the seed, then backward from it.
-        for attach in (path.append, lambda c: path.insert(0, c)):
-            end = seed
-            while (end := grow(end)) >= 0:
-                visited[end] = True
-                attach(end)
-        lines.append(path)
-
-    for c in range(n_cells):
-        if not visited[c]:
-            lines.append([c])
-
-    return LineSet(n_cells, lines, edges)
+    seeds = sorted((c for c in range(n_cells)
+                    if aniso[c] >= ANISOTROPY_THRESHOLD),
+                   key=lambda c: (-aniso[c], c))
+    lines, visited = walk(seeds, 1.0 / ANISOTROPY_THRESHOLD)
+    return LineSet(n_cells, lines + [[c] for c in range(n_cells)
+                                     if not visited[c]], edges)

@@ -266,15 +266,17 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     Solver lines are ``lines``, or extracted at the starting state when it
     is ``None``, and frozen; both line factorizations are rebuilt at each
     Newton step's state. The first-order blocks are evaluated once per
-    state: a rejected step leaves the state bit-identical, so the next step
-    reuses them. A step is accepted only when the line search found a
-    fraction that decreases the pseudo-unsteady residual, so accepted steps
-    descend whatever the linearization. A starting state whose layout is
-    not the system's, or ``lines`` over another cell count or (with an
-    in-line pair) another stencil, raises ``ContractViolationError``; a
-    start that ``trial_residual`` rejects, its residual overflowing
-    included, raises ``InadmissibleStateError``. All are raised before any
-    step.
+    state, without overflow warnings (a non-finite block is refused where
+    it is used): a rejected step leaves the state bit-identical, so the
+    next step reuses them. A step is accepted only when the line search
+    found a fraction that decreases the pseudo-unsteady residual, so
+    accepted steps descend whatever the linearization. A starting state
+    whose layout is not the system's, or ``lines`` over another cell count
+    or (with an in-line pair) another stencil, raises
+    ``ContractViolationError``; a start that ``trial_residual`` rejects,
+    its residual overflowing included, or whose couplings are not finite
+    when lines are to be extracted there, raises
+    ``InadmissibleStateError``. All are raised before any step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
     if w.layout != system.layout:
@@ -299,7 +301,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         return SolveReport(SolveOutcome.CONVERGED, 0, 0, r_norm, r_norm,
                            history, w)
 
-    blocks = system.first_order_blocks(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = system.first_order_blocks(w)
     if lines is None:
         lines = extract_lines(blocks, system.edges)
 
@@ -309,7 +312,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
 
     for step in range(1, config.max_newton_steps + 1):
         if blocks is None:
-            blocks = system.first_order_blocks(w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = system.first_order_blocks(w)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks)
         cumulative_krylov += ns.stats.iterations

@@ -104,10 +104,6 @@ class TimeHistory:
     functionals: List[float]
     aborted: bool = False
 
-    @property
-    def final_state(self) -> Optional[BlockVector]:
-        return self.reports[-1].final_state if self.reports else None
-
 
 def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHistory:
     """March physical time steps, BDF1 on the first step and BDF2 after.
@@ -119,11 +115,15 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
     extraction does not weigh), and each step after a converged one starts
     at the CFL ``cfl_update`` gives for its last history row, if it has one.
     An inner solve that does not converge aborts the run, returning the
-    partial history; its report's outcome says why.
+    partial history; its report's outcome says why. A start whose
+    couplings are not finite raises ``InadmissibleStateError``, as
+    ``solve_steady`` does, before any step.
     """
     w_prev = system.initial_state()
     w_prev2: Optional[BlockVector] = None
-    lines = extract_lines(system.first_order_blocks(w_prev), system.edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = system.first_order_blocks(w_prev)
+    lines = extract_lines(blocks, system.edges)
     inner = config.inner
     reports: List[SolveReport] = []
     functionals: List[float] = []

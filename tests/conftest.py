@@ -1,10 +1,14 @@
-"""Shared fixtures: a linear block-structured system and dense oracles."""
+"""Shared fixtures: a linear block-structured system, dense oracles and a
+finite-difference check of a system's Jacobian-vector product."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from ptcsmooth.core import (BlockLayout, BlockVector, FirstOrderBlocks,
-                            NonlinearSystem)
+from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
+                            FirstOrderBlocks, NonlinearSystem, l2_norm,
+                            trial_residual)
 from ptcsmooth.lines import LineSet
 
 
@@ -133,3 +137,36 @@ def dense_from_lines(line_set, blocks):
 @pytest.fixture
 def scalar_chain():
     return diffusion_chain(n=8, b=1)
+
+
+def validate_jacobian(system: NonlinearSystem, w: BlockVector,
+                      n_probes: int = 5, seed: int = 0) -> float:
+    """Compare jacobian_vector against central differences of the residual.
+
+    Probes ``n_probes`` random unit directions with step
+    ``eps = sqrt(machine eps) * (1 + ||w||)`` and returns the maximum relative
+    discrepancy. A probe whose perturbed state is not usable (see
+    ``trial_residual``) is skipped with a warning.
+    """
+    rng = np.random.default_rng(seed)
+    eps = np.sqrt(np.finfo(float).eps) * (1.0 + l2_norm(w.values))
+    worst = 0.0
+    n_ok = 0
+    for k in range(n_probes):
+        direction = rng.standard_normal(w.layout.n_dofs)
+        direction /= np.linalg.norm(direction)
+        r_plus = trial_residual(
+            system, BlockVector(w.layout, w.values + eps * direction))
+        r_minus = trial_residual(
+            system, BlockVector(w.layout, w.values + (-eps) * direction))
+        if r_plus is None or r_minus is None:
+            warnings.warn(f"jacobian probe {k} skipped: unusable state")
+            continue
+        fd = (r_plus - r_minus) / (2.0 * eps)
+        jv = system.jacobian_vector(w, direction)
+        scale = max(np.linalg.norm(jv), np.linalg.norm(fd), 1e-300)
+        worst = max(worst, float(np.linalg.norm(jv - fd) / scale))
+        n_ok += 1
+    if n_ok == 0:
+        raise ContractViolationError("all jacobian probes failed to evaluate")
+    return worst

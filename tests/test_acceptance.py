@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import ptcsmooth.ptc as ptc_mod
-from ptcsmooth.core import (BlockVector, FirstOrderBlocks, l2_norm,
-                            validate_jacobian)
+from ptcsmooth.core import BlockVector, FirstOrderBlocks, l2_norm
 from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned
 from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
@@ -20,7 +19,7 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
 from conftest import (dense_from_lines, diffusion_chain, full_chain_lines,
-                      kernel_lines, random_couplings)
+                      kernel_lines, random_couplings, validate_jacobian)
 from test_linalg import _dense_operator
 
 

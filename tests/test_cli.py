@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,14 +206,6 @@ prefix = chain
     assert rows == [" ".join(str(c) for c in range(40))]
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    outdir = tmp_path / "env_out"
-    monkeypatch.setenv("PTCSMOOTH_OUTPUT_DIR", str(outdir))
-    cfg = _write(tmp_path, "[problem]\nname = bratu\nn_cells = 24\n")
-    assert main(["solve", cfg]) == 0
-    assert (outdir / "bratu_history.csv").exists()
-
-
 def test_parse_failure_exits_nonzero(tmp_path):
     cfg = _write(tmp_path, "[problem]\nname = bratu\n[solver]\ncfl_init = bad\n")
     assert main(["solve", cfg]) == 1
@@ -321,17 +314,24 @@ def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
         assert not outdir.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "unsteady"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "unsteady", "lines"])
 def test_inadmissible_start_is_a_documented_abort(tmp_path, capsys, command):
-    # The residual at the zero start is -1e308 in every cell, so its norm
-    # overflows and the solver refuses the start before any step.
-    outdir = tmp_path / "out"
-    cfg = _write(tmp_path,
-                 MINIMAL + f"lambda = 1e308\n[output]\ndir = {outdir}\n")
-    assert main([command, cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("inadmissible start: ") and "Traceback" not in err
-    assert not list(outdir.iterdir())
+    # bratu: the residual at the zero start is -1e308 in every cell, so its
+    # norm overflows and the solver refuses the start before any step (the
+    # lines command evaluates no residual). nozzle: the residual is finite,
+    # but the first-order couplings overflow, so no lines can be extracted.
+    starts = [NOZZLE + "n_cells = 32\nrho_in = 1e-200\nu_in = 2e103\n"]
+    if command != "lines":
+        starts.append(MINIMAL + "lambda = 1e308\n")
+    for k, start in enumerate(starts):
+        outdir = tmp_path / f"out{k}"
+        cfg = _write(tmp_path, start + f"[output]\ndir = {outdir}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inadmissible start: ") and "Traceback" not in err
+        assert not list(outdir.iterdir())
 
 
 def test_override_error_names_override():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
-                            l2_norm, validate_jacobian)
+                            l2_norm)
 from ptcsmooth.problems import make_bratu
 
-from conftest import diffusion_chain
+from conftest import diffusion_chain, validate_jacobian
 
 
 def test_layout_validation():

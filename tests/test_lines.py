@@ -389,12 +389,15 @@ def _greedy_reference(blocks, edges, threshold=4.0):
 @st.composite
 def coupling_graphs(draw):
     """Chain (ny = 1) and grid graphs, so 1 to 4 edges per cell, plus
-    isolated cells, under a random cell numbering. Weights are zero or
-    powers of 2, so that weight ratios hit the threshold 4 exactly and
-    ties are common."""
+    isolated cells and an optional disjoint chain or ring, under a random
+    cell numbering: a ring beside a chain sends the whole graph to the
+    greedy rule. Weights are zero or powers of 2, so that weight ratios hit
+    the threshold 4 exactly and ties are common."""
     nx = draw(st.integers(min_value=1, max_value=8))
     ny = draw(st.integers(min_value=1, max_value=6))
-    n = nx * ny + draw(st.integers(min_value=0, max_value=3))
+    extra = draw(st.sampled_from([None, "chain", "ring"]))
+    m = draw(st.integers(min_value=3, max_value=6)) if extra else 0
+    n = nx * ny + m + draw(st.integers(min_value=0, max_value=3))
     label = draw(st.permutations(range(n)))
     edges = []
     for j in range(ny):
@@ -404,6 +407,10 @@ def coupling_graphs(draw):
                 edges.append(sorted((label[k], label[k + 1])))
             if j + 1 < ny:
                 edges.append(sorted((label[k], label[k + nx])))
+    extra_cells = label[nx * ny:nx * ny + m]
+    if extra == "ring":
+        extra_cells = extra_cells + extra_cells[:1]
+    edges += [sorted(pair) for pair in zip(extra_cells, extra_cells[1:])]
     weights = draw(st.lists(
         st.sampled_from([0.0] + [2.0 ** e for e in range(-4, 5)]),
         min_size=len(edges), max_size=len(edges)))

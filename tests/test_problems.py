@@ -5,12 +5,14 @@ import pytest
 from scipy.optimize import brentq
 
 from ptcsmooth.core import (BlockVector, InadmissibleStateError, l2_norm,
-                            trial_residual, validate_jacobian)
+                            trial_residual)
 from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.problems import (convdiff, make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 from ptcsmooth.timestepping import BdfStepSystem
+
+from conftest import validate_jacobian
 
 # Peak of the lambda = 1 Bratu solution on an 8192-cell grid, computed with an
 # independent banded-LU Newton script before this suite was written.

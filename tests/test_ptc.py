@@ -562,6 +562,22 @@ def test_inadmissible_start_is_documented_abort(start):
         solve_steady(problem, PtcConfig(), w0=w0)
 
 
+def test_start_with_overflowing_couplings_is_documented_abort():
+    # The residual is finite (norm about 6.5e108), but the flux Jacobian
+    # overflows, so the first-order couplings are not: no lines can be
+    # extracted at this start, and the blocks are evaluated silently.
+    p = make_quasi1d_euler(32, rho_in=1e-200, u_in=2e103)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InadmissibleStateError,
+                           match="coupling weights must be finite"):
+            solve_steady(p, PtcConfig())
+        # Given lines, each step's non-finite blocks reject the step.
+        rep = solve_steady(p, PtcConfig(), lines=singleton_lines(32))
+    assert rep.outcome == SolveOutcome.STAGNATED
+    assert rep.history and not any(row.accepted for row in rep.history)
+
+
 @pytest.mark.parametrize("build", [lambda: make_bratu(8),
                                    lambda: make_aniso_convdiff(4, 4),
                                    lambda: make_quasi1d_euler(16)],

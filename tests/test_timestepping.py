@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import ptcsmooth.ptc
 import ptcsmooth.timestepping
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
-                            FirstOrderBlocks, NonlinearSystem, l2_norm,
-                            validate_jacobian)
+                            FirstOrderBlocks, InadmissibleStateError,
+                            NonlinearSystem, l2_norm)
 from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import (CFL_STAGNATION_FLOOR, PtcConfig, SolveOutcome,
                            cfl_update, solve_steady)
@@ -17,7 +18,7 @@ from ptcsmooth.timestepping import (BdfStepSystem, UnsteadyConfig,
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-from conftest import diffusion_chain
+from conftest import diffusion_chain, validate_jacobian
 
 
 class ZeroSystem(NonlinearSystem):
@@ -164,7 +165,7 @@ def test_large_dt_unsteady_matches_steady_solve():
     hist = advance_unsteady(p, UnsteadyConfig(dt=1e12, n_steps=1,
                                               inner=PtcConfig()))
     w_steady = steady.final_state.values
-    w_unsteady = hist.final_state.values
+    w_unsteady = hist.reports[-1].final_state.values
     err = np.linalg.norm(w_unsteady - w_steady) / np.linalg.norm(w_steady)
     assert err <= 1e-8
 
@@ -240,6 +241,17 @@ def test_stagnation_aborts_with_partial_history():
     # the abort must come before any next-step config is built.
     last = hist.reports[0].history[-1]
     assert cfl_update(last.cfl, last.alpha, inner)[0] < CFL_STAGNATION_FLOOR
+
+
+def test_start_with_overflowing_couplings_aborts_before_any_step():
+    # A finite residual, but first-order couplings that overflow: the run's
+    # one line extraction refuses the start, with no warning.
+    p = make_quasi1d_euler(32, rho_in=1e-200, u_in=2e103)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InadmissibleStateError,
+                           match="coupling weights must be finite"):
+            advance_unsteady(p, UnsteadyConfig(0.1, 2, PtcConfig()))
 
 
 def test_unconverged_inner_solve_aborts():
