@@ -4,12 +4,18 @@ The GMRES here deliberately has no restart cycles: the continuation driver
 hands it a fixed Krylov budget and treats running out of budget as a failure
 for the CFL controller to act on, so restarts would only blur the cost
 accounting.
+
+The line kernels factor and solve every line of a ``LineSet`` at once by
+block cyclic reduction over its packed layout. Packing changes no byte of a
+line's pivots, and nothing another line holds changes a byte of its
+solution; the solve applies its last levels as one dense operator per
+column, so a line's solution rounds with the height of its column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +152,37 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 # Block-tridiagonal (cyclic reduction) kernels
 # ---------------------------------------------------------------------------
 
+# The last levels of the reduction, which with the root leave at most
+# 2^(TOP_LEVELS + 1) - 1 = 15 rows per column, are applied as one dense
+# operator: on that few rows a level's batched calls cost about what their
+# dispatch costs.
+TOP_LEVELS = 3
+
+
+def _cyclic_solve(levels: Sequence[Tuple[np.ndarray, ...]],
+                  middle: Operator, y: np.ndarray) -> np.ndarray:
+    """Reduce ``y``, (rows, n_columns, b, k): k right-hand sides per column,
+    over ``levels``; apply ``middle`` to the rows that remain; then
+    back-substitute. Each level reads its even rows into a new array and
+    builds the odd rows it keeps as another; back-substitution interleaves
+    them again."""
+    mul = np.multiply if y.shape[2] == 1 else np.matmul
+    evens = []
+    for dinv, left, right, _, _ in levels:
+        even = mul(dinv, y[0::2])
+        y = y[1::2] - (mul(left, even[:-1]) + mul(right, even[1:]))
+        evens.append(even)
+    y = middle(y)
+    for (_, _, _, dinv_lower, dinv_upper), even in zip(
+            reversed(levels), reversed(evens)):
+        even[1:] -= mul(dinv_lower, y)
+        even[:-1] -= mul(dinv_upper, y)
+        rows = np.empty((len(even) + len(y),) + y.shape[1:])
+        rows[0::2], rows[1::2] = even, y
+        y = rows
+    return y
+
+
 @dataclass
 class BlockTridiagFactorization:
     """Pivot-free block cyclic reduction of the line-structured operator.
@@ -159,11 +196,17 @@ class BlockTridiagFactorization:
     multiple of 2^B, B the bit length of its cell count, so each of its rows
     meets the levels and in-line partners it would meet in a column of its
     own, and every term from another line is a product with an exact zero:
-    factor and solve give those bytes. Every column reduces at once, so a
-    factor or solve makes a few batched calls per level rather than one
-    pass per position. With 1x1 blocks every block product is elementwise,
-    which has the value of ``@`` except for the sign of an exactly zero
-    product; larger blocks use ``@``.
+    sharing a column changes no byte of a line's pivots, and no entry of
+    another line changes a byte of its solution. The last ``TOP_LEVELS``
+    levels and the root are also held as ``top``, one dense operator per
+    column on the rows those levels start from, and the solve applies it
+    in their place; its products sum over the whole column's rows, so a
+    line's solution rounds as the column's height has it, not as a column
+    of its own would. Every column reduces at once, so a factor or solve
+    makes a few batched calls per level rather than one pass per position.
+    With 1x1 blocks every block product of a level is elementwise, which
+    has the value of ``@`` except for the sign of an exactly zero product;
+    larger blocks, and ``top``, use ``@``.
     Immutable after construction and safe to share read-only.
     """
 
@@ -176,12 +219,15 @@ class BlockTridiagFactorization:
     # dinv times the coupling of even rows 0..P-1 to the odd row after.
     levels: Tuple[Tuple[np.ndarray, ...], ...]
     root: np.ndarray     # (n_columns, b, b) inverted root pivots
+    # (n_columns, R b, R b): the inverse of each column's reduced operator
+    # on the R = 2^(l + 1) - 1 rows left before its last l = min(L - 1,
+    # TOP_LEVELS) levels, unknowns ordered row-major (row, component).
+    top: np.ndarray
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
-        """Reduction, root solve and back-substitution, all columns at once.
+        """Reduction below the top, one batched ``top @ y``, and
+        back-substitution, all columns at once.
 
-        Each level reads its even rows into a new array and builds the odd
-        rows it keeps as another; back-substitution interleaves them again.
         A non-finite entry of ``r`` may spread to every cell of its column
         (through 0 * inf on a coupling between two lines); callers pass a
         finite ``r``."""
@@ -194,22 +240,15 @@ class BlockTridiagFactorization:
         padded[:n] = r.reshape(n, b)
         index = self.lines.index
         y = padded[index][..., None]   # (2^L - 1, n_columns, b, 1)
-        mul = np.multiply if b == 1 else np.matmul
-        evens = []
-        for dinv, left, right, _, _ in self.levels:
-            even = mul(dinv, y[0::2])
-            y = y[1::2] - (mul(left, even[:-1]) + mul(right, even[1:]))
-            evens.append(even)
-        y = mul(self.root, y)
-        for (_, _, _, dinv_lower, dinv_upper), even in zip(
-                reversed(self.levels), reversed(evens)):
-            even[1:] -= mul(dinv_lower, y)
-            even[:-1] -= mul(dinv_upper, y)
-            rows = np.empty((len(even) + len(y),) + y.shape[1:])
-            rows[0::2], rows[1::2] = even, y
-            y = rows
-        padded[index] = y[..., 0]
+        padded[index] = _cyclic_solve(self.levels[:-TOP_LEVELS],
+                                      self._apply_top, y)[..., 0]
         return padded[:n].reshape(-1)
+
+    def _apply_top(self, y: np.ndarray) -> np.ndarray:
+        """``top`` applied to the (R, n_columns, b, 1) rows left."""
+        rows, n_columns, b, _ = y.shape
+        x = self.top @ y.swapaxes(0, 1).reshape(n_columns, rows * b, 1)
+        return x.reshape(n_columns, rows, b, 1).swapaxes(0, 1)
 
 
 def _pivot_failure(block: np.ndarray) -> Optional[str]:
@@ -312,4 +351,11 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
         levels.append((dinv, left, right, dinv_lower, dinv_upper))
         cells = cells[1::2]
     root = _invert_pivots(diag, lines, cells)[0]
-    return BlockTridiagFactorization(lines, tuple(levels), root)
+    # The top: the last levels and the root solve unit right-hand sides,
+    # one per unknown of the rows those levels start from.
+    top_levels = levels[-TOP_LEVELS:]
+    rows = 2 ** (len(top_levels) + 1) - 1
+    unit = np.eye(rows * b).reshape(rows, 1, b, rows * b)
+    x = _cyclic_solve(top_levels, lambda y: mul(root, y), unit)
+    top = x.swapaxes(0, 1).reshape(len(root), rows * b, rows * b)
+    return BlockTridiagFactorization(lines, tuple(levels), root, top)

@@ -13,8 +13,10 @@ A ``LineSet`` also packs its lines into the layout the cyclic-reduction
 kernels reduce: columns of 2^L - 1 rows, each line contiguous down one
 column from a row that is a multiple of 2^B (B the bit length of its cell
 count), so that short lines and singletons share columns without changing
-a bit of any factor or solve. The slots through which the line factor
-gathers the couplings of each in-line pair are found once, at construction.
+a bit of any pivot; a line's solution changes only in rounding, with the
+height of its column, and nothing another line holds changes a bit of it.
+The slots through which the line factor gathers the couplings of each
+in-line pair are found once, at construction.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ class LineSet:
     within the 2^L - 1 rows; else it opens a new column. That alignment puts
     every cell at the same cyclic-reduction level, against the same in-line
     neighbours, as a column of its own would, so short lines and singletons
-    share columns without changing a bit of any factor or solve. An in-line
-    pair missing from the stencil ``edges`` is a ``ContractViolationError``.
+    share columns without changing a bit of any pivot. The solve's dense top
+    (``BlockTridiagFactorization.top``) sums over a column's rows, so a
+    line's solution rounds with the column's height, but nothing another
+    line holds changes a bit of it. An in-line pair missing from the
+    stencil ``edges`` is a ``ContractViolationError``.
     """
 
     n_cells: int

@@ -143,6 +143,10 @@ class NewtonStepResult:
     source: np.ndarray
     stats: GmresStats
     smoother_degraded: bool = False
+    # The PTC factor refused a non-finite diagonal block or in-line
+    # coupling: every CFL fails alike, since M/dtau only adds finite values
+    # to the diagonal.
+    futile: bool = False
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
@@ -159,7 +163,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     re-evaluated. A singular smoother factorization runs the step
     unsmoothed. GMRES non-convergence is reported through the stats for the
     controller, not raised; so are non-finite couplings or operator output
-    and a singular PTC preconditioner, as failed solves with no Krylov vectors.
+    and a singular PTC preconditioner, as failed solves with no Krylov
+    vectors, marked ``futile`` when a diagonal block or gathered coupling is
+    not finite.
     """
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
@@ -167,7 +173,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
         precon = build_ptc_preconditioner(lines, blocks, mass_over_dtau)
     except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
-        return NewtonStepResult(zero, zero, failed)
+        futile = (isinstance(exc, ContractViolationError)
+                  or not np.all(np.isfinite(blocks.diag)))
+        return NewtonStepResult(zero, zero, failed, futile=futile)
 
     source, degraded = zero, False
     if config.smoothing is not None and config.smoothing.n_cycles > 0:
@@ -270,7 +278,10 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     it is used): a rejected step leaves the state bit-identical, so the
     next step reuses them. A step is accepted only when the line search
     found a fraction that decreases the pseudo-unsteady residual, so
-    accepted steps descend whatever the linearization. A starting state
+    accepted steps descend whatever the linearization. A step whose PTC
+    factor refuses a non-finite diagonal block or in-line coupling is
+    recorded as rejected and ends the solve ``STAGNATED``: no CFL changes
+    that verdict. A starting state
     whose layout is not the system's, or ``lines`` over another cell count
     or (with an in-line pair) another stencil, raises
     ``ContractViolationError``; a start that ``trial_residual`` rejects,
@@ -344,7 +355,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         if accepted and r_norm <= threshold:
             outcome = SolveOutcome.CONVERGED
             break
-        if cfl < CFL_STAGNATION_FLOOR:
+        if cfl < CFL_STAGNATION_FLOOR or ns.futile:
             outcome = SolveOutcome.STAGNATED
             break
 

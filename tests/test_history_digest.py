@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/history_digest.py`` on one small case."""
+"""Tests of ``tools/history_digest.py``: a smoke test on one small case, and
+every case's counts against a committed table."""
 
 import importlib.util
 import re
@@ -7,6 +8,31 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "history_digest.py"
+
+# Newton steps / cumulative Krylov vectors / rejections of every line the
+# tool prints. A change to the kernels that moves only round-off keeps them.
+PINNED_COUNTS = {
+    "convdiff16x24 plain": "15/327/0",
+    "convdiff16x24 smoothed": "10/158/0",
+    "convdiff32x48 plain": "14/197/0",
+    "convdiff32x48 smoothed": "8/85/0",
+    "nozzle32 plain": "13/100/0",
+    "nozzle32 smoothed": "7/52/0",
+    "nozzle128 plain": "17/95/0",
+    "nozzle128 smoothed": "6/35/0",
+    "bratu64 plain": "12/12/0",
+    "bratu64 smoothed": "4/4/0",
+    "crit5_nozzle32_singleton plain": "25/1985/4",
+    "crit5_nozzle32_singleton smoothed": "18/1556/1",
+    "crit5_nozzle128 plain": "72/920/10",
+    "crit5_nozzle128 smoothed": "8/88/0",
+    "bdf3_convdiff16x24/step 0 plain": "13/55/0",
+    "bdf3_convdiff16x24/step 1 plain": "6/28/0",
+    "bdf3_convdiff16x24/step 2 plain": "6/28/0",
+    "bdf3_convdiff16x24/step 0 smoothed": "7/36/0",
+    "bdf3_convdiff16x24/step 1 smoothed": "6/28/0",
+    "bdf3_convdiff16x24/step 2 smoothed": "6/28/0",
+}
 
 
 def _load_tool():
@@ -40,6 +66,13 @@ def test_digest_covers_history_and_final_state():
     report.history[-1].cfl = -report.history[-1].cfl
     report.final_state.values[0] += 1.0
     assert tool.report_digest(report) != base
+
+
+def test_every_case_keeps_its_pinned_counts():
+    tool = _load_tool()
+    counts = dict(line.rsplit(" ", 2)[:2]
+                  for name in tool.CASES for line in tool.case_digests(name))
+    assert counts == PINNED_COUNTS
 
 
 def test_unknown_case_is_refused():

@@ -591,8 +591,10 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
     """1x1 blocks multiply elementwise and 2x2 blocks through ``@``. With
     every scalar block as the top-left entry of a 2x2 block, whose other
     entries are 0 (and 1 on the pivot diagonal), the two paths do the same
-    operations in the same order, so the scalar solve equals the embedded
-    solve's first components bit for bit."""
+    operations in the same order, so every level array, the root and the
+    top of the scalar factorization equal the embedded one's first
+    components bit for bit. The solves agree to round-off: ``top @ y``
+    sums R terms on one side and 2R on the other."""
     rng = np.random.default_rng(seed)
     n = lines.n_cells
     diag = rng.standard_normal((n, 1, 1)) + 3.0
@@ -609,8 +611,15 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
 
     block = factor_block_tridiag(lines, FirstOrderBlocks(
         embed(diag, 1.0), embed(off_ij, 0.0), embed(off_ji, 0.0)))
+    for level, embedded in zip(scalar.levels, block.levels):
+        for a, e in zip(level, embedded):
+            assert np.array_equal(a, e[..., :1, :1])
+    assert np.array_equal(scalar.root, block.root[..., :1, :1])
+    assert np.array_equal(scalar.top, block.top[:, 0::2, 0::2])
     r2 = np.column_stack([r, rng.standard_normal(n)]).reshape(-1)
-    assert np.array_equal(scalar.solve_values(r), block.solve_values(r2)[0::2])
+    x = scalar.solve_values(r)
+    assert (np.linalg.norm(x - block.solve_values(r2)[0::2])
+            <= 1e-13 * np.linalg.norm(x))
 
 
 def test_stencil_edges_between_lines_sharing_a_column_are_not_gathered():
@@ -680,14 +689,21 @@ def packed_lines(draw):
 @given(packed_lines(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=10_000))
 def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
-    """Sharing a column changes no byte of a line's pivots or solution:
-    factoring and solving each line in a layout of its own gives the same
-    bytes."""
+    """Sharing a column changes no byte of a line's pivots: factoring each
+    line in a layout of its own gives the same bytes. Nothing the other
+    lines hold changes a byte of its solution: redrawing their blocks and
+    right-hand side leaves it as it was. The solution matches the line's
+    own to the dense tolerance; ``top`` sums over its column's rows, whose
+    count follows the column's height, so the two round differently."""
     rng = np.random.default_rng(seed)
     n = lines.n_cells
-    diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
-    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
-    r = rng.standard_normal((n, b))
+
+    def draw():
+        diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
+        return (FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5)),
+                rng.standard_normal((n, b)))
+
+    blocks, r = draw()
     fact = factor_block_tridiag(lines, blocks)
     x = fact.solve_values(r.reshape(-1)).reshape(n, b)
     pivots = _pivot_inverses(fact)
@@ -702,8 +718,19 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
         for m, (_, _, upper, lower) in enumerate(pairs):
             own_blocks[:, m] = upper, lower
         own = factor_block_tridiag(alone,
-                                   FirstOrderBlocks(diag[line], *own_blocks))
+                                   FirstOrderBlocks(blocks.diag[line],
+                                                    *own_blocks))
         assert (pivots[offset:offset + k, col].tobytes()
                 == _pivot_inverses(own)[:k, 0].tobytes())
-        assert (x[line].tobytes()
-                == own.solve_values(r[line].reshape(-1)).tobytes())
+        ref = own.solve_values(r[line].reshape(-1))
+        assert (np.linalg.norm(x[line].reshape(-1) - ref)
+                <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+        others, r_others = draw()
+        mine = np.isin(lines.edges[:, 0], line)
+        others.diag[line] = blocks.diag[line]
+        others.off_ij[mine] = blocks.off_ij[mine]
+        others.off_ji[mine] = blocks.off_ji[mine]
+        r_others[line] = r[line]
+        x_others = factor_block_tridiag(lines, others).solve_values(
+            r_others.reshape(-1)).reshape(n, b)
+        assert x_others[line].tobytes() == x[line].tobytes()
