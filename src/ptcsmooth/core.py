@@ -8,6 +8,7 @@ need to implement that interface.
 
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ class BlockVector:
 
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a flat array; rejects non-finite entries."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolationError("vector contains NaN or Inf entries")
     return float(np.linalg.norm(v))
 
@@ -168,14 +169,15 @@ def trial_residual(system: NonlinearSystem,
     (a non-finite entry or an overflowing norm). Overflow is evaluated
     without a warning, and every accepted residual has a finite
     ``l2_norm``."""
-    if not np.all(np.isfinite(w.values)):
+    if not np.isfinite(w.values).all():
         return None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             r = system.residual(w)
+            norm = np.linalg.norm(r)
     except (InadmissibleStateError, ContractViolationError):
         return None
-    return r if _finite_norm(r) < np.inf else None
+    return r if math.isfinite(norm) else None
 
 
 @dataclass

@@ -14,6 +14,7 @@ column, so a line's solution rounds with the height of its column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -51,8 +52,8 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     so is a zero Arnoldi column (``A precon`` singular on the Krylov space),
     which ends the solve with the iterate from the columns before it.
     A right-hand side or an operator output that is not finite or whose
-    norm overflows raises ``ContractViolationError``; the operator is
-    applied with overflow silenced, so that check is its only verdict.
+    norm overflows raises ``ContractViolationError``; the Arnoldi loop runs
+    with overflow silenced, so that check is the operator's only verdict.
     ``stats.iterations`` counts applications of ``A``.
     Each new Krylov vector is orthogonalized by classical Gram-Schmidt
     against the whole basis and then again (CGS2): four matrix-vector
@@ -92,52 +93,52 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     k = 0
     residual = b_norm
     converged = False
-    for j in range(m):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
             w = A(precon(rows[j]))
             w_norm = np.linalg.norm(w)
-        if not np.isfinite(w_norm):
-            raise ContractViolationError(
-                "operator output is not finite or its norm overflows")
+            if not math.isfinite(w_norm):
+                raise ContractViolationError(
+                    "operator output is not finite or its norm overflows")
 
-        basis = V[:j + 1]
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        w_norm = float(np.linalg.norm(w))
-        col = (h + h2).tolist() + [w_norm]
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            w_norm = float(np.linalg.norm(w))
+            col = (h + h2).tolist() + [w_norm]
 
-        # Apply accumulated Givens rotations to the new column.
-        for i, (c, s) in enumerate(zip(cs, sn)):
-            top, bottom = col[i], col[i + 1]
-            col[i] = c * top + s * bottom
-            col[i + 1] = -s * top + c * bottom
-        denom = float(np.hypot(col[j], col[j + 1]))
-        if denom == 0.0:
-            # The rotated column is zero: it cannot be rotated and cannot
-            # reduce the least-squares residual. Stop with the iterate from
-            # the columns before it.
-            break
-        cs.append(col[j] / denom)
-        sn.append(col[j + 1] / denom)
-        col[j] = denom
-        col[j + 1] = 0.0
-        H[:j + 2, j] = col
-        g.append(-sn[j] * g[j])
-        g[j] = cs[j] * g[j]
+            # Apply accumulated Givens rotations to the new column.
+            for i, (c, s) in enumerate(zip(cs, sn)):
+                top, bottom = col[i], col[i + 1]
+                col[i] = c * top + s * bottom
+                col[i + 1] = -s * top + c * bottom
+            denom = float(np.hypot(col[j], col[j + 1]))
+            if denom == 0.0:
+                # The rotated column is zero: it cannot be rotated and
+                # cannot reduce the least-squares residual. Stop with the
+                # iterate from the columns before it.
+                break
+            cs.append(col[j] / denom)
+            sn.append(col[j + 1] / denom)
+            col[j] = denom
+            col[j + 1] = 0.0
+            H[:j + 2, j] = col
+            g.append(-sn[j] * g[j])
+            g[j] = cs[j] * g[j]
 
-        k = j + 1
-        residual = abs(g[j + 1])
-        if residual <= tol_abs:
-            converged = True
-            break
-        if w_norm <= breakdown_tol:
-            # Arnoldi breakdown: the Krylov space is invariant, the current
-            # least-squares solution is exact up to round-off.
-            converged = residual <= breakdown_tol * 10
-            break
-        V[j + 1] = w / w_norm
+            k = j + 1
+            residual = abs(g[j + 1])
+            if residual <= tol_abs:
+                converged = True
+                break
+            if w_norm <= breakdown_tol:
+                # Arnoldi breakdown: the Krylov space is invariant, the
+                # current least-squares solution is exact up to round-off.
+                converged = residual <= breakdown_tol * 10
+                break
+            np.divide(w, w_norm, out=V[j + 1])
 
     # Back-substitute H y = g over the k columns built.
     y = np.zeros(k)
@@ -228,27 +229,35 @@ class BlockTridiagFactorization:
         """Reduction below the top, one batched ``top @ y``, and
         back-substitution, all columns at once.
 
-        A non-finite entry of ``r`` may spread to every cell of its column
-        (through 0 * inf on a coupling between two lines); callers pass a
-        finite ``r``."""
+        ``r`` enters the packed layout through one ``take`` of the line
+        set's gather plan, with a zero block appended for the slots no line
+        holds, and the solution leaves it through one ``take`` of the
+        scatter plan (``LineSet.solve_plans``). A non-finite entry of ``r``
+        may spread to every cell of its column (through 0 * inf on a
+        coupling between two lines); callers pass a finite ``r``."""
         n, b = self.lines.n_cells, self.root.shape[-1]
         if r.shape != (n * b,):
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
                 f"factorization's {n * b} unknowns")
-        padded = np.zeros((n + 1, b))    # row n: the dummy cell
-        padded[:n] = r.reshape(n, b)
-        index = self.lines.index
-        y = padded[index][..., None]   # (2^L - 1, n_columns, b, 1)
-        padded[index] = _cyclic_solve(self.levels[:-TOP_LEVELS],
-                                      self._apply_top, y)[..., 0]
-        return padded[:n].reshape(-1)
+        gather, scatter = self.lines.solve_plans(b)
+        y = np.concatenate((r, np.zeros(b))).take(gather)
+        return _cyclic_solve(self.levels[:-TOP_LEVELS], self._apply_top,
+                             y).take(scatter)
 
     def _apply_top(self, y: np.ndarray) -> np.ndarray:
         """``top`` applied to the (R, n_columns, b, 1) rows left."""
         rows, n_columns, b, _ = y.shape
         x = self.top @ y.swapaxes(0, 1).reshape(n_columns, rows * b, 1)
         return x.reshape(n_columns, rows, b, 1).swapaxes(0, 1)
+
+
+def _inverse(pivots: np.ndarray) -> np.ndarray:
+    """Each pivot block's inverse, unchecked. A 1x1 block's inverse is its
+    reciprocal, bit for bit what ``np.linalg.inv`` returns, without a LAPACK
+    call per block; larger blocks raise ``np.linalg.LinAlgError`` if any is
+    singular."""
+    return 1.0 / pivots if pivots.shape[-1] == 1 else np.linalg.inv(pivots)
 
 
 def _pivot_failure(block: np.ndarray) -> Optional[str]:
@@ -262,24 +271,20 @@ def _pivot_failure(block: np.ndarray) -> Optional[str]:
     return None if np.all(np.isfinite(block)) else "non-finite pivot block"
 
 
-def _invert_pivots(pivots: np.ndarray, lines: LineSet,
-                   cells: np.ndarray) -> np.ndarray:
-    """Invert one level's pivots, (len(cells), n_columns, b, b), in one call;
-    ``cells`` holds the cell of ``lines.index`` in each pivot's slot. A
-    failure names the line and the position on it of a failing pivot: the
-    lowest position, then the lowest line. A 1x1 block's inverse is its
-    reciprocal, bit for bit what ``np.linalg.inv`` returns, without a LAPACK
-    call per block."""
-    if pivots.shape[-1] == 1:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = 1.0 / pivots
+def _check_pivots(pivots: np.ndarray, lines: LineSet,
+                  cells: np.ndarray) -> None:
+    """Raise ``SingularPivotError`` if a pivot of one level, (len(cells),
+    n_columns, b, b), or its inverse fails; ``cells`` holds the cell of
+    ``lines.index`` in each pivot's slot. The error names the line and the
+    position on it of a failing pivot: the lowest position, then the lowest
+    line."""
+    try:
+        inv = _inverse(pivots)
+    except np.linalg.LinAlgError:
+        pass
     else:
-        try:
-            inv = np.linalg.inv(pivots)
-        except np.linalg.LinAlgError:
-            inv = None
-    if inv is not None and np.all(np.isfinite(inv) & np.isfinite(pivots)):
-        return inv
+        if np.isfinite(inv).all() and np.isfinite(pivots).all():
+            return
     where = {cell: (pos, li) for li, line in enumerate(lines.lines)
              for pos, cell in enumerate(line)}
     failures = [(where[cell], reason)
@@ -295,15 +300,23 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
     """Block cyclic reduction of the first-order ``blocks``, over the
     stencil ``lines.edges``, along every line of ``lines`` at once.
 
-    Each in-line pair's couplings are gathered through ``lines.slots`` into
-    the packed layout of ``lines.index``, the one reduced. Blocks of another
-    shape (lines without a pair fit any stencil), or a non-finite coupling
-    named by its pair, raise ``ContractViolationError``. A singular or
-    non-finite pivot raises ``SingularPivotError`` naming a line and the
-    position on it of the reduced row: the first failing level, then the
-    lowest position, then the lowest line. That is the pivot a column of
-    the line's own would fail on, unless a block product overflowed first:
-    0 * inf then carries NaN across to the other lines of its column.
+    Each in-line pair's couplings are gathered with one ``take`` through
+    ``lines.coupling_plan`` into the packed layout of ``lines.index``, the
+    one reduced. Blocks of another shape (lines without a pair fit any
+    stencil), or a non-finite coupling named by its pair, raise
+    ``ContractViolationError``. A singular or non-finite pivot raises
+    ``SingularPivotError`` naming a line and the position on it of the
+    reduced row: the first failing level, then the lowest position, then
+    the lowest line. That is the pivot a column of the line's own would
+    fail on, unless a block product overflowed first: 0 * inf then carries
+    NaN across to the other lines of its column.
+
+    The levels and the root run with every floating-point warning
+    silenced, their pivots inverted unchecked, and one finiteness check
+    over all pivots and inverses follows. Only if it fails (or LAPACK finds
+    a singular block) are the levels checked one by one, in order; the
+    levels before the first failing one are what a factor stopping there
+    would have computed, so the error is the same, and no warning escapes.
 
     A slot no line holds never fails. A cross coupling (between two lines,
     or touching such a slot) starts as zero and each level forms it as a
@@ -324,33 +337,49 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
     if not blocks.off_ij.shape == blocks.off_ji.shape == off_shape:
         raise ContractViolationError(
             f"coupling arrays are not {off_shape}: one block per stencil edge")
-    gathered = np.concatenate((blocks.off_ij, blocks.off_ji))[lines.slots]
-    if not np.all(np.isfinite(gathered)):
+    zero = np.zeros((1, b, b))
+    couplings = np.concatenate((blocks.off_ij, blocks.off_ji, zero)).take(
+        lines.coupling_plan, axis=0)
+    if not np.isfinite(couplings).all():
+        gathered = couplings[:, pair_mask]
         i = np.argmin(np.isfinite(gathered).all(axis=(0, 2, 3)))
         p = lines.index[:-1][pair_mask][i]
         q = lines.index[1:][pair_mask][i]
         raise ContractViolationError(
             f"line pair {(int(p), int(q))} has a non-finite coupling")
-    upper, lower = np.zeros((2,) + pair_mask.shape + (b, b))
-    upper[pair_mask], lower[pair_mask] = gathered
+    upper, lower = couplings
 
     # The dummy cell's identity pivot keeps unused slots inert.
     diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
-    cells = lines.index    # the cell in each remaining row's slot
     mul = np.multiply if b == 1 else np.matmul
-    levels = []
-    while len(diag) > 1:
-        dinv = _invert_pivots(diag[0::2], lines, cells[0::2])
-        left = np.ascontiguousarray(lower[0::2])
-        right = np.ascontiguousarray(upper[1::2])
-        dinv_lower = mul(dinv[1:], lower[1::2])
-        dinv_upper = mul(dinv[:-1], upper[0::2])
-        diag = diag[1::2] - mul(left, dinv_upper) - mul(right, dinv_lower)
-        upper = -mul(right[:-1], dinv_upper[1:])
-        lower = -mul(left[1:], dinv_lower[:-1])
-        levels.append((dinv, left, right, dinv_lower, dinv_upper))
-        cells = cells[1::2]
-    root = _invert_pivots(diag, lines, cells)[0]
+    levels, pivots = [], []
+    with np.errstate(all="ignore"):
+        try:
+            while len(diag) > 1:
+                pivots.append(diag[0::2])
+                dinv = _inverse(pivots[-1])
+                left = np.ascontiguousarray(lower[0::2])
+                right = np.ascontiguousarray(upper[1::2])
+                dinv_lower = mul(dinv[1:], lower[1::2])
+                dinv_upper = mul(dinv[:-1], upper[0::2])
+                diag = (diag[1::2] - mul(left, dinv_upper)
+                        - mul(right, dinv_lower))
+                upper = -mul(right[:-1], dinv_upper[1:])
+                lower = -mul(left[1:], dinv_lower[:-1])
+                levels.append((dinv, left, right, dinv_lower, dinv_upper))
+            pivots.append(diag)
+            root = _inverse(diag)[0]
+            finite = np.isfinite(np.concatenate(
+                pivots + [level[0] for level in levels] + [root],
+                axis=None)).all()
+        except np.linalg.LinAlgError:
+            finite = False
+        if not finite:
+            # Level l pivots on the rows from 2^l - 1 every 2^(l + 1); the
+            # root is the last level. Some level fails, and raises.
+            for level, level_pivots in enumerate(pivots):
+                _check_pivots(level_pivots, lines,
+                              lines.index[2 ** level - 1::2 ** (level + 1)])
     # The top: the last levels and the root solve unit right-hand sides,
     # one per unknown of the rows those levels start from.
     top_levels = levels[-TOP_LEVELS:]

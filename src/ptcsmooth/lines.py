@@ -15,14 +15,15 @@ column from a row that is a multiple of 2^B (B the bit length of its cell
 count), so that short lines and singletons share columns without changing
 a bit of any pivot; a line's solution changes only in rounding, with the
 height of its column, and nothing another line holds changes a bit of it.
-The slots through which the line factor gathers the couplings of each
-in-line pair are found once, at construction.
+The plans through which the line kernels gather and scatter are built
+once per line set: the couplings' at construction, the solve's on first
+use for each block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class LineSet:
     line's solution rounds with the column's height, but nothing another
     line holds changes a bit of it. An in-line pair missing from the
     stencil ``edges`` is a ``ContractViolationError``.
+
+    The kernels move values in and out of the layout with one ``take`` each,
+    through plans built once: ``coupling_plan`` and ``solve_plans(b)``.
     """
 
     n_cells: int
@@ -67,6 +71,12 @@ class LineSet:
     # ``pair_mask`` order, among ``(off_ij, off_ji)`` stacked; a pair p -> q
     # along its edge takes off_ij as upper, against it off_ji.
     slots: np.ndarray = field(init=False, repr=False, compare=False)
+    # pair_mask.shape stacked twice: each row pair's upper and lower block
+    # among ``(off_ij, off_ji, zero block)`` stacked, ``slots`` where
+    # ``pair_mask`` is set and the zero block (-1) elsewhere.
+    coupling_plan: np.ndarray = field(init=False, repr=False, compare=False)
+    _solve_plans: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         cells = sorted(c for line in self.lines for c in line)
@@ -112,6 +122,24 @@ class LineSet:
         k = order[pos]
         against = np.where(p < q, 0, len(edges))
         self.slots = np.stack((k + against, k + len(edges) - against))
+        self.coupling_plan = np.full((2,) + self.pair_mask.shape, -1)
+        self.coupling_plan[:, self.pair_mask] = self.slots
+
+    def solve_plans(self, b: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The line solve's gather and scatter for ``b`` unknowns per cell,
+        indices of unknowns (cell * b + component): ``gather``,
+        (2^L - 1, n_columns, b, 1), takes each slot's unknowns from the
+        right-hand side with one zero block appended, the block every slot
+        no line holds reads; ``scatter``, (n_cells * b,), takes each
+        unknown back from the packed solution of that shape."""
+        plans = self._solve_plans.get(b)
+        if plans is None:
+            gather = self.index[..., None] * b + np.arange(b)
+            scatter = np.empty((self.n_cells + 1) * b, dtype=int)
+            scatter[gather.ravel()] = np.arange(gather.size)
+            plans = self._solve_plans[b] = (gather[..., None],
+                                            scatter[:self.n_cells * b])
+        return plans
 
     def multi_cell_lines(self) -> List[List[int]]:
         return [line for line in self.lines if len(line) > 1]

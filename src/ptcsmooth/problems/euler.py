@@ -95,14 +95,14 @@ class Quasi1dEulerProblem(NonlinearSystem):
     def _decode(self, values: np.ndarray):
         """Conserved (rho, rho u, E) -> primitive (rho, u, p); validates."""
         U = values.reshape(self.n, 3)
-        if not np.all(np.isfinite(U)):
+        if not np.isfinite(U).all():
             raise InadmissibleStateError("non-finite conserved state")
         rho = U[:, 0]
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise InadmissibleStateError("nonpositive density")
         u = U[:, 1] / rho
         p = (self.gamma - 1.0) * (U[:, 2] - 0.5 * rho * u * u)
-        if np.any(p <= 0.0):
+        if (p <= 0.0).any():
             raise InadmissibleStateError("nonpositive pressure")
         return rho, u, p
 
@@ -161,7 +161,12 @@ class Quasi1dEulerProblem(NonlinearSystem):
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         gm = self.gamma
         rho, u, p = self._decode(w.values)
-        A = self._flux_jacobian(rho, u, p)
+        # The cells' flux Jacobians, then the inflow and outflow ghosts'.
+        A_all = self._flux_jacobian(
+            np.concatenate((rho, (self.rho_in, rho[-1]))),
+            np.concatenate((u, (self.u_in, u[-1]))),
+            np.concatenate((p, (p[0], self.p_exit))))
+        A, A_gin, A_gout = A_all[:-2], A_all[-2], A_all[-1]
         sc = np.abs(u) + np.sqrt(gm * p / rho)
         # Per-face frozen wave speed; boundary faces use the interior cell.
         s_face = np.empty(self.n + 1)
@@ -184,16 +189,10 @@ class Quasi1dEulerProblem(NonlinearSystem):
         # velocity, and both feed back through the boundary fluxes.
         g_in = np.zeros((3, 3))
         g_in[2] = [0.5 * u[0] * u[0], -u[0], 1.0]        # dE_ghost/dU_0
-        rho_g, u_g = self.rho_in, self.u_in
-        p_g = p[0]
-        A_gin = self._flux_jacobian(np.array([rho_g]), np.array([u_g]),
-                                    np.array([p_g]))[0]
         diag[0] -= 0.5 * af[0] * (A_gin + s_face[0] * eye) @ g_in
         g_out = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
                           [-0.5 * u[-1] * u[-1], u[-1], 0.0]])
-        A_gout = self._flux_jacobian(np.array([rho[-1]]), np.array([u[-1]]),
-                                     np.array([self.p_exit]))[0]
         diag[-1] += 0.5 * af[-1] * (A_gout - s_face[-1] * eye) @ g_out
 
         af_int = af[1:-1][:, None, None]
@@ -261,7 +260,8 @@ class _Evaluation:
         den = aa + bb + _SLOPE_EPS
         q = _face_states(prim, 0.5 * (num / den))
         rho_f, u_f, p_f = q
-        if np.any(rho_f <= 0.0) or np.any(p_f <= 0.0) or not np.all(np.isfinite(q)):
+        if ((rho_f <= 0.0).any() or (p_f <= 0.0).any()
+                or not np.isfinite(q).all()):
             raise InadmissibleStateError("inadmissible reconstructed face state")
 
         e_total = p_f / (gm - 1.0) + 0.5 * rho_f * u_f * u_f

@@ -77,21 +77,24 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
     stage, so the returned state always has a usable residual. A rejected
     stage output abandons the offending cycle; the last completed cycle's
     output is returned with ``degraded`` set. The smoother is an
-    accelerator, so its failure is soft by design.
+    accelerator, so its failure is soft by design: stage updates that
+    overflow do so without a warning, and their stage is rejected.
     """
     r = r0
     w_cycle = w0.copy()
     degraded = False
-    for _ in range(schedule.n_cycles):
-        for alpha in schedule.stage_coefficients:
-            current = BlockVector(
-                w0.layout, w_cycle.values - alpha * precon.solve_values(r))
-            r = trial_residual(system, current)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(schedule.n_cycles):
+            for alpha in schedule.stage_coefficients:
+                current = BlockVector(
+                    w0.layout,
+                    w_cycle.values - alpha * precon.solve_values(r))
+                r = trial_residual(system, current)
+                if r is None:
+                    break
             if r is None:
+                degraded = True
                 break
-        if r is None:
-            degraded = True
-            break
-        w_cycle = current
+            w_cycle = current
     return SmoothResult(w_cycle.values - w0.values, degraded)
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -386,9 +387,23 @@ def test_infinite_reduced_pivot_names_the_lines_own_pivot(n, line_cells):
     off_ij, off_ji = np.zeros((2, len(lines.edges), 1, 1))
     off_ij[1], off_ji[1] = 1.0, 1e200     # dR_1/dw_2, dR_2/dw_1
     with pytest.raises(SingularPivotError,
-                       match="non-finite pivot block on line 0 at position 1$"), \
-            np.errstate(over="ignore", invalid="ignore"):
+                       match="non-finite pivot block on line 0 at position 1$"):
         factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
+
+
+def test_overflowing_reduction_is_refused_without_a_warning():
+    # Every pivot is 1, but the level-1 pivot of position 1 is
+    # 1 - 1e200 * 1e200 - 1e200 * 1e200 = -inf: refused by name, and the
+    # overflow on the way leaks no warning.
+    lines = kernel_lines(3, [[0, 1, 2]])
+    big = np.full((2, 1, 1), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularPivotError,
+                           match="^non-finite pivot block on line 0 at "
+                                 "position 1$"):
+            factor_block_tridiag(lines, FirstOrderBlocks(
+                np.ones((3, 1, 1)), big, big.copy()))
 
 
 # Entries whose products and reciprocals underflow, overflow and cancel.
@@ -734,3 +749,33 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
         x_others = factor_block_tridiag(lines, others).solve_values(
             r_others.reshape(-1)).reshape(n, b)
         assert x_others[line].tobytes() == x[line].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_lines(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_gather_plans_property(lines, b, seed):
+    """The solve's gather puts each cell's unknowns in its slot and the
+    appended zero block in every slot no line holds, and its scatter takes
+    them back unchanged. The coupling plan picks ``slots`` where
+    ``pair_mask`` is set and the appended zero block elsewhere."""
+    rng = np.random.default_rng(seed)
+    n = lines.n_cells
+    r = rng.standard_normal(n * b)
+    gather, scatter = lines.solve_plans(b)
+    packed = np.concatenate((r, np.zeros(b))).take(gather)
+    assert packed.shape == lines.index.shape + (b, 1)
+    held = lines.index < n
+    assert packed[held][..., 0].tobytes() \
+        == r.reshape(n, b)[lines.index[held]].tobytes()
+    assert (gather[~held][..., 0] == n * b + np.arange(b)).all()
+    assert packed.take(scatter).tobytes() == r.tobytes()
+
+    off_ij, off_ji = rng.standard_normal((2, len(lines.edges), b, b))
+    stacked = np.concatenate((off_ij, off_ji))
+    couplings = np.concatenate((stacked, np.zeros((1, b, b)))).take(
+        lines.coupling_plan, axis=0)
+    assert couplings.shape == (2,) + lines.pair_mask.shape + (b, b)
+    assert couplings[:, lines.pair_mask].tobytes() \
+        == stacked[lines.slots].tobytes()
+    assert not couplings[:, ~lines.pair_mask].any()

@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ptcsmooth.core import BlockVector, InadmissibleStateError, l2_norm
 from ptcsmooth.lines import extract_lines, singleton_lines
-from ptcsmooth.ptc import mass_over_dtau
+from ptcsmooth.ptc import PtcConfig, mass_over_dtau, newton_step
 from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-from conftest import diffusion_chain, full_chain_lines
+from conftest import LinearChainSystem, diffusion_chain, full_chain_lines
 
 
 def test_schedule_validation():
@@ -224,3 +226,19 @@ def test_final_stage_output_is_judged_by_its_residual():
     assert out.degraded
     assert np.all(out.delta_w == 0.0)
     assert np.array_equal(w0.values + out.delta_w, w0.values)
+
+
+def test_overflowing_stage_update_degrades_without_a_warning():
+    # Cell 0's pivot inverts to 1e300, and its residual is -1e10: the first
+    # stage's line solve overflows to -inf, and trial_residual rejects the
+    # stage. Under "error" a leaked overflow warning would raise instead.
+    diag = np.array([1e-300, 1.0, 1.0, 1.0]).reshape(4, 1, 1)
+    off = np.zeros((3, 1, 1))
+    sys = LinearChainSystem(diag, off, off.copy(), [1e10, 1.0, 1.0, 1.0])
+    w = sys.initial_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ns = newton_step(sys, w, mass_over_dtau(sys, w, 10.0),
+                         PtcConfig(smoothing=RkSchedule()), singleton_lines(4),
+                         sys.residual(w), sys.first_order_blocks(w))
+    assert ns.smoother_degraded

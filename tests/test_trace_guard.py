@@ -19,7 +19,9 @@ def _result(correct=True, failed=0, changed=()):
     """A result line that passes every check, but for ``changed`` metrics."""
     values = {"linalg.factor.calls": 65, "ptc.precon_build.calls": 47,
               "smoother.build.calls": 18, "lines.multi_cell_frac": 1.0,
-              "lines.extract.calls": 2}
+              "lines.extract.calls": 2, "smoother.degraded": 0,
+              "linalg.line_solve.calls": 1084, "problems.jv.calls": 767,
+              "linalg.gmres.calls": 47, "smoother.rk.calls": 18}
     values.update(changed)
     return {"correct": correct, "failed": failed,
             "metrics": {name: {"value": v} for name, v in values.items()}}
@@ -41,10 +43,20 @@ def test_every_workload_passes_a_passing_result():
      "lines.multi_cell_frac 0.5 == 1"),
     ("unsteady_bdf", _result(changed={"lines.extract.calls": 6}),
      "lines.extract.calls 6 == 2"),
+    ("nozzle_sweep", _result(changed={"linalg.line_solve.calls": 1085}),
+     "linalg.line_solve.calls 1085 == problems.jv.calls 767 + "
+     "linalg.gmres.calls 47 + 15 * smoother.rk.calls 18"),
 ], ids=["incorrect", "failed_operation", "third_factor_path",
-        "singleton_nozzle_lines", "per_step_extraction"])
+        "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve"])
 def test_each_check_fails_alone(workload, result, failed):
     assert _load_tool().failed_checks(workload, result) == [failed]
+
+
+def test_degraded_smoother_skips_the_line_solve_count():
+    # An abandoned RK cycle makes fewer than 15 solves per call.
+    result = _result(changed={"smoother.degraded": 1,
+                              "linalg.line_solve.calls": 1080})
+    assert _load_tool().failed_checks("convdiff_sweep", result) == []
 
 
 def test_missing_count_fails():

@@ -12,6 +12,11 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
 - ``linalg.factor.calls == ptc.precon_build.calls + smoother.build.calls``:
   every factorization is the GMRES preconditioner's or the smoother's, so a
   third factor path fails here;
+- when ``smoother.degraded == 0``, ``linalg.line_solve.calls ==
+  problems.jv.calls + linalg.gmres.calls + 15 * smoother.rk.calls``: one
+  solve per Krylov vector, one final solve per GMRES call and one per RK
+  stage (``DEFAULT_CYCLES`` cycles of ``DEFAULT_STAGE_COEFFS``, the schedule
+  the benchmark smooths with), so a change that adds a solve fails here;
 - on ``nozzle_sweep``, ``lines.multi_cell_frac == 1``: the nozzle is 1D, so
   a return to singleton lines fails here;
 - on ``unsteady_bdf``, ``lines.extract.calls == 2``: a run extracts its
@@ -32,7 +37,13 @@ from pathlib import Path
 from typing import List
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ptcsmooth.smoother import (DEFAULT_CYCLES,  # noqa: E402
+                                DEFAULT_STAGE_COEFFS)
+
 WORKLOADS = ("convdiff_sweep", "nozzle_sweep", "unsteady_bdf")
+RK_SOLVES = DEFAULT_CYCLES * len(DEFAULT_STAGE_COEFFS)   # per rk_smooth call
 
 
 def failed_checks(workload: str, result: dict) -> List[str]:
@@ -49,6 +60,14 @@ def failed_checks(workload: str, result: dict) -> List[str]:
             f"{precon} + smoother.build.calls {smoother}":
                 factor == precon + smoother,
         }
+        if value["smoother.degraded"] == 0:
+            solves, jv, gmres, rk = (value[f"{name}.calls"] for name in (
+                "linalg.line_solve", "problems.jv", "linalg.gmres",
+                "smoother.rk"))
+            checks[f"linalg.line_solve.calls {solves} == problems.jv.calls "
+                   f"{jv} + linalg.gmres.calls {gmres} + {RK_SOLVES} * "
+                   f"smoother.rk.calls {rk}"] = \
+                solves == jv + gmres + RK_SOLVES * rk
         if workload == "nozzle_sweep":
             frac = value["lines.multi_cell_frac"]
             checks[f"lines.multi_cell_frac {frac} == 1"] = frac == 1.0
