@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractViolationError, FirstOrderBlocks
+from .core import ContractViolationError, FirstOrderBlocks, _norm
 from .lines import LineSet
 
 Operator = Callable[[np.ndarray], np.ndarray]
@@ -62,6 +62,11 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     101, 2005).
     The residual norm is tracked through the Givens recurrence, so the
     convergence test is relative reduction of that recurrence norm.
+    What a call costs beyond its vectors does not grow with
+    ``max_vectors``: the basis is allocated unset, the rotated Hessenberg
+    columns are kept as Python floats, and a k x k array over the k columns
+    built is filled only for back-substitution. Norms are ``core._norm``'s,
+    ``np.linalg.norm``'s value for a flat array, bit for bit.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -70,23 +75,25 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
     n = len(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        b_norm = float(np.linalg.norm(b))
-    if not np.isfinite(b_norm):
+        b_norm = _norm(b)
+    if not math.isfinite(b_norm):
         raise ContractViolationError(
             "right-hand side is not finite or its norm overflows")
     if b_norm == 0.0:
         return np.zeros(n), GmresStats(0, 0.0, True)
 
+    # Every row of the basis is written before it is read, so it starts
+    # unset: a call that stops after a few vectors touches only their rows.
     m = min(max_vectors, n)
-    V = np.zeros((m + 1, n))
-    H = np.zeros((m + 1, m))
-    # The rotations and the rotated right-hand side are Python floats: they
-    # round exactly as float64 scalars do, without numpy's indexing cost.
+    V = np.empty((m + 1, n))
+    # The rotated Hessenberg columns, the rotations and the rotated
+    # right-hand side are Python floats: they round exactly as float64
+    # scalars do, without numpy's indexing cost.
+    columns = []
     cs, sn = [], []
     g = [b_norm]
 
     V[0] = b / b_norm
-    rows = list(V)
     tol_abs = rel_tol * b_norm
     breakdown_tol = np.finfo(float).eps * b_norm
 
@@ -95,9 +102,8 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
-            w = A(precon(rows[j]))
-            w_norm = np.linalg.norm(w)
-            if not math.isfinite(w_norm):
+            w = A(precon(V[j]))
+            if not math.isfinite(_norm(w)):
                 raise ContractViolationError(
                     "operator output is not finite or its norm overflows")
 
@@ -106,7 +112,7 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
             w -= h @ basis
             h2 = basis @ w
             w -= h2 @ basis
-            w_norm = float(np.linalg.norm(w))
+            w_norm = _norm(w)
             col = (h + h2).tolist() + [w_norm]
 
             # Apply accumulated Givens rotations to the new column.
@@ -123,8 +129,7 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
             cs.append(col[j] / denom)
             sn.append(col[j + 1] / denom)
             col[j] = denom
-            col[j + 1] = 0.0
-            H[:j + 2, j] = col
+            columns.append(col[:j + 1])
             g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
 
@@ -141,6 +146,9 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
             np.divide(w, w_norm, out=V[j + 1])
 
     # Back-substitute H y = g over the k columns built.
+    H = np.zeros((k, k))
+    for i, col in enumerate(columns):
+        H[:i + 1, i] = col
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
@@ -160,24 +168,40 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 TOP_LEVELS = 3
 
 
+def _eliminate(level: Tuple[np.ndarray, ...], even: np.ndarray,
+               odd: np.ndarray, mul: Callable) -> Tuple[np.ndarray,
+                                                          np.ndarray]:
+    """One level of the reduction: its even rows solved by their pivots,
+    and its odd rows with them folded in, each a new array."""
+    dinv, left, right, _, _ = level
+    even = mul(dinv, even)
+    return even, odd - (mul(left, even[:-1]) + mul(right, even[1:]))
+
+
+def _substitute(level: Tuple[np.ndarray, ...], even: np.ndarray,
+                odd: np.ndarray, mul: Callable) -> None:
+    """One level of back-substitution: ``even``, from ``_eliminate``, less
+    its couplings to the solved ``odd`` rows, in place."""
+    _, _, _, dinv_lower, dinv_upper = level
+    even[1:] -= mul(dinv_lower, odd)
+    even[:-1] -= mul(dinv_upper, odd)
+
+
 def _cyclic_solve(levels: Sequence[Tuple[np.ndarray, ...]],
                   middle: Operator, y: np.ndarray) -> np.ndarray:
     """Reduce ``y``, (rows, n_columns, b, k): k right-hand sides per column,
     over ``levels``; apply ``middle`` to the rows that remain; then
-    back-substitute. Each level reads its even rows into a new array and
-    builds the odd rows it keeps as another; back-substitution interleaves
-    them again."""
+    back-substitute. Each level reads its even and odd rows as strided
+    views of the rows before it; back-substitution interleaves them
+    again."""
     mul = np.multiply if y.shape[2] == 1 else np.matmul
     evens = []
-    for dinv, left, right, _, _ in levels:
-        even = mul(dinv, y[0::2])
-        y = y[1::2] - (mul(left, even[:-1]) + mul(right, even[1:]))
+    for level in levels:
+        even, y = _eliminate(level, y[0::2], y[1::2], mul)
         evens.append(even)
     y = middle(y)
-    for (_, _, _, dinv_lower, dinv_upper), even in zip(
-            reversed(levels), reversed(evens)):
-        even[1:] -= mul(dinv_lower, y)
-        even[:-1] -= mul(dinv_upper, y)
+    for level, even in zip(reversed(levels), reversed(evens)):
+        _substitute(level, even, y, mul)
         rows = np.empty((len(even) + len(y),) + y.shape[1:])
         rows[0::2], rows[1::2] = even, y
         y = rows
@@ -232,18 +256,29 @@ class BlockTridiagFactorization:
         ``r`` enters the packed layout through one ``take`` of the line
         set's gather plan, with a zero block appended for the slots no line
         holds, and the solution leaves it through one ``take`` of the
-        scatter plan (``LineSet.solve_plans``). A non-finite entry of ``r``
-        may spread to every cell of its column (through 0 * inf on a
-        coupling between two lines); callers pass a finite ``r``."""
+        scatter plan (``LineSet.solve_plans``). Below the top, the gather
+        delivers the layout's even rows, then its odd rows, so the largest
+        level reads and writes contiguous rows; the scatter reads its
+        solution in that order, and the levels above read strided views.
+        A non-finite entry of ``r`` may spread to every cell of its column
+        (through 0 * inf on a coupling between two lines); callers pass a
+        finite ``r``."""
         n, b = self.lines.n_cells, self.root.shape[-1]
         if r.shape != (n * b,):
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
                 f"factorization's {n * b} unknowns")
-        gather, scatter = self.lines.solve_plans(b)
+        below = self.levels[:-TOP_LEVELS]
+        gather, scatter = self.lines.solve_plans(b, split=bool(below))
         y = np.concatenate((r, np.zeros(b))).take(gather)
-        return _cyclic_solve(self.levels[:-TOP_LEVELS], self._apply_top,
-                             y).take(scatter)
+        if not below:
+            return self._apply_top(y).take(scatter)
+        mul = np.multiply if b == 1 else np.matmul
+        first, half = below[0], len(below[0][0])
+        even, odd = _eliminate(first, y[:half], y[half:], mul)
+        odd = _cyclic_solve(below[1:], self._apply_top, odd)
+        _substitute(first, even, odd, mul)
+        return np.concatenate((even, odd)).take(scatter)
 
     def _apply_top(self, y: np.ndarray) -> np.ndarray:
         """``top`` applied to the (R, n_columns, b, 1) rows left."""

@@ -17,7 +17,7 @@ a bit of any pivot; a line's solution changes only in rounding, with the
 height of its column, and nothing another line holds changes a bit of it.
 The plans through which the line kernels gather and scatter are built
 once per line set: the couplings' at construction, the solve's on first
-use for each block size.
+use for each block size and row order.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class LineSet:
     # among ``(off_ij, off_ji, zero block)`` stacked, ``slots`` where
     # ``pair_mask`` is set and the zero block (-1) elsewhere.
     coupling_plan: np.ndarray = field(init=False, repr=False, compare=False)
-    _solve_plans: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+    _solve_plans: Dict[Tuple[int, bool],
+                       Tuple[np.ndarray, np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,20 +126,27 @@ class LineSet:
         self.coupling_plan = np.full((2,) + self.pair_mask.shape, -1)
         self.coupling_plan[:, self.pair_mask] = self.slots
 
-    def solve_plans(self, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    def solve_plans(self, b: int, split: bool = False
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """The line solve's gather and scatter for ``b`` unknowns per cell,
         indices of unknowns (cell * b + component): ``gather``,
         (2^L - 1, n_columns, b, 1), takes each slot's unknowns from the
         right-hand side with one zero block appended, the block every slot
         no line holds reads; ``scatter``, (n_cells * b,), takes each
-        unknown back from the packed solution of that shape."""
-        plans = self._solve_plans.get(b)
+        unknown back from the packed solution of that shape. With
+        ``split``, the gather's rows are the layout's even rows, then its
+        odd rows: the rows the first cyclic-reduction level eliminates and
+        those it keeps, each contiguous. The scatter reads the solution in
+        that order."""
+        plans = self._solve_plans.get((b, split))
         if plans is None:
             gather = self.index[..., None] * b + np.arange(b)
+            if split:
+                gather = np.concatenate((gather[0::2], gather[1::2]))
             scatter = np.empty((self.n_cells + 1) * b, dtype=int)
             scatter[gather.ravel()] = np.arange(gather.size)
-            plans = self._solve_plans[b] = (gather[..., None],
-                                            scatter[:self.n_cells * b])
+            plans = self._solve_plans[(b, split)] = (
+                gather[..., None], scatter[:self.n_cells * b])
         return plans
 
     def multi_cell_lines(self) -> List[List[int]]:
@@ -189,58 +197,62 @@ def extract_lines(blocks: FirstOrderBlocks, edges: np.ndarray) -> LineSet:
             np.linalg.norm(blocks.off_ji.reshape(shape), axis=1))
     if not np.all(np.isfinite(weights)):
         raise InadmissibleStateError("coupling weights must be finite")
-    # inc[c]: the (weight, neighbor) pairs of cell c's edges in that order;
+    # Cell c's edges, strongest first and lower neighbor first on ties, are
+    # entries bounds[c] to bounds[c + 1] of the flat lists weight and nbr;
     # every edge appears once from each end.
     cell = edges.T.ravel()
     nbr = edges[:, ::-1].T.ravel()
     w = np.concatenate((weights, weights))
     order = np.lexsort((nbr, -w, cell))
-    pairs = list(zip(w[order].tolist(), nbr[order].tolist()))
-    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
-    inc = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    w, nbr = w[order], nbr[order]
+    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1))
+    degree = np.diff(bounds)
+    weight, nbr, bound = w.tolist(), nbr.tolist(), bounds.tolist()
 
     def walk(seeds, threshold: float):
         """The paths grown from ``seeds``, and which cells they visit."""
         visited = [False] * n_cells
 
-        def step(end: int) -> int:
-            """The next cell past ``end``, or -1 to stop."""
-            for weight, nb in inc[end]:
-                if not visited[nb]:
-                    return nb if weight >= threshold * inc[end][0][0] else -1
-            return -1
+        def grow(end: int) -> List[int]:
+            """The cells a path grows through past ``end``, in order."""
+            grown = []
+            while True:
+                first = bound[end]
+                for i in range(first, bound[end + 1]):
+                    if not visited[nbr[i]]:
+                        break
+                else:
+                    return grown
+                if weight[i] < threshold * weight[first]:
+                    return grown
+                end = nbr[i]
+                visited[end] = True
+                grown.append(end)
 
         paths: List[List[int]] = []
         for seed in seeds:
-            if visited[seed]:
-                continue
-            visited[seed] = True
-            path = [seed]
-            for attach in (path.append, lambda c: path.insert(0, c)):
-                end = seed
-                while (end := step(end)) >= 0:
-                    visited[end] = True
-                    attach(end)
-            paths.append(path)
+            if not visited[seed]:
+                visited[seed] = True
+                forward = grow(seed)
+                paths.append(grow(seed)[::-1] + [seed] + forward)
         return paths, visited
 
-    if all(len(incident) <= 2 for incident in inc):
-        lines, visited = walk(
-            [c for c in range(n_cells) if len(inc[c]) < 2], 0.0)
+    if degree.max(initial=0) <= 2:
+        lines, visited = walk(np.flatnonzero(degree < 2).tolist(), 0.0)
         if all(visited):
             return LineSet(n_cells, lines, edges)
 
     # A zero weakest weight is infinitely anisotropic unless every weight
     # is zero.
+    many = degree >= 2
+    strongest, weakest = w[bounds[:-1][many]], w[bounds[1:][many] - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = strongest / weakest
     aniso = np.ones(n_cells)
-    for c, incident in enumerate(inc):
-        if len(incident) >= 2:
-            strongest, weakest = incident[0][0], incident[-1][0]
-            aniso[c] = (strongest / weakest if weakest > 0.0
-                        else np.inf if strongest > 0.0 else 1.0)
-    seeds = sorted((c for c in range(n_cells)
-                    if aniso[c] >= ANISOTROPY_THRESHOLD),
-                   key=lambda c: (-aniso[c], c))
-    lines, visited = walk(seeds, 1.0 / ANISOTROPY_THRESHOLD)
+    aniso[many] = np.where(weakest > 0.0, ratio,
+                           np.where(strongest > 0.0, np.inf, 1.0))
+    candidates = np.flatnonzero(aniso >= ANISOTROPY_THRESHOLD)
+    seeds = candidates[np.argsort(-aniso[candidates], kind="stable")]
+    lines, visited = walk(seeds.tolist(), 1.0 / ANISOTROPY_THRESHOLD)
     return LineSet(n_cells, lines + [[c] for c in range(n_cells)
                                      if not visited[c]], edges)

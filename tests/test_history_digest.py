@@ -1,13 +1,18 @@
-"""Tests of ``tools/history_digest.py``: a smoke test on one small case, and
-every case's counts against a committed table."""
+"""Tests of ``tools/history_digest.py``: a smoke test on one small case,
+every case's counts against a committed table, and the ``--against``
+comparison with a commit."""
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "history_digest.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "history_digest.py"
 
 # Newton steps / cumulative Krylov vectors / rejections of every line the
 # tool prints. A change to the kernels that moves only round-off keeps them.
@@ -77,3 +82,45 @@ def test_every_case_keeps_its_pinned_counts():
 
 def test_unknown_case_is_refused():
     assert _load_tool().main(["no_such_case"]) == 2
+
+
+def test_verdicts_name_each_line_on_both_sides():
+    theirs = ["a plain 1/2/0 x", "a smoothed 1/1/0 y", "b/step 1 plain 2/2/0 z"]
+    ours = ["a plain 1/2/0 x", "a smoothed 1/1/0 w", "c plain 3/3/0 v"]
+    assert _load_tool().verdicts(theirs, ours) == [
+        "same a plain 1/2/0 x",
+        "differs a smoothed: 1/1/0 y -> 1/1/0 w",
+        "differs b/step 1 plain: 2/2/0 z -> missing",
+        "differs c plain: missing -> 3/3/0 v"]
+
+
+def test_against_needs_a_revision():
+    assert _load_tool().main(["--against"]) == 2
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, text=True)
+
+
+HAS_REPO = (shutil.which("git") is not None
+            and _git("rev-parse", "--verify", "--quiet", "HEAD").returncode == 0)
+
+
+@pytest.mark.skipif(not HAS_REPO, reason="needs git and the repository's "
+                                         "metadata")
+def test_against_head_prints_one_verdict_per_line():
+    worktrees = _git("worktree", "list").stdout
+    result = subprocess.run(
+        [sys.executable, str(TOOL), "--against", "HEAD", "bratu64"],
+        capture_output=True, text=True, timeout=300)
+    lines = result.stdout.splitlines()
+    assert [re.match(r"(same|differs) (bratu64 \w+)", line).group(2)
+            for line in lines] == ["bratu64 plain", "bratu64 smoothed"]
+    differs = any(line.startswith("differs") for line in lines)
+    assert result.returncode == (1 if differs else 0)
+    if _git("diff", "--quiet", "HEAD", "--", "src").returncode == 0:
+        # The package is HEAD's: both sides compute the same bytes.
+        assert lines == ["same " + line
+                         for line in _load_tool().case_digests("bratu64")]
+    assert _git("worktree", "list").stdout == worktrees

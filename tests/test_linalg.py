@@ -206,6 +206,22 @@ def test_gmres_matches_reference_property(n, coupling, budget, rel_tol, seed):
     _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=101, max_value=600),
+       st.sampled_from([1e-3, 1e-2]),
+       st.sampled_from([1e-12, 1e-6, 1e-2]),
+       st.integers(min_value=0, max_value=10_000))
+def test_gmres_matches_reference_with_most_basis_rows_unset_property(
+        n, coupling, rel_tol, seed):
+    """With n above the budget of 100 and convergence after a few vectors,
+    most rows of the basis are never written. An array of NaN the basis'
+    size is freed first, so that the basis, allocated unset, most likely
+    reuses its memory: a read of a row not written would show."""
+    np.full((101, n), np.nan)
+    stats = _check_gmres_matches_reference(n, coupling, 100, rel_tol, seed)
+    assert stats.converged and stats.iterations < 50
+
+
 def test_gmres_reference_cases_cover_cancellation_and_budget():
     # Near-identity: each new direction is mostly in the span already built,
     # so the first pass cancels nearly all of it.
@@ -757,19 +773,29 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
 def test_gather_plans_property(lines, b, seed):
     """The solve's gather puts each cell's unknowns in its slot and the
     appended zero block in every slot no line holds, and its scatter takes
-    them back unchanged. The coupling plan picks ``slots`` where
-    ``pair_mask`` is set and the appended zero block elsewhere."""
+    them back unchanged. The split gather holds the same rows, the even
+    ones first, and its scatter takes them back unchanged too. The
+    coupling plan picks ``slots`` where ``pair_mask`` is set and the
+    appended zero block elsewhere."""
     rng = np.random.default_rng(seed)
     n = lines.n_cells
-    r = rng.standard_normal(n * b)
+    r = np.concatenate((rng.standard_normal(n * b), np.zeros(b)))
     gather, scatter = lines.solve_plans(b)
-    packed = np.concatenate((r, np.zeros(b))).take(gather)
+    packed = r.take(gather)
     assert packed.shape == lines.index.shape + (b, 1)
     held = lines.index < n
     assert packed[held][..., 0].tobytes() \
-        == r.reshape(n, b)[lines.index[held]].tobytes()
+        == r.reshape(n + 1, b)[lines.index[held]].tobytes()
     assert (gather[~held][..., 0] == n * b + np.arange(b)).all()
-    assert packed.take(scatter).tobytes() == r.tobytes()
+    assert packed.take(scatter).tobytes() == r[:-b].tobytes()
+
+    # The split plans: the even rows, then the odd rows, and back.
+    split_gather, split_scatter = lines.solve_plans(b, split=True)
+    half = (len(lines.index) + 1) // 2
+    assert split_gather[:half].tobytes() == gather[0::2].tobytes()
+    assert split_gather[half:].tobytes() == gather[1::2].tobytes()
+    assert r.take(split_gather).take(split_scatter).tobytes() \
+        == r[:-b].tobytes()
 
     off_ij, off_ji = rng.standard_normal((2, len(lines.edges), b, b))
     stacked = np.concatenate((off_ij, off_ji))

@@ -1,10 +1,18 @@
 """SHA-256 digests of solver histories, for checking that a change to the
 kernels leaves every solve bitwise unchanged.
 
-Run from the repository root, on two checkouts, and compare the output:
+Run from the repository root:
 
     python3 tools/history_digest.py                  # every case
     python3 tools/history_digest.py bratu64 nozzle32 # a selection
+    python3 tools/history_digest.py --against REV    # compare with REV
+
+With ``--against REV`` the tool checks REV out into a temporary local
+``git worktree``, runs this file's cases on REV's source there, and prints
+one verdict per line: ``same <line>``, or ``differs <label>: <REV's counts
+and digest> -> <this tree's>``, ``missing`` on the side without the line.
+It exits 1 if any line differs, 2 if REV cannot be checked out or its
+cases fail to run, and removes the worktree afterwards.
 
 Each output line is
 ``<case>[/step <k>] <variant> <steps>/<krylov>/<rejections> <sha256>``: the
@@ -24,11 +32,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from ptcsmooth import (PtcConfig, RkSchedule, SolveReport,  # noqa: E402
                        UnsteadyConfig, advance_unsteady, singleton_lines,
@@ -100,15 +112,69 @@ def case_digests(name: str) -> List[str]:
     return out
 
 
+def digests_at(rev: str, names: List[str]) -> List[str]:
+    """The digest lines of ``names`` on the source of commit ``rev``, run
+    in a temporary worktree with this file copied in, so that both sides
+    run the same cases."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
+                        "--quiet", str(tree), rev], check=True)
+        try:
+            tool = tree / "tools" / Path(__file__).name
+            tool.parent.mkdir(exist_ok=True)
+            shutil.copyfile(__file__, tool)
+            return subprocess.run(
+                [sys.executable, str(tool), *names], check=True,
+                stdout=subprocess.PIPE, text=True).stdout.splitlines()
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
+                            "--force", str(tree)], check=True)
+
+
+def verdicts(theirs: List[str], ours: List[str]) -> List[str]:
+    """One verdict per label (``<case>[/step <k>] <variant>``) of either
+    side, in order: ``same <line>`` or ``differs <label>: <theirs> ->
+    <ours>``."""
+    def by_label(lines):
+        return {label: " ".join(rest)
+                for label, *rest in (line.rsplit(" ", 2) for line in lines)}
+
+    old, new = by_label(theirs), by_label(ours)
+    out = []
+    for label in dict.fromkeys([*old, *new]):
+        a, b = (side.get(label, "missing") for side in (old, new))
+        out.append(f"same {label} {a}" if a == b
+                   else f"differs {label}: {a} -> {b}")
+    return out
+
+
 def main(argv: List[str]) -> int:
+    against = None
+    if argv[:1] == ["--against"]:
+        if len(argv) < 2:
+            print("--against needs a revision", file=sys.stderr)
+            return 2
+        against, argv = argv[1], argv[2:]
     unknown = [name for name in argv if name not in CASES]
     if unknown:
         print(f"unknown case(s) {', '.join(unknown)}; "
               f"choose from {', '.join(CASES)}", file=sys.stderr)
         return 2
-    for name in argv or CASES:
-        print("\n".join(case_digests(name)), flush=True)
-    return 0
+    names = argv or list(CASES)
+    if against is None:
+        for name in names:
+            print("\n".join(case_digests(name)), flush=True)
+        return 0
+    try:
+        theirs = digests_at(against, names)
+    except subprocess.CalledProcessError as err:
+        print(f"could not run the cases at {against}: {err}", file=sys.stderr)
+        return 2
+    ours = [line for name in names for line in case_digests(name)]
+    lines = verdicts(theirs, ours)
+    print("\n".join(lines))
+    return 1 if any(line.startswith("differs") for line in lines) else 0
 
 
 if __name__ == "__main__":
