@@ -120,6 +120,13 @@ class FirstOrderBlocks:
     off_ij: np.ndarray    # (n_edges, b, b)
     off_ji: np.ndarray    # (n_edges, b, b)
 
+    def shifted(self, per_cell: np.ndarray) -> "FirstOrderBlocks":
+        """These blocks with each cell's diagonal block shifted by its entry
+        of ``per_cell`` times the identity; the couplings are shared."""
+        b = self.diag.shape[1]
+        diag = self.diag + per_cell[:, None, None] * np.eye(b)
+        return FirstOrderBlocks(diag, self.off_ij, self.off_ji)
+
 
 class NonlinearSystem(ABC):
     """Contract a problem must satisfy to be driven by the solvers.

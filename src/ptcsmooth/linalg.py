@@ -47,10 +47,13 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
     """Solve ``A x = b`` with right preconditioning, single Arnoldi build.
 
     ``A`` and ``precon`` map a flat array to a new flat array of the same
-    length. Returns the best iterate found and stats; non-convergence within
-    ``max_vectors`` is reported through ``stats.converged``, not raised, and
-    so is a zero Arnoldi column (``A precon`` singular on the Krylov space),
-    which ends the solve with the iterate from the columns before it.
+    length. Returns the best iterate found and stats. Two exits end the
+    Arnoldi loop before ``max_vectors``: convergence, a residual at most
+    ``rel_tol * |b|`` (an exact breakdown makes it 0), and a zero rotated
+    column (``A precon`` singular on the Krylov space), unconverged, with
+    the iterate from the columns before it. No other test scales with
+    ``|b|``. Running out of vectors is reported through ``stats.converged``,
+    not raised.
     A right-hand side or an operator output that is not finite or whose
     norm overflows raises ``ContractViolationError``; the Arnoldi loop runs
     with overflow silenced, so that check is the operator's only verdict.
@@ -95,7 +98,6 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 
     V[0] = b / b_norm
     tol_abs = rel_tol * b_norm
-    breakdown_tol = np.finfo(float).eps * b_norm
 
     k = 0
     residual = b_norm
@@ -137,11 +139,6 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
             residual = abs(g[j + 1])
             if residual <= tol_abs:
                 converged = True
-                break
-            if w_norm <= breakdown_tol:
-                # Arnoldi breakdown: the Krylov space is invariant, the
-                # current least-squares solution is exact up to round-off.
-                converged = residual <= breakdown_tol * 10
                 break
             np.divide(w, w_norm, out=V[j + 1])
 

@@ -23,6 +23,7 @@ use for each block size and row order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -80,8 +81,9 @@ class LineSet:
         init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = sorted(c for line in self.lines for c in line)
-        if cells != list(range(self.n_cells)) or not all(self.lines):
+        cells = np.sort(np.array(list(chain.from_iterable(self.lines))))
+        if not (all(self.lines)
+                and np.array_equal(cells, np.arange(self.n_cells))):
             raise ContractViolationError(
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")

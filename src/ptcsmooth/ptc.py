@@ -99,6 +99,7 @@ class SolveReport:
     initial_residual_l2: float
     history: List[ConvergenceRecord]
     final_state: BlockVector
+    final_cfl: float    # the CFL a next step takes (cfl_init if no rows)
 
     @property
     def rejection_count(self) -> int:
@@ -132,9 +133,7 @@ def build_ptc_preconditioner(lines: LineSet, blocks: FirstOrderBlocks,
     """The first-order Jacobian along ``lines``, each cell's diagonal block
     shifted by its entry of the per-unknown M/dtau times the identity."""
     b = blocks.diag.shape[1]
-    diag = blocks.diag + mass_over_dtau[::b, None, None] * np.eye(b)
-    return factor_block_tridiag(
-        lines, FirstOrderBlocks(diag, blocks.off_ij, blocks.off_ji))
+    return factor_block_tridiag(lines, blocks.shifted(mass_over_dtau[::b]))
 
 
 @dataclass
@@ -308,16 +307,12 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     threshold = _convergence_threshold(config, r_norm)
     history: List[ConvergenceRecord] = []
 
+    cfl = config.cfl_init
     if r_norm <= threshold:
         return SolveReport(SolveOutcome.CONVERGED, 0, 0, r_norm, r_norm,
-                           history, w)
+                           history, w, cfl)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = system.first_order_blocks(w)
-    if lines is None:
-        lines = extract_lines(blocks, system.edges)
-
-    cfl = config.cfl_init
+    blocks = None
     cumulative_krylov = 0
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
 
@@ -325,6 +320,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         if blocks is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 blocks = system.first_order_blocks(w)
+            if lines is None:
+                lines = extract_lines(blocks, system.edges)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks)
         cumulative_krylov += ns.stats.iterations
@@ -360,4 +357,4 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
             break
 
     return SolveReport(outcome, len(history), cumulative_krylov, r_norm,
-                       r0_norm, history, w)
+                       r0_norm, history, w, cfl)

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (BlockVector, ContractViolationError, FirstOrderBlocks,
                    NonlinearSystem, require_count)
 from .lines import extract_lines
-from .ptc import PtcConfig, SolveOutcome, SolveReport, cfl_update, solve_steady
+from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
 
 def _bdf_shift(c: float, dt: float) -> float:
@@ -71,11 +71,9 @@ class BdfStepSystem(NonlinearSystem):
                 + self.shift_coeff * self.mass * v)
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
-        blocks = self.inner.first_order_blocks(w)
         b = self.layout.block_size
-        shift = self.shift_coeff * self.mass[::b]
-        diag = blocks.diag + shift[:, None, None] * np.eye(b)
-        return FirstOrderBlocks(diag, blocks.off_ij, blocks.off_ji)
+        return self.inner.first_order_blocks(w).shifted(
+            self.shift_coeff * self.mass[::b])
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         return self.inner.explicit_dt(w)
@@ -113,7 +111,7 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
     one continuation: every inner solve runs on the lines extracted once at
     that state (the BDF shift moves only the diagonal blocks, which
     extraction does not weigh), and each step after a converged one starts
-    at the CFL ``cfl_update`` gives for its last history row, if it has one.
+    at the CFL the last one handed over, its report's ``final_cfl``.
     An inner solve that does not converge aborts the run, returning the
     partial history; its report's outcome says why. A start whose
     couplings are not finite raises ``InadmissibleStateError``, as
@@ -135,10 +133,7 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
         functionals.append(system.functional(report.final_state))
         if report.outcome != SolveOutcome.CONVERGED:
             return TimeHistory(reports, functionals, aborted=True)
-        if report.history:
-            last = report.history[-1]
-            inner = replace(
-                inner, cfl_init=cfl_update(last.cfl, last.alpha, inner)[0])
+        inner = replace(inner, cfl_init=report.final_cfl)
         w_prev2 = w_prev
         w_prev = report.final_state
 

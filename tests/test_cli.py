@@ -294,6 +294,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
     (f"{NOZZLE}u_in = 1e200\n", "initial state that overflows"),
     (f"{NOZZLE}gamma = nan\n", "gamma must be finite"),
     (f"{NOZZLE}gamma = 1\n", "gamma must exceed 1"),
+    ("[solver]\ncfl_init\n", "expected 'key = value', got 'cfl_init'"),
 ], ids=["stages", "stages_nan", "beta_cfl1", "beta_cfl1_inf", "target_nan",
         "target_absolute_inf", "cfl_init_above_max", "cfl_init_subnormal",
         "n_cells", "dt", "dt_nan", "dt_inf", "dt_subnormal",
@@ -302,7 +303,7 @@ NOZZLE = "[problem]\nname = nozzle\n"
         "eps_nan", "vx_inf", "sigma_inf", "ly", "eps_negative",
         "sigma_negative", "stretching_1e300",
         "stretching_1e200", "eps_overflow", "p_exit", "rho_in", "u_in_nan",
-        "u_in_overflow", "gamma_nan", "gamma_one"])
+        "u_in_overflow", "gamma_nan", "gamma_one", "line_without_equals"])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys,
                                                       extra, reason):
     outdir = tmp_path / "out"
@@ -337,6 +338,32 @@ def test_inadmissible_start_is_a_documented_abort(tmp_path, capsys, command):
 def test_override_error_names_override():
     with pytest.raises(ConfigError, match="override 'solver.cfl_init=bad'"):
         parse_config(MINIMAL, ["solver.cfl_init=bad"])
+
+
+@pytest.mark.parametrize("text, overrides, message", [
+    ("cfl_init = 3\n" + MINIMAL, [], "line 1: key outside any section"),
+    (MINIMAL, ["solvercfl_init=3"],
+     "override 'solvercfl_init=3' must look like section.key=value"),
+    (MINIMAL, ["solver.cfl_init"],
+     "override 'solver.cfl_init' must look like section.key=value"),
+    (MINIMAL, ["solvers.cfl_init=3"],
+     "override 'solvers.cfl_init=3': unknown section 'solvers'"),
+], ids=["key_before_section", "override_without_dot",
+        "override_without_equals", "override_unknown_section"])
+def test_malformed_line_or_override_is_config_error(text, overrides, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, overrides)
+    assert str(info.value) == message
+
+
+def test_output_dir_that_is_a_file_is_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _write(tmp_path, MINIMAL + f"[output]\ndir = {taken}\n")
+    assert main(["solve", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and "Traceback" not in err
+    assert taken.read_text() == ""
 
 
 def _readme_block(after: str, fence: str) -> str:

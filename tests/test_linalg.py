@@ -11,7 +11,9 @@ from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
 from ptcsmooth.linalg import (GmresStats, SingularPivotError,
                               factor_block_tridiag,
                               gmres_right_preconditioned)
-from ptcsmooth.lines import LineSet, singleton_lines
+from ptcsmooth.lines import LineSet, extract_lines, singleton_lines
+from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
+                                make_quasi1d_euler)
 
 from conftest import (dense_from_lines, diffusion_chain, kernel_lines,
                       line_couplings, random_couplings)
@@ -123,11 +125,28 @@ def test_gmres_zero_column_stops_with_finite_iterate(operator, b, iterations):
     x, stats = gmres_right_preconditioned(operator, _identity, b, 1e-2, 10)
     assert stats == GmresStats(iterations, 1.0, False)
     assert x.shape == b.shape and np.all(x == 0.0)
+    assert _gmres_bytes(x, stats) == _gmres_bytes(
+        *_reference_gmres(operator, _identity, b, 1e-2, 10))
+
+
+@pytest.mark.parametrize("t", [1.0, 1e10, 1e17])
+def test_gmres_converges_on_a_right_hand_side_far_above_the_operator(t):
+    # |b| / |A| reaches 1e17: a bound of eps * |b| on each new vector's
+    # norm, taken for an Arnoldi breakdown, would end the solve after one
+    # vector with reduction 0.48, unconverged.
+    A = np.diag(np.arange(1.0, 21.0))
+    A[0, 1] = 0.5
+    x, stats = gmres_right_preconditioned(
+        _dense_operator(A), _identity, t * np.ones(20), 1e-8, 100)
+    assert stats.converged and stats.iterations == 20
+    assert np.allclose(A @ x, t * np.ones(20), rtol=1e-7)
 
 
 def _reference_gmres(A, precon, b, rel_tol, max_vectors):
     """The CGS2/Givens loop with every scalar read and written through numpy
-    arrays: the reference GMRES must match bit for bit."""
+    arrays: the reference GMRES must match bit for bit. Its exits are the
+    convergence test and the zero rotated column, which keeps the iterate
+    of the columns before it."""
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     m = min(max_vectors, n)
@@ -139,7 +158,6 @@ def _reference_gmres(A, precon, b, rel_tol, max_vectors):
     V[0] = b / b_norm
     g[0] = b_norm
     tol_abs = rel_tol * b_norm
-    breakdown_tol = np.finfo(float).eps * b_norm
     k, residual, converged = 0, b_norm, False
     for j in range(m):
         w = A(precon(V[j]))
@@ -154,6 +172,8 @@ def _reference_gmres(A, precon, b, rel_tol, max_vectors):
             H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
             H[i, j] = hij
         denom = np.hypot(H[j, j], H[j + 1, j])
+        if denom == 0.0:
+            break
         cs[j] = H[j, j] / denom
         sn[j] = H[j + 1, j] / denom
         H[j, j] = denom
@@ -165,15 +185,12 @@ def _reference_gmres(A, precon, b, rel_tol, max_vectors):
         if residual <= tol_abs:
             converged = True
             break
-        if H[j, j] == 0.0 or w_norm <= breakdown_tol:
-            converged = residual <= breakdown_tol * 10
-            break
         V[j + 1] = w / w_norm
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
     x = precon(V[:k].T @ y)
-    return x, GmresStats(k, residual / b_norm, converged)
+    return x, GmresStats(j + 1, residual / b_norm, converged)
 
 
 def _gmres_bytes(x, stats):
@@ -181,15 +198,19 @@ def _gmres_bytes(x, stats):
             np.float64(stats.achieved_reduction).tobytes(), stats.converged)
 
 
-def _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed):
-    """Byte-compare GMRES with the reference on a random nonsymmetric
-    system (A = I + coupling * noise) with a random diagonal right
-    preconditioner; returns the reference's stats."""
+def _random_system(n, coupling, seed):
+    """A random nonsymmetric operator (A = I + coupling * noise), a random
+    diagonal right preconditioner and a random right-hand side."""
     rng = np.random.default_rng(seed)
     A = np.eye(n) + coupling * rng.standard_normal((n, n))
     scale = rng.uniform(0.5, 2.0, n)
-    b = rng.standard_normal(n)
-    args = (_dense_operator(A), lambda x: scale * x, b, rel_tol, budget)
+    return _dense_operator(A), lambda x: scale * x, rng.standard_normal(n)
+
+
+def _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed):
+    """Byte-compare GMRES with the reference on ``_random_system``;
+    returns the reference's stats."""
+    args = (*_random_system(n, coupling, seed), rel_tol, budget)
     x_ref, stats_ref = _reference_gmres(*args)
     assert _gmres_bytes(*gmres_right_preconditioned(*args)) == \
         _gmres_bytes(x_ref, stats_ref)
@@ -204,6 +225,25 @@ def _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed):
        st.integers(min_value=0, max_value=10_000))
 def test_gmres_matches_reference_property(n, coupling, budget, rel_tol, seed):
     _check_gmres_matches_reference(n, coupling, budget, rel_tol, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+       st.integers(min_value=1, max_value=45),
+       st.sampled_from([1e-12, 1e-6, 1e-2, 0.5]),
+       st.integers(min_value=0, max_value=10_000))
+def test_gmres_is_exact_under_power_of_two_scaling_property(
+        n, coupling, budget, rel_tol, seed):
+    """Only the convergence test scales with |b|, so b times 2^k gives the
+    same stats and the iterate times 2^k, bit for bit."""
+    A, precon, b = _random_system(n, coupling, seed)
+    x, stats = gmres_right_preconditioned(A, precon, b, rel_tol, budget)
+    for k in (-200, -100, -40, 40, 100, 200):
+        x_k, stats_k = gmres_right_preconditioned(
+            A, precon, np.ldexp(b, k), rel_tol, budget)
+        assert _gmres_bytes(x_k, stats_k) == \
+            _gmres_bytes(np.ldexp(x, k), stats)
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,6 +339,26 @@ def test_block2_line_matches_dense():
     A = dense_from_lines(lines, blocks)
     x = fact.solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-10
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_aniso_convdiff(16, 24, 1000.0),
+    lambda: make_quasi1d_euler(128),
+    lambda: make_bratu(64, 1.0),
+], ids=["convdiff16x24", "nozzle128", "bratu64"])
+def test_line_factor_is_exact_under_power_of_two_scaling(build):
+    # The factor tests no pivot against a fixed scale: every block times
+    # 2^k solves to the solution times 2^-k, bit for bit.
+    p = build()
+    blocks = p.first_order_blocks(p.initial_state())
+    lines = extract_lines(blocks, p.edges)
+    r = np.random.default_rng(0).standard_normal(p.layout.n_dofs)
+    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    for k in (-300, -60, 60, 300):
+        scaled = FirstOrderBlocks(*(np.ldexp(a, k) for a in (
+            blocks.diag, blocks.off_ij, blocks.off_ji)))
+        x_k = factor_block_tridiag(lines, scaled).solve_values(r)
+        assert x_k.tobytes() == np.ldexp(x, -k).tobytes()
 
 
 def test_independent_lines_do_not_couple():

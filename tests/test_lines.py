@@ -259,7 +259,9 @@ def test_coupling_weight_validation():
 
 @pytest.mark.parametrize("n_cells, lines", [
     (3, [[0], [1]]), (2, [[0, 1], [1]]), (2, [[0], [5]]), (2, [[0, 1], []]),
-], ids=["missing", "repeated", "out_of_range", "empty_line"])
+    (3, [[0, 1.5, 2]]), (2, [["0", "1"]]),
+], ids=["missing", "repeated", "out_of_range", "empty_line", "non_integral",
+        "string_cells"])
 def test_lines_must_partition_cells(n_cells, lines):
     # A cell no line covers would be left unwritten by the line solve.
     with pytest.raises(ContractViolationError, match="partition"):

@@ -603,6 +603,9 @@ def test_euler_solver_never_accepts_inadmissible_state():
     (lambda: make_aniso_convdiff(4, 4, amplitude=float("inf")),
      "amplitude must be finite"),
     (lambda: make_aniso_convdiff(4, 4, ly=0.0), "ly must be positive"),
+    (lambda: make_aniso_convdiff(3, 8), "need at least 4 cells per direction"),
+    (lambda: make_aniso_convdiff(4, 4, stretching_ratio=0.5),
+     "stretching_ratio must be at least 1"),
     (lambda: make_aniso_convdiff(8, 8, eps=-0.01, velocity=(0.0, 0.0)),
      "eps must be positive"),
     (lambda: make_aniso_convdiff(8, 8, eps=0.0), "eps must be positive"),
@@ -648,7 +651,9 @@ def test_euler_solver_never_accepts_inadmissible_state():
     (lambda: make_aniso_convdiff(4, 4.0), "ny must be an integer >= 1"),
     (lambda: make_quasi1d_euler(16.5), "n_cells must be an integer >= 1"),
 ], ids=["bratu_lambda_inf", "convdiff_stretching_nan", "convdiff_amplitude_inf",
-        "convdiff_ly_zero", "convdiff_eps_negative", "convdiff_eps_zero",
+        "convdiff_ly_zero", "convdiff_nx_below_4",
+        "convdiff_stretching_below_1", "convdiff_eps_negative",
+        "convdiff_eps_zero",
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
         "convdiff_stretching_1e200", "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",

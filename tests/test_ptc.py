@@ -15,7 +15,8 @@ from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
-from conftest import dense_from_lines, kernel_lines, random_couplings
+from conftest import (LinearChainSystem, dense_from_lines, kernel_lines,
+                      random_couplings)
 
 
 def _lines_for(problem):
@@ -191,6 +192,27 @@ def test_gmres_failure_is_reported_not_raised():
     assert not ns.stats.converged
 
 
+def test_singular_smoother_runs_the_step_unsmoothed(caplog):
+    # Cell 2's J1 pivot is exactly 0, so the smoother cannot be factored on
+    # singleton lines; J1 + M/dtau, its pivot 0.1 at CFL 10, can.
+    diag = np.full((6, 1, 1), 4.0)
+    diag[2] = 0.0
+    off = np.full((5, 1, 1), -1.0)
+    sys = LinearChainSystem(diag, off, off.copy(), np.ones(6))
+    w, lines = sys.initial_state(), singleton_lines(6)
+    r, blocks = sys.residual(w), sys.first_order_blocks(w)
+    m_dtau = mass_over_dtau(sys, w, 10.0)
+    plain = newton_step(sys, w, m_dtau, PtcConfig(), lines, r, blocks)
+    with caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
+        smoothed = newton_step(sys, w, m_dtau,
+                               PtcConfig(smoothing=RkSchedule()), lines, r,
+                               blocks)
+    assert "smoother build failed" in caplog.text
+    assert np.all(smoothed.source == 0.0)
+    assert smoothed.delta_w.tobytes() == plain.delta_w.tobytes()
+    assert smoothed.stats == plain.stats and plain.stats.converged
+
+
 # ---------------------------------------------------------------------------
 # line_search
 # ---------------------------------------------------------------------------
@@ -309,6 +331,12 @@ def test_cfl_update_caps_at_max():
     assert cfl_update(CFL_MAX / 1.2, 1.0, cfg) == (CFL_MAX, True)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 1.5, float("nan")])
+def test_cfl_update_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        cfl_update(10.0, alpha, PtcConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PtcConfig(beta_cfl1=1.0)
@@ -342,6 +370,7 @@ def test_already_converged_initial_state():
     assert rep.outcome == SolveOutcome.CONVERGED
     assert rep.newton_steps == 0
     assert rep.cumulative_krylov == 0
+    assert rep.final_cfl == PtcConfig().cfl_init
 
 
 def test_bratu_unsmoothed_converges_within_budget():
@@ -477,6 +506,33 @@ def test_nonfinite_coupling_mid_solve_becomes_rejected_steps():
     assert rep.history[0].accepted
     assert all(not r.accepted and r.krylov_count == 0
                for r in rep.history[1:])
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"max_newton_steps": 3},
+    {"max_krylov": 1, "linear_rel_tol": 1e-12, "max_newton_steps": 50},
+], ids=["converged", "budget", "stagnated"])
+def test_final_cfl_is_the_last_rows_controller_verdict(settings):
+    config = PtcConfig(**settings)
+    rep = solve_steady(make_aniso_convdiff(8, 8, stretching_ratio=100.0),
+                       config)
+    last = rep.history[-1]
+    assert rep.final_cfl == cfl_update(last.cfl, last.alpha, config)[0]
+
+
+def test_start_far_above_the_operator_scale_stagnates_with_krylov_work():
+    # |R| is about 6e133 here and |A P^-1 v| about 1e37. A breakdown bound
+    # of eps * |b| on each new Krylov vector's norm would end every linear
+    # solve after one vector with no reduction: krylov_count 1 and
+    # linear_reduction 1.0 on every row.
+    p = make_quasi1d_euler(32, rho_in=1.44e44, u_in=-1.27e-35,
+                           p_exit=1.46e149)
+    rep = solve_steady(p, PtcConfig(cfl_init=10.0))
+    assert rep.outcome == SolveOutcome.STAGNATED
+    assert len(rep.history) == 8
+    assert not any(row.krylov_count == 1 and row.linear_reduction == 1.0
+                   for row in rep.history)
 
 
 def test_step_budget_exhaustion_outcome():

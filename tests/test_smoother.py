@@ -14,6 +14,8 @@ from conftest import LinearChainSystem, diffusion_chain, full_chain_lines
 
 
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="at least one stage"):
+        RkSchedule(())
     with pytest.raises(ValueError):
         RkSchedule((0.15, 0.4, 0.9))     # last stage must be 1
     with pytest.raises(ValueError):

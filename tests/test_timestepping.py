@@ -289,6 +289,7 @@ def test_each_step_starts_at_the_cfl_the_last_one_reached(sched):
         last = prev.history[-1]
         assert (report.history[0].cfl
                 == cfl_update(last.cfl, last.alpha, inner)[0])
+        assert report.history[0].cfl == prev.final_cfl
 
 
 def test_step_converged_at_its_start_carries_the_cfl_unchanged(monkeypatch):
