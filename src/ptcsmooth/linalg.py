@@ -159,10 +159,12 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # The last levels of the reduction, which with the root leave at most
-# 2^(TOP_LEVELS + 1) - 1 = 15 rows per column, are applied as one dense
+# 2^(TOP_LEVELS + 1) - 1 = 31 rows per column, are applied as one dense
 # operator: on that few rows a level's batched calls cost about what their
-# dispatch costs.
-TOP_LEVELS = 3
+# dispatch costs. The fourth level costs each factor more than it saves a
+# solve; it pays once a factor serves about 2-8 solves (nozzle to convdiff),
+# and the smoother's serves 15, GMRES's 5-23.
+TOP_LEVELS = 4
 
 
 def _eliminate(level: Tuple[np.ndarray, ...], even: np.ndarray,
