@@ -81,9 +81,9 @@ class LineSet:
         init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = np.sort(np.array(list(chain.from_iterable(self.lines))))
+        flat = np.array(list(chain.from_iterable(self.lines)))
         if not (all(self.lines)
-                and np.array_equal(cells, np.arange(self.n_cells))):
+                and np.array_equal(np.sort(flat), np.arange(self.n_cells))):
             raise ContractViolationError(
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")
@@ -103,11 +103,21 @@ class LineSet:
                 tops.append(0)
             tops[col] = offset + k
             placement[li] = col, offset
+        # One scatter of the flattened cells: flat position i of a line
+        # whose cells start at flat position start sits at row
+        # offset + i - start of the line's column.
+        lengths = np.array([len(line) for line in self.lines], dtype=int)
+        col, offset = np.array(placement, dtype=int).reshape(-1, 2).T
+        ends = np.cumsum(lengths)
+        rows = np.arange(len(flat)) + np.repeat(offset - (ends - lengths),
+                                                lengths)
+        cols = np.repeat(col, lengths)
         self.index = np.full((size, len(tops)), self.n_cells, dtype=int)
+        self.index[rows, cols] = flat
         self.pair_mask = np.zeros(self.index[1:].shape, dtype=bool)
-        for line, (col, offset) in zip(self.lines, placement):
-            self.index[offset:offset + len(line), col] = line
-            self.pair_mask[offset:offset + len(line) - 1, col] = True
+        inner = np.ones(len(flat), dtype=bool)   # not the last of its line
+        inner[ends - 1] = False
+        self.pair_mask[rows[inner], cols[inner]] = True
 
         n, edges = self.n_cells, self.edges
         p = self.index[:-1][self.pair_mask]

@@ -80,8 +80,10 @@ class AnisoConvDiffProblem(NonlinearSystem):
             except OverflowError:   # g ** ny beyond the float range
                 h0 = 0.0            # zero spacings: rejected below
             self.hy = h0 * g ** np.arange(ny)
-        faces = np.concatenate(([0.0], np.cumsum(self.hy)))
-        self.yc = 0.5 * (faces[:-1] + faces[1:])
+        # On a tall grid the faces may overflow: refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            faces = np.concatenate(([0.0], np.cumsum(self.hy)))
+            self.yc = 0.5 * (faces[:-1] + faces[1:])
 
         self.layout = BlockLayout(nx * ny, 1)
         # Edges in row-major order, x-edges before y-edges (line extraction
@@ -96,16 +98,19 @@ class AnisoConvDiffProblem(NonlinearSystem):
         # Center-to-center spacings; boundary values sit on the faces.
         dx = np.concatenate(([self.hx / 2.0], np.full(nx - 1, self.hx),
                              [self.hx / 2.0]))
-        dy = np.concatenate(([self.hy[0] / 2.0], np.diff(self.yc),
-                             [self.hy[-1] / 2.0]))
-        dxm, dxp, dym, dyp = dx[:-1], dx[1:], dy[:-1], dy[1:]
+        dxm, dxp = dx[:-1], dx[1:]
         (lxm, lx0, lxp), (gxm, gx0, gxp) = _nonuniform_coeffs(dxm, dxp)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dy = np.concatenate(([self.hy[0] / 2.0], np.diff(self.yc),
+                                 [self.hy[-1] / 2.0]))
+            dym, dyp = dy[:-1], dy[1:]
             (lym, ly0, lyp), (gym, gy0, gyp) = _nonuniform_coeffs(dym, dyp)
-        if not np.all(np.isfinite([self.hy, lym, ly0, lyp, gym, gy0, gyp])):
+        if not np.all(np.isfinite([self.hy, self.yc, lym, ly0, lyp, gym, gy0,
+                                   gyp])):
             raise ValueError(
                 f"stretching_ratio {stretching_ratio:g} is too large for "
-                f"{ny} cells: the y spacings or their weights overflow")
+                f"{ny} cells of ly {ly:g}: the y spacings or their weights "
+                "overflow")
 
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = self._manufactured_forcing()

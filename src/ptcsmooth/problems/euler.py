@@ -73,20 +73,26 @@ class Quasi1dEulerProblem(NonlinearSystem):
         self.dx = length / n_cells
         self.x_faces = np.linspace(0.0, length, n_cells + 1)
         self.x_centers = 0.5 * (self.x_faces[:-1] + self.x_faces[1:])
-        self.a_faces = np.asarray(self.area(self.x_faces), dtype=float)
-        self.a_centers = np.asarray(self.area(self.x_centers), dtype=float)
+        # A long nozzle's area or cell measures may overflow: refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.a_faces = np.asarray(self.area(self.x_faces), dtype=float)
+            self.a_centers = np.asarray(self.area(self.x_centers),
+                                        dtype=float)
+            self.cell_measures = self.a_centers * self.dx
         if (self.a_faces.shape != self.x_faces.shape
                 or self.a_centers.shape != self.x_centers.shape):
             raise ValueError("nozzle area must return one value per point")
         areas = np.concatenate((self.a_faces, self.a_centers))
         if not np.all(np.isfinite(areas) & (areas > 0.0)):
             raise ValueError("nozzle area must be positive and finite")
+        if not np.all(np.isfinite(self.cell_measures)):
+            raise ValueError("length and nozzle area give cell measures "
+                             "that overflow")
         self.da = self.a_faces[1:] - self.a_faces[:-1]
         self._half_area = 0.5 * self.a_faces
 
         self.layout = BlockLayout(n_cells, 3)
         self.edges = np.arange(n_cells - 1)[:, None] + [0, 1]
-        self.cell_measures = self.a_centers * self.dx
         self._state_key = None
         self._evaluation = None
 

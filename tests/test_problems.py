@@ -615,6 +615,8 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "stretching_ratio 1e\\+300 is too large"),
     (lambda: make_aniso_convdiff(16, 16, stretching_ratio=1e200),
      "stretching_ratio 1e\\+200 is too large"),
+    (lambda: make_aniso_convdiff(6, 7, 1e204, ly=2.6e295),
+     "stretching_ratio 1e\\+204 is too large for 7 cells of ly 2.6e\\+295"),
     (lambda: make_aniso_convdiff(8, 8, 1.0, eps=1e308),
      "forcing that overflows"),
     (lambda: make_aniso_convdiff(8, 8, 1.0, sigma=1e308),
@@ -631,6 +633,10 @@ def test_euler_solver_never_accepts_inadmissible_state():
      "nozzle area must be positive and finite"),
     (lambda: make_quasi1d_euler(16, area=lambda x: np.full_like(x, np.nan)),
      "nozzle area must be positive and finite"),
+    (lambda: make_quasi1d_euler(20, length=2.8e187),
+     "nozzle area must be positive and finite"),
+    (lambda: make_quasi1d_euler(16, length=1e150),
+     "cell measures that overflow"),
     (lambda: make_quasi1d_euler(16, area=lambda x: np.ones(3)),
      "nozzle area must return one value per point"),
     (lambda: make_quasi1d_euler(16, area=lambda x: 1.0),
@@ -655,10 +661,12 @@ def test_euler_solver_never_accepts_inadmissible_state():
         "convdiff_stretching_below_1", "convdiff_eps_negative",
         "convdiff_eps_zero",
         "convdiff_sigma_negative", "convdiff_stretching_1e300",
-        "convdiff_stretching_1e200", "convdiff_forcing_eps",
+        "convdiff_stretching_1e200", "convdiff_faces_overflow",
+        "convdiff_forcing_eps",
         "convdiff_forcing_sigma", "convdiff_forcing_amplitude",
         "convdiff_stencil_eps", "convdiff_boundary_amplitude",
         "euler_length", "euler_area_negative", "euler_area_nan",
+        "euler_area_overflow", "euler_measures_overflow",
         "euler_area_wrong_length", "euler_area_scalar",
         "convdiff_velocity_three", "convdiff_velocity_scalar",
         "euler_inflow_u", "euler_inflow_p", "euler_inflow_rho",

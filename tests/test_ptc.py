@@ -1,9 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import ptcsmooth.linalg
 import ptcsmooth.ptc
+import ptcsmooth.smoother
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, InadmissibleStateError, l2_norm)
 from ptcsmooth.lines import extract_lines, singleton_lines
@@ -211,6 +214,62 @@ def test_singular_smoother_runs_the_step_unsmoothed(caplog):
     assert np.all(smoothed.source == 0.0)
     assert smoothed.delta_w.tobytes() == plain.delta_w.tobytes()
     assert smoothed.stats == plain.stats and plain.stats.converged
+
+
+@pytest.mark.parametrize("smoothing", [None, RkSchedule()],
+                         ids=["plain", "smoothed"])
+def test_non_finite_diagonal_rejects_the_step_as_futile(smoothing, caplog):
+    # Cell 2's diagonal block is NaN, so J1 + M/dtau fails at every CFL:
+    # the step is rejected with no Krylov vector and marked futile, and the
+    # log names the PTC preconditioner, never the smoother.
+    diag = np.full((6, 1, 1), 4.0)
+    diag[2] = np.nan
+    off = np.full((5, 1, 1), -1.0)
+    sys = LinearChainSystem(diag, off, off.copy(), np.ones(6))
+    w = sys.initial_state()
+    with caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
+        ns = newton_step(sys, w, mass_over_dtau(sys, w, 10.0),
+                         PtcConfig(smoothing=smoothing), singleton_lines(6),
+                         np.ones(6), sys.first_order_blocks(w))
+    assert ns.futile and not ns.smoother_degraded
+    assert (ns.stats.iterations, ns.stats.achieved_reduction,
+            ns.stats.converged) == (0, 1.0, False)
+    assert not ns.delta_w.any() and not ns.source.any()
+    assert [r.getMessage() for r in caplog.records] == [
+        "PTC preconditioner failed (non-finite pivot inverse on line 2 at "
+        "position 0); rejecting the step"]
+
+
+@pytest.mark.parametrize("smoothing, factors", [(None, 1), (RkSchedule(), 2)],
+                         ids=["plain", "smoothed"])
+def test_each_factor_builder_makes_one_factor_call(smoothing, factors):
+    # A plain step factors J1 + M/dtau; a smoothed one also factors J1 for
+    # the smoother. Each builder makes one factor call, which the traced
+    # benchmark's guard checks as factor = precon_build + smoother.build.
+    p = make_bratu(16, 1.0)
+    w = p.initial_state()
+    calls = {"factor": 0, "precon": 0, "smoother": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    factor = counting("factor", ptcsmooth.linalg.factor_block_tridiag)
+    with mock.patch.object(ptcsmooth.ptc, "factor_block_tridiag", factor), \
+            mock.patch.object(ptcsmooth.smoother, "factor_block_tridiag",
+                              factor), \
+            mock.patch.object(ptcsmooth.ptc, "build_ptc_preconditioner",
+                              counting("precon", build_ptc_preconditioner)), \
+            mock.patch.object(ptcsmooth.ptc, "build_smoother",
+                              counting("smoother", build_smoother)):
+        ns = newton_step(p, w, mass_over_dtau(p, w, 10.0),
+                         PtcConfig(smoothing=smoothing), _lines_for(p),
+                         p.residual(w), p.first_order_blocks(w))
+    assert ns.stats.converged
+    assert calls == {"factor": factors, "precon": 1,
+                     "smoother": factors - 1}
 
 
 # ---------------------------------------------------------------------------

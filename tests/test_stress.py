@@ -12,11 +12,13 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import ptcsmooth.ptc
 from ptcsmooth.core import BlockVector, InadmissibleStateError, trial_residual
+from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
@@ -91,6 +93,104 @@ def _check_history(report):
 def test_every_solve_ends_as_outcome_or_documented_abort(
         spec, fill, cfl_init, beta_cfl1, smoothing, unsteady):
     system = _build(spec)
+    w0 = None
+    if fill is not None and not unsteady:   # BDF runs start impulsively
+        w0 = BlockVector(system.layout, np.full(system.layout.n_dofs, fill))
+    _check_run(system, w0, cfl_init, beta_cfl1, smoothing, unsteady)
+
+
+def _log_uniform(low, high):
+    """10^e, e uniform over [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+def _signed(magnitudes):
+    """The magnitudes with a random sign."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitudes).map(
+        lambda pair: pair[0] * pair[1])
+
+
+# Every parameter over what its constructor accepts, in log space: each
+# magnitude within three decades of its default half the time, anywhere in
+# 10^+-300 otherwise (the cell counts over small grids). A draw the
+# constructor refuses with ValueError is outside that range and discarded.
+def _magnitude(default):
+    centre = float(np.log10(default))
+    return _log_uniform(centre - 3.0, centre + 3.0) | _log_uniform(-300.0,
+                                                                   300.0)
+
+
+WIDE_PROBLEMS = {
+    "bratu": (make_bratu, st.fixed_dictionaries({
+        "n_cells": st.integers(3, 64), "lam": _signed(_magnitude(1.0))})),
+    "convdiff": (make_aniso_convdiff, st.fixed_dictionaries({
+        "nx": st.integers(4, 10), "ny": st.integers(4, 10),
+        "stretching_ratio": (_log_uniform(0.0, 4.0)
+                             | _log_uniform(0.0, 300.0)),
+        "eps": _magnitude(0.01),
+        "velocity": st.tuples(_signed(_magnitude(1.0)),
+                              _signed(_magnitude(0.5))),
+        "sigma": st.just(0.0) | _magnitude(1.0), "ly": _magnitude(1.0),
+        "amplitude": _signed(_magnitude(0.5))})),
+    "nozzle": (make_quasi1d_euler, st.fixed_dictionaries({
+        "n_cells": st.integers(16, 32), "rho_in": _magnitude(1.0),
+        "u_in": _signed(_magnitude(0.3)), "p_exit": _magnitude(1.0 / 1.4),
+        "gamma": _magnitude(0.4).map(lambda g: 1.0 + g),
+        "length": _magnitude(1.0)})),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WIDE_PROBLEMS))
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data(),
+       start=st.none() | st.tuples(st.integers(0, 2 ** 32 - 1),
+                                   st.floats(-300.0, 300.0),
+                                   st.floats(0.0, 100.0), st.booleans()),
+       cfl_init=st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e),
+       beta_cfl1=st.floats(1.01, 5.0),
+       smoothing=st.sampled_from(sorted(SMOOTHINGS)),
+       unsteady=st.booleans())
+def test_wide_parameters_and_log_normal_starts_end_as_outcome_or_abort(
+        family, data, start, cfl_init, beta_cfl1, smoothing, unsteady):
+    # A log-normal start draws each entry as 10^(center + spread * N(0, 1)),
+    # its exponent clipped to +-300, with a random sign when signed.
+    make, parameters = WIDE_PROBLEMS[family]
+    try:
+        system = make(**data.draw(parameters))
+    except ValueError:
+        reject()
+    w0 = None
+    if start is not None:
+        seed, center, spread, signed = start
+        rng = np.random.default_rng(seed)
+        n = system.layout.n_dofs
+        values = 10.0 ** np.clip(center + spread * rng.standard_normal(n),
+                                 -300.0, 300.0)
+        if signed:
+            values *= rng.choice((-1.0, 1.0), n)
+        w0 = BlockVector(system.layout, values)
+    _check_run(system, w0, cfl_init, beta_cfl1, smoothing, unsteady)
+
+
+def _unusable(system, start):
+    """A start the solvers refuse before any step: ``trial_residual``
+    rejects it, or line extraction refuses its couplings."""
+    if trial_residual(system, start) is None:
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = system.first_order_blocks(start)
+    try:
+        extract_lines(blocks, system.edges)
+    except InadmissibleStateError:
+        return True
+    return False
+
+
+def _check_run(system, w0, cfl_init, beta_cfl1, smoothing, unsteady):
+    """Solve from ``w0`` (the system's start if None), steady or as a BDF
+    run, and check that it ends as an outcome or an inadmissible start,
+    with no warning, a consistent history and descending line searches."""
     config = PtcConfig(cfl_init=cfl_init, beta_cfl1=beta_cfl1,
                        max_newton_steps=MAX_STEPS,
                        smoothing=SMOOTHINGS[smoothing])
@@ -104,25 +204,27 @@ def test_every_solve_ends_as_outcome_or_documented_abort(
     with warnings.catch_warnings(), \
             mock.patch.object(ptcsmooth.ptc, "line_search", recorded):
         warnings.simplefilter("error")
-        if unsteady:
-            history = advance_unsteady(
-                system, UnsteadyConfig(BDF_DT, BDF_STEPS, config))
-            reports = history.reports
-            outcomes = [rep.outcome for rep in reports]
-            # The run stops at the first inner solve that does not converge.
-            assert all(o == SolveOutcome.CONVERGED for o in outcomes[:-1])
-            assert history.aborted == (outcomes[-1] != SolveOutcome.CONVERGED)
-            assert history.aborted or len(reports) == BDF_STEPS
-        else:
-            w0 = None
-            if fill is not None:
-                w0 = BlockVector(system.layout,
-                                 np.full(system.layout.n_dofs, fill))
-            try:
+        try:
+            if unsteady:
+                if w0 is not None:
+                    system.initial_state = w0.copy
+                history = advance_unsteady(
+                    system, UnsteadyConfig(BDF_DT, BDF_STEPS, config))
+                reports = history.reports
+                outcomes = [rep.outcome for rep in reports]
+                # The run stops at the first inner solve that does not
+                # converge.
+                assert all(o == SolveOutcome.CONVERGED
+                           for o in outcomes[:-1])
+                assert history.aborted == (
+                    outcomes[-1] != SolveOutcome.CONVERGED)
+                assert history.aborted or len(reports) == BDF_STEPS
+            else:
                 reports = [solve_steady(system, config, w0)]
-            except InadmissibleStateError:
-                assert w0 is not None and trial_residual(system, w0) is None
-                return
+        except InadmissibleStateError:
+            assert _unusable(system, system.initial_state() if w0 is None
+                             else w0)
+            return
 
     for rep in reports:
         assert isinstance(rep.outcome, SolveOutcome)
