@@ -384,7 +384,8 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
     upper, lower = couplings
 
     # The dummy cell's identity pivot keeps unused slots inert.
-    diag = np.concatenate([diag_blocks, np.eye(b)[None]])[lines.index]
+    diag = np.concatenate([diag_blocks, np.eye(b)[None]]).take(lines.index,
+                                                             axis=0)
     mul = np.multiply if b == 1 else np.matmul
     levels, pivots = [], []
     with np.errstate(all="ignore"):
