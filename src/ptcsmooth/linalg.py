@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -286,12 +286,22 @@ class BlockTridiagFactorization:
         return x.reshape(n_columns, rows, b, 1).swapaxes(0, 1)
 
 
-def _inverse(pivots: np.ndarray) -> np.ndarray:
+def _inverse(pivots: np.ndarray, halves: int = 1) -> np.ndarray:
     """Each pivot block's inverse, unchecked. A 1x1 block's inverse is its
     reciprocal, bit for bit what ``np.linalg.inv`` returns, without a LAPACK
-    call per block; larger blocks raise ``np.linalg.LinAlgError`` if any is
-    singular."""
-    return 1.0 / pivots if pivots.shape[-1] == 1 else np.linalg.inv(pivots)
+    call per block. If LAPACK finds a larger block singular, each of
+    ``halves`` equal groups of columns is inverted apart, and one holding a
+    singular block reads NaN throughout: columns never mix, so every other
+    group's inverse is what it would be alone."""
+    if pivots.shape[-1] == 1:
+        return 1.0 / pivots
+    try:
+        return np.linalg.inv(pivots)
+    except np.linalg.LinAlgError:
+        if halves == 1:
+            return np.full_like(pivots, np.nan)
+        return np.concatenate([_inverse(part) for part in
+                               np.split(pivots, halves, axis=1)], axis=1)
 
 
 def _pivot_failure(block: np.ndarray) -> Optional[str]:
@@ -305,40 +315,62 @@ def _pivot_failure(block: np.ndarray) -> Optional[str]:
     return None if np.all(np.isfinite(block)) else "non-finite pivot block"
 
 
-def _check_pivots(pivots: np.ndarray, lines: LineSet,
-                  cells: np.ndarray) -> None:
-    """Raise ``SingularPivotError`` if a pivot of one level, (len(cells),
-    n_columns, b, b), or its inverse fails; ``cells`` holds the cell of
-    ``lines.index`` in each pivot's slot. The error names the line and the
-    position on it of a failing pivot: the lowest position, then the lowest
-    line."""
-    try:
-        inv = _inverse(pivots)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        if np.isfinite(inv).all() and np.isfinite(pivots).all():
-            return
-    where = {cell: (pos, li) for li, line in enumerate(lines.lines)
-             for pos, cell in enumerate(line)}
-    failures = [(where[cell], reason)
-                for row_cells, row_pivots in zip(cells.tolist(), pivots)
-                for cell, block in zip(row_cells, row_pivots)
-                if (reason := _pivot_failure(block)) is not None]
-    (pos, li), reason = min(failures)
-    raise SingularPivotError(f"{reason} on line {li} at position {pos}")
+@np.errstate(all="ignore")
+def _check_pivots(pivots: Sequence[np.ndarray], lines: LineSet,
+                  cols: slice) -> None:
+    """Raise ``SingularPivotError`` if a pivot of the reduction, or its
+    inverse, fails on the columns ``cols`` of its levels' ``pivots``, each
+    (rows, n_columns, b, b) over the layout ``lines.index`` laid side by
+    side. Levels are checked in order, and the error names the line and the
+    position on it of a failing pivot of the first failing level: the
+    lowest position, then the lowest line."""
+    for level, level_pivots in enumerate(pivots):
+        level_pivots = level_pivots[:, cols]
+        if (np.isfinite(_inverse(level_pivots)).all()
+                and np.isfinite(level_pivots).all()):
+            continue
+        # Level l pivots on the rows from 2^l - 1 every 2^(l + 1); the root
+        # is the last level.
+        cells = lines.index[2 ** level - 1::2 ** (level + 1)]
+        where = {cell: (pos, li) for li, line in enumerate(lines.lines)
+                 for pos, cell in enumerate(line)}
+        failures = [(where[cell], reason)
+                    for row_cells, row_pivots in zip(cells.tolist(),
+                                                     level_pivots)
+                    for cell, block in zip(row_cells, row_pivots)
+                    if (reason := _pivot_failure(block)) is not None]
+        (pos, li), reason = min(failures)
+        raise SingularPivotError(f"{reason} on line {li} at position {pos}")
 
 
-def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
-                         ) -> BlockTridiagFactorization:
+def factor_block_tridiag(
+        lines: LineSet, blocks: FirstOrderBlocks,
+        shifts: Optional[Sequence[Optional[np.ndarray]]] = None
+) -> Union[BlockTridiagFactorization,
+           Tuple[Union[BlockTridiagFactorization, SingularPivotError], ...]]:
     """Block cyclic reduction of the first-order ``blocks``, over the
     stencil ``lines.edges``, along every line of ``lines`` at once.
+
+    With ``shifts``, one reduction factors several diagonals over the same
+    couplings: for each entry, the blocks with each cell's diagonal block
+    shifted by its entry of that per-cell array times the identity (None:
+    no shift). The diagonal is taken into the layout once, each shift added
+    after the take, and the shifted copies reduced side by side, as
+    len(shifts) * n_columns columns of one reduction with one ``top``.
+    Columns never mix, so each factorization returned, one per shift in
+    order, is bitwise the one its shifted blocks would give alone; its
+    levels below the top are copied out contiguous (the solve reads only
+    those), its top levels, ``root`` and ``top`` are column slices. The
+    first shift's failure raises, as a factor of its own would; a later
+    shift whose pivots fail gives, in its place, the ``SingularPivotError``
+    its factor alone would raise.
 
     Each in-line pair's couplings are gathered with one ``take`` through
     ``lines.coupling_plan`` into the packed layout of ``lines.index``, the
     one reduced. Blocks of another shape (lines without a pair fit any
-    stencil), or a non-finite coupling named by its pair, raise
-    ``ContractViolationError``. A singular or non-finite pivot raises
+    stencil), a shift that is not one value per cell, or a non-finite
+    coupling named by its pair, raise ``ContractViolationError`` before any
+    reduction. A singular or non-finite pivot raises
     ``SingularPivotError`` naming a line and the position on it of the
     reduced row: the first failing level, then the lowest position, then
     the lowest line. That is the pivot a column of the line's own would
@@ -346,10 +378,11 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
     NaN across to the other lines of its column.
 
     The levels and the root run with every floating-point warning
-    silenced, their pivots inverted unchecked, and one finiteness check
-    over all pivots and inverses follows. Only if it fails (or LAPACK finds
-    a singular block) are the levels checked one by one, in order; the
-    levels before the first failing one are what a factor stopping there
+    silenced, their pivots inverted unchecked (a shift whose block LAPACK
+    finds singular reads NaN from that level on), and one finiteness check
+    over all pivots and inverses follows. Only if it fails are each
+    shift's levels checked one by one, in order, on its own columns; the
+    levels before its first failing one are what a factor stopping there
     would have computed, so the error is the same, and no warning escapes.
 
     A slot no line holds never fails. A cross coupling (between two lines,
@@ -381,45 +414,69 @@ def factor_block_tridiag(lines: LineSet, blocks: FirstOrderBlocks
         q = lines.index[1:][pair_mask][i]
         raise ContractViolationError(
             f"line pair {(int(p), int(q))} has a non-finite coupling")
-    upper, lower = couplings
 
-    # The dummy cell's identity pivot keeps unused slots inert.
-    diag = np.concatenate([diag_blocks, np.eye(b)[None]]).take(lines.index,
-                                                             axis=0)
+    # The dummy cell's identity pivot keeps unused slots inert; it takes
+    # no shift.
+    eye = np.eye(b)
+    taken = np.concatenate([diag_blocks, eye[None]]).take(lines.index, axis=0)
+    diags = []
+    for shift in (None,) if shifts is None else shifts:
+        if shift is None:
+            diags.append(taken)
+            continue
+        if np.shape(shift) != (n_cells,):
+            raise ContractViolationError(
+                f"a diagonal shift is not one value per cell ({n_cells})")
+        at = np.concatenate((shift, [0.0])).take(lines.index)
+        diags.append(taken + at[..., None, None] * eye)
+    k, n_columns = len(diags), lines.index.shape[1]
+    diag = diags[0] if k == 1 else np.concatenate(diags, axis=1)
+    if k > 1:
+        couplings = np.concatenate((couplings,) * k, axis=2)
+    upper, lower = couplings
     mul = np.multiply if b == 1 else np.matmul
     levels, pivots = [], []
     with np.errstate(all="ignore"):
-        try:
-            while len(diag) > 1:
-                pivots.append(diag[0::2])
-                dinv = _inverse(pivots[-1])
-                left = np.ascontiguousarray(lower[0::2])
-                right = np.ascontiguousarray(upper[1::2])
-                dinv_lower = mul(dinv[1:], lower[1::2])
-                dinv_upper = mul(dinv[:-1], upper[0::2])
-                diag = (diag[1::2] - mul(left, dinv_upper)
-                        - mul(right, dinv_lower))
-                upper = -mul(right[:-1], dinv_upper[1:])
-                lower = -mul(left[1:], dinv_lower[:-1])
-                levels.append((dinv, left, right, dinv_lower, dinv_upper))
-            pivots.append(diag)
-            root = _inverse(diag)[0]
-            finite = np.isfinite(np.concatenate(
-                pivots + [level[0] for level in levels] + [root],
-                axis=None)).all()
-        except np.linalg.LinAlgError:
-            finite = False
-        if not finite:
-            # Level l pivots on the rows from 2^l - 1 every 2^(l + 1); the
-            # root is the last level. Some level fails, and raises.
-            for level, level_pivots in enumerate(pivots):
-                _check_pivots(level_pivots, lines,
-                              lines.index[2 ** level - 1::2 ** (level + 1)])
-    # The top: the last levels and the root solve unit right-hand sides,
-    # one per unknown of the rows those levels start from.
-    top_levels = levels[-TOP_LEVELS:]
-    rows = 2 ** (len(top_levels) + 1) - 1
-    unit = np.eye(rows * b).reshape(rows, 1, b, rows * b)
-    x = _cyclic_solve(top_levels, lambda y: mul(root, y), unit)
+        while len(diag) > 1:
+            pivots.append(diag[0::2])
+            dinv = _inverse(pivots[-1], k)
+            left = np.ascontiguousarray(lower[0::2])
+            right = np.ascontiguousarray(upper[1::2])
+            dinv_lower = mul(dinv[1:], lower[1::2])
+            dinv_upper = mul(dinv[:-1], upper[0::2])
+            diag = (diag[1::2] - mul(left, dinv_upper)
+                    - mul(right, dinv_lower))
+            upper = -mul(right[:-1], dinv_upper[1:])
+            lower = -mul(left[1:], dinv_lower[:-1])
+            levels.append((dinv, left, right, dinv_lower, dinv_upper))
+        pivots.append(diag)
+        root = _inverse(diag, k)[0]
+        finite = np.isfinite(np.concatenate(
+            pivots + [level[0] for level in levels] + [root],
+            axis=None)).all()
+        # The top: the last levels and the root solve unit right-hand
+        # sides, one per unknown of the rows those levels start from.
+        top_levels = levels[-TOP_LEVELS:]
+        rows = 2 ** (len(top_levels) + 1) - 1
+        unit = np.eye(rows * b).reshape(rows, 1, b, rows * b)
+        x = _cyclic_solve(top_levels, lambda y: mul(root, y), unit)
     top = x.swapaxes(0, 1).reshape(len(root), rows * b, rows * b)
-    return BlockTridiagFactorization(lines, tuple(levels), root, top)
+
+    factors = []
+    for h in range(k):
+        cols = slice(h * n_columns, (h + 1) * n_columns)
+        try:
+            if not finite:
+                _check_pivots(pivots, lines, cols)
+        except SingularPivotError as exc:
+            if h == 0:
+                raise
+            factors.append(exc)
+            continue
+        own = tuple(levels) if k == 1 else (
+            tuple(tuple(np.ascontiguousarray(a[:, cols]) for a in level)
+                  for level in levels[:-TOP_LEVELS])
+            + tuple(tuple(a[:, cols] for a in level) for level in top_levels))
+        factors.append(
+            BlockTridiagFactorization(lines, own, root[cols], top[cols]))
+    return factors[0] if shifts is None else tuple(factors)

@@ -10,8 +10,9 @@ pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
 The first-order blocks are evaluated once per state, and each Newton step
-factors those same blocks along the frozen lines twice: as J1 for the
-smoother and, the diagonal shifted, as J1 + M/dtau for GMRES. M/dtau
+factors those same blocks along the frozen lines once: as J1 + M/dtau for
+GMRES, and on a smoothed step, in the same stacked reduction, as J1 for the
+smoother, since the two differ only by the diagonal shift. M/dtau
 itself is formed once per Newton step (``mass_over_dtau``),
 as one per-unknown array that every layer of the step multiplies by.
 """
@@ -128,12 +129,31 @@ def ptc_operator(system: NonlinearSystem, w: BlockVector,
     return matvec
 
 
-def build_ptc_preconditioner(lines: LineSet, blocks: FirstOrderBlocks,
-                             mass_over_dtau: np.ndarray) -> BlockTridiagFactorization:
-    """The first-order Jacobian along ``lines``, each cell's diagonal block
-    shifted by its entry of the per-unknown M/dtau times the identity."""
-    b = blocks.diag.shape[1]
-    return factor_block_tridiag(lines, blocks.shifted(mass_over_dtau[::b]))
+def build_ptc_preconditioner(
+        lines: LineSet, blocks: FirstOrderBlocks, mass_over_dtau: np.ndarray,
+        smoothed: bool = False
+) -> Tuple[BlockTridiagFactorization, Optional[BlockTridiagFactorization]]:
+    """The Newton step's one line factorization: the first-order Jacobian
+    along ``lines``, each cell's diagonal block shifted by its entry of the
+    per-unknown M/dtau times the identity, J1 + M/dtau for GMRES.
+
+    Returns it with the smoother's J1, or None. When ``smoothed``, both come
+    from ``build_smoother``'s one stacked factor call; a J1 that fails
+    there alone is logged and None is returned for it, so the step runs
+    unsmoothed. A failing J1 + M/dtau raises, whether smoothed or not.
+    """
+    if not smoothed:
+        b = blocks.diag.shape[1]
+        (precon,) = factor_block_tridiag(lines, blocks,
+                                         (mass_over_dtau[::b],))
+        return precon, None
+    smoother, precon = build_smoother(lines, blocks, mass_over_dtau)
+    if isinstance(smoother, SingularPivotError):
+        # Smoother failure is soft: fall back to the unsmoothed step.
+        log.warning("smoother build failed (%s); running unsmoothed step",
+                    smoother)
+        smoother = None
+    return precon, smoother
 
 
 @dataclass
@@ -156,8 +176,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and
     ``residual`` and ``blocks`` are R(w) and the first-order blocks at ``w``.
-    The blocks are factored along ``lines`` as J1 for the smoother (when
-    ``config.smoothing`` has cycles) and as J1 + M/dtau for GMRES. The
+    The blocks are factored along ``lines`` once, as J1 + M/dtau for GMRES
+    and, stacked beside it when ``config.smoothing`` has cycles, as J1 for
+    the smoother (``build_ptc_preconditioner``). The
     smoothing source is computed before the linear solve and never
     re-evaluated. A singular smoother factorization runs the step
     unsmoothed. GMRES non-convergence is reported through the stats for the
@@ -168,8 +189,10 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     """
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
+    smoothed = config.smoothing is not None and config.smoothing.n_cycles > 0
     try:
-        precon = build_ptc_preconditioner(lines, blocks, mass_over_dtau)
+        precon, smoother = build_ptc_preconditioner(lines, blocks,
+                                                    mass_over_dtau, smoothed)
     except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         futile = (isinstance(exc, ContractViolationError)
@@ -177,19 +200,12 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
         return NewtonStepResult(zero, zero, failed, futile=futile)
 
     source, degraded = zero, False
-    if config.smoothing is not None and config.smoothing.n_cycles > 0:
-        try:
-            smoother = build_smoother(lines, blocks)
-        except SingularPivotError as exc:
-            # Smoother failure is soft: fall back to the unsmoothed step.
-            log.warning("smoother build failed (%s); running unsmoothed step",
-                        exc)
-        else:
-            sm = rk_smooth(system, smoother, config.smoothing, w, residual)
-            # The paper's source term (M/dtau) dw_smooth; it vanishes as
-            # dtau grows, recovering the exact Newton step.
-            source = mass_over_dtau * sm.delta_w
-            degraded = sm.degraded
+    if smoother is not None:
+        sm = rk_smooth(system, smoother, config.smoothing, w, residual)
+        # The paper's source term (M/dtau) dw_smooth; it vanishes as
+        # dtau grows, recovering the exact Newton step.
+        source = mass_over_dtau * sm.delta_w
+        degraded = sm.degraded
 
     try:
         x, stats = gmres_right_preconditioned(
@@ -271,7 +287,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     """Run the continuation loop to the residual target.
 
     Solver lines are ``lines``, or extracted at the starting state when it
-    is ``None``, and frozen; both line factorizations are rebuilt at each
+    is ``None``, and frozen; the line factorization is rebuilt at each
     Newton step's state. The first-order blocks are evaluated once per
     state, without overflow warnings (a non-finite block is refused where
     it is used): a rejected step leaves the state bit-identical, so the

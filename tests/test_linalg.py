@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
-from ptcsmooth.linalg import (GmresStats, SingularPivotError,
+from ptcsmooth.linalg import (TOP_LEVELS, GmresStats, SingularPivotError,
                               factor_block_tridiag,
                               gmres_right_preconditioned)
 from ptcsmooth.lines import LineSet, extract_lines, singleton_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
+from ptcsmooth.ptc import mass_over_dtau
+from ptcsmooth.smoother import build_smoother
+from ptcsmooth.timestepping import BdfStepSystem
 
 from conftest import (dense_from_lines, diffusion_chain, kernel_lines,
                       line_couplings, random_couplings)
@@ -865,3 +868,109 @@ def test_gather_plans_property(lines, b, seed):
     assert couplings[:, lines.pair_mask].tobytes() \
         == stacked[lines.slots].tobytes()
     assert not couplings[:, ~lines.pair_mask].any()
+
+
+# ---------------------------------------------------------------------------
+# Stacked factors: one reduction, several diagonal shifts
+# ---------------------------------------------------------------------------
+
+def _convdiff(nx, ny):
+    return lambda: make_aniso_convdiff(nx, ny, stretching_ratio=1000.0)
+
+
+def _bdf_convdiff16x24():
+    inner = make_aniso_convdiff(16, 24, stretching_ratio=1000.0)
+    return BdfStepSystem(inner, inner.initial_state(), None, 0.05)
+
+
+def _assert_same_factor(fact, ref):
+    assert len(fact.levels) == len(ref.levels)
+    for level, ref_level in zip(fact.levels, ref.levels):
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(level, ref_level))
+    for level in fact.levels[:-TOP_LEVELS]:
+        assert all(a.flags.c_contiguous for a in level)
+    assert fact.root.tobytes() == ref.root.tobytes()
+    assert fact.top.tobytes() == ref.top.tobytes()
+
+
+# The benchmark's steady grids and its BDF run's first step, each at its
+# seed-0 (unperturbed) start, and bratu 64.
+@pytest.mark.parametrize("build, singleton", [
+    (_convdiff(16, 24), False), (_convdiff(32, 48), False),
+    (lambda: make_quasi1d_euler(32), False),
+    (lambda: make_quasi1d_euler(32), True),
+    (lambda: make_quasi1d_euler(128), False),
+    (lambda: make_bratu(64), False), (_bdf_convdiff16x24, False),
+], ids=["convdiff16x24", "convdiff32x48", "nozzle32", "nozzle32_singleton",
+        "nozzle128", "bratu64", "bdf_convdiff16x24"])
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=8.0),
+       st.integers(min_value=0, max_value=10_000))
+def test_stacked_halves_match_their_own_factors_property(build, singleton,
+                                                         log_cfl, seed):
+    """Each half of the stacked J1 and J1 + M/dtau factor, and the one-shift
+    factor of a plain step, is bitwise the factor of its own blocks: every
+    level, the root, the top and the solves."""
+    system = build()
+    w = system.initial_state()
+    blocks = system.first_order_blocks(w)
+    lines = (singleton_lines(system.layout.n_cells) if singleton
+             else extract_lines(blocks, system.edges))
+    m_dtau = mass_over_dtau(system, w, 10.0 ** log_cfl)
+    b = system.layout.block_size
+    j1 = factor_block_tridiag(lines, blocks)
+    ptc = factor_block_tridiag(lines, blocks.shifted(m_dtau[::b]))
+    smoother, precon = build_smoother(lines, blocks, m_dtau)
+    (plain,) = factor_block_tridiag(lines, blocks, (m_dtau[::b],))
+    rng = np.random.default_rng(seed)
+    for fact, ref in ((smoother, j1), (precon, ptc), (plain, ptc)):
+        _assert_same_factor(fact, ref)
+        r = rng.standard_normal(system.layout.n_dofs)
+        assert fact.solve_values(r).tobytes() == ref.solve_values(r).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_stacked_failures_are_each_halfs_own(b):
+    # Lines of 5, 3, 2 and 1 cells sharing columns. Cell 7's J1 block is
+    # zero, and cell 8's is -1 times the identity, which its shift of 1
+    # makes zero: J1 fails on line 1, J1 + 1 on line 2, each as it fails
+    # alone; the half that passes is its own factor bitwise, LAPACK's
+    # refusal of the other half's block (b = 3) notwithstanding.
+    rng = np.random.default_rng(11 + b)
+    lines = kernel_lines(11, [[0, 1, 2, 3, 4], [7, 6, 5], [8, 9], [10]])
+    diag = rng.standard_normal((11, b, b)) + 2.0 * b * np.eye(b)
+    diag[7] = 0.0
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
+    ones = np.ones(11)
+
+    def alone(blocks):
+        try:
+            return factor_block_tridiag(lines, blocks)
+        except SingularPivotError as exc:
+            return exc
+
+    shifted = alone(blocks.shifted(ones))
+    j1 = alone(blocks)
+    assert str(j1) == "singular pivot block on line 1 at position 0"
+    ptc, smoother = factor_block_tridiag(lines, blocks, (ones, None))
+    _assert_same_factor(ptc, shifted)
+    assert type(smoother) is SingularPivotError
+    assert str(smoother) == str(j1)
+
+    diag[7] = rng.standard_normal((b, b)) + 2.0 * b * np.eye(b)
+    diag[8] = -np.eye(b)
+    j1, shifted = alone(blocks), alone(blocks.shifted(ones))
+    assert str(shifted) == "singular pivot block on line 2 at position 0"
+    with pytest.raises(SingularPivotError, match=re.escape(str(shifted))):
+        factor_block_tridiag(lines, blocks, (ones, None))
+    _, smoother = factor_block_tridiag(lines, blocks, (ones + 1.0, None))
+    _assert_same_factor(smoother, j1)
+
+
+def test_shift_of_another_length_is_rejected():
+    lines = singleton_lines(4)
+    blocks = FirstOrderBlocks(np.ones((4, 2, 2)) + np.eye(2),
+                              np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+    with pytest.raises(ContractViolationError, match="one value per cell"):
+        factor_block_tridiag(lines, blocks, (None, np.ones(8)))

@@ -240,13 +240,46 @@ def test_non_finite_diagonal_rejects_the_step_as_futile(smoothing, caplog):
         "position 0); rejecting the step"]
 
 
-@pytest.mark.parametrize("smoothing, factors", [(None, 1), (RkSchedule(), 2)],
-                         ids=["plain", "smoothed"])
-def test_each_factor_builder_makes_one_factor_call(smoothing, factors):
-    # A plain step factors J1 + M/dtau; a smoothed one also factors J1 for
-    # the smoother. Each builder makes one factor call, which the traced
-    # benchmark's guard checks as factor = precon_build + smoother.build.
+def _chain_on_singletons(pivot):
+    # A scalar chain whose cell 2 has diagonal ``pivot``, on singleton
+    # lines; M/dtau is 0.1 in every cell at CFL 10.
+    diag = np.full((6, 1, 1), 4.0)
+    diag[2] = pivot
+    off = np.full((5, 1, 1), -1.0)
+    return LinearChainSystem(diag, off, off.copy(), np.ones(6)), \
+        singleton_lines(6)
+
+
+def _bratu16():
     p = make_bratu(16, 1.0)
+    return p, _lines_for(p)
+
+
+@pytest.mark.parametrize("build, smoothing, verdict, logged", [
+    (_bratu16, None, (True, False, False), []),
+    (_bratu16, RkSchedule(), (True, True, False), []),
+    # J1's pivot is 0, J1 + M/dtau's 0.1: the step runs unsmoothed.
+    (lambda: _chain_on_singletons(0.0), RkSchedule(), (True, False, False),
+     ["smoother build failed (singular pivot block on line 2 at position "
+      "0); running unsmoothed step"]),
+    # J1's pivot is -0.1, J1 + M/dtau's 0: the step is rejected.
+    (lambda: _chain_on_singletons(-0.1), RkSchedule(), (False, False, False),
+     ["PTC preconditioner failed (singular pivot block on line 2 at "
+      "position 0); rejecting the step"]),
+    (lambda: _chain_on_singletons(np.nan), RkSchedule(), (False, False, True),
+     ["PTC preconditioner failed (non-finite pivot inverse on line 2 at "
+      "position 0); rejecting the step"]),
+], ids=["plain", "smoothed", "singular_smoother", "singular_precon",
+        "non_finite_diagonal"])
+def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
+                                                   logged, caplog):
+    # Every Newton step makes one factor call, through
+    # build_ptc_preconditioner; a smoothed step's is build_smoother's
+    # stacked J1 and J1 + M/dtau, which decides every failure without a
+    # second call. The traced benchmark's guard checks this as
+    # factor = precon_build. The verdict is (GMRES converged, smoothing
+    # source applied, futile).
+    p, lines = build()
     w = p.initial_state()
     calls = {"factor": 0, "precon": 0, "smoother": 0}
 
@@ -263,13 +296,15 @@ def test_each_factor_builder_makes_one_factor_call(smoothing, factors):
             mock.patch.object(ptcsmooth.ptc, "build_ptc_preconditioner",
                               counting("precon", build_ptc_preconditioner)), \
             mock.patch.object(ptcsmooth.ptc, "build_smoother",
-                              counting("smoother", build_smoother)):
+                              counting("smoother", build_smoother)), \
+            caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
         ns = newton_step(p, w, mass_over_dtau(p, w, 10.0),
-                         PtcConfig(smoothing=smoothing), _lines_for(p),
+                         PtcConfig(smoothing=smoothing), lines,
                          p.residual(w), p.first_order_blocks(w))
-    assert ns.stats.converged
-    assert calls == {"factor": factors, "precon": 1,
-                     "smoother": factors - 1}
+    assert (ns.stats.converged, bool(ns.source.any()), ns.futile) == verdict
+    assert [r.getMessage() for r in caplog.records] == logged
+    assert calls == {"factor": 1, "precon": 1,
+                     "smoother": 0 if smoothing is None else 1}
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +794,8 @@ def test_ptc_preconditioner_matches_dense_shifted_jacobian(b):
         rng.standard_normal((11, b, b)) + 2.0 * b * np.eye(b),
         *random_couplings(rng, lines, b, 0.5))
     m_dtau = np.repeat(rng.uniform(0.5, 2.0, 11), b)
-    precon = build_ptc_preconditioner(lines, blocks, m_dtau)
+    precon, smoother = build_ptc_preconditioner(lines, blocks, m_dtau)
+    assert smoother is None
     A = dense_from_lines(lines, blocks) + np.diag(m_dtau)
     r = rng.standard_normal(11 * b)
     ref = np.linalg.solve(A, r)
