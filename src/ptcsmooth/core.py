@@ -122,9 +122,10 @@ class FirstOrderBlocks:
 
     def shifted(self, per_cell: np.ndarray) -> "FirstOrderBlocks":
         """These blocks with each cell's diagonal block shifted by its entry
-        of ``per_cell`` times the identity; the couplings are shared."""
-        b = self.diag.shape[1]
-        diag = self.diag + per_cell[:, None, None] * np.eye(b)
+        of ``per_cell`` times the identity (a 1x1 block's shift is added as
+        is: x * 1.0 is exact); the couplings are shared."""
+        b, shift = self.diag.shape[1], per_cell[:, None, None]
+        diag = self.diag + (shift if b == 1 else shift * np.eye(b))
         return FirstOrderBlocks(diag, self.off_ij, self.off_ji)
 
 

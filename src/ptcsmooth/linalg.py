@@ -353,29 +353,27 @@ def factor_block_tridiag(
 
     With ``shifts``, one reduction factors several diagonals over the same
     couplings: for each entry, the blocks with each cell's diagonal block
-    shifted by its entry of that per-cell array times the identity (None:
-    no shift). The diagonal is taken into the layout once, each shift added
-    after the take, and the shifted copies reduced side by side, as
-    len(shifts) * n_columns columns of one reduction with one ``top``.
-    Columns never mix, so each factorization returned, one per shift in
-    order, is bitwise the one its shifted blocks would give alone; its
-    levels below the top are copied out contiguous (the solve reads only
-    those), its top levels, ``root`` and ``top`` are column slices. The
-    first shift's failure raises, as a factor of its own would; a later
-    shift whose pivots fail gives, in its place, the ``SingularPivotError``
-    its factor alone would raise.
+    shifted by its entry of that per-cell array times the identity (None: no
+    shift). Each shifted diagonal is taken into the layout, and the copies are
+    reduced side by side, as len(shifts) * n_columns columns of one reduction
+    with one ``top``. Columns never mix, so each factorization returned, one
+    per shift in order, is bitwise the one its shifted blocks would give alone;
+    its levels below the top are copied out contiguous (the solve reads only
+    those), its top levels, ``root`` and ``top`` are column slices. The first
+    shift's failure raises, as a factor of its own would; a later shift whose
+    pivots fail gives, in its place, the ``SingularPivotError`` its factor
+    alone would raise.
 
     Each in-line pair's couplings are gathered with one ``take`` through
-    ``lines.coupling_plan`` into the packed layout of ``lines.index``, the
-    one reduced. Blocks of another shape (lines without a pair fit any
-    stencil), a shift that is not one value per cell, or a non-finite
-    coupling named by its pair, raise ``ContractViolationError`` before any
-    reduction. A singular or non-finite pivot raises
-    ``SingularPivotError`` naming a line and the position on it of the
-    reduced row: the first failing level, then the lowest position, then
-    the lowest line. That is the pivot a column of the line's own would
-    fail on, unless a block product overflowed first: 0 * inf then carries
-    NaN across to the other lines of its column.
+    ``lines.coupling_plan`` into the packed layout of ``lines.index``, the one
+    reduced. Blocks of another shape (lines without a pair fit any stencil), a
+    shift that is not one value per cell, or a non-finite coupling named by its
+    pair, raise ``ContractViolationError`` before any reduction. A singular or
+    non-finite pivot raises ``SingularPivotError`` naming a line and the
+    position on it of the reduced row: the first failing level, then the lowest
+    position, then the lowest line. That is the pivot a column of the line's
+    own would fail on, unless a block product overflowed first: 0 * inf then
+    carries NaN across to the other lines of its column.
 
     The levels and the root run with every floating-point warning
     silenced, their pivots inverted unchecked (a shift whose block LAPACK
@@ -418,20 +416,19 @@ def factor_block_tridiag(
     # The dummy cell's identity pivot keeps unused slots inert; it takes
     # no shift.
     eye = np.eye(b)
-    taken = np.concatenate([diag_blocks, eye[None]]).take(lines.index, axis=0)
-    diags = []
-    for shift in (None,) if shifts is None else shifts:
-        if shift is None:
-            diags.append(taken)
-            continue
-        if np.shape(shift) != (n_cells,):
+
+    def taken(shift):
+        if shift is not None and np.shape(shift) != (n_cells,):
             raise ContractViolationError(
                 f"a diagonal shift is not one value per cell ({n_cells})")
-        at = np.concatenate((shift, [0.0])).take(lines.index)
-        diags.append(taken + at[..., None, None] * eye)
-    k, n_columns = len(diags), lines.index.shape[1]
-    diag = diags[0] if k == 1 else np.concatenate(diags, axis=1)
-    if k > 1:
+        diag = diag_blocks if shift is None else blocks.shifted(shift).diag
+        return np.concatenate([diag, eye[None]]).take(lines.index, axis=0)
+
+    k, n_columns = 1 if shifts is None else len(shifts), lines.index.shape[1]
+    if k == 1:
+        diag = taken(None if shifts is None else shifts[0])
+    else:
+        diag = np.concatenate([taken(shift) for shift in shifts], axis=1)
         couplings = np.concatenate((couplings,) * k, axis=2)
     upper, lower = couplings
     mul = np.multiply if b == 1 else np.matmul

@@ -9,15 +9,14 @@ directions of any origin (mesh stretching, convection, coefficients) are
 picked up the same way, and every cell not reached by a path becomes a
 singleton line: where all are singletons, the preconditioner is block-diagonal.
 
-A ``LineSet`` also packs its lines into the layout the cyclic-reduction
-kernels reduce: columns of 2^L - 1 rows, each line contiguous down one
-column from a row that is a multiple of 2^B (B the bit length of its cell
-count), so that short lines and singletons share columns without changing
-a bit of any pivot; a line's solution changes only in rounding, with the
-height of its column, and nothing another line holds changes a bit of it.
-The plans through which the line kernels gather and scatter are built
-once per line set: the couplings' at construction, the solve's on first
-use for each block size and row order.
+A ``LineSet`` also packs its lines into the layout the cyclic-reduction kernels
+reduce: columns of 2^L - 1 rows, each line contiguous down one column from a
+row that is a multiple of 2^B (B the bit length of its cell count), so that
+short lines and singletons share columns without changing a bit of any pivot; a
+line's solution changes only in rounding, with the height of its column, and
+nothing another line holds changes a bit of it. The plans through which the
+line kernels gather and scatter are built once per line set: the couplings' at
+construction, the solve's on first use for each block size and row order.
 """
 
 from __future__ import annotations

@@ -11,10 +11,14 @@ The residual uses central convection; the first-order blocks use upwind
 convection, reproducing the usual inexact-preconditioner split. The exact
 Jacobian-vector product belongs to the central-difference residual.
 
-Only the pointwise reaction depends on the state, so the constructor
-assembles the rest once: the central stencil that the residual and its
-Jacobian-vector product share, a right-hand side holding ``vol * f`` and the
-Dirichlet traces, the upwind blocks and the explicit time step's rate.
+Only the pointwise reaction depends on the state, so the constructor assembles
+the rest once: the central stencil that the residual and its Jacobian-vector
+product share, a right-hand side holding ``vol * f`` and the Dirichlet traces,
+the upwind blocks and the explicit time step's rate, each flat in state order.
+The stencil is one five-point sweep over the flat state: a cell sums its
+centre, west, east, south and north terms in the grid's order, west and east
+weighted zero where a grid row wraps. A non-finite state or direction may so
+read NaN where the grid read inf (0 * inf); either fails as a non-finite norm.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class AnisoConvDiffProblem(NonlinearSystem):
             np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel())),
             np.column_stack((cell[:-1, :].ravel(), cell[1:, :].ravel()))))
         self.cell_measures = np.outer(self.hy, np.full(nx, self.hx)).ravel()
-        self._vol = vol = self.cell_measures.reshape(ny, nx)
+        vol = self.cell_measures.reshape(ny, nx)
 
         # Center-to-center spacings; boundary values sit on the faces.
         dx = np.concatenate(([self.hx / 2.0], np.full(nx - 1, self.hx),
@@ -129,23 +133,22 @@ class AnisoConvDiffProblem(NonlinearSystem):
             east = vol * (-eps * lxp + vx * gxp)[None, :]
             south = vol * (-eps * lym + vy * gym)[:, None]
             north = vol * (-eps * lyp + vy * gyp)[:, None]
-            self._stencil = (centre, west[:, 1:], east[:, :-1], south[1:],
-                             north[:-1])
             # Boundary neighbors hold the Dirichlet traces on the faces.
-            self._rhs = rhs = vol * forcing
+            rhs = vol * forcing
             rhs[:, 0] -= west[:, 0] * self.exact(0.0, self.yc)
             rhs[:, -1] -= east[:, -1] * self.exact(1.0, self.yc)
             rhs[0] -= south[0] * self.exact(self.xc, 0.0)
             rhs[-1] -= north[-1] * self.exact(self.xc, self.ly)
-            self._sigma_vol = self.sigma * vol
+            self._sigma_vol = self.sigma * self.cell_measures
+            self._jv_reaction = 2.0 * self._sigma_vol
 
             # First-order blocks (preconditioner only): upwind convection
             # enters the neighbor coupling on the upstream side only. The
             # diagonal is kept unweighted; off_ij couples a cell to its east
             # or north neighbor and off_ji the reverse, in ``edges`` order.
-            self._upwind_diag = (diffusion
-                                 + abs(vx) / (dxm if vx >= 0 else dxp)[None, :]
-                                 + abs(vy) / (dym if vy >= 0 else dyp)[:, None])
+            upwind_diag = (diffusion
+                           + abs(vx) / (dxm if vx >= 0 else dxp)[None, :]
+                           + abs(vy) / (dym if vy >= 0 else dyp)[:, None])
             up_e = vol * (-eps * lxp + min(vx, 0.0) / dxp)[None, :]
             up_w = vol * (-eps * lxm - max(vx, 0.0) / dxm)[None, :]
             up_n = vol * (-eps * lyp + min(vy, 0.0) / dyp)[:, None]
@@ -157,15 +160,20 @@ class AnisoConvDiffProblem(NonlinearSystem):
             self._couplings.flags.writeable = False
 
             # The inverse explicit time step without its reaction term.
-            self._dt_rate = (
+            dt_rate = (
                 2.0 * eps * (1.0 / (dxm * dxp)[None, :]
                              + 1.0 / (dym * dyp)[:, None])
                 + ((abs(vx) / self.hx) + abs(vy) / self.hy[:, None]))
         if not all(np.all(np.isfinite(a)) for a in (
-                centre, west, east, south, north, rhs, self._upwind_diag,
-                self._couplings, self._dt_rate)):
+                centre, west, east, south, north, rhs, upwind_diag,
+                self._couplings, dt_rate)):
             raise ValueError("eps, velocity, amplitude and the y spacings give "
                              "boundary terms or stencil weights that overflow")
+        west[:, 0] = east[:, -1] = 0.0
+        self._stencil = (centre.ravel(), west.ravel()[1:], east.ravel()[:-1],
+                         south.ravel()[nx:], north.ravel()[:-nx])
+        self._rhs, self._upwind_diag, self._dt_rate = (
+            rhs.ravel(), upwind_diag.ravel(), dt_rate.ravel())
 
     # -- manufactured solution ------------------------------------------------
 
@@ -188,34 +196,34 @@ class AnisoConvDiffProblem(NonlinearSystem):
     # -- discrete operators ---------------------------------------------------
 
     def _central(self, u: np.ndarray) -> np.ndarray:
-        """The central stencil applied to u, zero on the boundary."""
+        """The central stencil applied to the flat u, zero on the boundary."""
         centre, west, east, south, north = self._stencil
+        nx = self.nx
         out = centre * u
-        out[:, 1:] += west * u[:, :-1]
-        out[:, :-1] += east * u[:, 1:]
-        out[1:] += south * u[:-1]
-        out[:-1] += north * u[1:]
+        out[1:] += west * u[:-1]
+        out[:-1] += east * u[1:]
+        out[nx:] += south * u[:-nx]
+        out[:-nx] += north * u[nx:]
         return out
 
     def residual(self, w: BlockVector) -> np.ndarray:
-        u = w.values.reshape(self.ny, self.nx)
-        r = self._central(u) + self._sigma_vol * u * np.abs(u) - self._rhs
-        return r.ravel()
+        r = self._central(w.values)
+        r += self._sigma_vol * w.values * np.abs(w.values)
+        r -= self._rhs
+        return r
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        u = w.values.reshape(self.ny, self.nx)
-        vv = v.reshape(self.ny, self.nx)
-        jv = self._central(vv) + 2.0 * self._sigma_vol * np.abs(u) * vv
-        return jv.ravel()
+        jv = self._central(v)
+        jv += self._jv_reaction * np.abs(w.values) * v
+        return jv
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
-        u = np.abs(w.values.reshape(self.ny, self.nx))
-        diag = self._vol * (self._upwind_diag + 2.0 * self.sigma * u)
+        diag = self.cell_measures * (self._upwind_diag
+                                     + 2.0 * self.sigma * np.abs(w.values))
         return FirstOrderBlocks(diag.reshape(-1, 1, 1), *self._couplings)
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
-        u = np.abs(w.values.reshape(self.ny, self.nx))
-        return (1.0 / (self._dt_rate + 2.0 * self.sigma * u)).ravel()
+        return 1.0 / (self._dt_rate + 2.0 * self.sigma * np.abs(w.values))
 
     def initial_state(self) -> BlockVector:
         # Impulsive start: zero field violating the boundary data.

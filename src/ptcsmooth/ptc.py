@@ -174,16 +174,15 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
                 ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    ``mass_over_dtau`` is the per-unknown M/dtau, and
-    ``residual`` and ``blocks`` are R(w) and the first-order blocks at ``w``.
-    The blocks are factored along ``lines`` once, as J1 + M/dtau for GMRES
-    and, stacked beside it when ``config.smoothing`` has cycles, as J1 for
-    the smoother (``build_ptc_preconditioner``). The
-    smoothing source is computed before the linear solve and never
-    re-evaluated. A singular smoother factorization runs the step
-    unsmoothed. GMRES non-convergence is reported through the stats for the
-    controller, not raised; so are non-finite couplings or operator output
-    and a singular PTC preconditioner, as failed solves with no Krylov
+    ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
+    ``blocks`` are R(w) and the first-order blocks at ``w``. The blocks are
+    factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
+    it when ``config.smoothing`` has cycles, as J1 for the smoother
+    (``build_ptc_preconditioner``). The smoothing source is computed before the
+    linear solve and never re-evaluated. A singular smoother factorization runs
+    the step unsmoothed. GMRES non-convergence is reported through the stats
+    for the controller, not raised; so are non-finite couplings or operator
+    output and a singular PTC preconditioner, as failed solves with no Krylov
     vectors, marked ``futile`` when a diagonal block or gathered coupling is
     not finite.
     """
@@ -286,22 +285,20 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                  lines: Optional[LineSet] = None) -> SolveReport:
     """Run the continuation loop to the residual target.
 
-    Solver lines are ``lines``, or extracted at the starting state when it
-    is ``None``, and frozen; the line factorization is rebuilt at each
-    Newton step's state. The first-order blocks are evaluated once per
-    state, without overflow warnings (a non-finite block is refused where
-    it is used): a rejected step leaves the state bit-identical, so the
-    next step reuses them. A step is accepted only when the line search
-    found a fraction that decreases the pseudo-unsteady residual, so
-    accepted steps descend whatever the linearization. A step whose PTC
-    factor refuses a non-finite diagonal block or in-line coupling is
-    recorded as rejected and ends the solve ``STAGNATED``: no CFL changes
-    that verdict. A starting state
-    whose layout is not the system's, or ``lines`` over another cell count
-    or (with an in-line pair) another stencil, raises
-    ``ContractViolationError``; a start that ``trial_residual`` rejects,
-    its residual overflowing included, or whose couplings are not finite
-    when lines are to be extracted there, raises
+    Solver lines are ``lines``, or extracted at the starting state when it is
+    ``None``, and frozen; the line factorization is rebuilt at each Newton
+    step's state. The first-order blocks are evaluated once per state, without
+    overflow warnings (a non-finite block is refused where it is used): a
+    rejected step leaves the state bit-identical, so the next step reuses them.
+    A step is accepted only when the line search found a fraction that
+    decreases the pseudo-unsteady residual, so accepted steps descend whatever
+    the linearization. A step whose PTC factor refuses a non-finite diagonal
+    block or in-line coupling is recorded as rejected and ends the solve
+    ``STAGNATED``: no CFL changes that verdict. A starting state whose layout
+    is not the system's, or ``lines`` over another cell count or (with an
+    in-line pair) another stencil, raises ``ContractViolationError``; a start
+    that ``trial_residual`` rejects, its residual overflowing included, or
+    whose couplings are not finite when lines are to be extracted there, raises
     ``InadmissibleStateError``. All are raised before any step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()

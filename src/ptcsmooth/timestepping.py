@@ -4,7 +4,7 @@ Each physical step wraps the spatial system into an unsteady residual
 ``M * d_t w + R(w)`` and runs the steady continuation driver on it. A run is
 one continuation: its lines are extracted once and every step starts at the
 CFL the last one reached. Physical dt is global; pseudo-time steps stay local
-inside the inner solve.
+inside the inner solve. A step's system holds the previous states, not copies.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ class BdfStepSystem(NonlinearSystem):
     (inner J plus c*M/dt on the diagonal, c = 3/2 for BDF2 and 1 for BDF1),
     and first-order blocks with the same diagonal shift. The previous step's
     solution is the initial state. M is formed once, per unknown, and the
-    shift is ``shift_coeff`` = c/dt times it. A history state of another
-    layout raises ``ContractViolationError``.
+    shift is ``shift_coeff`` = c/dt times it. The history states are held,
+    not copied: callers must not edit them while the system is in use. A
+    history state of another layout raises ``ContractViolationError``.
     """
 
     def __init__(self, system: NonlinearSystem, w_prev: BlockVector,
@@ -52,8 +53,7 @@ class BdfStepSystem(NonlinearSystem):
         self.layout = system.layout
         self.edges = system.edges
         self.cell_measures = system.cell_measures
-        self.w_prev = w_prev.copy()
-        self.w_prev2 = w_prev2.copy() if w_prev2 is not None else None
+        self.w_prev, self.w_prev2 = w_prev, w_prev2
         self.dt = float(dt)
         self.mass = np.repeat(system.cell_measures, system.layout.block_size)
 
@@ -71,9 +71,8 @@ class BdfStepSystem(NonlinearSystem):
                 + self.shift_coeff * self.mass * v)
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
-        b = self.layout.block_size
         return self.inner.first_order_blocks(w).shifted(
-            self.shift_coeff * self.mass[::b])
+            self.shift_coeff * self.mass[::self.layout.block_size])
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
         return self.inner.explicit_dt(w)
@@ -107,15 +106,14 @@ def advance_unsteady(system: NonlinearSystem, config: UnsteadyConfig) -> TimeHis
     """March physical time steps, BDF1 on the first step and BDF2 after.
 
     The initial condition of each step is the previous step's solution; the
-    first step starts from the system's impulsive initial state. The run is
-    one continuation: every inner solve runs on the lines extracted once at
-    that state (the BDF shift moves only the diagonal blocks, which
-    extraction does not weigh), and each step after a converged one starts
-    at the CFL the last one handed over, its report's ``final_cfl``.
-    An inner solve that does not converge aborts the run, returning the
-    partial history; its report's outcome says why. A start whose
-    couplings are not finite raises ``InadmissibleStateError``, as
-    ``solve_steady`` does, before any step.
+    first step starts from the system's impulsive initial state. The run is one
+    continuation: every inner solve runs on the lines extracted once at that
+    state (the BDF shift moves only the diagonal blocks, which extraction does
+    not weigh), and each step after a converged one starts at the CFL the last
+    one handed over, its report's ``final_cfl``. An inner solve that does not
+    converge aborts the run, returning the partial history; its report's
+    outcome says why. A start whose couplings are not finite raises
+    ``InadmissibleStateError``, as ``solve_steady`` does, before any step.
     """
     w_prev = system.initial_state()
     w_prev2: Optional[BlockVector] = None

@@ -289,6 +289,100 @@ def test_convdiff_residual_and_jv_match_loop_reference(velocity):
         assert np.linalg.norm(got - ref.ravel()) <= 1e-13 * np.linalg.norm(ref)
 
 
+class _GridConvDiff:
+    """The convdiff operators as once assembled and applied on the (ny, nx)
+    grid, a 2-D stencil of four strided slice-adds: the flat operators must
+    match them bit for bit."""
+
+    def __init__(self, p):
+        nx, ny, eps, vx, vy = p.nx, p.ny, p.eps, p.vx, p.vy
+        self.p = p
+        self.vol = vol = p.cell_measures.reshape(ny, nx)
+        dx = np.concatenate(([p.hx / 2.0], np.full(nx - 1, p.hx),
+                             [p.hx / 2.0]))
+        dy = np.concatenate(([p.hy[0] / 2.0], np.diff(p.yc),
+                             [p.hy[-1] / 2.0]))
+        dxm, dxp, dym, dyp = dx[:-1], dx[1:], dy[:-1], dy[1:]
+        (lxm, lx0, lxp), (gxm, gx0, gxp) = convdiff._nonuniform_coeffs(dxm,
+                                                                        dxp)
+        (lym, ly0, lyp), (gym, gy0, gyp) = convdiff._nonuniform_coeffs(dym,
+                                                                        dyp)
+        diffusion = -eps * (lx0[None, :] + ly0[:, None])
+        centre = vol * (diffusion + vx * gx0[None, :] + vy * gy0[:, None])
+        west = vol * (-eps * lxm + vx * gxm)[None, :]
+        east = vol * (-eps * lxp + vx * gxp)[None, :]
+        south = vol * (-eps * lym + vy * gym)[:, None]
+        north = vol * (-eps * lyp + vy * gyp)[:, None]
+        self.stencil = (centre, west[:, 1:], east[:, :-1], south[1:],
+                        north[:-1])
+        self.rhs = rhs = vol * p._manufactured_forcing()
+        rhs[:, 0] -= west[:, 0] * p.exact(0.0, p.yc)
+        rhs[:, -1] -= east[:, -1] * p.exact(1.0, p.yc)
+        rhs[0] -= south[0] * p.exact(p.xc, 0.0)
+        rhs[-1] -= north[-1] * p.exact(p.xc, p.ly)
+        self.sigma_vol = p.sigma * vol
+        self.upwind_diag = (diffusion
+                            + abs(vx) / (dxm if vx >= 0 else dxp)[None, :]
+                            + abs(vy) / (dym if vy >= 0 else dyp)[:, None])
+        self.dt_rate = (2.0 * eps * (1.0 / (dxm * dxp)[None, :]
+                                     + 1.0 / (dym * dyp)[:, None])
+                        + ((abs(vx) / p.hx) + abs(vy) / p.hy[:, None]))
+
+    def central(self, u):
+        centre, west, east, south, north = self.stencil
+        out = centre * u
+        out[:, 1:] += west * u[:, :-1]
+        out[:, :-1] += east * u[:, 1:]
+        out[1:] += south * u[:-1]
+        out[:-1] += north * u[1:]
+        return out
+
+    def grid(self, flat):
+        return flat.reshape(self.p.ny, self.p.nx)
+
+    def residual(self, w):
+        u = self.grid(w)
+        r = self.central(u) + self.sigma_vol * u * np.abs(u) - self.rhs
+        return r.ravel()
+
+    def jacobian_vector(self, w, v):
+        u, vv = self.grid(w), self.grid(v)
+        jv = self.central(vv) + 2.0 * self.sigma_vol * np.abs(u) * vv
+        return jv.ravel()
+
+    def blocks_diag(self, w):
+        u = np.abs(self.grid(w))
+        diag = self.vol * (self.upwind_diag + 2.0 * self.p.sigma * u)
+        return diag.reshape(-1, 1, 1)
+
+    def explicit_dt(self, w):
+        u = np.abs(self.grid(w))
+        return (1.0 / (self.dt_rate + 2.0 * self.p.sigma * u)).ravel()
+
+
+@pytest.mark.parametrize("stretching", [1.0, 1000.0])
+@pytest.mark.parametrize("nx, ny", [(4, 4), (5, 7), (12, 16), (16, 24)])
+def test_convdiff_flat_operators_match_grid_reference_bitwise(nx, ny,
+                                                              stretching):
+    rng = np.random.default_rng(nx * ny)
+    for velocity in [(1.0, 0.5), (-1.0, -0.5), (0.3, -2.0)]:
+        p = make_aniso_convdiff(nx, ny, stretching_ratio=stretching,
+                                sigma=2.0, velocity=velocity)
+        ref = _GridConvDiff(p)
+        for k in range(-8, 9):
+            u = 10.0 ** k * (1.0 + rng.standard_normal(nx * ny))
+            v = 10.0 ** -k * rng.standard_normal(nx * ny)
+            w = BlockVector(p.layout, u)
+            assert np.array_equal(p.residual(w), ref.residual(u))
+            assert np.array_equal(p.jacobian_vector(w, v),
+                                  ref.jacobian_vector(u, v))
+            assert np.array_equal(p.jacobian_vector(w, u),
+                                  ref.jacobian_vector(u, u))
+            assert np.array_equal(p.first_order_blocks(w).diag,
+                                  ref.blocks_diag(u))
+            assert np.array_equal(p.explicit_dt(w), ref.explicit_dt(u))
+
+
 def test_convdiff_blocks_are_read_only():
     p = make_aniso_convdiff(6, 6)
     blocks = p.first_order_blocks(p.initial_state())

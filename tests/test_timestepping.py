@@ -146,6 +146,21 @@ def test_wrapped_system_jacobian_is_exact(build):
         assert validate_jacobian(wrapped, wrapped.initial_state()) <= 1e-6
 
 
+def test_initial_state_edits_leave_the_held_history_alone():
+    # The history states are held, not copied; the start is a copy.
+    p = make_aniso_convdiff(5, 6, stretching_ratio=100.0)
+    rng = np.random.default_rng(3)
+    w_prev, w_prev2, w = (BlockVector(p.layout, rng.standard_normal(30))
+                          for _ in range(3))
+    wrapped = BdfStepSystem(p, w_prev, w_prev2, dt=0.1)
+    assert wrapped.w_prev is w_prev and wrapped.w_prev2 is w_prev2
+    before = wrapped.residual(w)
+    start = wrapped.initial_state()
+    assert start.values.tobytes() == w_prev.values.tobytes()
+    start.values[:] = 7.0
+    assert wrapped.residual(w).tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("build", WRAPPED, ids=["bratu", "nozzle"])
 def test_wrapped_blocks_carry_time_shift(build):
     p = build()

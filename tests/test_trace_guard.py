@@ -21,7 +21,9 @@ def _result(correct=True, failed=0, changed=()):
               "smoother.build.calls": 18, "lines.multi_cell_frac": 1.0,
               "lines.extract.calls": 2, "smoother.degraded": 0,
               "linalg.line_solve.calls": 1084, "problems.jv.calls": 767,
-              "linalg.gmres.calls": 47, "smoother.rk.calls": 18}
+              "linalg.gmres.calls": 47, "smoother.rk.calls": 18,
+              "problems.residual.calls": 327, "ptc.line_search.trials": 53,
+              "ptc.calls": 4}
     values.update(changed)
     return {"correct": correct, "failed": failed,
             "metrics": {name: {"value": v} for name, v in values.items()}}
@@ -45,16 +47,21 @@ def test_every_workload_passes_a_passing_result():
     ("nozzle_sweep", _result(changed={"linalg.line_solve.calls": 1085}),
      "linalg.line_solve.calls 1085 == problems.jv.calls 767 + "
      "linalg.gmres.calls 47 + 15 * smoother.rk.calls 18"),
+    ("unsteady_bdf", _result(changed={"problems.residual.calls": 328}),
+     "problems.residual.calls 328 == 15 * smoother.rk.calls 18 + "
+     "ptc.line_search.trials 53 + ptc.calls 4"),
 ], ids=["incorrect", "failed_operation", "third_factor_path",
-        "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve"])
+        "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve",
+        "extra_residual"])
 def test_each_check_fails_alone(workload, result, failed):
     assert _load_tool().failed_checks(workload, result) == [failed]
 
 
 def test_degraded_smoother_skips_the_line_solve_count():
-    # An abandoned RK cycle makes fewer than 15 solves per call.
+    # An abandoned RK cycle makes fewer than 15 solves and residuals per call.
     result = _result(changed={"smoother.degraded": 1,
-                              "linalg.line_solve.calls": 1080})
+                              "linalg.line_solve.calls": 1080,
+                              "problems.residual.calls": 323})
     assert _load_tool().failed_checks("convdiff_sweep", result) == []
 
 

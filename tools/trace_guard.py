@@ -19,6 +19,10 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
   solve per Krylov vector, one final solve per GMRES call and one per RK
   stage (``DEFAULT_CYCLES`` cycles of ``DEFAULT_STAGE_COEFFS``, the schedule
   the benchmark smooths with), so a change that adds a solve fails here;
+- when ``smoother.degraded == 0``, ``problems.residual.calls == 15 *
+  smoother.rk.calls + ptc.line_search.trials + ptc.calls``: one residual per
+  RK stage, one per line-search trial and one per solve's start, so a
+  change that adds a residual evaluation fails here;
 - on ``nozzle_sweep``, ``lines.multi_cell_frac == 1``: the nozzle is 1D, so
   a return to singleton lines fails here;
 - on ``unsteady_bdf``, ``lines.extract.calls == 2``: a run extracts its
@@ -69,6 +73,13 @@ def failed_checks(workload: str, result: dict) -> List[str]:
                    f"{jv} + linalg.gmres.calls {gmres} + {RK_SOLVES} * "
                    f"smoother.rk.calls {rk}"] = \
                 solves == jv + gmres + RK_SOLVES * rk
+            residuals, trials, starts = (value[name] for name in (
+                "problems.residual.calls", "ptc.line_search.trials",
+                "ptc.calls"))
+            checks[f"problems.residual.calls {residuals} == {RK_SOLVES} * "
+                   f"smoother.rk.calls {rk} + ptc.line_search.trials "
+                   f"{trials} + ptc.calls {starts}"] = \
+                residuals == RK_SOLVES * rk + trials + starts
         if workload == "nozzle_sweep":
             frac = value["lines.multi_cell_frac"]
             checks[f"lines.multi_cell_frac {frac} == 1"] = frac == 1.0
