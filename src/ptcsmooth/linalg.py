@@ -345,13 +345,12 @@ def _check_pivots(pivots: Sequence[np.ndarray], lines: LineSet,
 
 def factor_block_tridiag(
         lines: LineSet, blocks: FirstOrderBlocks,
-        shifts: Optional[Sequence[Optional[np.ndarray]]] = None
-) -> Union[BlockTridiagFactorization,
-           Tuple[Union[BlockTridiagFactorization, SingularPivotError], ...]]:
+        shifts: Sequence[Optional[np.ndarray]]
+) -> Tuple[Union[BlockTridiagFactorization, SingularPivotError], ...]:
     """Block cyclic reduction of the first-order ``blocks``, over the
     stencil ``lines.edges``, along every line of ``lines`` at once.
 
-    With ``shifts``, one reduction factors several diagonals over the same
+    One reduction factors one diagonal per entry of ``shifts`` over the same
     couplings: for each entry, the blocks with each cell's diagonal block
     shifted by its entry of that per-cell array times the identity (None: no
     shift). Each shifted diagonal is taken into the layout, and the copies are
@@ -424,9 +423,9 @@ def factor_block_tridiag(
         diag = diag_blocks if shift is None else blocks.shifted(shift).diag
         return np.concatenate([diag, eye[None]]).take(lines.index, axis=0)
 
-    k, n_columns = 1 if shifts is None else len(shifts), lines.index.shape[1]
+    k, n_columns = len(shifts), lines.index.shape[1]
     if k == 1:
-        diag = taken(None if shifts is None else shifts[0])
+        diag = taken(shifts[0])
     else:
         diag = np.concatenate([taken(shift) for shift in shifts], axis=1)
         couplings = np.concatenate((couplings,) * k, axis=2)
@@ -470,10 +469,12 @@ def factor_block_tridiag(
                 raise
             factors.append(exc)
             continue
+        # One shift holds every column: its levels as reduced, with no
+        # slicing call per array.
         own = tuple(levels) if k == 1 else (
             tuple(tuple(np.ascontiguousarray(a[:, cols]) for a in level)
                   for level in levels[:-TOP_LEVELS])
             + tuple(tuple(a[:, cols] for a in level) for level in top_levels))
         factors.append(
             BlockTridiagFactorization(lines, own, root[cols], top[cols]))
-    return factors[0] if shifts is None else tuple(factors)
+    return tuple(factors)

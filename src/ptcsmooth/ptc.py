@@ -10,11 +10,12 @@ pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
 The first-order blocks are evaluated once per state, and each Newton step
-factors those same blocks along the frozen lines once: as J1 + M/dtau for
-GMRES, and on a smoothed step, in the same stacked reduction, as J1 for the
-smoother, since the two differ only by the diagonal shift. M/dtau
-itself is formed once per Newton step (``mass_over_dtau``),
-as one per-unknown array that every layer of the step multiplies by.
+factors those same blocks along the frozen lines in one call, made only by
+``build_ptc_preconditioner``: as J1 + M/dtau for GMRES, and on a smoothed
+step, in the same stacked reduction, as J1 for the smoother, since the two
+differ only by the diagonal shift. M/dtau itself is formed once per Newton
+step (``mass_over_dtau``), as one per-unknown array that every layer of the
+step multiplies by.
 """
 
 from __future__ import annotations
@@ -111,10 +112,14 @@ def mass_over_dtau(system: NonlinearSystem, w: BlockVector,
                    cfl: float) -> np.ndarray:
     """M/dtau per unknown, for the local pseudo-time steps dtau =
     cfl * explicit_dt(w): each cell's ``cell_measures / dtau`` repeated over
-    its block."""
-    dtau = cfl * np.asarray(system.explicit_dt(w), dtype=float)
-    if not np.all((dtau > 0.0) & np.isfinite(dtau)):
-        raise ValueError("pseudo-time steps must be positive and finite")
+    its block. A dtau that overflows is infinite and its M/dtau zero, the
+    exact-Newton limit."""
+    dt = np.asarray(system.explicit_dt(w), dtype=float)
+    with np.errstate(over="ignore"):
+        dtau = cfl * dt
+    if not np.all((dt > 0.0) & np.isfinite(dt) & (dtau > 0.0)):
+        raise ValueError("explicit time steps must be positive and finite, "
+                         "and pseudo-time steps positive")
     return np.repeat(system.cell_measures / dtau, w.layout.block_size)
 
 
@@ -133,27 +138,19 @@ def build_ptc_preconditioner(
         lines: LineSet, blocks: FirstOrderBlocks, mass_over_dtau: np.ndarray,
         smoothed: bool = False
 ) -> Tuple[BlockTridiagFactorization, Optional[BlockTridiagFactorization]]:
-    """The Newton step's one line factorization: the first-order Jacobian
+    """The Newton step's one line factor call: the first-order Jacobian
     along ``lines``, each cell's diagonal block shifted by its entry of the
     per-unknown M/dtau times the identity, J1 + M/dtau for GMRES.
 
-    Returns it with the smoother's J1, or None. When ``smoothed``, both come
-    from ``build_smoother``'s one stacked factor call; a J1 that fails
-    there alone is logged and None is returned for it, so the step runs
-    unsmoothed. A failing J1 + M/dtau raises, whether smoothed or not.
+    Returns it with the smoother's J1, or None. When ``smoothed``, the same
+    call factors J1 stacked beside it, and ``build_smoother`` turns a J1
+    that failed there alone into None, so the step runs unsmoothed. A
+    failing J1 + M/dtau raises, whether smoothed or not.
     """
-    if not smoothed:
-        b = blocks.diag.shape[1]
-        (precon,) = factor_block_tridiag(lines, blocks,
-                                         (mass_over_dtau[::b],))
-        return precon, None
-    smoother, precon = build_smoother(lines, blocks, mass_over_dtau)
-    if isinstance(smoother, SingularPivotError):
-        # Smoother failure is soft: fall back to the unsmoothed step.
-        log.warning("smoother build failed (%s); running unsmoothed step",
-                    smoother)
-        smoother = None
-    return precon, smoother
+    shift = mass_over_dtau[::blocks.diag.shape[1]]
+    precon, *j1 = factor_block_tridiag(
+        lines, blocks, (shift, None) if smoothed else (shift,))
+    return precon, build_smoother(*j1) if smoothed else None
 
 
 @dataclass

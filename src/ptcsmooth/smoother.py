@@ -9,23 +9,25 @@ with M/dtau.
 The line preconditioner P is J1, the first-order Jacobian restricted to the
 solver lines (off-diagonal blocks kept only for edges interior to a line),
 unshifted. A smoothed Newton step factors P and GMRES's J1 + M/dtau, which
-differ only by that diagonal shift, in one stacked reduction
-(``build_smoother`` with M/dtau). P is factored once per build and frozen
-across stages and cycles.
+differ only by that diagonal shift, in its one stacked factor call
+(``build_ptc_preconditioner``), and ``build_smoother`` takes P from there.
+P is factored once per Newton step and frozen across stages and cycles.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (BlockVector, FirstOrderBlocks, NonlinearSystem,
-                   require_count, trial_residual)
-from .linalg import (BlockTridiagFactorization, SingularPivotError,
-                     factor_block_tridiag)
-from .lines import LineSet
+from .core import BlockVector, NonlinearSystem, require_count, trial_residual
+from .linalg import BlockTridiagFactorization, SingularPivotError
+# Not called here: the benchmark tracer's tests look it up in this module.
+from .linalg import factor_block_tridiag  # noqa: F401
+
+log = logging.getLogger(__name__)
 
 DEFAULT_STAGE_COEFFS = (0.15, 0.4, 1.0)
 DEFAULT_CYCLES = 5
@@ -60,30 +62,17 @@ class SmoothResult:
     degraded: bool          # an offending cycle was abandoned
 
 
-def build_smoother(lines: LineSet, blocks: FirstOrderBlocks,
-                   mass_over_dtau: Optional[np.ndarray] = None
-                   ) -> Union[BlockTridiagFactorization, Tuple[
-                       Union[BlockTridiagFactorization, SingularPivotError],
-                       BlockTridiagFactorization]]:
-    """Factor the line preconditioner: ``blocks`` along ``lines``.
-
-    With ``mass_over_dtau``, the per-unknown M/dtau, the same one factor
-    call also factors GMRES's J1 + M/dtau, stacked beside J1, and returns
-    the pair (J1, J1 + M/dtau), each bitwise its own factor. Failures are
-    decided in that call, J1 + M/dtau first: a failing J1 + M/dtau raises
-    its ``SingularPivotError``; a J1 that fails alone is returned as its
-    ``SingularPivotError`` in J1's place, so the caller can still step
-    unsmoothed.
-
-    Rebuilding at a different state changes block values but never the
-    sparsity, since the line structure is frozen.
-    """
-    if mass_over_dtau is None:
-        return factor_block_tridiag(lines, blocks)
-    b = blocks.diag.shape[1]
-    precon, smoother = factor_block_tridiag(
-        lines, blocks, (mass_over_dtau[::b], None))
-    return smoother, precon
+def build_smoother(
+        j1: Union[BlockTridiagFactorization, SingularPivotError]
+) -> Optional[BlockTridiagFactorization]:
+    """The smoother's line preconditioner from J1's entry of the Newton
+    step's factor call: the factor itself, or None when J1 alone was
+    singular, logged, so that the step runs unsmoothed."""
+    if isinstance(j1, SingularPivotError):
+        # Smoother failure is soft: fall back to the unsmoothed step.
+        log.warning("smoother build failed (%s); running unsmoothed step", j1)
+        return None
+    return j1
 
 
 def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,

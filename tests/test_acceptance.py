@@ -13,7 +13,7 @@ from ptcsmooth.linalg import factor_block_tridiag, gmres_right_preconditioned
 from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import (PtcConfig, SolveOutcome, cfl_update,
                            mass_over_dtau, newton_step, solve_steady)
-from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
+from ptcsmooth.smoother import RkSchedule, rk_smooth
 from ptcsmooth.timestepping import BdfStepSystem, UnsteadyConfig, advance_unsteady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
@@ -120,7 +120,7 @@ def test_criterion_02_small_dtau_limit():
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = extract_lines(p.first_order_blocks(w), p.edges)
-    precon = build_smoother(lines, p.first_order_blocks(w))
+    (precon,) = factor_block_tridiag(lines, p.first_order_blocks(w), (None,))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
@@ -255,7 +255,7 @@ def test_criterion_08_oracle_equivalences():
             diag = rng2.standard_normal((length, bsz, bsz)) + 3.0 * bsz * np.eye(bsz)
             blocks = FirstOrderBlocks(
                 diag, *random_couplings(rng2, lines, bsz, 0.5))
-            fact = factor_block_tridiag(lines, blocks)
+            (fact,) = factor_block_tridiag(lines, blocks, (None,))
             dense = dense_from_lines(lines, blocks)
             r = rng2.standard_normal(length * bsz)
             ref = np.linalg.solve(dense, r)
@@ -266,7 +266,8 @@ def test_criterion_08_oracle_equivalences():
     # RK linear contraction factor alpha2 (1 - alpha1) = 0.34, exact to 1e-12.
     sys = diffusion_chain(n=8, b=1)
     w_star = sys.solution()
-    precon = build_smoother(full_chain_lines(8), sys.first_order_blocks(w_star))
+    (precon,) = factor_block_tridiag(
+        full_chain_lines(8), sys.first_order_blocks(w_star), (None,))
     e0 = np.random.default_rng(5).standard_normal(8)
     w0 = BlockVector(sys.layout, w_star.values + e0)
     out = rk_smooth(sys, precon, RkSchedule((0.15, 0.4, 1.0), n_cycles=1),

@@ -37,6 +37,16 @@ PINNED_COUNTS = {
     "bdf3_convdiff16x24/step 0 smoothed": "7/36/0",
     "bdf3_convdiff16x24/step 1 smoothed": "6/28/0",
     "bdf3_convdiff16x24/step 2 smoothed": "6/28/0",
+    "bdf5_nozzle128_dt05/step 0 plain": "16/85/0",
+    "bdf5_nozzle128_dt05/step 1 plain": "7/49/0",
+    "bdf5_nozzle128_dt05/step 2 plain": "7/52/0",
+    "bdf5_nozzle128_dt05/step 3 plain": "7/52/0",
+    "bdf5_nozzle128_dt05/step 4 plain": "6/46/0",
+    "bdf5_nozzle128_dt05/step 0 smoothed": "7/44/0",
+    "bdf5_nozzle128_dt05/step 1 smoothed": "7/47/0",
+    "bdf5_nozzle128_dt05/step 2 smoothed": "7/52/0",
+    "bdf5_nozzle128_dt05/step 3 smoothed": "7/52/0",
+    "bdf5_nozzle128_dt05/step 4 smoothed": "6/46/0",
 }
 
 

@@ -14,8 +14,7 @@ from ptcsmooth.linalg import (TOP_LEVELS, GmresStats, SingularPivotError,
 from ptcsmooth.lines import LineSet, extract_lines, singleton_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
-from ptcsmooth.ptc import mass_over_dtau
-from ptcsmooth.smoother import build_smoother
+from ptcsmooth.ptc import build_ptc_preconditioner, mass_over_dtau
 from ptcsmooth.timestepping import BdfStepSystem
 
 from conftest import (dense_from_lines, diffusion_chain, kernel_lines,
@@ -313,7 +312,8 @@ def test_identity_factorization_is_identity():
     lines = singleton_lines(n)
     diag = np.broadcast_to(np.eye(b), (n, b, b)).copy()
     none = np.zeros((0, b, b))
-    fact = factor_block_tridiag(lines, FirstOrderBlocks(diag, none, none))
+    (fact,) = factor_block_tridiag(lines, FirstOrderBlocks(diag, none, none),
+                                   (None,))
     r = np.arange(float(n * b))
     assert np.allclose(fact.solve_values(r), r)
 
@@ -323,7 +323,7 @@ def test_scalar_poisson_line_matches_dense():
     lines = kernel_lines(n, [list(range(n))])
     off = np.full((n - 1, 1, 1), -1.0)
     blocks = FirstOrderBlocks(np.full((n, 1, 1), 2.0), off, off)
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     rng = np.random.default_rng(0)
     r = rng.standard_normal(n)
     A = dense_from_lines(lines, blocks)
@@ -337,7 +337,7 @@ def test_block2_line_matches_dense():
     lines = kernel_lines(n, [[0, 1, 2]])
     diag = rng.standard_normal((n, b, b)) + 4.0 * np.eye(b)
     blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     r = rng.standard_normal(n * b)
     A = dense_from_lines(lines, blocks)
     x = fact.solve_values(r)
@@ -356,11 +356,11 @@ def test_line_factor_is_exact_under_power_of_two_scaling(build):
     blocks = p.first_order_blocks(p.initial_state())
     lines = extract_lines(blocks, p.edges)
     r = np.random.default_rng(0).standard_normal(p.layout.n_dofs)
-    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    x = factor_block_tridiag(lines, blocks, (None,))[0].solve_values(r)
     for k in (-300, -60, 60, 300):
         scaled = FirstOrderBlocks(*(np.ldexp(a, k) for a in (
             blocks.diag, blocks.off_ij, blocks.off_ji)))
-        x_k = factor_block_tridiag(lines, scaled).solve_values(r)
+        x_k = factor_block_tridiag(lines, scaled, (None,))[0].solve_values(r)
         assert x_k.tobytes() == np.ldexp(x, -k).tobytes()
 
 
@@ -368,8 +368,8 @@ def test_independent_lines_do_not_couple():
     n = 6
     lines = kernel_lines(n, [[0, 1, 2], [3, 4, 5]])
     off = np.full((4, 1, 1), -1.0)
-    fact = factor_block_tridiag(
-        lines, FirstOrderBlocks(np.full((n, 1, 1), 3.0), off, off))
+    (fact,) = factor_block_tridiag(
+        lines, FirstOrderBlocks(np.full((n, 1, 1), 3.0), off, off), (None,))
     r = np.zeros(n)
     r[:3] = [1.0, 2.0, 3.0]
     x = fact.solve_values(r)
@@ -383,7 +383,7 @@ def test_factor_solve_roundtrip():
     lines = kernel_lines(n, [list(range(n))])
     diag = rng.standard_normal((n, b, b)) + 5.0 * np.eye(b)
     blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.4))
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(n * b)
     x = fact.solve_values(r)
@@ -396,7 +396,7 @@ def test_singular_pivot_names_line_and_position():
     diag[0, 0, 0] = 1.0  # second pivot is singular
     off = np.zeros((1, 1, 1))
     with pytest.raises(SingularPivotError, match="line 0 at position 1"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off), (None,))
 
 
 def test_singular_reduced_pivot_names_its_original_position():
@@ -407,7 +407,7 @@ def test_singular_reduced_pivot_names_its_original_position():
                               np.full((2, 1, 1), 0.5))
     with pytest.raises(SingularPivotError,
                        match="singular pivot block on line 0 at position 1$"):
-        factor_block_tridiag(lines, blocks)
+        factor_block_tridiag(lines, blocks, (None,))
 
 
 @pytest.mark.parametrize("zero_cells, message", [
@@ -424,7 +424,7 @@ def test_singular_pivot_on_later_line(zero_cells, message):
     off = np.zeros((3, 1, 1))
     with pytest.raises(SingularPivotError,
                        match=f"singular pivot block on {message}$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off), (None,))
 
 
 def test_overflowing_pivot_inverse_names_line_and_position():
@@ -434,7 +434,7 @@ def test_overflowing_pivot_inverse_names_line_and_position():
     off = np.zeros((3, 2, 2))
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot inverse on line 1 at position 1$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off), (None,))
 
 
 def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
@@ -446,7 +446,7 @@ def test_overflowing_scalar_pivot_reciprocal_names_line_and_position():
     off = np.zeros((3, 1, 1))
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot inverse on line 1 at position 1$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off, off), (None,))
 
 
 @pytest.mark.parametrize("n, line_cells", [
@@ -467,7 +467,8 @@ def test_infinite_reduced_pivot_names_the_lines_own_pivot(n, line_cells):
     off_ij[1], off_ji[1] = 1.0, 1e200     # dR_1/dw_2, dR_2/dw_1
     with pytest.raises(SingularPivotError,
                        match="non-finite pivot block on line 0 at position 1$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji),
+                             (None,))
 
 
 def test_overflowing_reduction_is_refused_without_a_warning():
@@ -482,7 +483,7 @@ def test_overflowing_reduction_is_refused_without_a_warning():
                            match="^non-finite pivot block on line 0 at "
                                  "position 1$"):
             factor_block_tridiag(lines, FirstOrderBlocks(
-                np.ones((3, 1, 1)), big, big.copy()))
+                np.ones((3, 1, 1)), big, big.copy()), (None,))
 
 
 # Entries whose products and reciprocals underflow, overflow and cancel.
@@ -517,7 +518,7 @@ def test_failing_pivot_is_named_on_a_line_property(case):
     lines, blocks = case
     try:
         with np.errstate(all="ignore"):
-            factor_block_tridiag(lines, blocks)
+            factor_block_tridiag(lines, blocks, (None,))
     except SingularPivotError as exc:
         found = re.fullmatch(r"(singular pivot block|non-finite pivot "
                              r"(inverse|block)) on line (\d+) at position "
@@ -541,7 +542,7 @@ def test_coupling_shape_must_match_line_pairs(ij_shape, ji_shape):
     with pytest.raises(ContractViolationError,
                        match=r"not \(3, 2, 2\): one block per stencil edge"):
         factor_block_tridiag(lines, FirstOrderBlocks(
-            diag, np.zeros(ij_shape), np.zeros(ji_shape)))
+            diag, np.zeros(ij_shape), np.zeros(ji_shape)), (None,))
 
 
 def test_line_walked_against_its_edges_matches_dense():
@@ -558,7 +559,7 @@ def test_line_walked_against_its_edges_matches_dense():
     assert np.array_equal(A[10:12, 8:10], blocks.off_ji[0])   # dR_5/dw_4
     assert np.array_equal(A[8:10, 10:12], blocks.off_ij[0])   # dR_4/dw_5
     r = rng.standard_normal(n * b)
-    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    x = factor_block_tridiag(lines, blocks, (None,))[0].solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12
     swapped = FirstOrderBlocks(blocks.diag, blocks.off_ji, blocks.off_ij)
     assert np.linalg.norm(x - np.linalg.solve(
@@ -568,8 +569,8 @@ def test_line_walked_against_its_edges_matches_dense():
 def test_layout_mismatch_rejected():
     lines = singleton_lines(3)
     none = np.zeros((0, 1, 1))
-    fact = factor_block_tridiag(
-        lines, FirstOrderBlocks(np.ones((3, 1, 1)), none, none))
+    (fact,) = factor_block_tridiag(
+        lines, FirstOrderBlocks(np.ones((3, 1, 1)), none, none), (None,))
     with pytest.raises(ContractViolationError):
         fact.solve_values(np.zeros(6))   # a layout of 3 cells x 2
 
@@ -583,7 +584,7 @@ def test_line_solve_matches_dense_property(length, b, seed):
     lines = kernel_lines(length, [list(range(length))])
     diag = rng.standard_normal((length, b, b)) + (3.0 * b) * np.eye(b)
     blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(length * b)
     x = fact.solve_values(r)
@@ -661,12 +662,12 @@ def test_mixed_length_lines_match_dense_property(lines, b, seed):
     assert chain.index.shape == lines.index.shape
     chain_blocks = system.first_order_blocks(system.initial_state())
     r = rng.standard_normal(n * b)
-    x = factor_block_tridiag(chain, chain_blocks).solve_values(r)
+    x = factor_block_tridiag(chain, chain_blocks, (None,))[0].solve_values(r)
     ref = np.linalg.solve(dense_from_lines(chain, chain_blocks), r)
     assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
     diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
     blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     A = dense_from_lines(lines, blocks)
     r = rng.standard_normal(n * b)
     x = fact.solve_values(r)
@@ -694,8 +695,8 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
     diag = rng.standard_normal((n, 1, 1)) + 3.0
     off_ij, off_ji = random_couplings(rng, lines, 1, 0.5)
     r = rng.standard_normal(n)
-    scalar = factor_block_tridiag(lines,
-                                  FirstOrderBlocks(diag, off_ij, off_ji))
+    (scalar,) = factor_block_tridiag(
+        lines, FirstOrderBlocks(diag, off_ij, off_ji), (None,))
 
     def embed(blocks, unit):
         out = np.zeros(blocks.shape[:-2] + (2, 2))
@@ -703,8 +704,8 @@ def test_scalar_lines_match_their_2x2_embedding_property(lines, seed):
         out[..., 1, 1] = unit
         return out
 
-    block = factor_block_tridiag(lines, FirstOrderBlocks(
-        embed(diag, 1.0), embed(off_ij, 0.0), embed(off_ji, 0.0)))
+    (block,) = factor_block_tridiag(lines, FirstOrderBlocks(
+        embed(diag, 1.0), embed(off_ij, 0.0), embed(off_ji, 0.0)), (None,))
     for level, embedded in zip(scalar.levels, block.levels):
         for a, e in zip(level, embedded):
             assert np.array_equal(a, e[..., :1, :1])
@@ -729,13 +730,14 @@ def test_stencil_edges_between_lines_sharing_a_column_are_not_gathered():
     diag = np.full((9, 1, 1), 4.0)
     off_ij, off_ji = random_couplings(np.random.default_rng(1), inner, 1, 0.5)
     r = np.random.default_rng(2).standard_normal(9)
-    x = factor_block_tridiag(
-        inner, FirstOrderBlocks(diag, off_ij, off_ji)).solve_values(r)
+    (fact,) = factor_block_tridiag(
+        inner, FirstOrderBlocks(diag, off_ij, off_ji), (None,))
+    x = fact.solve_values(r)
     big = np.full((2, 1, 1), 1e300)
     wide = FirstOrderBlocks(diag, np.concatenate((off_ij, big)),
                             np.concatenate((off_ji, big)))
-    assert factor_block_tridiag(lines, wide).solve_values(r).tobytes() \
-        == x.tobytes()
+    (fact,) = factor_block_tridiag(lines, wide, (None,))
+    assert fact.solve_values(r).tobytes() == x.tobytes()
 
 
 def test_singular_pivot_at_nonzero_offset_names_its_own_position():
@@ -750,7 +752,8 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
     off_ij[7:], off_ji[7:] = 1.0, 0.5    # the pairs (8, 9) and (9, 10)
     with pytest.raises(SingularPivotError,
                        match="singular pivot block on line 1 at position 1$"):
-        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji))
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji),
+                             (None,))
 
 
 def _pivot_inverses(fact):
@@ -798,7 +801,7 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
                 rng.standard_normal((n, b)))
 
     blocks, r = draw()
-    fact = factor_block_tridiag(lines, blocks)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
     x = fact.solve_values(r.reshape(-1)).reshape(n, b)
     pivots = _pivot_inverses(fact)
     for line, pairs in zip(lines.lines, line_couplings(lines, blocks)):
@@ -811,9 +814,8 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
         own_blocks = np.zeros((2, k - 1, b, b))
         for m, (_, _, upper, lower) in enumerate(pairs):
             own_blocks[:, m] = upper, lower
-        own = factor_block_tridiag(alone,
-                                   FirstOrderBlocks(blocks.diag[line],
-                                                    *own_blocks))
+        (own,) = factor_block_tridiag(
+            alone, FirstOrderBlocks(blocks.diag[line], *own_blocks), (None,))
         assert (pivots[offset:offset + k, col].tobytes()
                 == _pivot_inverses(own)[:k, 0].tobytes())
         ref = own.solve_values(r[line].reshape(-1))
@@ -825,7 +827,8 @@ def test_packed_lines_match_each_line_alone_bitwise_property(lines, b, seed):
         others.off_ij[mine] = blocks.off_ij[mine]
         others.off_ji[mine] = blocks.off_ji[mine]
         r_others[line] = r[line]
-        x_others = factor_block_tridiag(lines, others).solve_values(
+        x_others = factor_block_tridiag(lines, others,
+                                        (None,))[0].solve_values(
             r_others.reshape(-1)).reshape(n, b)
         assert x_others[line].tobytes() == x[line].tobytes()
 
@@ -909,9 +912,9 @@ def _assert_same_factor(fact, ref):
        st.integers(min_value=0, max_value=10_000))
 def test_stacked_halves_match_their_own_factors_property(build, singleton,
                                                          log_cfl, seed):
-    """Each half of the stacked J1 and J1 + M/dtau factor, and the one-shift
-    factor of a plain step, is bitwise the factor of its own blocks: every
-    level, the root, the top and the solves."""
+    """Each half of a smoothed step's stacked J1 + M/dtau and J1 factor,
+    and the one-shift factor of a plain step, is bitwise the factor of its
+    own blocks: every level, the root, the top and the solves."""
     system = build()
     w = system.initial_state()
     blocks = system.first_order_blocks(w)
@@ -919,10 +922,11 @@ def test_stacked_halves_match_their_own_factors_property(build, singleton,
              else extract_lines(blocks, system.edges))
     m_dtau = mass_over_dtau(system, w, 10.0 ** log_cfl)
     b = system.layout.block_size
-    j1 = factor_block_tridiag(lines, blocks)
-    ptc = factor_block_tridiag(lines, blocks.shifted(m_dtau[::b]))
-    smoother, precon = build_smoother(lines, blocks, m_dtau)
-    (plain,) = factor_block_tridiag(lines, blocks, (m_dtau[::b],))
+    (j1,) = factor_block_tridiag(lines, blocks, (None,))
+    (ptc,) = factor_block_tridiag(lines, blocks.shifted(m_dtau[::b]), (None,))
+    precon, smoother = build_ptc_preconditioner(lines, blocks, m_dtau, True)
+    plain, none = build_ptc_preconditioner(lines, blocks, m_dtau)
+    assert none is None
     rng = np.random.default_rng(seed)
     for fact, ref in ((smoother, j1), (precon, ptc), (plain, ptc)):
         _assert_same_factor(fact, ref)
@@ -946,7 +950,7 @@ def test_stacked_failures_are_each_halfs_own(b):
 
     def alone(blocks):
         try:
-            return factor_block_tridiag(lines, blocks)
+            return factor_block_tridiag(lines, blocks, (None,))[0]
         except SingularPivotError as exc:
             return exc
 

@@ -70,7 +70,7 @@ def test_line_blocks_follow_line_direction():
         assert A[row, col] == expected[(row, col)][0, 0]   # dR_row/dw_col
         assert A[col, row] == expected[(col, row)][0, 0]   # dR_col/dw_row
     r = np.random.default_rng(4).standard_normal(16)
-    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    x = factor_block_tridiag(lines, blocks, (None,))[0].solve_values(r)
     assert np.linalg.norm(x - np.linalg.solve(A, r)) <= 1e-12 * np.linalg.norm(x)
     with pytest.raises(ContractViolationError, match=r"\(0, 5\)"):
         with_singletons([0, 5])
@@ -84,14 +84,14 @@ def test_coupling_gather_computed_at_construction():
     w.values[:] = np.random.default_rng(3).uniform(0.5, 1.5, w.values.shape)
     blocks = p.first_order_blocks(w)
     r = np.random.default_rng(5).standard_normal(48)
-    x = factor_block_tridiag(lines, blocks).solve_values(r)
+    x = factor_block_tridiag(lines, blocks, (None,))[0].solve_values(r)
     ref = np.linalg.solve(dense_from_lines(lines, blocks), r)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     # The edges listed in reverse, each with its blocks, gather the same
     # couplings: the factor solves to the same bytes.
     flipped = LineSet(48, lines.lines, p.edges[::-1].copy())
-    again = factor_block_tridiag(flipped, FirstOrderBlocks(
-        blocks.diag, blocks.off_ij[::-1], blocks.off_ji[::-1]))
+    (again,) = factor_block_tridiag(flipped, FirstOrderBlocks(
+        blocks.diag, blocks.off_ij[::-1], blocks.off_ji[::-1]), (None,))
     assert again.solve_values(r).tobytes() == x.tobytes()
     # An edge list that misses an in-line pair fails at construction,
     # naming the pair.
@@ -463,4 +463,4 @@ def test_nonfinite_coupling_is_named_by_its_pair():
     blocks.off_ji[3] = np.nan
     with pytest.raises(ContractViolationError,
                        match=r"line pair \(3, 4\) has a non-finite coupling"):
-        factor_block_tridiag(lines, blocks)
+        factor_block_tridiag(lines, blocks, (None,))

@@ -4,11 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import ptcsmooth.linalg
 import ptcsmooth.ptc
-import ptcsmooth.smoother
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, InadmissibleStateError, l2_norm)
+from ptcsmooth.linalg import factor_block_tridiag
 from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, CFL_MAX, PtcConfig,
                            SolveOutcome, build_ptc_preconditioner, cfl_update,
@@ -73,6 +72,25 @@ def test_timesteps_validation():
     p = make_bratu(8, 1.0)
     with pytest.raises(ValueError):
         mass_over_dtau(p, p.initial_state(), 0.0)
+
+
+@pytest.mark.parametrize("length", [1e300, 1e305])
+@pytest.mark.parametrize("smoothing", [None, RkSchedule()],
+                         ids=["plain", "smoothed"])
+def test_overflowing_pseudo_time_step_is_the_exact_newton_limit(smoothing,
+                                                                length):
+    # A legal nozzle whose cells are so long that cfl * explicit_dt
+    # overflows at CFL 1e12: dtau is infinite and M/dtau zero, the exact
+    # Newton limit, and the solve converges instead of raising.
+    p = make_quasi1d_euler(
+        16, area=lambda x: 1 + 0.4 * (2 * x / length - 1) ** 2, length=length)
+    w = p.initial_state()
+    assert np.all(np.isfinite(p.cell_measures))
+    assert np.all(np.isfinite(p.explicit_dt(w)))
+    assert not mass_over_dtau(p, w, 1e12).any()
+    rep = solve_steady(p, PtcConfig(cfl_init=1e12, smoothing=smoothing))
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert (rep.newton_steps, rep.rejection_count) == (8, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +167,7 @@ def test_small_dtau_step_matches_smoother_update():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = _lines_for(p)
     m_dtau = mass_over_dtau(p, w, 1e-10)
-    precon = build_smoother(lines, p.first_order_blocks(w))
+    (precon,) = factor_block_tridiag(lines, p.first_order_blocks(w), (None,))
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
@@ -206,7 +224,7 @@ def test_singular_smoother_runs_the_step_unsmoothed(caplog):
     r, blocks = sys.residual(w), sys.first_order_blocks(w)
     m_dtau = mass_over_dtau(sys, w, 10.0)
     plain = newton_step(sys, w, m_dtau, PtcConfig(), lines, r, blocks)
-    with caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
+    with caplog.at_level("WARNING", logger="ptcsmooth"):
         smoothed = newton_step(sys, w, m_dtau,
                                PtcConfig(smoothing=RkSchedule()), lines, r,
                                blocks)
@@ -273,15 +291,16 @@ def _bratu16():
         "non_finite_diagonal"])
 def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
                                                    logged, caplog):
-    # Every Newton step makes one factor call, through
-    # build_ptc_preconditioner; a smoothed step's is build_smoother's
-    # stacked J1 and J1 + M/dtau, which decides every failure without a
-    # second call. The traced benchmark's guard checks this as
-    # factor = precon_build. The verdict is (GMRES converged, smoothing
-    # source applied, futile).
+    # Every Newton step makes one factor call, in
+    # build_ptc_preconditioner; on a smoothed step it stacks J1 + M/dtau
+    # and J1, decides every failure without a second call, and
+    # build_smoother is handed J1's entry and factors nothing. The traced
+    # benchmark's guard checks this as factor = precon_build. The verdict
+    # is (GMRES converged, smoothing source applied, futile).
     p, lines = build()
     w = p.initial_state()
     calls = {"factor": 0, "precon": 0, "smoother": 0}
+    factored, handed = [], []
 
     def counting(name, fn):
         def counted(*args):
@@ -289,22 +308,31 @@ def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
             return fn(*args)
         return counted
 
-    factor = counting("factor", ptcsmooth.linalg.factor_block_tridiag)
+    def factor(*args):
+        factored.append(counting("factor", factor_block_tridiag)(*args))
+        return factored[-1]
+
+    def smoother(j1):
+        before = calls["factor"]
+        handed.append(j1)
+        out = counting("smoother", build_smoother)(j1)
+        assert calls["factor"] == before, "build_smoother made a factor call"
+        return out
+
     with mock.patch.object(ptcsmooth.ptc, "factor_block_tridiag", factor), \
-            mock.patch.object(ptcsmooth.smoother, "factor_block_tridiag",
-                              factor), \
             mock.patch.object(ptcsmooth.ptc, "build_ptc_preconditioner",
                               counting("precon", build_ptc_preconditioner)), \
-            mock.patch.object(ptcsmooth.ptc, "build_smoother",
-                              counting("smoother", build_smoother)), \
-            caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
+            mock.patch.object(ptcsmooth.ptc, "build_smoother", smoother), \
+            caplog.at_level("WARNING", logger="ptcsmooth"):
         ns = newton_step(p, w, mass_over_dtau(p, w, 10.0),
                          PtcConfig(smoothing=smoothing), lines,
                          p.residual(w), p.first_order_blocks(w))
     assert (ns.stats.converged, bool(ns.source.any()), ns.futile) == verdict
     assert [r.getMessage() for r in caplog.records] == logged
-    assert calls == {"factor": 1, "precon": 1,
-                     "smoother": 0 if smoothing is None else 1}
+    # A factor call that raises reaches no smoother build.
+    built = smoothing is not None and bool(factored)
+    assert calls == {"factor": 1, "precon": 1, "smoother": int(built)}
+    assert handed == ([factored[0][1]] if built else [])
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +801,7 @@ def test_lines_over_another_stencil_are_rejected(build, build_other,
     # Factored directly, the blocks hold one per edge of the wrong stencil.
     blocks = problem.first_order_blocks(problem.initial_state())
     with pytest.raises(ContractViolationError, match="stencil edge"):
-        build_smoother(lines, blocks)
+        factor_block_tridiag(lines, blocks, (None,))
 
 
 def test_singleton_lines_fit_any_stencil():

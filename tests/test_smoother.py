@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ptcsmooth.core import BlockVector, InadmissibleStateError, l2_norm
+from ptcsmooth.linalg import factor_block_tridiag
 from ptcsmooth.lines import extract_lines, singleton_lines
 from ptcsmooth.ptc import PtcConfig, mass_over_dtau, newton_step
-from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
+from ptcsmooth.smoother import RkSchedule, rk_smooth
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
@@ -38,7 +39,8 @@ def test_default_schedule_matches_protocol():
 def test_singleton_lines_give_block_diagonal_preconditioner():
     sys = diffusion_chain(n=6, b=1)
     lines = singleton_lines(6)
-    precon = build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
+    (precon,) = factor_block_tridiag(
+        lines, sys.first_order_blocks(sys.initial_state()), (None,))
     r = np.zeros(6)
     r[2] = 1.0
     x = precon.solve_values(r)
@@ -48,7 +50,8 @@ def test_singleton_lines_give_block_diagonal_preconditioner():
 def test_full_chain_line_gives_exact_newton_step(scalar_chain):
     sys = scalar_chain
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
+    (precon,) = factor_block_tridiag(
+        lines, sys.first_order_blocks(sys.initial_state()), (None,))
     w0 = sys.initial_state()
     r = sys.residual(w0)
     step = precon.solve_values(r)
@@ -59,9 +62,10 @@ def test_full_chain_line_gives_exact_newton_step(scalar_chain):
 def test_rebuild_changes_values_not_structure():
     p = make_bratu(16, 1.0)
     lines = extract_lines(p.first_order_blocks(p.initial_state()), p.edges)
-    precon1 = build_smoother(lines, p.first_order_blocks(p.initial_state()))
+    (precon1,) = factor_block_tridiag(
+        lines, p.first_order_blocks(p.initial_state()), (None,))
     w2 = BlockVector(p.layout, 0.1 * np.ones(16))
-    precon2 = build_smoother(lines, p.first_order_blocks(w2))
+    (precon2,) = factor_block_tridiag(lines, p.first_order_blocks(w2), (None,))
     cells1 = precon1.lines.lines
     cells2 = precon2.lines.lines
     assert cells1 == cells2
@@ -73,7 +77,8 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(lines, sys.first_order_blocks(w_star))
+    (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w_star),
+                                     (None,))
     out = rk_smooth(sys, precon, RkSchedule(), w_star, sys.residual(w_star))
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star.values))
     assert np.allclose(w_star.values + out.delta_w, w_star.values)
@@ -86,7 +91,8 @@ def test_linear_contraction_single_cycle(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=1)
-    precon = build_smoother(lines, sys.first_order_blocks(w_star))
+    (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w_star),
+                                     (None,))
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -100,7 +106,8 @@ def test_linear_contraction_two_cycles(scalar_chain):
     w_star = sys.solution()
     lines = full_chain_lines(sys.layout.n_cells)
     sched = RkSchedule((0.15, 0.4, 1.0), n_cycles=2)
-    precon = build_smoother(lines, sys.first_order_blocks(w_star))
+    (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w_star),
+                                     (None,))
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
@@ -120,7 +127,8 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     w0 = BlockVector(sys.layout, w_star.values + d)
     assert l2_norm(sys.residual(w0)) <= 1e-12 * r_init
     lines = full_chain_lines(sys.layout.n_cells)
-    precon = build_smoother(lines, sys.first_order_blocks(w0))
+    (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w0),
+                                     (None,))
     out = rk_smooth(sys, precon, RkSchedule(), w0, sys.residual(w0))
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0.values)
 
@@ -180,7 +188,8 @@ def test_smoothing_source_rejects_nonpositive_dtau():
 def test_smoother_reduces_residual_from_impulsive_start(problem):
     w0 = problem.initial_state()
     lines = extract_lines(problem.first_order_blocks(w0), problem.edges)
-    precon = build_smoother(lines, problem.first_order_blocks(w0))
+    (precon,) = factor_block_tridiag(lines, problem.first_order_blocks(w0),
+                                     (None,))
     out = rk_smooth(problem, precon, RkSchedule(), w0,
                     problem.residual(w0))
     w_end = BlockVector(w0.layout, w0.values + out.delta_w)
@@ -202,7 +211,9 @@ def _admit_only(sys, admissible):
 
 def _chain_smoother(sys):
     lines = full_chain_lines(sys.layout.n_cells)
-    return build_smoother(lines, sys.first_order_blocks(sys.initial_state()))
+    (precon,) = factor_block_tridiag(
+        lines, sys.first_order_blocks(sys.initial_state()), (None,))
+    return precon
 
 
 def test_degraded_cycle_keeps_last_admissible_output():

@@ -24,8 +24,9 @@ round-trips every bit and the sign of zero) and the bytes of the final
 state. Variants are ``plain`` (``PtcConfig()``) and ``smoothed``
 (``PtcConfig(smoothing=RkSchedule())``), each with the case's overrides.
 The cases are the benchmark's steady grids, bratu 64, the criterion-5
-fixtures of ``tests/test_acceptance.py`` and the 3-step BDF convdiff run,
-one digest per physical step.
+fixtures of ``tests/test_acceptance.py``, the 3-step BDF convdiff run and
+the paper's time-dependent CFD case, a 5-step BDF run of the 128-cell
+nozzle at dt 0.5, one digest per physical step.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ CASES: Dict[str, Case] = {
         lambda: make_aniso_convdiff(16, 24, 1000.0),
         {"max_newton_steps": 200, "target_residual_reduction": 1e-12},
         unsteady=(0.05, 3)),
+    "bdf5_nozzle128_dt05": Case(
+        lambda: make_quasi1d_euler(128),
+        {"max_newton_steps": 200, "target_residual_reduction": 1e-10},
+        unsteady=(0.5, 5)),
 }
 
 VARIANTS = {"plain": None, "smoothed": RkSchedule}

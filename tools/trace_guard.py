@@ -11,9 +11,9 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
 - ``correct`` true and ``failed`` 0;
 - ``linalg.factor.calls == ptc.precon_build.calls``: one factorization per
   Newton step, the one ``build_ptc_preconditioner`` makes (on a smoothed
-  step through ``build_smoother``, whose one stacked call factors J1 and
-  J1 + M/dtau together), so a second factor call in a step or a factor
-  path of its own fails here;
+  step one stacked call factors J1 + M/dtau and J1 together, and
+  ``build_smoother`` is handed J1's factor), so a second factor call in a
+  step or a factor path of its own fails here;
 - when ``smoother.degraded == 0``, ``linalg.line_solve.calls ==
   problems.jv.calls + linalg.gmres.calls + 15 * smoother.rk.calls``: one
   solve per Krylov vector, one final solve per GMRES call and one per RK
