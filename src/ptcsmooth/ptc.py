@@ -16,6 +16,15 @@ step, in the same stacked reduction, as J1 for the smoother, since the two
 differ only by the diagonal shift. M/dtau itself is formed once per Newton
 step (``mass_over_dtau``), as one per-unknown array that every layer of the
 step multiplies by.
+
+Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
+vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
+1/CFL. So ``solve_steady`` predicts each step's ||source||/||R|| from the
+last step whose RK cycles all ran, scaled by that step's CFL over this one's,
+and runs the step unsmoothed when the prediction is below
+``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol``: one single-shift factor and
+no RK stage. The first step of every solve smooths, and a rejection's CFL cut
+raises the prediction tenfold, so smoothing returns at small dtau.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ ALPHA_GROW_THRESHOLD = 0.75
 CFL_CUT = 0.1
 CFL_MAX = 1e12
 CFL_STAGNATION_FLOOR = 1e-6
+# A smoothed solve's step after the first runs unsmoothed when its predicted
+# ||source||/||R|| is below this fraction of GMRES's ``linear_rel_tol``.
+SOURCE_SKIP_FRACTION = 0.1
 
 
 class SolveOutcome(str, Enum):
@@ -163,29 +175,34 @@ class NewtonStepResult:
     # coupling: every CFL fails alike, since M/dtau only adds finite values
     # to the diagonal.
     futile: bool = False
+    # Every scheduled RK cycle ran, so ``source`` is the full smoothing
+    # source (a skipped or degraded smoother's is not).
+    smoothed: bool = False
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
-                residual: np.ndarray, blocks: FirstOrderBlocks
-                ) -> NewtonStepResult:
+                residual: np.ndarray, blocks: FirstOrderBlocks,
+                smooth: bool = True) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
     ``blocks`` are R(w) and the first-order blocks at ``w``. The blocks are
     factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
-    it when ``config.smoothing`` has cycles, as J1 for the smoother
-    (``build_ptc_preconditioner``). The smoothing source is computed before the
-    linear solve and never re-evaluated. A singular smoother factorization runs
-    the step unsmoothed. GMRES non-convergence is reported through the stats
-    for the controller, not raised; so are non-finite couplings or operator
-    output and a singular PTC preconditioner, as failed solves with no Krylov
-    vectors, marked ``futile`` when a diagonal block or gathered coupling is
-    not finite.
+    it when ``config.smoothing`` has cycles and ``smooth`` is true, as J1 for
+    the smoother (``build_ptc_preconditioner``); with ``smooth`` false the
+    step is bitwise that of an unsmoothed config. The smoothing source is
+    computed before the linear solve and never re-evaluated. A singular
+    smoother factorization runs the step unsmoothed. GMRES non-convergence is
+    reported through the stats for the controller, not raised; so are
+    non-finite couplings or operator output and a singular PTC
+    preconditioner, as failed solves with no Krylov vectors, marked
+    ``futile`` when a diagonal block or gathered coupling is not finite.
     """
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
-    smoothed = config.smoothing is not None and config.smoothing.n_cycles > 0
+    smoothed = (smooth and config.smoothing is not None
+                and config.smoothing.n_cycles > 0)
     try:
         precon, smoother = build_ptc_preconditioner(lines, blocks,
                                                     mass_over_dtau, smoothed)
@@ -195,13 +212,13 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
                   or not np.all(np.isfinite(blocks.diag)))
         return NewtonStepResult(zero, zero, failed, futile=futile)
 
-    source, degraded = zero, False
+    source, degraded, complete = zero, False, False
     if smoother is not None:
         sm = rk_smooth(system, smoother, config.smoothing, w, residual)
         # The paper's source term (M/dtau) dw_smooth; it vanishes as
         # dtau grows, recovering the exact Newton step.
         source = mass_over_dtau * sm.delta_w
-        degraded = sm.degraded
+        degraded, complete = sm.degraded, not sm.degraded
 
     try:
         x, stats = gmres_right_preconditioned(
@@ -210,8 +227,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
             config.max_krylov)
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
-        return NewtonStepResult(zero, source, failed, degraded)
-    return NewtonStepResult(x, source, stats, degraded)
+        return NewtonStepResult(zero, source, failed, degraded,
+                                smoothed=complete)
+    return NewtonStepResult(x, source, stats, degraded, smoothed=complete)
 
 
 @dataclass
@@ -289,14 +307,20 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     rejected step leaves the state bit-identical, so the next step reuses them.
     A step is accepted only when the line search found a fraction that
     decreases the pseudo-unsteady residual, so accepted steps descend whatever
-    the linearization. A step whose PTC factor refuses a non-finite diagonal
-    block or in-line coupling is recorded as rejected and ends the solve
-    ``STAGNATED``: no CFL changes that verdict. A starting state whose layout
-    is not the system's, or ``lines`` over another cell count or (with an
-    in-line pair) another stencil, raises ``ContractViolationError``; a start
-    that ``trial_residual`` rejects, its residual overflowing included, or
-    whose couplings are not finite when lines are to be extracted there, raises
-    ``InadmissibleStateError``. All are raised before any step.
+    the linearization. A smoothed solve steps smoothing aside in the Newton
+    limit, where the source vanishes: a step after the first whose predicted
+    ||source||/||R||, the last fully smoothed step's ratio times its CFL over
+    this one's, is below ``SOURCE_SKIP_FRACTION * linear_rel_tol`` runs
+    unsmoothed and logs one DEBUG line; a step whose smoother was skipped or
+    degraded leaves that ratio as it was. A step whose PTC factor refuses a
+    non-finite diagonal block or in-line coupling is recorded as rejected and
+    ends the solve ``STAGNATED``: no CFL changes that verdict. A starting
+    state whose layout is not the system's, or ``lines`` over another cell
+    count or (with an in-line pair) another stencil, raises
+    ``ContractViolationError``; a start that ``trial_residual`` rejects, its
+    residual overflowing included, or whose couplings are not finite when
+    lines are to be extracted there, raises ``InadmissibleStateError``. All
+    are raised before any step.
     """
     w = w0.copy() if w0 is not None else system.initial_state()
     if w.layout != system.layout:
@@ -325,6 +349,9 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     blocks = None
     cumulative_krylov = 0
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
+    # ||source||/||R|| and CFL of the last step whose RK cycles all ran.
+    ratio_last = cfl_last = None
+    skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
 
     for step in range(1, config.max_newton_steps + 1):
         if blocks is None:
@@ -332,9 +359,17 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                 blocks = system.first_order_blocks(w)
             if lines is None:
                 lines = extract_lines(blocks, system.edges)
+        predicted = None if ratio_last is None else ratio_last * cfl_last / cfl
+        skip = predicted is not None and predicted < skip_below
+        if skip:
+            log.debug("step %d steps smoothing aside: predicted |source|/|R| "
+                      "%.3g < %.3g", step, predicted, skip_below)
         m_dtau = mass_over_dtau(system, w, cfl)
-        ns = newton_step(system, w, m_dtau, config, lines, r, blocks)
+        ns = newton_step(system, w, m_dtau, config, lines, r, blocks,
+                         smooth=not skip)
         cumulative_krylov += ns.stats.iterations
+        if ns.smoothed:
+            ratio_last, cfl_last = _finite_norm(ns.source) / r_norm, cfl
 
         ls, alpha = None, 0.0   # a failed linear solve is a zero step
         if ns.stats.converged:

@@ -30,7 +30,7 @@ PINNED_COUNTS = {
     "crit5_nozzle32_singleton plain": "25/1985/4",
     "crit5_nozzle32_singleton smoothed": "18/1556/1",
     "crit5_nozzle128 plain": "72/920/10",
-    "crit5_nozzle128 smoothed": "8/88/0",
+    "crit5_nozzle128 smoothed": "8/89/0",
     "bdf3_convdiff16x24/step 0 plain": "13/55/0",
     "bdf3_convdiff16x24/step 1 plain": "6/28/0",
     "bdf3_convdiff16x24/step 2 plain": "6/28/0",

@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -7,13 +8,17 @@ import pytest
 import ptcsmooth.ptc
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             FirstOrderBlocks, InadmissibleStateError, l2_norm)
-from ptcsmooth.linalg import factor_block_tridiag
+from ptcsmooth.linalg import (GmresStats, SingularPivotError,
+                              factor_block_tridiag)
 from ptcsmooth.lines import extract_lines, singleton_lines
-from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, CFL_MAX, PtcConfig,
-                           SolveOutcome, build_ptc_preconditioner, cfl_update,
-                           line_search, mass_over_dtau, newton_step,
-                           ptc_operator, solve_steady)
-from ptcsmooth.smoother import RkSchedule, build_smoother, rk_smooth
+from ptcsmooth.ptc import (ALPHA_REJECT_THRESHOLD, CFL_CUT, CFL_MAX,
+                           SOURCE_SKIP_FRACTION, PtcConfig, SolveOutcome,
+                           build_ptc_preconditioner, cfl_update, line_search,
+                           mass_over_dtau, newton_step, ptc_operator,
+                           solve_steady)
+from ptcsmooth.smoother import (RkSchedule, SmoothResult, build_smoother,
+                                rk_smooth)
+from ptcsmooth.timestepping import UnsteadyConfig, advance_unsteady
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
                                 make_quasi1d_euler)
 
@@ -333,6 +338,182 @@ def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
     built = smoothing is not None and bool(factored)
     assert calls == {"factor": 1, "precon": 1, "smoother": int(built)}
     assert handed == ([factored[0][1]] if built else [])
+
+
+# ---------------------------------------------------------------------------
+# smoothing steps aside in the Newton limit
+# ---------------------------------------------------------------------------
+
+SMOOTHED, ASIDE = [2, 1], [1, 0]     # [shifts factored, rk_smooth calls]
+
+
+def _trace_steps(monkeypatch):
+    """Per Newton step, [shifts factored, rk_smooth calls]: each step makes
+    one factor call, and its smoother runs after it."""
+    steps = []
+    factor = ptcsmooth.ptc.factor_block_tridiag
+    smooth = ptcsmooth.ptc.rk_smooth
+
+    def counted_factor(lines, blocks, shifts):
+        steps.append([len(shifts), 0])
+        return factor(lines, blocks, shifts)
+
+    def counted_smooth(*args):
+        steps[-1][1] += 1
+        return smooth(*args)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "factor_block_tridiag", counted_factor)
+    monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", counted_smooth)
+    return steps
+
+
+def _bdf3_convdiff(smoothing):
+    # The benchmark's unsteady case: its third physical step steps
+    # smoothing aside from its second Newton step on.
+    history = advance_unsteady(
+        make_aniso_convdiff(16, 24, 1000.0),
+        UnsteadyConfig(0.05, 3, PtcConfig(smoothing=smoothing,
+                                          max_newton_steps=200,
+                                          target_residual_reduction=1e-12)))
+    assert not history.aborted
+    return history
+
+
+def _per_solve(steps, history):
+    out = []
+    for report in history.reports:
+        out.append(steps[:report.newton_steps])
+        steps = steps[report.newton_steps:]
+    assert not steps
+    return out
+
+
+def test_first_step_of_every_solve_smooths(monkeypatch):
+    steps = _trace_steps(monkeypatch)
+    history = _bdf3_convdiff(RkSchedule())
+    per_solve = _per_solve(steps, history)
+    assert [solve[0] for solve in per_solve] == [SMOOTHED] * 3
+    assert all(step in (SMOOTHED, ASIDE) for step in steps)
+    assert [solve.count(ASIDE) for solve in per_solve] == [0, 0, 5]
+    # Stepping aside moves no count of this run.
+    assert [(r.newton_steps, r.cumulative_krylov, r.rejection_count)
+            for r in history.reports] == [(7, 36, 0), (6, 28, 0), (6, 28, 0)]
+
+
+def test_stepped_aside_step_is_bitwise_the_unsmoothed_step(monkeypatch):
+    p = make_bratu(32, 1.0)
+    w = p.initial_state()
+    lines = _lines_for(p)
+    m_dtau = mass_over_dtau(p, w, 10.0)
+    r, blocks = p.residual(w), p.first_order_blocks(w)
+    plain = newton_step(p, w, m_dtau, PtcConfig(), lines, r, blocks)
+    steps = _trace_steps(monkeypatch)
+    aside = newton_step(p, w, m_dtau, PtcConfig(smoothing=RkSchedule()),
+                        lines, r, blocks, smooth=False)
+    assert steps == [ASIDE]
+    assert not aside.source.any() and not aside.smoothed
+    assert aside.delta_w.tobytes() == plain.delta_w.tobytes()
+    assert aside.source.tobytes() == plain.source.tobytes()
+    assert (aside.stats, aside.smoother_degraded, aside.futile) == \
+        (plain.stats, plain.smoother_degraded, plain.futile)
+    assert plain.stats.converged
+
+
+def test_a_rejection_brings_smoothing_back(monkeypatch):
+    # Fail GMRES on the first stepped-aside step: the CFL cut raises the
+    # predicted ratio tenfold, over the threshold here, so the next step
+    # smooths, and so does every step after it.
+    steps = _trace_steps(monkeypatch)
+    gmres, forced = ptcsmooth.ptc.gmres_right_preconditioned, []
+
+    def failing_once(operator, precon, b, *args):
+        if steps[-1] == ASIDE and not forced:
+            forced.append(len(steps) - 1)
+            return np.zeros_like(b), GmresStats(0, 1.0, False)
+        return gmres(operator, precon, b, *args)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "gmres_right_preconditioned",
+                        failing_once)
+    history = _bdf3_convdiff(RkSchedule())
+    rows = [row for r in history.reports for row in r.history]
+    (k,) = forced
+    assert not rows[k].accepted and rows[k + 1].cfl == rows[k].cfl * CFL_CUT
+    assert steps[k + 1:] == [SMOOTHED] * (len(steps) - k - 1)
+
+
+def _singular_j1_on_step_1(monkeypatch):
+    factor, calls = ptcsmooth.ptc.factor_block_tridiag, []
+
+    def factor_j1_fails_once(lines, blocks, shifts):
+        calls.append(shifts)
+        precon, *j1 = factor(lines, blocks, shifts)
+        if len(calls) == 1:
+            j1 = [SingularPivotError("J1 patched to fail")]
+        return [precon, *j1]
+
+    monkeypatch.setattr(ptcsmooth.ptc, "factor_block_tridiag",
+                        factor_j1_fails_once)
+    return [2, 0]       # both shifts factored, no RK stage
+
+
+def _no_cycle_completes_on_step_1(monkeypatch):
+    smooth, calls = ptcsmooth.ptc.rk_smooth, []
+
+    def degraded_once(system, precon, schedule, w0, r0):
+        calls.append(w0)
+        if len(calls) == 1:
+            return SmoothResult(np.zeros(w0.layout.n_dofs), True)
+        return smooth(system, precon, schedule, w0, r0)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", degraded_once)
+    return SMOOTHED
+
+
+@pytest.mark.parametrize("patch", [_singular_j1_on_step_1,
+                                   _no_cycle_completes_on_step_1],
+                         ids=["singular_j1", "degraded"])
+def test_a_zero_source_does_not_switch_smoothing_off(patch, monkeypatch):
+    # Step 1's source is zero, its ratio 0; if it were remembered, every
+    # later step's prediction would be 0 and every one would step aside.
+    first = patch(monkeypatch)
+    steps = _trace_steps(monkeypatch)
+    rep = solve_steady(make_bratu(64, 1.0), PtcConfig(smoothing=RkSchedule()))
+    assert rep.outcome == SolveOutcome.CONVERGED and rep.newton_steps > 2
+    assert steps == [first] + [SMOOTHED] * (rep.newton_steps - 1)
+
+
+@pytest.mark.parametrize("smoothing", [None, RkSchedule(n_cycles=0)],
+                         ids=["plain", "zero_cycles"])
+def test_unsmoothed_solves_never_smooth_nor_step_aside(smoothing, monkeypatch,
+                                                       caplog):
+    # The zero-cycle run is bitwise the plain one, row for row.
+    plain = _bdf3_convdiff(None)
+    steps = _trace_steps(monkeypatch)
+    with caplog.at_level("DEBUG", logger="ptcsmooth.ptc"):
+        run = _bdf3_convdiff(smoothing)
+    assert steps == [[1, 0]] * sum(r.newton_steps for r in run.reports)
+    assert "aside" not in caplog.text
+    for ours, theirs in zip(run.reports, plain.reports, strict=True):
+        assert ours.history == theirs.history
+        assert ours.final_state.values.tobytes() == \
+            theirs.final_state.values.tobytes()
+
+
+def test_a_stepped_aside_step_logs_one_debug_line(monkeypatch, caplog):
+    steps = _trace_steps(monkeypatch)
+    with caplog.at_level("DEBUG", logger="ptcsmooth.ptc"):
+        history = _bdf3_convdiff(RkSchedule())
+    threshold = SOURCE_SKIP_FRACTION * PtcConfig().linear_rel_tol
+    pattern = re.compile(r"step (\d+) steps smoothing aside: predicted "
+                         r"\|source\|/\|R\| (\S+) < (\S+)")
+    logged = [pattern.fullmatch(rec.getMessage()) for rec in caplog.records
+              if rec.name == "ptcsmooth.ptc"]
+    assert all(logged) and len(logged) == steps.count(ASIDE) == 5
+    aside = [k + 1 for k, step in enumerate(_per_solve(steps, history)[2])
+             if step == ASIDE]
+    assert [int(m[1]) for m in logged] == aside
+    assert all(float(m[2]) < float(m[3]) == pytest.approx(threshold)
+               for m in logged)
 
 
 # ---------------------------------------------------------------------------

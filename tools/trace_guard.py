@@ -29,6 +29,11 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
   lines once, and the traced pass makes one run per variant, so a return to
   per-step extraction fails here.
 
+A smoothed step that steps smoothing aside in the Newton limit (see
+``ptcsmooth.ptc``) is a plain step: one factor call with one shift, no
+``rk_smooth`` call, so no RK solve or residual, and all three identities
+hold for it unchanged.
+
 A kernel refactor that renames or stops calling a traced function makes
 ``bench/run.py`` exit with a trace-guard error, which fails here too.
 Prints one verdict line per workload and exits 1 if any check failed.
