@@ -158,8 +158,9 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 # Block-tridiagonal (cyclic reduction) kernels
 # ---------------------------------------------------------------------------
 
-# The last levels of the reduction, which with the root leave at most
-# 2^(TOP_LEVELS + 1) - 1 = 31 rows per column, are applied as one dense
+# The last levels of the reduction, which with the root start from at most
+# 2^(TOP_LEVELS + 1) - 1 = 31 rows per column (16 where the layout's height
+# is a power of two, as the nozzle's is), are applied as one dense
 # operator: on that few rows a level's batched calls cost about what their
 # dispatch costs. The fourth level costs each factor more than it saves a
 # solve; it pays once a factor serves about 2-8 solves (nozzle to convdiff),
@@ -171,10 +172,15 @@ def _eliminate(level: Tuple[np.ndarray, ...], even: np.ndarray,
                odd: np.ndarray, mul: Callable) -> Tuple[np.ndarray,
                                                           np.ndarray]:
     """One level of the reduction: its even rows solved by their pivots,
-    and its odd rows with them folded in, each a new array."""
+    and its odd rows with them folded in, each a new array. At an even row
+    count the last odd row has no even row after it."""
     dinv, left, right, _, _ = level
     even = mul(dinv, even)
-    return even, odd - (mul(left, even[:-1]) + mul(right, even[1:]))
+    if len(even) > len(odd):
+        return even, odd - (mul(left, even[:-1]) + mul(right, even[1:]))
+    folded = mul(left, even)
+    folded[:-1] += mul(right, even[1:])
+    return even, odd - folded
 
 
 def _substitute(level: Tuple[np.ndarray, ...], even: np.ndarray,
@@ -182,8 +188,12 @@ def _substitute(level: Tuple[np.ndarray, ...], even: np.ndarray,
     """One level of back-substitution: ``even``, from ``_eliminate``, less
     its couplings to the solved ``odd`` rows, in place."""
     _, _, _, dinv_lower, dinv_upper = level
-    even[1:] -= mul(dinv_lower, odd)
-    even[:-1] -= mul(dinv_upper, odd)
+    if len(even) > len(odd):
+        even[1:] -= mul(dinv_lower, odd)
+        even[:-1] -= mul(dinv_upper, odd)
+    else:
+        even[1:] -= mul(dinv_lower, odd[:-1])
+        even -= mul(dinv_upper, odd)
 
 
 def _cyclic_solve(levels: Sequence[Tuple[np.ndarray, ...]],
@@ -211,12 +221,15 @@ def _cyclic_solve(levels: Sequence[Tuple[np.ndarray, ...]],
 class BlockTridiagFactorization:
     """Pivot-free block cyclic reduction of the line-structured operator.
 
-    The rows are the 2^L - 1 rows of the packed layout ``lines.index``, each
-    column holding one or more lines; a slot no line holds has an identity
-    pivot and zero couplings, and so has the pair of two lines that meet in
-    a column. Each level eliminates the even rows of what remains and folds
-    them into the odd rows, leaving 2^(L-1) - 1; after L - 1 levels one row
-    per column is left, the root at row 2^(L-1) - 1. Every line starts at a
+    The rows are those of the packed layout ``lines.index``, N of them,
+    2^(L-1) <= N <= 2^L - 1, each column holding one or more lines; a slot
+    no line holds has an identity pivot and zero couplings, and so has the
+    pair of two lines that meet in a column. Each level eliminates the even
+    rows of what remains and folds them into the odd rows, leaving
+    floor(N / 2); at an even count the last odd row has no even row after
+    it and folds in only the one before, while an odd count runs the
+    expressions a padded layout would. After L - 1 levels one row per column
+    is left, the root at row 2^(L-1) - 1. Every line starts at a
     multiple of 2^B, B the bit length of its cell count, so each of its rows
     meets the levels and in-line partners it would meet in a column of its
     own, and every term from another line is a product with an exact zero:
@@ -240,12 +253,16 @@ class BlockTridiagFactorization:
     # the P + 1 inverted even pivots; left and right, each odd row's
     # coupling to the even row before and after it; dinv_lower, dinv times
     # the coupling of even rows 1..P to the odd row before; dinv_upper,
-    # dinv times the coupling of even rows 0..P-1 to the odd row after.
+    # dinv times the coupling of even rows 0..P-1 to the odd row after. At
+    # an even count, P even rows and P odd rows, the last odd row has no
+    # even row after it: right and dinv_lower hold P - 1 rows, dinv_upper
+    # P.
     levels: Tuple[Tuple[np.ndarray, ...], ...]
     root: np.ndarray     # (n_columns, b, b) inverted root pivots
     # (n_columns, R b, R b): the inverse of each column's reduced operator
-    # on the R = 2^(l + 1) - 1 rows left before its last l = min(L - 1,
-    # TOP_LEVELS) levels, unknowns ordered row-major (row, component).
+    # on the R = floor(N / 2^(L - 1 - l)) rows left before its last l =
+    # min(L - 1, TOP_LEVELS) levels, unknowns ordered row-major (row,
+    # component).
     top: np.ndarray
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
@@ -439,11 +456,19 @@ def factor_block_tridiag(
             left = np.ascontiguousarray(lower[0::2])
             right = np.ascontiguousarray(upper[1::2])
             dinv_lower = mul(dinv[1:], lower[1::2])
-            dinv_upper = mul(dinv[:-1], upper[0::2])
-            diag = (diag[1::2] - mul(left, dinv_upper)
-                    - mul(right, dinv_lower))
-            upper = -mul(right[:-1], dinv_upper[1:])
-            lower = -mul(left[1:], dinv_lower[:-1])
+            if len(diag) % 2:
+                dinv_upper = mul(dinv[:-1], upper[0::2])
+                diag = (diag[1::2] - mul(left, dinv_upper)
+                        - mul(right, dinv_lower))
+                upper = -mul(right[:-1], dinv_upper[1:])
+                lower = -mul(left[1:], dinv_lower[:-1])
+            else:
+                # The last odd row has no even row after it.
+                dinv_upper = mul(dinv, upper[0::2])
+                diag = diag[1::2] - mul(left, dinv_upper)
+                diag[:-1] -= mul(right, dinv_lower)
+                upper = -mul(right, dinv_upper[1:])
+                lower = -mul(left[1:], dinv_lower)
             levels.append((dinv, left, right, dinv_lower, dinv_upper))
         pivots.append(diag)
         root = _inverse(diag, k)[0]
@@ -453,7 +478,7 @@ def factor_block_tridiag(
         # The top: the last levels and the root solve unit right-hand
         # sides, one per unknown of the rows those levels start from.
         top_levels = levels[-TOP_LEVELS:]
-        rows = 2 ** (len(top_levels) + 1) - 1
+        rows = len(lines.index) >> (len(levels) - len(top_levels))
         unit = np.eye(rows * b).reshape(rows, 1, b, rows * b)
         x = _cyclic_solve(top_levels, lambda y: mul(root, y), unit)
     top = x.swapaxes(0, 1).reshape(len(root), rows * b, rows * b)

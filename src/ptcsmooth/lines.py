@@ -10,9 +10,10 @@ picked up the same way, and every cell not reached by a path becomes a
 singleton line: where all are singletons, the preconditioner is block-diagonal.
 
 A ``LineSet`` also packs its lines into the layout the cyclic-reduction kernels
-reduce: columns of 2^L - 1 rows, each line contiguous down one column from a
-row that is a multiple of 2^B (B the bit length of its cell count), so that
-short lines and singletons share columns without changing a bit of any pivot; a
+reduce: columns of at most 2^L - 1 rows, ending at the last row a line holds,
+each line contiguous down one column from a row that is a multiple of 2^B (B
+the bit length of its cell count), so that short lines and singletons share
+columns without changing a bit of any pivot; a
 line's solution changes only in rounding, with the height of its column, and
 nothing another line holds changes a bit of it. The plans through which the
 line kernels gather and scatter are built once per line set: the couplings' at
@@ -40,14 +41,17 @@ class LineSet:
     """Partition of cells into simple paths (singletons included), and the
     packed layout the line kernels reduce.
 
-    The layout has 2^L - 1 rows, L = k_max.bit_length(). Lines are placed
-    longest first (ties in line order), each in the first column with room
-    for it: a line of k cells starts at the first multiple of
-    2^k.bit_length() past the column's last occupied row, and must end
-    within the 2^L - 1 rows; else it opens a new column. That alignment puts
-    every cell at the same cyclic-reduction level, against the same in-line
-    neighbours, as a column of its own would, so short lines and singletons
-    share columns without changing a bit of any pivot. The solve's dense top
+    Lines are placed longest first (ties in line order), each in the first
+    column with room for it: a line of k cells starts at the first multiple
+    of 2^k.bit_length() past the column's last occupied row, and must end
+    within 2^L - 1 rows, L = k_max.bit_length(); else it opens a new column.
+    That alignment puts every cell at the same cyclic-reduction level,
+    against the same in-line neighbours, as a column of its own would, so
+    short lines and singletons share columns without changing a bit of any
+    pivot. The layout ends at the last row any line holds, between k_max
+    and 2^L - 1 rows, so a line of 2^m cells alone is 2^m rows: a level of
+    even row count has no even row after its last odd row, and the
+    reduction needs no padding past it. The solve's dense top
     (``BlockTridiagFactorization.top``) sums over a column's rows, so a
     line's solution rounds with the column's height, but nothing another
     line holds changes a bit of it. An in-line pair missing from the
@@ -61,8 +65,9 @@ class LineSet:
     lines: List[List[int]]
     # The stencil the lines were built over; ``slots`` index its pairs.
     edges: np.ndarray = field(repr=False, compare=False)
-    # (2^L - 1, n_columns): the cell in each row of each column, and the
-    # dummy index n_cells in every slot no line holds.
+    # (rows, n_columns), rows up to the last one a line holds: the cell in
+    # each row of each column, and the dummy index n_cells in every slot no
+    # line holds.
     index: np.ndarray = field(init=False, repr=False, compare=False)
     # index[1:].shape: True where rows m and m + 1 of a column hold
     # consecutive cells of one line.
@@ -86,6 +91,7 @@ class LineSet:
             raise ContractViolationError(
                 f"lines must partition the {self.n_cells} cells into "
                 "nonempty paths")
+        # Placement stays within 2^L - 1 rows; the layout ends at max(tops).
         size = 2 ** max(map(len, self.lines), default=0).bit_length() - 1
         tops: List[int] = []    # each column's first row past its lines
         placement = [(0, 0)] * len(self.lines)   # each line's column, offset
@@ -111,7 +117,8 @@ class LineSet:
         rows = np.arange(len(flat)) + np.repeat(offset - (ends - lengths),
                                                 lengths)
         cols = np.repeat(col, lengths)
-        self.index = np.full((size, len(tops)), self.n_cells, dtype=int)
+        self.index = np.full((max(tops, default=0), len(tops)), self.n_cells,
+                             dtype=int)
         self.index[rows, cols] = flat
         self.pair_mask = np.zeros(self.index[1:].shape, dtype=bool)
         inner = np.ones(len(flat), dtype=bool)   # not the last of its line
@@ -141,7 +148,7 @@ class LineSet:
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """The line solve's gather and scatter for ``b`` unknowns per cell,
         indices of unknowns (cell * b + component): ``gather``,
-        (2^L - 1, n_columns, b, 1), takes each slot's unknowns from the
+        (rows, n_columns, b, 1), takes each slot's unknowns from the
         right-hand side with one zero block appended, the block every slot
         no line holds reads; ``scatter``, (n_cells * b,), takes each
         unknown back from the packed solution of that shape. With

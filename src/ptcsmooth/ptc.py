@@ -15,7 +15,9 @@ factors those same blocks along the frozen lines in one call, made only by
 step, in the same stacked reduction, as J1 for the smoother, since the two
 differ only by the diagonal shift. M/dtau itself is formed once per Newton
 step (``mass_over_dtau``), as one per-unknown array that every layer of the
-step multiplies by.
+step multiplies by. A rejected step leaves w, R and the blocks as they were,
+so the smoothed step that retries it reuses its RK update and factors J1 +
+M/dtau alone.
 
 Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
 vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
@@ -43,7 +45,7 @@ from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
 from .lines import LineSet, extract_lines
-from .smoother import RkSchedule, build_smoother, rk_smooth
+from .smoother import RkSchedule, SmoothResult, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
 
@@ -178,12 +180,15 @@ class NewtonStepResult:
     # Every scheduled RK cycle ran, so ``source`` is the full smoothing
     # source (a skipped or degraded smoother's is not).
     smoothed: bool = False
+    # The RK update behind ``source``, None if the smoother did not run.
+    update: Optional[SmoothResult] = None
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
                 residual: np.ndarray, blocks: FirstOrderBlocks,
-                smooth: bool = True) -> NewtonStepResult:
+                smooth: bool = True,
+                kept: Optional[SmoothResult] = None) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
@@ -191,10 +196,14 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
     it when ``config.smoothing`` has cycles and ``smooth`` is true, as J1 for
     the smoother (``build_ptc_preconditioner``); with ``smooth`` false the
-    step is bitwise that of an unsmoothed config. The smoothing source is
-    computed before the linear solve and never re-evaluated. A singular
-    smoother factorization runs the step unsmoothed. GMRES non-convergence is
-    reported through the stats for the controller, not raised; so are
+    step is bitwise that of an unsmoothed config. ``kept`` is the RK update
+    of a step rejected at this same ``w``, ``residual`` and ``blocks``: a
+    smoothed step reuses it, with its ``degraded`` flag, and factors J1 +
+    M/dtau alone, bitwise the step that would run the stages again. The
+    smoothing source is computed before the linear solve and never
+    re-evaluated. A singular smoother factorization runs the step
+    unsmoothed. GMRES non-convergence is reported through the stats for
+    the controller, not raised; so are
     non-finite couplings or operator output and a singular PTC
     preconditioner, as failed solves with no Krylov vectors, marked
     ``futile`` when a diagonal block or gathered coupling is not finite.
@@ -203,18 +212,21 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     failed = GmresStats(0, 1.0, False)
     smoothed = (smooth and config.smoothing is not None
                 and config.smoothing.n_cycles > 0)
+    reuse = smoothed and kept is not None
     try:
-        precon, smoother = build_ptc_preconditioner(lines, blocks,
-                                                    mass_over_dtau, smoothed)
+        precon, smoother = build_ptc_preconditioner(
+            lines, blocks, mass_over_dtau, smoothed and not reuse)
     except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         futile = (isinstance(exc, ContractViolationError)
                   or not np.all(np.isfinite(blocks.diag)))
         return NewtonStepResult(zero, zero, failed, futile=futile)
 
-    source, degraded, complete = zero, False, False
+    sm = kept if reuse else None
     if smoother is not None:
         sm = rk_smooth(system, smoother, config.smoothing, w, residual)
+    source, degraded, complete = zero, False, False
+    if sm is not None:
         # The paper's source term (M/dtau) dw_smooth; it vanishes as
         # dtau grows, recovering the exact Newton step.
         source = mass_over_dtau * sm.delta_w
@@ -228,8 +240,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, source, failed, degraded,
-                                smoothed=complete)
-    return NewtonStepResult(x, source, stats, degraded, smoothed=complete)
+                                smoothed=complete, update=sm)
+    return NewtonStepResult(x, source, stats, degraded, smoothed=complete,
+                            update=sm)
 
 
 @dataclass
@@ -312,9 +325,12 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     ||source||/||R||, the last fully smoothed step's ratio times its CFL over
     this one's, is below ``SOURCE_SKIP_FRACTION * linear_rel_tol`` runs
     unsmoothed and logs one DEBUG line; a step whose smoother was skipped or
-    degraded leaves that ratio as it was. A step whose PTC factor refuses a
-    non-finite diagonal block or in-line coupling is recorded as rejected and
-    ends the solve ``STAGNATED``: no CFL changes that verdict. A starting
+    degraded leaves that ratio as it was. A smoothed step after a rejected
+    one that ran its smoother reuses that RK update (``newton_step``'s
+    ``kept``), since w, R and the blocks are those it ran at. A step whose
+    PTC factor refuses a non-finite diagonal block or in-line coupling is
+    recorded as rejected and ends the solve ``STAGNATED``: no CFL changes
+    that verdict. A starting
     state whose layout is not the system's, or ``lines`` over another cell
     count or (with an in-line pair) another stencil, raises
     ``ContractViolationError``; a start that ``trial_residual`` rejects, its
@@ -351,6 +367,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
     # ||source||/||R|| and CFL of the last step whose RK cycles all ran.
     ratio_last = cfl_last = None
+    kept = None     # the RK update of a rejected step at the current w
     skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
 
     for step in range(1, config.max_newton_steps + 1):
@@ -366,7 +383,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                       "%.3g < %.3g", step, predicted, skip_below)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks,
-                         smooth=not skip)
+                         smooth=not skip, kept=kept)
         cumulative_krylov += ns.stats.iterations
         if ns.smoothed:
             ratio_last, cfl_last = _finite_norm(ns.source) / r_norm, cfl
@@ -376,6 +393,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
             ls = line_search(system, w, ns.delta_w, m_dtau, ns.source, r)
             alpha = ls.alpha
         new_cfl, accepted = cfl_update(cfl, alpha, config)
+        kept = None if accepted else ns.update
 
         if accepted:
             w = BlockVector(w.layout, w.values + alpha * ns.delta_w)

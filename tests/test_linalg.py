@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ptcsmooth.core import ContractViolationError, FirstOrderBlocks
 from ptcsmooth.linalg import (TOP_LEVELS, GmresStats, SingularPivotError,
-                              factor_block_tridiag,
+                              _cyclic_solve, factor_block_tridiag,
                               gmres_right_preconditioned)
 from ptcsmooth.lines import LineSet, extract_lines, singleton_lines
 from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
@@ -634,12 +634,13 @@ def mixed_lines(draw):
 def test_mixed_length_lines_match_dense_property(lines, b, seed):
     rng = np.random.default_rng(seed)
     n = lines.n_cells
-    # The layout cyclic reduction runs on: 2^L - 1 rows; each line's cells
-    # in order down one column from a multiple of 2^bit_length(len), the
-    # dummy index n in every other slot; the pair mask marks exactly the
-    # in-line pairs.
+    # The layout cyclic reduction runs on: rows up to the last one a line
+    # holds, at most 2^L - 1; each line's cells in order down one column
+    # from a multiple of 2^bit_length(len), the dummy index n in every other
+    # slot; the pair mask marks exactly the in-line pairs.
     k_max = max(map(len, lines.lines))
-    assert len(lines.index) == 2 ** k_max.bit_length() - 1
+    assert k_max <= len(lines.index) <= 2 ** k_max.bit_length() - 1
+    assert (lines.index[-1] < n).any()
     expected = np.full_like(lines.index, n)
     mask = np.zeros(lines.pair_mask.shape, dtype=bool)
     for line in lines.lines:
@@ -741,11 +742,11 @@ def test_stencil_edges_between_lines_sharing_a_column_are_not_gathered():
 
 
 def test_singular_pivot_at_nonzero_offset_names_its_own_position():
-    # The 8-cell line fills rows 0-7 of the 15-row column; [8, 9, 10] sits
+    # The 8-cell line fills rows 0-7 of the 11-row column; [8, 9, 10] sits
     # at rows 8-10. Its pivots are all 1, but the level-1 pivot of its
     # position 1 (row 9) is 1 - 0.5 * 1 - 1 * 0.5 = 0 exactly.
     lines = kernel_lines(11, [list(range(8)), [8, 9, 10]])
-    assert lines.index.T.tolist() == [list(range(11)) + [11] * 4]
+    assert lines.index.T.tolist() == [list(range(11))]
     diag = np.full((11, 1, 1), 4.0)
     diag[8:] = 1.0
     off_ij, off_ji = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
@@ -758,13 +759,76 @@ def test_singular_pivot_at_nonzero_offset_names_its_own_position():
 
 def _pivot_inverses(fact):
     """Each row's inverted pivot, (rows, n_columns, b, b): level l inverts
-    the rows from 2^l - 1 every 2^(l+1), the root is row 2^(L-1) - 1."""
+    the rows from 2^l - 1 every 2^(l+1), the root is row 2^levels - 1."""
     size = len(fact.lines.index)
     out = np.empty((size,) + fact.root.shape)
     for level, (dinv, *_) in enumerate(fact.levels):
         out[2 ** level - 1::2 ** (level + 1)] = dinv
-    out[size // 2] = fact.root
+    out[2 ** len(fact.levels) - 1] = fact.root
     return out
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("j", range(1, 7))
+def test_even_count_levels_match_odd_count_levels_bitwise(j, b):
+    """A line of 2^j cells alone halves at every level: each level has an
+    even row count, and its last odd row has no even row after it. Followed
+    down its column by a line of 2^j - 1 cells (a singleton for j = 1), the
+    column has 2^(j+1) - 1 rows and every level an odd count; followed by a
+    singleton, 2^j + 1 rows, an odd first level and even ones after it. No
+    coupling joins two lines, so the line's pivots, root and block of
+    ``top`` are the same bytes in all three layouts, and so is its solution
+    by the levels alone, without the dense top. ``solve_values`` matches
+    the dense solve; its ``top @ y`` sums over the column's rows, so it
+    rounds with the column's height."""
+    k = 2 ** j
+    rng = np.random.default_rng(10 * j + b)
+    diag = rng.standard_normal((2 * k - 1, b, b)) + (3.0 * b) * np.eye(b)
+    r = rng.standard_normal((2 * k - 1) * b)
+    mul = np.multiply if b == 1 else np.matmul
+    line_bytes = []
+    for tail, counts in (([], [k >> l for l in range(j)]),
+                         (list(range(k, 2 * k - 1)),
+                          [(2 * k - 1) >> l for l in range(j)]),
+                         ([k], [k + 1] + [k >> l for l in range(1, j)])):
+        n = k + len(tail)
+        lines = kernel_lines(n, [list(range(k))] + [tail] * bool(tail))
+        # One column, ending at the last row a line holds.
+        assert lines.index.shape == (n, 1) and lines.index[-1, 0] < n
+        # Pairs are drawn in line order: the line's come first.
+        blocks = FirstOrderBlocks(diag[:n], *random_couplings(
+            np.random.default_rng(b), lines, b, 0.5))
+        (fact,) = factor_block_tridiag(lines, blocks, (None,))
+        assert [len(dinv) + len(left)
+                for dinv, left, *_ in fact.levels] == counts
+        x = fact.solve_values(r[:n * b])
+        ref = np.linalg.solve(dense_from_lines(lines, blocks), r[:n * b])
+        assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+        # The top starts from the rows the levels below it leave; the
+        # line's come first.
+        own = (k >> len(fact.levels[:-TOP_LEVELS])) * b
+        by_levels = _cyclic_solve(fact.levels, lambda y: mul(fact.root, y),
+                                  r[:n * b].reshape(n, 1, b, 1))
+        line_bytes.append((_pivot_inverses(fact)[:k, 0].tobytes(),
+                           fact.top[:, :own, :own].tobytes(),
+                           by_levels[:k].tobytes()))
+    assert line_bytes[0] == line_bytes[1] == line_bytes[2]
+
+
+def test_singular_pivot_at_an_even_count_level_names_its_own_position():
+    # [8, 9, 10, 11] sits at rows 8-11 below the 8-cell line: 12 rows,
+    # reduced to 6 and then 3. Its pivots are all 1, but the level-1 pivot
+    # of its position 1 (row 9, of 6 rows) is 1 - 0.5 * 1 - 1 * 0.5 = 0.
+    lines = kernel_lines(12, [list(range(8)), [8, 9, 10, 11]])
+    assert lines.index.T.tolist() == [list(range(12))]
+    diag = np.full((12, 1, 1), 4.0)
+    diag[8:] = 1.0
+    off_ij, off_ji = random_couplings(np.random.default_rng(2), lines, 1, 0.5)
+    off_ij[7:], off_ji[7:] = 1.0, 0.5    # the pairs (8, 9) to (10, 11)
+    with pytest.raises(SingularPivotError,
+                       match="singular pivot block on line 1 at position 1$"):
+        factor_block_tridiag(lines, FirstOrderBlocks(diag, off_ij, off_ji),
+                             (None,))
 
 
 @st.composite

@@ -435,16 +435,16 @@ def test_extraction_matches_greedy_reference_property(graph):
      (59, 11, 36, 336, (63, 10), "65032969433457b79795ef427cffd134"
                                  "b6def43de4dd6e5befd67134d52fcbae")),
     (lambda: make_aniso_convdiff(32, 48, stretching_ratio=1000.0),
-     (22, 22, 224, 1536, (255, 11), "58e62cdbb94a430ae00b23cc96ad3721"
+     (22, 22, 224, 1536, (224, 11), "58e62cdbb94a430ae00b23cc96ad3721"
                                     "03518993f67e7ea32df46be7080ab52f")),
     (lambda: make_quasi1d_euler(128),
-     (1, 1, 128, 128, (255, 1), "7837a06c63ec8fc0e57954a2b97a8fbd"
+     (1, 1, 128, 128, (128, 1), "7837a06c63ec8fc0e57954a2b97a8fbd"
                                 "63562aea8ab5c7e6b345607955db7c10")),
     (lambda: make_quasi1d_euler(32),
-     (1, 1, 32, 32, (63, 1), "245da0e4757599ae564bb2dc513f3433"
+     (1, 1, 32, 32, (32, 1), "245da0e4757599ae564bb2dc513f3433"
                              "00b617600063ffdf43dd6a481334968c")),
     (lambda: make_bratu(64),
-     (1, 1, 64, 64, (127, 1), "29f3d8a031145c5dcce2c92f1f9be6b2"
+     (1, 1, 64, 64, (64, 1), "29f3d8a031145c5dcce2c92f1f9be6b2"
                               "2f9fcab0a4a18e99413ecbfb195fcaf6")),
 ], ids=["convdiff16x24", "convdiff32x48", "nozzle128", "nozzle32", "bratu64"])
 def test_benchmark_grid_line_sets_pinned(build, expected):

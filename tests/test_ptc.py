@@ -441,6 +441,51 @@ def test_a_rejection_brings_smoothing_back(monkeypatch):
     assert steps[k + 1:] == [SMOOTHED] * (len(steps) - k - 1)
 
 
+@pytest.mark.parametrize("degraded", [False, True],
+                         ids=["complete", "degraded"])
+def test_a_retried_step_reuses_the_rk_update(degraded, monkeypatch):
+    # Fail GMRES on step 1, which smooths: the retry runs at the same w, R
+    # and blocks, so it reuses step 1's RK update (its degraded flag too)
+    # and factors J1 + M/dtau alone. Step 3 runs at a new state.
+    steps = _trace_steps(monkeypatch)
+    smooth = ptcsmooth.ptc.rk_smooth
+    gmres = ptcsmooth.ptc.gmres_right_preconditioned
+
+    def first_smooth(system, precon, schedule, w0, r0):
+        sm = smooth(system, precon, schedule, w0, r0)
+        return SmoothResult(sm.delta_w, degraded) if len(steps) == 1 else sm
+
+    def failing_once(operator, precon, b, *args):
+        if len(steps) == 1:
+            return np.zeros_like(b), GmresStats(0, 1.0, False)
+        return gmres(operator, precon, b, *args)
+
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, newton_step(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", first_smooth)
+    monkeypatch.setattr(ptcsmooth.ptc, "gmres_right_preconditioned",
+                        failing_once)
+    monkeypatch.setattr(ptcsmooth.ptc, "newton_step", recorded)
+    rep = solve_steady(make_bratu(64, 1.0), PtcConfig(smoothing=RkSchedule()))
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert [row.accepted for row in rep.history[:3]] == [False, True, True]
+    assert steps[:3] == [SMOOTHED, [1, 0], SMOOTHED]
+    (args, kwargs, retry), first = calls[1], calls[0][2]
+    assert kwargs["kept"] is first.update and first.update is not None
+    assert calls[2][1]["kept"] is None
+    fresh = newton_step(*args, **{**kwargs, "kept": None})
+    assert retry.source.tobytes() == fresh.source.tobytes()
+    assert retry.delta_w.tobytes() == fresh.delta_w.tobytes()
+    assert retry.stats == fresh.stats and retry.source.any()
+    # The fresh step's stages are not patched to degrade.
+    assert (retry.smoother_degraded, retry.smoothed) == \
+        (first.smoother_degraded, first.smoothed) == (degraded, not degraded)
+
+
 def _singular_j1_on_step_1(monkeypatch):
     factor, calls = ptcsmooth.ptc.factor_block_tridiag, []
 

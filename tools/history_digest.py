@@ -37,8 +37,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -117,24 +118,32 @@ def case_digests(name: str) -> List[str]:
     return out
 
 
-def digests_at(rev: str, names: List[str]) -> List[str]:
-    """The digest lines of ``names`` on the source of commit ``rev``, run
-    in a temporary worktree with this file copied in, so that both sides
-    run the same cases."""
+@contextmanager
+def checked_out(rev: str) -> Iterator[Path]:
+    """Commit ``rev`` checked out into a temporary local ``git worktree``,
+    removed on exit; a failing ``git`` raises ``CalledProcessError``."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
                         "--quiet", str(tree), rev], check=True)
         try:
-            tool = tree / "tools" / Path(__file__).name
-            tool.parent.mkdir(exist_ok=True)
-            shutil.copyfile(__file__, tool)
-            return subprocess.run(
-                [sys.executable, str(tool), *names], check=True,
-                stdout=subprocess.PIPE, text=True).stdout.splitlines()
+            yield tree
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                             "--force", str(tree)], check=True)
+
+
+def digests_at(rev: str, names: List[str]) -> List[str]:
+    """The digest lines of ``names`` on the source of commit ``rev``, run
+    in a temporary worktree with this file copied in, so that both sides
+    run the same cases."""
+    with checked_out(rev) as tree:
+        tool = tree / "tools" / Path(__file__).name
+        tool.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, tool)
+        return subprocess.run(
+            [sys.executable, str(tool), *names], check=True,
+            stdout=subprocess.PIPE, text=True).stdout.splitlines()
 
 
 def verdicts(theirs: List[str], ours: List[str]) -> List[str]:
