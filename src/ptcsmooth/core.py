@@ -101,8 +101,10 @@ def require_finite(**params) -> None:
 
 
 def require_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not an integer of at least ``minimum``."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    """Reject a count that is not an integer of at least ``minimum``; a
+    ``bool`` is ``numbers.Integral`` but not a count."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, "
                          f"got {value!r}")
 

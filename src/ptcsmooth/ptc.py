@@ -15,15 +15,13 @@ factors those same blocks along the frozen lines in one call, made only by
 step, in the same stacked reduction, as J1 for the smoother, since the two
 differ only by the diagonal shift. M/dtau itself is formed once per Newton
 step (``mass_over_dtau``), as one per-unknown array that every layer of the
-step multiplies by. A rejected step leaves w, R and the blocks as they were,
-so the smoothed step that retries it reuses its RK update and factors J1 +
-M/dtau alone.
+step multiplies by.
 
 Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
 vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
-1/CFL. So ``solve_steady`` predicts each step's ||source||/||R|| from the
-last step whose RK cycles all ran, scaled by that step's CFL over this one's,
-and runs the step unsmoothed when the prediction is below
+1/CFL. So ``solve_steady`` keeps ||source||/||R|| times the CFL of the last
+step whose RK cycles all ran, predicts each step's ratio as that over its
+CFL, and runs the step unsmoothed when the prediction is below
 ``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol``: one single-shift factor and
 no RK stage. The first step of every solve smooths, and a rejection's CFL cut
 raises the prediction tenfold, so smoothing returns at small dtau.
@@ -45,7 +43,7 @@ from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
 from .lines import LineSet, extract_lines
-from .smoother import RkSchedule, SmoothResult, build_smoother, rk_smooth
+from .smoother import RkSchedule, build_smoother, rk_smooth
 
 log = logging.getLogger(__name__)
 
@@ -180,15 +178,12 @@ class NewtonStepResult:
     # Every scheduled RK cycle ran, so ``source`` is the full smoothing
     # source (a skipped or degraded smoother's is not).
     smoothed: bool = False
-    # The RK update behind ``source``, None if the smoother did not run.
-    update: Optional[SmoothResult] = None
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
                 residual: np.ndarray, blocks: FirstOrderBlocks,
-                smooth: bool = True,
-                kept: Optional[SmoothResult] = None) -> NewtonStepResult:
+                smooth: bool = True) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
@@ -196,14 +191,10 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
     it when ``config.smoothing`` has cycles and ``smooth`` is true, as J1 for
     the smoother (``build_ptc_preconditioner``); with ``smooth`` false the
-    step is bitwise that of an unsmoothed config. ``kept`` is the RK update
-    of a step rejected at this same ``w``, ``residual`` and ``blocks``: a
-    smoothed step reuses it, with its ``degraded`` flag, and factors J1 +
-    M/dtau alone, bitwise the step that would run the stages again. The
-    smoothing source is computed before the linear solve and never
-    re-evaluated. A singular smoother factorization runs the step
-    unsmoothed. GMRES non-convergence is reported through the stats for
-    the controller, not raised; so are
+    step is bitwise that of an unsmoothed config. The smoothing source is
+    computed before the linear solve and never re-evaluated. A singular
+    smoother factorization runs the step unsmoothed. GMRES non-convergence
+    is reported through the stats for the controller, not raised; so are
     non-finite couplings or operator output and a singular PTC
     preconditioner, as failed solves with no Krylov vectors, marked
     ``futile`` when a diagonal block or gathered coupling is not finite.
@@ -212,21 +203,18 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     failed = GmresStats(0, 1.0, False)
     smoothed = (smooth and config.smoothing is not None
                 and config.smoothing.n_cycles > 0)
-    reuse = smoothed and kept is not None
     try:
         precon, smoother = build_ptc_preconditioner(
-            lines, blocks, mass_over_dtau, smoothed and not reuse)
+            lines, blocks, mass_over_dtau, smoothed)
     except (ContractViolationError, SingularPivotError) as exc:
         log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
         futile = (isinstance(exc, ContractViolationError)
                   or not np.all(np.isfinite(blocks.diag)))
         return NewtonStepResult(zero, zero, failed, futile=futile)
 
-    sm = kept if reuse else None
+    source, degraded, complete = zero, False, False
     if smoother is not None:
         sm = rk_smooth(system, smoother, config.smoothing, w, residual)
-    source, degraded, complete = zero, False, False
-    if sm is not None:
         # The paper's source term (M/dtau) dw_smooth; it vanishes as
         # dtau grows, recovering the exact Newton step.
         source = mass_over_dtau * sm.delta_w
@@ -240,9 +228,8 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, source, failed, degraded,
-                                smoothed=complete, update=sm)
-    return NewtonStepResult(x, source, stats, degraded, smoothed=complete,
-                            update=sm)
+                                smoothed=complete)
+    return NewtonStepResult(x, source, stats, degraded, smoothed=complete)
 
 
 @dataclass
@@ -325,14 +312,11 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     ||source||/||R||, the last fully smoothed step's ratio times its CFL over
     this one's, is below ``SOURCE_SKIP_FRACTION * linear_rel_tol`` runs
     unsmoothed and logs one DEBUG line; a step whose smoother was skipped or
-    degraded leaves that ratio as it was. A smoothed step after a rejected
-    one that ran its smoother reuses that RK update (``newton_step``'s
-    ``kept``), since w, R and the blocks are those it ran at. A step whose
-    PTC factor refuses a non-finite diagonal block or in-line coupling is
-    recorded as rejected and ends the solve ``STAGNATED``: no CFL changes
-    that verdict. A starting
-    state whose layout is not the system's, or ``lines`` over another cell
-    count or (with an in-line pair) another stencil, raises
+    degraded leaves that prediction as it was. A step whose PTC factor
+    refuses a non-finite diagonal block or in-line coupling is recorded as
+    rejected and ends the solve ``STAGNATED``: no CFL changes that verdict.
+    A starting state whose layout is not the system's, or ``lines`` over
+    another cell count or (with an in-line pair) another stencil, raises
     ``ContractViolationError``; a start that ``trial_residual`` rejects, its
     residual overflowing included, or whose couplings are not finite when
     lines are to be extracted there, raises ``InadmissibleStateError``. All
@@ -365,9 +349,9 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     blocks = None
     cumulative_krylov = 0
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
-    # ||source||/||R|| and CFL of the last step whose RK cycles all ran.
-    ratio_last = cfl_last = None
-    kept = None     # the RK update of a rejected step at the current w
+    # ||source||/||R|| times the CFL of the last step whose RK cycles all
+    # ran: the ratio it predicts at CFL c is source_cfl / c.
+    source_cfl = None
     skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
 
     for step in range(1, config.max_newton_steps + 1):
@@ -376,24 +360,23 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
                 blocks = system.first_order_blocks(w)
             if lines is None:
                 lines = extract_lines(blocks, system.edges)
-        predicted = None if ratio_last is None else ratio_last * cfl_last / cfl
+        predicted = None if source_cfl is None else source_cfl / cfl
         skip = predicted is not None and predicted < skip_below
         if skip:
             log.debug("step %d steps smoothing aside: predicted |source|/|R| "
                       "%.3g < %.3g", step, predicted, skip_below)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks,
-                         smooth=not skip, kept=kept)
+                         smooth=not skip)
         cumulative_krylov += ns.stats.iterations
         if ns.smoothed:
-            ratio_last, cfl_last = _finite_norm(ns.source) / r_norm, cfl
+            source_cfl = _finite_norm(ns.source) / r_norm * cfl
 
         ls, alpha = None, 0.0   # a failed linear solve is a zero step
         if ns.stats.converged:
             ls = line_search(system, w, ns.delta_w, m_dtau, ns.source, r)
             alpha = ls.alpha
         new_cfl, accepted = cfl_update(cfl, alpha, config)
-        kept = None if accepted else ns.update
 
         if accepted:
             w = BlockVector(w.layout, w.values + alpha * ns.delta_w)

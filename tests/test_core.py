@@ -4,6 +4,9 @@ import pytest
 from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
                             l2_norm)
 from ptcsmooth.problems import make_bratu
+from ptcsmooth.ptc import PtcConfig
+from ptcsmooth.smoother import RkSchedule
+from ptcsmooth.timestepping import UnsteadyConfig
 
 from conftest import diffusion_chain, validate_jacobian
 
@@ -18,6 +21,21 @@ def test_layout_validation():
     with pytest.raises(ValueError, match="block_size must be an integer >= 1"):
         BlockLayout(4, 1.0)
     assert BlockLayout(5, 3).n_dofs == 15
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda b: PtcConfig(max_krylov=b), "max_krylov"),
+    (lambda b: PtcConfig(max_newton_steps=b), "max_newton_steps"),
+    (lambda b: RkSchedule(n_cycles=b), "n_cycles"),
+    (lambda b: UnsteadyConfig(0.1, b, PtcConfig()), "n_steps"),
+    (lambda b: BlockLayout(b, 1), "n_cells"),
+    (lambda b: BlockLayout(4, b), "block_size"),
+], ids=["max_krylov", "max_newton_steps", "n_cycles", "n_steps", "n_cells",
+        "block_size"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_count(build, name, flag):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(flag)
 
 
 def test_l2_norm_zero_vector():
