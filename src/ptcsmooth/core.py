@@ -109,6 +109,13 @@ def require_count(name: str, value, minimum: int) -> None:
                          f"got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Reject a setting that is not a real number; a ``bool`` is
+    ``numbers.Real`` but not a number."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class FirstOrderBlocks:
     """Nearest-neighbor Jacobian blocks of the first-order discretization,

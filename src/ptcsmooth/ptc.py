@@ -9,22 +9,27 @@ residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
-The first-order blocks are evaluated once per state, and each Newton step
-factors those same blocks along the frozen lines in one call, made only by
+The first-order blocks are evaluated once per state, and a Newton step
+that factors them along the frozen lines does so in one call, made only by
 ``build_ptc_preconditioner``: as J1 + M/dtau for GMRES, and on a smoothed
 step, in the same stacked reduction, as J1 for the smoother, since the two
-differ only by the diagonal shift. M/dtau itself is formed once per Newton
-step (``mass_over_dtau``), as one per-unknown array that every layer of the
-step multiplies by.
+differ only by the diagonal shift. Every smoothed step factors afresh. An
+unsmoothed step lags GMRES's preconditioner instead: it reuses the J1 +
+M/dtau factor of the step just before it when that step was accepted and
+factored afresh, and this state's blocks are all finite, so a factor serves
+at most two steps (Knoll & Keyes, J. Comput. Phys. 193, 2004). M/dtau itself
+is formed once per Newton step (``mass_over_dtau``), as one per-unknown
+array that every layer of the step multiplies by.
 
 Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
 vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
 1/CFL. So ``solve_steady`` keeps ||source||/||R|| times the CFL of the last
 step whose RK cycles all ran, predicts each step's ratio as that over its
 CFL, and runs the step unsmoothed when the prediction is below
-``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol``: one single-shift factor and
-no RK stage. The first step of every solve smooths, and a rejection's CFL cut
-raises the prediction tenfold, so smoothing returns at small dtau.
+``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol``: one single-shift factor, or
+none when it reuses the step before's, and no RK stage. The first step of
+every solve smooths, and a rejection's CFL cut raises the prediction
+tenfold, so smoothing returns at small dtau.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ import numpy as np
 
 from .core import (BlockVector, ContractViolationError, ConvergenceRecord,
                    FirstOrderBlocks, InadmissibleStateError, NonlinearSystem,
-                   _finite_norm, l2_norm, require_count, trial_residual)
+                   _finite_norm, l2_norm, require_count, require_real,
+                   trial_residual)
 from .linalg import (BlockTridiagFactorization, GmresStats, Operator,
                      SingularPivotError, factor_block_tridiag,
                      gmres_right_preconditioned)
@@ -86,6 +92,12 @@ class PtcConfig:
     smoothing: Optional[RkSchedule] = None
 
     def __post_init__(self):
+        for name in ("cfl_init", "beta_cfl1", "linear_rel_tol",
+                     "target_residual_reduction"):
+            require_real(name, getattr(self, name))
+        if self.target_residual_absolute is not None:
+            require_real("target_residual_absolute",
+                         self.target_residual_absolute)
         # Written as "not (valid)" so that NaN fails every check.
         if not CFL_STAGNATION_FLOOR <= self.cfl_init <= CFL_MAX:
             raise ValueError(f"cfl_init must be at least "
@@ -150,7 +162,7 @@ def build_ptc_preconditioner(
         lines: LineSet, blocks: FirstOrderBlocks, mass_over_dtau: np.ndarray,
         smoothed: bool = False
 ) -> Tuple[BlockTridiagFactorization, Optional[BlockTridiagFactorization]]:
-    """The Newton step's one line factor call: the first-order Jacobian
+    """A Newton step's one line factor call: the first-order Jacobian
     along ``lines``, each cell's diagonal block shifted by its entry of the
     per-unknown M/dtau times the identity, J1 + M/dtau for GMRES.
 
@@ -178,12 +190,16 @@ class NewtonStepResult:
     # Every scheduled RK cycle ran, so ``source`` is the full smoothing
     # source (a skipped or degraded smoother's is not).
     smoothed: bool = False
+    # The J1 + M/dtau factor GMRES ran on (None when the factor failed).
+    precon: Optional[BlockTridiagFactorization] = None
 
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
                 residual: np.ndarray, blocks: FirstOrderBlocks,
-                smooth: bool = True) -> NewtonStepResult:
+                smooth: bool = True,
+                lagged: Optional[BlockTridiagFactorization] = None
+                ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
     ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
@@ -191,7 +207,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
     it when ``config.smoothing`` has cycles and ``smooth`` is true, as J1 for
     the smoother (``build_ptc_preconditioner``); with ``smooth`` false the
-    step is bitwise that of an unsmoothed config. The smoothing source is
+    step is bitwise that of an unsmoothed config. An unsmoothed step handed
+    ``lagged``, an earlier step's J1 + M/dtau factor, runs GMRES on it and
+    factors nothing; a smoothed step factors afresh. The smoothing source is
     computed before the linear solve and never re-evaluated. A singular
     smoother factorization runs the step unsmoothed. GMRES non-convergence
     is reported through the stats for the controller, not raised; so are
@@ -203,14 +221,17 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     failed = GmresStats(0, 1.0, False)
     smoothed = (smooth and config.smoothing is not None
                 and config.smoothing.n_cycles > 0)
-    try:
-        precon, smoother = build_ptc_preconditioner(
-            lines, blocks, mass_over_dtau, smoothed)
-    except (ContractViolationError, SingularPivotError) as exc:
-        log.warning("PTC preconditioner failed (%s); rejecting the step", exc)
-        futile = (isinstance(exc, ContractViolationError)
-                  or not np.all(np.isfinite(blocks.diag)))
-        return NewtonStepResult(zero, zero, failed, futile=futile)
+    precon, smoother = lagged, None
+    if smoothed or lagged is None:
+        try:
+            precon, smoother = build_ptc_preconditioner(
+                lines, blocks, mass_over_dtau, smoothed)
+        except (ContractViolationError, SingularPivotError) as exc:
+            log.warning("PTC preconditioner failed (%s); rejecting the step",
+                        exc)
+            futile = (isinstance(exc, ContractViolationError)
+                      or not np.all(np.isfinite(blocks.diag)))
+            return NewtonStepResult(zero, zero, failed, futile=futile)
 
     source, degraded, complete = zero, False, False
     if smoother is not None:
@@ -228,8 +249,9 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     except ContractViolationError as exc:
         log.warning("linear solve failed (%s); rejecting the step", exc)
         return NewtonStepResult(zero, source, failed, degraded,
-                                smoothed=complete)
-    return NewtonStepResult(x, source, stats, degraded, smoothed=complete)
+                                smoothed=complete, precon=precon)
+    return NewtonStepResult(x, source, stats, degraded, smoothed=complete,
+                            precon=precon)
 
 
 @dataclass
@@ -301,10 +323,16 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     """Run the continuation loop to the residual target.
 
     Solver lines are ``lines``, or extracted at the starting state when it is
-    ``None``, and frozen; the line factorization is rebuilt at each Newton
-    step's state. The first-order blocks are evaluated once per state, without
-    overflow warnings (a non-finite block is refused where it is used): a
-    rejected step leaves the state bit-identical, so the next step reuses them.
+    ``None``, and frozen. The first-order blocks are evaluated once per state,
+    without overflow warnings (a non-finite block is refused where it is
+    used): a rejected step leaves the state bit-identical, so the next step
+    reuses them. A smoothed step factors them afresh. An unsmoothed step (a
+    plain or zero-cycle config, or a step stepping smoothing aside) reuses
+    the J1 + M/dtau factor of the step just before it, and logs one DEBUG
+    line, when that step was accepted and factored afresh and this state's
+    blocks are all finite; otherwise it factors afresh. So each solve's first
+    step factors, a step after a rejection factors, and a factor serves at
+    most two steps.
     A step is accepted only when the line search found a fraction that
     decreases the pseudo-unsteady residual, so accepted steps descend whatever
     the linearization. A smoothed solve steps smoothing aside in the Newton
@@ -353,6 +381,10 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     # ran: the ratio it predicts at CFL c is source_cfl / c.
     source_cfl = None
     skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
+    smooths = config.smoothing is not None and config.smoothing.n_cycles > 0
+    # The last step's J1 + M/dtau factor while the next unsmoothed step may
+    # reuse it: that step was accepted and factored afresh.
+    lagged = None
 
     for step in range(1, config.max_newton_steps + 1):
         if blocks is None:
@@ -365,9 +397,14 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
         if skip:
             log.debug("step %d steps smoothing aside: predicted |source|/|R| "
                       "%.3g < %.3g", step, predicted, skip_below)
+        reuse = (lagged is not None and (skip or not smooths)
+                 and all(np.isfinite(a).all() for a in (
+                     blocks.diag, blocks.off_ij, blocks.off_ji)))
+        if reuse:
+            log.debug("step %d reuses step %d's line factor", step, step - 1)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks,
-                         smooth=not skip)
+                         smooth=not skip, lagged=lagged if reuse else None)
         cumulative_krylov += ns.stats.iterations
         if ns.smoothed:
             source_cfl = _finite_norm(ns.source) / r_norm * cfl
@@ -377,6 +414,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
             ls = line_search(system, w, ns.delta_w, m_dtau, ns.source, r)
             alpha = ls.alpha
         new_cfl, accepted = cfl_update(cfl, alpha, config)
+        lagged = ns.precon if accepted and not reuse else None
 
         if accepted:
             w = BlockVector(w.layout, w.values + alpha * ns.delta_w)

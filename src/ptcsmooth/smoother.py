@@ -11,7 +11,8 @@ solver lines (off-diagonal blocks kept only for edges interior to a line),
 unshifted. A smoothed Newton step factors P and GMRES's J1 + M/dtau, which
 differ only by that diagonal shift, in its one stacked factor call
 (``build_ptc_preconditioner``), and ``build_smoother`` takes P from there.
-P is factored once per Newton step and frozen across stages and cycles.
+P is factored afresh on every smoothed Newton step, never lagged as an
+unsmoothed step's J1 + M/dtau may be, and frozen across stages and cycles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BlockVector, NonlinearSystem, require_count, trial_residual
+from .core import (BlockVector, NonlinearSystem, require_count, require_real,
+                   trial_residual)
 from .linalg import BlockTridiagFactorization, SingularPivotError
 # Not called here: the benchmark tracer's tests look it up in this module.
 from .linalg import factor_block_tridiag  # noqa: F401
@@ -45,6 +47,8 @@ class RkSchedule:
     n_cycles: int = DEFAULT_CYCLES
 
     def __post_init__(self):
+        for a in self.stage_coefficients:
+            require_real("stage coefficients", a)
         coeffs = tuple(float(a) for a in self.stage_coefficients)
         if not coeffs:
             raise ValueError("at least one stage coefficient required")

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (BlockVector, ContractViolationError, FirstOrderBlocks,
-                   NonlinearSystem, require_count)
+                   NonlinearSystem, require_count, require_real)
 from .lines import extract_lines
 from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 
@@ -23,6 +23,7 @@ from .ptc import PtcConfig, SolveOutcome, SolveReport, solve_steady
 def _bdf_shift(c: float, dt: float) -> float:
     """c/dt, the BDF shift of a step of ``dt``; a ``dt`` that is not
     positive and finite, or whose shift overflows, raises ``ValueError``."""
+    require_real("dt", dt)
     if not 0.0 < dt < np.inf:   # NaN included
         raise ValueError("dt must be positive and finite")
     if (shift := c / float(dt)) == np.inf:

@@ -78,7 +78,7 @@ def solve_counts(reports):
 # (outcome, Newton steps, cumulative Krylov vectors, rejections) of each
 # full solve. A refactor that claims to change no number must keep these.
 PINNED_COUNTS = {
-    ("bratu", "unsmoothed"): ("converged", 12, 12, 0),
+    ("bratu", "unsmoothed"): ("converged", 12, 13, 0),
     ("bratu", "smoothed"): ("converged", 4, 4, 0),
     ("convdiff", "unsmoothed"): ("converged", 15, 327, 0),
     ("convdiff", "smoothed"): ("converged", 10, 158, 0),
@@ -90,7 +90,7 @@ PINNED_COUNTS = {
 # lines greedy extraction alone gives these 1D grids, with no cell
 # anisotropic enough to seed a line.
 SINGLETON_PINNED_COUNTS = {
-    ("bratu", "unsmoothed"): ("converged", 12, 308, 0),
+    ("bratu", "unsmoothed"): ("converged", 12, 312, 0),
     ("bratu", "smoothed"): ("converged", 12, 307, 0),
     ("euler", "unsmoothed"): ("converged", 13, 1103, 0),
     ("euler", "smoothed"): ("converged", 14, 1186, 0),

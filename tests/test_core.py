@@ -6,7 +6,7 @@ from ptcsmooth.core import (BlockLayout, BlockVector, ContractViolationError,
 from ptcsmooth.problems import make_bratu
 from ptcsmooth.ptc import PtcConfig
 from ptcsmooth.smoother import RkSchedule
-from ptcsmooth.timestepping import UnsteadyConfig
+from ptcsmooth.timestepping import BdfStepSystem, UnsteadyConfig
 
 from conftest import diffusion_chain, validate_jacobian
 
@@ -35,6 +35,28 @@ def test_layout_validation():
 @pytest.mark.parametrize("flag", [True, False])
 def test_a_bool_is_not_a_count(build, name, flag):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(flag)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda b: PtcConfig(cfl_init=b), "cfl_init"),
+    (lambda b: PtcConfig(beta_cfl1=b), "beta_cfl1"),
+    (lambda b: PtcConfig(linear_rel_tol=b), "linear_rel_tol"),
+    (lambda b: PtcConfig(target_residual_reduction=b),
+     "target_residual_reduction"),
+    (lambda b: PtcConfig(target_residual_absolute=b),
+     "target_residual_absolute"),
+    (lambda b: UnsteadyConfig(b, 1, PtcConfig()), "dt"),
+    (lambda b: BdfStepSystem(make_bratu(4, 1.0),
+                             make_bratu(4, 1.0).initial_state(), None, b),
+     "dt"),
+    (lambda b: RkSchedule((0.5, b)), "stage coefficients"),
+], ids=["cfl_init", "beta_cfl1", "linear_rel_tol",
+        "target_residual_reduction", "target_residual_absolute",
+        "unsteady_dt", "bdf_step_dt", "stage_coefficient"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_real_setting(build, name, flag):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
         build(flag)
 
 

@@ -297,7 +297,7 @@ def _bratu16():
         "non_finite_diagonal"])
 def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
                                                    logged, caplog):
-    # Every Newton step makes one factor call, in
+    # A Newton step handed no earlier factor makes one factor call, in
     # build_ptc_preconditioner; on a smoothed step it stacks J1 + M/dtau
     # and J1, decides every failure without a second call, and
     # build_smoother is handed J1's entry and factors nothing. The traced
@@ -345,24 +345,32 @@ def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
 # smoothing steps aside in the Newton limit
 # ---------------------------------------------------------------------------
 
-SMOOTHED, ASIDE = [2, 1], [1, 0]     # [shifts factored, rk_smooth calls]
+# [shifts factored, rk_smooth calls]
+SMOOTHED, ASIDE, REUSED = [2, 1], [1, 0], [0, 0]
 
 
 def _trace_steps(monkeypatch):
-    """Per Newton step, [shifts factored, rk_smooth calls]: each step makes
-    one factor call, and its smoother runs after it."""
+    """Per call of ``ptcsmooth.ptc.newton_step``, [shifts factored,
+    rk_smooth calls]: a step makes at most one factor call, and its
+    smoother runs after it."""
     steps = []
+    step = ptcsmooth.ptc.newton_step
     factor = ptcsmooth.ptc.factor_block_tridiag
     smooth = ptcsmooth.ptc.rk_smooth
 
+    def counted_step(*args, **kwargs):
+        steps.append([0, 0])
+        return step(*args, **kwargs)
+
     def counted_factor(lines, blocks, shifts):
-        steps.append([len(shifts), 0])
+        steps[-1][0] = len(shifts)
         return factor(lines, blocks, shifts)
 
     def counted_smooth(*args):
         steps[-1][1] += 1
         return smooth(*args)
 
+    monkeypatch.setattr(ptcsmooth.ptc, "newton_step", counted_step)
     monkeypatch.setattr(ptcsmooth.ptc, "factor_block_tridiag", counted_factor)
     monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", counted_smooth)
     return steps
@@ -370,7 +378,8 @@ def _trace_steps(monkeypatch):
 
 def _bdf3_convdiff(smoothing):
     # The benchmark's unsteady case: its third physical step steps
-    # smoothing aside from its second Newton step on.
+    # smoothing aside from its second Newton step on, and every other
+    # stepped-aside step reuses the factor of the step before it.
     history = advance_unsteady(
         make_aniso_convdiff(16, 24, 1000.0),
         UnsteadyConfig(0.05, 3, PtcConfig(smoothing=smoothing,
@@ -394,9 +403,9 @@ def test_first_step_of_every_solve_smooths(monkeypatch):
     history = _bdf3_convdiff(RkSchedule())
     per_solve = _per_solve(steps, history)
     assert [solve[0] for solve in per_solve] == [SMOOTHED] * 3
-    assert all(step in (SMOOTHED, ASIDE) for step in steps)
-    assert [solve.count(ASIDE) for solve in per_solve] == [0, 0, 5]
-    # Stepping aside moves no count of this run.
+    assert per_solve[2] == [SMOOTHED] + [REUSED, ASIDE] * 2 + [REUSED]
+    assert per_solve[:2] == [[SMOOTHED] * 7, [SMOOTHED] * 6]
+    # Stepping aside and reusing a factor move no count of this run.
     assert [(r.newton_steps, r.cumulative_krylov, r.rejection_count)
             for r in history.reports] == [(7, 36, 0), (6, 28, 0), (6, 28, 0)]
 
@@ -409,8 +418,9 @@ def test_stepped_aside_step_is_bitwise_the_unsmoothed_step(monkeypatch):
     r, blocks = p.residual(w), p.first_order_blocks(w)
     plain = newton_step(p, w, m_dtau, PtcConfig(), lines, r, blocks)
     steps = _trace_steps(monkeypatch)
-    aside = newton_step(p, w, m_dtau, PtcConfig(smoothing=RkSchedule()),
-                        lines, r, blocks, smooth=False)
+    aside = ptcsmooth.ptc.newton_step(
+        p, w, m_dtau, PtcConfig(smoothing=RkSchedule()), lines, r, blocks,
+        smooth=False)
     assert steps == [ASIDE]
     assert not aside.source.any() and not aside.smoothed
     assert aside.delta_w.tobytes() == plain.delta_w.tobytes()
@@ -421,14 +431,15 @@ def test_stepped_aside_step_is_bitwise_the_unsmoothed_step(monkeypatch):
 
 
 def test_a_rejection_brings_smoothing_back(monkeypatch):
-    # Fail GMRES on the first stepped-aside step: the CFL cut raises the
-    # predicted ratio tenfold, over the threshold here, so the next step
-    # smooths, and so does every step after it.
+    # Fail GMRES on the first stepped-aside step, which reuses the
+    # smoothed step's factor: the CFL cut raises the predicted ratio
+    # tenfold, over the threshold here, so the next step smooths, and so
+    # does every step after it.
     steps = _trace_steps(monkeypatch)
     gmres, forced = ptcsmooth.ptc.gmres_right_preconditioned, []
 
     def failing_once(operator, precon, b, *args):
-        if steps[-1] == ASIDE and not forced:
+        if steps[-1] == REUSED and not forced:
             forced.append(len(steps) - 1)
             return np.zeros_like(b), GmresStats(0, 1.0, False)
         return gmres(operator, precon, b, *args)
@@ -515,12 +526,15 @@ def test_a_zero_source_does_not_switch_smoothing_off(patch, monkeypatch):
                          ids=["plain", "zero_cycles"])
 def test_unsmoothed_solves_never_smooth_nor_step_aside(smoothing, monkeypatch,
                                                        caplog):
-    # The zero-cycle run is bitwise the plain one, row for row.
+    # Each solve's first step factors afresh, and then every accepted fresh
+    # factor serves the next step too. The zero-cycle run is bitwise the
+    # plain one, row for row.
     plain = _bdf3_convdiff(None)
     steps = _trace_steps(monkeypatch)
     with caplog.at_level("DEBUG", logger="ptcsmooth.ptc"):
         run = _bdf3_convdiff(smoothing)
-    assert steps == [[1, 0]] * sum(r.newton_steps for r in run.reports)
+    assert _per_solve(steps, run) == [
+        ([[1, 0], REUSED] * n)[:n] for n in (13, 6, 6)]
     assert "aside" not in caplog.text
     for ours, theirs in zip(run.reports, plain.reports, strict=True):
         assert ours.history == theirs.history
@@ -536,13 +550,106 @@ def test_a_stepped_aside_step_logs_one_debug_line(monkeypatch, caplog):
     pattern = re.compile(r"step (\d+) steps smoothing aside: predicted "
                          r"\|source\|/\|R\| (\S+) < (\S+)")
     logged = [pattern.fullmatch(rec.getMessage()) for rec in caplog.records
-              if rec.name == "ptcsmooth.ptc"]
-    assert all(logged) and len(logged) == steps.count(ASIDE) == 5
+              if rec.name == "ptcsmooth.ptc" and "aside" in rec.getMessage()]
+    assert all(logged) and len(logged) == 5
     aside = [k + 1 for k, step in enumerate(_per_solve(steps, history)[2])
-             if step == ASIDE]
+             if step in (ASIDE, REUSED)]
     assert [int(m[1]) for m in logged] == aside
     assert all(float(m[2]) < float(m[3]) == pytest.approx(threshold)
                for m in logged)
+
+
+# ---------------------------------------------------------------------------
+# an unsmoothed step reuses the fresh line factor of the step before it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("smoothing, reused", [
+    (None, [(k, k - 1) for n in (13, 6, 6) for k in range(2, n + 1, 2)]),
+    (RkSchedule(), [(2, 1), (4, 3), (6, 5)]),
+], ids=["plain", "smoothed"])
+def test_a_reused_step_logs_one_debug_line(smoothing, reused, monkeypatch,
+                                           caplog):
+    steps = _trace_steps(monkeypatch)
+    with caplog.at_level("DEBUG", logger="ptcsmooth.ptc"):
+        history = _bdf3_convdiff(smoothing)
+    logged = [re.fullmatch(r"step (\d+) reuses step (\d+)'s line factor",
+                           rec.getMessage())
+              for rec in caplog.records if rec.name == "ptcsmooth.ptc"
+              and "aside" not in rec.getMessage()]
+    assert all(logged)
+    assert [(int(m[1]), int(m[2])) for m in logged] == reused
+    assert [k + 1 for solve in _per_solve(steps, history)
+            for k, step in enumerate(solve) if step == REUSED] == \
+        [k for k, _ in reused]
+
+
+def test_a_smoothed_step_never_reuses(monkeypatch):
+    # Handed the factor of another state, a smoothed step still factors
+    # both shifts afresh and runs the step it runs without it.
+    p = make_bratu(32, 1.0)
+    w = p.initial_state()
+    lines, cfg = _lines_for(p), PtcConfig(smoothing=RkSchedule())
+    m_dtau = mass_over_dtau(p, w, 10.0)
+    r, blocks = p.residual(w), p.first_order_blocks(w)
+    other = newton_step(p, w, 2.0 * m_dtau, PtcConfig(), lines, r,
+                        blocks).precon
+    own = newton_step(p, w, m_dtau, cfg, lines, r, blocks)
+    steps = _trace_steps(monkeypatch)
+    handed = ptcsmooth.ptc.newton_step(p, w, m_dtau, cfg, lines, r, blocks,
+                                       lagged=other)
+    assert steps == [SMOOTHED] and handed.precon is not other
+    assert handed.delta_w.tobytes() == own.delta_w.tobytes()
+    assert handed.source.tobytes() == own.source.tobytes()
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["fresh", "reused"])
+def test_a_step_after_a_rejection_factors_afresh(failing, monkeypatch):
+    # Fail GMRES on step 1, which factors afresh, or step 2, which reuses
+    # step 1's factor: the retry at the same state factors afresh, and the
+    # step after it, once accepted, lends its factor to the next step.
+    steps = _trace_steps(monkeypatch)
+    gmres, forced = ptcsmooth.ptc.gmres_right_preconditioned, []
+
+    def failing_once(operator, precon, b, *args):
+        if len(steps) == failing and not forced:
+            forced.append(list(steps[-1]))
+            return np.zeros_like(b), GmresStats(0, 1.0, False)
+        return gmres(operator, precon, b, *args)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "gmres_right_preconditioned",
+                        failing_once)
+    rep = solve_steady(make_bratu(64, 1.0), PtcConfig())
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert [row.accepted for row in rep.history[:failing + 1]] == \
+        [True] * (failing - 1) + [False, True]
+    assert forced == [[[1, 0], REUSED][failing - 1]]
+    assert steps[:failing + 3] == \
+        [[1, 0], REUSED][:failing] + [[1, 0], REUSED, [1, 0]]
+
+
+def test_a_reused_step_is_bitwise_the_step_handed_that_factor(monkeypatch):
+    # Every reused step is handed the factor the step before it made
+    # afresh, and runs the step newton_step gives with that factor; the
+    # lagged factor is not the one the step would factor itself.
+    calls, step = [], ptcsmooth.ptc.newton_step
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, step(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ptcsmooth.ptc, "newton_step", recorded)
+    rep = solve_steady(make_quasi1d_euler(32), PtcConfig())
+    assert rep.outcome == SolveOutcome.CONVERGED
+    reused = [k for k, (_, kwargs, _) in enumerate(calls) if kwargs["lagged"]]
+    assert reused == list(range(1, rep.newton_steps, 2))
+    for k in reused:
+        args, kwargs, ns = calls[k]
+        assert kwargs["lagged"] is calls[k - 1][2].precon is ns.precon
+        again = step(*args, **kwargs)
+        fresh = step(*args, **{**kwargs, "lagged": None})
+        assert again.delta_w.tobytes() == ns.delta_w.tobytes()
+        assert again.stats == ns.stats
+        assert fresh.delta_w.tobytes() != ns.delta_w.tobytes()
 
 
 # ---------------------------------------------------------------------------

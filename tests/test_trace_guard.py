@@ -23,7 +23,7 @@ def _result(correct=True, failed=0, changed=()):
               "linalg.line_solve.calls": 1084, "problems.jv.calls": 767,
               "linalg.gmres.calls": 47, "smoother.rk.calls": 18,
               "problems.residual.calls": 327, "ptc.line_search.trials": 53,
-              "ptc.calls": 4}
+              "ptc.calls": 4, "ptc.line_search.calls": 64}
     values.update(changed)
     return {"correct": correct, "failed": failed,
             "metrics": {name: {"value": v} for name, v in values.items()}}
@@ -40,6 +40,9 @@ def test_every_workload_passes_a_passing_result():
     ("convdiff_sweep", _result(failed=1), "failed 1 == 0"),
     ("unsteady_bdf", _result(changed={"linalg.factor.calls": 48}),
      "linalg.factor.calls 48 == ptc.precon_build.calls 47"),
+    ("nozzle_sweep", _result(changed={"linalg.factor.calls": 64,
+                                      "ptc.precon_build.calls": 64}),
+     "linalg.factor.calls 64 < ptc.line_search.calls 64"),
     ("nozzle_sweep", _result(changed={"lines.multi_cell_frac": 0.5}),
      "lines.multi_cell_frac 0.5 == 1"),
     ("unsteady_bdf", _result(changed={"lines.extract.calls": 6}),
@@ -51,7 +54,7 @@ def test_every_workload_passes_a_passing_result():
      "problems.residual.calls 328 == 15 * smoother.rk.calls 18 + "
      "ptc.line_search.trials 53 + ptc.calls 4"),
 ], ids=["incorrect", "failed_operation", "third_factor_path",
-        "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve",
+        "factor_per_step", "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve",
         "extra_residual"])
 def test_each_check_fails_alone(workload, result, failed):
     assert _load_tool().failed_checks(workload, result) == [failed]

@@ -9,11 +9,16 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
 --trace 1``, and its last output line, the result, must show:
 
 - ``correct`` true and ``failed`` 0;
-- ``linalg.factor.calls == ptc.precon_build.calls``: one factorization per
-  Newton step, the one ``build_ptc_preconditioner`` makes (on a smoothed
-  step one stacked call factors J1 + M/dtau and J1 together, and
-  ``build_smoother`` is handed J1's factor), so a second factor call in a
-  step or a factor path of its own fails here;
+- ``linalg.factor.calls == ptc.precon_build.calls``: at most one
+  factorization per Newton step, the one ``build_ptc_preconditioner``
+  makes (on a smoothed step one stacked call factors J1 + M/dtau and J1
+  together, and ``build_smoother`` is handed J1's factor), so a second
+  factor call in a step or a factor path of its own fails here;
+- ``linalg.factor.calls < ptc.line_search.calls``: an unsmoothed step after
+  an accepted step that factored afresh reuses that step's J1 + M/dtau
+  factor and calls neither function. Every benchmark step is accepted, so
+  the line search runs once per step, and a return to one factor per step
+  fails here;
 - when ``smoother.degraded == 0``, ``linalg.line_solve.calls ==
   problems.jv.calls + linalg.gmres.calls + 15 * smoother.rk.calls``: one
   solve per Krylov vector, one final solve per GMRES call and one per RK
@@ -30,9 +35,9 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
   per-step extraction fails here.
 
 A smoothed step that steps smoothing aside in the Newton limit (see
-``ptcsmooth.ptc``) is a plain step: one factor call with one shift, no
-``rk_smooth`` call, so no RK solve or residual, and all three identities
-hold for it unchanged.
+``ptcsmooth.ptc``) is a plain step: one factor call with one shift, or none
+when it reuses the step before's factor, and no ``rk_smooth`` call, so no
+RK solve or residual, and all three identities hold for it unchanged.
 
 A kernel refactor that renames or stops calling a traced function makes
 ``bench/run.py`` exit with a trace-guard error, which fails here too.
@@ -62,13 +67,15 @@ def failed_checks(workload: str, result: dict) -> List[str]:
     try:
         value = {name: entry["value"]
                  for name, entry in result["metrics"].items()}
-        factor, precon = (value[f"{name}.calls"] for name in (
-            "linalg.factor", "ptc.precon_build"))
+        factor, precon, searches = (value[f"{name}.calls"] for name in (
+            "linalg.factor", "ptc.precon_build", "ptc.line_search"))
         checks = {
             "correct": result["correct"] is True,
             f"failed {result['failed']} == 0": result["failed"] == 0,
             f"linalg.factor.calls {factor} == ptc.precon_build.calls "
             f"{precon}": factor == precon,
+            f"linalg.factor.calls {factor} < ptc.line_search.calls "
+            f"{searches}": factor < searches,
         }
         if value["smoother.degraded"] == 0:
             solves, jv, gmres, rk = (value[f"{name}.calls"] for name in (
