@@ -9,17 +9,17 @@ residual picks the update fraction, and the CFL controller grows or cuts the
 pseudo-time step from the line-search outcome. Rejected steps leave the state
 bit-identical.
 
-The first-order blocks are evaluated once per state, and a Newton step
-that factors them along the frozen lines does so in one call, made only by
-``build_ptc_preconditioner``: as J1 + M/dtau for GMRES, and on a smoothed
-step, in the same stacked reduction, as J1 for the smoother, since the two
-differ only by the diagonal shift. Every smoothed step factors afresh. An
-unsmoothed step lags GMRES's preconditioner instead: it reuses the J1 +
-M/dtau factor of the step just before it when that step was accepted and
-factored afresh, and this state's blocks are all finite, so a factor serves
-at most two steps (Knoll & Keyes, J. Comput. Phys. 193, 2004). M/dtau itself
-is formed once per Newton step (``mass_over_dtau``), as one per-unknown
-array that every layer of the step multiplies by.
+The first-order blocks are evaluated once per state at which a step
+factors, and a step factors them along the frozen lines in one call, made
+only by ``build_ptc_preconditioner``: as J1 + M/dtau for GMRES, and on a
+smoothed step, in the same stacked reduction, as J1 for the smoother, since
+the two differ only by the diagonal shift. Every smoothed step factors
+afresh. An unsmoothed step lags GMRES's preconditioner instead: it reuses
+the J1 + M/dtau factor of the step just before it when that step was
+accepted and factored afresh, so a factor serves at most two steps (Knoll &
+Keyes, J. Comput. Phys. 193, 2004). M/dtau itself is formed once per Newton
+step (``mass_over_dtau``), as one per-unknown array that every layer of the
+step multiplies by.
 
 Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
 vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
@@ -196,20 +196,20 @@ class NewtonStepResult:
 
 def newton_step(system: NonlinearSystem, w: BlockVector,
                 mass_over_dtau: np.ndarray, config: PtcConfig, lines: LineSet,
-                residual: np.ndarray, blocks: FirstOrderBlocks,
-                smooth: bool = True,
+                residual: np.ndarray, blocks: Optional[FirstOrderBlocks],
+                schedule: Optional[RkSchedule] = None,
                 lagged: Optional[BlockTridiagFactorization] = None
                 ) -> NewtonStepResult:
     """One linearized continuation step (no state update, no line search).
 
-    ``mass_over_dtau`` is the per-unknown M/dtau, and ``residual`` and
-    ``blocks`` are R(w) and the first-order blocks at ``w``. The blocks are
-    factored along ``lines`` once, as J1 + M/dtau for GMRES and, stacked beside
-    it when ``config.smoothing`` has cycles and ``smooth`` is true, as J1 for
-    the smoother (``build_ptc_preconditioner``); with ``smooth`` false the
-    step is bitwise that of an unsmoothed config. An unsmoothed step handed
-    ``lagged``, an earlier step's J1 + M/dtau factor, runs GMRES on it and
-    factors nothing; a smoothed step factors afresh. The smoothing source is
+    ``mass_over_dtau`` is the per-unknown M/dtau, ``residual`` and
+    ``blocks`` are R(w) and the first-order blocks at ``w``, and ``config``
+    gives GMRES its tolerance and budget. A step handed ``lagged``, an
+    earlier step's J1 + M/dtau factor, runs GMRES on it and factors nothing
+    (``blocks`` may then be None); otherwise the blocks are factored along
+    ``lines`` once, as J1 + M/dtau and, stacked beside it when the step
+    smooths with ``schedule``, as J1 for the smoother
+    (``build_ptc_preconditioner``). The smoothing source is
     computed before the linear solve and never re-evaluated. A singular
     smoother factorization runs the step unsmoothed. GMRES non-convergence
     is reported through the stats for the controller, not raised; so are
@@ -219,13 +219,11 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     """
     zero = np.zeros(w.layout.n_dofs)
     failed = GmresStats(0, 1.0, False)
-    smoothed = (smooth and config.smoothing is not None
-                and config.smoothing.n_cycles > 0)
     precon, smoother = lagged, None
-    if smoothed or lagged is None:
+    if lagged is None:
         try:
             precon, smoother = build_ptc_preconditioner(
-                lines, blocks, mass_over_dtau, smoothed)
+                lines, blocks, mass_over_dtau, schedule is not None)
         except (ContractViolationError, SingularPivotError) as exc:
             log.warning("PTC preconditioner failed (%s); rejecting the step",
                         exc)
@@ -235,7 +233,7 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
 
     source, degraded, complete = zero, False, False
     if smoother is not None:
-        sm = rk_smooth(system, smoother, config.smoothing, w, residual)
+        sm = rk_smooth(system, smoother, schedule, w, residual)
         # The paper's source term (M/dtau) dw_smooth; it vanishes as
         # dtau grows, recovering the exact Newton step.
         source = mass_over_dtau * sm.delta_w
@@ -323,16 +321,16 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     """Run the continuation loop to the residual target.
 
     Solver lines are ``lines``, or extracted at the starting state when it is
-    ``None``, and frozen. The first-order blocks are evaluated once per state,
-    without overflow warnings (a non-finite block is refused where it is
-    used): a rejected step leaves the state bit-identical, so the next step
-    reuses them. A smoothed step factors them afresh. An unsmoothed step (a
-    plain or zero-cycle config, or a step stepping smoothing aside) reuses
-    the J1 + M/dtau factor of the step just before it, and logs one DEBUG
-    line, when that step was accepted and factored afresh and this state's
-    blocks are all finite; otherwise it factors afresh. So each solve's first
-    step factors, a step after a rejection factors, and a factor serves at
-    most two steps.
+    ``None``, and frozen. Each step's plan is made here: the schedule it
+    smooths with, if any, and the factor it reuses, if any. A smoothed step
+    factors afresh. An unsmoothed step (a plain or zero-cycle config, or a
+    step stepping smoothing aside) reuses the J1 + M/dtau factor of the step
+    just before it, and logs one DEBUG line, when that step was accepted and
+    factored afresh. So each solve's first step factors, a step after a
+    rejection factors, and a factor serves at most two steps. The
+    first-order blocks are evaluated once per state at which a step factors,
+    without overflow warnings (a non-finite block is refused by the factor):
+    a rejected step leaves the state bit-identical, so its retry reuses them.
     A step is accepted only when the line search found a fraction that
     decreases the pseudo-unsteady residual, so accepted steps descend whatever
     the linearization. A smoothed solve steps smoothing aside in the Newton
@@ -381,30 +379,31 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     # ran: the ratio it predicts at CFL c is source_cfl / c.
     source_cfl = None
     skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
-    smooths = config.smoothing is not None and config.smoothing.n_cycles > 0
+    smoothing = (config.smoothing if config.smoothing is not None
+                 and config.smoothing.n_cycles > 0 else None)
     # The last step's J1 + M/dtau factor while the next unsmoothed step may
     # reuse it: that step was accepted and factored afresh.
     lagged = None
 
     for step in range(1, config.max_newton_steps + 1):
-        if blocks is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks = system.first_order_blocks(w)
-            if lines is None:
-                lines = extract_lines(blocks, system.edges)
+        schedule = smoothing
         predicted = None if source_cfl is None else source_cfl / cfl
-        skip = predicted is not None and predicted < skip_below
-        if skip:
+        if predicted is not None and predicted < skip_below:
             log.debug("step %d steps smoothing aside: predicted |source|/|R| "
                       "%.3g < %.3g", step, predicted, skip_below)
-        reuse = (lagged is not None and (skip or not smooths)
-                 and all(np.isfinite(a).all() for a in (
-                     blocks.diag, blocks.off_ij, blocks.off_ji)))
-        if reuse:
+            schedule = None
+        if lagged is not None and schedule is None:
             log.debug("step %d reuses step %d's line factor", step, step - 1)
+        else:
+            lagged = None
+            if blocks is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    blocks = system.first_order_blocks(w)
+                if lines is None:
+                    lines = extract_lines(blocks, system.edges)
         m_dtau = mass_over_dtau(system, w, cfl)
         ns = newton_step(system, w, m_dtau, config, lines, r, blocks,
-                         smooth=not skip, lagged=lagged if reuse else None)
+                         schedule=schedule, lagged=lagged)
         cumulative_krylov += ns.stats.iterations
         if ns.smoothed:
             source_cfl = _finite_norm(ns.source) / r_norm * cfl
@@ -414,7 +413,7 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
             ls = line_search(system, w, ns.delta_w, m_dtau, ns.source, r)
             alpha = ls.alpha
         new_cfl, accepted = cfl_update(cfl, alpha, config)
-        lagged = ns.precon if accepted and not reuse else None
+        lagged = ns.precon if accepted and lagged is None else None
 
         if accepted:
             w = BlockVector(w.layout, w.values + alpha * ns.delta_w)

@@ -124,7 +124,8 @@ def test_criterion_02_small_dtau_limit():
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
-                     p.residual(w), p.first_order_blocks(w))
+                     p.residual(w), p.first_order_blocks(w),
+                     schedule=cfg.smoothing)
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
     _report(2, f"small-dtau limit: |dw - dw_smooth| / |dw_smooth| = {rel:.2e}",
             rel <= 1e-6)

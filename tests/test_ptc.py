@@ -145,7 +145,7 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     plain = newton_step(p, w, m_dtau, cfg, lines, r, blocks)
     zero_cycle = newton_step(p, w, m_dtau,
                              PtcConfig(smoothing=RkSchedule(n_cycles=0)), lines,
-                             r, blocks)
+                             r, blocks, schedule=RkSchedule(n_cycles=0))
     assert np.array_equal(plain.delta_w, zero_cycle.delta_w)
     assert np.all(zero_cycle.source == 0.0)
 
@@ -161,7 +161,7 @@ def test_smoothed_step_evaluates_one_residual_per_stage(monkeypatch):
     residual = p.residual
     monkeypatch.setattr(p, "residual", lambda v: calls.append(v) or residual(v))
     ns = newton_step(p, w, mass_over_dtau(p, w, cfg.cfl_init), cfg,
-                     _lines_for(p), r, blocks)
+                     _lines_for(p), r, blocks, schedule=cfg.smoothing)
     assert not ns.smoother_degraded
     assert len(calls) == (cfg.smoothing.n_cycles
                           * len(cfg.smoothing.stage_coefficients)) == 15
@@ -177,7 +177,7 @@ def test_small_dtau_step_matches_smoother_update():
     delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
                              p.residual(w)).delta_w
     ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
-                     p.first_order_blocks(w))
+                     p.first_order_blocks(w), schedule=cfg.smoothing)
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
     # The line search takes the full step, so the accepted update is the
     # smoother update itself: the scheme reverts to the local solver.
@@ -233,7 +233,7 @@ def test_singular_smoother_runs_the_step_unsmoothed(caplog):
     with caplog.at_level("WARNING", logger="ptcsmooth"):
         smoothed = newton_step(sys, w, m_dtau,
                                PtcConfig(smoothing=RkSchedule()), lines, r,
-                               blocks)
+                               blocks, schedule=RkSchedule())
     assert "smoother build failed" in caplog.text
     assert np.all(smoothed.source == 0.0)
     assert smoothed.delta_w.tobytes() == plain.delta_w.tobytes()
@@ -254,7 +254,8 @@ def test_non_finite_diagonal_rejects_the_step_as_futile(smoothing, caplog):
     with caplog.at_level("WARNING", logger="ptcsmooth.ptc"):
         ns = newton_step(sys, w, mass_over_dtau(sys, w, 10.0),
                          PtcConfig(smoothing=smoothing), singleton_lines(6),
-                         np.ones(6), sys.first_order_blocks(w))
+                         np.ones(6), sys.first_order_blocks(w),
+                         schedule=smoothing)
     assert ns.futile and not ns.smoother_degraded
     assert (ns.stats.iterations, ns.stats.achieved_reduction,
             ns.stats.converged) == (0, 1.0, False)
@@ -332,7 +333,8 @@ def test_each_factor_builder_makes_one_factor_call(build, smoothing, verdict,
             caplog.at_level("WARNING", logger="ptcsmooth"):
         ns = newton_step(p, w, mass_over_dtau(p, w, 10.0),
                          PtcConfig(smoothing=smoothing), lines,
-                         p.residual(w), p.first_order_blocks(w))
+                         p.residual(w), p.first_order_blocks(w),
+                         schedule=smoothing)
     assert (ns.stats.converged, bool(ns.source.any()), ns.futile) == verdict
     assert [r.getMessage() for r in caplog.records] == logged
     # A factor call that raises reaches no smoother build.
@@ -419,8 +421,7 @@ def test_stepped_aside_step_is_bitwise_the_unsmoothed_step(monkeypatch):
     plain = newton_step(p, w, m_dtau, PtcConfig(), lines, r, blocks)
     steps = _trace_steps(monkeypatch)
     aside = ptcsmooth.ptc.newton_step(
-        p, w, m_dtau, PtcConfig(smoothing=RkSchedule()), lines, r, blocks,
-        smooth=False)
+        p, w, m_dtau, PtcConfig(smoothing=RkSchedule()), lines, r, blocks)
     assert steps == [ASIDE]
     assert not aside.source.any() and not aside.smoothed
     assert aside.delta_w.tobytes() == plain.delta_w.tobytes()
@@ -584,22 +585,21 @@ def test_a_reused_step_logs_one_debug_line(smoothing, reused, monkeypatch,
 
 
 def test_a_smoothed_step_never_reuses(monkeypatch):
-    # Handed the factor of another state, a smoothed step still factors
-    # both shifts afresh and runs the step it runs without it.
-    p = make_bratu(32, 1.0)
-    w = p.initial_state()
-    lines, cfg = _lines_for(p), PtcConfig(smoothing=RkSchedule())
-    m_dtau = mass_over_dtau(p, w, 10.0)
-    r, blocks = p.residual(w), p.first_order_blocks(w)
-    other = newton_step(p, w, 2.0 * m_dtau, PtcConfig(), lines, r,
-                        blocks).precon
-    own = newton_step(p, w, m_dtau, cfg, lines, r, blocks)
+    # The smoothed run hands no step both a schedule and a factor: each
+    # step handed a schedule factors both shifts afresh, and none reads
+    # [0, 1], RK stages on a reused factor.
     steps = _trace_steps(monkeypatch)
-    handed = ptcsmooth.ptc.newton_step(p, w, m_dtau, cfg, lines, r, blocks,
-                                       lagged=other)
-    assert steps == [SMOOTHED] and handed.precon is not other
-    assert handed.delta_w.tobytes() == own.delta_w.tobytes()
-    assert handed.source.tobytes() == own.source.tobytes()
+    traced, schedules = ptcsmooth.ptc.newton_step, []
+
+    def planned(*args, **kwargs):
+        schedules.append(kwargs["schedule"])
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "newton_step", planned)
+    _bdf3_convdiff(RkSchedule())
+    assert [0, 1] not in steps and REUSED in steps
+    assert [step == SMOOTHED for step in steps] == \
+        [schedule is not None for schedule in schedules]
 
 
 @pytest.mark.parametrize("failing", [1, 2], ids=["fresh", "reused"])
@@ -638,7 +638,8 @@ def test_a_reused_step_is_bitwise_the_step_handed_that_factor(monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(ptcsmooth.ptc, "newton_step", recorded)
-    rep = solve_steady(make_quasi1d_euler(32), PtcConfig())
+    p = make_quasi1d_euler(32)
+    rep = solve_steady(p, PtcConfig())
     assert rep.outcome == SolveOutcome.CONVERGED
     reused = [k for k, (_, kwargs, _) in enumerate(calls) if kwargs["lagged"]]
     assert reused == list(range(1, rep.newton_steps, 2))
@@ -646,7 +647,9 @@ def test_a_reused_step_is_bitwise_the_step_handed_that_factor(monkeypatch):
         args, kwargs, ns = calls[k]
         assert kwargs["lagged"] is calls[k - 1][2].precon is ns.precon
         again = step(*args, **kwargs)
-        fresh = step(*args, **{**kwargs, "lagged": None})
+        # A reused step is handed no blocks: the fresh factor needs its own.
+        fresh = step(*args[:6], p.first_order_blocks(args[1]),
+                     **{**kwargs, "lagged": None})
         assert again.delta_w.tobytes() == ns.delta_w.tobytes()
         assert again.stats == ns.stats
         assert fresh.delta_w.tobytes() != ns.delta_w.tobytes()
@@ -871,15 +874,37 @@ def test_stagnation_outcome_on_persistent_linear_failure():
     {"max_krylov": 1, "linear_rel_tol": 1e-12, "max_newton_steps": 50},
     {"max_krylov": 3, "max_newton_steps": 20},
 ], ids=["all_rejected", "mixed"])
-def test_first_order_blocks_evaluated_once_per_state(settings):
-    # Line extraction and step 1 share one evaluation; a rejected step leaves
-    # the state bit-identical, so only an accepted step calls for another.
+def test_first_order_blocks_evaluated_once_per_state(settings, monkeypatch):
+    # Once per distinct state at which a step factors, in order: line
+    # extraction and step 1 share one evaluation, a rejected step leaves the
+    # state bit-identical, so its retry reuses them, and a step that reuses
+    # the factor before it evaluates none.
     p = make_aniso_convdiff(8, 8, stretching_ratio=100.0)
     original, calls = p.first_order_blocks, []
-    p.first_order_blocks = lambda w: calls.append(w) or original(w)
+    p.first_order_blocks = \
+        lambda w: calls.append(w.values.tobytes()) or original(w)
+    step, factored = ptcsmooth.ptc.newton_step, []
+
+    def recorded(system, w, *args, **kwargs):
+        if kwargs["lagged"] is None:
+            factored.append(w.values.tobytes())
+        return step(system, w, *args, **kwargs)
+
+    monkeypatch.setattr(ptcsmooth.ptc, "newton_step", recorded)
     rep = solve_steady(p, PtcConfig(**settings))
     assert any(not r.accepted for r in rep.history)
-    assert len(calls) == 1 + sum(r.accepted for r in rep.history[:-1])
+    assert calls == list(dict.fromkeys(factored))
+
+
+def test_plain_nozzle_evaluates_blocks_only_where_it_factors():
+    # Every other step of the plain nozzle32 solve reuses the factor before
+    # it and evaluates no blocks: 7 evaluations over 13 steps, not 13.
+    p = make_quasi1d_euler(32)
+    original, calls = p.first_order_blocks, []
+    p.first_order_blocks = lambda w: calls.append(w) or original(w)
+    rep = solve_steady(p, PtcConfig())
+    assert rep.outcome == SolveOutcome.CONVERGED
+    assert (rep.newton_steps, len(calls)) == (13, 7)
 
 
 def test_mass_over_dtau_formed_once_per_newton_step(monkeypatch):
@@ -926,8 +951,10 @@ def test_failed_linear_setup_becomes_rejected_step(patch):
 
 def test_nonfinite_coupling_mid_solve_becomes_rejected_steps():
     # Finite blocks at the start extract the lines; an infinite in-line
-    # coupling at every later state rejects each step at the factor's
-    # gather, before any reduction, so no 0 * inf warning escapes the solve.
+    # coupling at every later state rejects each step that factors there at
+    # the factor's gather, before any reduction, so no 0 * inf warning
+    # escapes the solve. Step 2 reuses step 1's finite factor, and GMRES
+    # and the line search vet it; step 3 factors, and is refused as futile.
     p = make_bratu(16, 1.0)
     original, start = p.first_order_blocks, p.initial_state().values
 
@@ -942,9 +969,8 @@ def test_nonfinite_coupling_mid_solve_becomes_rejected_steps():
         warnings.simplefilter("error")
         rep = solve_steady(p, PtcConfig(max_newton_steps=50))
     assert rep.outcome == SolveOutcome.STAGNATED
-    assert rep.history[0].accepted
-    assert all(not r.accepted and r.krylov_count == 0
-               for r in rep.history[1:])
+    assert [r.accepted for r in rep.history] == [True, True, False]
+    assert rep.history[2].krylov_count == 0
 
 
 @pytest.mark.parametrize("settings", [

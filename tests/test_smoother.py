@@ -253,5 +253,6 @@ def test_overflowing_stage_update_degrades_without_a_warning():
         warnings.simplefilter("error")
         ns = newton_step(sys, w, mass_over_dtau(sys, w, 10.0),
                          PtcConfig(smoothing=RkSchedule()), singleton_lines(4),
-                         sys.residual(w), sys.first_order_blocks(w))
+                         sys.residual(w), sys.first_order_blocks(w),
+                         schedule=RkSchedule())
     assert ns.smoother_degraded

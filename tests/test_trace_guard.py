@@ -23,7 +23,8 @@ def _result(correct=True, failed=0, changed=()):
               "linalg.line_solve.calls": 1084, "problems.jv.calls": 767,
               "linalg.gmres.calls": 47, "smoother.rk.calls": 18,
               "problems.residual.calls": 327, "ptc.line_search.trials": 53,
-              "ptc.calls": 4, "ptc.line_search.calls": 64}
+              "ptc.calls": 4, "ptc.line_search.calls": 64,
+              "problems.blocks.calls": 49}
     values.update(changed)
     return {"correct": correct, "failed": failed,
             "metrics": {name: {"value": v} for name, v in values.items()}}
@@ -47,6 +48,9 @@ def test_every_workload_passes_a_passing_result():
      "lines.multi_cell_frac 0.5 == 1"),
     ("unsteady_bdf", _result(changed={"lines.extract.calls": 6}),
      "lines.extract.calls 6 == 2"),
+    ("convdiff_sweep", _result(changed={"problems.blocks.calls": 50}),
+     "problems.blocks.calls 50 <= linalg.factor.calls 47 + "
+     "lines.extract.calls 2"),
     ("nozzle_sweep", _result(changed={"linalg.line_solve.calls": 1085}),
      "linalg.line_solve.calls 1085 == problems.jv.calls 767 + "
      "linalg.gmres.calls 47 + 15 * smoother.rk.calls 18"),
@@ -54,8 +58,8 @@ def test_every_workload_passes_a_passing_result():
      "problems.residual.calls 328 == 15 * smoother.rk.calls 18 + "
      "ptc.line_search.trials 53 + ptc.calls 4"),
 ], ids=["incorrect", "failed_operation", "third_factor_path",
-        "factor_per_step", "singleton_nozzle_lines", "per_step_extraction", "extra_line_solve",
-        "extra_residual"])
+        "factor_per_step", "singleton_nozzle_lines", "per_step_extraction",
+        "blocks_without_factor", "extra_line_solve", "extra_residual"])
 def test_each_check_fails_alone(workload, result, failed):
     assert _load_tool().failed_checks(workload, result) == [failed]
 

@@ -19,6 +19,11 @@ Each workload runs ``bench/run.py --workload <name> --seed 0 --seconds 1
   factor and calls neither function. Every benchmark step is accepted, so
   the line search runs once per step, and a return to one factor per step
   fails here;
+- ``problems.blocks.calls <= linalg.factor.calls + lines.extract.calls``:
+  each evaluation of the first-order blocks feeds a factor (they are
+  evaluated once per state at which a step factors) or, once per unsteady
+  run, the line extraction (a steady solve extracts from its first step's
+  blocks), so blocks evaluated for a step that reuses a factor fail here;
 - when ``smoother.degraded == 0``, ``linalg.line_solve.calls ==
   problems.jv.calls + linalg.gmres.calls + 15 * smoother.rk.calls``: one
   solve per Krylov vector, one final solve per GMRES call and one per RK
@@ -67,8 +72,10 @@ def failed_checks(workload: str, result: dict) -> List[str]:
     try:
         value = {name: entry["value"]
                  for name, entry in result["metrics"].items()}
-        factor, precon, searches = (value[f"{name}.calls"] for name in (
-            "linalg.factor", "ptc.precon_build", "ptc.line_search"))
+        factor, precon, searches, blocks, extract = (
+            value[f"{name}.calls"] for name in (
+                "linalg.factor", "ptc.precon_build", "ptc.line_search",
+                "problems.blocks", "lines.extract"))
         checks = {
             "correct": result["correct"] is True,
             f"failed {result['failed']} == 0": result["failed"] == 0,
@@ -76,6 +83,8 @@ def failed_checks(workload: str, result: dict) -> List[str]:
             f"{precon}": factor == precon,
             f"linalg.factor.calls {factor} < ptc.line_search.calls "
             f"{searches}": factor < searches,
+            f"problems.blocks.calls {blocks} <= linalg.factor.calls {factor} "
+            f"+ lines.extract.calls {extract}": blocks <= factor + extract,
         }
         if value["smoother.degraded"] == 0:
             solves, jv, gmres, rk = (value[f"{name}.calls"] for name in (
