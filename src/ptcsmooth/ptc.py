@@ -114,6 +114,10 @@ class PtcConfig:
             raise ValueError(
                 "target_residual_absolute must be positive and finite")
         require_count("max_newton_steps", self.max_newton_steps, 1)
+        if not (self.smoothing is None
+                or isinstance(self.smoothing, RkSchedule)):
+            raise ValueError(f"smoothing must be an RkSchedule or None, got "
+                             f"{self.smoothing!r}")
 
 
 @dataclass

@@ -94,6 +94,8 @@ class UnsteadyConfig:
     def __post_init__(self):
         require_count("n_steps", self.n_steps, 1)
         _bdf_shift(1.5 if self.n_steps > 1 else 1.0, self.dt)
+        if not isinstance(self.inner, PtcConfig):
+            raise ValueError(f"inner must be a PtcConfig, got {self.inner!r}")
 
 
 @dataclass

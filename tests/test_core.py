@@ -60,6 +60,17 @@ def test_a_bool_is_not_a_real_setting(build, name, flag):
         build(flag)
 
 
+@pytest.mark.parametrize("build, message", [
+    # Both built, and then raised AttributeError mid-run.
+    (lambda: PtcConfig(smoothing=(0.15, 0.4, 1.0)),
+     "smoothing must be an RkSchedule or None"),
+    (lambda: UnsteadyConfig(0.05, 2, None), "inner must be a PtcConfig"),
+], ids=["smoothing_coefficients", "unsteady_inner_none"])
+def test_a_config_of_the_wrong_type_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_l2_norm_zero_vector():
     for layout in (BlockLayout(1, 1), BlockLayout(7, 3)):
         assert l2_norm(BlockVector(layout).values) == 0.0
