@@ -11,11 +11,10 @@ solver lines (off-diagonal blocks kept only for edges interior to a line),
 unshifted. A smoothed Newton step factors P and GMRES's J1 + M/dtau, which
 differ only by that diagonal shift, in its one stacked factor call
 (``build_ptc_preconditioner``), and ``build_smoother`` takes P from there.
-P is factored afresh on every smoothed Newton step, from the first-order
-blocks, evaluated once per state at which a step factors, and frozen across
-stages and cycles. It is never lagged: only an unsmoothed step reuses a
-factor, the J1 + M/dtau of the step just before it when that step was
-accepted and factored afresh.
+P is factored afresh on every smoothed Newton step, from blocks evaluated
+once per state at which a step factors, and frozen across stages and
+cycles. Only an unsmoothed step reuses a factor: the J1 + M/dtau of the
+step just before it, when that step was accepted and factored afresh.
 """
 
 from __future__ import annotations

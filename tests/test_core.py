@@ -61,7 +61,6 @@ def test_a_bool_is_not_a_real_setting(build, name, flag):
 
 
 @pytest.mark.parametrize("build, message", [
-    # Both built, and then raised AttributeError mid-run.
     (lambda: PtcConfig(smoothing=(0.15, 0.4, 1.0)),
      "smoothing must be an RkSchedule or None"),
     (lambda: UnsteadyConfig(0.05, 2, None), "inner must be a PtcConfig"),

@@ -898,7 +898,7 @@ def test_first_order_blocks_evaluated_once_per_state(settings, monkeypatch):
 
 def test_plain_nozzle_evaluates_blocks_only_where_it_factors():
     # Every other step of the plain nozzle32 solve reuses the factor before
-    # it and evaluates no blocks: 7 evaluations over 13 steps, not 13.
+    # it and evaluates no blocks: 7 evaluations over 13 steps.
     p = make_quasi1d_euler(32)
     original, calls = p.first_order_blocks, []
     p.first_order_blocks = lambda w: calls.append(w) or original(w)
