@@ -23,13 +23,18 @@ step multiplies by.
 
 Smoothing steps aside in the Newton limit. The source (M/dtau) dw_smooth
 vanishes as dtau grows, and exact Newton is recovered; M/dtau scales as
-1/CFL. So ``solve_steady`` keeps ||source||/||R|| times the CFL of the last
-step whose RK cycles all ran, predicts each step's ratio as that over its
-CFL, and runs the step unsmoothed when the prediction is below
-``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol``: one single-shift factor, or
-none when it reuses the step before's, and no RK stage. The first step of
-every solve smooths, and a rejection's CFL cut raises the prediction
-tenfold, so smoothing returns at small dtau.
+1/CFL. A source below ``SOURCE_SKIP_FRACTION`` of ``linear_rel_tol`` times
+||R|| is below what GMRES resolves, and that floor is applied twice. Within
+a smoothed step, ``newton_step`` hands it to ``rk_smooth``, which stops the
+RK cycles once a completed cycle's scaled update falls below it. Across
+steps, ``solve_steady`` keeps ||source||/||R|| times the CFL of the last
+step whose smoother completed (every cycle ran, or the floor stopped them),
+predicts each step's ratio as that over its CFL, and runs the step
+unsmoothed when the prediction is below ``SOURCE_SKIP_FRACTION`` of
+``linear_rel_tol``: one single-shift factor, or none when it reuses the
+step before's, and no RK stage. The first step of every solve smooths, and
+a rejection's CFL cut raises the prediction tenfold, so smoothing returns
+at small dtau, where M/dtau is huge and every cycle runs.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ CFL_CUT = 0.1
 CFL_MAX = 1e12
 CFL_STAGNATION_FLOOR = 1e-6
 # A smoothed solve's step after the first runs unsmoothed when its predicted
-# ||source||/||R|| is below this fraction of GMRES's ``linear_rel_tol``.
+# ||source||/||R|| is below this fraction of GMRES's ``linear_rel_tol``, and
+# a smoothed step's RK cycles stop once a cycle's share of the source is.
 SOURCE_SKIP_FRACTION = 0.1
 
 
@@ -191,8 +197,9 @@ class NewtonStepResult:
     # coupling: every CFL fails alike, since M/dtau only adds finite values
     # to the diagonal.
     futile: bool = False
-    # Every scheduled RK cycle ran, so ``source`` is the full smoothing
-    # source (a skipped or degraded smoother's is not).
+    # The smoother completed, every scheduled RK cycle run or the rest
+    # stopped by the source floor, so ``source`` is the smoothing source
+    # GMRES saw (a skipped or degraded smoother's is not).
     smoothed: bool = False
     # The J1 + M/dtau factor GMRES ran on (None when the factor failed).
     precon: Optional[BlockTridiagFactorization] = None
@@ -214,7 +221,10 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
     ``lines`` once, as J1 + M/dtau and, stacked beside it when the step
     smooths with ``schedule``, as J1 for the smoother
     (``build_ptc_preconditioner``). The smoothing source is
-    computed before the linear solve and never re-evaluated. A singular
+    computed before the linear solve and never re-evaluated; its RK cycles
+    stop once a cycle's scaled update is below ``SOURCE_SKIP_FRACTION *
+    linear_rel_tol * ||R(w)||``, the floor of what GMRES resolves, and the
+    step logs one DEBUG line with the cycles run. A singular
     smoother factorization runs the step unsmoothed. GMRES non-convergence
     is reported through the stats for the controller, not raised; so are
     non-finite couplings or operator output and a singular PTC
@@ -237,7 +247,13 @@ def newton_step(system: NonlinearSystem, w: BlockVector,
 
     source, degraded, complete = zero, False, False
     if smoother is not None:
-        sm = rk_smooth(system, smoother, schedule, w, residual)
+        floor = (SOURCE_SKIP_FRACTION * config.linear_rel_tol
+                 * _finite_norm(residual))
+        sm = rk_smooth(system, smoother, schedule, w, residual,
+                       mass_over_dtau, floor)
+        log.debug("smoothed step ran %d of %d RK cycles, stopped by the "
+                  "source floor: %s", sm.cycles, schedule.n_cycles,
+                  not sm.degraded and sm.cycles < schedule.n_cycles)
         # The paper's source term (M/dtau) dw_smooth; it vanishes as
         # dtau grows, recovering the exact Newton step.
         source = mass_over_dtau * sm.delta_w
@@ -339,8 +355,8 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     decreases the pseudo-unsteady residual, so accepted steps descend whatever
     the linearization. A smoothed solve steps smoothing aside in the Newton
     limit, where the source vanishes: a step after the first whose predicted
-    ||source||/||R||, the last fully smoothed step's ratio times its CFL over
-    this one's, is below ``SOURCE_SKIP_FRACTION * linear_rel_tol`` runs
+    ||source||/||R||, the last completed smoothed step's ratio times its CFL
+    over this one's, is below ``SOURCE_SKIP_FRACTION * linear_rel_tol`` runs
     unsmoothed and logs one DEBUG line; a step whose smoother was skipped or
     degraded leaves that prediction as it was. A step whose PTC factor
     refuses a non-finite diagonal block or in-line coupling is recorded as
@@ -379,8 +395,9 @@ def solve_steady(system: NonlinearSystem, config: PtcConfig,
     blocks = None
     cumulative_krylov = 0
     outcome = SolveOutcome.STEP_BUDGET_EXHAUSTED
-    # ||source||/||R|| times the CFL of the last step whose RK cycles all
-    # ran: the ratio it predicts at CFL c is source_cfl / c.
+    # ||source||/||R|| times the CFL of the last step whose smoother
+    # completed, stopped or not: the ratio it predicts at CFL c is
+    # source_cfl / c.
     source_cfl = None
     skip_below = SOURCE_SKIP_FRACTION * config.linear_rel_tol
     smoothing = (config.smoothing if config.smoothing is not None

@@ -4,7 +4,10 @@ Each cycle runs stages ``w^m = w^0 - alpha_m * P^{-1} R(w^{m-1})`` with the
 final stage coefficient equal to one, so the cycle output is a full update.
 The net update over all cycles is the composite local-solver correction; the
 continuation driver turns it into a right-hand-side source term by scaling
-with M/dtau.
+with M/dtau. The cycles stop early once a completed cycle's own scaled
+update (M/dtau) dw_c falls below a floor the driver hands in: the rest of
+the source is then below what GMRES resolves. At small dtau M/dtau is huge
+and every cycle runs, the local-solver limit; at large dtau one cycle runs.
 
 The line preconditioner P is J1, the first-order Jacobian restricted to the
 solver lines (off-diagonal blocks kept only for edges interior to a line),
@@ -25,8 +28,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (BlockVector, NonlinearSystem, require_count, require_real,
-                   trial_residual)
+from .core import (BlockVector, NonlinearSystem, _finite_norm, require_count,
+                   require_real, trial_residual)
 from .linalg import BlockTridiagFactorization, SingularPivotError
 # Not called here: the benchmark tracer's tests look it up in this module.
 from .linalg import factor_block_tridiag  # noqa: F401
@@ -66,6 +69,7 @@ class RkSchedule:
 class SmoothResult:
     delta_w: np.ndarray     # the composite local-solver update
     degraded: bool          # an offending cycle was abandoned
+    cycles: int             # the cycles completed, an abandoned one not
 
 
 def build_smoother(
@@ -82,8 +86,9 @@ def build_smoother(
 
 
 def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
-              schedule: RkSchedule, w0: BlockVector,
-              r0: np.ndarray) -> SmoothResult:
+              schedule: RkSchedule, w0: BlockVector, r0: np.ndarray,
+              mass_over_dtau: Optional[np.ndarray] = None,
+              floor: float = 0.0) -> SmoothResult:
     """Run the scheduled RK cycles from ``w0``, preconditioned by ``precon``.
 
     ``r0`` is R(w0), already accepted by ``trial_residual``. Every stage
@@ -93,22 +98,32 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
     output is returned with ``degraded`` set. The smoother is an
     accelerator, so its failure is soft by design: stage updates that
     overflow do so without a warning, and their stage is rejected.
+
+    Handed the per-unknown ``mass_over_dtau`` and a ``floor``, the cycles
+    stop after the first completed cycle c whose update dw_c has
+    ``||mass_over_dtau * dw_c|| < floor``: the run is then complete, not
+    degraded. The norm is ``_finite_norm``'s, so an overflowing scaled
+    update scores +inf and never stops them. Without ``mass_over_dtau``
+    every cycle runs. ``cycles`` says how many completed.
     """
     r = r0
     w_cycle = w0.copy()
-    degraded = False
+    degraded, cycles = False, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(schedule.n_cycles):
             for alpha in schedule.stage_coefficients:
-                current = BlockVector(
-                    w0.layout,
-                    w_cycle.values - alpha * precon.solve_values(r))
+                step = precon.solve_values(r)
+                current = BlockVector(w0.layout, w_cycle.values - alpha * step)
                 r = trial_residual(system, current)
                 if r is None:
                     break
             if r is None:
                 degraded = True
                 break
-            w_cycle = current
-    return SmoothResult(w_cycle.values - w0.values, degraded)
-
+            w_cycle, cycles = current, cycles + 1
+            # The last stage's coefficient is 1, so the cycle's update is
+            # -step; after the last cycle there is nothing left to stop.
+            if (mass_over_dtau is not None and cycles < schedule.n_cycles
+                    and _finite_norm(mass_over_dtau * step) < floor):
+                break
+    return SmoothResult(w_cycle.values - w0.values, degraded, cycles)

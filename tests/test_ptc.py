@@ -150,9 +150,24 @@ def test_zero_cycle_schedule_is_bitwise_unsmoothed():
     assert np.all(zero_cycle.source == 0.0)
 
 
-def test_smoothed_step_evaluates_one_residual_per_stage(monkeypatch):
+def _recorded_smooths(monkeypatch):
+    """The arguments and ``SmoothResult`` of each ``rk_smooth`` call."""
+    smooth, calls = ptcsmooth.ptc.rk_smooth, []
+
+    def recorded(*args):
+        calls.append((args, smooth(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("cfl, cycles", [(10.0, 5), (1e3, 4), (1e6, 1)])
+def test_smoothed_step_evaluates_one_residual_per_stage(cfl, cycles,
+                                                        monkeypatch):
     # The smoother starts from the R(w) the step is given, so it evaluates
-    # one residual per stage and none more.
+    # one residual per stage of the cycles it runs and none more. At CFL 10
+    # every cycle runs; at larger CFLs the source floor stops them.
     p = make_bratu(32, 1.0)
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())
@@ -160,11 +175,15 @@ def test_smoothed_step_evaluates_one_residual_per_stage(monkeypatch):
     calls = []
     residual = p.residual
     monkeypatch.setattr(p, "residual", lambda v: calls.append(v) or residual(v))
-    ns = newton_step(p, w, mass_over_dtau(p, w, cfg.cfl_init), cfg,
-                     _lines_for(p), r, blocks, schedule=cfg.smoothing)
-    assert not ns.smoother_degraded
-    assert len(calls) == (cfg.smoothing.n_cycles
-                          * len(cfg.smoothing.stage_coefficients)) == 15
+    smooths = _recorded_smooths(monkeypatch)
+    ns = newton_step(p, w, mass_over_dtau(p, w, cfl), cfg, _lines_for(p), r,
+                     blocks, schedule=cfg.smoothing)
+    assert not ns.smoother_degraded and ns.smoothed
+    assert [sm.cycles for _, sm in smooths] == [cycles]
+    stages = len(cfg.smoothing.stage_coefficients)
+    assert len(calls) == stages * cycles
+    if cycles == cfg.smoothing.n_cycles:
+        assert len(calls) == 15
 
 
 def test_small_dtau_step_matches_smoother_update():
@@ -174,8 +193,12 @@ def test_small_dtau_step_matches_smoother_update():
     lines = _lines_for(p)
     m_dtau = mass_over_dtau(p, w, 1e-10)
     (precon,) = factor_block_tridiag(lines, p.first_order_blocks(w), (None,))
-    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
-                             p.residual(w)).delta_w
+    # At small dtau M/dtau is huge, so no cycle falls below the step's
+    # source floor, and every cycle runs.
+    floor = SOURCE_SKIP_FRACTION * cfg.linear_rel_tol * l2_norm(p.residual(w))
+    sm = rk_smooth(p, precon, cfg.smoothing, w, p.residual(w), m_dtau, floor)
+    assert sm.cycles == cfg.smoothing.n_cycles == 5 and not sm.degraded
+    delta_smooth = sm.delta_w
     ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
                      p.first_order_blocks(w), schedule=cfg.smoothing)
     assert l2_norm(ns.delta_w - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
@@ -185,6 +208,51 @@ def test_small_dtau_step_matches_smoother_update():
     assert res.alpha == 1.0
     accepted_update = res.alpha * ns.delta_w
     assert l2_norm(accepted_update - delta_smooth) <= 1e-6 * l2_norm(delta_smooth)
+
+
+def test_a_step_stops_after_the_first_cycle_below_the_floor(monkeypatch):
+    # At CFL 1000 the fourth cycle's scaled update is the first below the
+    # floor, so the step runs four cycles, and its source is that of a
+    # four-cycle schedule run to the end.
+    p = make_bratu(32, 1.0)
+    w = p.initial_state()
+    cfg = PtcConfig(smoothing=RkSchedule())
+    r, m_dtau = p.residual(w), mass_over_dtau(p, w, 1e3)
+    smooths = _recorded_smooths(monkeypatch)
+    ns = newton_step(p, w, m_dtau, cfg, _lines_for(p), r,
+                     p.first_order_blocks(w), schedule=cfg.smoothing)
+    ((args, sm),) = smooths
+    precon, floor = args[1], args[6]
+    assert args[5] is m_dtau
+    assert floor == SOURCE_SKIP_FRACTION * cfg.linear_rel_tol * l2_norm(r)
+    ends = [rk_smooth(p, precon, RkSchedule(n_cycles=n), w, r).delta_w
+            for n in range(6)]
+    scores = [l2_norm(m_dtau * (b - a)) for a, b in zip(ends, ends[1:])]
+    assert min(scores[:3]) >= floor > scores[3]
+    assert (sm.cycles, sm.degraded, ns.smoothed) == (4, False, True)
+    assert sm.delta_w.tobytes() == ends[4].tobytes()
+    assert ns.source.tobytes() == (m_dtau * ends[4]).tobytes()
+
+
+@pytest.mark.parametrize("cfl", [10.0, 100.0])
+def test_a_step_whose_cycles_stay_above_the_floor_is_bitwise_unstopped(
+        cfl, monkeypatch):
+    # With no floor every cycle runs, as before the floor existed; a step
+    # whose cycles all stay above it is that step, bit for bit.
+    p = make_bratu(32, 1.0)
+    w = p.initial_state()
+    cfg = PtcConfig(smoothing=RkSchedule())
+    args = (p, w, mass_over_dtau(p, w, cfl), cfg, _lines_for(p),
+            p.residual(w), p.first_order_blocks(w))
+    smooths = _recorded_smooths(monkeypatch)
+    floored = newton_step(*args, schedule=cfg.smoothing)
+    monkeypatch.setattr(ptcsmooth.ptc, "SOURCE_SKIP_FRACTION", 0.0)
+    unfloored = newton_step(*args, schedule=cfg.smoothing)
+    assert [(call[6] > 0.0, sm.cycles) for call, sm in smooths] == \
+        [(True, 5), (False, 5)]
+    assert floored.delta_w.tobytes() == unfloored.delta_w.tobytes()
+    assert floored.source.tobytes() == unfloored.source.tobytes()
+    assert floored.stats == unfloored.stats and floored.stats.converged
 
 
 def test_large_dtau_step_matches_pure_newton():
@@ -434,8 +502,10 @@ def test_stepped_aside_step_is_bitwise_the_unsmoothed_step(monkeypatch):
 def test_a_rejection_brings_smoothing_back(monkeypatch):
     # Fail GMRES on the first stepped-aside step, which reuses the
     # smoothed step's factor: the CFL cut raises the predicted ratio
-    # tenfold, over the threshold here, so the next step smooths, and so
-    # does every step after it.
+    # tenfold, over the threshold here, so the next step smooths. Smoothing
+    # then stays until the remembered source, the one its stopped RK cycles
+    # gave, predicts a ratio below the threshold again: here on the last
+    # step, which steps aside and reuses the factor of the step before it.
     steps = _trace_steps(monkeypatch)
     gmres, forced = ptcsmooth.ptc.gmres_right_preconditioned, []
 
@@ -451,7 +521,9 @@ def test_a_rejection_brings_smoothing_back(monkeypatch):
     rows = [row for r in history.reports for row in r.history]
     (k,) = forced
     assert not rows[k].accepted and rows[k + 1].cfl == rows[k].cfl * CFL_CUT
-    assert steps[k + 1:] == [SMOOTHED] * (len(steps) - k - 1)
+    assert steps[k + 1:] == [SMOOTHED] * 4 + [REUSED]
+    assert [(r.newton_steps, r.cumulative_krylov, r.rejection_count)
+            for r in history.reports] == [(7, 36, 0), (6, 28, 0), (7, 28, 1)]
 
 
 def test_a_retried_step_runs_its_rk_stages_again(monkeypatch):
@@ -467,9 +539,9 @@ def test_a_retried_step_runs_its_rk_stages_again(monkeypatch):
             return np.zeros_like(b), GmresStats(0, 1.0, False)
         return gmres(operator, precon, b, *args)
 
-    def recorded(system, precon, schedule, w0, r0):
+    def recorded(system, precon, schedule, w0, r0, m_dtau, floor):
         starts.append(w0.values.tobytes())
-        return smooth(system, precon, schedule, w0, r0)
+        return smooth(system, precon, schedule, w0, r0, m_dtau, floor)
 
     monkeypatch.setattr(ptcsmooth.ptc, "gmres_right_preconditioned",
                         failing_once)
@@ -500,11 +572,11 @@ def _singular_j1_on_step_1(monkeypatch):
 def _no_cycle_completes_on_step_1(monkeypatch):
     smooth, calls = ptcsmooth.ptc.rk_smooth, []
 
-    def degraded_once(system, precon, schedule, w0, r0):
+    def degraded_once(system, precon, schedule, w0, r0, m_dtau, floor):
         calls.append(w0)
         if len(calls) == 1:
-            return SmoothResult(np.zeros(w0.layout.n_dofs), True)
-        return smooth(system, precon, schedule, w0, r0)
+            return SmoothResult(np.zeros(w0.layout.n_dofs), True, 0)
+        return smooth(system, precon, schedule, w0, r0, m_dtau, floor)
 
     monkeypatch.setattr(ptcsmooth.ptc, "rk_smooth", degraded_once)
     return SMOOTHED
@@ -560,6 +632,23 @@ def test_a_stepped_aside_step_logs_one_debug_line(monkeypatch, caplog):
                for m in logged)
 
 
+def test_a_smoothed_step_logs_its_rk_cycles(monkeypatch, caplog):
+    # One DEBUG line per smoothed step: the cycles run of the five
+    # scheduled, and whether the source floor stopped them. On the
+    # benchmark's BDF run the cycles fall as the CFL grows.
+    steps = _trace_steps(monkeypatch)
+    with caplog.at_level("DEBUG", logger="ptcsmooth.ptc"):
+        _bdf3_convdiff(RkSchedule())
+    pattern = re.compile(r"smoothed step ran (\d) of (\d) RK cycles, stopped "
+                         r"by the source floor: (True|False)")
+    logged = [pattern.fullmatch(rec.getMessage()) for rec in caplog.records
+              if rec.name == "ptcsmooth.ptc" and "RK" in rec.getMessage()]
+    assert all(logged) and len(logged) == steps.count(SMOOTHED)
+    cycles = [int(m[1]) for m in logged]
+    assert cycles == [5] * 7 + [4, 3, 3, 2, 2, 1, 1] and sum(cycles) == 51
+    assert all(m[2] == "5" and m[3] == str(int(m[1]) < 5) for m in logged)
+
+
 # ---------------------------------------------------------------------------
 # an unsmoothed step reuses the fresh line factor of the step before it
 # ---------------------------------------------------------------------------
@@ -576,7 +665,7 @@ def test_a_reused_step_logs_one_debug_line(smoothing, reused, monkeypatch,
     logged = [re.fullmatch(r"step (\d+) reuses step (\d+)'s line factor",
                            rec.getMessage())
               for rec in caplog.records if rec.name == "ptcsmooth.ptc"
-              and "aside" not in rec.getMessage()]
+              and "reuses" in rec.getMessage()]
     assert all(logged)
     assert [(int(m[1]), int(m[2])) for m in logged] == reused
     assert [k + 1 for solve in _per_solve(steps, history)

@@ -116,6 +116,61 @@ def test_linear_contraction_two_cycles(scalar_chain):
     assert np.allclose(e_end, 0.34 ** 2 * e0, rtol=1e-11, atol=1e-13)
 
 
+def _perturbed_solution(sys, seed):
+    w_star = sys.solution()
+    e0 = np.random.default_rng(seed).standard_normal(sys.layout.n_dofs)
+    w0 = BlockVector(sys.layout, w_star.values + e0)
+    (precon,) = factor_block_tridiag(full_chain_lines(sys.layout.n_cells),
+                                     sys.first_order_blocks(w_star), (None,))
+    return precon, w0, e0
+
+
+def test_cycles_stop_after_the_first_update_below_the_floor(scalar_chain):
+    # Each exact cycle contracts the error by 0.34, so cycle c's update is
+    # 0.66 * 0.34^(c-1) * |e0| long: with unit M/dtau, a floor between the
+    # second and third cycles' updates stops the run after the third, bit
+    # for bit a three-cycle schedule run to the end.
+    sys = scalar_chain
+    precon, w0, e0 = _perturbed_solution(sys, 6)
+    r0, ones = sys.residual(w0), np.ones(sys.layout.n_dofs)
+    floor = 0.66 * 0.34 ** 1.5 * l2_norm(e0)
+    out = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, floor)
+    three = rk_smooth(sys, precon, RkSchedule(n_cycles=3), w0, r0)
+    assert (out.cycles, out.degraded, three.cycles) == (3, False, 3)
+    assert out.delta_w.tobytes() == three.delta_w.tobytes()
+    assert np.allclose(out.delta_w, (0.34 ** 3 - 1.0) * e0, rtol=1e-11)
+
+
+def test_cycles_above_the_floor_all_run_unchanged(scalar_chain):
+    # A floor below every cycle's scaled update, or none, runs all five
+    # cycles, bit for bit the run that checks no floor.
+    sys = scalar_chain
+    precon, w0, _ = _perturbed_solution(sys, 7)
+    r0, ones = sys.residual(w0), np.ones(sys.layout.n_dofs)
+    unchecked = rk_smooth(sys, precon, RkSchedule(), w0, r0)
+    for floor in (0.0, 1e-6 * l2_norm(unchecked.delta_w)):
+        out = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, floor)
+        assert (out.cycles, out.degraded) == (unchecked.cycles, False) == \
+            (5, False)
+        assert out.delta_w.tobytes() == unchecked.delta_w.tobytes()
+
+
+def test_an_overflowing_scaled_update_never_stops_the_cycles(scalar_chain):
+    # Each cycle's update scaled by M/dtau = 1e300 has finite entries, but
+    # its norm overflows: it scores +inf, above any floor, and no overflow
+    # warning leaks. Its true norm is below the floor here.
+    sys = scalar_chain
+    precon, w0, e0 = _perturbed_solution(sys, 8)
+    m_dtau = np.full(sys.layout.n_dofs, 1e300)
+    floor = 1e308
+    assert 1e300 * 0.66 * l2_norm(e0) < floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rk_smooth(sys, precon, RkSchedule(), w0, sys.residual(w0),
+                        m_dtau, floor)
+    assert (out.cycles, out.degraded) == (5, False)
+
+
 def test_update_vanishes_at_converged_state(scalar_chain):
     sys = scalar_chain
     w_star = sys.solution()
@@ -224,7 +279,7 @@ def test_degraded_cycle_keeps_last_admissible_output():
     sched = RkSchedule(n_cycles=3)
     w0 = sys.initial_state()
     out = rk_smooth(sys, precon, sched, w0, sys.residual(w0))
-    assert out.degraded
+    assert out.degraded and out.cycles == 0
     assert np.all(out.delta_w == 0.0)  # first cycle abandoned
 
 

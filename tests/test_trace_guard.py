@@ -16,13 +16,14 @@ def _load_tool():
 
 
 def _result(correct=True, failed=0, changed=()):
-    """A result line that passes every check, but for ``changed`` metrics."""
+    """A result line that passes every check, but for ``changed`` metrics:
+    its 18 RK calls ran 204 stages, 68 of their 90 scheduled cycles."""
     values = {"linalg.factor.calls": 47, "ptc.precon_build.calls": 47,
               "smoother.build.calls": 18, "lines.multi_cell_frac": 1.0,
               "lines.extract.calls": 2, "smoother.degraded": 0,
-              "linalg.line_solve.calls": 1084, "problems.jv.calls": 767,
+              "linalg.line_solve.calls": 1018, "problems.jv.calls": 767,
               "linalg.gmres.calls": 47, "smoother.rk.calls": 18,
-              "problems.residual.calls": 327, "ptc.line_search.trials": 53,
+              "problems.residual.calls": 261, "ptc.line_search.trials": 53,
               "ptc.calls": 4, "ptc.line_search.calls": 64,
               "problems.blocks.calls": 49}
     values.update(changed)
@@ -51,24 +52,37 @@ def test_every_workload_passes_a_passing_result():
     ("convdiff_sweep", _result(changed={"problems.blocks.calls": 50}),
      "problems.blocks.calls 50 <= linalg.factor.calls 47 + "
      "lines.extract.calls 2"),
-    ("nozzle_sweep", _result(changed={"linalg.line_solve.calls": 1085}),
-     "linalg.line_solve.calls 1085 == problems.jv.calls 767 + "
-     "linalg.gmres.calls 47 + 15 * smoother.rk.calls 18"),
-    ("unsteady_bdf", _result(changed={"problems.residual.calls": 328}),
-     "problems.residual.calls 328 == 15 * smoother.rk.calls 18 + "
-     "ptc.line_search.trials 53 + ptc.calls 4"),
+    ("nozzle_sweep", _result(changed={"linalg.line_solve.calls": 1021}),
+     "linalg.line_solve.calls 1021 - problems.jv.calls 767 - "
+     "linalg.gmres.calls 47 == problems.residual.calls 261 - "
+     "ptc.line_search.trials 53 - ptc.calls 4"),
+    ("unsteady_bdf", _result(changed={"problems.residual.calls": 262}),
+     "linalg.line_solve.calls 1018 - problems.jv.calls 767 - "
+     "linalg.gmres.calls 47 == problems.residual.calls 262 - "
+     "ptc.line_search.trials 53 - ptc.calls 4"),
+    ("unsteady_bdf", _result(changed={"linalg.line_solve.calls": 1019,
+                                      "problems.residual.calls": 262}),
+     "RK stages 205 % 3 == 0"),
+    ("convdiff_sweep", _result(changed={"smoother.rk.calls": 69}),
+     "3 * smoother.rk.calls 69 <= RK stages 204 <= "
+     "15 * smoother.rk.calls 69"),
+    ("unsteady_bdf", _result(changed={"smoother.rk.calls": 13}),
+     "3 * smoother.rk.calls 13 <= RK stages 204 <= "
+     "15 * smoother.rk.calls 13"),
 ], ids=["incorrect", "failed_operation", "third_factor_path",
         "factor_per_step", "singleton_nozzle_lines", "per_step_extraction",
-        "blocks_without_factor", "extra_line_solve", "extra_residual"])
+        "blocks_without_factor", "extra_line_solve", "extra_residual",
+        "partial_cycle", "rk_call_without_a_cycle", "more_than_5_cycles"])
 def test_each_check_fails_alone(workload, result, failed):
     assert _load_tool().failed_checks(workload, result) == [failed]
 
 
 def test_degraded_smoother_skips_the_line_solve_count():
-    # An abandoned RK cycle makes fewer than 15 solves and residuals per call.
+    # An abandoned RK cycle runs only some of its stages, and a stage output
+    # that is not finite is refused before its residual is evaluated: here
+    # one call's first stage overflowed, one line solve and no residual.
     result = _result(changed={"smoother.degraded": 1,
-                              "linalg.line_solve.calls": 1080,
-                              "problems.residual.calls": 323})
+                              "linalg.line_solve.calls": 1019})
     assert _load_tool().failed_checks("convdiff_sweep", result) == []
 
 
