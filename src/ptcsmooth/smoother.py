@@ -87,8 +87,7 @@ def build_smoother(
 
 def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
               schedule: RkSchedule, w0: BlockVector, r0: np.ndarray,
-              mass_over_dtau: Optional[np.ndarray] = None,
-              floor: float = 0.0) -> SmoothResult:
+              mass_over_dtau: np.ndarray, floor: float) -> SmoothResult:
     """Run the scheduled RK cycles from ``w0``, preconditioned by ``precon``.
 
     ``r0`` is R(w0), already accepted by ``trial_residual``. Every stage
@@ -99,12 +98,12 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
     accelerator, so its failure is soft by design: stage updates that
     overflow do so without a warning, and their stage is rejected.
 
-    Handed the per-unknown ``mass_over_dtau`` and a ``floor``, the cycles
-    stop after the first completed cycle c whose update dw_c has
-    ``||mass_over_dtau * dw_c|| < floor``: the run is then complete, not
-    degraded. The norm is ``_finite_norm``'s, so an overflowing scaled
-    update scores +inf and never stops them. Without ``mass_over_dtau``
-    every cycle runs. ``cycles`` says how many completed.
+    The cycles stop after the first completed cycle c whose update dw_c
+    has ``||mass_over_dtau * dw_c|| < floor``, ``mass_over_dtau`` being
+    M/dtau per unknown: the run is then complete, not degraded. The norm is
+    ``_finite_norm``'s, so an overflowing scaled update scores +inf and
+    never stops them, and a ``floor`` of 0 runs every cycle. ``cycles``
+    says how many completed.
     """
     r = r0
     w_cycle = w0.copy()
@@ -123,7 +122,7 @@ def rk_smooth(system: NonlinearSystem, precon: BlockTridiagFactorization,
             w_cycle, cycles = current, cycles + 1
             # The last stage's coefficient is 1, so the cycle's update is
             # -step; after the last cycle there is nothing left to stop.
-            if (mass_over_dtau is not None and cycles < schedule.n_cycles
+            if (cycles < schedule.n_cycles
                     and _finite_norm(mass_over_dtau * step) < floor):
                 break
     return SmoothResult(w_cycle.values - w0.values, degraded, cycles)

@@ -121,11 +121,11 @@ def test_criterion_02_small_dtau_limit():
     cfg = PtcConfig(smoothing=RkSchedule())
     lines = extract_lines(p.first_order_blocks(w), p.edges)
     (precon,) = factor_block_tridiag(lines, p.first_order_blocks(w), (None,))
-    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w,
-                             p.residual(w)).delta_w
-    ns = newton_step(p, w, mass_over_dtau(p, w, 1e-10), cfg, lines,
-                     p.residual(w), p.first_order_blocks(w),
-                     schedule=cfg.smoothing)
+    m_dtau = mass_over_dtau(p, w, 1e-10)
+    delta_smooth = rk_smooth(p, precon, cfg.smoothing, w, p.residual(w),
+                             m_dtau, 0.0).delta_w
+    ns = newton_step(p, w, m_dtau, cfg, lines, p.residual(w),
+                     p.first_order_blocks(w), schedule=cfg.smoothing)
     rel = l2_norm(ns.delta_w - delta_smooth) / l2_norm(delta_smooth)
     _report(2, f"small-dtau limit: |dw - dw_smooth| / |dw_smooth| = {rel:.2e}",
             rel <= 1e-6)
@@ -272,7 +272,7 @@ def test_criterion_08_oracle_equivalences():
     e0 = np.random.default_rng(5).standard_normal(8)
     w0 = BlockVector(sys.layout, w_star.values + e0)
     out = rk_smooth(sys, precon, RkSchedule((0.15, 0.4, 1.0), n_cycles=1),
-                    w0, sys.residual(w0))
+                    w0, sys.residual(w0), np.ones(8), 0.0)
     e_end = w0.values + out.delta_w - w_star.values
     checks["rk_contraction"] = np.allclose(e_end, 0.34 * e0,
                                            rtol=1e-12, atol=1e-13)

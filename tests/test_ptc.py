@@ -237,8 +237,8 @@ def test_a_step_stops_after_the_first_cycle_below_the_floor(monkeypatch):
     precon, floor = args[1], args[6]
     assert args[5] is m_dtau
     assert floor == SOURCE_SKIP_FRACTION * cfg.linear_rel_tol * l2_norm(r)
-    ends = [rk_smooth(p, precon, RkSchedule(n_cycles=n), w, r).delta_w
-            for n in range(6)]
+    ends = [rk_smooth(p, precon, RkSchedule(n_cycles=n), w, r, m_dtau,
+                      0.0).delta_w for n in range(6)]
     scores = [l2_norm(m_dtau * (b - a)) for a, b in zip(ends, ends[1:])]
     assert min(scores[:3]) >= floor > scores[3]
     assert (sm.cycles, sm.degraded, ns.smoothed) == (4, False, True)
@@ -249,8 +249,8 @@ def test_a_step_stops_after_the_first_cycle_below_the_floor(monkeypatch):
 @pytest.mark.parametrize("cfl", [10.0, 100.0])
 def test_a_step_whose_cycles_stay_above_the_floor_is_bitwise_unstopped(
         cfl, monkeypatch):
-    # With no floor every cycle runs, as before the floor existed; a step
-    # whose cycles all stay above it is that step, bit for bit.
+    # With a floor of 0 every cycle runs, as before the floor existed; a
+    # step whose cycles all stay above the floor is that step, bit for bit.
     p = make_bratu(32, 1.0)
     w = p.initial_state()
     cfg = PtcConfig(smoothing=RkSchedule())

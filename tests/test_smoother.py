@@ -14,6 +14,11 @@ from ptcsmooth.problems import (make_aniso_convdiff, make_bratu,
 from conftest import LinearChainSystem, diffusion_chain, full_chain_lines
 
 
+def _no_floor(sys):
+    """``rk_smooth``'s M/dtau and floor for a run of every cycle."""
+    return np.ones(sys.layout.n_dofs), 0.0
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError, match="at least one stage"):
         RkSchedule(())
@@ -79,7 +84,8 @@ def test_fixed_point_returns_zero_update(scalar_chain):
     lines = full_chain_lines(sys.layout.n_cells)
     (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w_star),
                                      (None,))
-    out = rk_smooth(sys, precon, RkSchedule(), w_star, sys.residual(w_star))
+    out = rk_smooth(sys, precon, RkSchedule(), w_star, sys.residual(w_star),
+                    *_no_floor(sys))
     assert l2_norm(out.delta_w) <= 1e-12 * max(1.0, l2_norm(w_star.values))
     assert np.allclose(w_star.values + out.delta_w, w_star.values)
 
@@ -96,7 +102,7 @@ def test_linear_contraction_single_cycle(scalar_chain):
     rng = np.random.default_rng(2)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
-    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0))
+    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0), *_no_floor(sys))
     e_end = w0.values + out.delta_w - w_star.values
     assert np.allclose(e_end, 0.34 * e0, rtol=1e-12, atol=1e-13)
 
@@ -111,7 +117,7 @@ def test_linear_contraction_two_cycles(scalar_chain):
     rng = np.random.default_rng(4)
     e0 = rng.standard_normal(sys.layout.n_dofs)
     w0 = BlockVector(sys.layout, w_star.values + e0)
-    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0))
+    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0), *_no_floor(sys))
     e_end = w0.values + out.delta_w - w_star.values
     assert np.allclose(e_end, 0.34 ** 2 * e0, rtol=1e-11, atol=1e-13)
 
@@ -135,24 +141,25 @@ def test_cycles_stop_after_the_first_update_below_the_floor(scalar_chain):
     r0, ones = sys.residual(w0), np.ones(sys.layout.n_dofs)
     floor = 0.66 * 0.34 ** 1.5 * l2_norm(e0)
     out = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, floor)
-    three = rk_smooth(sys, precon, RkSchedule(n_cycles=3), w0, r0)
+    three = rk_smooth(sys, precon, RkSchedule(n_cycles=3), w0, r0,
+                      *_no_floor(sys))
     assert (out.cycles, out.degraded, three.cycles) == (3, False, 3)
     assert out.delta_w.tobytes() == three.delta_w.tobytes()
     assert np.allclose(out.delta_w, (0.34 ** 3 - 1.0) * e0, rtol=1e-11)
 
 
 def test_cycles_above_the_floor_all_run_unchanged(scalar_chain):
-    # A floor below every cycle's scaled update, or none, runs all five
-    # cycles, bit for bit the run that checks no floor.
+    # A floor below every cycle's scaled update runs all five cycles, bit
+    # for bit the run with a floor of 0, which no norm is below.
     sys = scalar_chain
     precon, w0, _ = _perturbed_solution(sys, 7)
     r0, ones = sys.residual(w0), np.ones(sys.layout.n_dofs)
-    unchecked = rk_smooth(sys, precon, RkSchedule(), w0, r0)
-    for floor in (0.0, 1e-6 * l2_norm(unchecked.delta_w)):
-        out = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, floor)
-        assert (out.cycles, out.degraded) == (unchecked.cycles, False) == \
-            (5, False)
-        assert out.delta_w.tobytes() == unchecked.delta_w.tobytes()
+    unfloored = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, 0.0)
+    floor = 1e-6 * l2_norm(unfloored.delta_w)
+    out = rk_smooth(sys, precon, RkSchedule(), w0, r0, ones, floor)
+    assert (out.cycles, out.degraded) == (unfloored.cycles, False) == \
+        (5, False)
+    assert out.delta_w.tobytes() == unfloored.delta_w.tobytes()
 
 
 def test_an_overflowing_scaled_update_never_stops_the_cycles(scalar_chain):
@@ -184,7 +191,8 @@ def test_update_vanishes_at_converged_state(scalar_chain):
     lines = full_chain_lines(sys.layout.n_cells)
     (precon,) = factor_block_tridiag(lines, sys.first_order_blocks(w0),
                                      (None,))
-    out = rk_smooth(sys, precon, RkSchedule(), w0, sys.residual(w0))
+    out = rk_smooth(sys, precon, RkSchedule(), w0, sys.residual(w0),
+                    *_no_floor(sys))
     assert l2_norm(out.delta_w) <= 1e-9 * l2_norm(w0.values)
 
 
@@ -246,7 +254,7 @@ def test_smoother_reduces_residual_from_impulsive_start(problem):
     (precon,) = factor_block_tridiag(lines, problem.first_order_blocks(w0),
                                      (None,))
     out = rk_smooth(problem, precon, RkSchedule(), w0,
-                    problem.residual(w0))
+                    problem.residual(w0), *_no_floor(problem))
     w_end = BlockVector(w0.layout, w0.values + out.delta_w)
     assert l2_norm(problem.residual(w_end)) < l2_norm(problem.residual(w0))
 
@@ -278,7 +286,7 @@ def test_degraded_cycle_keeps_last_admissible_output():
     precon = _chain_smoother(sys)
     sched = RkSchedule(n_cycles=3)
     w0 = sys.initial_state()
-    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0))
+    out = rk_smooth(sys, precon, sched, w0, sys.residual(w0), *_no_floor(sys))
     assert out.degraded and out.cycles == 0
     assert np.all(out.delta_w == 0.0)  # first cycle abandoned
 
@@ -290,7 +298,7 @@ def test_final_stage_output_is_judged_by_its_residual():
     w0 = sys.initial_state()
     _admit_only(sys, lambda values: np.array_equal(values, w0.values))
     out = rk_smooth(sys, _chain_smoother(sys), RkSchedule((1.0,), n_cycles=1),
-                    w0, sys.residual(w0))
+                    w0, sys.residual(w0), *_no_floor(sys))
     assert out.degraded
     assert np.all(out.delta_w == 0.0)
     assert np.array_equal(w0.values + out.delta_w, w0.values)
