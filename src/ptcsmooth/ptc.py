@@ -69,7 +69,8 @@ CFL_MAX = 1e12
 CFL_STAGNATION_FLOOR = 1e-6
 # A smoothed solve's step after the first runs unsmoothed when its predicted
 # ||source||/||R|| is below this fraction of GMRES's ``linear_rel_tol``, and
-# a smoothed step's RK cycles stop once a cycle's share of the source is.
+# a smoothed step's RK cycles stop once one cycle's share of the source,
+# over ||R||, is.
 SOURCE_SKIP_FRACTION = 0.1
 
 
