@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -128,14 +129,21 @@ class RunConfig:
         return self.values["problem"]["name"]
 
 
+# A comment starts with '#' or ';' at the start of a line or after
+# whitespace, so a value such as a path may hold either character elsewhere.
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+
+
 def _read_sections(text: str, overrides: List[str]
                    ) -> Dict[str, Dict[str, Tuple[str, str]]]:
     """Raw section -> key -> (value, where) table; ``where`` names the file
-    line or the override for error reporting. Overrides win."""
+    line or the override for error reporting. Overrides win. An override
+    value that a config file would cut at a comment is refused, so that the
+    config echo re-parses to the config it echoes."""
     sections: Dict[str, Dict[str, Tuple[str, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -161,8 +169,14 @@ def _read_sections(text: str, overrides: List[str]
         section = section.strip().lower()
         if section not in _SCHEMA:
             raise ConfigError(f"override {item!r}: unknown section {section!r}")
+        value = value.strip()
+        if _COMMENT.search(" " + value):
+            raise ConfigError(
+                f"override {item!r}: a value cannot hold '#' or ';' at its "
+                "start or after whitespace, where a config file reads a "
+                "comment")
         sections.setdefault(section, {})[key.strip().lower()] = (
-            value.strip(), f"override {item!r}")
+            value, f"override {item!r}")
     return sections
 
 

@@ -15,7 +15,7 @@ column, so a line's solution rounds with the height of its column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -164,8 +164,23 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 # operator: on that few rows a level's batched calls cost about what their
 # dispatch costs. The fourth level costs each factor more than it saves a
 # solve; it pays once a factor serves about 2-8 solves (nozzle to convdiff),
-# and the smoother's serves 15, GMRES's 5-23.
+# and the smoother's serves 15, GMRES's 5-23. A layout of one column and at
+# most 2^(TOP_LEVELS + 1) rows (one line of up to 32 cells) puts every level
+# in the top, so its solve is a gather, one matmul and a scatter: on
+# nozzle32 a solve went from about 18 to 6 us, and a factor cost about 40
+# us more with one shift and 65 us more stacked, repaid within 3 and 5
+# solves.
 TOP_LEVELS = 4
+
+
+def _top_levels(lines: LineSet, n_levels: int) -> int:
+    """How many of the ``n_levels`` levels of ``lines``' layout the dense
+    top holds: every one for a single column of at most 2^(TOP_LEVELS + 1)
+    rows, else the last ``TOP_LEVELS``."""
+    rows, n_columns = lines.index.shape
+    if n_columns == 1 and rows <= 2 ** (TOP_LEVELS + 1):
+        return n_levels
+    return min(n_levels, TOP_LEVELS)
 
 
 def _eliminate(level: Tuple[np.ndarray, ...], even: np.ndarray,
@@ -239,8 +254,13 @@ class BlockTridiagFactorization:
     column on the rows those levels start from, and the solve applies it
     in their place; its products sum over the whole column's rows, so a
     line's solution rounds as the column's height has it, not as a column
-    of its own would. Every column reduces at once, so a factor or solve
-    makes a few batched calls per level rather than one pass per position.
+    of its own would. A layout of one column and at most
+    2^(TOP_LEVELS + 1) rows holds every level in ``top``, which is then the
+    inverse of the whole operator: on nozzle32 a factor costs about a fifth
+    more and a solve about a third as much, so the factor's extra cost is
+    repaid within 3-5 solves. Every column reduces at once, so a factor or
+    solve makes a few batched calls per level rather than one pass per
+    position.
     With 1x1 blocks every block product of a level is elementwise, which
     has the value of ``@`` except for the sign of an exactly zero product;
     larger blocks, and ``top``, use ``@``.
@@ -260,10 +280,18 @@ class BlockTridiagFactorization:
     levels: Tuple[Tuple[np.ndarray, ...], ...]
     root: np.ndarray     # (n_columns, b, b) inverted root pivots
     # (n_columns, R b, R b): the inverse of each column's reduced operator
-    # on the R = floor(N / 2^(L - 1 - l)) rows left before its last l =
-    # min(L - 1, TOP_LEVELS) levels, unknowns ordered row-major (row,
+    # on the R = floor(N / 2^(L - 1 - l)) rows left before its last l
+    # levels (``_top_levels``: every level of one column of at most 32 rows,
+    # else min(L - 1, TOP_LEVELS)), unknowns ordered row-major (row,
     # component).
     top: np.ndarray
+    # The levels below the top, the only ones the solve reduces.
+    below: Tuple[Tuple[np.ndarray, ...], ...] = field(init=False,
+                                                      repr=False)
+
+    def __post_init__(self):
+        self.below = self.levels[:len(self.levels) - _top_levels(
+            self.lines, len(self.levels))]
 
     def solve_values(self, r: np.ndarray) -> np.ndarray:
         """Reduction below the top, one batched ``top @ y``, and
@@ -284,7 +312,7 @@ class BlockTridiagFactorization:
             raise ContractViolationError(
                 f"right-hand side shape {r.shape} does not match the "
                 f"factorization's {n * b} unknowns")
-        below = self.levels[:-TOP_LEVELS]
+        below = self.below
         gather, scatter = self.lines.solve_plans(b, split=bool(below))
         y = np.concatenate((r, np.zeros(b))).take(gather)
         if not below:
@@ -477,7 +505,7 @@ def factor_block_tridiag(
             axis=None)).all()
         # The top: the last levels and the root solve unit right-hand
         # sides, one per unknown of the rows those levels start from.
-        top_levels = levels[-TOP_LEVELS:]
+        top_levels = levels[len(levels) - _top_levels(lines, len(levels)):]
         rows = len(lines.index) >> (len(levels) - len(top_levels))
         unit = np.eye(rows * b).reshape(rows, 1, b, rows * b)
         x = _cyclic_solve(top_levels, lambda y: mul(root, y), unit)
@@ -498,7 +526,7 @@ def factor_block_tridiag(
         # slicing call per array.
         own = tuple(levels) if k == 1 else (
             tuple(tuple(np.ascontiguousarray(a[:, cols]) for a in level)
-                  for level in levels[:-TOP_LEVELS])
+                  for level in levels[:len(levels) - len(top_levels)])
             + tuple(tuple(a[:, cols] for a in level) for level in top_levels))
         factors.append(
             BlockTridiagFactorization(lines, own, root[cols], top[cols]))

@@ -6,10 +6,16 @@ primitive variables; ``first_order_blocks`` comes from the unreconstructed
 scheme with frozen wave speeds, so the preconditioner is deliberately inexact
 while ``jacobian_vector`` differentiates the true residual by hand.
 
-A problem keeps the primal quantities of the last state it evaluated, found
-again by the state's bytes, so the Jacobian-vector products of one Krylov
-solve evaluate only the tangent. A problem instance is therefore not safe to
-share between threads.
+A problem keeps two evaluations of the scheme, each found again by its
+state's bytes: the last one a residual asked for, and the standing one, of
+the state the solver is at (the last state whose ``explicit_dt``,
+``first_order_blocks`` or ``jacobian_vector`` was asked for, taken over from
+the residual's when the bytes match). Residuals at other states, such as a
+smoothed step's RK stages and its line-search trials, replace only the first,
+so the Jacobian-vector products of the step's Krylov solve evaluate only the
+tangent, and ``explicit_dt`` and ``first_order_blocks`` read the standing
+evaluation's primitives instead of decoding the state again. A problem
+instance is therefore not safe to share between threads.
 
 Subsonic characteristic-count boundaries: density and velocity are imposed at
 the inflow with pressure taken from the interior, and static pressure is
@@ -93,24 +99,31 @@ class Quasi1dEulerProblem(NonlinearSystem):
 
         self.layout = BlockLayout(n_cells, 3)
         self.edges = np.arange(n_cells - 1)[:, None] + [0, 1]
-        self._state_key = None
-        self._evaluation = None
+        # (state bytes, _Evaluation) pairs: the last residual's, and the
+        # standing one.
+        self._last = None
+        self._standing = None
 
     # -- state handling -------------------------------------------------------
 
-    def _decode(self, values: np.ndarray):
-        """Conserved (rho, rho u, E) -> primitive (rho, u, p); validates."""
+    def _decode(self, values: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Conserved (rho, rho u, E) -> primitive (rho, u, p), the rows of
+        ``out`` (3, n), a new array if None; validates the cells."""
         U = values.reshape(self.n, 3)
         if not np.isfinite(U).all():
             raise InadmissibleStateError("non-finite conserved state")
-        rho = U[:, 0]
+        if out is None:
+            out = np.empty((3, self.n))
+        rho, u, p = out
+        rho[:] = U[:, 0]
         if (rho <= 0.0).any():
             raise InadmissibleStateError("nonpositive density")
-        u = U[:, 1] / rho
-        p = (self.gamma - 1.0) * (U[:, 2] - 0.5 * rho * u * u)
+        np.divide(U[:, 1], rho, out=u)
+        np.multiply(self.gamma - 1.0, U[:, 2] - 0.5 * rho * u * u, out=p)
         if (p <= 0.0).any():
             raise InadmissibleStateError("nonpositive pressure")
-        return rho, u, p
+        return out
 
     @staticmethod
     def conserved(rho, u, p, gamma=1.4) -> np.ndarray:
@@ -128,24 +141,47 @@ class Quasi1dEulerProblem(NonlinearSystem):
 
     # -- residual and exact jacobian-vector product ---------------------------
 
-    def _evaluate(self, values: np.ndarray) -> "_Evaluation":
-        """The scheme at ``values``, kept for the last state evaluated.
+    def _find(self, key: bytes):
+        """The kept (bytes, evaluation) pair of the state with bytes
+        ``key``, the standing one first, or None."""
+        for kept in (self._standing, self._last):
+            if kept is not None and kept[0] == key:
+                return kept
+        return None
 
-        The state is compared by its bytes, not by identity: callers edit
+    def _evaluate(self, values: np.ndarray) -> "_Evaluation":
+        """The scheme at ``values``: a kept evaluation of these bytes, or a
+        new one kept as the last residual's, leaving the standing one.
+
+        States are compared by their bytes, not by identity: callers edit
         states in place and Python reuses ids. A state that raises is never
         kept, so it raises again on every call.
         """
         key = values.tobytes()
-        if key != self._state_key:
-            self._evaluation = _Evaluation(self, values)
-            self._state_key = key
-        return self._evaluation
+        kept = self._find(key)
+        if kept is None:
+            kept = self._last = key, _Evaluation(self, values)
+        return kept[1]
+
+    def _primitives(self, values: np.ndarray):
+        """The cells' rho, u and p: a kept evaluation's, which becomes the
+        standing one, or decoded when none is of these bytes, so that a
+        state whose cells are admissible but whose faces are not has them."""
+        kept = self._find(values.tobytes())
+        if kept is None:
+            return self._decode(values)
+        self._standing = kept
+        ev = kept[1]
+        return ev.rho, ev.u, ev.p
 
     def residual(self, w: BlockVector) -> np.ndarray:
-        return self._evaluate(w.values).residual.copy()
+        return self._evaluate(w.values).residual()
 
     def jacobian_vector(self, w: BlockVector, v: np.ndarray) -> np.ndarray:
-        return self._evaluate(w.values).jacobian_vector(v)
+        key = w.values.tobytes()
+        self._standing = (self._find(key)
+                          or (key, _Evaluation(self, w.values)))
+        return self._standing[1].jacobian_vector(v)
 
     # -- first-order preconditioner blocks ------------------------------------
 
@@ -166,7 +202,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
 
     def first_order_blocks(self, w: BlockVector) -> FirstOrderBlocks:
         gm = self.gamma
-        rho, u, p = self._decode(w.values)
+        rho, u, p = self._primitives(w.values)
         # The cells' flux Jacobians, then the inflow and outflow ghosts'.
         A_all = self._flux_jacobian(
             np.concatenate((rho, (self.rho_in, rho[-1]))),
@@ -210,7 +246,7 @@ class Quasi1dEulerProblem(NonlinearSystem):
     # -- misc contract pieces --------------------------------------------------
 
     def explicit_dt(self, w: BlockVector) -> np.ndarray:
-        rho, u, p = self._decode(w.values)
+        rho, u, p = self._primitives(w.values)
         return self.dx / (np.abs(u) + np.sqrt(self.gamma * p / rho))
 
     def mach(self, w: BlockVector) -> np.ndarray:
@@ -241,22 +277,30 @@ class _Evaluation:
     speeds) runs once, at construction; the primal factors that only the
     tangent reads are formed on the first ``jacobian_vector`` call. Each
     tangent then repeats every floating-point operation of differentiating
-    the scheme in the same order, so it is bitwise reproducible.
+    the scheme in the same order, so it is bitwise reproducible. A problem
+    keeps two of these, the last residual's and the standing state's (see
+    the module docstring); the standing one also lends its cells' rho, u
+    and p to ``explicit_dt`` and ``first_order_blocks``.
 
     Arrays are component-major: the first index is the primitive (rho, u, p)
     or conserved (rho, rho u, E) component, face arrays then the side (0
     left, 1 right) and the face. Column 0 of the padded primitives is the
-    inflow ghost and column n + 1 the outflow ghost.
+    inflow ghost and column n + 1 the outflow ghost. The state decodes
+    straight into the padded primitives, and the residual is copied out
+    once, cell-major, by ``residual()``.
     """
 
     def __init__(self, problem: Quasi1dEulerProblem, values: np.ndarray):
         gm = problem.gamma
         n = problem.n
-        rho, u, p = problem._decode(values)
         prim = np.empty((3, n + 2))
-        prim[:, 1:-1] = rho, u, p
-        prim[:, 0] = problem.rho_in, problem.u_in, p[0]
-        prim[:, -1] = rho[-1], u[-1], problem.p_exit
+        rho, u, p = problem._decode(values, prim[:, 1:-1])
+        prim[0, 0] = problem.rho_in
+        prim[1, 0] = problem.u_in
+        prim[2, 0] = p[0]
+        prim[0, -1] = rho[-1]
+        prim[1, -1] = u[-1]
+        prim[2, -1] = problem.p_exit
 
         # van Albada limited slopes from the backward/forward differences.
         dq = prim[:, 1:] - prim[:, :-1]
@@ -265,36 +309,46 @@ class _Evaluation:
         num = aa * b + a * b * b
         den = aa + bb + _SLOPE_EPS
         q = _face_states(prim, 0.5 * (num / den))
-        rho_f, u_f, p_f = q
-        if ((rho_f <= 0.0).any() or (p_f <= 0.0).any()
-                or not np.isfinite(q).all()):
+        # Density and pressure, rows 0 and 2, must be positive, and every
+        # face value finite (a NaN minimum passes the first test only).
+        if q[::2].min() <= 0.0 or not np.isfinite(q).all():
             raise InadmissibleStateError("inadmissible reconstructed face state")
 
-        e_total = p_f / (gm - 1.0) + 0.5 * rho_f * u_f * u_f
-        rho_u = rho_f * u_f
+        rho_f, u_f, p_f = q
+        cons = np.empty_like(q)
+        phys = np.empty_like(q)
+        cons[0] = rho_f
+        rho_u = np.multiply(rho_f, u_f, out=cons[1])
+        e_total = np.add(p_f / (gm - 1.0), 0.5 * rho_f * u_f * u_f,
+                         out=cons[2])
         e_plus_p = e_total + p_f
         c = np.sqrt(gm * p_f / rho_f)
         speed = np.abs(u_f) + c
         s = np.maximum(speed[0], speed[1])
-        cons = np.array((rho_f, rho_u, e_total))
-        phys = np.array((rho_u, rho_u * u_f + p_f, u_f * e_plus_p))
+        phys[0] = rho_u
+        np.add(rho_u * u_f, p_f, out=phys[1])
+        np.multiply(u_f, e_plus_p, out=phys[2])
         jump = cons[:, 1] - cons[:, 0]
         self.flux = problem._half_area * (phys[:, 0] + phys[:, 1] - s * jump)
         self.source = p * problem.da      # momentum equation only
         res = self.flux[:, 1:] - self.flux[:, :-1]
         res[1] -= self.source
-        self.residual = res.T.ravel()
+        self._res = res
 
         self.problem = problem
-        # Only arrays computed here are kept: the decoded density is a view
-        # of the caller's state, which the caller may edit.
-        self.rho, self.u = prim[0, 1:-1], u
+        # Only arrays computed here are kept, never a view of the caller's
+        # state, which the caller may edit.
+        self.rho, self.u, self.p = rho, u, p
         self.a, self.b, self.aa, self.bb = a, b, aa, bb
         self.num, self.den = num, den
         self.rho_f, self.u_f, self.p_f = rho_f, u_f, p_f
         self.rho_u, self.e_plus_p, self.c, self.speed = rho_u, e_plus_p, c, speed
         self.s, self.jump = s, jump
         self._factors = None
+
+    def residual(self) -> np.ndarray:
+        """R at the state, a new (n * 3,) array on every call."""
+        return self._res.T.ravel()
 
     def _tangent_factors(self):
         """Primal prefixes of the tangent's products, left-associated as the

@@ -1,7 +1,9 @@
 """``tools/ab.py``'s summary of paired timings, on synthetic times."""
 
 import importlib.util
+from itertools import cycle
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,3 +61,61 @@ def test_report_line_names_equal_and_differing_counts():
     line = ab.describe("w plain", s, {"parent": {(3, 40, 1), (3, 41, 1)},
                                       "change": {(3, 40, 1), (3, 41, 1)}})
     assert "counts DIFFER" in line
+
+
+class _ScriptedBench:
+    """A stand-in for ``bench/run.py``: one workload of one case and one
+    variant, whose every run advances ``ab``'s clock by the next duration
+    scripted for the side (the package object) that runs it."""
+
+    WORKLOADS = {"w": ["case"]}
+    VARIANTS = ("plain",)
+
+    def __init__(self, durations):
+        self.now = 0.0
+        self.durations = {side: cycle(times)
+                          for side, times in durations.items()}
+        self.runs = {side: 0 for side in durations}
+
+    def perf_counter(self):
+        return self.now
+
+    def build_cases(self, problems, cases, seed):
+        return [(case, None, None) for case in cases]
+
+    def run_case(self, pkg, case, problem, w0, variant):
+        self.now += next(self.durations[pkg])
+        self.runs[pkg] += 1
+        report = SimpleNamespace(newton_steps=3, cumulative_krylov=40,
+                                 rejection_count=1)
+        return [SimpleNamespace(error=None, label=case, report=report)]
+
+
+def test_each_round_keeps_the_fastest_of_its_repeats(monkeypatch):
+    # Each side's runs cycle through three durations, so every round of
+    # three repeats sees each of them once: only the fastest counts.
+    bench = _ScriptedBench({"parent": [3.0, 1.0, 2.0],
+                            "change": [0.7, 0.9, 0.5]})
+    monkeypatch.setattr(ab, "time", SimpleNamespace(
+        perf_counter=bench.perf_counter))
+    sides = {"parent": ("parent", None), "change": ("change", None)}
+    (line,) = ab.ab_workload(bench, sides, "w", rounds=4, seed=0, repeats=3)
+    assert line == ("w plain: parent 1 s [1, 1], change 0.5 s [0.5, 0.5], "
+                    "-50.0%, change faster in 4 of 4 rounds, beyond parent "
+                    "IQR yes, counts equal 3/40/1")
+    # The untimed warm-up round and four timed ones, three runs each.
+    assert bench.runs == {"parent": 15, "change": 15}
+
+
+def test_one_repeat_keeps_every_run(monkeypatch):
+    bench = _ScriptedBench({"parent": [3.0, 1.0, 2.0],
+                            "change": [0.7, 0.9, 0.5]})
+    monkeypatch.setattr(ab, "time", SimpleNamespace(
+        perf_counter=bench.perf_counter))
+    sides = {"parent": ("parent", None), "change": ("change", None)}
+    # Warm-up takes 3.0 and 0.7; the timed rounds read 1, 2, 3 and 0.9,
+    # 0.5, 0.7.
+    (line,) = ab.ab_workload(bench, sides, "w", rounds=3, seed=0, repeats=1)
+    assert line.startswith("w plain: parent 2 s [1.5, 2.5], "
+                           "change 0.7 s [0.6, 0.8], -65.0%, "
+                           "change faster in 3 of 3 rounds")

@@ -69,6 +69,23 @@ def test_config_echo_round_trips():
     assert parse_config(render_config(cfg)) == cfg
 
 
+def test_echo_round_trips_values_holding_comment_characters():
+    cfg = parse_config(MINIMAL, ["output.dir=/tmp/run#2",
+                                 "output.prefix=a;b"])
+    assert cfg.values["output"] == {"dir": "/tmp/run#2", "prefix": "a;b"}
+    assert parse_config(render_config(cfg)) == cfg
+    # In a file, too, a '#' or ';' not after whitespace is part of the value.
+    text = MINIMAL + "[output]\ndir = /tmp/run#2  # a comment\nprefix = a;b\n"
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("value", ["a #b", "a\t;b", "#a", ";a", "a # b"])
+def test_override_value_the_echo_cannot_carry_is_refused(value):
+    with pytest.raises(ConfigError, match="override 'output.prefix=.*'.*"
+                                          "comment"):
+        parse_config(MINIMAL, [f"output.prefix={value}"])
+
+
 def test_build_problem_respects_params():
     cfg = parse_config("[problem]\nname = bratu\nn_cells = 20\nlambda = 2.0\n")
     p = build_problem(cfg)

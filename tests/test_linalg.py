@@ -776,17 +776,19 @@ def test_even_count_levels_match_odd_count_levels_bitwise(j, b):
     down its column by a line of 2^j - 1 cells (a singleton for j = 1), the
     column has 2^(j+1) - 1 rows and every level an odd count; followed by a
     singleton, 2^j + 1 rows, an odd first level and even ones after it. No
-    coupling joins two lines, so the line's pivots, root and block of
-    ``top`` are the same bytes in all three layouts, and so is its solution
-    by the levels alone, without the dense top. ``solve_values`` matches
-    the dense solve; its ``top @ y`` sums over the column's rows, so it
-    rounds with the column's height."""
+    coupling joins two lines, so the line's pivots and root are the same
+    bytes in all three layouts, and so is its solution by the levels alone,
+    without the dense top; so is the line's block of ``top`` in the layouts
+    whose top starts at the same level (a single column of at most 32 rows
+    holds every level in its top). ``solve_values`` matches the dense
+    solve; its ``top @ y`` sums over the column's rows, so it rounds with
+    the column's height."""
     k = 2 ** j
     rng = np.random.default_rng(10 * j + b)
     diag = rng.standard_normal((2 * k - 1, b, b)) + (3.0 * b) * np.eye(b)
     r = rng.standard_normal((2 * k - 1) * b)
     mul = np.multiply if b == 1 else np.matmul
-    line_bytes = []
+    line_bytes, tops = [], {}
     for tail, counts in (([], [k >> l for l in range(j)]),
                          (list(range(k, 2 * k - 1)),
                           [(2 * k - 1) >> l for l in range(j)]),
@@ -806,13 +808,62 @@ def test_even_count_levels_match_odd_count_levels_bitwise(j, b):
         assert np.linalg.norm(x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
         # The top starts from the rows the levels below it leave; the
         # line's come first.
-        own = (k >> len(fact.levels[:-TOP_LEVELS])) * b
+        own = (k >> len(fact.below)) * b
         by_levels = _cyclic_solve(fact.levels, lambda y: mul(fact.root, y),
                                   r[:n * b].reshape(n, 1, b, 1))
         line_bytes.append((_pivot_inverses(fact)[:k, 0].tobytes(),
-                           fact.top[:, :own, :own].tobytes(),
                            by_levels[:k].tobytes()))
+        tops.setdefault(len(fact.below), set()).add(
+            fact.top[:, :own, :own].tobytes())
     assert line_bytes[0] == line_bytes[1] == line_bytes[2]
+    assert all(len(group) == 1 for group in tops.values())
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n, lengths", [
+    (2, [2]), (17, [17]), (24, [16, 8]), (31, [16, 15]), (32, [32]),
+], ids=["2", "17", "24_two_lines", "31_two_lines", "32"])
+def test_one_short_column_holds_every_level_in_its_top(n, lengths, b):
+    """A layout of one column and at most 2^(TOP_LEVELS + 1) rows, of an
+    even or odd row count, has no level below its top: the top is the
+    inverse of the whole operator, and a solve is one product with it. The
+    solve matches the dense one, and each half of a stacked J1 + shift / J1
+    factor is bitwise the factor of its own blocks."""
+    assert n <= 2 ** (TOP_LEVELS + 1)
+    bounds = np.cumsum([0] + lengths).tolist()
+    lines = kernel_lines(n, [list(range(i, j))
+                             for i, j in zip(bounds[:-1], bounds[1:])])
+    assert lines.index.shape == (n, 1)
+    rng = np.random.default_rng(n * b)
+    diag = rng.standard_normal((n, b, b)) + (3.0 * b) * np.eye(b)
+    blocks = FirstOrderBlocks(diag, *random_couplings(rng, lines, b, 0.5))
+    shift = rng.uniform(0.5, 2.0, n)
+    (fact,) = factor_block_tridiag(lines, blocks, (None,))
+    assert fact.below == () and fact.top.shape == (1, n * b, n * b)
+    r = rng.standard_normal(n * b)
+    ref = np.linalg.solve(dense_from_lines(lines, blocks), r)
+    assert (np.linalg.norm(fact.solve_values(r) - ref)
+            <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+    (shifted,) = factor_block_tridiag(lines, blocks.shifted(shift), (None,))
+    for half, own in zip(factor_block_tridiag(lines, blocks, (shift, None)),
+                         (shifted, fact)):
+        _assert_same_factor(half, own)
+        assert half.solve_values(r).tobytes() == own.solve_values(r).tobytes()
+
+
+def test_a_longer_or_wider_layout_keeps_levels_below_its_top():
+    """33 rows in one column, or 32 rows in each of two columns, keep
+    ``TOP_LEVELS`` levels in the top and reduce the rest."""
+    for n, cells, shape in ((33, [list(range(33))], (33, 1)),
+                            (64, [list(range(32)), list(range(32, 64))],
+                             (32, 2))):
+        lines = kernel_lines(n, cells)
+        assert lines.index.shape == shape
+        diag = np.full((n, 1, 1), 4.0)
+        blocks = FirstOrderBlocks(diag, *random_couplings(
+            np.random.default_rng(n), lines, 1, 0.5))
+        (fact,) = factor_block_tridiag(lines, blocks, (None,))
+        assert len(fact.below) == len(fact.levels) - TOP_LEVELS >= 1
 
 
 def test_singular_pivot_at_an_even_count_level_names_its_own_position():
@@ -955,7 +1006,8 @@ def _assert_same_factor(fact, ref):
     for level, ref_level in zip(fact.levels, ref.levels):
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(level, ref_level))
-    for level in fact.levels[:-TOP_LEVELS]:
+    assert len(fact.below) == len(ref.below)
+    for level in fact.below:
         assert all(a.flags.c_contiguous for a in level)
     assert fact.root.tobytes() == ref.root.tobytes()
     assert fact.top.tobytes() == ref.top.tobytes()

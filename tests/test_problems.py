@@ -8,8 +8,9 @@ from ptcsmooth.core import (BlockVector, InadmissibleStateError, l2_norm,
                             trial_residual)
 from ptcsmooth.lines import extract_lines
 from ptcsmooth.ptc import PtcConfig, SolveOutcome, solve_steady
-from ptcsmooth.problems import (convdiff, make_aniso_convdiff, make_bratu,
-                                make_quasi1d_euler)
+from ptcsmooth.problems import (convdiff, euler, make_aniso_convdiff,
+                                make_bratu, make_quasi1d_euler)
+from ptcsmooth.smoother import RkSchedule
 from ptcsmooth.timestepping import BdfStepSystem
 
 from conftest import validate_jacobian
@@ -668,6 +669,103 @@ def test_euler_inadmissible_state_raises_every_time():
     for call in calls:
         with pytest.raises(InadmissibleStateError):
             call(w)
+
+
+def _standing_outputs(e, w, v):
+    """Bytes of what the solver asks for at the state it stands on."""
+    blocks = e.first_order_blocks(w)
+    return (e.explicit_dt(w).tobytes(), blocks.diag.tobytes(),
+            blocks.off_ij.tobytes(), blocks.off_ji.tobytes(),
+            e.jacobian_vector(w, v).tobytes())
+
+
+def test_euler_standing_state_outlives_residuals_elsewhere():
+    # As in a smoothed step: R(w), dt and blocks at w, 15 RK-stage
+    # residuals elsewhere, then Jv at w. A problem that evaluated nothing
+    # else decodes w for dt and blocks and evaluates it afresh for Jv.
+    e = make_quasi1d_euler(32)
+    w, *others = _perturbed_states(e, 0.02, count=16, seed=3)
+    assert len(others) >= 15
+    v = np.random.default_rng(3).standard_normal(e.layout.n_dofs)
+    alone = _standing_outputs(make_quasi1d_euler(32), w, v)
+    e.residual(w)
+    e.explicit_dt(w)
+    for x in others[:15]:
+        e.residual(x)
+    assert _standing_outputs(e, w, v) == alone
+    for x in others[:15]:
+        e.residual(x)
+    assert _standing_outputs(e, w, v) == alone
+    assert e.residual(w).tobytes() == \
+        make_quasi1d_euler(32).residual(w).tobytes()
+
+
+def test_euler_face_inadmissible_state_keeps_its_cell_quantities():
+    # dt and blocks check only the cells, so they return values at a state
+    # whose faces are inadmissible; R and Jv raise there on every call.
+    e = make_quasi1d_euler(32)
+    bad = _face_inadmissible_state(e)
+    good = e.initial_state()
+    v = np.ones(e.layout.n_dofs)
+    rho, u, p = e._decode(bad.values)
+    expected_dt = e.dx / (np.abs(u) + np.sqrt(e.gamma * p / rho))
+    for _ in range(2):
+        for call in (e.residual, lambda s: e.jacobian_vector(s, v)):
+            with pytest.raises(InadmissibleStateError):
+                call(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert e.explicit_dt(bad).tobytes() == expected_dt.tobytes()
+            blocks = e.first_order_blocks(bad)
+        assert all(np.isfinite(a).all()
+                   for a in (blocks.diag, blocks.off_ij, blocks.off_ji))
+        e.residual(good)              # a good state in between
+        e.jacobian_vector(good, v)
+
+
+def test_euler_standing_state_edited_in_place_is_evaluated_afresh():
+    e = make_quasi1d_euler(32)
+    w, x = _perturbed_states(e, 0.02, count=2, seed=4)
+    v = np.random.default_rng(4).standard_normal(e.layout.n_dofs)
+    e.residual(w)
+    _standing_outputs(e, w, v)        # w stands
+    e.residual(x)
+    w.values[5] *= 1.0 + 1e-3
+    assert _standing_outputs(e, w, v) == \
+        _standing_outputs(make_quasi1d_euler(32), w, v)
+    assert e.residual(w).tobytes() == \
+        make_quasi1d_euler(32).residual(w).tobytes()
+    w.values[:] = x.values            # now the last residual's state
+    assert _standing_outputs(e, w, v) == \
+        _standing_outputs(make_quasi1d_euler(32), x, v)
+
+
+def test_smoothed_nozzle_jacobian_vector_builds_no_evaluation(monkeypatch):
+    # Every Krylov vector of a smoothed step is a Jv at the state whose
+    # residual, dt and blocks were asked for before its RK stages.
+    built = []
+    in_jv = [False]
+
+    class Counted(euler._Evaluation):
+        def __init__(self, problem, values):
+            built.append(in_jv[0])
+            super().__init__(problem, values)
+
+    jacobian_vector = euler.Quasi1dEulerProblem.jacobian_vector
+
+    def flagged(self, w, v):
+        in_jv[0] = True
+        try:
+            return jacobian_vector(self, w, v)
+        finally:
+            in_jv[0] = False
+
+    monkeypatch.setattr(euler, "_Evaluation", Counted)
+    monkeypatch.setattr(euler.Quasi1dEulerProblem, "jacobian_vector", flagged)
+    rep = solve_steady(make_quasi1d_euler(32),
+                       PtcConfig(smoothing=RkSchedule()))
+    assert rep.outcome == SolveOutcome.CONVERGED and rep.cumulative_krylov > 0
+    assert len(built) > rep.newton_steps and not any(built)
 
 
 def test_euler_explicit_dt_scales_linearly_with_cell_size():

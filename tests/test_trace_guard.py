@@ -91,3 +91,17 @@ def test_missing_count_fails():
     del result["metrics"]["ptc.precon_build.calls"]
     assert _load_tool().failed_checks("convdiff_sweep", result) == [
         "missing 'ptc.precon_build.calls'"]
+
+
+def test_traced_calls_lists_every_call_count_by_name():
+    tool = _load_tool()
+    calls = tool.traced_calls(_result())
+    assert calls.split() == sorted(
+        f"{name}={value}" for name, value in (
+            ("linalg.factor.calls", 47), ("ptc.precon_build.calls", 47),
+            ("smoother.build.calls", 18), ("lines.extract.calls", 2),
+            ("linalg.line_solve.calls", 1018), ("problems.jv.calls", 767),
+            ("linalg.gmres.calls", 47), ("smoother.rk.calls", 18),
+            ("problems.residual.calls", 261), ("ptc.calls", 4),
+            ("ptc.line_search.calls", 64), ("problems.blocks.calls", 49)))
+    assert tool.traced_calls({"metrics": {}}) == ""

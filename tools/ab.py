@@ -4,16 +4,18 @@
 Run from the repository root:
 
     python3 tools/ab.py REV                          # every workload
-    python3 tools/ab.py REV nozzle_sweep --rounds 40 --seed 7
+    python3 tools/ab.py REV nozzle_sweep --rounds 40 --seed 7 --repeats 5
 
 REV is checked out into a temporary local ``git worktree``
 (``history_digest.checked_out``), and each tree's ``src/ptcsmooth`` is
 loaded into this one process as its own set of modules. The cases are built
 and run by this tree's ``bench/run.py`` (``WORKLOADS``, ``build_cases``,
 ``run_case``), which pins BLAS to one thread. A round times each variant
-(plain, then smoothed) once on each side, over all of the workload's cases;
-which side goes first alternates from round to round, and one untimed round
-warms both up. Per workload and variant the tool prints each side's median
+(plain, then smoothed) ``--repeats`` times (default 3) on each side, over
+all of the workload's cases, and keeps each side's fastest run, so that a
+round's time is not one run's share of the host's noise; which side goes
+first alternates from round to round, and one untimed round warms both
+up. Per workload and variant the tool prints each side's median
 and quartiles, the change's median relative to REV's, the rounds in which
 the change was faster, whether the median moved by more than REV's
 interquartile range, and whether the (Newton steps, Krylov vectors,
@@ -130,9 +132,10 @@ def run_variant(bench, pkg, built, variant) -> Tuple[float, tuple]:
     return seconds, counts
 
 
-def ab_workload(bench, sides, workload: str, rounds: int,
-                seed: int) -> List[str]:
-    """The report lines of one workload, one per variant."""
+def ab_workload(bench, sides, workload: str, rounds: int, seed: int,
+                repeats: int) -> List[str]:
+    """The report lines of one workload, one per variant; each round's time
+    per side is the minimum of ``repeats`` runs."""
     cases = bench.WORKLOADS[workload]
     built = {side: bench.build_cases(problems, cases, seed)
              for side, (_, problems) in sides.items()}
@@ -142,11 +145,11 @@ def ab_workload(bench, sides, workload: str, rounds: int,
         order = SIDES if round_ % 2 == 0 else SIDES[::-1]
         for v in bench.VARIANTS:
             for side in order:
-                seconds, c = run_variant(bench, sides[side][0], built[side],
-                                         v)
+                runs = [run_variant(bench, sides[side][0], built[side], v)
+                        for _ in range(repeats)]
                 if round_ >= 0:
-                    times[side, v].append(seconds)
-                    counts[side, v].add(c)
+                    times[side, v].append(min(t for t, _ in runs))
+                    counts[side, v].update(c for _, c in runs)
     return [describe(f"{workload} {v}",
                      summarize(times["parent", v], times["change", v]),
                      {side: counts[side, v] for side in SIDES})
@@ -160,9 +163,14 @@ def main(argv=None) -> int:
                     help="benchmark workloads (default: all)")
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--repeats", type=int, default=3,
+                    help="runs per side and round, of which the fastest "
+                         "counts (default 3)")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
     bench = load_bench()
     unknown = [w for w in args.workloads if w not in bench.WORKLOADS]
     if unknown:
@@ -177,7 +185,7 @@ def main(argv=None) -> int:
                      "change": load_package(ROOT / "src")}
             for workload in args.workloads or list(bench.WORKLOADS):
                 for line in ab_workload(bench, sides, workload, args.rounds,
-                                        args.seed):
+                                        args.seed, args.repeats):
                     print(line, flush=True)
     except subprocess.CalledProcessError as exc:
         print(f"could not check out {args.rev}: {exc}", file=sys.stderr)

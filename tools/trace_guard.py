@@ -52,7 +52,10 @@ RK solve or residual, and every check holds for it unchanged.
 
 A kernel refactor that renames or stops calling a traced function makes
 ``bench/run.py`` exit with a trace-guard error, which fails here too.
-Prints one verdict line per workload and exits 1 if any check failed.
+Prints one line per workload, its verdict and then every traced
+``*.calls`` count of its pass (``name=value``, sorted by name), so that a
+change that claims to move no call count shows it; exits 1 if any check
+failed.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -122,24 +125,35 @@ def failed_checks(workload: str, result: dict) -> List[str]:
     return [name for name, ok in checks.items() if not ok]
 
 
-def run_workload(workload: str) -> List[str]:
-    """The checks one traced pass of ``workload`` fails."""
+def traced_calls(result: dict) -> str:
+    """Every ``*.calls`` count of ``result``, one workload's result line,
+    as ``name=value`` sorted by name."""
+    return " ".join(f"{name}={entry['value']}" for name, entry in
+                    sorted(result.get("metrics", {}).items())
+                    if name.endswith(".calls"))
+
+
+def run_workload(workload: str) -> Tuple[List[str], str]:
+    """The checks one traced pass of ``workload`` fails, and its call
+    counts (``traced_calls``; empty if the pass did not run)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         return [f"bench/run.py exited {proc.returncode}: "
-                f"{proc.stderr.strip()}"]
-    return failed_checks(workload, json.loads(proc.stdout.splitlines()[-1]))
+                f"{proc.stderr.strip()}"], ""
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return failed_checks(workload, result), traced_calls(result)
 
 
 def main() -> int:
     ok = True
     for workload in WORKLOADS:
-        failed = run_workload(workload)
+        failed, calls = run_workload(workload)
         print(f"{workload}: "
-              + ("FAIL " + "; ".join(failed) if failed else "ok"), flush=True)
+              + ("FAIL " + "; ".join(failed) if failed else "ok")
+              + (f"; calls {calls}" if calls else ""), flush=True)
         ok = ok and not failed
     return 0 if ok else 1
 
