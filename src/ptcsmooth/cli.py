@@ -138,8 +138,8 @@ def _read_sections(text: str, overrides: List[str]
                    ) -> Dict[str, Dict[str, Tuple[str, str]]]:
     """Raw section -> key -> (value, where) table; ``where`` names the file
     line or the override for error reporting. Overrides win. An override
-    value that a config file would cut at a comment is refused, so that the
-    config echo re-parses to the config it echoes."""
+    value that a config file would cut at a comment or a line break is
+    refused, so that the config echo re-parses to the config it echoes."""
     sections: Dict[str, Dict[str, Tuple[str, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,11 +170,11 @@ def _read_sections(text: str, overrides: List[str]
         if section not in _SCHEMA:
             raise ConfigError(f"override {item!r}: unknown section {section!r}")
         value = value.strip()
-        if _COMMENT.search(" " + value):
+        if _COMMENT.search(" " + value) or len(value.splitlines()) > 1:
             raise ConfigError(
-                f"override {item!r}: a value cannot hold '#' or ';' at its "
-                "start or after whitespace, where a config file reads a "
-                "comment")
+                f"override {item!r}: a value cannot hold a line break, or "
+                "'#' or ';' at its start or after whitespace, where a "
+                "config file reads a comment")
         sections.setdefault(section, {})[key.strip().lower()] = (
             value, f"override {item!r}")
     return sections

@@ -167,9 +167,9 @@ def gmres_right_preconditioned(A: Operator, precon: Operator, b: np.ndarray,
 # and the smoother's serves 15, GMRES's 5-23. A layout of one column and at
 # most 2^(TOP_LEVELS + 1) rows (one line of up to 32 cells) puts every level
 # in the top, so its solve is a gather, one matmul and a scatter: on
-# nozzle32 a solve went from about 18 to 6 us, and a factor cost about 40
-# us more with one shift and 65 us more stacked, repaid within 3 and 5
-# solves.
+# nozzle32 (a 2-vCPU Xeon host, one BLAS thread) a solve went from about
+# 18 to 6 us, and a factor cost about 40 us more with one shift and 65 us
+# more stacked, repaid within 3 and 5 solves.
 TOP_LEVELS = 4
 
 

@@ -79,10 +79,11 @@ def test_echo_round_trips_values_holding_comment_characters():
     assert parse_config(text) == cfg
 
 
-@pytest.mark.parametrize("value", ["a #b", "a\t;b", "#a", ";a", "a # b"])
+@pytest.mark.parametrize("value", ["a #b", "a\t;b", "#a", ";a", "a # b",
+                                   "a\nb", "a\rb"])
 def test_override_value_the_echo_cannot_carry_is_refused(value):
-    with pytest.raises(ConfigError, match="override 'output.prefix=.*'.*"
-                                          "comment"):
+    with pytest.raises(ConfigError, match="(?s)override 'output.prefix=.*'"
+                                          ".*comment"):
         parse_config(MINIMAL, [f"output.prefix={value}"])
 
 
